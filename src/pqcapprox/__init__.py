@@ -30,7 +30,6 @@ from .circuits import (
     build_taylor_series_pqc,
     build_trig_monomial_pqc,
     build_trig_poly_pqc,
-    eval_nested_taylor,
     evaluate_block,
     lcu_combine,
     localization_values,
@@ -64,6 +63,7 @@ from .qsp import (
 from .sim import (
     Circuit,
     Gate,
+    GateProgram,
     ResourceCount,
     Statevector,
     decompose_mcu,

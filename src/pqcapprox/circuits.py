@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -63,15 +64,23 @@ class BlockCircuit:
     def width(self) -> int:
         return self.circuit.width
 
+    @cached_property
+    def programs(self) -> tuple[sim.GateProgram, ...]:
+        """Compiled Hadamard tests: the real part, then the imaginary part
+        unless the block value is known to be real."""
+        parts = ("real",) if self.block_value_is_real else ("real", "imaginary")
+        return tuple(
+            sim.GateProgram(sim.hadamard_test_circuit(self.circuit, self.prep, part))
+            for part in parts
+        )
+
 
 def evaluate_block(bc: BlockCircuit, x: Optional[Sequence[float]] = None):
     """Represented value: Hadamard-test block value times the rescale factor."""
-    u = bc.circuit.bound(x)
-    prep = bc.prep.bound(x)
-    re = sim.hadamard_test(u, prep, "real")
+    values = [sim.expectation_z0(sim.run(p, x=x)) for p in bc.programs]
     if bc.block_value_is_real:
-        return re * bc.rescale
-    im = sim.hadamard_test(u, prep, "imaginary")
+        return values[0] * bc.rescale
+    re, im = values
     return (re + 1j * im) * bc.rescale
 
 
@@ -575,19 +584,6 @@ class NestedTaylorModel:
 
     def __call__(self, x: Sequence[float]) -> float:
         return self.evaluate(x).value
-
-
-_NESTED_CACHE: dict[tuple, NestedTaylorModel] = {}
-
-
-def eval_nested_taylor(
-    f: TargetFunctionSpec, spec: LocalizationSpec, s: int, x: Sequence[float]
-) -> NestedEval:
-    """One-shot nested evaluation; the model is cached per (f, spec, s)."""
-    key = (id(f.evaluator), spec, s)
-    if key not in _NESTED_CACHE:
-        _NESTED_CACHE[key] = NestedTaylorModel(f, spec, s)
-    return _NESTED_CACHE[key].evaluate(x)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import approx, circuits, qsp, sim, targets
 from .poly import (
+    ConstructionError,
     LocalizationSpec,
     MultivariatePolynomial,
     MultivariateTrigPolynomial,
@@ -45,7 +46,6 @@ class ExperimentConfig:
     delta: Optional[float] = None
     eps: float = 0.3
     s: Optional[int] = None
-    beta: float = 2.0
     shots: int = 0
     seed: Optional[int] = None
     tol: float = 1e-6
@@ -380,7 +380,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--eps", type=float, default=0.3)
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-6)
@@ -401,7 +400,6 @@ def _cfg_from_args(args: argparse.Namespace, experiment: str) -> ExperimentConfi
         delta=args.delta,
         eps=args.eps,
         s=args.s,
-        beta=args.beta,
         shots=args.shots,
         seed=args.seed,
         tol=args.tol,
@@ -479,7 +477,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = run_experiment(cfg)
             print(report.to_json())
             return 0
-    except (ValueError, KeyError, qsp.QspSynthesisError) as exc:
+    except (ValueError, KeyError, OSError, qsp.QspSynthesisError, ConstructionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     return 0
@@ -548,7 +546,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.config:
         doc = json.loads(Path(args.config).read_text())
-        cfg = ExperimentConfig(**doc)
+        try:
+            cfg = ExperimentConfig(**doc)
+        except TypeError as exc:  # unknown or missing keys, or not a JSON object
+            raise ValueError(f"invalid config {args.config}: {exc}") from exc
     else:
         if not args.experiment:
             raise ValueError("report needs --config or --experiment")

@@ -2,7 +2,8 @@
 
 Qubit 0 is the most significant bit of the basis-state index.  Circuits are
 ordered gate lists; a gate either carries a concrete angle or an encoding
-slot that is bound to a data point before simulation.  Multi-controlled
+slot that is bound to a data point before simulation.  ``GateProgram``
+compiles a circuit once, so each run only binds the slots.  Multi-controlled
 single-qubit gates (MCU) are native simulator primitives; ``decompose_mcu``
 lowers them to CNOT plus single-qubit rotations for the depth/gate-count
 claims and equivalence tests.
@@ -75,7 +76,7 @@ class Gate:
         if rot in _ROTATIONS:
             if self.angle is None and self.slot is None:
                 raise ValueError(f"{rot} needs an angle or an encoding slot")
-        elif self.angle is not None:
+        elif self.angle is not None or self.slot is not None:
             raise ValueError(f"{self.kind} does not take an angle")
 
     @property
@@ -231,23 +232,23 @@ def gate_matrix_1q(kind: str, angle: Optional[float] = None) -> np.ndarray:
     raise ValueError(f"no matrix for kind {kind!r}")
 
 
-_INDEX_CACHE: dict[int, np.ndarray] = {}
-
-
-def _indices(width: int) -> np.ndarray:
-    if width not in _INDEX_CACHE:
-        _INDEX_CACHE[width] = np.arange(2**width)
-    return _INDEX_CACHE[width]
+def _gate_kind(g: Gate) -> str:
+    """The single-qubit kind a gate applies to its target."""
+    return g.sub if g.kind == "MCU" else ("X" if g.kind == "CNOT" else g.kind)
 
 
 def _apply_gate(amps: np.ndarray, g: Gate, width: int) -> np.ndarray:
+    """Reference kernel: one bound gate, masks rebuilt from scratch.
+
+    Kept independent of ``GateProgram`` so ``circuit_unitary`` can serve as
+    the test oracle for the compiled path.
+    """
     if g.slot is not None:
         raise ValueError("cannot simulate a circuit with unbound encoding slots")
-    kind = g.sub if g.kind == "MCU" else ("X" if g.kind == "CNOT" else g.kind)
-    mat = gate_matrix_1q(kind, g.angle)
+    mat = gate_matrix_1q(_gate_kind(g), g.angle)
     target = g.targets[0]
     tbit = 1 << (width - 1 - target)
-    idx = _indices(width)
+    idx = np.arange(2**width)
     if g.controls:
         cmask = 0
         for c in g.controls:
@@ -266,16 +267,95 @@ def _apply_gate(amps: np.ndarray, g: Gate, width: int) -> np.ndarray:
     return amps
 
 
-def run(c: Circuit, init: Optional[Statevector] = None) -> Statevector:
-    """Apply the circuit to the initial state (default all-zeros)."""
-    if c.width > MAX_WIDTH:
-        raise ValueError(f"width {c.width} exceeds the {MAX_WIDTH}-qubit cap")
-    state = init if init is not None else Statevector.zero(c.width)
-    if len(state.amplitudes) != 2**c.width:
+class GateProgram:
+    """A circuit compiled once; running it at x only binds encoding angles.
+
+    Every maximal run of consecutive gates on one target under one control
+    set becomes a single op: a 2x2 matrix applied to the amplitude pairs
+    ``(i0, i1)`` that differ in the target bit and have every control bit
+    set.  The fixed gates of a run are multiplied together here; only the
+    encoding-slot factors between them are computed per point.  Ops that
+    address the same (target, controls) share one index-pair array.
+    ``width`` and ``gates`` are those of the source circuit.
+    """
+
+    def __init__(self, c: Circuit):
+        if c.width > MAX_WIDTH:
+            raise ValueError(f"width {c.width} exceeds the {MAX_WIDTH}-qubit cap")
+        self.width = c.width
+        self.gates = c.gates
+        idx = np.arange(2**c.width)
+        eye = np.eye(2, dtype=complex)
+        pair_of: dict[tuple[int, int], np.ndarray] = {}
+        slot_of: dict[tuple[str, EncodingSlot], int] = {}
+        self.pairs: list[np.ndarray] = []
+        heads: list[np.ndarray] = []  # fixed product before an op's first slot
+        chains: list[list[list]] = []  # per op: [slot index, fixed product after it]
+        prev = None
+        for g in c.gates:
+            tbit = 1 << (c.width - 1 - g.targets[0])
+            cmask = sum(1 << (c.width - 1 - q) for q in g.controls)
+            if (tbit, cmask) != prev:
+                if (tbit, cmask) not in pair_of:
+                    i0 = idx[((idx & tbit) == 0) & ((idx & cmask) == cmask)]
+                    pair_of[tbit, cmask] = np.stack([i0, i0 | tbit])
+                self.pairs.append(pair_of[tbit, cmask])
+                heads.append(eye)
+                chains.append([])
+                prev = (tbit, cmask)
+            kind = _gate_kind(g)
+            chain = chains[-1]
+            if g.slot is not None:
+                chain.append([slot_of.setdefault((kind, g.slot), len(slot_of)), eye])
+            elif chain:
+                chain[-1][1] = gate_matrix_1q(kind, g.angle) @ chain[-1][1]
+            else:
+                heads[-1] = gate_matrix_1q(kind, g.angle) @ heads[-1]
+        self.slots = tuple(slot_of)
+        self.heads = np.array(heads, dtype=complex).reshape(len(heads), 2, 2)
+        # stage j: every op with more than j slots takes its j-th slot factor,
+        # then the fixed product up to its next slot
+        self.stages = []
+        for j in range(max(map(len, chains), default=0)):
+            ops = [k for k, chain in enumerate(chains) if len(chain) > j]
+            self.stages.append((
+                np.array(ops),
+                np.array([chains[k][j][0] for k in ops]),
+                np.array([chains[k][j][1] for k in ops]),
+            ))
+
+    def op_matrices(self, x: Optional[Sequence[float]]) -> np.ndarray:
+        """The (ops, 2, 2) matrices of the program bound at x."""
+        if not self.slots:
+            return self.heads
+        if x is None:
+            raise ValueError("circuit has unbound encoding slots; pass x")
+        factors = np.array(
+            [gate_matrix_1q(kind, slot.angle_for(x)) for kind, slot in self.slots]
+        )
+        mats = self.heads.copy()
+        for ops, slot_idx, after in self.stages:
+            mats[ops] = after @ (factors[slot_idx] @ mats[ops])
+        return mats
+
+
+def run(
+    c: Circuit | GateProgram,
+    init: Optional[Statevector] = None,
+    x: Optional[Sequence[float]] = None,
+) -> Statevector:
+    """Apply the circuit to the initial state (default all-zeros).
+
+    A ``GateProgram`` runs with its encoding slots bound at x; a plain
+    circuit is compiled first.
+    """
+    program = c if isinstance(c, GateProgram) else GateProgram(c)
+    state = init if init is not None else Statevector.zero(program.width)
+    if len(state.amplitudes) != 2**program.width:
         raise ValueError("initial state dimension does not match circuit width")
-    amps = state.amplitudes
-    for g in c.gates:
-        amps = _apply_gate(amps, g, c.width)
+    amps = state.amplitudes.copy()
+    for pair, m in zip(program.pairs, program.op_matrices(x)):
+        amps[pair] = m @ amps[pair]
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > 1e-10:
         raise RuntimeError(f"simulation lost unitarity: norm {norm}")

@@ -263,6 +263,31 @@ def test_localization_block_single_band():
         assert 0.0 < v < 0.07
 
 
+def test_evaluate_block_needs_x_for_slots():
+    bc = C.build_monomial_pqc(0.5, (1,))
+    with pytest.raises(ValueError):
+        C.evaluate_block(bc, None)
+
+
+def test_evaluate_block_rejects_acos_argument_out_of_range():
+    bc = C.build_monomial_pqc(0.5, (1,))
+    assert C.evaluate_block(bc, (1.0 + 1e-10,)) == pytest.approx(0.5, abs=1e-9)
+    with pytest.raises(ValueError):
+        C.evaluate_block(bc, (1.0 + 1e-8,))
+
+
+def test_evaluate_block_reuses_compiled_programs():
+    real = C.build_monomial_pqc(0.5, (1, 1))
+    cplx = C.build_trig_monomial_pqc(0.5j, (1,))
+    for bc, n_parts in ((real, 1), (cplx, 2)):
+        C.evaluate_block(bc, (0.3, 0.4))
+        programs = bc.programs
+        assert len(programs) == n_parts
+        C.evaluate_block(bc, (0.1, 0.2))
+        assert bc.programs is programs
+        assert all(a is b for a, b in zip(bc.programs, programs))
+
+
 def test_localization_block_frozen_example():
     spec = P.LocalizationSpec(4, 0.05, 0.1)
     vals = C.localization_values(spec, [0.6])
@@ -389,7 +414,7 @@ def test_nested_trifling_flagged():
 def test_eval_nested_taylor_function():
     f = halfsine()
     spec = P.LocalizationSpec(2, 0.1, 0.25)
-    res = C.eval_nested_taylor(f, spec, 1, (0.7,))
+    res = C.NestedTaylorModel(f, spec, 1).evaluate((0.7,))
     assert abs(res.value - f((0.7,))) <= P.thm_bounds(
         "thm3", d=1, s=1, beta=2, K=2
     ) + 1e-6

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from pqcapprox import cli, sim
+from pqcapprox import circuits, cli, sim
+from pqcapprox.poly import ConstructionError
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +127,32 @@ def test_report_invalid_config(capsys, tmp_path):
     code, _, err = run_cli(capsys, "report", "--config", str(path))
     assert code == 2
     assert json.loads(err.strip())["error"]
+
+
+@pytest.mark.parametrize("key", ["warp_factor", "beta"])
+def test_report_config_unknown_key(capsys, tmp_path, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "qsp", key: 2.0}))
+    code, _, err = run_cli(capsys, "report", "--config", str(path))
+    assert code == 2
+    assert key in json.loads(err.strip())["error"]
+
+
+def test_eval_missing_circuit_file(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "eval", "--circuit", str(tmp_path / "none.txt"), "--x", "0.5")
+    assert code == 2
+    assert json.loads(err.strip())["error"]
+
+
+def test_construction_error_is_reported(capsys, monkeypatch):
+    def fail(spec):
+        raise ConstructionError(f"localization polynomial failed for {spec}")
+
+    monkeypatch.setattr(circuits, "localization_poly", fail)
+    monkeypatch.setattr(circuits, "_LOC_CACHE", {})
+    code, _, err = run_cli(capsys, "report", "--experiment", "localization", "--K", "2")
+    assert code == 2
+    assert "localization polynomial failed" in json.loads(err.strip())["error"]
 
 
 def test_shots_require_seed():

@@ -91,6 +91,64 @@ def test_run_matches_dense_unitary(width):
     assert np.max(np.abs(out.amplitudes - dense[:, 0])) <= 1e-10
 
 
+def random_slotted_circuit(rng, width, n_runs):
+    """Runs of 3-6 gates on one target under one control set, with MCUs and
+    X/Z-encoding slots on coordinates 0 and 1 mixed among fixed gates."""
+    gates = []
+    for _ in range(n_runs):
+        q = int(rng.integers(0, width))
+        others = [c for c in range(width) if c != q]
+        ctrls = tuple(sorted(rng.choice(others, int(rng.integers(0, len(others) + 1)),
+                                        replace=False).tolist()))
+        for _ in range(int(rng.integers(3, 7))):
+            choice = int(rng.integers(0, 8))
+            slot = None
+            angle = None
+            if choice < 3:
+                kind = ("H", "X", "Z")[choice]
+            elif choice < 6:
+                kind = ("Rx", "Ry", "Rz")[choice - 3]
+                angle = float(rng.normal())
+            else:
+                slot = S.EncodingSlot(choice - 6, ("acos", "zrot")[choice - 6],
+                                      float(rng.uniform(-0.2, 0.2)))
+                kind = "Rx" if slot.xform == "acos" else "Rz"
+            if ctrls:
+                gates.append(S.Gate("MCU", (q,), ctrls, angle=angle, sub=kind, slot=slot))
+            else:
+                gates.append(S.Gate(kind, (q,), angle=angle, slot=slot))
+    return S.Circuit(width, tuple(gates))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_compiled_program_matches_dense_unitary(seed):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 5))
+    circ = random_slotted_circuit(rng, width, 6)
+    prep = random_circuit(rng, width, 4)
+    x = (float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-3.0, 3.0)))
+    prog = S.GateProgram(circ)
+    assert len(prog.pairs) <= 6
+    dense = S.circuit_unitary(circ.bound(x))
+    assert np.max(np.abs(S.run(prog, x=x).amplitudes - dense[:, 0])) <= 1e-10
+    psi = S.run(prep).amplitudes
+    block = np.vdot(psi, dense @ psi)
+    for part, want in (("real", block.real), ("imaginary", block.imag)):
+        ht = S.GateProgram(S.hadamard_test_circuit(circ, prep, part))
+        assert abs(S.expectation_z0(S.run(ht, x=x)) - want) <= 1e-10
+
+
+def test_program_rejects_unbound_slots():
+    circ = S.Circuit(1, (S.encoding_gate(0, S.EncodingSlot(0, "acos")),))
+    with pytest.raises(ValueError):
+        S.run(circ)
+    with pytest.raises(ValueError):
+        S.run(S.GateProgram(circ), x=None)
+    with pytest.raises(ValueError):  # only rotations take an encoding slot
+        S.Gate("H", (0,), slot=S.EncodingSlot(0, "acos"))
+
+
 def test_width_cap():
     with pytest.raises(ValueError):
         S.Statevector.zero(S.MAX_WIDTH + 1)
