@@ -10,10 +10,13 @@ and emit a JSON error report), ``compare-fnn`` (model-size calculator).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import numbers
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -57,6 +60,11 @@ class ExperimentConfig:
     emit_circuit: str = ""
 
     def __post_init__(self) -> None:
+        hints = typing.get_type_hints(ExperimentConfig)
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not _has_type(value, hints[field.name]):
+                raise ValueError(f"config key {field.name!r} must be {field.type}, got {value!r}")
         known = {"qsp", "poly", "bernstein", "localization", "taylor", "trig", "fnn_compare"}
         if self.experiment not in known:
             raise ValueError(f"unknown experiment {self.experiment!r}")
@@ -64,6 +72,17 @@ class ExperimentConfig:
             raise ValueError("seed is mandatory when shots > 0")
         if self.seed is None:
             self.seed = 0
+
+
+def _has_type(value: object, hint: object) -> bool:
+    """isinstance against a field annotation: Optional[T] also takes None,
+    float also takes an int, and a bool is not a number."""
+    if typing.get_origin(hint) is typing.Union:
+        return any(_has_type(value, arg) for arg in typing.get_args(hint))
+    if hint in (int, float):
+        abstract = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, abstract) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 def default_delta(d: int, K: int) -> float:

@@ -11,6 +11,7 @@ by the experiment harness.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
@@ -400,6 +401,33 @@ def _refined_sup(
     return best
 
 
+# Bytes per (degree + 1)^2 of angle synthesis at that degree: the float64
+# Jacobian (8) plus the complex prefix (32), suffix (32) and gradient (16)
+# arrays of qsp._block_and_grad.  The interpolation's Chebyshev-Vandermonde
+# matrix (8) is freed before synthesis starts, so it is covered as well.
+_SYNTHESIS_BYTES_PER_ENTRY = 8 + 32 + 32 + 16
+
+
+def _physical_memory_bytes() -> float:
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        return math.inf
+
+
+def _check_degree_fits(degree: int) -> None:
+    """Reject a construction whose synthesis system cannot fit in memory,
+    before anything of that size is allocated."""
+    need = _SYNTHESIS_BYTES_PER_ENTRY * float(degree + 1) ** 2
+    have = _physical_memory_bytes()
+    if need > have:
+        raise ValueError(
+            f"predicted polynomial degree {degree} needs {need / 2**30:.1f} GiB"
+            f" for angle synthesis, more than the {have / 2**30:.1f} GiB of"
+            " physical memory; raise delta or eps"
+        )
+
+
 def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     """Chebyshev series (in the scaled variable v = u/R) approximating sgn(u)
     for u in [-R, R], accurate to eps outside (-delta/2, delta/2), |.| <= 1.
@@ -415,6 +443,7 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     # so resolving a tail of size eps needs n ~ 2 kappa sqrt(log(1/eps)).
     n_interp = int(max(64, 2.2 * kappa * math.sqrt(math.log(64.0 / eps)) + 64))
     n_interp += n_interp % 2
+    _check_degree_fits(n_interp)
     coef_full = _erf_chebyshev(kappa, n_interp)
 
     edge = (delta / 2.0) / R

@@ -90,7 +90,11 @@ def _encoding(x: float) -> np.ndarray:
 
 
 def qsp_unitary(a: QspAngleSequence, x: float) -> np.ndarray:
-    """The 2x2 unitary R_Z(t0) * prod_j [S(x) R_Z(tj)] at input x."""
+    """The 2x2 unitary R_Z(t0) * prod_j [S(x) R_Z(tj)] at input x.
+
+    Dense and layer by layer: the reference that qsp_block_values is tested
+    against.
+    """
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"encoding input {x} outside [-1, 1]")
     u = _rz(a.angles[0])
@@ -103,26 +107,79 @@ def qsp_unitary(a: QspAngleSequence, x: float) -> np.ndarray:
 def qsp_block_values(angles: Sequence[float], xs: np.ndarray) -> np.ndarray:
     """Plus-state block values <+|U(x)|+> for a batch of inputs."""
     xs = np.asarray(xs, dtype=float)
-    if np.any(np.abs(xs) > 1.0 + 1e-12):
+    if not np.all(np.abs(xs) <= 1.0 + 1e-12):  # NaN fails this too
         raise ValueError("encoding inputs outside [-1, 1]")
     xs = np.clip(xs, -1.0, 1.0)
-    row = _batched_rows(np.asarray(angles, dtype=float), xs)
-    return (row[:, 0] + row[:, 1]) / math.sqrt(2.0)
+    a, b = _transfer_top_rows(np.asarray(angles, dtype=float), xs)
+    # U = [[a, b], [-conj(b), conj(a)]], so <+|U|+> = Re(a) + i Im(b)
+    return a.real + 1j * b.imag
 
 
-def _batched_rows(thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Row vectors <+| R_Z(t0) prod_j [S(x) R_Z(tj)] for each x."""
-    n = xs.shape[0]
-    s = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-    row = np.full((n, 2), 1.0 / math.sqrt(2.0), dtype=complex)
+# 2x2 layer products per numpy call in _transfer_top_rows.  Smaller batches
+# split the layers into more blocks; tuned so that no batch size runs slower
+# than a plain layer-by-layer sweep.
+_BLOCK_WIDTH = 8192
+
+
+def _transfer_top_rows(thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top row (a, b) of U(x) = R_Z(t0) prod_j [S(x) R_Z(tj)] for each x.
+
+    Every factor is in SU(2), so every partial product is [[a, b], [-b*, a*]]
+    and is fixed by its top row.  The L layers are split into q blocks of m
+    layers, vectorized over (blocks x points), plus a leading block that
+    starts from R_Z(t0) and takes the r = L - q*m leftover layers.  The block
+    products are then folded pairwise into the leading row.
+    """
+    n, L = xs.shape[0], len(thetas) - 1
+    isx = 1j * np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
     e0 = np.exp(-0.5j * thetas)
     e1 = np.exp(0.5j * thetas)
-    row = row * np.stack([np.full(n, e0[0]), np.full(n, e1[0])], axis=1)
-    for j in range(1, len(thetas)):
-        r0 = row[:, 0] * xs + row[:, 1] * (1j * s)
-        r1 = row[:, 0] * (1j * s) + row[:, 1] * xs
-        row = np.stack([r0 * e0[j], r1 * e1[j]], axis=1)
-    return row
+    a0 = np.full(n, e0[0])
+    b0 = np.zeros(n, dtype=complex)
+    if L == 0:
+        return a0, b0
+    m, q, r = _layer_blocks(L, n)
+    _sweep_top_rows(a0, b0, xs, isx, e0[1 : r + 1], e1[1 : r + 1])
+    e0_blocks = e0[r + 1 :].reshape(q, m)
+    e1_blocks = e1[r + 1 :].reshape(q, m)
+    a = e0_blocks[:, :1] * xs
+    b = e1_blocks[:, :1] * isx
+    _sweep_top_rows(a, b, xs, isx, e0_blocks[:, 1:], e1_blocks[:, 1:])
+    while q > 1:
+        if q % 2:
+            a0, b0 = _su2_product(a0, b0, a[0], b[0])
+            a, b, q = a[1:], b[1:], q - 1
+        a, b = _su2_product(a[0::2], b[0::2], a[1::2], b[1::2])
+        q //= 2
+    return _su2_product(a0, b0, a[0], b[0])
+
+
+def _layer_blocks(L: int, n: int) -> tuple[int, int, int]:
+    """(m, q, r) with L = q*m + r: about _BLOCK_WIDTH / n blocks, r < m."""
+    m = L // min(L, -(-_BLOCK_WIDTH // max(n, 1)))
+    q, r = divmod(L, m)
+    return m, q, r
+
+
+def _sweep_top_rows(a, b, xs, isx, e0, e1) -> None:
+    """Right-multiply top rows (a, b) in place by S(x) R_Z(t_k), k along e0's
+    last axis: (a, b) -> ((a x + i s b) e0_k, (i s a + x b) e1_k)."""
+    t = np.empty_like(a)
+    u = np.empty_like(a)
+    for k in range(e0.shape[-1]):
+        np.multiply(a, xs, out=t)
+        np.multiply(b, isx, out=u)
+        t += u
+        np.multiply(a, isx, out=u)
+        b *= xs
+        b += u
+        b *= e1[..., k, None]
+        np.multiply(t, e0[..., k, None], out=a)
+
+
+def _su2_product(a1, b1, a2, b2) -> tuple[np.ndarray, np.ndarray]:
+    """Top row of [[a1, b1], [-b1*, a1*]] @ [[a2, b2], [-b2*, a2*]]."""
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
 def _block_and_grad(thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,29 +189,25 @@ def _block_and_grad(thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.
     db/dt_j = <+|prefix_j * dR_Z(t_j)/dt_j * suffix_j|+>.
     """
     nx, L1 = xs.shape[0], len(thetas)
-    s = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
+    isx = 1j * np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
     e0 = np.exp(-0.5j * thetas)
     e1 = np.exp(0.5j * thetas)
 
     prefix = np.empty((L1, nx, 2), dtype=complex)  # row just before R_Z(t_j)
-    row = np.full((nx, 2), 1.0 / math.sqrt(2.0), dtype=complex)
-    prefix[0] = row
+    prefix[0] = 1.0 / math.sqrt(2.0)
     for j in range(L1 - 1):
-        row = np.stack([row[:, 0] * e0[j], row[:, 1] * e1[j]], axis=1)
-        r0 = row[:, 0] * xs + row[:, 1] * (1j * s)
-        r1 = row[:, 0] * (1j * s) + row[:, 1] * xs
-        row = np.stack([r0, r1], axis=1)
-        prefix[j + 1] = row
+        r0 = prefix[j, :, 0] * e0[j]
+        r1 = prefix[j, :, 1] * e1[j]
+        prefix[j + 1, :, 0] = r0 * xs + r1 * isx
+        prefix[j + 1, :, 1] = r0 * isx + r1 * xs
 
     suffix = np.empty((L1, nx, 2), dtype=complex)  # column just after R_Z(t_j)
-    col = np.full((nx, 2), 1.0 / math.sqrt(2.0), dtype=complex)
-    suffix[L1 - 1] = col
+    suffix[L1 - 1] = 1.0 / math.sqrt(2.0)
     for j in range(L1 - 1, 0, -1):
-        col = np.stack([col[:, 0] * e0[j], col[:, 1] * e1[j]], axis=1)
-        c0 = xs * col[:, 0] + (1j * s) * col[:, 1]
-        c1 = (1j * s) * col[:, 0] + xs * col[:, 1]
-        col = np.stack([c0, c1], axis=1)
-        suffix[j - 1] = col
+        c0 = suffix[j, :, 0] * e0[j]
+        c1 = suffix[j, :, 1] * e1[j]
+        suffix[j - 1, :, 0] = xs * c0 + isx * c1
+        suffix[j - 1, :, 1] = isx * c0 + xs * c1
 
     b = (
         prefix[L1 - 1, :, 0] * e0[L1 - 1] * suffix[L1 - 1, :, 0]

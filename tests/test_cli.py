@@ -1,8 +1,10 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
-from pqcapprox import circuits, cli, sim
+from pqcapprox import circuits, cli, poly, sim
 from pqcapprox.poly import ConstructionError
 
 
@@ -136,6 +138,46 @@ def test_report_config_unknown_key(capsys, tmp_path, key):
     code, _, err = run_cli(capsys, "report", "--config", str(path))
     assert code == 2
     assert key in json.loads(err.strip())["error"]
+
+
+@pytest.mark.parametrize(
+    "key, value", [("d", "2"), ("eps", "0.3"), ("with_l2", 1), ("s", 2.5), ("seed", True)]
+)
+def test_report_config_wrong_type(capsys, tmp_path, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "bernstein", key: value}))
+    code, _, err = run_cli(capsys, "report", "--config", str(path))
+    assert code == 2
+    assert key in json.loads(err.strip())["error"]
+
+
+def test_report_config_accepts_int_for_float_and_null_for_optional():
+    cfg = cli.ExperimentConfig(experiment="bernstein", eps=1, delta=None, s=None)
+    assert cfg.eps == 1 and cfg.delta is None
+
+
+def test_localization_too_large_is_rejected_before_allocating(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the erf interpolant was built")
+
+    monkeypatch.setattr(poly, "_erf_chebyshev", never)
+    monkeypatch.setattr(circuits, "_LOC_CACHE", {})
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, _, err = run_cli(
+            capsys, "report", "--experiment", "localization",
+            "--K", "4", "--eps", "0.001", "--delta", "0.001",
+        )
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    message = json.loads(err.strip())["error"]
+    assert "degree" in message and "GiB" in message
+    assert elapsed < 1.0
+    assert peak < 2**20
 
 
 def test_eval_missing_circuit_file(capsys, tmp_path):

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqcapprox import poly as P
 from pqcapprox import qsp as Q
@@ -59,6 +62,63 @@ def test_block_values_match_unitary():
     for x, b in zip(xs, batch):
         u = Q.qsp_unitary(Q.QspAngleSequence(angles), float(x))
         assert abs(b - plus @ u @ plus) <= 1e-13
+
+
+def _check_against_unitary(L, n, width, seed):
+    rng = np.random.default_rng(seed)
+    angles = tuple(rng.uniform(-np.pi, np.pi, L + 1))
+    xs = np.cos(rng.uniform(0.0, np.pi, n))
+    xs[0] = 1.0
+    xs[-1] = -1.0 if n > 1 else xs[-1]
+    with mock.patch.object(Q, "_BLOCK_WIDTH", width):
+        batch = Q.qsp_block_values(angles, xs)
+    plus = np.array([1, 1]) / math.sqrt(2)
+    seq = Q.QspAngleSequence(angles)
+    ref = np.array([plus @ Q.qsp_unitary(seq, float(x)) @ plus for x in xs])
+    assert np.max(np.abs(batch - ref)) <= 1e-12
+
+
+@given(
+    L=st.integers(0, 64),
+    n=st.integers(1, 300),
+    width=st.sampled_from([1, 5, 64, Q._BLOCK_WIDTH]),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(L=0, n=2, width=Q._BLOCK_WIDTH, seed=5)
+def test_block_values_match_unitary_any_blocking(L, n, width, seed):
+    _check_against_unitary(L, n, width, seed)
+
+
+@pytest.mark.parametrize(
+    "L, n, width, blocks, leading",
+    [
+        (64, 300, 1, 1, 0),  # one block: a plain sweep
+        (64, 1, Q._BLOCK_WIDTH, 64, 0),  # one layer per block
+        (45, 3, Q._BLOCK_WIDTH, 45, 0),  # odd block count
+        (50, 1, 7, 7, 1),  # odd block count plus a leading layer
+    ],
+)
+def test_block_values_match_unitary_in_each_layout(L, n, width, blocks, leading):
+    with mock.patch.object(Q, "_BLOCK_WIDTH", width):
+        m, q, r = Q._layer_blocks(L, n)
+    assert (q, r) == (blocks, leading) and q * m + r == L
+    _check_against_unitary(L, n, width, seed=L)
+
+
+def test_block_values_batch_invariant_at_high_degree():
+    rng = np.random.default_rng(894)
+    angles = rng.uniform(-np.pi, np.pi, 895)
+    xs = np.cos(rng.uniform(0.0, np.pi, 3580))
+    batch = Q.qsp_block_values(angles, xs)
+    single = np.array([Q.qsp_block_values(angles, [x])[0] for x in xs])
+    assert np.max(np.abs(batch - single)) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [[1.5], [0.2, -1.0 - 1e-9], [np.nan]])
+def test_block_values_reject_inputs_outside_unit_interval(bad):
+    with pytest.raises(ValueError):
+        Q.qsp_block_values((0.1, 0.2, 0.3), bad)
 
 
 # ---------------------------------------------------------------------------
