@@ -242,10 +242,13 @@ class ErrorReport:
     experiment: str = ""
     params: dict = field(default_factory=dict)
     per_point: Optional[list] = None
+    # False when a check other than the sup-error bound failed, e.g. a
+    # localization point left its band; the report then fails whatever sup_error is
+    contract_held: bool = True
 
     @property
     def passed(self) -> bool:
-        return self.sup_error <= self.bound + self.tol_agg
+        return self.contract_held and self.sup_error <= self.bound + self.tol_agg
 
     def to_dict(self) -> dict:
         res = None

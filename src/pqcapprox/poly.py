@@ -10,6 +10,7 @@ by the experiment harness.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -20,6 +21,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 from scipy import special
+
+logger = logging.getLogger(__name__)
 
 MultiIndex = tuple[int, ...]
 Point = Sequence[float]
@@ -387,17 +390,21 @@ def _erf_chebyshev(kappa: float, n_interp: int) -> np.ndarray:
 def _refined_sup(
     coef: np.ndarray, grid: np.ndarray, vals: np.ndarray, spacing: float, peaks: int = 8
 ) -> float:
-    """True sup of |series| via local refinement around the top grid peaks."""
+    """True sup of |series| via local refinement around the top grid peaks.
+
+    All peaks are refined together: each of 3 rounds evaluates a 33-point
+    window around every peak with one ``chebval`` call, then narrows each
+    window 8x around its own maximum.
+    """
     best = float(np.max(vals))
-    top = np.argsort(vals)[-peaks:]
-    for i in top:
-        x0, h = float(grid[i]), spacing
-        for _ in range(3):
-            xs = np.clip(np.linspace(x0 - h, x0 + h, 33), -1.0, 1.0)
-            local = np.abs(_cheb.chebval(xs, coef))
-            j = int(np.argmax(local))
-            best = max(best, float(local[j]))
-            x0, h = float(xs[j]), h / 8.0
+    x0 = grid[np.argsort(vals)[-peaks:]]
+    h = np.full(len(x0), spacing)
+    for _ in range(3):
+        xs = np.clip(np.linspace(x0 - h, x0 + h, 33, axis=-1), -1.0, 1.0)
+        local = np.abs(_cheb.chebval(xs, coef))
+        j = np.argmax(local, axis=1)
+        best = max(best, float(np.max(local)))
+        x0, h = xs[np.arange(len(x0)), j], h / 8.0
     return best
 
 
@@ -434,7 +441,9 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
 
     Built as a truncation of erf(kappa*v) with kappa chosen so the smoothed
     sign contributes eps/2 of the error budget; the truncation degree is the
-    smallest that passes a dense-grid verification of both bounds.
+    smallest that passes a dense-grid verification of both bounds.  A cheap
+    recurrence screen (``_screen_start``) picks where the exact walk over
+    degrees starts, so the walk usually makes two exact checks.
     """
     if delta <= 0 or not 0 < eps < 1:
         raise ValueError("need delta > 0 and eps in (0,1)")
@@ -465,7 +474,11 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     spacing = 2.0 / n_grid
     eps_check = eps * (1.0 - 1e-3)  # margin for downstream evaluation grids
 
+    checks = 0
+
     def candidate(deg: int) -> Optional[np.ndarray]:
+        nonlocal checks
+        checks += 1
         coef = coef_full[: deg + 1].copy()
         vals = np.abs(_cheb.chebval(grid, coef))
         m = _refined_sup(coef, grid, vals, spacing)
@@ -476,15 +489,17 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
             return coef
         return None
 
-    # start from the tail-bound estimate, then walk down to the smallest pass
+    # the tail-bound degree usually passes; the screen moves the start of the
+    # exact walk down to where its own run of passes ending there begins
     tails = np.cumsum(np.abs(coef_full[::-1]))[::-1]
-    start = 1
     for deg in range(1, len(coef_full), 2):
         if deg + 1 < len(tails) and tails[deg + 1] <= eps / 4.0:
-            start = deg
+            top = deg
             break
     else:
-        start = len(coef_full) - 1
+        top = len(coef_full) - 1
+    start = _screen_start(coef_full, grid, target, outside, eps_check, top)
+    # walk up to the first exact pass, then down to the smallest
     best = None
     for deg in range(start, len(coef_full), 2):
         best = candidate(deg)
@@ -500,7 +515,55 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
         if lower is None:
             break
         best, deg = lower, deg - 2
+    logger.debug(
+        "sign series delta=%g eps=%g R=%g: top %d, screen start %d, degree %d,"
+        " %d exact checks", delta, eps, R, top, start, deg, checks,
+    )
     return best
+
+
+def _screen_start(
+    coef: np.ndarray,
+    grid: np.ndarray,
+    target: np.ndarray,
+    outside: np.ndarray,
+    eps_check: float,
+    top: int,
+) -> int:
+    """Degree at which the exact walk of ``_sign_cheb_series`` starts.
+
+    One upward sweep of T_{k+1} = 2x T_k - T_{k-1} over the verification
+    grid keeps the odd partial sum S_d and, at each odd d <= top, applies
+    the exact check's test with the grid maximum in place of the refined
+    sup.  Returns the lowest degree of the run of screen passes that ends
+    at top, or top itself if the screen fails there.  The exact walk still
+    decides the degree, so a wrong screen costs exact checks, not accuracy.
+    The degree matches that of a walk down from top unless the exact check
+    fails somewhere inside that run.
+    """
+    # outside points first, so their errors are a view of the partial sum
+    x = np.concatenate([grid[outside], grid[~outside]])
+    t_out = target[outside]
+    n_out = len(t_out)
+    two_x = 2.0 * x
+    t_prev, t_cur = np.ones_like(x), x.copy()  # T_0, T_1
+    partial = coef[1] * t_cur
+    run_start = None
+    for d in range(1, top + 1, 2):
+        if d > 1:
+            # even coefficients are zero, so S_d = S_{d-2} + c_d T_d
+            t_prev = two_x * t_cur - t_prev  # T_{d-1}
+            t_cur = two_x * t_prev - t_cur  # T_d
+            partial += coef[d] * t_cur
+        m = float(np.max(np.abs(partial)))
+        s_out = partial[:n_out]
+        if m > 1.0:
+            s_out = s_out / (m * (1.0 + 1e-12))
+        if np.max(np.abs(s_out - t_out)) > eps_check:
+            run_start = None
+        elif run_start is None:
+            run_start = d
+    return top if run_start is None else run_start
 
 
 def sign_approx_poly(delta: float, eps: float) -> ParityPolynomial:
@@ -556,7 +619,10 @@ def localization_poly(spec: LocalizationSpec) -> Polynomial:
         try:
             poly = _build_localization(spec, step_eps)
             return poly
-        except ConstructionError:
+        except ConstructionError as exc:
+            logger.debug(
+                "localization %s: step_eps %g failed (%s); halving", spec, step_eps, exc
+            )
             step_eps /= 2.0
             attempts += 1
     raise ConstructionError(f"localization polynomial failed for {spec}")

@@ -2,6 +2,7 @@ import json
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from pqcapprox import circuits, cli, poly, sim
@@ -195,6 +196,25 @@ def test_construction_error_is_reported(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "report", "--experiment", "localization", "--K", "2")
     assert code == 2
     assert "localization polynomial failed" in json.loads(err.strip())["error"]
+
+
+def test_localization_off_band_fails_with_its_real_bound(capsys, monkeypatch):
+    # every value stays within eps/2 of its band's floor, so only the band
+    # contract (value in [k/K, k/K + eps)) can fail the report
+    def off_band(spec, xs):
+        k = spec.band_of(xs[0])
+        return np.array([max(k / spec.K - spec.eps / 2, spec.eps / 2)])
+
+    monkeypatch.setattr(circuits, "localization_values", off_band)
+    code, out, _ = run_cli(
+        capsys, "report", "--experiment", "localization", "--K", "2", "--eps", "0.25"
+    )
+    doc = json.loads(out)
+    assert doc["bound"] == 0.25
+    assert doc["sup_error"] < doc["bound"]
+    assert doc["params"]["eta_recovered"] is False
+    assert doc["pass"] is False
+    assert code == 1
 
 
 def test_shots_require_seed():

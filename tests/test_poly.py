@@ -1,9 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebinterpolate, chebval
+from scipy import special
 
 from pqcapprox import poly as P
 
@@ -154,6 +157,113 @@ def test_sign_degree_constant_is_recorded():
     p = P.sign_approx_poly(0.2, 0.05)
     const = P.sign_degree_constant(0.2, 0.05, p.degree)
     assert 0 < const < 20
+
+
+# The exhaustive degree search that the screened search replaced, kept as the
+# reference: from the tail-bound degree it walks up to the first exact pass,
+# then down one odd degree at a time, refining each peak with its own calls.
+
+
+def _reference_refined_sup(coef, grid, vals, spacing, peaks=8):
+    best = float(np.max(vals))
+    top = np.argsort(vals)[-peaks:]
+    for i in top:
+        x0, h = float(grid[i]), spacing
+        for _ in range(3):
+            xs = np.clip(np.linspace(x0 - h, x0 + h, 33), -1.0, 1.0)
+            local = np.abs(chebval(xs, coef))
+            j = int(np.argmax(local))
+            best = max(best, float(local[j]))
+            x0, h = float(xs[j]), h / 8.0
+    return best
+
+
+def _reference_search(delta, eps, R):
+    """The exact check of each degree, the tail-bound degree and the length
+    of the interpolant; also asserts that the batched peak refinement
+    returns the reference sup bit for bit."""
+    kappa = float(special.erfcinv(eps / 2.0)) * 2.0 * R / delta
+    n_interp = int(max(64, 2.2 * kappa * math.sqrt(math.log(64.0 / eps)) + 64))
+    n_interp += n_interp % 2
+    coef_full = chebinterpolate(lambda t: special.erf(kappa * t), n_interp)
+    coef_full[::2] = 0.0
+    edge = (delta / 2.0) / R
+    n_grid = max(1000, 10 * n_interp)
+    ramp = np.linspace(edge, min(1.0, edge + 2.0 / max(kappa, 1.0)), 400)
+    grid = np.sort(np.concatenate(
+        [P.chebyshev_grid(n_grid), np.linspace(-1.0, 1.0, n_grid), ramp, -ramp]
+    ))
+    target = np.sign(grid)
+    outside = np.abs(grid) >= edge
+    spacing = 2.0 / n_grid
+    eps_check = eps * (1.0 - 1e-3)
+
+    def candidate(deg):
+        coef = coef_full[: deg + 1].copy()
+        vals = np.abs(chebval(grid, coef))
+        m = _reference_refined_sup(coef, grid, vals, spacing)
+        assert P._refined_sup(coef, grid, vals, spacing) == m
+        if m > 1.0:
+            coef = coef / (m * (1.0 + 1e-12))
+        errs = np.abs(chebval(grid, coef) - target)
+        return coef if np.max(errs[outside]) <= eps_check else None
+
+    tails = np.cumsum(np.abs(coef_full[::-1]))[::-1]
+    for deg in range(1, len(coef_full), 2):
+        if deg + 1 < len(tails) and tails[deg + 1] <= eps / 4.0:
+            top = deg
+            break
+    else:
+        top = len(coef_full) - 1
+    return candidate, top, len(coef_full)
+
+
+def _reference_sign_series(delta, eps, R):
+    candidate, top, n_coef = _reference_search(delta, eps, R)
+    best = None
+    for deg in range(top, n_coef, 2):
+        best = candidate(deg)
+        if best is not None:
+            break
+    deg = len(best) - 1
+    while deg > 2:
+        lower = candidate(deg - 2)
+        if lower is None:
+            break
+        best, deg = lower, deg - 2
+    return best
+
+
+# degrees 35, 141, 101 and 417; the last two are the steps of K=2, eps=0.25
+# and of the taylor_d2 benchmark workload
+SEARCH_SPECS = [(0.2, 0.05, 1.0), (0.1, 0.01, 1.0), (0.15, 0.25 / 6, 2.0), (0.0625, 0.0125, 2.0)]
+
+
+@pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS)
+def test_sign_series_matches_exhaustive_walk(delta, eps, R):
+    ref = _reference_sign_series(delta, eps, R)
+    out = P._sign_cheb_series(delta, eps, R)
+    assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("where", ["top", "failing"])
+def test_sign_series_survives_a_wrong_screen(monkeypatch, where):
+    delta, eps, R = 0.1, 0.01, 1.0
+    expected = P._sign_cheb_series(delta, eps, R)
+    candidate, top, _ = _reference_search(delta, eps, R)
+    low = len(expected) - 1 - 6
+    assert candidate(low) is None
+    start = top if where == "top" else low
+    monkeypatch.setattr(P, "_screen_start", lambda *args: start)
+    assert P._sign_cheb_series(delta, eps, R).tobytes() == expected.tobytes()
+
+
+def test_sign_series_logs_its_search(caplog):
+    with caplog.at_level(logging.DEBUG, logger="pqcapprox.poly"):
+        coef = P._sign_cheb_series(0.0625, 0.0125, 2.0)
+    (message,) = [r.getMessage() for r in caplog.records]
+    assert "top 445, screen start 417, degree 417, 2 exact checks" in message
+    assert len(coef) - 1 == 417
 
 
 # ---------------------------------------------------------------------------
