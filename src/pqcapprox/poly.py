@@ -20,6 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
+from scipy import fft as _fft
 from scipy import special
 
 logger = logging.getLogger(__name__)
@@ -115,6 +116,32 @@ def chebyshev_grid(n: int) -> np.ndarray:
     """n Chebyshev-spaced points in [-1, 1], the default verification grid."""
     k = np.arange(n)
     return np.cos((2 * k + 1) * np.pi / (2 * n))
+
+
+def _cheb_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m first-kind Chebyshev nodes cos(theta_k) and their sin(theta_k)."""
+    theta = np.pi * (np.arange(m) + 0.5) / m
+    return np.cos(theta), np.sin(theta)
+
+
+def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients from values at the m first-kind nodes, taken
+    along the last axis by a DCT-II.  They are exact for any polynomial of
+    degree below m, so a caller may sample at more nodes than the degree
+    needs, at a length the FFT handles fast."""
+    m = values.shape[-1]
+    out = _fft.dct(values, type=2, axis=-1)
+    out /= m
+    out[..., 0] /= 2.0
+    return out
+
+
+def _cheb_refit(fn: Callable[[np.ndarray], np.ndarray], deg: int) -> np.ndarray:
+    """Chebyshev coefficients of the degree-deg interpolant of fn at deg + 1
+    first-kind nodes.  The DCT keeps rounding near machine precision at
+    degrees in the thousands; numpy's Vandermonde-based ``chebinterpolate``
+    reproduces a degree-2216 series only to about 1e-10."""
+    return _cheb_coeffs(fn(_cheb_nodes(deg + 1)[0]))
 
 
 def parity_split(p: Polynomial) -> tuple[ParityPolynomial, ParityPolynomial]:
@@ -408,11 +435,17 @@ def _refined_sup(
     return best
 
 
-# Bytes per (degree + 1)^2 of angle synthesis at that degree: the float64
-# Jacobian (8) plus the complex prefix (32), suffix (32) and gradient (16)
-# arrays of qsp._block_and_grad.  The interpolation's Chebyshev-Vandermonde
-# matrix (8) is freed before synthesis starts, so it is covered as well.
-_SYNTHESIS_BYTES_PER_ENTRY = 8 + 32 + 32 + 16
+# Bytes per (degree + 1)^2 of angle synthesis at that degree.  The peak is
+# in qsp._block_and_grad, over (degree + 1) angles x m nodes: the complex
+# prefix rows (32) and gradient (16), while the previous float64 Jacobian (8)
+# is still held; the suffix is one column per node.  The real and imaginary
+# DCT outputs (8 + 8), the new Jacobian (8) and the LU copy that
+# np.linalg.solve makes (8) are allocated after the prefix is freed, so they
+# stay under that peak.  m = next_fast_len(degree + 1) is below
+# 8/7 * (degree + 1) from degree 13 on, hence 56 * 8/7.  The interpolation's
+# Chebyshev-Vandermonde matrix (8) is freed before synthesis starts, so it is
+# covered as well.
+_SYNTHESIS_BYTES_PER_ENTRY = 64
 
 
 def _physical_memory_bytes() -> float:
@@ -676,7 +709,7 @@ def _build_localization(spec: LocalizationSpec, step_eps: float) -> Polynomial:
     # assemble coefficients: evenized steps are Chebyshev series of bounded
     # degree, so refit the verified function on a Chebyshev grid
     deg = sgn_degree + 2
-    coef = _cheb.chebinterpolate(lambda t: (raw(t) + shift) * scale, deg + (deg % 2))
+    coef = _cheb_refit(lambda t: (raw(t) + shift) * scale, deg + (deg % 2))
     coef[1::2] = 0.0  # construction is exactly even; remove interpolation noise
     # final dense check of the fitted series itself
     fit_vals = _cheb.chebval(grid, coef)

@@ -20,6 +20,7 @@ root pairing, then layer stripping) cross-checks low degrees.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -30,7 +31,9 @@ from numpy.polynomial import polynomial as _np_poly
 from scipy import fft as _fft
 from scipy import optimize as _opt
 
-from .poly import ParityPolynomial
+from .poly import ParityPolynomial, _cheb_coeffs, _cheb_nodes
+
+logger = logging.getLogger(__name__)
 
 _PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
@@ -186,58 +189,46 @@ def _block_and_grad(thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.
     """Block values b(x) and gradient db/dtheta_j, vectorized over xs.
 
     Uses prefix rows and suffix columns around each Z rotation:
-    db/dt_j = <+|prefix_j * dR_Z(t_j)/dt_j * suffix_j|+>.
+    db/dt_j = <+|prefix_j * dR_Z(t_j)/dt_j * suffix_j|+>.  The prefixes are
+    stored; the suffix is swept backwards, and gradient row j (the gradient
+    is laid out as (angles, points)) is filled in place once suffix_j is
+    known, so no (angles, points) temporary is made.
     """
     nx, L1 = xs.shape[0], len(thetas)
     isx = 1j * np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
     e0 = np.exp(-0.5j * thetas)
     e1 = np.exp(0.5j * thetas)
 
-    prefix = np.empty((L1, nx, 2), dtype=complex)  # row just before R_Z(t_j)
+    prefix = np.empty((L1, 2, nx), dtype=complex)  # row just before R_Z(t_j)
     prefix[0] = 1.0 / math.sqrt(2.0)
     for j in range(L1 - 1):
-        r0 = prefix[j, :, 0] * e0[j]
-        r1 = prefix[j, :, 1] * e1[j]
-        prefix[j + 1, :, 0] = r0 * xs + r1 * isx
-        prefix[j + 1, :, 1] = r0 * isx + r1 * xs
+        r0 = prefix[j, 0] * e0[j]
+        r1 = prefix[j, 1] * e1[j]
+        prefix[j + 1, 0] = r0 * xs + r1 * isx
+        prefix[j + 1, 1] = r0 * isx + r1 * xs
 
-    suffix = np.empty((L1, nx, 2), dtype=complex)  # column just after R_Z(t_j)
-    suffix[L1 - 1] = 1.0 / math.sqrt(2.0)
-    for j in range(L1 - 1, 0, -1):
-        c0 = suffix[j, :, 0] * e0[j]
-        c1 = suffix[j, :, 1] * e1[j]
-        suffix[j - 1, :, 0] = xs * c0 + isx * c1
-        suffix[j - 1, :, 1] = isx * c0 + xs * c1
-
-    b = (
-        prefix[L1 - 1, :, 0] * e0[L1 - 1] * suffix[L1 - 1, :, 0]
-        + prefix[L1 - 1, :, 1] * e1[L1 - 1] * suffix[L1 - 1, :, 1]
-    )
-    grad = np.empty((nx, L1), dtype=complex)
-    for j in range(L1):
-        grad[:, j] = -0.5j * (
-            prefix[j, :, 0] * e0[j] * suffix[j, :, 0]
-            - prefix[j, :, 1] * e1[j] * suffix[j, :, 1]
-        )
+    grad = np.empty((L1, nx), dtype=complex)
+    # column just after R_Z(t_j), times R_Z(t_j): (c0, c1) = R_Z(t_j) suffix_j
+    c0 = np.full(nx, e0[L1 - 1] / math.sqrt(2.0))
+    c1 = np.full(nx, e1[L1 - 1] / math.sqrt(2.0))
+    b = prefix[L1 - 1, 0] * c0 + prefix[L1 - 1, 1] * c1
+    t = np.empty(nx, dtype=complex)
+    for j in range(L1 - 1, -1, -1):
+        row = grad[j]
+        np.multiply(prefix[j, 0], c0, out=row)
+        np.multiply(prefix[j, 1], c1, out=t)
+        row -= t
+        row *= -0.5j
+        if j:
+            # suffix_{j-1} = S(x) (c0, c1), then times R_Z(t_{j-1})
+            np.multiply(isx, c1, out=t)
+            c1 *= xs
+            c1 += isx * c0
+            c1 *= e1[j - 1]
+            c0 *= xs
+            c0 += t
+            c0 *= e0[j - 1]
     return b, grad
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev transforms at first-kind nodes
-# ---------------------------------------------------------------------------
-
-
-def _cheb_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
-    theta = np.pi * (np.arange(m) + 0.5) / m
-    return np.cos(theta), np.sin(theta)
-
-
-def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from values at the first-kind nodes (axis 0)."""
-    m = values.shape[0]
-    out = _fft.dct(values, type=2, axis=0) / m
-    out[0] /= 2.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -257,40 +248,68 @@ def _zero_block_seed(L: int) -> np.ndarray:
     return seed
 
 
-def _residual_system(thetas: np.ndarray, nodes, a_slots, b_slots, target):
+def _coeff_residual(thetas: np.ndarray, nodes, a_slots, b_slots, target) -> np.ndarray:
+    """Newton residual from the block values alone: the parity-L Chebyshev
+    coefficients of Re b minus the target, then the complementary ones of
+    Im b / sqrt(1 - x^2), which must vanish."""
     xs, sines = nodes
-    b, grad = _block_and_grad(thetas, xs)
-    coeff_re = _cheb_coeffs(np.real(b))
-    coeff_im = _cheb_coeffs(np.imag(b) / sines)
-    res = np.concatenate([coeff_re[a_slots] - target, coeff_im[b_slots]])
-    jac_re = _cheb_coeffs(np.real(grad))
-    jac_im = _cheb_coeffs(np.imag(grad) / sines[:, None])
-    jac = np.concatenate([jac_re[a_slots], jac_im[b_slots]], axis=0)
-    return res, jac
+    b = qsp_block_values(thetas, xs)
+    coeffs = _cheb_coeffs(np.stack([b.real, b.imag / sines]))  # one call, two DCTs
+    return np.concatenate([coeffs[0, a_slots] - target, coeffs[1, b_slots]])
+
+
+def _coeff_jacobian(thetas: np.ndarray, nodes, a_slots, b_slots) -> np.ndarray:
+    """d(residual)/d(theta), square: |a_slots| + |b_slots| = L + 1 rows."""
+    xs, sines = nodes
+    _, grad = _block_and_grad(thetas, xs)
+    jac_t = np.concatenate(
+        [_cheb_coeffs(grad.real)[:, a_slots], _cheb_coeffs(grad.imag / sines)[:, b_slots]],
+        axis=1,
+    )
+    return jac_t.T
 
 
 def _newton_solve(thetas, nodes, a_slots, b_slots, target, tol, max_iter=60):
-    res, jac = _residual_system(thetas, nodes, a_slots, b_slots, target)
+    """Damped Newton on the coefficient residual.
+
+    A line-search candidate is scored from its residual alone; the Jacobian
+    is rebuilt only after a step is accepted, so a stage builds accepted
+    steps + 1 Jacobians.  A singular Jacobian ends the stage like an
+    exhausted line search.  Once the norm is within tol, up to two polish
+    steps are tried at full length only.  Returns (thetas, residual norm,
+    accepted steps, rejected line-search candidates).
+    """
+    res = _coeff_residual(thetas, nodes, a_slots, b_slots, target)
+    jac = _coeff_jacobian(thetas, nodes, a_slots, b_slots)
     norm = np.linalg.norm(res)
+    steps = halvings = 0
     polish = 2  # extra steps after convergence push toward the machine floor
-    for _ in range(max_iter):
+    while steps < max_iter:
         if norm <= tol:
             if polish == 0:
-                return thetas, norm
+                break
             polish -= 1
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            break
         scale = 1.0
-        for _ in range(25):
+        # a polish step that does not help at full length has met the
+        # rounding floor, where halving it only searches noise
+        for _ in range(25 if norm > tol else 1):
             cand = thetas + scale * step
-            cres, cjac = _residual_system(cand, nodes, a_slots, b_slots, target)
+            cres = _coeff_residual(cand, nodes, a_slots, b_slots, target)
             cnorm = np.linalg.norm(cres)
             if cnorm < norm:
-                thetas, res, jac, norm = cand, cres, cjac, cnorm
+                thetas, res, norm = cand, cres, cnorm
                 break
             scale *= 0.5
+            halvings += 1
         else:
-            return thetas, norm
-    return thetas, norm
+            break
+        steps += 1
+        jac = _coeff_jacobian(thetas, nodes, a_slots, b_slots)
+    return thetas, norm, steps, halvings
 
 
 def qsp_synthesize(
@@ -305,7 +324,10 @@ def qsp_synthesize(
     (a square system: the real part carries the parity-L coefficients, the
     imaginary part the complementary ones, which must vanish).  Damped
     Newton from the exact zero-block seed, with scale continuation and
-    seeded random restarts as fallbacks.
+    seeded random restarts as fallbacks.  The coefficients are taken at
+    next_fast_len(L + 1) first-kind nodes: any m >= L + 1 nodes give
+    coefficients 0..L of a degree-L block value exactly, and a length the
+    FFT factors well makes the transforms several times faster.
 
     Raises QspSynthesisError with the best residual on failure.
     """
@@ -321,8 +343,7 @@ def qsp_synthesize(
         c = float(np.clip(target_full[0], -1.0, 1.0))
         return QspAngleSequence((2.0 * math.acos(c),), residual=0.0)
 
-    m = L + 1
-    nodes = _cheb_nodes(m)
+    nodes = _cheb_nodes(_fft.next_fast_len(L + 1, real=True))
     a_slots = np.arange(L % 2, L + 1, 2)
     b_slots = np.arange((L - 1) % 2, L, 2)
     target = np.zeros(L + 1)
@@ -334,8 +355,13 @@ def qsp_synthesize(
         thetas = seed.copy()
         norm = np.inf
         for scale in scales:
-            thetas, norm = _newton_solve(
+            thetas, norm, steps, halvings = _newton_solve(
                 thetas, nodes, a_slots, b_slots, scale * target, coeff_tol
+            )
+            logger.debug(
+                "degree %d newton stage at scale %g: %d iterations, %d halvings,"
+                " %d jacobian builds, coefficient norm %.3e",
+                L, scale, steps, halvings, steps + 1, norm,
             )
             if norm > math.sqrt(coeff_tol):  # stage failed; no point continuing
                 break
@@ -345,12 +371,15 @@ def qsp_synthesize(
     schedules = [[1.0], [0.25, 0.5, 0.75, 0.9, 1.0]]
     rng = np.random.default_rng(rng_seed)
     seeds = [_zero_block_seed(L)]
-    for sched in schedules:
+    for i, sched in enumerate(schedules):
+        if i:
+            logger.debug("degree %d: falling back to scale schedule %s", L, sched)
         thetas, norm = attempt(seeds[0], sched)
         best_norm = min(best_norm, norm)
         if norm <= coeff_tol:
             return _verified(thetas, p, tol, best_norm)
-    for _ in range(max_restarts):
+    for restart in range(max_restarts):
+        logger.debug("degree %d: random restart %d of %d", L, restart + 1, max_restarts)
         seed = _zero_block_seed(L) + rng.normal(0.0, 0.2, L + 1)
         thetas, norm = attempt(seed, [0.25, 0.5, 0.75, 0.9, 1.0])
         best_norm = min(best_norm, norm)

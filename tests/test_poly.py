@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebinterpolate, chebval
-from scipy import special
+from scipy import fft, special
 
 from pqcapprox import poly as P
 
@@ -303,6 +303,23 @@ def test_localization_band_contract(K, delta, eps):
         assert r.min() > 0.0 and r.max() < eps
     grid = np.linspace(-1, 1, 3000)
     assert np.max(np.abs(loc(grid))) <= 1.0
+
+
+def test_cheb_refit_keeps_a_degree_2216_series():
+    # the K=16 localization refit degree: a sum of two smoothed steps, flat
+    # near +-1, whose series ends at degree 2216 (coefficients reach 1e-17).
+    # numpy's chebinterpolate reproduces this series only to about 1e-10.
+    deg = 2216
+    theta = np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1)
+    x = np.cos(theta)
+    steps = 0.5 * (special.erf(60.0 * (x - 0.5)) + special.erf(60.0 * (-x - 0.5))) + 1.0
+    coef = fft.dct(steps, type=2) / (deg + 1)
+    coef[0] /= 2.0
+    coef[1::2] = 0.0
+    refit = P._cheb_refit(lambda t: chebval(t, coef), deg)
+    assert np.max(np.abs(refit - coef)) <= 1e-13
+    grid = np.linspace(-1.0, 1.0, 20001)
+    assert np.max(np.abs(chebval(grid, refit) - chebval(grid, coef))) <= 1e-13
 
 
 def test_localization_spec_validation():

@@ -1,10 +1,14 @@
+import logging
 import math
+import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import fft
 
 from pqcapprox import poly as P
 from pqcapprox import qsp as Q
@@ -198,6 +202,119 @@ def test_parity_mismatch_rejected():
 def test_sup_norm_above_one_rejected():
     with pytest.raises(ValueError):
         Q.qsp_synthesize(P.ParityPolynomial(P.Polynomial((0.0, 1.2)), 1))
+
+
+def test_block_and_grad_matches_central_differences():
+    rng = np.random.default_rng(37)
+    thetas = rng.uniform(-np.pi, np.pi, 13)
+    xs = np.cos(np.linspace(0.0, np.pi, 21))
+    b, grad = Q._block_and_grad(thetas, xs)
+    assert grad.shape == (len(thetas), len(xs))
+    assert np.max(np.abs(b - Q.qsp_block_values(thetas, xs))) <= 1e-13
+    h = 1e-5
+    for j in range(len(thetas)):
+        step = np.zeros_like(thetas)
+        step[j] = h
+        up, down = Q.qsp_block_values(thetas + step, xs), Q.qsp_block_values(thetas - step, xs)
+        assert np.max(np.abs(grad[j] - (up - down) / (2 * h))) <= 1e-7
+
+
+@pytest.mark.parametrize("L", [1, 2, 7, 178, 894])
+def test_fast_length_nodes_give_the_same_coefficients(L):
+    # synthesis samples at next_fast_len(L + 1) nodes instead of L + 1
+    rng = np.random.default_rng(L)
+    thetas = rng.uniform(-np.pi, np.pi, L + 1)
+
+    def coefficients(m):
+        xs, sines = P._cheb_nodes(m)
+        b = Q.qsp_block_values(thetas, xs)
+        return P._cheb_coeffs(b.real), P._cheb_coeffs(b.imag / sines)
+
+    m = fft.next_fast_len(L + 1, real=True)
+    exact_re, exact_im = coefficients(L + 1)
+    fast_re, fast_im = coefficients(m)
+    # dividing by sin(theta) scales the rounding of the end nodes' values by
+    # up to 1 / sin(pi / 2m), about 570 at L = 894
+    tol_im = 1e-13 / math.sin(math.pi / (2 * (L + 1)))
+    assert np.max(np.abs(fast_re[: L + 1] - exact_re)) <= 1e-13
+    assert np.max(np.abs(fast_im[: L + 1] - exact_im)) <= tol_im
+    assert np.max(np.abs(fast_re[L + 1 :]), initial=0.0) <= 1e-13
+    assert np.max(np.abs(fast_im[L + 1 :]), initial=0.0) <= tol_im
+
+
+def test_singular_jacobian_ends_in_synthesis_error(monkeypatch, caplog):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(Q.np.linalg, "solve", singular)
+    target = random_parity_target(np.random.default_rng(3), 5)
+    with caplog.at_level(logging.DEBUG, logger="pqcapprox.qsp"):
+        with pytest.raises(Q.QspSynthesisError) as info:
+            Q.qsp_synthesize(target, max_restarts=2)
+    assert math.isfinite(info.value.residual) and info.value.residual > 0.0
+    messages = [r.getMessage() for r in caplog.records]
+    assert "degree 5: falling back to scale schedule [0.25, 0.5, 0.75, 0.9, 1.0]" in messages
+    assert "degree 5: random restart 2 of 2" in messages
+    # every stage stops at its first solve: no step, one Jacobian
+    stages = [m for m in messages if "newton stage" in m]
+    assert len(stages) == 4
+    assert all(": 0 iterations, 0 halvings, 1 jacobian builds" in m for m in stages)
+
+
+def test_jacobian_built_once_per_accepted_step(monkeypatch):
+    block_and_grad, newton_solve = Q._block_and_grad, Q._newton_solve
+    calls = []
+    stages = []
+
+    def counted(*args):
+        calls.append(1)
+        return block_and_grad(*args)
+
+    def stage(*args, **kwargs):
+        before = len(calls)
+        out = newton_solve(*args, **kwargs)
+        stages.append((len(calls) - before, out[2], out[3]))
+        return out
+
+    monkeypatch.setattr(Q, "_block_and_grad", counted)
+    monkeypatch.setattr(Q, "_newton_solve", stage)
+    # this target's line search rejects candidates, so a Jacobian built per
+    # candidate would break the count
+    target = random_parity_target(np.random.default_rng(2), 9, sup=0.999)
+    Q.qsp_synthesize(target, tol=1e-10)
+    assert stages
+    for builds, steps, halvings in stages:
+        assert builds == steps + 1
+    assert sum(halvings for *_, halvings in stages) > 0
+
+
+def test_synthesis_logs_each_stage_only_when_asked(caplog):
+    target = random_parity_target(np.random.default_rng(23), 7)
+    Q.qsp_synthesize(target)
+    assert not [r for r in caplog.records if r.name == "pqcapprox.qsp"]
+    with caplog.at_level(logging.DEBUG, logger="pqcapprox.qsp"):
+        Q.qsp_synthesize(target)
+    (message,) = [r.getMessage() for r in caplog.records]
+    match = re.fullmatch(
+        r"degree 7 newton stage at scale 1: (\d+) iterations, \d+ halvings,"
+        r" (\d+) jacobian builds, coefficient norm \S+",
+        message,
+    )
+    assert match and int(match[2]) == int(match[1]) + 1 > 1
+
+
+def test_synthesis_peak_memory_within_guard():
+    loc = P.localization_poly(P.LocalizationSpec(2, 0.1, 0.05))
+    target = P.ParityPolynomial(loc, 0)
+    L = target.degree
+    assert 250 <= L <= 350
+    tracemalloc.start()
+    try:
+        Q.qsp_synthesize(target, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= P._SYNTHESIS_BYTES_PER_ENTRY * (L + 1) ** 2
 
 
 # ---------------------------------------------------------------------------
