@@ -11,6 +11,7 @@ readout; nested combinations multiply the factors.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -37,6 +38,8 @@ from .poly import (
     taylor_expand,
 )
 from .sim import Circuit, EncodingSlot, Gate, encoding_gate, h, rz, xg, zg
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -303,9 +306,12 @@ def build_parity_pair_pqc(
     try:
         ang_even = synthesize_cached(ParityPolynomial(even.base.scaled(1.0 / m), 0), tol)
         ang_odd = synthesize_cached(ParityPolynomial(odd.base.scaled(1.0 / m), 1), tol)
-    except qsp.QspSynthesisError:
+    except qsp.QspSynthesisError as err:
         # halves whose sup norm sits exactly at 1 can stall the solver; pull
         # the target strictly inside and fold the margin into the rescale
+        logger.debug(
+            "parity pair degree %d: %s; retrying at scale %g", p.degree, err, m / 0.999
+        )
         m = m / 0.999
         ang_even = synthesize_cached(ParityPolynomial(even.base.scaled(1.0 / m), 0), tol)
         ang_odd = synthesize_cached(ParityPolynomial(odd.base.scaled(1.0 / m), 1), tol)

@@ -409,7 +409,7 @@ class ConstructionError(RuntimeError):
 
 def _erf_chebyshev(kappa: float, n_interp: int) -> np.ndarray:
     """Chebyshev coefficients (odd entries) of erf(kappa * x) on [-1, 1]."""
-    coef = _cheb.chebinterpolate(lambda t: special.erf(kappa * t), n_interp)
+    coef = _cheb_refit(lambda t: special.erf(kappa * t), n_interp)
     coef[::2] = 0.0  # erf is odd; kill even-index interpolation noise
     return coef
 
@@ -436,16 +436,16 @@ def _refined_sup(
 
 
 # Bytes per (degree + 1)^2 of angle synthesis at that degree.  The peak is
-# in qsp._block_and_grad, over (degree + 1) angles x m nodes: the complex
-# prefix rows (32) and gradient (16), while the previous float64 Jacobian (8)
-# is still held; the suffix is one column per node.  The real and imaginary
-# DCT outputs (8 + 8), the new Jacobian (8) and the LU copy that
-# np.linalg.solve makes (8) are allocated after the prefix is freed, so they
-# stay under that peak.  m = next_fast_len(degree + 1) is below
-# 8/7 * (degree + 1) from degree 13 on, hence 56 * 8/7.  The interpolation's
-# Chebyshev-Vandermonde matrix (8) is freed before synthesis starts, so it is
-# covered as well.
-_SYNTHESIS_BYTES_PER_ENTRY = 64
+# in qsp._half_chain_grad, over n = degree // 2 + 1 free angles x m nodes:
+# the complex prefix rows (32) and the real gradient (8); the suffix is one
+# column per node, and the previous Jacobian is released before the next is
+# built.  The DCT output (8), the n x n Jacobian and the LU copy that
+# np.linalg.solve makes are allocated after the prefix is freed, so they
+# stay under that peak.  n <= (degree + 2) / 2 and m = next_fast_len(degree
+# + 1) <= 8/7 (degree + 1) from degree 13 on, so the peak is at most
+# 40 * 4/7 * (degree + 2) * (degree + 1), at most 24 (degree + 1)^2 from
+# degree 19 on.
+_SYNTHESIS_BYTES_PER_ENTRY = 24
 
 
 def _physical_memory_bytes() -> float:

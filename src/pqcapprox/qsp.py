@@ -10,7 +10,7 @@ Two circuit families are handled:
   Y and Z rotations, whose zero-state block value realizes complex
   trigonometric (Laurent) polynomials.
 
-Synthesis solves for angles by Newton iteration on the Chebyshev
+Synthesis solves for symmetric angles by Newton iteration on the Chebyshev
 coefficients of the realized block value, warm-started from an exact
 zero-block seed and continued in target scale; this stays reliable into
 the high hundreds of layers, where the localization polynomials live.
@@ -185,50 +185,56 @@ def _su2_product(a1, b1, a2, b2) -> tuple[np.ndarray, np.ndarray]:
     return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
-def _block_and_grad(thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block values b(x) and gradient db/dtheta_j, vectorized over xs.
+def _half_chain_grad(thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Gradient of the real block value of a symmetric sequence, (n, points).
 
-    Uses prefix rows and suffix columns around each Z rotation:
-    db/dt_j = <+|prefix_j * dR_Z(t_j)/dt_j * suffix_j|+>.  The prefixes are
-    stored; the suffix is swept backwards, and gradient row j (the gradient
-    is laid out as (angles, points)) is filled in place once suffix_j is
-    known, so no (angles, points) temporary is made.
+    The sequence is theta_0 = theta_L - pi with a palindromic interior, and
+    row k is the derivative along phi_k (see _symmetric_angles).  With P_j
+    the product before R_Z(t_j) and S_j the one after it, the palindrome gives
+    S_j^T = R_Z(pi) P_{L-j}, so the terms of t_j and t_{L-j} sum to
+    tr(P_j R_Z'(t_j) S_j) = Im(r0 u - r1 v), where (r0, r1) is the top row
+    of P_j R_Z(t_j) and (u, v) the first column of S_j.  So only the prefix
+    up to P_{L-h}, h = L // 2, is swept, then the suffix columns backwards
+    from S_h = P_{L-h}^T R_Z(pi), whose first column is -i (top row of
+    P_{L-h}).  The centre angle of an even L has one term: half the trace.
     """
-    nx, L1 = xs.shape[0], len(thetas)
+    nx, L = xs.shape[0], len(thetas) - 1
+    h = L // 2
     isx = 1j * np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
     e0 = np.exp(-0.5j * thetas)
     e1 = np.exp(0.5j * thetas)
 
-    prefix = np.empty((L1, 2, nx), dtype=complex)  # row just before R_Z(t_j)
-    prefix[0] = 1.0 / math.sqrt(2.0)
-    for j in range(L1 - 1):
-        r0 = prefix[j, 0] * e0[j]
-        r1 = prefix[j, 1] * e1[j]
-        prefix[j + 1, 0] = r0 * xs + r1 * isx
-        prefix[j + 1, 1] = r0 * isx + r1 * xs
+    rows = np.empty((h + 1, 2, nx), dtype=complex)  # top row of P_j R_Z(t_j)
+    a, b = np.ones(nx, dtype=complex), np.zeros(nx, dtype=complex)
+    for j in range(h + 1):
+        r0, r1 = rows[j]
+        np.multiply(a, e0[j], out=r0)
+        np.multiply(b, e1[j], out=r1)
+        if j < L - h:
+            a, b = r0 * xs + r1 * isx, r0 * isx + r1 * xs
+    u, v = -1j * a, -1j * b
 
-    grad = np.empty((L1, nx), dtype=complex)
-    # column just after R_Z(t_j), times R_Z(t_j): (c0, c1) = R_Z(t_j) suffix_j
-    c0 = np.full(nx, e0[L1 - 1] / math.sqrt(2.0))
-    c1 = np.full(nx, e1[L1 - 1] / math.sqrt(2.0))
-    b = prefix[L1 - 1, 0] * c0 + prefix[L1 - 1, 1] * c1
+    grad = np.empty((h + 1, nx))
     t = np.empty(nx, dtype=complex)
-    for j in range(L1 - 1, -1, -1):
-        row = grad[j]
-        np.multiply(prefix[j, 0], c0, out=row)
-        np.multiply(prefix[j, 1], c1, out=t)
-        row -= t
-        row *= -0.5j
+    w = np.empty(nx, dtype=complex)
+    for j in range(h, -1, -1):
+        np.multiply(rows[j, 0], u, out=t)
+        np.multiply(rows[j, 1], v, out=w)
+        t -= w
+        grad[j] = t.imag
         if j:
-            # suffix_{j-1} = S(x) (c0, c1), then times R_Z(t_{j-1})
-            np.multiply(isx, c1, out=t)
-            c1 *= xs
-            c1 += isx * c0
-            c1 *= e1[j - 1]
-            c0 *= xs
-            c0 += t
-            c0 *= e0[j - 1]
-    return b, grad
+            # first column of S_{j-1} = S(x) R_Z(t_j) S_j
+            u *= e0[j]
+            v *= e1[j]
+            np.multiply(isx, v, out=t)
+            np.multiply(isx, u, out=w)
+            u *= xs
+            u += t
+            v *= xs
+            v += w
+    if L % 2 == 0:
+        grad[h] *= 0.5
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -242,45 +248,44 @@ def _target_cheb(p: ParityPolynomial) -> np.ndarray:
     return np.asarray(_cheb.poly2cheb(p.base.coeffs), dtype=float)
 
 
-def _zero_block_seed(L: int) -> np.ndarray:
-    seed = np.zeros(L + 1)
-    seed[0] = -np.pi
-    return seed
+def _symmetric_angles(phi: np.ndarray, L: int) -> np.ndarray:
+    """theta_0..theta_L from phi = (theta_L, theta_1..theta_h), h = L // 2:
+    the interior is a palindrome and theta_0 = theta_L - pi, which makes the
+    block value real.  phi = 0 gives the zero block."""
+    thetas = np.empty(L + 1)
+    thetas[0] = phi[0] - np.pi
+    thetas[L] = phi[0]
+    thetas[1 : len(phi)] = phi[1:]
+    thetas[L - len(phi) + 1 : L] = phi[:0:-1]
+    return thetas
 
 
-def _coeff_residual(thetas: np.ndarray, nodes, a_slots, b_slots, target) -> np.ndarray:
+def _coeff_residual(phi: np.ndarray, nodes, a_slots, target) -> np.ndarray:
     """Newton residual from the block values alone: the parity-L Chebyshev
-    coefficients of Re b minus the target, then the complementary ones of
-    Im b / sqrt(1 - x^2), which must vanish."""
-    xs, sines = nodes
-    b = qsp_block_values(thetas, xs)
-    coeffs = _cheb_coeffs(np.stack([b.real, b.imag / sines]))  # one call, two DCTs
-    return np.concatenate([coeffs[0, a_slots] - target, coeffs[1, b_slots]])
+    coefficients of the (real) block value minus the target.  a_slots ends
+    at L."""
+    b = qsp_block_values(_symmetric_angles(phi, a_slots[-1]), nodes[0])
+    return _cheb_coeffs(b.real)[a_slots] - target
 
 
-def _coeff_jacobian(thetas: np.ndarray, nodes, a_slots, b_slots) -> np.ndarray:
-    """d(residual)/d(theta), square: |a_slots| + |b_slots| = L + 1 rows."""
-    xs, sines = nodes
-    _, grad = _block_and_grad(thetas, xs)
-    jac_t = np.concatenate(
-        [_cheb_coeffs(grad.real)[:, a_slots], _cheb_coeffs(grad.imag / sines)[:, b_slots]],
-        axis=1,
-    )
-    return jac_t.T
+def _coeff_jacobian(phi: np.ndarray, nodes, a_slots) -> np.ndarray:
+    """d(residual)/d(phi), square: |a_slots| = L // 2 + 1 = len(phi)."""
+    grad = _half_chain_grad(_symmetric_angles(phi, a_slots[-1]), nodes[0])
+    return _cheb_coeffs(grad)[:, a_slots].T
 
 
-def _newton_solve(thetas, nodes, a_slots, b_slots, target, tol, max_iter=60):
+def _newton_solve(phi, nodes, a_slots, target, tol, max_iter=60):
     """Damped Newton on the coefficient residual.
 
     A line-search candidate is scored from its residual alone; the Jacobian
     is rebuilt only after a step is accepted, so a stage builds accepted
     steps + 1 Jacobians.  A singular Jacobian ends the stage like an
     exhausted line search.  Once the norm is within tol, up to two polish
-    steps are tried at full length only.  Returns (thetas, residual norm,
+    steps are tried at full length only.  Returns (phi, residual norm,
     accepted steps, rejected line-search candidates).
     """
-    res = _coeff_residual(thetas, nodes, a_slots, b_slots, target)
-    jac = _coeff_jacobian(thetas, nodes, a_slots, b_slots)
+    res = _coeff_residual(phi, nodes, a_slots, target)
+    jac = _coeff_jacobian(phi, nodes, a_slots)
     norm = np.linalg.norm(res)
     steps = halvings = 0
     polish = 2  # extra steps after convergence push toward the machine floor
@@ -297,19 +302,20 @@ def _newton_solve(thetas, nodes, a_slots, b_slots, target, tol, max_iter=60):
         # a polish step that does not help at full length has met the
         # rounding floor, where halving it only searches noise
         for _ in range(25 if norm > tol else 1):
-            cand = thetas + scale * step
-            cres = _coeff_residual(cand, nodes, a_slots, b_slots, target)
+            cand = phi + scale * step
+            cres = _coeff_residual(cand, nodes, a_slots, target)
             cnorm = np.linalg.norm(cres)
             if cnorm < norm:
-                thetas, res, norm = cand, cres, cnorm
+                phi, res, norm = cand, cres, cnorm
                 break
             scale *= 0.5
             halvings += 1
         else:
             break
         steps += 1
-        jac = _coeff_jacobian(thetas, nodes, a_slots, b_slots)
-    return thetas, norm, steps, halvings
+        jac = None  # release the old Jacobian before the new one is built
+        jac = _coeff_jacobian(phi, nodes, a_slots)
+    return phi, norm, steps, halvings
 
 
 def qsp_synthesize(
@@ -320,11 +326,11 @@ def qsp_synthesize(
 ) -> QspAngleSequence:
     """Find angles whose plus-state block value reproduces p on [-1, 1].
 
-    The realized block value is matched to p in Chebyshev coefficient space
-    (a square system: the real part carries the parity-L coefficients, the
-    imaginary part the complementary ones, which must vanish).  Damped
-    Newton from the exact zero-block seed, with scale continuation and
-    seeded random restarts as fallbacks.  The coefficients are taken at
+    The angles are symmetric (_symmetric_angles), so the realized block
+    value is real and is matched to p in Chebyshev coefficient space: a
+    square system of its L // 2 + 1 parity-L coefficients in as many free
+    angles.  Damped Newton from the exact zero-block seed phi = 0, with
+    scale continuation and seeded random restarts as fallbacks.  The coefficients are taken at
     next_fast_len(L + 1) first-kind nodes: any m >= L + 1 nodes give
     coefficients 0..L of a degree-L block value exactly, and a length the
     FFT factors well makes the transforms several times faster.
@@ -345,18 +351,17 @@ def qsp_synthesize(
 
     nodes = _cheb_nodes(_fft.next_fast_len(L + 1, real=True))
     a_slots = np.arange(L % 2, L + 1, 2)
-    b_slots = np.arange((L - 1) % 2, L, 2)
     target = np.zeros(L + 1)
     target[: len(target_full)] = target_full
     target = target[a_slots]
     coeff_tol = tol / (4.0 * (L + 1))
 
     def attempt(seed: np.ndarray, scales: Sequence[float]) -> tuple[np.ndarray, float]:
-        thetas = seed.copy()
+        phi = seed
         norm = np.inf
         for scale in scales:
-            thetas, norm, steps, halvings = _newton_solve(
-                thetas, nodes, a_slots, b_slots, scale * target, coeff_tol
+            phi, norm, steps, halvings = _newton_solve(
+                phi, nodes, a_slots, scale * target, coeff_tol
             )
             logger.debug(
                 "degree %d newton stage at scale %g: %d iterations, %d halvings,"
@@ -365,26 +370,24 @@ def qsp_synthesize(
             )
             if norm > math.sqrt(coeff_tol):  # stage failed; no point continuing
                 break
-        return thetas, norm
+        return phi, norm
 
     best_norm = np.inf
     schedules = [[1.0], [0.25, 0.5, 0.75, 0.9, 1.0]]
     rng = np.random.default_rng(rng_seed)
-    seeds = [_zero_block_seed(L)]
     for i, sched in enumerate(schedules):
         if i:
             logger.debug("degree %d: falling back to scale schedule %s", L, sched)
-        thetas, norm = attempt(seeds[0], sched)
+        phi, norm = attempt(np.zeros(len(a_slots)), sched)
         best_norm = min(best_norm, norm)
         if norm <= coeff_tol:
-            return _verified(thetas, p, tol, best_norm)
+            return _verified(_symmetric_angles(phi, L), p, tol, best_norm)
     for restart in range(max_restarts):
         logger.debug("degree %d: random restart %d of %d", L, restart + 1, max_restarts)
-        seed = _zero_block_seed(L) + rng.normal(0.0, 0.2, L + 1)
-        thetas, norm = attempt(seed, [0.25, 0.5, 0.75, 0.9, 1.0])
+        phi, norm = attempt(rng.normal(0.0, 0.2, len(a_slots)), [0.25, 0.5, 0.75, 0.9, 1.0])
         best_norm = min(best_norm, norm)
         if norm <= coeff_tol:
-            return _verified(thetas, p, tol, best_norm)
+            return _verified(_symmetric_angles(phi, L), p, tol, best_norm)
     raise QspSynthesisError("qsp synthesis did not converge", best_norm)
 
 

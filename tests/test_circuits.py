@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -171,6 +172,30 @@ def test_parity_pair_frozen_examples():
     bc = C.build_parity_pair_pqc(pol)
     assert C.evaluate_block(bc, (0.2,)) == pytest.approx(0.384, abs=1e-9)
     assert bc.circuit.width == 2
+
+
+def test_parity_pair_logs_its_retry_only_when_asked(monkeypatch, caplog):
+    synthesize_cached = C.synthesize_cached
+    calls = []
+
+    def first_fails(target, tol):
+        calls.append(1)
+        if len(calls) == 1:
+            raise Q.QspSynthesisError("forced", 0.5)
+        return synthesize_cached(target, tol)
+
+    monkeypatch.setattr(C, "synthesize_cached", first_fails)
+    pol = P.Polynomial((0.0, 3.0, -6.0, 3.0))  # 3x(1-x)^2
+    bc = C.build_parity_pair_pqc(pol)
+    assert len(calls) == 3  # the failed even half, then both halves again
+    assert C.evaluate_block(bc, (0.2,)) == pytest.approx(0.384, abs=1e-9)
+    assert not [r for r in caplog.records if r.name == "pqcapprox.circuits"]
+    calls.clear()
+    with caplog.at_level(logging.DEBUG, logger="pqcapprox.circuits"):
+        C.build_parity_pair_pqc(pol)
+    (message,) = [r.getMessage() for r in caplog.records if r.name == "pqcapprox.circuits"]
+    assert message.startswith("parity pair degree 3: forced (best residual 5.000e-01);")
+    assert "retrying at scale" in message
 
 
 def test_poly_single_monomial_equals_monomial():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.chebyshev import chebinterpolate, chebval
+from numpy.polynomial.chebyshev import chebval
 from scipy import fft, special
 
 from pqcapprox import poly as P
@@ -185,7 +185,12 @@ def _reference_search(delta, eps, R):
     kappa = float(special.erfcinv(eps / 2.0)) * 2.0 * R / delta
     n_interp = int(max(64, 2.2 * kappa * math.sqrt(math.log(64.0 / eps)) + 64))
     n_interp += n_interp % 2
-    coef_full = chebinterpolate(lambda t: special.erf(kappa * t), n_interp)
+    # the interpolant at n_interp + 1 first-kind nodes, by a DCT-II
+    m = n_interp + 1
+    nodes = np.cos(np.pi * (np.arange(m) + 0.5) / m)
+    coef_full = fft.dct(special.erf(kappa * nodes), type=2)
+    coef_full /= m
+    coef_full[0] /= 2.0
     coef_full[::2] = 0.0
     edge = (delta / 2.0) / R
     n_grid = max(1000, 10 * n_interp)

@@ -204,19 +204,32 @@ def test_sup_norm_above_one_rejected():
         Q.qsp_synthesize(P.ParityPolynomial(P.Polynomial((0.0, 1.2)), 1))
 
 
-def test_block_and_grad_matches_central_differences():
+@pytest.mark.parametrize("L", [1, 2, 5, 6, 33, 64])
+def test_symmetric_angles_give_a_real_block(L):
+    # a palindromic interior with theta_0 = theta_L - pi makes <+|U|+> real
+    rng = np.random.default_rng(L)
+    xs = np.cos(np.linspace(0.0, np.pi, 41))
+    for _ in range(5):
+        thetas = Q._symmetric_angles(rng.uniform(-np.pi, np.pi, L // 2 + 1), L)
+        assert np.array_equal(thetas[1:L], thetas[1:L][::-1])
+        assert thetas[0] == thetas[L] - np.pi
+        assert np.max(np.abs(Q.qsp_block_values(thetas, xs).imag)) <= 1e-14
+
+
+def test_half_chain_grad_matches_central_differences():
     rng = np.random.default_rng(37)
-    thetas = rng.uniform(-np.pi, np.pi, 13)
     xs = np.cos(np.linspace(0.0, np.pi, 21))
-    b, grad = Q._block_and_grad(thetas, xs)
-    assert grad.shape == (len(thetas), len(xs))
-    assert np.max(np.abs(b - Q.qsp_block_values(thetas, xs))) <= 1e-13
     h = 1e-5
-    for j in range(len(thetas)):
-        step = np.zeros_like(thetas)
-        step[j] = h
-        up, down = Q.qsp_block_values(thetas + step, xs), Q.qsp_block_values(thetas - step, xs)
-        assert np.max(np.abs(grad[j] - (up - down) / (2 * h))) <= 1e-7
+    for L in (1, 2, 12, 13):  # odd and even: an even L has a centre angle
+        phi = rng.uniform(-np.pi, np.pi, L // 2 + 1)
+        grad = Q._half_chain_grad(Q._symmetric_angles(phi, L), xs)
+        assert grad.shape == (len(phi), len(xs))
+        for k in range(len(phi)):
+            step = np.zeros_like(phi)
+            step[k] = h
+            up = Q.qsp_block_values(Q._symmetric_angles(phi + step, L), xs)
+            down = Q.qsp_block_values(Q._symmetric_angles(phi - step, L), xs)
+            assert np.max(np.abs(grad[k] - (up - down) / (2 * h))) <= 1e-7
 
 
 @pytest.mark.parametrize("L", [1, 2, 7, 178, 894])
@@ -262,13 +275,13 @@ def test_singular_jacobian_ends_in_synthesis_error(monkeypatch, caplog):
 
 
 def test_jacobian_built_once_per_accepted_step(monkeypatch):
-    block_and_grad, newton_solve = Q._block_and_grad, Q._newton_solve
+    half_chain_grad, newton_solve = Q._half_chain_grad, Q._newton_solve
     calls = []
     stages = []
 
     def counted(*args):
         calls.append(1)
-        return block_and_grad(*args)
+        return half_chain_grad(*args)
 
     def stage(*args, **kwargs):
         before = len(calls)
@@ -276,7 +289,7 @@ def test_jacobian_built_once_per_accepted_step(monkeypatch):
         stages.append((len(calls) - before, out[2], out[3]))
         return out
 
-    monkeypatch.setattr(Q, "_block_and_grad", counted)
+    monkeypatch.setattr(Q, "_half_chain_grad", counted)
     monkeypatch.setattr(Q, "_newton_solve", stage)
     # this target's line search rejects candidates, so a Jacobian built per
     # candidate would break the count
@@ -315,6 +328,14 @@ def test_synthesis_peak_memory_within_guard():
     finally:
         tracemalloc.stop()
     assert peak <= P._SYNTHESIS_BYTES_PER_ENTRY * (L + 1) ** 2
+
+
+def test_synthesized_localization_angles_are_symmetric():
+    loc = P.localization_poly(P.LocalizationSpec(2, 0.1, 0.05))
+    angles = Q.qsp_synthesize(P.ParityPolynomial(loc, 0), tol=1e-9).angles
+    L = len(angles) - 1
+    assert angles[1:L] == angles[1:L][::-1]
+    assert angles[0] == angles[L] - math.pi
 
 
 # ---------------------------------------------------------------------------
