@@ -581,18 +581,28 @@ def _screen_start(
     two_x = 2.0 * x
     t_prev, t_cur = np.ones_like(x), x.copy()  # T_0, T_1
     partial = coef[1] * t_cur
+    # every step works in these buffers: a grid-sized temporary per step
+    # would be mapped and unmapped by malloc each time, page faults included
+    buf = np.empty_like(x)
+    err = np.empty(n_out)
     run_start = None
     for d in range(1, top + 1, 2):
         if d > 1:
             # even coefficients are zero, so S_d = S_{d-2} + c_d T_d
-            t_prev = two_x * t_cur - t_prev  # T_{d-1}
-            t_cur = two_x * t_prev - t_cur  # T_d
-            partial += coef[d] * t_cur
-        m = float(np.max(np.abs(partial)))
+            np.multiply(two_x, t_cur, out=buf)
+            buf -= t_prev  # T_{d-1}
+            np.multiply(two_x, buf, out=t_prev)
+            t_prev -= t_cur  # T_d
+            t_prev, t_cur, buf = buf, t_prev, t_cur
+            np.multiply(t_cur, coef[d], out=buf)
+            partial += buf
+        m = float(np.max(np.abs(partial, out=buf)))
         s_out = partial[:n_out]
         if m > 1.0:
-            s_out = s_out / (m * (1.0 + 1e-12))
-        if np.max(np.abs(s_out - t_out)) > eps_check:
+            np.divide(s_out, m * (1.0 + 1e-12), out=err)
+            s_out = err
+        np.subtract(s_out, t_out, out=err)
+        if np.max(np.abs(err, out=err)) > eps_check:
             run_start = None
         elif run_start is None:
             run_start = d

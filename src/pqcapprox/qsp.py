@@ -260,21 +260,21 @@ def _symmetric_angles(phi: np.ndarray, L: int) -> np.ndarray:
     return thetas
 
 
-def _coeff_residual(phi: np.ndarray, nodes, a_slots, target) -> np.ndarray:
+def _coeff_residual(phi: np.ndarray, xs, a_slots, target) -> np.ndarray:
     """Newton residual from the block values alone: the parity-L Chebyshev
-    coefficients of the (real) block value minus the target.  a_slots ends
-    at L."""
-    b = qsp_block_values(_symmetric_angles(phi, a_slots[-1]), nodes[0])
+    coefficients of the (real) block value at the first-kind nodes xs minus
+    the target.  a_slots ends at L."""
+    b = qsp_block_values(_symmetric_angles(phi, a_slots[-1]), xs)
     return _cheb_coeffs(b.real)[a_slots] - target
 
 
-def _coeff_jacobian(phi: np.ndarray, nodes, a_slots) -> np.ndarray:
+def _coeff_jacobian(phi: np.ndarray, xs, a_slots) -> np.ndarray:
     """d(residual)/d(phi), square: |a_slots| = L // 2 + 1 = len(phi)."""
-    grad = _half_chain_grad(_symmetric_angles(phi, a_slots[-1]), nodes[0])
+    grad = _half_chain_grad(_symmetric_angles(phi, a_slots[-1]), xs)
     return _cheb_coeffs(grad)[:, a_slots].T
 
 
-def _newton_solve(phi, nodes, a_slots, target, tol, max_iter=60):
+def _newton_solve(phi, xs, a_slots, target, tol, max_iter=60):
     """Damped Newton on the coefficient residual.
 
     A line-search candidate is scored from its residual alone; the Jacobian
@@ -284,8 +284,8 @@ def _newton_solve(phi, nodes, a_slots, target, tol, max_iter=60):
     steps are tried at full length only.  Returns (phi, residual norm,
     accepted steps, rejected line-search candidates).
     """
-    res = _coeff_residual(phi, nodes, a_slots, target)
-    jac = _coeff_jacobian(phi, nodes, a_slots)
+    res = _coeff_residual(phi, xs, a_slots, target)
+    jac = _coeff_jacobian(phi, xs, a_slots)
     norm = np.linalg.norm(res)
     steps = halvings = 0
     polish = 2  # extra steps after convergence push toward the machine floor
@@ -303,7 +303,7 @@ def _newton_solve(phi, nodes, a_slots, target, tol, max_iter=60):
         # rounding floor, where halving it only searches noise
         for _ in range(25 if norm > tol else 1):
             cand = phi + scale * step
-            cres = _coeff_residual(cand, nodes, a_slots, target)
+            cres = _coeff_residual(cand, xs, a_slots, target)
             cnorm = np.linalg.norm(cres)
             if cnorm < norm:
                 phi, res, norm = cand, cres, cnorm
@@ -314,7 +314,7 @@ def _newton_solve(phi, nodes, a_slots, target, tol, max_iter=60):
             break
         steps += 1
         jac = None  # release the old Jacobian before the new one is built
-        jac = _coeff_jacobian(phi, nodes, a_slots)
+        jac = _coeff_jacobian(phi, xs, a_slots)
     return phi, norm, steps, halvings
 
 
@@ -330,10 +330,11 @@ def qsp_synthesize(
     value is real and is matched to p in Chebyshev coefficient space: a
     square system of its L // 2 + 1 parity-L coefficients in as many free
     angles.  Damped Newton from the exact zero-block seed phi = 0, with
-    scale continuation and seeded random restarts as fallbacks.  The coefficients are taken at
-    next_fast_len(L + 1) first-kind nodes: any m >= L + 1 nodes give
-    coefficients 0..L of a degree-L block value exactly, and a length the
-    FFT factors well makes the transforms several times faster.
+    scale continuation and seeded random restarts as fallbacks.  The
+    coefficients are taken at next_fast_len(L + 1) first-kind nodes: any
+    m >= L + 1 nodes give coefficients 0..L of a degree-L block value
+    exactly, and a length the FFT factors well makes the transforms
+    several times faster.
 
     Raises QspSynthesisError with the best residual on failure.
     """
@@ -349,19 +350,18 @@ def qsp_synthesize(
         c = float(np.clip(target_full[0], -1.0, 1.0))
         return QspAngleSequence((2.0 * math.acos(c),), residual=0.0)
 
-    nodes = _cheb_nodes(_fft.next_fast_len(L + 1, real=True))
+    xs = _cheb_nodes(_fft.next_fast_len(L + 1, real=True))[0]
     a_slots = np.arange(L % 2, L + 1, 2)
     target = np.zeros(L + 1)
     target[: len(target_full)] = target_full
     target = target[a_slots]
     coeff_tol = tol / (4.0 * (L + 1))
 
-    def attempt(seed: np.ndarray, scales: Sequence[float]) -> tuple[np.ndarray, float]:
-        phi = seed
+    def attempt(phi: np.ndarray, scales: Sequence[float]) -> tuple[np.ndarray, float]:
         norm = np.inf
         for scale in scales:
             phi, norm, steps, halvings = _newton_solve(
-                phi, nodes, a_slots, scale * target, coeff_tol
+                phi, xs, a_slots, scale * target, coeff_tol
             )
             logger.debug(
                 "degree %d newton stage at scale %g: %d iterations, %d halvings,"
