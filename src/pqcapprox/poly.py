@@ -442,9 +442,9 @@ def _refined_sup(
 # built.  The DCT output (8), the n x n Jacobian and the LU copy that
 # np.linalg.solve makes are allocated after the prefix is freed, so they
 # stay under that peak.  n <= (degree + 2) / 2 and m = next_fast_len(degree
-# + 1) <= 8/7 (degree + 1) from degree 13 on, so the peak is at most
-# 40 * 4/7 * (degree + 2) * (degree + 1), at most 24 (degree + 1)^2 from
-# degree 19 on.
+# + 1) <= 8/7 (degree + 1) from degree 13 on, so the peak of 40 n m bytes
+# is at most 40 * 4/7 * (degree + 2) * (degree + 1), which is at most
+# 24 (degree + 1)^2 from degree 19 on.
 _SYNTHESIS_BYTES_PER_ENTRY = 24
 
 
