@@ -13,6 +13,7 @@ from .approx import (
     GridSpec,
     fnn_compare,
     l2_error,
+    pointwise,
     rate_fit,
     sup_error,
     trifling_mass_estimate,

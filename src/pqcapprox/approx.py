@@ -46,23 +46,31 @@ class GridSpec:
         ).reshape(-1, self.dims)
         if self.region == "full_cube":
             return mesh
-        spec = self._band_spec()
-        in_band = np.array(
-            [all(spec.band_of(c) is not None for c in row) for row in mesh]
-        )
+        in_band = (self._band_spec().bands_of(mesh) >= 0).all(axis=1)
         return mesh[in_band] if self.region == "union_q_eta" else mesh[~in_band]
 
 
-def sup_error(
-    f: TargetFunctionSpec, model: Callable[[Sequence[float]], float], grid: GridSpec
-) -> float:
-    """Maximum absolute deviation of the model from f over the grid."""
-    pts = grid.points()
-    worst = 0.0
-    for row in pts:
-        x = tuple(row)
-        worst = max(worst, abs(f(x) - float(model(x))))
-    return worst
+# A batch model maps an (N, d) array of points to their N values.
+BatchModel = Callable[[np.ndarray], np.ndarray]
+
+
+def pointwise(fn: Callable[[Sequence[float]], float]) -> BatchModel:
+    """Batch model of a one-point callable, called on each row in turn."""
+    return lambda xs: np.array([fn(tuple(row)) for row in xs])
+
+
+def _deviations(f: TargetFunctionSpec, model: BatchModel, xs: np.ndarray) -> np.ndarray:
+    """|f(x) - model(x)| at each row of xs, from one batch call of the model."""
+    return np.abs(pointwise(f)(xs) - np.asarray(model(xs)))
+
+
+def sup_error(f: TargetFunctionSpec, model: BatchModel, grid: GridSpec | np.ndarray) -> float:
+    """Maximum absolute deviation of the batch model from f over the grid.
+
+    ``grid`` is a GridSpec or an (N, d) array of points.
+    """
+    pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, dtype=float)
+    return float(np.max(_deviations(f, model, pts), initial=0.0))
 
 
 def trifling_mass_estimate(
@@ -72,9 +80,7 @@ def trifling_mass_estimate(
     spec = LocalizationSpec(K, delta, 0.5 / K)
     rng = np.random.default_rng(seed)
     xs = rng.random((samples, d))
-    hits = np.array(
-        [any(spec.band_of(c) is None for c in row) for row in xs], dtype=float
-    )
+    hits = (spec.bands_of(xs) < 0).any(axis=1).astype(float)
     mass = float(np.mean(hits))
     sigma = float(np.std(hits, ddof=1) / math.sqrt(samples))
     return mass, sigma
@@ -82,7 +88,7 @@ def trifling_mass_estimate(
 
 def l2_error(
     f: TargetFunctionSpec,
-    model: Callable[[Sequence[float]], float],
+    model: BatchModel,
     K: int,
     delta: float,
     samples: int = 10_000,
@@ -101,22 +107,14 @@ def l2_error(
         raise RuntimeError(
             f"sampled trifling mass {mass:.4g} exceeds cap {cap:.4g} + 3 sigma"
         )
-    rng = np.random.default_rng(seed)
-    xs = rng.random((samples, f.dims))
-    sq = np.array([(f(tuple(row)) - float(model(tuple(row)))) ** 2 for row in xs])
-    return float(np.mean(sq))
+    xs = np.random.default_rng(seed).random((samples, f.dims))
+    return float(np.mean(_deviations(f, model, xs) ** 2))
 
 
-def l2_sigma(
-    f: TargetFunctionSpec,
-    model: Callable[[Sequence[float]], float],
-    samples: int,
-    seed: int,
-) -> float:
+def l2_sigma(f: TargetFunctionSpec, model: BatchModel, samples: int, seed: int) -> float:
     """Standard error of the l2_error Monte-Carlo mean (same seed stream)."""
-    rng = np.random.default_rng(seed)
-    xs = rng.random((samples, f.dims))
-    sq = np.array([(f(tuple(row)) - float(model(tuple(row)))) ** 2 for row in xs])
+    xs = np.random.default_rng(seed).random((samples, f.dims))
+    sq = _deviations(f, model, xs) ** 2
     return float(np.std(sq, ddof=1) / math.sqrt(samples))
 
 

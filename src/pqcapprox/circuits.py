@@ -78,13 +78,35 @@ class BlockCircuit:
         )
 
 
-def evaluate_block(bc: BlockCircuit, x: Optional[Sequence[float]] = None):
-    """Represented value: Hadamard-test block value times the rescale factor."""
-    values = [sim.expectation_z0(sim.run(p, x=x)) for p in bc.programs]
+def evaluate_block(
+    bc: BlockCircuit,
+    x: Optional[Sequence[float] | np.ndarray] = None,
+    start: Optional[np.ndarray] = None,
+):
+    """Represented value: Hadamard-test block value times the rescale factor.
+
+    One point x (shape (d,), or None for a block without encoding slots)
+    gives one value.  An (N, d) array x, or N ``start`` indices, gives the
+    (N,) values of a batch run.  ``start`` holds each point's initial
+    basis-state index of the work register, on which prep then acts
+    (default |0..0>).  One point runs as a batch of one.
+    """
+    xs = None if x is None else np.asarray(x, dtype=float)
+    one = start is None and (xs is None or xs.ndim == 1)
+    if one:
+        if xs is None:
+            start = np.zeros(1, dtype=int)
+        else:
+            xs = xs[None]
+    # the ancilla is qubit 0 and starts in |0>, so a work-register index is
+    # also the index of the whole Hadamard-test state
+    values = [sim.expectations_z0(p, xs, start) for p in bc.programs]
     if bc.block_value_is_real:
-        return values[0] * bc.rescale
-    re, im = values
-    return (re + 1j * im) * bc.rescale
+        out = values[0] * bc.rescale
+    else:
+        re, im = values
+        out = (re + 1j * im) * bc.rescale
+    return out[0].item() if one else out
 
 
 # ---------------------------------------------------------------------------
@@ -414,20 +436,25 @@ def build_localization_pqc(spec: LocalizationSpec, d: int) -> list[BlockCircuit]
     return blocks
 
 
-def localization_values(spec: LocalizationSpec, x: Sequence[float]) -> np.ndarray:
-    """Fast per-coordinate block values (identical to the Hadamard test)."""
+def localization_values(spec: LocalizationSpec, x: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Fast block values of every coordinate, in x's shape (identical to the
+    Hadamard test); x is one point or an (N, d) array of points."""
     angles = localization_angles(spec)
-    return np.real(qsp.qsp_block_values(angles.angles, np.asarray(x, dtype=float)))
+    xs = np.asarray(x, dtype=float)
+    return np.real(qsp.qsp_block_values(angles.angles, xs.ravel())).reshape(xs.shape)
 
 
-def round_to_eta(values: Sequence[float], K: int) -> MultiIndex:
-    """Per-coordinate floor(K * value), clamped into {0, ..., K-1}."""
-    out = []
-    for v in values:
-        if not -1e-9 <= v <= 1.0 + 1e-9:
-            raise ValueError(f"localization output {v} outside [0, 1]")
-        out.append(min(int(math.floor(K * v)), K - 1))
-    return tuple(out)
+def round_to_eta(values: Sequence[float] | np.ndarray, K: int) -> MultiIndex | np.ndarray:
+    """Per-coordinate floor(K * value), clamped into {0, ..., K-1}.
+
+    One point's values give a tuple; an (N, d) array gives an integer array.
+    """
+    v = np.asarray(values, dtype=float)
+    bad = ~((v >= -1e-9) & (v <= 1.0 + 1e-9))  # NaN fails too
+    if bad.any():
+        raise ValueError(f"localization output {v[bad][0]} outside [0, 1]")
+    cells = np.minimum(np.floor(K * v).astype(int), K - 1)
+    return tuple(int(c) for c in cells) if v.ndim == 1 else cells
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +492,24 @@ class TaylorCoeffTable:
         return self.d * max(1, (self.K - 1).bit_length()) if self.K > 1 else 0
 
 
-def _eta_pattern_controls(table: TaylorCoeffTable, eta: MultiIndex) -> list[int]:
-    """Address qubits that are 0 in eta's big-endian per-coordinate encoding."""
-    m = table.address_bits // table.d if table.d else 0
-    zeros = []
-    for j, e in enumerate(eta):
-        for b in range(m):
-            bit = (e >> (m - 1 - b)) & 1
-            if not bit:
-                zeros.append(j * m + b)
-    return zeros
+def _address(table: TaylorCoeffTable, eta: MultiIndex | np.ndarray) -> int | np.ndarray:
+    """Value of the address register holding cell eta, or of each row of an
+    (N, d) array of cells.
+
+    Each coordinate takes address_bits // d bits, big-endian, coordinate 0
+    first; address qubit q holds bit address_bits - 1 - q of the value.
+    """
+    cells = np.asarray(eta, dtype=int)
+    if cells.shape[-1:] != (table.d,) or np.any((cells < 0) | (cells >= table.K)):
+        raise ValueError(f"invalid address {eta}")
+    m = table.address_bits // table.d
+    return (cells << (m * np.arange(table.d - 1, -1, -1))).sum(axis=-1)
+
+
+def _address_bits(table: TaylorCoeffTable, eta: MultiIndex) -> list[int]:
+    """The bit of each address qubit when the register holds cell eta."""
+    value, bits = int(_address(table, eta)), table.address_bits
+    return [(value >> (bits - 1 - q)) & 1 for q in range(bits)]
 
 
 def build_taylor_coeff_pqc(table: TaylorCoeffTable, alpha: MultiIndex) -> Circuit:
@@ -494,8 +529,7 @@ def build_taylor_coeff_pqc(table: TaylorCoeffTable, alpha: MultiIndex) -> Circui
         if bits == 0:
             gates.append(Gate("Rx", (coeff_q,), angle=theta, trainable=True))
             continue
-        zeros = _eta_pattern_controls(table, eta)
-        mask = [xg(q) for q in zeros]
+        mask = [xg(q) for q, bit in enumerate(_address_bits(table, eta)) if not bit]
         gates.extend(mask)
         gates.append(
             Gate("MCU", (coeff_q,), tuple(range(bits)), angle=theta, trainable=True, sub="Rx")
@@ -508,22 +542,19 @@ def build_taylor_series_pqc(
     table: TaylorCoeffTable, eta: MultiIndex, tol: float = 1e-11
 ) -> BlockCircuit:
     """LCU over Taylor terms; with the address register prepared in |eta>,
-    the block value is sum_alpha xi[eta, alpha] * (x - eta/K)^alpha."""
+    the block value is sum_alpha xi[eta, alpha] * (x - eta/K)^alpha.
+
+    Only the prep and the data shifts depend on eta: ``NestedTaylorModel``
+    reads every cell from the block of cell 0 (see ``series_start``).
+    """
     eta = tuple(int(e) for e in eta)
-    if len(eta) != table.d or any(not 0 <= e < table.K for e in eta):
-        raise ValueError(f"invalid address {eta}")
     bits = table.address_bits
     d = table.d
     width = bits + 1 + d
     shifts = tuple(e / table.K for e in eta)
 
     units = []
-    prep_gates = []
-    m = bits // d if d else 0
-    for j, e in enumerate(eta):
-        for b in range(m):
-            if (e >> (m - 1 - b)) & 1:
-                prep_gates.append(xg(j * m + b))
+    prep_gates = [xg(q) for q, bit in enumerate(_address_bits(table, eta)) if bit]
     prep_gates.extend(h(bits + 1 + j) for j in range(d))
     prep = Circuit(width, tuple(prep_gates), label=f"eta-prep {eta}")
 
@@ -537,6 +568,17 @@ def build_taylor_series_pqc(
     return lcu_combine(units, label=f"taylor-series eta={eta} s={table.s}")
 
 
+def series_start(table: TaylorCoeffTable, eta: np.ndarray) -> np.ndarray:
+    """Work-register basis index of a series block with the address register
+    in |eta> and every other qubit in |0>, for each row of (N, d) cells.
+
+    The LCU selection register leads and the coefficient qubit and the d
+    data qubits follow the address register, so the address value sits
+    d + 1 bits up.
+    """
+    return _address(table, eta) << (table.d + 1)
+
+
 class NestedEval(NamedTuple):
     value: float
     eta: MultiIndex
@@ -544,11 +586,14 @@ class NestedEval(NamedTuple):
 
 
 class NestedTaylorModel:
-    """Localization nested with per-cell Taylor series.
+    """Localization nested with local Taylor series.
 
-    Evaluation localizes x (per-coordinate block values, rounded to the
-    cell index), prepares the address register by basis encoding, and reads
-    the Taylor-series block at the recovered cell.
+    Evaluation localizes x (per-coordinate block values, rounded to the cell
+    index eta) and reads one shared Taylor-series block, the block of cell
+    0, with its Hadamard test started from |eta> on the address register at
+    input x - eta/K.  That equals the block of cell eta, whose prep writes
+    eta and whose data slots are shifted by eta/K.  A call takes one point
+    or an (N, d) array of points.
     """
 
     def __init__(
@@ -566,29 +611,27 @@ class NestedTaylorModel:
         self.tol = tol
         self.table = TaylorCoeffTable.from_target(f, spec.K, s)
         self.loc_blocks = build_localization_pqc(spec, f.dims)
-        self._series: dict[MultiIndex, BlockCircuit] = {}
-
-    def series_block(self, eta: MultiIndex) -> BlockCircuit:
-        if eta not in self._series:
-            self._series[eta] = build_taylor_series_pqc(self.table, eta, self.tol)
-        return self._series[eta]
+        self.series = build_taylor_series_pqc(self.table, (0,) * f.dims, tol)
 
     @property
     def tol_agg(self) -> float:
-        loc_tol = sum(b.tol for b in self.loc_blocks)
-        sample = self.series_block((0,) * self.f.dims)
-        return loc_tol + sample.tol
+        return sum(b.tol for b in self.loc_blocks) + self.series.tol
 
-    def evaluate(self, x: Sequence[float]) -> NestedEval:
-        x = tuple(float(c) for c in x)
-        loc = localization_values(self.spec, x)
-        eta = round_to_eta(loc, self.spec.K)
-        block = self.series_block(eta)
-        value = float(evaluate_block(block, x))
-        trifling = any(self.spec.band_of(c) is None for c in x)
-        return NestedEval(value, eta, trifling)
+    def evaluate(self, x: Sequence[float] | np.ndarray) -> NestedEval:
+        """The value, cell and gap flag of one point, or arrays of them over
+        the rows of an (N, d) array."""
+        xs = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(xs)
+        eta = round_to_eta(localization_values(self.spec, pts), self.spec.K)
+        values = evaluate_block(
+            self.series, pts - eta / self.spec.K, start=series_start(self.table, eta)
+        )
+        trifling = (self.spec.bands_of(pts) < 0).any(axis=1)
+        if xs.ndim == 1:
+            return NestedEval(float(values[0]), tuple(int(e) for e in eta[0]), bool(trifling[0]))
+        return NestedEval(values, eta, trifling)
 
-    def __call__(self, x: Sequence[float]) -> float:
+    def __call__(self, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
         return self.evaluate(x).value
 
 

@@ -163,7 +163,7 @@ def _maybe_emit(cfg: ExperimentConfig, bc: circuits.BlockCircuit) -> None:
 
 def _nested_resources(model: circuits.NestedTaylorModel) -> sim.ResourceCount:
     loc = sim.resource_count(model.loc_blocks[0].circuit)
-    series = sim.resource_count(model.series_block((0,) * model.f.dims).circuit)
+    series = sim.resource_count(model.series.circuit)
     return sim.ResourceCount(
         width=max(loc.width * model.f.dims, series.width),
         depth=loc.depth + series.depth,  # nested halves are counted additively
@@ -219,10 +219,7 @@ def _run_poly(cfg: ExperimentConfig) -> approx.ErrorReport:
     bc = circuits.build_poly_pqc(mp)
     _maybe_emit(cfg, bc)
     grid = approx.GridSpec(1, cfg.points_per_axis or 51)
-    sup = 0.0
-    for row in grid.points():
-        x = tuple(row)
-        sup = max(sup, abs(mp(x) - float(circuits.evaluate_block(bc, x))))
+    sup = approx.sup_error(mp, lambda xs: circuits.evaluate_block(bc, xs), grid)
     return approx.ErrorReport(
         sup_error=sup,
         bound=cfg.tol,
@@ -246,11 +243,11 @@ def _run_bernstein(cfg: ExperimentConfig) -> approx.ErrorReport:
     if quantum:
         bc = circuits.build_bernstein_pqc(f, n)
         _maybe_emit(cfg, bc)
-        model = lambda x: float(circuits.evaluate_block(bc, x))
+        model = lambda xs: circuits.evaluate_block(bc, xs)
         resources = sim.resource_count(bc.circuit)
         tol_agg = bc.tol
     else:
-        model = lambda x: bernstein_eval(f, n, x)
+        model = approx.pointwise(lambda x: bernstein_eval(f, n, x))
     grid = approx.GridSpec(d, cfg.points_per_axis)
     sup = approx.sup_error(f, model, grid)
     bound = thm_bounds("thm2", d=d, ell=f.lipschitz, n=n, eps=eps)
@@ -281,22 +278,19 @@ def _run_localization(cfg: ExperimentConfig) -> approx.ErrorReport:
     blocks = circuits.build_localization_pqc(spec, 1)
     _maybe_emit(cfg, blocks[0])
     rng = np.random.default_rng(cfg.seed)
-    sup = 0.0
-    recovered = True
-    count = 0
-    while count < 500:
+    xs, ks = [], []
+    while len(xs) < 500:
         x = float(rng.random())
         k = spec.band_of(x)
-        if k is None:
-            continue
-        count += 1
-        val = float(circuits.localization_values(spec, [x])[0])
-        err = val - k / spec.K
-        sup = max(sup, abs(err))
-        if not 0.0 <= err < spec.eps:
-            recovered = False
-        if circuits.round_to_eta([val], spec.K)[0] != k:
-            recovered = False
+        if k is not None:
+            xs.append(x)
+            ks.append(k)
+    vals = circuits.localization_values(spec, xs)
+    errs = vals - np.array(ks) / spec.K
+    sup = float(np.max(np.abs(errs)))
+    recovered = bool(np.all((errs >= 0.0) & (errs < spec.eps))) and (
+        circuits.round_to_eta(vals, spec.K) == tuple(ks)
+    )
     return approx.ErrorReport(
         sup_error=sup,
         bound=spec.eps,
@@ -320,7 +314,7 @@ def _run_taylor(cfg: ExperimentConfig) -> approx.ErrorReport:
     spec = LocalizationSpec(K, delta, 0.5 / K)
     model = circuits.NestedTaylorModel(f, spec, s)
     if cfg.emit_circuit:
-        _emit_block(model.series_block((0,) * f.dims), cfg.emit_circuit)
+        _emit_block(model.series, cfg.emit_circuit)
     grid = approx.GridSpec(
         f.dims, cfg.points_per_axis, region="union_q_eta", K=K, delta=delta
     )
@@ -348,10 +342,7 @@ def _run_trig(cfg: ExperimentConfig) -> approx.ErrorReport:
     pts = cfg.points_per_axis or (100 if cfg.d == 1 else 11)
     axis = np.linspace(0.0, 2.0 * math.pi, pts, endpoint=False)
     mesh = np.stack(np.meshgrid(*([axis] * cfg.d), indexing="ij"), -1).reshape(-1, cfg.d)
-    sup = 0.0
-    for row in mesh:
-        x = tuple(row)
-        sup = max(sup, abs(t(x) - complex(circuits.evaluate_block(bc, x))))
+    sup = approx.sup_error(t, lambda xs: circuits.evaluate_block(bc, xs), mesh)
     return approx.ErrorReport(
         sup_error=sup,
         bound=cfg.tol,

@@ -14,6 +14,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -325,6 +326,27 @@ class LocalizationSpec:
             if lo <= x <= hi:
                 return k
         return None
+
+    @cached_property
+    def _band_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of every band, as band() computes them."""
+        ks = np.arange(self.K)
+        return ks / self.K, (ks + 1) / self.K - np.where(ks < self.K - 1, self.delta, 0.0)
+
+    def bands_of(self, x: np.ndarray) -> np.ndarray:
+        """Array form of band_of: each entry's band index, or -1 in a gap.
+
+        Band k is the last band starting at or below x, found by comparing x
+        with band_of's own band starts, so no rounded x*K can put x in the
+        wrong band.  Where a gap is too small to survive the subtraction,
+        band k-1 ends on the start of band k; band_of returns the lower band
+        there, so k-1 is tested first.
+        """
+        x = np.asarray(x, dtype=float)
+        lo, hi = self._band_edges
+        k = np.searchsorted(lo, x, side="right") - 1
+        out = np.where(x <= hi[np.maximum(k, 0)], k, -1)
+        return np.where((k >= 1) & (x <= hi[np.maximum(k - 1, 0)]), k - 1, out)
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,19 @@ class EncodingSlot:
     shift: float = 0.0
 
     def angle_for(self, x: Sequence[float]) -> float:
-        u = float(x[self.coord]) - self.shift
-        if self.xform == "acos":
-            if abs(u) > 1.0 + 1e-9:
-                raise ValueError(f"encoding argument {u} outside [-1, 1]")
-            return -2.0 * math.acos(min(1.0, max(-1.0, u)))
-        if self.xform == "zrot":
-            return -u
-        raise ValueError(f"unknown encoding xform {self.xform!r}")
+        return float(encoding_angles(self.xform, np.array([float(x[self.coord]) - self.shift]))[0])
+
+
+def encoding_angles(xform: str, u: np.ndarray) -> np.ndarray:
+    """Angles of an encoding transform at arguments u = x[coord] - shift."""
+    if xform == "acos":
+        bad = ~(np.abs(u) <= 1.0 + 1e-9)  # NaN is out of range too
+        if bad.any():
+            raise ValueError(f"encoding argument {u[bad][0]} outside [-1, 1]")
+        return -2.0 * np.arccos(np.clip(u, -1.0, 1.0))
+    if xform == "zrot":
+        return -u
+    raise ValueError(f"unknown encoding xform {xform!r}")
 
 
 @dataclass(frozen=True)
@@ -232,6 +237,25 @@ def gate_matrix_1q(kind: str, angle: Optional[float] = None) -> np.ndarray:
     raise ValueError(f"no matrix for kind {kind!r}")
 
 
+def _rotation_matrices(kind: str, angles: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2) matrices of one rotation kind at an array of angles
+    (cf. gate_matrix_1q)."""
+    out = np.zeros(angles.shape + (2, 2), dtype=complex)
+    if kind == "Rz":
+        out[..., 0, 0] = np.exp(-0.5j * angles)
+        out[..., 1, 1] = np.exp(0.5j * angles)
+        return out
+    c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
+    out[..., 0, 0] = out[..., 1, 1] = c
+    if kind == "Rx":
+        out[..., 0, 1] = out[..., 1, 0] = -1j * s
+    elif kind == "Ry":
+        out[..., 0, 1], out[..., 1, 0] = -s, s
+    else:
+        raise ValueError(f"no matrix for kind {kind!r}")
+    return out
+
+
 def _gate_kind(g: Gate) -> str:
     """The single-qubit kind a gate applies to its target."""
     return g.sub if g.kind == "MCU" else ("X" if g.kind == "CNOT" else g.kind)
@@ -273,10 +297,12 @@ class GateProgram:
     Every maximal run of consecutive gates on one target under one control
     set becomes a single op: a 2x2 matrix applied to the amplitude pairs
     ``(i0, i1)`` that differ in the target bit and have every control bit
-    set.  The fixed gates of a run are multiplied together here; only the
-    encoding-slot factors between them are computed per point.  Ops that
-    address the same (target, controls) share one index-pair array.
-    ``width`` and ``gates`` are those of the source circuit.
+    set.  The fixed gates of a run are multiplied together here.  An op
+    without encoding slots is fixed: its ``heads`` matrix serves every
+    point.  Only the ops listed in ``slotted`` are bound per point, from the
+    slot factors and the fixed products between them.  Ops that address the
+    same (target, controls) share one index-pair array.  ``width`` and
+    ``gates`` are those of the source circuit.
     """
 
     def __init__(self, c: Circuit):
@@ -312,61 +338,161 @@ class GateProgram:
             else:
                 heads[-1] = gate_matrix_1q(kind, g.angle) @ heads[-1]
         self.slots = tuple(slot_of)
+        # slots bound together: one group per (kind, xform), with the slot
+        # indices, coordinates and shifts of its members
+        groups: dict[tuple[str, str], list[int]] = {}
+        for i, (kind, slot) in enumerate(self.slots):
+            groups.setdefault((kind, slot.xform), []).append(i)
+        self.slot_groups = [
+            (kind, xform, np.array(idx),
+             np.array([self.slots[i][1].coord for i in idx]),
+             np.array([self.slots[i][1].shift for i in idx]))
+            for (kind, xform), idx in groups.items()
+        ]
         self.heads = np.array(heads, dtype=complex).reshape(len(heads), 2, 2)
-        # stage j: every op with more than j slots takes its j-th slot factor,
-        # then the fixed product up to its next slot
+        self.slotted = np.array([k for k, chain in enumerate(chains) if chain], dtype=int)
+        position = {k: j for j, k in enumerate(self.slotted.tolist())}
+        # per op: its index pairs, then its fixed matrix or its place in slotted
+        self.ops = [
+            (pair, self.heads[k], -1) if k not in position else (pair, None, position[k])
+            for k, pair in enumerate(self.pairs)
+        ]
+        # stage j: every slotted op with more than j slots takes its j-th slot
+        # factor, then the fixed product up to its next slot
+        slotted_chains = [chains[k] for k in self.slotted]
         self.stages = []
-        for j in range(max(map(len, chains), default=0)):
-            ops = [k for k, chain in enumerate(chains) if len(chain) > j]
+        for j in range(max(map(len, slotted_chains), default=0)):
+            pos = [p for p, chain in enumerate(slotted_chains) if len(chain) > j]
             self.stages.append((
-                np.array(ops),
-                np.array([chains[k][j][0] for k in ops]),
-                np.array([chains[k][j][1] for k in ops]),
+                np.array(pos),
+                np.array([slotted_chains[p][j][0] for p in pos]),
+                np.array([slotted_chains[p][j][1] for p in pos])[:, None],
             ))
 
-    def op_matrices(self, x: Optional[Sequence[float]]) -> np.ndarray:
-        """The (ops, 2, 2) matrices of the program bound at x."""
-        if not self.slots:
-            return self.heads
+    def op_matrices(self, x: Optional[np.ndarray]) -> np.ndarray:
+        """The (len(slotted), N, 2, 2) matrices of the slotted ops, bound at
+        each row of the (N, d) point array x."""
         if x is None:
             raise ValueError("circuit has unbound encoding slots; pass x")
-        factors = np.array(
-            [gate_matrix_1q(kind, slot.angle_for(x)) for kind, slot in self.slots]
-        )
-        mats = self.heads.copy()
-        for ops, slot_idx, after in self.stages:
-            mats[ops] = after @ (factors[slot_idx] @ mats[ops])
+        xs = np.asarray(x, dtype=float)
+        factors = np.empty((len(self.slots), len(xs), 2, 2), dtype=complex)
+        for kind, xform, idx, coords, shifts in self.slot_groups:
+            u = (xs[:, coords] - shifts).T
+            factors[idx] = _rotation_matrices(kind, encoding_angles(xform, u))
+        mats = np.repeat(self.heads[self.slotted, None], len(xs), axis=1)
+        for pos, slot_idx, after in self.stages:
+            mats[pos] = _mul2(after, _mul2(factors[slot_idx], mats[pos]))
         return mats
+
+
+def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over broadcast stacks of 2x2 matrices, as a sum of two outer
+    products: numpy's matmul makes one small product per stack element."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
 
 
 def run(
     c: Circuit | GateProgram,
     init: Optional[Statevector] = None,
-    x: Optional[Sequence[float]] = None,
-) -> Statevector:
-    """Apply the circuit to the initial state (default all-zeros).
+    x: Optional[Sequence[float] | np.ndarray] = None,
+    start: Optional[np.ndarray] = None,
+) -> Statevector | np.ndarray:
+    """Apply the circuit to one initial state or to a batch of basis states.
 
-    A ``GateProgram`` runs with its encoding slots bound at x; a plain
-    circuit is compiled first.
+    One point: ``x`` of shape (d,), or None for a circuit without encoding
+    slots, runs from ``init`` (default all-zeros) and returns a Statevector.
+    A batch: ``x`` of shape (N, d) and/or ``start``, the N initial
+    basis-state indices (default 0), returns the (N, 2**width) final
+    amplitudes, one row per point.  A plain circuit is compiled first.
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
-    state = init if init is not None else Statevector.zero(program.width)
-    if len(state.amplitudes) != 2**program.width:
-        raise ValueError("initial state dimension does not match circuit width")
-    amps = state.amplitudes.copy()
-    for pair, m in zip(program.pairs, program.op_matrices(x)):
-        amps[pair] = m @ amps[pair]
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-10:
-        raise RuntimeError(f"simulation lost unitarity: norm {norm}")
-    return Statevector(amps)
+    dim = 2**program.width
+    xs = None if x is None else np.asarray(x, dtype=float)
+    if start is None and (xs is None or xs.ndim == 1):
+        state = init if init is not None else Statevector.zero(program.width)
+        if len(state.amplitudes) != dim:
+            raise ValueError("initial state dimension does not match circuit width")
+        amps = state.amplitudes.reshape(dim, 1).copy()
+        _evolve(program, amps, None if xs is None else xs[None])
+        return Statevector(amps[:, 0])
+    if init is not None:
+        raise ValueError("a batch starts from basis states: pass start, not init")
+    if xs is not None and xs.ndim != 2:
+        raise ValueError("a batch takes an (N, d) point array")
+    starts = np.zeros(len(xs), dtype=int) if start is None else np.asarray(start)
+    if xs is not None and len(xs) != len(starts):
+        raise ValueError(f"{len(xs)} points but {len(starts)} start indices")
+    if np.any((starts < 0) | (starts >= dim)):
+        raise ValueError(f"start indices must lie in [0, {dim})")
+    amps = np.zeros((dim, len(starts)), dtype=complex)
+    amps[starts, np.arange(len(starts))] = 1.0
+    _evolve(program, amps, xs)
+    return amps.T
 
 
-def expectation_z0(s: Statevector) -> float:
-    """Expectation of Pauli Z on qubit 0 (the most significant bit)."""
-    probs = np.abs(s.amplitudes) ** 2
-    half = len(probs) // 2
-    return float(np.sum(probs[:half]) - np.sum(probs[half:]))
+def _evolve(program: GateProgram, amps: np.ndarray, xs: Optional[np.ndarray]) -> None:
+    """Apply the program in place to the (2**width, N) amplitudes, column n
+    with the encoding angles of point xs[n]; check each column's norm."""
+    n = amps.shape[1]
+    mats = program.op_matrices(xs) if program.slots else None
+    if n == 1:
+        # one point: the state drops its batch axis, so numpy takes its fast
+        # 1-D fancy-index path, and each op's matrix, shared or bound at the
+        # point, applies to a plain (2, pairs) slice
+        state, matrices = amps[:, 0], program.heads.copy()
+        if mats is not None:
+            matrices[program.slotted] = mats[:, 0]
+        for pair, m in zip(program.pairs, matrices):
+            state[pair] = m @ state[pair]
+    else:
+        for pair, head, j in program.ops:
+            a = amps[pair]
+            if j < 0:  # one matrix for all N points
+                amps[pair] = (head @ a.reshape(2, -1)).reshape(a.shape)
+            else:  # point n's matrix on its (2, pairs) slice
+                amps[pair] = (mats[j] @ a.transpose(2, 0, 1)).transpose(1, 2, 0)
+    norms = np.linalg.norm(amps, axis=0)
+    bad = ~(np.abs(norms - 1.0) <= 1e-10)  # NaN fails too
+    if bad.any():
+        raise RuntimeError(f"simulation lost unitarity: norm {norms[bad][0]}")
+
+
+# Bytes of state one batch run holds; larger batches run in chunks of points.
+BATCH_BYTES = 1 << 19
+
+
+def expectation_z0(s: Statevector | np.ndarray) -> float | np.ndarray:
+    """Expectation of Pauli Z on qubit 0 (the most significant bit), of one
+    state or of each row of an (N, 2**width) amplitude array."""
+    amps = s.amplitudes if isinstance(s, Statevector) else s
+    probs = np.abs(amps) ** 2
+    half = probs.shape[-1] // 2
+    z = np.sum(probs[..., :half], axis=-1) - np.sum(probs[..., half:], axis=-1)
+    return float(z) if z.ndim == 0 else z
+
+
+def expectations_z0(
+    c: Circuit | GateProgram,
+    x: Optional[np.ndarray] = None,
+    start: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """expectation_z0 of each final state of a batch run (see run).
+
+    The batch runs in chunks of points whose states fit in BATCH_BYTES.
+    """
+    program = c if isinstance(c, GateProgram) else GateProgram(c)
+    x = None if x is None else np.asarray(x, dtype=float)
+    n = len(x) if x is not None else len(start)
+    rows = max(1, BATCH_BYTES // (np.dtype(complex).itemsize * 2**program.width))
+    out = np.empty(n)
+    for lo in range(0, n, rows):
+        part = slice(lo, lo + rows)
+        out[part] = expectation_z0(run(
+            program,
+            x=None if x is None else x[part],
+            start=None if start is None else start[part],
+        ))
+    return out
 
 
 def hadamard_test_circuit(u: Circuit, prep: Circuit, part: str = "real") -> Circuit:

@@ -178,7 +178,7 @@ def test_criterion_05_lipschitz_bound_compliance():
         grid = A.GridSpec(d)
         sups = []
         for n in (4, 16, 64):
-            model = lambda x, n=n: P.bernstein_eval(f, n, x)
+            model = A.pointwise(lambda x, n=n: P.bernstein_eval(f, n, x))
             sup = A.sup_error(f, model, grid)
             bound = eps + d * 2**d * f.lipschitz**2 / (n * eps**2)
             sups.append(sup)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pqcapprox import approx as A
@@ -42,19 +43,19 @@ def test_grid_band_regions_partition():
 
 def test_sup_error_zero_for_exact_model():
     f = targets.abs_centered(1)
-    assert A.sup_error(f, f, A.GridSpec(1, 21)) == 0.0
+    assert A.sup_error(f, A.pointwise(f), A.GridSpec(1, 21)) == 0.0
 
 
 def test_sup_error_constant_offset():
     f = targets.abs_centered(1)
     model = lambda x: f(x) + 0.01
-    assert A.sup_error(f, model, A.GridSpec(1, 21)) == pytest.approx(0.01)
+    assert A.sup_error(f, A.pointwise(model), A.GridSpec(1, 21)) == pytest.approx(0.01)
 
 
 def test_sup_error_bernstein_vs_thm2():
     f = targets.abs_centered(1)
     model = lambda x: P.bernstein_eval(f, 16, x)
-    sup = A.sup_error(f, model, A.GridSpec(1, 101))
+    sup = A.sup_error(f, A.pointwise(model), A.GridSpec(1, 101))
     bound = P.thm_bounds("thm2", d=1, ell=1.0, n=16, eps=0.3)
     assert sup <= bound
 
@@ -66,15 +67,29 @@ def test_sup_error_permutation_invariant():
     pts = grid.points()
     direct = max(abs(f(tuple(r)) - model(tuple(r))) for r in pts)
     shuffled = max(abs(f(tuple(r)) - model(tuple(r))) for r in pts[::-1])
-    assert direct == shuffled == A.sup_error(f, model, grid)
+    assert direct == shuffled == A.sup_error(f, A.pointwise(model), grid)
 
 
 def test_sup_error_monotone_under_refinement():
     f = targets.abs_centered(1)
     model = lambda x: P.bernstein_eval(f, 4, x)
-    coarse = A.sup_error(f, model, A.GridSpec(1, 51))
-    fine = A.sup_error(f, model, A.GridSpec(1, 101))  # contains the 51-point grid
+    coarse = A.sup_error(f, A.pointwise(model), A.GridSpec(1, 51))
+    fine = A.sup_error(f, A.pointwise(model), A.GridSpec(1, 101))  # contains the 51-point grid
     assert fine >= coarse
+
+
+def test_sup_error_makes_one_batch_call_on_a_grid_or_point_array():
+    f = targets.abs_centered(2)
+    calls = []
+
+    def model(xs):
+        calls.append(len(xs))
+        return np.array([f(tuple(x)) for x in xs]) + 0.01
+
+    grid = A.GridSpec(2, 7)
+    assert A.sup_error(f, model, grid) == pytest.approx(0.01)
+    assert A.sup_error(f, model, grid.points()[:5]) == pytest.approx(0.01)
+    assert calls == [49, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +99,7 @@ def test_sup_error_monotone_under_refinement():
 
 def test_l2_error_zero_model():
     f = targets.abs_centered(1)
-    assert A.l2_error(f, f, K=4, delta=0.05, samples=10_000, seed=3) == pytest.approx(
+    assert A.l2_error(f, A.pointwise(f), K=4, delta=0.05, samples=10_000, seed=3) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -92,20 +107,28 @@ def test_l2_error_zero_model():
 def test_l2_error_constant_offset():
     f = targets.abs_centered(1)
     model = lambda x: f(x) + 0.1
-    v = A.l2_error(f, model, K=4, delta=0.05, samples=20_000, seed=3)
+    v = A.l2_error(f, A.pointwise(model), K=4, delta=0.05, samples=20_000, seed=3)
     assert v == pytest.approx(0.01, abs=1e-6)
 
 
 def test_l2_error_rejects_few_samples():
     f = targets.abs_centered(1)
     with pytest.raises(ValueError):
-        A.l2_error(f, f, K=4, delta=0.05, samples=100, seed=0)
+        A.l2_error(f, A.pointwise(f), K=4, delta=0.05, samples=100, seed=0)
 
 
 def test_trifling_mass_within_cap():
     for d, K, delta in [(1, 4, 0.05), (2, 2, 0.1)]:
         mass, sigma = A.trifling_mass_estimate(d, K, delta, 20_000, seed=1)
         assert mass <= d * K * delta + 3 * sigma
+
+
+def test_trifling_mass_matches_the_scalar_band_loop():
+    d, K, delta, samples, seed = 2, 4, 0.0625, 3000, 9
+    mass, _ = A.trifling_mass_estimate(d, K, delta, samples, seed)
+    spec = P.LocalizationSpec(K, delta, 0.5 / K)
+    xs = np.random.default_rng(seed).random((samples, d))
+    assert mass == np.mean([any(spec.band_of(c) is None for c in row) for row in xs])
 
 
 def test_l2_gap_confined_discrepancy():
@@ -120,8 +143,8 @@ def test_l2_gap_confined_discrepancy():
         gap = any(spec.band_of(c) is None for c in x)
         return f(x) + (2.0 if gap else 0.0)
 
-    v = A.l2_error(f, model, K, delta, samples=20_000, seed=11)
-    sigma = A.l2_sigma(f, model, samples=20_000, seed=11)
+    v = A.l2_error(f, A.pointwise(model), K, delta, samples=20_000, seed=11)
+    sigma = A.l2_sigma(f, A.pointwise(model), samples=20_000, seed=11)
     assert v <= 4 * d * K ** (1 - d) + 3 * sigma
 
 

@@ -395,6 +395,70 @@ def test_taylor_series_first_order():
     assert C.evaluate_block(bc, (x,)) == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("f, K", [(targets.product_sines(2), 4), (targets.halfsine(), 2)],
+                         ids=["K4-d2", "K2-d1"])
+def test_shared_series_block_equals_per_cell_blocks(f, K):
+    spec = P.LocalizationSpec(K, 0.3 / K, 0.5 / K)
+    model = C.NestedTaylorModel(f, spec, 1)
+    for eta in np.ndindex(*(K,) * f.dims):
+        cell = C.build_taylor_series_pqc(model.table, eta)
+        for frac in (0.05, 0.4, 0.65):  # inside band eta on every axis
+            x = (np.array(eta) + frac) / K
+            res = model.evaluate(x)
+            assert res.eta == eta and not res.in_trifling
+            assert res.value == C.evaluate_block(cell, x)
+
+
+def test_series_start_is_the_address_prep():
+    table = C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1)
+    cells = np.array(list(np.ndindex(4, 4)))
+    starts = C.series_start(table, cells)
+    for eta, start in zip(cells, starts):
+        bc = C.build_taylor_series_pqc(table, tuple(eta))
+        writes = S.Circuit(bc.width, tuple(g for g in bc.prep.gates if g.kind == "X"))
+        assert np.flatnonzero(S.run(writes).amplitudes) == [start]
+    with pytest.raises(ValueError):
+        C.series_start(table, np.array([[0, 4]]))
+
+
+def test_nested_batch_equals_single_points():
+    f = targets.product_sines(2)
+    spec = P.LocalizationSpec(4, 1 / 16, 1 / 8)
+    model = C.NestedTaylorModel(f, spec, 1)
+    xs = np.random.default_rng(5).random((40, 2))
+    batch = model.evaluate(xs)
+    assert batch.in_trifling.any() and not batch.in_trifling.all()
+    assert np.array_equal(model(xs), batch.value)
+    for x, value, eta, trifling in zip(xs, batch.value, batch.eta, batch.in_trifling):
+        one = model.evaluate(x)
+        assert abs(one.value - value) <= 1e-14
+        assert one.eta == tuple(eta) and one.in_trifling == trifling
+
+
+def test_evaluate_block_batch_equals_single_points():
+    real = C.build_monomial_pqc(0.5, (1, 2))
+    cplx = C.build_trig_monomial_pqc(0.5j, (1, -1))
+    xs = np.random.default_rng(6).uniform(0.0, 1.0, (7, 2))
+    for bc in (real, cplx):
+        batch = C.evaluate_block(bc, xs)
+        assert batch.shape == (7,)
+        for x, v in zip(xs, batch):
+            assert abs(C.evaluate_block(bc, x) - v) <= 1e-14
+    with pytest.raises(ValueError, match="outside"):
+        C.evaluate_block(real, np.vstack([xs, [[0.5, 1.5]]]))
+
+
+def test_localization_values_keep_the_point_shape():
+    spec = P.LocalizationSpec(4, 0.05, 0.1)
+    xs = np.random.default_rng(7).random((5, 3))
+    vals = C.localization_values(spec, xs)
+    assert vals.shape == (5, 3)
+    assert np.max(np.abs(vals[2] - C.localization_values(spec, xs[2]))) <= 1e-14
+    cells = C.round_to_eta(vals, 4)
+    assert cells.shape == (5, 3)
+    assert [tuple(row) for row in cells] == [C.round_to_eta(v, 4) for v in vals]
+
+
 def test_nested_constant_target():
     f = P.TargetFunctionSpec(
         1,

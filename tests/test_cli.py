@@ -202,8 +202,7 @@ def test_localization_off_band_fails_with_its_real_bound(capsys, monkeypatch):
     # every value stays within eps/2 of its band's floor, so only the band
     # contract (value in [k/K, k/K + eps)) can fail the report
     def off_band(spec, xs):
-        k = spec.band_of(xs[0])
-        return np.array([max(k / spec.K - spec.eps / 2, spec.eps / 2)])
+        return np.array([max(spec.band_of(x) / spec.K - spec.eps / 2, spec.eps / 2) for x in xs])
 
     monkeypatch.setattr(circuits, "localization_values", off_band)
     code, out, _ = run_cli(

@@ -334,6 +334,34 @@ def test_localization_spec_validation():
         P.LocalizationSpec(4, 0.05, 0.3)  # eps >= 1/K
 
 
+@pytest.mark.parametrize(
+    "K, delta",
+    # the report and acceptance specs (default_delta), then specs where floor(x*K)
+    # misses the band of an edge: fl(k/49)*49 can round below k, and a gap of
+    # 1e-17 vanishes against k/10
+    [(2, 0.15), (4, 0.075), (4, 0.0625), (8, 0.0375), (2, 0.25), (16, 0.01875),
+     (49, 0.005), (10, 1e-17), (3, 0.05), (1, 0.1)],
+)
+def test_bands_of_matches_band_of(K, delta):
+    spec = P.LocalizationSpec(K, delta, 0.5 / K)
+    edges = np.array([e for k in range(K) for e in spec.band(k)])
+    near = [edges]
+    for direction in (-np.inf, np.inf):
+        step = edges
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    xs = np.concatenate(
+        near
+        + [np.linspace(0.0, 1.0, n) for n in (8, 13, 21, 41, 101)]
+        + [np.random.default_rng(K).random(5000), [-0.1, 1.1, np.nan, np.inf]]
+    )
+    want = [spec.band_of(x) for x in xs]
+    assert spec.bands_of(xs).tolist() == [-1 if k is None else k for k in want]
+    grid = xs[: 4 * len(edges) + 1].reshape(-1, 1) * np.ones(3)
+    assert spec.bands_of(grid).shape == grid.shape
+
+
 # ---------------------------------------------------------------------------
 # Taylor expansion
 # ---------------------------------------------------------------------------

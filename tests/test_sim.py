@@ -155,6 +155,104 @@ def test_width_cap():
 
 
 # ---------------------------------------------------------------------------
+# Batched runs
+# ---------------------------------------------------------------------------
+
+
+def random_batch(rng, width, n):
+    """n points in the range of random_slotted_circuit's slots, and n basis
+    indices to start from."""
+    xs = np.column_stack([rng.uniform(-0.8, 0.8, n), rng.uniform(-3.0, 3.0, n)])
+    return xs, rng.integers(0, 2**width, n)
+
+
+def basis_state(width, index):
+    amps = np.zeros(2**width, dtype=complex)
+    amps[index] = 1.0
+    return S.Statevector(amps)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_batch_run_equals_single_point_runs(seed):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 5))
+    prog = S.GateProgram(random_slotted_circuit(rng, width, 6))
+    xs, starts = random_batch(rng, width, int(rng.integers(1, 9)))
+    batch = S.run(prog, x=xs, start=starts)
+    assert batch.shape == (len(xs), 2**width)
+    for x, s, amps in zip(xs, starts, batch):
+        single = S.run(prog, init=basis_state(width, s), x=x).amplitudes
+        assert np.max(np.abs(amps - single)) <= 1e-14
+    from_zero = S.run(prog, x=xs)
+    for x, amps in zip(xs, from_zero):
+        assert np.max(np.abs(amps - S.run(prog, x=x).amplitudes)) <= 1e-14
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=10, deadline=None)
+def test_chunked_expectations_equal_single_point_runs(seed):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 5))
+    prog = S.GateProgram(random_slotted_circuit(rng, width, 6))
+    xs, starts = random_batch(rng, width, 11)
+    chunks = []
+    real_run = S.run
+
+    def counting_run(program, **kwargs):
+        chunks.append(len(kwargs["x"]))
+        return real_run(program, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        # a budget of three states: 11 points run in chunks of 3, 3, 3 and 2
+        mp.setattr(S, "BATCH_BYTES", 3 * 16 * 2**width)
+        mp.setattr(S, "run", counting_run)
+        got = S.expectations_z0(prog, xs, starts)
+    assert chunks == [3, 3, 3, 2]
+    for x, s, z in zip(xs, starts, got):
+        want = S.expectation_z0(S.run(prog, init=basis_state(width, s), x=x))
+        assert abs(z - want) <= 1e-14
+
+
+def test_batch_point_outside_encoding_range_fails():
+    circ = S.Circuit(1, (S.encoding_gate(0, S.EncodingSlot(0, "acos")),))
+    xs = np.array([[0.2], [-0.5], [1.0 + 1e-8], [0.9]])
+    with pytest.raises(ValueError, match="outside"):
+        S.run(circ, x=xs)
+    with pytest.raises(ValueError, match="outside"):
+        S.run(circ, x=np.array([[0.2], [np.nan]]))
+    S.run(circ, x=xs[[0, 1, 3]])
+
+
+def test_batch_unitarity_check_is_per_point(monkeypatch):
+    prog = S.GateProgram(S.Circuit(1, (S.encoding_gate(0, S.EncodingSlot(0, "zrot")),)))
+    real = S._rotation_matrices
+
+    def corrupt_third(kind, angles):
+        mats = real(kind, angles)
+        mats[..., 2:3, :, :] *= 1.0 + 1e-6  # the third point's gate only
+        return mats
+
+    S.run(prog, x=np.zeros((3, 1)))
+    monkeypatch.setattr(S, "_rotation_matrices", corrupt_third)
+    S.run(prog, x=np.zeros((2, 1)))
+    with pytest.raises(RuntimeError, match="unitarity"):
+        S.run(prog, x=np.zeros((3, 1)))
+
+
+def test_batch_rejects_bad_start_indices():
+    prog = S.GateProgram(S.Circuit(2, (S.h(0),)))
+    with pytest.raises(ValueError):
+        S.run(prog, start=np.array([0, 4]))
+    with pytest.raises(ValueError):
+        S.run(prog, start=np.array([-1]))
+    with pytest.raises(ValueError):
+        S.run(prog, x=np.zeros((3, 1)), start=np.array([0, 1]))
+    with pytest.raises(ValueError):
+        S.run(prog, init=S.Statevector.zero(2), start=np.array([0]))
+
+
+# ---------------------------------------------------------------------------
 # Hadamard test
 # ---------------------------------------------------------------------------
 
