@@ -622,17 +622,25 @@ class NestedTaylorModel:
         the rows of an (N, d) array."""
         xs = np.asarray(x, dtype=float)
         pts = np.atleast_2d(xs)
-        eta = round_to_eta(localization_values(self.spec, pts), self.spec.K)
-        values = evaluate_block(
-            self.series, pts - eta / self.spec.K, start=series_start(self.table, eta)
-        )
+        eta, values = self._read(pts)
         trifling = (self.spec.bands_of(pts) < 0).any(axis=1)
         if xs.ndim == 1:
             return NestedEval(float(values[0]), tuple(int(e) for e in eta[0]), bool(trifling[0]))
         return NestedEval(values, eta, trifling)
 
     def __call__(self, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
-        return self.evaluate(x).value
+        """The value at one point, or the values at the rows of an (N, d) array."""
+        xs = np.asarray(x, dtype=float)
+        values = self._read(np.atleast_2d(xs))[1]
+        return float(values[0]) if xs.ndim == 1 else values
+
+    def _read(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cells and values at the rows of an (N, d) array."""
+        eta = round_to_eta(localization_values(self.spec, pts), self.spec.K)
+        values = evaluate_block(
+            self.series, pts - eta / self.spec.K, start=series_start(self.table, eta)
+        )
+        return eta, values
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,10 @@ class EncodingSlot:
 def encoding_angles(xform: str, u: np.ndarray) -> np.ndarray:
     """Angles of an encoding transform at arguments u = x[coord] - shift."""
     if xform == "acos":
-        bad = ~(np.abs(u) <= 1.0 + 1e-9)  # NaN is out of range too
-        if bad.any():
-            raise ValueError(f"encoding argument {u[bad][0]} outside [-1, 1]")
-        return -2.0 * np.arccos(np.clip(u, -1.0, 1.0))
+        if not np.all(np.abs(u) <= 1.0 + 1e-9):  # NaN is out of range too
+            bad = u[~(np.abs(u) <= 1.0 + 1e-9)]
+            raise ValueError(f"encoding argument {bad[0]} outside [-1, 1]")
+        return -2.0 * np.arccos(np.minimum(np.maximum(u, -1.0), 1.0))
     if xform == "zrot":
         return -u
     raise ValueError(f"unknown encoding xform {xform!r}")

@@ -417,6 +417,9 @@ def test_series_start_is_the_address_prep():
         bc = C.build_taylor_series_pqc(table, tuple(eta))
         writes = S.Circuit(bc.width, tuple(g for g in bc.prep.gates if g.kind == "X"))
         assert np.flatnonzero(S.run(writes).amplitudes) == [start]
+    # two bits per coordinate, coordinate 0 first, above the coefficient
+    # qubit and the two data qubits
+    assert C.series_start(table, np.array([[1, 0], [0, 1]])).tolist() == [0b0100 << 3, 0b0001 << 3]
     with pytest.raises(ValueError):
         C.series_start(table, np.array([[0, 4]]))
 
