@@ -450,9 +450,9 @@ def round_to_eta(values: Sequence[float] | np.ndarray, K: int) -> MultiIndex | n
     One point's values give a tuple; an (N, d) array gives an integer array.
     """
     v = np.asarray(values, dtype=float)
-    bad = ~((v >= -1e-9) & (v <= 1.0 + 1e-9))  # NaN fails too
-    if bad.any():
-        raise ValueError(f"localization output {v[bad][0]} outside [0, 1]")
+    if not np.all((v >= -1e-9) & (v <= 1.0 + 1e-9)):  # NaN fails too
+        bad = v[~((v >= -1e-9) & (v <= 1.0 + 1e-9))]
+        raise ValueError(f"localization output {bad[0]} outside [0, 1]")
     cells = np.minimum(np.floor(K * v).astype(int), K - 1)
     return tuple(int(c) for c in cells) if v.ndim == 1 else cells
 
@@ -500,7 +500,7 @@ def _address(table: TaylorCoeffTable, eta: MultiIndex | np.ndarray) -> int | np.
     first; address qubit q holds bit address_bits - 1 - q of the value.
     """
     cells = np.asarray(eta, dtype=int)
-    if cells.shape[-1:] != (table.d,) or np.any((cells < 0) | (cells >= table.K)):
+    if cells.shape[-1:] != (table.d,) or cells.size and (cells.min() < 0 or cells.max() >= table.K):
         raise ValueError(f"invalid address {eta}")
     m = table.address_bits // table.d
     return (cells << (m * np.arange(table.d - 1, -1, -1))).sum(axis=-1)

@@ -237,23 +237,13 @@ def gate_matrix_1q(kind: str, angle: Optional[float] = None) -> np.ndarray:
     raise ValueError(f"no matrix for kind {kind!r}")
 
 
-def _rotation_matrices(kind: str, angles: np.ndarray) -> np.ndarray:
-    """The (..., 2, 2) matrices of one rotation kind at an array of angles
-    (cf. gate_matrix_1q)."""
-    out = np.zeros(angles.shape + (2, 2), dtype=complex)
-    if kind == "Rz":
-        out[..., 0, 0] = np.exp(-0.5j * angles)
-        out[..., 1, 1] = np.exp(0.5j * angles)
-        return out
-    c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
-    out[..., 0, 0] = out[..., 1, 1] = c
-    if kind == "Rx":
-        out[..., 0, 1] = out[..., 1, 0] = -1j * s
-    elif kind == "Ry":
-        out[..., 0, 1], out[..., 1, 0] = -s, s
-    else:
-        raise ValueError(f"no matrix for kind {kind!r}")
-    return out
+# R(t) = cos(t/2) I + sin(t/2) G for each rotation kind, with G = -i times
+# its Pauli matrix (cf. gate_matrix_1q)
+_GENERATORS = {
+    "Rx": np.array([[0, -1j], [-1j, 0]]),
+    "Ry": np.array([[0, -1], [1, 0]], dtype=complex),
+    "Rz": np.array([[-1j, 0], [0, 1j]]),
+}
 
 
 def _gate_kind(g: Gate) -> str:
@@ -338,16 +328,16 @@ class GateProgram:
             else:
                 heads[-1] = gate_matrix_1q(kind, g.angle) @ heads[-1]
         self.slots = tuple(slot_of)
-        # slots bound together: one group per (kind, xform), with the slot
-        # indices, coordinates and shifts of its members
-        groups: dict[tuple[str, str], list[int]] = {}
-        for i, (kind, slot) in enumerate(self.slots):
-            groups.setdefault((kind, slot.xform), []).append(i)
+        # slots bound together: one group per xform, with the slot indices,
+        # coordinates and shifts of its members
+        groups: dict[str, list[int]] = {}
+        for i, (_, slot) in enumerate(self.slots):
+            groups.setdefault(slot.xform, []).append(i)
         self.slot_groups = [
-            (kind, xform, np.array(idx),
+            (xform, np.array(idx),
              np.array([self.slots[i][1].coord for i in idx]),
              np.array([self.slots[i][1].shift for i in idx]))
-            for (kind, xform), idx in groups.items()
+            for xform, idx in groups.items()
         ]
         self.heads = np.array(heads, dtype=complex).reshape(len(heads), 2, 2)
         self.slotted = np.array([k for k, chain in enumerate(chains) if chain], dtype=int)
@@ -357,16 +347,22 @@ class GateProgram:
             (pair, self.heads[k], -1) if k not in position else (pair, None, position[k])
             for k, pair in enumerate(self.pairs)
         ]
-        # stage j: every slotted op with more than j slots takes its j-th slot
-        # factor, then the fixed product up to its next slot
+        # Stage j: every slotted op with more than j slots takes its j-th
+        # slot factor R = cos I + sin G, then the fixed product A up to its
+        # next slot, so the stage multiplies by cos A + sin AG.  Stage 0 also
+        # folds in the head H: cos AH + sin AGH, linear in the slot's cos and
+        # sin, so an op with one slot needs no matrix product per point.
         slotted_chains = [chains[k] for k in self.slotted]
         self.stages = []
         for j in range(max(map(len, slotted_chains), default=0)):
             pos = [p for p, chain in enumerate(slotted_chains) if len(chain) > j]
+            slot_idx = [slotted_chains[p][j][0] for p in pos]
+            after = np.array([slotted_chains[p][j][1] for p in pos])
+            gens = np.array([_GENERATORS[self.slots[i][0]] for i in slot_idx])
+            first = self.heads[self.slotted] if j == 0 else np.eye(2)
             self.stages.append((
-                np.array(pos),
-                np.array([slotted_chains[p][j][0] for p in pos]),
-                np.array([slotted_chains[p][j][1] for p in pos])[:, None],
+                np.array(pos), np.array(slot_idx), (after @ first)[:, None],
+                (after @ gens @ first)[:, None],
             ))
 
     def op_matrices(self, x: Optional[np.ndarray]) -> np.ndarray:
@@ -375,13 +371,14 @@ class GateProgram:
         if x is None:
             raise ValueError("circuit has unbound encoding slots; pass x")
         xs = np.asarray(x, dtype=float)
-        factors = np.empty((len(self.slots), len(xs), 2, 2), dtype=complex)
-        for kind, xform, idx, coords, shifts in self.slot_groups:
-            u = (xs[:, coords] - shifts).T
-            factors[idx] = _rotation_matrices(kind, encoding_angles(xform, u))
-        mats = np.repeat(self.heads[self.slotted, None], len(xs), axis=1)
-        for pos, slot_idx, after in self.stages:
-            mats[pos] = _mul2(after, _mul2(factors[slot_idx], mats[pos]))
+        half = np.empty((len(self.slots), len(xs)))
+        for xform, idx, coords, shifts in self.slot_groups:
+            half[idx] = encoding_angles(xform, (xs[:, coords] - shifts).T) / 2.0
+        cos, sin = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
+        (_, slot_idx, a, ag), *later = self.stages
+        mats = cos[slot_idx] * a + sin[slot_idx] * ag
+        for pos, slot_idx, a, ag in later:
+            mats[pos] = _mul2(cos[slot_idx] * a + sin[slot_idx] * ag, mats[pos])
         return mats
 
 
@@ -422,7 +419,7 @@ def run(
     starts = np.zeros(len(xs), dtype=int) if start is None else np.asarray(start)
     if xs is not None and len(xs) != len(starts):
         raise ValueError(f"{len(xs)} points but {len(starts)} start indices")
-    if np.any((starts < 0) | (starts >= dim)):
+    if len(starts) and (starts.min() < 0 or starts.max() >= dim):
         raise ValueError(f"start indices must lie in [0, {dim})")
     amps = np.zeros((dim, len(starts)), dtype=complex)
     amps[starts, np.arange(len(starts))] = 1.0
@@ -452,9 +449,9 @@ def _evolve(program: GateProgram, amps: np.ndarray, xs: Optional[np.ndarray]) ->
             else:  # point n's matrix on its (2, pairs) slice
                 amps[pair] = (mats[j] @ a.transpose(2, 0, 1)).transpose(1, 2, 0)
     norms = np.linalg.norm(amps, axis=0)
-    bad = ~(np.abs(norms - 1.0) <= 1e-10)  # NaN fails too
-    if bad.any():
-        raise RuntimeError(f"simulation lost unitarity: norm {norms[bad][0]}")
+    if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
+        bad = norms[~(np.abs(norms - 1.0) <= 1e-10)]
+        raise RuntimeError(f"simulation lost unitarity: norm {bad[0]}")
 
 
 # Bytes of state one batch run holds; larger batches run in chunks of points.

@@ -432,6 +432,7 @@ def test_nested_batch_equals_single_points():
     batch = model.evaluate(xs)
     assert batch.in_trifling.any() and not batch.in_trifling.all()
     assert np.array_equal(model(xs), batch.value)
+    assert model(np.empty((0, 2))).shape == (0,)
     for x, value, eta, trifling in zip(xs, batch.value, batch.eta, batch.in_trifling):
         one = model.evaluate(x)
         assert abs(one.value - value) <= 1e-14

@@ -226,15 +226,15 @@ def test_batch_point_outside_encoding_range_fails():
 
 def test_batch_unitarity_check_is_per_point(monkeypatch):
     prog = S.GateProgram(S.Circuit(1, (S.encoding_gate(0, S.EncodingSlot(0, "zrot")),)))
-    real = S._rotation_matrices
+    real = S.encoding_angles
 
-    def corrupt_third(kind, angles):
-        mats = real(kind, angles)
-        mats[..., 2:3, :, :] *= 1.0 + 1e-6  # the third point's gate only
-        return mats
+    def nan_at_third(xform, u):
+        angles = real(xform, u)
+        angles[..., 2:3] = np.nan  # the third point's gate only
+        return angles
 
     S.run(prog, x=np.zeros((3, 1)))
-    monkeypatch.setattr(S, "_rotation_matrices", corrupt_third)
+    monkeypatch.setattr(S, "encoding_angles", nan_at_third)
     S.run(prog, x=np.zeros((2, 1)))
     with pytest.raises(RuntimeError, match="unitarity"):
         S.run(prog, x=np.zeros((3, 1)))
