@@ -453,7 +453,7 @@ def round_to_eta(values: Sequence[float] | np.ndarray, K: int) -> MultiIndex | n
     if not np.all((v >= -1e-9) & (v <= 1.0 + 1e-9)):  # NaN fails too
         bad = v[~((v >= -1e-9) & (v <= 1.0 + 1e-9))]
         raise ValueError(f"localization output {bad[0]} outside [0, 1]")
-    cells = np.minimum(np.floor(K * v).astype(int), K - 1)
+    cells = np.clip(np.floor(K * v).astype(int), 0, K - 1)
     return tuple(int(c) for c in cells) if v.ndim == 1 else cells
 
 

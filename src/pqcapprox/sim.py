@@ -341,12 +341,6 @@ class GateProgram:
         ]
         self.heads = np.array(heads, dtype=complex).reshape(len(heads), 2, 2)
         self.slotted = np.array([k for k, chain in enumerate(chains) if chain], dtype=int)
-        position = {k: j for j, k in enumerate(self.slotted.tolist())}
-        # per op: its index pairs, then its fixed matrix or its place in slotted
-        self.ops = [
-            (pair, self.heads[k], -1) if k not in position else (pair, None, position[k])
-            for k, pair in enumerate(self.pairs)
-        ]
         # Stage j: every slotted op with more than j slots takes its j-th
         # slot factor R = cos I + sin G, then the fixed product A up to its
         # next slot, so the stage multiplies by cos A + sin AG.  Stage 0 also
@@ -442,12 +436,13 @@ def _evolve(program: GateProgram, amps: np.ndarray, xs: Optional[np.ndarray]) ->
         for pair, m in zip(program.pairs, matrices):
             state[pair] = m @ state[pair]
     else:
-        for pair, head, j in program.ops:
+        bound = {} if mats is None else dict(zip(program.slotted.tolist(), mats))
+        for k, (pair, head) in enumerate(zip(program.pairs, program.heads)):
             a = amps[pair]
-            if j < 0:  # one matrix for all N points
+            if k not in bound:  # one matrix for all N points
                 amps[pair] = (head @ a.reshape(2, -1)).reshape(a.shape)
             else:  # point n's matrix on its (2, pairs) slice
-                amps[pair] = (mats[j] @ a.transpose(2, 0, 1)).transpose(1, 2, 0)
+                amps[pair] = (bound[k] @ a.transpose(2, 0, 1)).transpose(1, 2, 0)
     norms = np.linalg.norm(amps, axis=0)
     if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
         bad = norms[~(np.abs(norms - 1.0) <= 1e-10)]

@@ -333,6 +333,9 @@ def test_round_to_eta():
     assert C.round_to_eta([0.55], 4) == (2,)
     assert C.round_to_eta([1.0], 4) == (3,)
     assert C.round_to_eta([0.3, 0.9], 2) == (0, 1)
+    # the range check admits values down to -1e-9; they read cell 0
+    assert C.round_to_eta([-5e-10, 0.3], 4) == (0, 1)
+    assert C.round_to_eta(np.array([[-5e-10], [1.0]]), 4).tolist() == [[0], [3]]
 
 
 def test_round_to_eta_rejects_out_of_range():
