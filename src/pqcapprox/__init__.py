@@ -58,7 +58,6 @@ from .qsp import (
     qsp_synthesize,
     qsp_synthesize_completion,
     qsp_unitary,
-    trig_qsp_synthesize,
     trig_qsp_unitary,
 )
 from .sim import (

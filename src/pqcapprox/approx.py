@@ -239,7 +239,6 @@ class ErrorReport:
     seed: Optional[int] = None
     experiment: str = ""
     params: dict = field(default_factory=dict)
-    per_point: Optional[list] = None
     # False when a check other than the sup-error bound failed, e.g. a
     # localization point left its band; the report then fails whatever sup_error is
     contract_held: bool = True
@@ -257,7 +256,7 @@ class ErrorReport:
                 "params": self.resources.trainable_params,
                 "gates": self.resources.gate_total,
             }
-        out = {
+        return {
             "experiment": self.experiment,
             "sup_error": self.sup_error,
             "l2_error": self.l2_error,
@@ -270,9 +269,6 @@ class ErrorReport:
             "pass": self.passed,
             "params": self.params,
         }
-        if self.per_point is not None:
-            out["per_point"] = self.per_point
-        return out
 
     def to_json(self, timestamp: Optional[str] = None) -> str:
         doc = self.to_dict()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -139,14 +139,9 @@ def trig_line(params: qsp.TrigQspParams, slot: EncodingSlot) -> tuple[Gate, ...]
     return tuple(gates)
 
 
-_SYNTH_CACHE: dict[tuple, qsp.QspAngleSequence] = {}
-
-
+@cache
 def synthesize_cached(p: ParityPolynomial, tol: float = 1e-11) -> qsp.QspAngleSequence:
-    key = (p.base.basis, p.parity, tuple(np.round(p.base.coeffs, 14)), tol)
-    if key not in _SYNTH_CACHE:
-        _SYNTH_CACHE[key] = qsp.qsp_synthesize(p, tol=tol)
-    return _SYNTH_CACHE[key]
+    return qsp.qsp_synthesize(p, tol=tol)
 
 
 def _monomial_target(coeff: float, power: int) -> ParityPolynomial:
@@ -412,14 +407,9 @@ def build_bernstein_pqc(
 # Localization
 # ---------------------------------------------------------------------------
 
-_LOC_CACHE: dict[LocalizationSpec, qsp.QspAngleSequence] = {}
-
-
+@cache
 def localization_angles(spec: LocalizationSpec) -> qsp.QspAngleSequence:
-    if spec not in _LOC_CACHE:
-        poly = localization_poly(spec)
-        _LOC_CACHE[spec] = qsp.qsp_synthesize(ParityPolynomial(poly, 0), tol=1e-9)
-    return _LOC_CACHE[spec]
+    return qsp.qsp_synthesize(ParityPolynomial(localization_poly(spec), 0), tol=1e-9)
 
 
 def build_localization_pqc(spec: LocalizationSpec, d: int) -> list[BlockCircuit]:

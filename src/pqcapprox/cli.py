@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 import numbers
-import os
 import sys
 import typing
 from dataclasses import dataclass
@@ -65,6 +64,10 @@ class ExperimentConfig:
             value = getattr(self, field.name)
             if not _has_type(value, hints[field.name]):
                 raise ValueError(f"config key {field.name!r} must be {field.type}, got {value!r}")
+        for name in ("d", "n", "K"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"config key {name!r} must be at least 1, got {value}")
         known = {"qsp", "poly", "bernstein", "localization", "taylor", "trig", "fnn_compare"}
         if self.experiment not in known:
             raise ValueError(f"unknown experiment {self.experiment!r}")
@@ -421,26 +424,7 @@ def _cfg_from_args(args: argparse.Namespace, experiment: str) -> ExperimentConfi
     )
 
 
-def _apply_thread_cap() -> None:
-    """PQCAPPROX_THREADS caps the linear-algebra thread pools."""
-    raw = os.environ.get("PQCAPPROX_THREADS")
-    if not raw:
-        return
-    try:
-        limit = max(1, int(raw))
-    except ValueError:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limit)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(limit)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(prog="pqcapprox")
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -14,7 +14,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -72,11 +72,6 @@ class Polynomial:
         if self.basis == "power":
             return self
         return Polynomial(tuple(_cheb.cheb2poly(self.coeffs)), "power")
-
-    def to_chebyshev(self) -> "Polynomial":
-        if self.basis == "chebyshev":
-            return self
-        return Polynomial(tuple(_cheb.poly2cheb(self.coeffs)), "chebyshev")
 
     def scaled(self, factor: float) -> "Polynomial":
         return Polynomial(tuple(factor * c for c in self.coeffs), self.basis)
@@ -204,12 +199,6 @@ class MultivariatePolynomial:
                 clean[alpha] = float(c)
         object.__setattr__(self, "terms", clean)
 
-    @property
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(one_norm(a) for a in self.terms)
-
     def __call__(self, x: Point) -> float:
         xs = np.asarray(x, dtype=float)
         val = 0.0
@@ -239,12 +228,6 @@ class MultivariateTrigPolynomial:
             if c != 0:
                 clean[n] = complex(c)
         object.__setattr__(self, "terms", clean)
-
-    @property
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(abs(v) for v in n) for n in self.terms)
 
     def __call__(self, x: Point) -> complex:
         xs = np.asarray(x, dtype=float)
@@ -397,19 +380,13 @@ def bernstein_eval(f: TargetFunctionSpec, n: int, x: Point) -> float:
     return float(acc)
 
 
+@cache
 def _grid_values(f: TargetFunctionSpec, n: int) -> np.ndarray:
     """f sampled on the uniform (n+1)^d grid, cached per (f, n)."""
-    cache = getattr(f, "_bernstein_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(f, "_bernstein_cache", cache)
-    if n not in cache:
-        shape = (n + 1,) * f.dims
-        vals = np.empty(shape)
-        for k in product(range(n + 1), repeat=f.dims):
-            vals[k] = f.evaluator(tuple(ki / n for ki in k))
-        cache[n] = vals
-    return cache[n]
+    vals = np.empty((n + 1,) * f.dims)
+    for k in product(range(n + 1), repeat=f.dims):
+        vals[k] = f.evaluator(tuple(ki / n for ki in k))
+    return vals
 
 
 def lipschitz_bernstein_bound(d: int, ell: float, gamma: float, n: int, eps: float) -> float:

@@ -8,12 +8,14 @@ Two circuit families are handled:
   at most 1).
 * Z-basis encoding ``S(x) = diag(exp(ix/2), exp(-ix/2))`` interleaved with
   Y and Z rotations, whose zero-state block value realizes complex
-  trigonometric (Laurent) polynomials.
+  trigonometric (Laurent) polynomials.  These are not synthesized: each
+  monomial ``c exp(i n x)`` has exact parameters (``trig_monomial_params``)
+  and a trigonometric polynomial is the LCU sum of its monomials.
 
-Synthesis solves for symmetric angles by Newton iteration on the Chebyshev
-coefficients of the realized block value, warm-started from an exact
-zero-block seed and continued in target scale; this stays reliable into
-the high hundreds of layers, where the localization polynomials live.
+X-basis synthesis solves for symmetric angles by Newton iteration on the
+Chebyshev coefficients of the realized block value, warm-started from an
+exact zero-block seed and continued in target scale; this stays reliable
+into the high hundreds of layers, where the localization polynomials live.
 An independent completion backend (spectral factorization of 1 - p^2 by
 root pairing, then layer stripping) cross-checks low degrees.
 """
@@ -23,13 +25,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _np_poly
 from scipy import fft as _fft
-from scipy import optimize as _opt
 
 from .poly import ParityPolynomial, _cheb_coeffs, _cheb_nodes
 
@@ -65,7 +66,6 @@ class TrigQspParams:
     omega: float
     thetas: tuple[float, ...]
     phis: tuple[float, ...]
-    residual: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.thetas) != len(self.phis):
@@ -592,77 +592,3 @@ def trig_monomial_params(c: complex, n: int) -> TrigQspParams:
         thetas[layers] = math.pi
         omega = 2.0 * (math.pi - arg)
     return TrigQspParams(omega, tuple(thetas), tuple(phis))
-
-
-def trig_qsp_synthesize(
-    coeffs: Mapping[int, complex],
-    tol: float = 1e-8,
-    max_restarts: int = 32,
-    rng_seed: int = 20240811,
-) -> TrigQspParams:
-    """Find parameters realizing t(x) = sum_j c_j exp(i j x) as <0|U(x)|0>.
-
-    A degree-L trigonometric target needs 2L layers (the encoding advances
-    by half-integer frequencies).  Single-term targets use the exact
-    construction; otherwise the grid residual is minimized by damped
-    Gauss-Newton with restarts.
-    """
-    clean = {int(j): complex(c) for j, c in coeffs.items() if c != 0}
-    if not clean:
-        return TrigQspParams(0.0, (math.pi,), (0.0,))  # constant zero block
-    if len(clean) == 1:
-        (j, c), = clean.items()
-        params = trig_monomial_params(c, j)
-        return _trig_verified(params, clean, tol)
-
-    half = max(abs(j) for j in clean)
-    layers = 2 * half
-    grid = np.linspace(0.0, 2.0 * np.pi, 4 * (2 * half + 1), endpoint=False)
-    tvals = np.zeros(len(grid), dtype=complex)
-    for j, c in clean.items():
-        tvals += c * np.exp(1j * j * grid)
-    if np.max(np.abs(tvals)) > 1.0 - 1e-9:
-        raise ValueError("trig target must satisfy |t| < 1 strictly")
-
-    def unpack(vec: np.ndarray) -> TrigQspParams:
-        return TrigQspParams(
-            float(vec[0]),
-            tuple(vec[1 : layers + 2]),
-            tuple(vec[layers + 2 :]),
-        )
-
-    def residual(vec: np.ndarray) -> np.ndarray:
-        params = unpack(vec)
-        b = trig_block_values(params, grid)
-        return np.concatenate([np.real(b - tvals), np.imag(b - tvals)])
-
-    rng = np.random.default_rng(rng_seed)
-    best = (np.inf, None)
-    n_params = 2 * (layers + 1) + 1
-    for trial in range(max_restarts + 1):
-        if trial == 0:
-            vec0 = np.zeros(n_params)
-            vec0[1] = math.pi  # zero-block seed: theta_0 = pi
-        else:
-            vec0 = rng.normal(0.0, 0.6, n_params)
-        sol = _opt.least_squares(residual, vec0, method="lm", xtol=1e-15, ftol=1e-15)
-        resid = float(np.max(np.abs(sol.fun)))
-        if resid < best[0]:
-            best = (resid, sol.x)
-        if resid <= tol * 0.5:
-            break
-    if best[0] > tol:
-        raise QspSynthesisError("trig synthesis did not converge", best[0])
-    return _trig_verified(unpack(best[1]), clean, tol)
-
-
-def _trig_verified(params: TrigQspParams, coeffs, tol: float) -> TrigQspParams:
-    half = max(abs(j) for j in coeffs)
-    grid = np.linspace(0.0, 2.0 * np.pi, 4 * (2 * half + 1), endpoint=False)
-    tvals = np.zeros(len(grid), dtype=complex)
-    for j, c in coeffs.items():
-        tvals += c * np.exp(1j * j * grid)
-    resid = float(np.max(np.abs(trig_block_values(params, grid) - tvals)))
-    if resid > tol:
-        raise QspSynthesisError("trig parameters failed grid verification", resid)
-    return TrigQspParams(params.omega, params.thetas, params.phis, residual=resid)

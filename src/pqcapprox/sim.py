@@ -651,17 +651,16 @@ class ResourceCount:
             raise ValueError("trainable parameter count exceeds gate count")
 
 
-def resource_count(c: Circuit, lowered_pass: bool = False) -> ResourceCount:
+def resource_count(c: Circuit) -> ResourceCount:
     """Width, greedy-ASAP depth, trainable-parameter and gate tallies.
 
-    With ``lowered_pass`` the MCU gates are first expanded to CNOT plus
-    single-qubit rotations, so the tallies reflect the elementary gate set.
+    ``resource_count(lowered(c))`` tallies the elementary gate set, with the
+    MCU gates expanded to CNOT plus single-qubit rotations.
     """
-    circ = lowered(c) if lowered_pass else c
-    level = [0] * circ.width
+    level = [0] * c.width
     depth = 0
     params = 0
-    for g in circ.gates:
+    for g in c.gates:
         qs = g.qubits
         layer = 1 + max((level[q] for q in qs), default=0)
         for q in qs:
@@ -669,7 +668,7 @@ def resource_count(c: Circuit, lowered_pass: bool = False) -> ResourceCount:
         depth = max(depth, layer)
         if g.trainable:
             params += 1
-    return ResourceCount(circ.width, depth, params, len(circ.gates))
+    return ResourceCount(c.width, depth, params, len(c.gates))
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

@@ -264,6 +264,16 @@ def test_bernstein_pqc_matches_classical():
     )
 
 
+def test_bernstein_rebuild_hits_the_synthesis_cache():
+    f = P.TargetFunctionSpec(2, lambda x: 0.5 * x[0] * (1 - x[1]))
+    C.build_bernstein_pqc(f, 2)
+    before = C.synthesize_cached.cache_info()
+    C.build_bernstein_pqc(f, 2)
+    after = C.synthesize_cached.cache_info()
+    assert after.hits > before.hits
+    assert after.misses == before.misses
+
+
 def test_bernstein_pqc_2d():
     f = P.TargetFunctionSpec(2, lambda x: 0.5 * x[0] * (1 - x[1]))
     bc = C.build_bernstein_pqc(f, 2)

@@ -1,10 +1,16 @@
+import functools
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pqcapprox
 from pqcapprox import circuits, cli, poly, sim
 from pqcapprox.poly import ConstructionError
 
@@ -13,6 +19,14 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_python(*argv):
+    """A fresh interpreter that imports this checkout's package."""
+    src = str(Path(pqcapprox.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 def test_synth_constant(capsys):
@@ -152,6 +166,29 @@ def test_report_config_wrong_type(capsys, tmp_path, key, value):
     assert key in json.loads(err.strip())["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--experiment", "bernstein", "--d", "0"),
+        ("--experiment", "bernstein", "--n", "0"),
+        ("--experiment", "taylor", "--K", "0"),
+    ],
+    ids=["d", "n", "K"],
+)
+def test_report_rejects_sizes_below_one(argv):
+    proc = run_python("-m", "pqcapprox.cli", "report", *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "at least 1" in json.loads(lines[0])["error"]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    proc = run_python("-c", "import pqcapprox, sys; print('scipy.optimize' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_report_config_accepts_int_for_float_and_null_for_optional():
     cfg = cli.ExperimentConfig(experiment="bernstein", eps=1, delta=None, s=None)
     assert cfg.eps == 1 and cfg.delta is None
@@ -162,7 +199,9 @@ def test_localization_too_large_is_rejected_before_allocating(capsys, monkeypatc
         raise AssertionError("the erf interpolant was built")
 
     monkeypatch.setattr(poly, "_erf_chebyshev", never)
-    monkeypatch.setattr(circuits, "_LOC_CACHE", {})
+    monkeypatch.setattr(
+        circuits, "localization_angles", functools.cache(circuits.localization_angles.__wrapped__)
+    )
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -192,7 +231,9 @@ def test_construction_error_is_reported(capsys, monkeypatch):
         raise ConstructionError(f"localization polynomial failed for {spec}")
 
     monkeypatch.setattr(circuits, "localization_poly", fail)
-    monkeypatch.setattr(circuits, "_LOC_CACHE", {})
+    monkeypatch.setattr(
+        circuits, "localization_angles", functools.cache(circuits.localization_angles.__wrapped__)
+    )
     code, _, err = run_cli(capsys, "report", "--experiment", "localization", "--K", "2")
     assert code == 2
     assert "localization polynomial failed" in json.loads(err.strip())["error"]

@@ -73,6 +73,13 @@ def test_bernstein_square_frozen():
     assert P.bernstein_eval(f, 2, (0.5,)) == pytest.approx(0.375, abs=1e-13)
 
 
+def test_bernstein_eval_leaves_the_frozen_spec_unchanged():
+    f = P.TargetFunctionSpec(1, lambda x: x[0] ** 2)
+    state = dict(vars(f))
+    P.bernstein_eval(f, 3, (0.5,))
+    assert vars(f) == state
+
+
 @given(
     st.integers(1, 64),
     st.floats(0.0, 1.0),

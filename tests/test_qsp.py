@@ -421,22 +421,3 @@ def test_trig_monomial_exact(c, n):
     xs = np.linspace(0, 2 * math.pi, 29)
     vals = Q.trig_block_values(params, xs)
     assert np.max(np.abs(vals - c * np.exp(1j * n * xs))) <= 1e-12
-
-
-def test_trig_synthesize_constant_one():
-    params = Q.trig_qsp_synthesize({0: 1.0})
-    assert params.residual <= 1e-12
-
-
-def test_trig_synthesize_single_mode():
-    params = Q.trig_qsp_synthesize({1: 0.9})
-    xs = np.linspace(0, 2 * math.pi, 41)
-    vals = Q.trig_block_values(params, xs)
-    assert np.max(np.abs(vals - 0.9 * np.exp(1j * xs))) <= 1e-8
-
-
-def test_trig_synthesize_cosine():
-    params = Q.trig_qsp_synthesize({1: 0.45, -1: 0.45})
-    xs = np.linspace(0, 2 * math.pi, 41)
-    vals = Q.trig_block_values(params, xs)
-    assert np.max(np.abs(vals - 0.9 * np.cos(xs))) <= 1e-8
