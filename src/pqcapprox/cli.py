@@ -68,6 +68,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"config key {name!r} must be at least 1, got {value}")
+        # written as "not >" so that a NaN is rejected too
+        for name in ("eps", "delta"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"config key {name!r} must be positive, got {value}")
+        if self.s is not None and self.s < 0:
+            raise ValueError(f"config key 's' must be at least 0, got {self.s}")
         known = {"qsp", "poly", "bernstein", "localization", "taylor", "trig", "fnn_compare"}
         if self.experiment not in known:
             raise ValueError(f"unknown experiment {self.experiment!r}")

@@ -104,8 +104,12 @@ class ParityPolynomial:
         return self.base(x)
 
     def sup_norm(self, npts: int = 1000) -> float:
-        grid = chebyshev_grid(max(npts, 10 * (self.degree + 1)))
-        return float(np.max(np.abs(self.base(grid))))
+        m = max(npts, 10 * (self.degree + 1))
+        if self.base.basis == "chebyshev":
+            vals = _cheb_values(np.asarray(self.base.coeffs), m)
+        else:
+            vals = self.base(chebyshev_grid(m))
+        return float(np.max(np.abs(vals)))
 
 
 def chebyshev_grid(n: int) -> np.ndarray:
@@ -130,6 +134,17 @@ def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
     out /= m
     out[..., 0] /= 2.0
     return out
+
+
+def _cheb_values(coef: np.ndarray, m: int) -> np.ndarray:
+    """Values of the Chebyshev series coef at chebyshev_grid(m), in its order:
+    the inverse of _cheb_coeffs, by one DCT-III of the zero-padded series.
+    More coefficients than nodes would alias, so that raises."""
+    if len(coef) > m:
+        raise ValueError(f"{len(coef)} Chebyshev coefficients alias on {m} nodes")
+    half = 0.5 * coef
+    half[0] = coef[0]
+    return _fft.dct(half, type=3, n=m)
 
 
 def _cheb_refit(fn: Callable[[np.ndarray], np.ndarray], deg: int) -> np.ndarray:
@@ -491,16 +506,9 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     n_grid = max(1000, 10 * n_interp)
     # mix Chebyshev and uniform spacing and saturate the transition edges,
     # where the truncation error rings hardest
-    grid = np.sort(
-        np.concatenate(
-            [
-                chebyshev_grid(n_grid),
-                np.linspace(-1.0, 1.0, n_grid),
-                np.linspace(edge, min(1.0, edge + 2.0 / max(kappa, 1.0)), 400),
-                -np.linspace(edge, min(1.0, edge + 2.0 / max(kappa, 1.0)), 400),
-            ]
-        )
-    )
+    ramp = np.linspace(edge, min(1.0, edge + 2.0 / max(kappa, 1.0)), 400)
+    rest = np.concatenate([np.linspace(-1.0, 1.0, n_grid), ramp, -ramp])
+    grid = np.sort(np.concatenate([chebyshev_grid(n_grid), rest]))
     target = np.sign(grid)
     outside = np.abs(grid) >= edge
     spacing = 2.0 / n_grid
@@ -509,15 +517,19 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     checks = 0
 
     def candidate(deg: int) -> Optional[np.ndarray]:
+        # one evaluation: the Chebyshev part of the grid by a DCT, the rest
+        # by chebval, put in grid order by `order`; a rescaled series' values
+        # are these divided by the same factor
         nonlocal checks
         checks += 1
         coef = coef_full[: deg + 1].copy()
-        vals = np.abs(_cheb.chebval(grid, coef))
-        m = _refined_sup(coef, grid, vals, spacing)
+        vals = np.concatenate([_cheb_values(coef, n_grid), _cheb.chebval(rest, coef)])[order]
+        m = _refined_sup(coef, grid, np.abs(vals), spacing)
         if m > 1.0:
             coef = coef / (m * (1.0 + 1e-12))
-        errs = np.abs(_cheb.chebval(grid, coef) - target)
-        if np.max(errs[outside]) <= eps_check:
+            vals /= m * (1.0 + 1e-12)
+        vals -= target
+        if np.max(np.abs(vals[outside])) <= eps_check:
             return coef
         return None
 
@@ -531,6 +543,9 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     else:
         top = len(coef_full) - 1
     start = _screen_start(coef_full, grid, target, outside, eps_check, top)
+    # the permutation that sorts the evaluation points into the grid, made
+    # after the screen, whose buffers are this search's memory peak
+    order = np.argsort(np.concatenate([chebyshev_grid(n_grid), rest]))
     # walk up to the first exact pass, then down to the smallest
     best = None
     for deg in range(start, len(coef_full), 2):
@@ -678,8 +693,6 @@ def _build_localization(spec: LocalizationSpec, step_eps: float) -> Polynomial:
     centers = [k / K - delta / 2.0 for k in range(1, K)]
     steps = [_StepApproximant(tuple(sgn_coef), R, c) for c in centers]
 
-    grid = chebyshev_grid(max(2000, 10 * (sgn_degree + 1)))
-
     def raw(x):
         x = np.asarray(x, dtype=float)
         total = np.zeros_like(x)
@@ -688,7 +701,15 @@ def _build_localization(spec: LocalizationSpec, step_eps: float) -> Polynomial:
             total += (st(x) + st(-x)) / K
         return total
 
-    vals = raw(grid)
+    # the evenized steps are exactly a Chebyshev series of degree sgn_degree,
+    # so interpolation at a few more first-kind nodes gives its coefficients
+    deg = sgn_degree + 2
+    c_raw = _cheb_refit(raw, deg + (deg % 2))
+    c_raw[1::2] = 0.0  # construction is exactly even; remove interpolation noise
+    # the series' own values on the dense verification grid
+    n_grid = max(2000, 10 * (sgn_degree + 1))
+    grid = chebyshev_grid(n_grid)
+    vals = _cheb_values(c_raw, n_grid)
     # staircase target on the bands of [0, 1]
     band_err = []
     for k in range(K):
@@ -715,15 +736,10 @@ def _build_localization(spec: LocalizationSpec, step_eps: float) -> Polynomial:
         if r.min() <= 0.0 or r.max() >= eps:
             raise ConstructionError(f"band {k} residual outside (0, eps)")
 
-    # assemble coefficients: evenized steps are Chebyshev series of bounded
-    # degree, so refit the verified function on a Chebyshev grid
-    deg = sgn_degree + 2
-    coef = _cheb_refit(lambda t: (raw(t) + shift) * scale, deg + (deg % 2))
-    coef[1::2] = 0.0  # construction is exactly even; remove interpolation noise
-    # final dense check of the fitted series itself
-    fit_vals = _cheb.chebval(grid, coef)
-    if np.max(np.abs(fit_vals - shifted)) > min(1e-10, eps * 1e-4):
-        raise ConstructionError("chebyshev refit of localization drifted")
+    # shift and scale are affine, so up to rounding the returned series takes
+    # the values checked above
+    coef = scale * c_raw
+    coef[0] += shift * scale
     return Polynomial(tuple(coef), "chebyshev")
 
 

@@ -32,7 +32,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _np_poly
 from scipy import fft as _fft
 
-from .poly import ParityPolynomial, _cheb_coeffs, _cheb_nodes
+from .poly import ParityPolynomial, _cheb_coeffs, _cheb_nodes, _cheb_values
 
 logger = logging.getLogger(__name__)
 
@@ -277,25 +277,27 @@ def _coeff_jacobian(phi: np.ndarray, xs, a_slots) -> np.ndarray:
 def _newton_solve(phi, xs, a_slots, target, tol, max_iter=60):
     """Damped Newton on the coefficient residual.
 
-    A line-search candidate is scored from its residual alone; the Jacobian
-    is rebuilt only after a step is accepted, so a stage builds accepted
-    steps + 1 Jacobians.  A singular Jacobian ends the stage like an
-    exhausted line search.  Once the norm is within tol, up to two polish
-    steps are tried at full length only.  Returns (phi, residual norm,
-    accepted steps, rejected line-search candidates).
+    A line-search candidate is scored from its residual alone; a Jacobian
+    is built only for a step about to be solved, so a stage builds one per
+    accepted step, plus one for a last step that fails.  A singular Jacobian
+    ends the stage like an exhausted line search.  Once the norm is within
+    tol, up to two polish steps are tried at full length only.  Returns
+    (phi, residual norm, accepted steps, rejected line-search candidates,
+    Jacobian builds).
     """
     res = _coeff_residual(phi, xs, a_slots, target)
-    jac = _coeff_jacobian(phi, xs, a_slots)
     norm = np.linalg.norm(res)
-    steps = halvings = 0
+    steps = halvings = builds = 0
     polish = 2  # extra steps after convergence push toward the machine floor
     while steps < max_iter:
         if norm <= tol:
             if polish == 0:
                 break
             polish -= 1
+        builds += 1
         try:
-            step = np.linalg.solve(jac, -res)
+            # the Jacobian is released once solved, before the line search
+            step = np.linalg.solve(_coeff_jacobian(phi, xs, a_slots), -res)
         except np.linalg.LinAlgError:
             break
         scale = 1.0
@@ -313,9 +315,7 @@ def _newton_solve(phi, xs, a_slots, target, tol, max_iter=60):
         else:
             break
         steps += 1
-        jac = None  # release the old Jacobian before the new one is built
-        jac = _coeff_jacobian(phi, xs, a_slots)
-    return phi, norm, steps, halvings
+    return phi, norm, steps, halvings, builds
 
 
 def qsp_synthesize(
@@ -360,13 +360,13 @@ def qsp_synthesize(
     def attempt(phi: np.ndarray, scales: Sequence[float]) -> tuple[np.ndarray, float]:
         norm = np.inf
         for scale in scales:
-            phi, norm, steps, halvings = _newton_solve(
+            phi, norm, steps, halvings, builds = _newton_solve(
                 phi, xs, a_slots, scale * target, coeff_tol
             )
             logger.debug(
                 "degree %d newton stage at scale %g: %d iterations, %d halvings,"
                 " %d jacobian builds, coefficient norm %.3e",
-                L, scale, steps, halvings, steps + 1, norm,
+                L, scale, steps, halvings, builds, norm,
             )
             if norm > math.sqrt(coeff_tol):  # stage failed; no point continuing
                 break
@@ -392,9 +392,9 @@ def qsp_synthesize(
 
 
 def _verified(thetas: np.ndarray, p: ParityPolynomial, tol: float, norm: float) -> QspAngleSequence:
-    grid = _cheb_nodes(4 * (p.degree + 1))[0]
-    b = qsp_block_values(thetas, grid)
-    resid = float(np.max(np.abs(b - p(grid))))
+    m = 4 * (p.degree + 1)
+    b = qsp_block_values(thetas, _cheb_nodes(m)[0])
+    resid = float(np.max(np.abs(b - _cheb_values(_target_cheb(p), m))))
     if resid > tol:
         raise QspSynthesisError("converged in coefficients but grid residual high", resid)
     return QspAngleSequence(tuple(float(t) for t in thetas), residual=resid)

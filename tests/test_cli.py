@@ -183,6 +183,23 @@ def test_report_rejects_sizes_below_one(argv):
     assert len(lines) == 1 and "at least 1" in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("eps", ("--experiment", "bernstein", "--eps", "0")),
+        ("eps", ("--experiment", "bernstein", "--eps", "nan")),
+        ("delta", ("--experiment", "localization", "--delta", "-0.01")),
+        ("s", ("--experiment", "taylor", "--s", "-1")),
+    ],
+    ids=["eps-zero", "eps-nan", "delta", "s"],
+)
+def test_report_rejects_nonpositive_tolerances_and_negative_order(capsys, key, argv):
+    code, out, err = run_cli(capsys, "report", *argv)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and f"config key {key!r}" in json.loads(lines[0])["error"]
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     proc = run_python("-c", "import pqcapprox, sys; print('scipy.optimize' in sys.modules)")
     assert proc.returncode == 0, proc.stderr

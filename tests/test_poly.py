@@ -317,10 +317,9 @@ def test_localization_band_contract(K, delta, eps):
     assert np.max(np.abs(loc(grid))) <= 1.0
 
 
-def test_cheb_refit_keeps_a_degree_2216_series():
+def _degree_2216_series():
     # the K=16 localization refit degree: a sum of two smoothed steps, flat
-    # near +-1, whose series ends at degree 2216 (coefficients reach 1e-17).
-    # numpy's chebinterpolate reproduces this series only to about 1e-10.
+    # near +-1, whose series ends at degree 2216 (coefficients reach 1e-17)
     deg = 2216
     theta = np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1)
     x = np.cos(theta)
@@ -328,10 +327,46 @@ def test_cheb_refit_keeps_a_degree_2216_series():
     coef = fft.dct(steps, type=2) / (deg + 1)
     coef[0] /= 2.0
     coef[1::2] = 0.0
+    return coef
+
+
+def test_cheb_refit_keeps_a_degree_2216_series():
+    # numpy's chebinterpolate reproduces this series only to about 1e-10
+    coef = _degree_2216_series()
+    deg = len(coef) - 1
     refit = P._cheb_refit(lambda t: chebval(t, coef), deg)
     assert np.max(np.abs(refit - coef)) <= 1e-13
     grid = np.linspace(-1.0, 1.0, 20001)
     assert np.max(np.abs(chebval(grid, refit) - chebval(grid, coef))) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [2217, 2300, 22170])
+def test_cheb_values_match_chebval_and_invert_cheb_coeffs(m):
+    coef = _degree_2216_series()
+    vals = P._cheb_values(coef, m)
+    assert np.max(np.abs(vals - chebval(P.chebyshev_grid(m), coef))) <= 1e-13
+    back = P._cheb_coeffs(vals)
+    assert np.max(np.abs(back[: len(coef)] - coef)) <= 1e-13
+    assert np.max(np.abs(back[len(coef) :]), initial=0.0) <= 1e-13
+
+
+def test_cheb_values_refuse_to_alias():
+    with pytest.raises(ValueError, match="alias"):
+        P._cheb_values(np.ones(6), 5)
+
+
+# the localization specs of the taylor_d2 and localization_k8 benchmark
+# workloads and of the K=16 report
+@pytest.mark.parametrize(
+    "K,delta,eps,sign_degree,degree",
+    [(4, 1 / 16, 1 / 8, 417, 420), (8, 0.0375, 0.0625, 891, 894), (16, 0.01875, 0.03125, 2213, 2216)],
+)
+def test_localization_degrees_are_pinned(caplog, K, delta, eps, sign_degree, degree):
+    with caplog.at_level(logging.DEBUG, logger="pqcapprox.poly"):
+        loc = P.localization_poly(P.LocalizationSpec(K, delta, eps))
+    (message,) = [r.getMessage() for r in caplog.records]
+    assert message.endswith(f"degree {sign_degree}, 2 exact checks")
+    assert loc.degree == degree
 
 
 def test_localization_spec_validation():

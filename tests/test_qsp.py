@@ -275,45 +275,62 @@ def test_singular_jacobian_ends_in_synthesis_error(monkeypatch, caplog):
 
 
 def test_jacobian_built_once_per_accepted_step(monkeypatch):
-    half_chain_grad, newton_solve = Q._half_chain_grad, Q._newton_solve
-    calls = []
-    stages = []
+    half_chain_grad, newton_solve, solve = Q._half_chain_grad, Q._newton_solve, np.linalg.solve
+    grads, solves, stages = [], [], []
 
-    def counted(*args):
-        calls.append(1)
+    def counted_grad(*args):
+        grads.append(1)
         return half_chain_grad(*args)
 
+    def counted_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
     def stage(*args, **kwargs):
-        before = len(calls)
+        before = len(grads), len(solves)
         out = newton_solve(*args, **kwargs)
-        stages.append((len(calls) - before, out[2], out[3]))
+        stages.append((len(grads) - before[0], len(solves) - before[1], *out[2:]))
         return out
 
-    monkeypatch.setattr(Q, "_half_chain_grad", counted)
+    monkeypatch.setattr(Q, "_half_chain_grad", counted_grad)
+    monkeypatch.setattr(Q.np.linalg, "solve", counted_solve)
     monkeypatch.setattr(Q, "_newton_solve", stage)
-    # this target's line search rejects candidates, so a Jacobian built per
-    # candidate would break the count
-    target = random_parity_target(np.random.default_rng(2), 9, sup=0.999)
-    Q.qsp_synthesize(target, tol=1e-10)
-    assert stages
-    for builds, steps, halvings in stages:
-        assert builds == steps + 1
-    assert sum(halvings for *_, halvings in stages) > 0
+    # the first target rejects its last polish step at full length, which a
+    # Jacobian built per candidate, or one after the last step, would miscount;
+    # the second rejects no candidate at all
+    for seed, sup in [(2, 0.999), (0, 0.99)]:
+        Q.qsp_synthesize(random_parity_target(np.random.default_rng(seed), 9, sup), tol=1e-10)
+    assert [halvings for *_, halvings, _ in stages] == [1, 0]
+    for grad_calls, solve_calls, steps, halvings, builds in stages:
+        # one Jacobian per step solved: each accepted step, and a rejected
+        # step, which in these stages is always the last
+        assert grad_calls == solve_calls == builds == steps + halvings
 
 
-def test_synthesis_logs_each_stage_only_when_asked(caplog):
+def test_synthesis_logs_each_stage_only_when_asked(caplog, monkeypatch):
+    half_chain_grad = Q._half_chain_grad
+    grads = []
+
+    def counted(*args):
+        grads.append(1)
+        return half_chain_grad(*args)
+
+    monkeypatch.setattr(Q, "_half_chain_grad", counted)
     target = random_parity_target(np.random.default_rng(23), 7)
     Q.qsp_synthesize(target)
     assert not [r for r in caplog.records if r.name == "pqcapprox.qsp"]
+    grads.clear()
     with caplog.at_level(logging.DEBUG, logger="pqcapprox.qsp"):
         Q.qsp_synthesize(target)
     (message,) = [r.getMessage() for r in caplog.records]
     match = re.fullmatch(
-        r"degree 7 newton stage at scale 1: (\d+) iterations, \d+ halvings,"
+        r"degree 7 newton stage at scale 1: (\d+) iterations, (\d+) halvings,"
         r" (\d+) jacobian builds, coefficient norm \S+",
         message,
     )
-    assert match and int(match[2]) == int(match[1]) + 1 > 1
+    steps, halvings, builds = (int(g) for g in match.groups())
+    # the stage's one rejected candidate is its last polish step, solved too
+    assert steps > 1 and halvings == 1 and builds == len(grads) == steps + 1
 
 
 def test_synthesis_peak_memory_within_guard():
