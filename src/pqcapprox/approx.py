@@ -93,8 +93,9 @@ def l2_error(
     delta: float,
     samples: int = 10_000,
     seed: int = 0,
-) -> float:
-    """Monte-Carlo estimate of the squared L2 distance over the whole cube.
+) -> tuple[float, float]:
+    """Monte-Carlo estimate of the squared L2 distance over the whole cube,
+    with the standard error of that mean, from one pass over the samples.
 
     Also verifies that the sampled gap-region mass stays within three
     standard errors of its d*K*delta cap.
@@ -108,14 +109,8 @@ def l2_error(
             f"sampled trifling mass {mass:.4g} exceeds cap {cap:.4g} + 3 sigma"
         )
     xs = np.random.default_rng(seed).random((samples, f.dims))
-    return float(np.mean(_deviations(f, model, xs) ** 2))
-
-
-def l2_sigma(f: TargetFunctionSpec, model: BatchModel, samples: int, seed: int) -> float:
-    """Standard error of the l2_error Monte-Carlo mean (same seed stream)."""
-    xs = np.random.default_rng(seed).random((samples, f.dims))
     sq = _deviations(f, model, xs) ** 2
-    return float(np.std(sq, ddof=1) / math.sqrt(samples))
+    return float(np.mean(sq)), float(np.std(sq, ddof=1) / math.sqrt(samples))
 
 
 def rate_fit(errors: Sequence[tuple[float, float]]) -> float:

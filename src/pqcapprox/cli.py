@@ -3,7 +3,9 @@
 Subcommands: ``synth`` (angle synthesis for an inline polynomial),
 ``build`` (construct and serialize a named circuit), ``eval`` (evaluate a
 serialized block circuit at a point), ``report`` (run a full experiment
-and emit a JSON error report), ``compare-fnn`` (model-size calculator).
+and emit a JSON error report), ``compare-fnn`` (``report`` of the
+model-size calculator).  Every other subcommand reads its flags into an
+``ExperimentConfig``; ``build`` calls the constructor that ``report`` checks.
 ``report`` exits 0 exactly when every bound check passed.
 """
 
@@ -19,7 +21,7 @@ import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +33,8 @@ from .poly import (
     MultivariateTrigPolynomial,
     ParityPolynomial,
     Polynomial,
+    TargetFunctionSpec,
+    bernstein_eval,
     parity_split,
     thm_bounds,
 )
@@ -80,6 +84,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.shots > 0 and self.seed is None:
             raise ValueError("seed is mandatory when shots > 0")
+        if self.shots > 0 and not (self.experiment == "bernstein" and _quantum_bernstein(self)):
+            cap = _QUANTUM_BERNSTEIN_TERM_CAP
+            raise ValueError(f"shots are sampled only by bernstein with (n+1)^d <= {cap}")
         if self.seed is None:
             self.seed = 0
 
@@ -93,6 +100,11 @@ def _has_type(value: object, hint: object) -> bool:
         abstract = numbers.Integral if hint is int else numbers.Real
         return isinstance(value, abstract) and not isinstance(value, bool)
     return isinstance(value, hint)
+
+
+def _quantum_bernstein(cfg: ExperimentConfig) -> bool:
+    """Whether bernstein simulates its circuit, not the classical polynomial."""
+    return (cfg.n + 1) ** cfg.d <= _QUANTUM_BERNSTEIN_TERM_CAP
 
 
 def default_delta(d: int, K: int) -> float:
@@ -118,15 +130,6 @@ def _parse_trig(text: str, d: int) -> MultivariateTrigPolynomial:
         n = tuple(int(v) for v in nvec.split(","))
         terms[n] = complex(value)
     return MultivariateTrigPolynomial(terms, d)
-
-
-def _definite_parity(p: Polynomial) -> ParityPolynomial:
-    even, odd = parity_split(p)
-    if odd.base.is_zero():
-        return even
-    if even.base.is_zero():
-        return odd
-    raise ValueError("qsp targets need definite parity; split mixed polynomials first")
 
 
 def _emit_block(bc: circuits.BlockCircuit, path: str) -> None:
@@ -161,14 +164,52 @@ def _load_block(path: str) -> circuits.BlockCircuit:
     )
 
 
-def _maybe_emit(cfg: ExperimentConfig, bc: circuits.BlockCircuit) -> None:
-    if cfg.emit_circuit:
-        _emit_block(bc, cfg.emit_circuit)
+def _qsp_block(
+    target_text: str, tol: float, label: str = ""
+) -> tuple[ParityPolynomial, qsp.QspAngleSequence, circuits.BlockCircuit]:
+    """A definite-parity inline polynomial as one plus-prep QSP line."""
+    even, odd = parity_split(_parse_poly(target_text))
+    if not (odd.base.is_zero() or even.base.is_zero()):
+        raise ValueError("qsp targets need definite parity; split mixed polynomials first")
+    target = even if odd.base.is_zero() else odd
+    angles = qsp.qsp_synthesize(target, tol=tol)
+    line = sim.Circuit(
+        1,
+        circuits.qsp_line(angles.angles, sim.EncodingSlot(0, "acos")),
+        label=f"{label} degree={target.degree}" if label else "",
+    )
+    prep = sim.Circuit(1, (sim.h(0),), label="plus-prep")
+    return target, angles, circuits.BlockCircuit(line, prep, rescale=1.0, tol=angles.residual)
+
+
+def _poly_target(cfg: ExperimentConfig) -> MultivariatePolynomial:
+    p = _parse_poly(cfg.target)
+    return MultivariatePolynomial({(k,): c for k, c in enumerate(p.coeffs)}, 1)
+
+
+def _bernstein_target(cfg: ExperimentConfig) -> TargetFunctionSpec:
+    return targets.by_name(cfg.target or "abs_centered", cfg.d)
+
+
+def _localization_spec(cfg: ExperimentConfig) -> LocalizationSpec:
+    delta = cfg.delta if cfg.delta is not None else default_delta(1, cfg.K)
+    return LocalizationSpec(cfg.K, delta, cfg.eps)
+
+
+_CONSTRUCTORS: dict[str, Callable[[ExperimentConfig], circuits.BlockCircuit]] = {
+    "poly": lambda cfg: circuits.build_poly_pqc(_poly_target(cfg)),
+    "bernstein": lambda cfg: circuits.build_bernstein_pqc(_bernstein_target(cfg), cfg.n),
+    "localization": lambda cfg: circuits.build_localization_pqc(_localization_spec(cfg), 1)[0],
+    "trig": lambda cfg: circuits.build_trig_poly_pqc(_parse_trig(cfg.target, cfg.d)),
+}
 
 
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
+
+# an experiment's report, and the block circuit --emit-circuit writes, if any
+_Outcome = tuple[approx.ErrorReport, Optional[circuits.BlockCircuit]]
 
 
 def _nested_resources(model: circuits.NestedTaylorModel) -> sim.ResourceCount:
@@ -192,7 +233,9 @@ def run_experiment(cfg: ExperimentConfig) -> approx.ErrorReport:
         "trig": _run_trig,
         "fnn_compare": _run_fnn_compare,
     }[cfg.experiment]
-    report = handler(cfg)
+    report, block = handler(cfg)
+    if cfg.emit_circuit and block is not None:
+        _emit_block(block, cfg.emit_circuit)
     report.experiment = cfg.experiment
     report.seed = cfg.seed
     if cfg.output_path:
@@ -201,33 +244,25 @@ def run_experiment(cfg: ExperimentConfig) -> approx.ErrorReport:
     return report
 
 
-def _run_qsp(cfg: ExperimentConfig) -> approx.ErrorReport:
-    target = _definite_parity(_parse_poly(cfg.target or "poly:1"))
-    angles = qsp.qsp_synthesize(target, tol=max(cfg.tol, 1e-12))
+def _run_qsp(cfg: ExperimentConfig) -> _Outcome:
+    target, angles, bc = _qsp_block(cfg.target or "poly:1", max(cfg.tol, 1e-12))
     grid = np.cos(np.linspace(0.01, math.pi - 0.01, 257))
     resid = float(
         np.max(np.abs(qsp.qsp_block_values(angles.angles, grid) - target(grid)))
     )
-    line = sim.Circuit(1, circuits.qsp_line(angles.angles, sim.EncodingSlot(0, "acos")))
-    if cfg.emit_circuit:
-        Path(cfg.emit_circuit).write_text(sim.circuit_to_text(line))
     return approx.ErrorReport(
         sup_error=resid,
         bound=cfg.tol,
         bound_name="synthesis-tolerance",
         tol_agg=0.0,
-        resources=sim.resource_count(line),
+        resources=sim.resource_count(bc.circuit),
         params={"degree": target.degree, "residual": angles.residual},
-    )
+    ), bc
 
 
-def _run_poly(cfg: ExperimentConfig) -> approx.ErrorReport:
-    p = _parse_poly(cfg.target)
-    mp = MultivariatePolynomial(
-        {(k,): c for k, c in enumerate(p.coeffs)}, 1
-    )
-    bc = circuits.build_poly_pqc(mp)
-    _maybe_emit(cfg, bc)
+def _run_poly(cfg: ExperimentConfig) -> _Outcome:
+    mp = _poly_target(cfg)
+    bc = _CONSTRUCTORS["poly"](cfg)
     grid = approx.GridSpec(1, cfg.points_per_axis or 51)
     sup = approx.sup_error(mp, lambda xs: circuits.evaluate_block(bc, xs), grid)
     return approx.ErrorReport(
@@ -237,22 +272,20 @@ def _run_poly(cfg: ExperimentConfig) -> approx.ErrorReport:
         tol_agg=bc.tol,
         resources=sim.resource_count(bc.circuit),
         params={"terms": len(mp.terms)},
-    )
+    ), bc
 
 
-def _run_bernstein(cfg: ExperimentConfig) -> approx.ErrorReport:
-    f = targets.by_name(cfg.target or "abs_centered", cfg.d)
-    from .poly import bernstein_eval
-
+def _run_bernstein(cfg: ExperimentConfig) -> _Outcome:
+    f = _bernstein_target(cfg)
     if f.lipschitz is None:
         raise ValueError("bernstein experiment needs a Lipschitz-certified target")
     n, d, eps = cfg.n, cfg.d, cfg.eps
-    quantum = (n + 1) ** d <= _QUANTUM_BERNSTEIN_TERM_CAP
+    quantum = _quantum_bernstein(cfg)
+    bc = None
     resources = None
     tol_agg = 0.0
     if quantum:
-        bc = circuits.build_bernstein_pqc(f, n)
-        _maybe_emit(cfg, bc)
+        bc = _CONSTRUCTORS["bernstein"](cfg)
         # one Hadamard-test run per grid point: the benchmark's traced
         # report counts one sim.run and one evaluate_block call per point
         model = approx.pointwise(lambda x: circuits.evaluate_block(bc, x))
@@ -271,24 +304,21 @@ def _run_bernstein(cfg: ExperimentConfig) -> approx.ErrorReport:
         resources=resources,
         params={"n": n, "d": d, "eps": eps, "pipeline": "quantum" if quantum else "classical"},
     )
-    if cfg.shots > 0 and quantum:
+    if cfg.shots > 0:  # the config admits shots only on the quantum pipeline
         # sampling happens at block scale; the rescale factor multiplies the
         # shot noise, so the meaningful record is the raw block estimate
-        x0 = tuple([0.5] * d)
-        ht = sim.hadamard_test_circuit(bc.circuit.bound(x0), bc.prep.bound(x0))
-        est, err = sim.sample_shots(ht, cfg.shots, cfg.seed)
+        x0 = (0.5,) * d
+        est, err = sim.sample_shots(bc.programs[0], cfg.shots, cfg.seed, x0)
         report.params["shot_estimate_block"] = est
         report.params["shot_stderr_block"] = err
-        report.params["shot_exact_block"] = sim.expectation_z0(sim.run(ht))
+        report.params["shot_exact_block"] = circuits.evaluate_block(bc, x0) / bc.rescale
         report.params["rescale"] = bc.rescale
-    return report
+    return report, bc
 
 
-def _run_localization(cfg: ExperimentConfig) -> approx.ErrorReport:
-    delta = cfg.delta if cfg.delta is not None else default_delta(1, cfg.K)
-    spec = LocalizationSpec(cfg.K, delta, cfg.eps)
-    blocks = circuits.build_localization_pqc(spec, 1)
-    _maybe_emit(cfg, blocks[0])
+def _run_localization(cfg: ExperimentConfig) -> _Outcome:
+    spec = _localization_spec(cfg)
+    bc = _CONSTRUCTORS["localization"](cfg)
     rng = np.random.default_rng(cfg.seed)
     xs, ks = [], []
     while len(xs) < 500:
@@ -307,15 +337,15 @@ def _run_localization(cfg: ExperimentConfig) -> approx.ErrorReport:
         sup_error=sup,
         bound=spec.eps,
         bound_name="band-tolerance",
-        tol_agg=blocks[0].tol,
-        resources=sim.resource_count(blocks[0].circuit),
+        tol_agg=bc.tol,
+        resources=sim.resource_count(bc.circuit),
         region="union_q_eta",
         params={"K": spec.K, "delta": spec.delta, "eta_recovered": recovered},
         contract_held=recovered,
-    )
+    ), bc
 
 
-def _run_taylor(cfg: ExperimentConfig) -> approx.ErrorReport:
+def _run_taylor(cfg: ExperimentConfig) -> _Outcome:
     f = targets.by_name(cfg.target or "halfsine", cfg.d)
     if f.holder is None:
         raise ValueError("taylor experiment needs a smoothness-certified target")
@@ -325,8 +355,6 @@ def _run_taylor(cfg: ExperimentConfig) -> approx.ErrorReport:
     delta = cfg.delta if cfg.delta is not None else default_delta(f.dims, K)
     spec = LocalizationSpec(K, delta, 0.5 / K)
     model = circuits.NestedTaylorModel(f, spec, s)
-    if cfg.emit_circuit:
-        _emit_block(model.series, cfg.emit_circuit)
     grid = approx.GridSpec(
         f.dims, cfg.points_per_axis, region="union_q_eta", K=K, delta=delta
     )
@@ -334,7 +362,7 @@ def _run_taylor(cfg: ExperimentConfig) -> approx.ErrorReport:
     bound = thm_bounds("thm3", d=f.dims, s=s, beta=beta, K=K)
     l2 = None
     if cfg.with_l2:
-        l2 = approx.l2_error(f, model, K, delta, samples=cfg.samples, seed=cfg.seed)
+        l2, _ = approx.l2_error(f, model, K, delta, samples=cfg.samples, seed=cfg.seed)
     return approx.ErrorReport(
         sup_error=sup,
         bound=bound,
@@ -344,13 +372,12 @@ def _run_taylor(cfg: ExperimentConfig) -> approx.ErrorReport:
         l2_error=l2,
         region="union_q_eta",
         params={"K": K, "delta": delta, "s": s, "beta": beta},
-    )
+    ), model.series
 
 
-def _run_trig(cfg: ExperimentConfig) -> approx.ErrorReport:
+def _run_trig(cfg: ExperimentConfig) -> _Outcome:
     t = _parse_trig(cfg.target, cfg.d)
-    bc = circuits.build_trig_poly_pqc(t)
-    _maybe_emit(cfg, bc)
+    bc = _CONSTRUCTORS["trig"](cfg)
     pts = cfg.points_per_axis or (100 if cfg.d == 1 else 11)
     axis = np.linspace(0.0, 2.0 * math.pi, pts, endpoint=False)
     mesh = np.stack(np.meshgrid(*([axis] * cfg.d), indexing="ij"), -1).reshape(-1, cfg.d)
@@ -362,10 +389,10 @@ def _run_trig(cfg: ExperimentConfig) -> approx.ErrorReport:
         tol_agg=bc.tol,
         resources=sim.resource_count(bc.circuit),
         params={"terms": len(t.terms)},
-    )
+    ), bc
 
 
-def _run_fnn_compare(cfg: ExperimentConfig) -> approx.ErrorReport:
+def _run_fnn_compare(cfg: ExperimentConfig) -> _Outcome:
     s = cfg.s if cfg.s is not None else 5
     spec = approx.FnnComparisonSpec(cfg.d, s, cfg.eps, cfg.lambda0)
     comp = approx.fnn_compare(spec)
@@ -384,7 +411,7 @@ def _run_fnn_compare(cfg: ExperimentConfig) -> approx.ErrorReport:
             "log10_pqc_params": comp.log10_pqc_params,
             "log10_fnn_params": comp.log10_fnn_params,
         },
-    )
+    ), None
 
 
 # ---------------------------------------------------------------------------
@@ -393,42 +420,29 @@ def _run_fnn_compare(cfg: ExperimentConfig) -> approx.ErrorReport:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--target", default="")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--K", type=int, default=4)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eps", type=float, default=0.3)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--shots", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--lambda0", type=float, default=0.5)
-    p.add_argument("--points-per-axis", type=int, default=0)
-    p.add_argument("--with-l2", action="store_true")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--output", default="")
+    """One flag per ExperimentConfig field, stored under its name.  A flag not
+    given stays out of the namespace: the dataclass holds every default."""
+    absent = argparse.SUPPRESS
+    p.add_argument("--target", default=absent)
+    p.add_argument("--d", type=int, default=absent)
+    p.add_argument("--n", type=int, default=absent)
+    p.add_argument("--K", type=int, default=absent)
+    p.add_argument("--delta", type=float, default=absent)
+    p.add_argument("--eps", type=float, default=absent)
+    p.add_argument("--s", type=int, default=absent)
+    p.add_argument("--shots", type=int, default=absent)
+    p.add_argument("--seed", type=int, default=absent)
+    p.add_argument("--tol", type=float, default=absent)
+    p.add_argument("--lambda0", type=float, default=absent)
+    p.add_argument("--points-per-axis", type=int, default=absent)
+    p.add_argument("--with-l2", action="store_true", default=absent)
+    p.add_argument("--samples", type=int, default=absent)
+    p.add_argument("--output", dest="output_path", metavar="OUTPUT", default=absent)
 
 
 def _cfg_from_args(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=experiment,
-        target=args.target,
-        d=args.d,
-        n=args.n,
-        K=args.K,
-        delta=args.delta,
-        eps=args.eps,
-        s=args.s,
-        shots=args.shots,
-        seed=args.seed,
-        tol=args.tol,
-        output_path=args.output,
-        lambda0=args.lambda0,
-        points_per_axis=args.points_per_axis,
-        with_l2=args.with_l2,
-        samples=args.samples,
-    )
+    keys = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"]
+    return ExperimentConfig(experiment, **{k: getattr(args, k) for k in keys if k in args})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -436,10 +450,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_synth = subs.add_parser("synth", help="synthesize angles for a polynomial")
-    p_synth.add_argument("--coeffs", required=True, help="power-basis coefficients c0,c1,...")
+    p_synth.add_argument("--coeffs", dest="target", type="poly:{}".format, required=True,
+                         metavar="COEFFS", help="power-basis coefficients c0,c1,...")
     p_synth.add_argument("--tol", type=float, default=1e-8)
-    p_synth.add_argument("--output", default="")
-    p_synth.add_argument("--emit-circuit", default="")
+    p_synth.add_argument("--output", dest="output_path", metavar="OUTPUT",
+                         default=argparse.SUPPRESS)
+    p_synth.add_argument("--emit-circuit", default=argparse.SUPPRESS)
+    p_synth.set_defaults(func=_cmd_synth)
 
     p_build = subs.add_parser("build", help="build and serialize a circuit")
     p_build.add_argument("--kind", required=True,
@@ -448,45 +465,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_build.add_argument("--alpha", default="1")
     _add_common(p_build)
     p_build.add_argument("--emit-circuit", required=True)
+    p_build.set_defaults(func=_cmd_build)
 
     p_eval = subs.add_parser("eval", help="evaluate a serialized block circuit")
     p_eval.add_argument("--circuit", required=True)
     p_eval.add_argument("--x", required=True, help="comma-separated point")
+    p_eval.set_defaults(func=_cmd_eval)
 
     p_report = subs.add_parser("report", help="run an experiment and emit a report")
     p_report.add_argument("--config", default="", help="JSON config file")
     p_report.add_argument("--experiment", default="")
     _add_common(p_report)
-    p_report.add_argument("--emit-circuit", default="")
+    p_report.add_argument("--emit-circuit", default=argparse.SUPPRESS)
+    p_report.set_defaults(func=_cmd_report)
 
     p_fnn = subs.add_parser("compare-fnn", help="model-size comparison calculator")
     _add_common(p_fnn)
+    p_fnn.set_defaults(func=_cmd_report, config="", experiment="fnn_compare")
 
     args = parser.parse_args(argv)
-
     try:
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "build":
-            return _cmd_build(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "compare-fnn":
-            cfg = _cfg_from_args(args, "fnn_compare")
-            report = run_experiment(cfg)
-            print(report.to_json())
-            return 0
+        return args.func(args)
     except (ValueError, KeyError, OSError, qsp.QspSynthesisError, ConstructionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    target = _definite_parity(Polynomial(tuple(float(t) for t in args.coeffs.split(","))))
-    angles = qsp.qsp_synthesize(target, tol=args.tol)
+    cfg = _cfg_from_args(args, "qsp")
+    target, angles, bc = _qsp_block(cfg.target, cfg.tol, label="qsp")
     doc = {
         "angles": list(angles.angles),
         "residual": angles.residual,
@@ -494,36 +501,22 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         "parity": target.parity,
     }
     text = json.dumps(doc, indent=2)
-    if args.output:
-        Path(args.output).write_text(text)
+    if cfg.output_path:
+        Path(cfg.output_path).write_text(text)
     print(text)
-    if args.emit_circuit:
-        line = sim.Circuit(
-            1, circuits.qsp_line(angles.angles, sim.EncodingSlot(0, "acos")),
-            label=f"qsp degree={target.degree}",
-        )
-        Path(args.emit_circuit).write_text(sim.circuit_to_text(line))
+    if cfg.emit_circuit:
+        _emit_block(bc, cfg.emit_circuit)
     return 0
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    if getattr(args, "shots", 0) > 0:
+        raise ValueError("build samples no shots; --shots belongs to a bernstein report")
     if args.kind == "monomial":
         alpha = tuple(int(a) for a in args.alpha.split(","))
         bc = circuits.build_monomial_pqc(args.c, alpha)
-    elif args.kind == "poly":
-        p = _parse_poly(args.target)
-        bc = circuits.build_poly_pqc(
-            MultivariatePolynomial({(k,): c for k, c in enumerate(p.coeffs)}, 1)
-        )
-    elif args.kind == "bernstein":
-        f = targets.by_name(args.target or "abs_centered", args.d)
-        bc = circuits.build_bernstein_pqc(f, args.n)
-    elif args.kind == "localization":
-        delta = args.delta if args.delta is not None else default_delta(1, args.K)
-        spec = LocalizationSpec(args.K, delta, args.eps)
-        bc = circuits.build_localization_pqc(spec, 1)[0]
     else:
-        bc = circuits.build_trig_poly_pqc(_parse_trig(args.target, args.d))
+        bc = _CONSTRUCTORS[args.kind](_cfg_from_args(args, args.kind))
     _emit_block(bc, args.emit_circuit)
     rc = sim.resource_count(bc.circuit)
     print(json.dumps({
@@ -536,6 +529,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     bc = _load_block(args.circuit)
     x = tuple(float(t) for t in args.x.split(","))
+    coords = 1 + max((g.slot.coord for g in bc.circuit.gates if g.slot), default=-1)
+    if len(x) < coords:
+        raise ValueError(f"the circuit reads {coords} coordinates, but the point has {len(x)}")
     value = circuits.evaluate_block(bc, x)
     if isinstance(value, complex):
         print(json.dumps({"re": value.real, "im": value.imag}))
@@ -551,12 +547,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
             cfg = ExperimentConfig(**doc)
         except TypeError as exc:  # unknown or missing keys, or not a JSON object
             raise ValueError(f"invalid config {args.config}: {exc}") from exc
+        if getattr(args, "emit_circuit", ""):
+            cfg.emit_circuit = args.emit_circuit
     else:
         if not args.experiment:
             raise ValueError("report needs --config or --experiment")
         cfg = _cfg_from_args(args, args.experiment)
-    if getattr(args, "emit_circuit", ""):
-        cfg.emit_circuit = args.emit_circuit
     report = run_experiment(cfg)
     print(report.to_json())
     return 0 if report.passed else 1

@@ -513,15 +513,21 @@ def hadamard_test(u: Circuit, prep: Circuit, part: str = "real") -> float:
     return expectation_z0(run(circ))
 
 
-def sample_shots(c: Circuit, shots: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo estimate of expectation_z0 after running c.
+def sample_shots(
+    c: Circuit | GateProgram,
+    shots: int,
+    seed: int,
+    x: Optional[Sequence[float] | np.ndarray] = None,
+) -> tuple[float, float]:
+    """Monte-Carlo estimate of expectation_z0 after running c at the point x.
 
     Samples the qubit-0 measurement ``shots`` times with a seeded generator;
     returns (estimate, standard error).  Deterministic for a fixed seed.
+    ``x`` binds the encoding slots, as in ``run``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    state = run(c)
+    state = run(c, x=x)
     probs = np.abs(state.amplitudes) ** 2
     p_one = float(np.sum(probs[len(probs) // 2 :]))
     rng = np.random.default_rng(seed)

@@ -274,8 +274,7 @@ def test_criterion_08_l2_corollary():
     mass_ok = mass <= d * K * delta + 3 * sigma_m
     spec = P.LocalizationSpec(K, delta, 0.5 / K)
     model = nested_model(HALFSINE, spec, 1)
-    l2 = A.l2_error(HALFSINE, model, K, delta, samples=10_000, seed=seed)
-    sigma = A.l2_sigma(HALFSINE, model, samples=10_000, seed=seed)
+    l2, sigma = A.l2_error(HALFSINE, model, K, delta, samples=10_000, seed=seed)
     bound = (d ** (s + beta / 2) * K ** (-beta)) ** 2 + 4 * d * K ** (1 - d)
     l2_ok = l2 <= bound + 3 * sigma
     _report(

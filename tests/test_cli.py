@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pqcapprox
-from pqcapprox import circuits, cli, poly, sim
+from pqcapprox import circuits, cli, poly, sim, targets
 from pqcapprox.poly import ConstructionError
 
 
@@ -45,6 +45,12 @@ def test_synth_emits_circuit(tmp_path, capsys):
     assert code == 0
     circ = sim.circuit_from_text(path.read_text())
     assert circ.width == 1
+    prep = sim.circuit_from_text(Path(f"{path}.prep").read_text())
+    assert [g.kind for g in prep.gates] == ["H"]
+    assert json.loads(Path(f"{path}.meta.json").read_text())["rescale"] == 1.0
+    code, out, _ = run_cli(capsys, "eval", "--circuit", str(path), "--x", "0.3")
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(0.27, abs=1e-9)
 
 
 def test_synth_rejects_mixed_parity(capsys):
@@ -169,14 +175,19 @@ def test_report_config_wrong_type(capsys, tmp_path, key, value):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--experiment", "bernstein", "--d", "0"),
-        ("--experiment", "bernstein", "--n", "0"),
-        ("--experiment", "taylor", "--K", "0"),
+        ("report", "--experiment", "bernstein", "--d", "0"),
+        ("report", "--experiment", "bernstein", "--n", "0"),
+        ("report", "--experiment", "taylor", "--K", "0"),
+        ("build", "--kind", "bernstein", "--d", "0"),
+        ("build", "--kind", "bernstein", "--n", "0"),
+        ("build", "--kind", "localization", "--K", "0"),
     ],
-    ids=["d", "n", "K"],
+    ids=["d", "n", "K", "build-d", "build-n", "build-K"],
 )
-def test_report_rejects_sizes_below_one(argv):
-    proc = run_python("-m", "pqcapprox.cli", "report", *argv)
+def test_report_rejects_sizes_below_one(argv, tmp_path):
+    if argv[0] == "build":
+        argv += ("--emit-circuit", str(tmp_path / "never.txt"))
+    proc = run_python("-m", "pqcapprox.cli", *argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
@@ -289,6 +300,10 @@ def test_build_and_eval_round_trip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "eval", "--circuit", str(path), "--x", "0.8,0.5")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(0.1, abs=1e-9)
+    code, out, err = run_cli(capsys, "eval", "--circuit", str(path), "--x", "0.3")
+    assert code == 2 and out == ""
+    message = json.loads(err.strip())["error"]
+    assert "2 coordinates" in message and "has 1" in message
 
 
 def test_build_localization(tmp_path, capsys):
@@ -306,10 +321,64 @@ def test_build_localization(tmp_path, capsys):
 
 
 def test_compare_fnn(capsys):
-    code, out, _ = run_cli(
-        capsys, "compare-fnn", "--d", "20", "--s", "5", "--eps", "0.1",
-        "--lambda0", "0.5",
-    )
+    flags = ("--d", "20", "--s", "5", "--eps", "0.1", "--lambda0", "0.5")
+    code, out, _ = run_cli(capsys, "compare-fnn", *flags)
     doc = json.loads(out)
     assert code == 0
     assert doc["params"]["log10_param_ratio"] < 0  # circuit needs fewer parameters
+    assert run_cli(capsys, "report", "--experiment", "fnn_compare", *flags) == (code, out, "")
+
+
+@pytest.mark.parametrize(
+    "kind, flags",
+    [
+        ("poly", ("--target", "poly:0.1,0.2,0.3")),
+        ("bernstein", ("--d", "1", "--n", "4")),
+        ("localization", ("--K", "2")),
+        ("trig", ("--target", "trig:1=0.45;-1=0.45")),
+    ],
+)
+def test_build_writes_the_circuit_report_checks(tmp_path, capsys, kind, flags):
+    built, reported = tmp_path / "built.txt", tmp_path / "reported.txt"
+    code, _, _ = run_cli(capsys, "build", "--kind", kind, *flags, "--emit-circuit", str(built))
+    assert code == 0
+    code, _, _ = run_cli(
+        capsys, "report", "--experiment", kind, *flags, "--emit-circuit", str(reported)
+    )
+    assert code == 0
+    for suffix in ("", ".prep", ".meta.json"):
+        assert Path(f"{built}{suffix}").read_bytes() == Path(f"{reported}{suffix}").read_bytes()
+
+
+def test_report_samples_shots_from_the_compiled_block(capsys):
+    code, out, _ = run_cli(
+        capsys, "report", "--experiment", "bernstein", "--d", "1", "--n", "4",
+        "--shots", "1000", "--seed", "3",
+    )
+    assert code == 0
+    params = json.loads(out)["params"]
+    exact = params["shot_exact_block"]
+    assert abs(params["shot_estimate_block"] - exact) <= 5 * params["shot_stderr_block"]
+    bc = circuits.build_bernstein_pqc(targets.by_name("abs_centered", 1), 4)
+    x0 = (0.5,)
+    ht = sim.hadamard_test_circuit(bc.circuit.bound(x0), bc.prep.bound(x0))
+    assert exact == pytest.approx(sim.expectation_z0(sim.run(ht)), abs=1e-12)
+    assert params["rescale"] == bc.rescale
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "--experiment", "bernstein", "--d", "2", "--n", "12"),
+        ("report", "--experiment", "poly", "--target", "poly:0.5"),
+        ("compare-fnn",),
+        ("build", "--kind", "bernstein", "--emit-circuit", "never.txt"),
+    ],
+    ids=["classical-bernstein", "poly", "compare-fnn", "build"],
+)
+def test_shots_are_rejected_where_nothing_is_sampled(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--shots", "1000", "--seed", "3")
+    assert code == 2 and out == ""
+    assert "shots" in json.loads(err.strip())["error"]
+    assert not (tmp_path / "never.txt").exists()
