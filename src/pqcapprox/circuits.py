@@ -20,7 +20,6 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as _np_poly
-from scipy import special
 
 from . import qsp, sim
 from .poly import (
@@ -354,7 +353,7 @@ def build_parity_pair_pqc(
 def _bernstein_factor(n: int, k: int) -> Polynomial:
     """binom(n, k) * x^k * (1 - x)^(n - k) in the power basis."""
     xk = np.zeros(k + 1)
-    xk[k] = float(special.comb(n, k, exact=True))
+    xk[k] = float(math.comb(n, k))
     rest = _np_poly.polypow([1.0, -1.0], n - k) if n > k else np.array([1.0])
     return Polynomial(tuple(_np_poly.polymul(xk, rest)))
 

@@ -84,9 +84,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.shots > 0 and self.seed is None:
             raise ValueError("seed is mandatory when shots > 0")
-        if self.shots > 0 and not (self.experiment == "bernstein" and _quantum_bernstein(self)):
-            cap = _QUANTUM_BERNSTEIN_TERM_CAP
+        quantum = self.experiment == "bernstein" and _quantum_bernstein(self)
+        cap = _QUANTUM_BERNSTEIN_TERM_CAP
+        if self.shots > 0 and not quantum:
             raise ValueError(f"shots are sampled only by bernstein with (n+1)^d <= {cap}")
+        if self.emit_circuit and self.experiment in ("bernstein", "fnn_compare") and not quantum:
+            raise ValueError(
+                f"config key 'emit_circuit' needs a circuit: fnn_compare and bernstein"
+                f" with (n+1)^d > {cap} build none"
+            )
         if self.seed is None:
             self.seed = 0
 
@@ -234,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig) -> approx.ErrorReport:
         "fnn_compare": _run_fnn_compare,
     }[cfg.experiment]
     report, block = handler(cfg)
-    if cfg.emit_circuit and block is not None:
+    if cfg.emit_circuit:  # the config admits it only where a circuit is built
         _emit_block(block, cfg.emit_circuit)
     report.experiment = cfg.experiment
     report.seed = cfg.seed
@@ -440,9 +446,24 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", dest="output_path", metavar="OUTPUT", default=absent)
 
 
-def _cfg_from_args(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
-    keys = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"]
-    return ExperimentConfig(experiment, **{k: getattr(args, k) for k in keys if k in args})
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+
+# the config keys a subcommand reads, where it does not read them all
+_READS = {
+    "build": {"target", "d", "n", "K", "delta", "eps"},
+    "compare-fnn": {"experiment", "d", "s", "eps", "lambda0", "seed", "output_path"},
+}
+
+
+def _given(args: argparse.Namespace) -> dict:
+    """The config keys given on the command line.  A flag the subcommand
+    never reads is an error, not a silent drop."""
+    given = {k: getattr(args, k) for k in _CONFIG_KEYS if k in args}
+    unread = [k for k in given if k not in _READS.get(args.command, _CONFIG_KEYS)]
+    if unread:
+        flags = ", ".join("--" + k.removesuffix("_path").replace("_", "-") for k in unread)
+        raise ValueError(f"{args.command} does not read {flags}")
+    return given
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -464,7 +485,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_build.add_argument("--c", type=float, default=1.0)
     p_build.add_argument("--alpha", default="1")
     _add_common(p_build)
-    p_build.add_argument("--emit-circuit", required=True)
+    p_build.add_argument("--emit-circuit", dest="circuit_path", metavar="PATH", required=True)
     p_build.set_defaults(func=_cmd_build)
 
     p_eval = subs.add_parser("eval", help="evaluate a serialized block circuit")
@@ -474,7 +495,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_report = subs.add_parser("report", help="run an experiment and emit a report")
     p_report.add_argument("--config", default="", help="JSON config file")
-    p_report.add_argument("--experiment", default="")
+    p_report.add_argument("--experiment", default=argparse.SUPPRESS)
     _add_common(p_report)
     p_report.add_argument("--emit-circuit", default=argparse.SUPPRESS)
     p_report.set_defaults(func=_cmd_report)
@@ -492,7 +513,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _cfg_from_args(args, "qsp")
+    cfg = ExperimentConfig("qsp", **_given(args))
     target, angles, bc = _qsp_block(cfg.target, cfg.tol, label="qsp")
     doc = {
         "angles": list(angles.angles),
@@ -510,14 +531,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    if getattr(args, "shots", 0) > 0:
-        raise ValueError("build samples no shots; --shots belongs to a bernstein report")
+    given = _given(args)
     if args.kind == "monomial":
         alpha = tuple(int(a) for a in args.alpha.split(","))
         bc = circuits.build_monomial_pqc(args.c, alpha)
     else:
-        bc = _CONSTRUCTORS[args.kind](_cfg_from_args(args, args.kind))
-    _emit_block(bc, args.emit_circuit)
+        bc = _CONSTRUCTORS[args.kind](ExperimentConfig(args.kind, **given))
+    _emit_block(bc, args.circuit_path)
     rc = sim.resource_count(bc.circuit)
     print(json.dumps({
         "width": rc.width, "depth": rc.depth, "params": rc.trainable_params,
@@ -541,18 +561,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    if args.config:
-        doc = json.loads(Path(args.config).read_text())
-        try:
-            cfg = ExperimentConfig(**doc)
-        except TypeError as exc:  # unknown or missing keys, or not a JSON object
-            raise ValueError(f"invalid config {args.config}: {exc}") from exc
-        if getattr(args, "emit_circuit", ""):
-            cfg.emit_circuit = args.emit_circuit
-    else:
-        if not args.experiment:
-            raise ValueError("report needs --config or --experiment")
-        cfg = _cfg_from_args(args, args.experiment)
+    """The given flags override the config file's keys."""
+    given = _given(args)
+    if not args.config and "experiment" not in given:
+        raise ValueError("report needs --config or --experiment")
+    doc = json.loads(Path(args.config).read_text()) if args.config else {}
+    try:
+        cfg = ExperimentConfig(**{**doc, **given})
+    except TypeError as exc:  # unknown or missing keys, or not a JSON object
+        raise ValueError(f"invalid config {args.config}: {exc}") from exc
     report = run_experiment(cfg)
     print(report.to_json())
     return 0 if report.passed else 1

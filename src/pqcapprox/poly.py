@@ -19,10 +19,9 @@ from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
+from numpy import fft as _fft  # at import: numpy would load it lazily, inside a report
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
-from scipy import fft as _fft
-from scipy import special
 
 logger = logging.getLogger(__name__)
 
@@ -124,27 +123,55 @@ def _cheb_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), np.sin(theta)
 
 
+@cache
+def _twiddles(m: int) -> np.ndarray:
+    """exp(-i pi k / 2m) for k = 0..m // 2, the twiddles of both transforms."""
+    w = np.exp(-0.5j * np.pi / m * np.arange(m // 2 + 1))
+    w.flags.writeable = False
+    return w
+
+
 def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients from values at the m first-kind nodes, taken
     along the last axis by a DCT-II.  They are exact for any polynomial of
     degree below m, so a caller may sample at more nodes than the degree
-    needs, at a length the FFT handles fast."""
+    needs, at a length the FFT handles fast.
+
+    The DCT-II is Makhoul's: the even-indexed values, then the odd-indexed
+    ones reversed, go through one real FFT, and twiddle k of spectrum
+    entry k gives coefficient k in its real part and coefficient m - k in
+    its imaginary part."""
     m = values.shape[-1]
-    out = _fft.dct(values, type=2, axis=-1)
-    out /= m
-    out[..., 0] /= 2.0
+    v = np.concatenate([values[..., ::2], values[..., 1::2][..., ::-1]], axis=-1)
+    t = _fft.rfft(v, axis=-1, norm="forward")
+    del v  # freed before the output: the synthesis memory bound counts on it
+    t *= _twiddles(m)
+    out = np.concatenate([t.real, -t.imag[..., (m - 1) // 2 : 0 : -1]], axis=-1)
+    out *= 2.0
+    out[..., 0] *= 0.5
     return out
 
 
 def _cheb_values(coef: np.ndarray, m: int) -> np.ndarray:
     """Values of the Chebyshev series coef at chebyshev_grid(m), in its order:
     the inverse of _cheb_coeffs, by one DCT-III of the zero-padded series.
-    More coefficients than nodes would alias, so that raises."""
+    More coefficients than nodes would alias, so that raises.
+
+    Makhoul's DCT-III undoes the DCT-II above: it rebuilds the half
+    spectrum from coefficients k and m - k, takes one inverse real FFT and
+    interleaves its front half with its reversed back half."""
     if len(coef) > m:
         raise ValueError(f"{len(coef)} Chebyshev coefficients alias on {m} nodes")
-    half = 0.5 * coef
-    half[0] = coef[0]
-    return _fft.dct(half, type=3, n=m)
+    h = m // 2
+    c = np.zeros(m + 1)  # c[m] = 0 pairs with c[0]
+    c[: len(coef)] = coef
+    z = (c[: h + 1] - 1j * c[m : m - h - 1 : -1]) * np.conj(_twiddles(m))
+    z[1:] *= 0.5
+    v = _fft.irfft(z, m, norm="forward")
+    out = np.empty(m)
+    out[::2] = v[: (m + 1) // 2]
+    out[1::2] = v[: (m - 1) // 2 : -1]
+    return out
 
 
 def _cheb_refit(fn: Callable[[np.ndarray], np.ndarray], deg: int) -> np.ndarray:
@@ -358,13 +385,14 @@ def _bernstein_basis(n: int, x: float) -> np.ndarray:
     """Values of the n+1 degree-n Bernstein basis polynomials at x."""
     k = np.arange(n + 1)
     if n <= _LOG_BINOM_CUTOFF:
-        binom = special.comb(n, k, exact=False)
+        binom = np.array([float(math.comb(n, j)) for j in range(n + 1)])
         return binom * x**k * (1.0 - x) ** (n - k)
     # log space: avoids binomial overflow for large n
     with np.errstate(divide="ignore"):
         logx = np.where(k > 0, k * np.log(np.maximum(x, 1e-300)), 0.0)
         log1mx = np.where(n - k > 0, (n - k) * np.log(np.maximum(1.0 - x, 1e-300)), 0.0)
-    logb = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
+    lg = np.array([math.lgamma(j + 1) for j in range(n + 1)])  # log j!
+    logb = lg[n] - lg - lg[::-1]
     vals = np.exp(logb + logx + log1mx)
     if x == 0.0:
         vals = np.zeros(n + 1)
@@ -421,9 +449,24 @@ class ConstructionError(RuntimeError):
     """A constructed polynomial failed its verification grid."""
 
 
+def _erfcinv(y: float) -> float:
+    """The x with erfc(x) = y, for 0 < y < 1, by Newton's method on
+    log erfc(x) = log y.  log erfc is concave and decreasing, and erfc(x) <=
+    exp(-x^2) for x >= 0, so the iterates fall monotonically to the root from
+    sqrt(-log y); six steps reach it within 1 ulp for y from 5e-7 to 0.25."""
+    x = math.sqrt(-math.log(y))
+    for _ in range(20):
+        e = math.erfc(x)
+        step = math.log(e / y) * e * math.exp(x * x) * (0.5 * math.sqrt(math.pi))
+        x += step
+        if abs(step) <= 1e-15 * x:
+            break
+    return x
+
+
 def _erf_chebyshev(kappa: float, n_interp: int) -> np.ndarray:
     """Chebyshev coefficients (odd entries) of erf(kappa * x) on [-1, 1]."""
-    coef = _cheb_refit(lambda t: special.erf(kappa * t), n_interp)
+    coef = _cheb_refit(lambda t: np.fromiter(map(math.erf, kappa * t), float, len(t)), n_interp)
     coef[::2] = 0.0  # erf is odd; kill even-index interpolation noise
     return coef
 
@@ -453,12 +496,12 @@ def _refined_sup(
 # in qsp._half_chain_grad, over n = degree // 2 + 1 free angles x m nodes:
 # the complex prefix rows (32) and the real gradient (8); the suffix is one
 # column per node, and the previous Jacobian is released before the next is
-# built.  The DCT output (8), the n x n Jacobian and the LU copy that
-# np.linalg.solve makes are allocated after the prefix is freed, so they
-# stay under that peak.  n <= (degree + 2) / 2 and m = next_fast_len(degree
-# + 1) <= 8/7 (degree + 1) from degree 13 on, so the peak of 40 n m bytes
-# is at most 40 * 4/7 * (degree + 2) * (degree + 1), which is at most
-# 24 (degree + 1)^2 from degree 19 on.
+# built.  The DCT's temporaries (at most 20 beside the gradient), the n x n
+# Jacobian and the LU copy that np.linalg.solve makes are allocated after
+# the prefix is freed, so they stay under that peak.  n <= (degree + 2) / 2
+# and m = qsp._fast_len(degree + 1) <= 8/7 (degree + 1) from degree 13 on,
+# so the peak of 40 n m bytes is at most 40 * 4/7 * (degree + 2) *
+# (degree + 1), which is at most 24 (degree + 1)^2 from degree 19 on.
 _SYNTHESIS_BYTES_PER_ENTRY = 24
 
 
@@ -494,7 +537,7 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     """
     if delta <= 0 or not 0 < eps < 1:
         raise ValueError("need delta > 0 and eps in (0,1)")
-    kappa = float(special.erfcinv(eps / 2.0)) * 2.0 * R / delta
+    kappa = _erfcinv(eps / 2.0) * 2.0 * R / delta
     # Chebyshev coefficients of erf(kappa x) decay like exp(-n^2/(4 kappa^2)),
     # so resolving a tail of size eps needs n ~ 2 kappa sqrt(log(1/eps)).
     n_interp = int(max(64, 2.2 * kappa * math.sqrt(math.log(64.0 / eps)) + 64))

@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _np_poly
-from scipy import fft as _fft
 
 from .poly import ParityPolynomial, _cheb_coeffs, _cheb_nodes, _cheb_values
 
@@ -318,6 +317,20 @@ def _newton_solve(phi, xs, a_slots, target, tol, max_iter=60):
     return phi, norm, steps, halvings, builds
 
 
+def _fast_len(n: int) -> int:
+    """The smallest m >= n with no prime factor above 5, a length the FFT
+    factors into its fastest radices."""
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
 def qsp_synthesize(
     p: ParityPolynomial,
     tol: float = 1e-8,
@@ -331,7 +344,7 @@ def qsp_synthesize(
     square system of its L // 2 + 1 parity-L coefficients in as many free
     angles.  Damped Newton from the exact zero-block seed phi = 0, with
     scale continuation and seeded random restarts as fallbacks.  The
-    coefficients are taken at next_fast_len(L + 1) first-kind nodes: any
+    coefficients are taken at _fast_len(L + 1) first-kind nodes: any
     m >= L + 1 nodes give coefficients 0..L of a degree-L block value
     exactly, and a length the FFT factors well makes the transforms
     several times faster.
@@ -350,7 +363,7 @@ def qsp_synthesize(
         c = float(np.clip(target_full[0], -1.0, 1.0))
         return QspAngleSequence((2.0 * math.acos(c),), residual=0.0)
 
-    xs = _cheb_nodes(_fft.next_fast_len(L + 1, real=True))[0]
+    xs = _cheb_nodes(_fast_len(L + 1))[0]
     a_slots = np.arange(L % 2, L + 1, 2)
     target = np.zeros(L + 1)
     target[: len(target_full)] = target_full

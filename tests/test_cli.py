@@ -211,10 +211,24 @@ def test_report_rejects_nonpositive_tolerances_and_negative_order(capsys, key, a
     assert len(lines) == 1 and f"config key {key!r}" in json.loads(lines[0])["error"]
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    proc = run_python("-c", "import pqcapprox, sys; print('scipy.optimize' in sys.modules)")
+def test_package_runs_without_scipy():
+    # with sys.modules["scipy"] = None any scipy import raises ImportError,
+    # so a lazy import inside a report cannot bring the load back
+    code = """
+import sys
+sys.modules["scipy"] = None
+from pqcapprox import cli
+for argv in (
+    ["report", "--experiment", "qsp"],
+    ["report", "--experiment", "bernstein", "--d", "1", "--n", "4"],
+    ["report", "--experiment", "localization", "--K", "2", "--eps", "0.25"],
+    ["report", "--experiment", "taylor", "--d", "1", "--K", "2"],
+    ["report", "--experiment", "trig", "--target", "trig:1=0.45;-1=0.45"],
+):
+    assert cli.main(argv) == 0, argv
+"""
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
 
 
 def test_report_config_accepts_int_for_float_and_null_for_optional():
@@ -382,3 +396,32 @@ def test_shots_are_rejected_where_nothing_is_sampled(capsys, tmp_path, monkeypat
     assert code == 2 and out == ""
     assert "shots" in json.loads(err.strip())["error"]
     assert not (tmp_path / "never.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("report", "--config", "cfg.json", "--output", "o.json", "--seed", "4"), ()),
+        (("build", "--kind", "poly", "--target", "poly:0.5", "--emit-circuit", "p.txt",
+          "--output", "built.json", "--points-per-axis", "9"), ("--output", "--points-per-axis")),
+        (("compare-fnn", "--K", "9", "--n", "3", "--target", "abc", "--with-l2"),
+         ("--K", "--n", "--target", "--with-l2")),
+        (("report", "--experiment", "bernstein", "--d", "2", "--n", "12",
+          "--emit-circuit", "cl.txt"), ("emit_circuit",)),
+        (("report", "--experiment", "fnn_compare", "--emit-circuit", "g.txt"), ("emit_circuit",)),
+    ],
+    ids=["config-and-flags", "build", "compare-fnn", "classical-bernstein", "fnn-compare"],
+)
+def test_no_flag_is_dropped_silently(capsys, tmp_path, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"experiment": "qsp", "target": "poly:0,0.5"}))
+    code, out, err = run_cli(capsys, *argv)
+    if not named:  # the given flags override the config file's keys
+        assert code == 0
+        doc = json.loads((tmp_path / "o.json").read_text())
+        assert doc["seed"] == 4 and doc["params"]["degree"] == 1
+        return
+    assert code == 2 and out == ""
+    message = json.loads(err.strip())["error"]
+    assert all(flag in message for flag in named)
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

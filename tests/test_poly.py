@@ -185,20 +185,21 @@ def _reference_refined_sup(coef, grid, vals, spacing, peaks=8):
     return best
 
 
+def _interpolant_size(delta, eps, R):
+    """The package's kappa of erf(kappa * v) and the degree it interpolates at."""
+    kappa = P._erfcinv(eps / 2.0) * 2.0 * R / delta
+    n_interp = int(max(64, 2.2 * kappa * math.sqrt(math.log(64.0 / eps)) + 64))
+    return kappa, n_interp + n_interp % 2
+
+
 def _reference_search(delta, eps, R):
     """The exact check of each degree, the tail-bound degree and the length
     of the interpolant; also asserts that the batched peak refinement
-    returns the reference sup bit for bit."""
-    kappa = float(special.erfcinv(eps / 2.0)) * 2.0 * R / delta
-    n_interp = int(max(64, 2.2 * kappa * math.sqrt(math.log(64.0 / eps)) + 64))
-    n_interp += n_interp % 2
-    # the interpolant at n_interp + 1 first-kind nodes, by a DCT-II
-    m = n_interp + 1
-    nodes = np.cos(np.pi * (np.arange(m) + 0.5) / m)
-    coef_full = fft.dct(special.erf(kappa * nodes), type=2)
-    coef_full /= m
-    coef_full[0] /= 2.0
-    coef_full[::2] = 0.0
+    returns the reference sup bit for bit.  The walk starts from the
+    package's own interpolant, which test_erf_interpolant_matches_scipy
+    checks against an independent one."""
+    kappa, n_interp = _interpolant_size(delta, eps, R)
+    coef_full = P._erf_chebyshev(kappa, n_interp)
     edge = (delta / 2.0) / R
     n_grid = max(1000, 10 * n_interp)
     ramp = np.linspace(edge, min(1.0, edge + 2.0 / max(kappa, 1.0)), 400)
@@ -256,6 +257,19 @@ def test_sign_series_matches_exhaustive_walk(delta, eps, R):
     ref = _reference_sign_series(delta, eps, R)
     out = P._sign_cheb_series(delta, eps, R)
     assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS)
+def test_erf_interpolant_matches_scipy(delta, eps, R):
+    kappa, n_interp = _interpolant_size(delta, eps, R)
+    # the interpolant at n_interp + 1 first-kind nodes, by scipy's DCT-II
+    m = n_interp + 1
+    nodes = np.cos(np.pi * (np.arange(m) + 0.5) / m)
+    ref = fft.dct(special.erf(kappa * nodes), type=2) / m
+    ref[0] /= 2.0
+    ref[::2] = 0.0
+    out = P._erf_chebyshev(kappa, n_interp)
+    assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("where", ["top", "failing"])
@@ -353,6 +367,42 @@ def test_cheb_values_match_chebval_and_invert_cheb_coeffs(m):
 def test_cheb_values_refuse_to_alias():
     with pytest.raises(ValueError, match="alias"):
         P._cheb_values(np.ones(6), 5)
+
+
+# 39460 = 2^2 * 5 * 1973 is a Bluestein length, the K=16 sign check's grid
+DCT_LENGTHS = [7, 8, 9, 900, 901, 2218, 39460]
+
+
+def _assert_close(out, ref):
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m", DCT_LENGTHS)
+def test_cheb_coeffs_match_scipy_dct(m):
+    rng = np.random.default_rng(m)
+    for values in (rng.normal(size=m), rng.normal(size=(3, m))):
+        ref = fft.dct(values, type=2, axis=-1) / m
+        ref[..., 0] /= 2.0
+        _assert_close(P._cheb_coeffs(values), ref)
+
+
+@pytest.mark.parametrize("m", DCT_LENGTHS)
+def test_cheb_values_match_scipy_dct(m):
+    rng = np.random.default_rng(m)
+    for n in sorted({1, 2, m // 3, m - 1, m}):
+        coef = rng.normal(size=n)
+        half = 0.5 * coef
+        half[0] = coef[0]
+        _assert_close(P._cheb_values(coef, m), fft.dct(half, type=3, n=m))
+
+
+def test_erfcinv_matches_scipy():
+    # over this range scipy's erfcinv is itself up to 5 ulp from the
+    # 40-digit value, and the Newton solve within 1 ulp of it
+    for y in np.geomspace(1e-6, 0.5, 200) / 2.0:
+        ref = special.erfcinv(y)
+        assert abs(P._erfcinv(float(y)) - ref) <= 6 * np.spacing(ref)
 
 
 # the localization specs of the taylor_d2 and localization_k8 benchmark

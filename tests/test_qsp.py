@@ -232,6 +232,12 @@ def test_half_chain_grad_matches_central_differences():
             assert np.max(np.abs(grad[k] - (up - down) / (2 * h))) <= 1e-7
 
 
+def test_fast_len_matches_scipy():
+    assert [Q._fast_len(n) for n in range(1, 5001)] == [
+        fft.next_fast_len(n, real=True) for n in range(1, 5001)
+    ]
+
+
 @pytest.mark.parametrize("L", [1, 2, 7, 178, 894])
 def test_fast_length_nodes_give_the_same_coefficients(L):
     # synthesis samples at next_fast_len(L + 1) nodes instead of L + 1
