@@ -448,22 +448,39 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
-# the config keys a subcommand reads, where it does not read them all
+# the config keys each experiment reads, beside the ones every report reads
 _READS = {
-    "build": {"target", "d", "n", "K", "delta", "eps"},
-    "compare-fnn": {"experiment", "d", "s", "eps", "lambda0", "seed", "output_path"},
+    "qsp": {"target", "tol"},
+    "poly": {"target", "tol", "points_per_axis"},
+    "bernstein": {"target", "d", "n", "eps", "points_per_axis", "shots"},
+    "localization": {"K", "delta", "eps"},
+    "taylor": {"target", "d", "K", "delta", "s", "points_per_axis", "with_l2", "samples"},
+    "trig": {"target", "d", "tol", "points_per_axis"},
+    "fnn_compare": {"d", "s", "eps", "lambda0"},
+}
+_REPORT_READS = {"experiment", "seed", "output_path", "emit_circuit"}
+
+# the flags each build kind's constructor reads
+_BUILD_READS = {
+    "monomial": {"c", "alpha"},
+    "poly": {"target"},
+    "bernstein": {"target", "d", "n"},
+    "localization": {"K", "delta", "eps"},
+    "trig": {"target", "d"},
 }
 
 
 def _given(args: argparse.Namespace) -> dict:
-    """The config keys given on the command line.  A flag the subcommand
-    never reads is an error, not a silent drop."""
-    given = {k: getattr(args, k) for k in _CONFIG_KEYS if k in args}
-    unread = [k for k in given if k not in _READS.get(args.command, _CONFIG_KEYS)]
+    """The config keys given on the command line."""
+    return {k: getattr(args, k) for k in _CONFIG_KEYS if k in args}
+
+
+def _reject_unread(what: str, given: Sequence[str], reads: set[str]) -> None:
+    """A given flag that the command never reads is an error, not a silent drop."""
+    unread = [k for k in given if k not in reads]
     if unread:
         flags = ", ".join("--" + k.removesuffix("_path").replace("_", "-") for k in unread)
-        raise ValueError(f"{args.command} does not read {flags}")
-    return given
+        raise ValueError(f"{what} does not read {flags}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -482,8 +499,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_build = subs.add_parser("build", help="build and serialize a circuit")
     p_build.add_argument("--kind", required=True,
                          choices=["monomial", "poly", "bernstein", "localization", "trig"])
-    p_build.add_argument("--c", type=float, default=1.0)
-    p_build.add_argument("--alpha", default="1")
+    p_build.add_argument("--c", type=float, default=argparse.SUPPRESS,
+                         help="monomial coefficient (default 1)")
+    p_build.add_argument("--alpha", default=argparse.SUPPRESS,
+                         help="monomial exponents a1,a2,... (default 1)")
     _add_common(p_build)
     p_build.add_argument("--emit-circuit", dest="circuit_path", metavar="PATH", required=True)
     p_build.set_defaults(func=_cmd_build)
@@ -532,9 +551,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     given = _given(args)
+    typed = [*given, *(k for k in ("c", "alpha") if k in args)]
+    _reject_unread(f"build --kind {args.kind}", typed, _BUILD_READS[args.kind])
     if args.kind == "monomial":
-        alpha = tuple(int(a) for a in args.alpha.split(","))
-        bc = circuits.build_monomial_pqc(args.c, alpha)
+        alpha = tuple(int(a) for a in getattr(args, "alpha", "1").split(","))
+        bc = circuits.build_monomial_pqc(getattr(args, "c", 1.0), alpha)
     else:
         bc = _CONSTRUCTORS[args.kind](ExperimentConfig(args.kind, **given))
     _emit_block(bc, args.circuit_path)
@@ -570,6 +591,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         cfg = ExperimentConfig(**{**doc, **given})
     except TypeError as exc:  # unknown or missing keys, or not a JSON object
         raise ValueError(f"invalid config {args.config}: {exc}") from exc
+    _reject_unread(f"experiment {cfg.experiment!r}", given,
+                   _READS[cfg.experiment] | _REPORT_READS)
     report = run_experiment(cfg)
     print(report.to_json())
     return 0 if report.passed else 1

@@ -244,6 +244,7 @@ _GENERATORS = {
     "Ry": np.array([[0, -1], [1, 0]], dtype=complex),
     "Rz": np.array([[-1j, 0], [0, 1j]]),
 }
+_PAULI_X = gate_matrix_1q("X")
 
 
 def _gate_kind(g: Gate) -> str:
@@ -290,9 +291,17 @@ class GateProgram:
     set.  The fixed gates of a run are multiplied together here.  An op
     without encoding slots is fixed: its ``heads`` matrix serves every
     point.  Only the ops listed in ``slotted`` are bound per point, from the
-    slot factors and the fixed products between them.  Ops that address the
-    same (target, controls) share one index-pair array.  ``width`` and
-    ``gates`` are those of the source circuit.
+    slot factors and the fixed products between them.
+
+    A fixed run whose product is exactly X (an X, CNOT or multi-controlled
+    X flip) is not an op: it relabels the amplitudes it swaps, and a run
+    that is exactly I is dropped.  The ops after a flip address the
+    relabelled pairs, and ``run`` gathers the state by ``perm`` once at the
+    end (``perm`` is None where the flips cancel).  Only indices change,
+    never a product, so every value is bit-identical to applying the flips
+    as ops.  On the Hadamard tests of the d=2, n=4 Bernstein block and of
+    the d=2, K=4, s=1 Taylor series block this leaves 221 of 431 ops and 59
+    of 263.  ``width`` and ``gates`` are those of the source circuit.
     """
 
     def __init__(self, c: Circuit):
@@ -304,9 +313,9 @@ class GateProgram:
         eye = np.eye(2, dtype=complex)
         pair_of: dict[tuple[int, int], np.ndarray] = {}
         slot_of: dict[tuple[str, EncodingSlot], int] = {}
-        self.pairs: list[np.ndarray] = []
-        heads: list[np.ndarray] = []  # fixed product before an op's first slot
-        chains: list[list[list]] = []  # per op: [slot index, fixed product after it]
+        runs: list[np.ndarray] = []  # per run: its (i0, i1) pairs
+        heads: list[np.ndarray] = []  # fixed product before a run's first slot
+        chains: list[list[list]] = []  # per run: [slot index, fixed product after it]
         prev = None
         for g in c.gates:
             tbit = 1 << (c.width - 1 - g.targets[0])
@@ -315,7 +324,7 @@ class GateProgram:
                 if (tbit, cmask) not in pair_of:
                     i0 = idx[((idx & tbit) == 0) & ((idx & cmask) == cmask)]
                     pair_of[tbit, cmask] = np.stack([i0, i0 | tbit])
-                self.pairs.append(pair_of[tbit, cmask])
+                runs.append(pair_of[tbit, cmask])
                 heads.append(eye)
                 chains.append([])
                 prev = (tbit, cmask)
@@ -327,6 +336,21 @@ class GateProgram:
                 chain[-1][1] = gate_matrix_1q(kind, g.angle) @ chain[-1][1]
             else:
                 heads[-1] = gate_matrix_1q(kind, g.angle) @ heads[-1]
+        # A fixed run that is exactly X only swaps amplitudes, and one that
+        # is exactly I does nothing: neither becomes an op.  The true state
+        # is t[j] = stored[perm[j]]; an X run swaps perm at its pairs, and
+        # every kept op addresses the stored pairs perm[pair].
+        perm = idx.copy()
+        self.pairs: list[np.ndarray] = []
+        kept = []
+        for pair, head, chain in zip(runs, heads, chains):
+            if not chain and np.array_equal(head, _PAULI_X):
+                perm[pair] = perm[pair[::-1]]
+            elif chain or not np.array_equal(head, eye):
+                self.pairs.append(perm[pair])
+                kept.append((head, chain))
+        heads, chains = [head for head, _ in kept], [chain for _, chain in kept]
+        self.perm = None if np.array_equal(perm, idx) else perm
         self.slots = tuple(slot_of)
         # slots bound together: one group per xform, with the slot indices,
         # coordinates and shifts of its members
@@ -443,6 +467,8 @@ def _evolve(program: GateProgram, amps: np.ndarray, xs: Optional[np.ndarray]) ->
                 amps[pair] = (head @ a.reshape(2, -1)).reshape(a.shape)
             else:  # point n's matrix on its (2, pairs) slice
                 amps[pair] = (bound[k] @ a.transpose(2, 0, 1)).transpose(1, 2, 0)
+    if program.perm is not None:  # the X runs, applied as one relabelling
+        amps[:] = amps[program.perm]
     norms = np.linalg.norm(amps, axis=0)
     if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
         bad = norms[~(np.abs(norms - 1.0) <= 1e-10)]

@@ -323,6 +323,20 @@ def test_evaluate_block_reuses_compiled_programs():
         assert all(a is b for a, b in zip(bc.programs, programs))
 
 
+@pytest.mark.parametrize("build, max_ops", [
+    (lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4), 221),
+    (lambda: C.build_taylor_series_pqc(
+        C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)), 59),
+], ids=["bernstein-d2-n4", "taylor-series-d2-K4-s1"])
+def test_compiled_hadamard_test_keeps_no_flip_or_identity_op(build, max_ops):
+    prog = build().programs[0]
+    fixed = np.setdiff1d(np.arange(len(prog.pairs)), prog.slotted)
+    for m in prog.heads[fixed]:
+        assert not np.array_equal(m, S.gate_matrix_1q("X"))
+        assert not np.array_equal(m, np.eye(2))
+    assert len(prog.pairs) <= max_ops
+
+
 def test_localization_block_frozen_example():
     spec = P.LocalizationSpec(4, 0.05, 0.1)
     vals = C.localization_values(spec, [0.6])

@@ -318,6 +318,10 @@ def test_build_and_eval_round_trip(tmp_path, capsys):
     assert code == 2 and out == ""
     message = json.loads(err.strip())["error"]
     assert "2 coordinates" in message and "has 1" in message
+    # --c and --alpha default to the monomial x
+    assert run_cli(capsys, "build", "--kind", "monomial", "--emit-circuit", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, "eval", "--circuit", str(path), "--x", "0.3")
+    assert code == 0 and json.loads(out)["value"] == pytest.approx(0.3, abs=1e-9)
 
 
 def test_build_localization(tmp_path, capsys):
@@ -409,8 +413,14 @@ def test_shots_are_rejected_where_nothing_is_sampled(capsys, tmp_path, monkeypat
         (("report", "--experiment", "bernstein", "--d", "2", "--n", "12",
           "--emit-circuit", "cl.txt"), ("emit_circuit",)),
         (("report", "--experiment", "fnn_compare", "--emit-circuit", "g.txt"), ("emit_circuit",)),
+        (("build", "--kind", "poly", "--target", "poly:0.5", "--d", "3", "--c", "7",
+          "--emit-circuit", "p.txt"), ("--d", "--c")),
+        (("report", "--experiment", "qsp", "--target", "poly:0.5", "--K", "9", "--samples", "3"),
+         ("--K", "--samples")),
+        (("report", "--config", "cfg.json", "--n", "3"), ("--n",)),
     ],
-    ids=["config-and-flags", "build", "compare-fnn", "classical-bernstein", "fnn-compare"],
+    ids=["config-and-flags", "build", "compare-fnn", "classical-bernstein", "fnn-compare",
+         "build-kind", "report-experiment", "config-experiment"],
 )
 def test_no_flag_is_dropped_silently(capsys, tmp_path, monkeypatch, argv, named):
     monkeypatch.chdir(tmp_path)

@@ -139,6 +139,90 @@ def test_compiled_program_matches_dense_unitary(seed):
         assert abs(S.expectation_z0(S.run(ht, x=x)) - want) <= 1e-10
 
 
+def flip_gate(q, ctrls):
+    """X on q under the controls, as the kind a circuit would use."""
+    if not ctrls:
+        return S.xg(q)
+    if len(ctrls) == 1:
+        return S.cnot(ctrls[0], q)
+    return S.Gate("MCU", (q,), ctrls, sub="X")
+
+
+def flipping_circuit(rng, width, n_runs):
+    """Runs that fuse to exactly X (one X, CNOT or MCU.X), runs that fuse
+    to exactly I (the same flip twice) and runs of rotations, with slotted
+    and fixed ones, in random order; no two neighbouring runs share a
+    target and control set, so each run compiles on its own.  Returns the
+    circuit and the number of X and I runs."""
+    gates, prev, flips = [], None, 0
+    for _ in range(n_runs):
+        while True:
+            q = int(rng.integers(0, width))
+            others = [c for c in range(width) if c != q]
+            ctrls = tuple(sorted(rng.choice(others, int(rng.integers(0, len(others) + 1)),
+                                            replace=False).tolist()))
+            if width == 1 or (q, ctrls) != prev:
+                break
+        prev = (q, ctrls)
+        kind = int(rng.integers(0, 3))
+        if kind < 2:  # X, or the identity X X
+            gates.extend([flip_gate(q, ctrls)] * (kind + 1))
+            flips += width > 1
+            continue
+        for _ in range(int(rng.integers(1, 4))):
+            rot = ("Rx", "Ry", "Rz")[int(rng.integers(0, 3))]
+            slot = angle = None
+            if rng.random() < 0.5:  # in random_batch's range, as in random_slotted_circuit
+                coord = int(rng.integers(0, 2))
+                slot = S.EncodingSlot(coord, ("acos", "zrot")[coord], float(rng.uniform(-0.2, 0.2)))
+                rot = ("Rx", "Rz")[coord]
+            else:
+                angle = float(rng.normal())
+            if ctrls:
+                gates.append(S.Gate("MCU", (q,), ctrls, angle=angle, sub=rot, slot=slot))
+            else:
+                gates.append(S.Gate(rot, (q,), angle=angle, slot=slot))
+    return S.Circuit(width, tuple(gates)), flips
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_flips_compile_to_a_relabelling(seed):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 5))
+    n_runs = 8
+    circ, flips = flipping_circuit(rng, width, n_runs)
+    prog = S.GateProgram(circ)
+    assert len(prog.pairs) <= n_runs - flips
+    x = (float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-3.0, 3.0)))
+    dense = S.circuit_unitary(circ.bound(x))
+    assert np.max(np.abs(S.run(prog, x=x).amplitudes - dense[:, 0])) <= 1e-10
+    init = S.run(random_circuit(rng, width, 6))
+    out = S.run(prog, init=init, x=x).amplitudes
+    assert np.max(np.abs(out - dense @ init.amplitudes)) <= 1e-10
+    xs, starts = random_batch(rng, width, 5)
+    for x_n, s, amps in zip(xs, starts, S.run(prog, x=xs, start=starts)):
+        single = S.run(prog, init=basis_state(width, s), x=x_n).amplitudes
+        assert np.max(np.abs(amps - single)) <= 1e-14
+    prep = random_circuit(rng, width, 4)
+    psi = S.run(prep).amplitudes
+    block = np.vdot(psi, dense @ psi)
+    for part, want in (("real", block.real), ("imaginary", block.imag)):
+        ht = S.GateProgram(S.hadamard_test_circuit(circ, prep, part))
+        assert abs(S.expectation_z0(S.run(ht, x=x)) - want) <= 1e-10
+
+
+def test_flip_pairs_leave_no_relabelling():
+    circ = S.Circuit(3, (S.cnot(0, 1), S.h(2), S.cnot(0, 1), S.xg(2), S.xg(2)))
+    prog = S.GateProgram(circ)
+    assert len(prog.pairs) == 1 and prog.perm is None
+    prog = S.GateProgram(S.Circuit(3, (S.cnot(0, 1), S.h(2))))
+    assert len(prog.pairs) == 1 and prog.perm is not None
+    want = S.circuit_unitary(S.Circuit(3, (S.cnot(0, 1), S.h(2))))
+    init = S.Statevector(np.full(8, 1 / math.sqrt(8)) * np.exp(1j * np.arange(8)))
+    assert np.max(np.abs(S.run(prog, init).amplitudes - want @ init.amplitudes)) <= 1e-14
+
+
 def test_program_rejects_unbound_slots():
     circ = S.Circuit(1, (S.encoding_gate(0, S.EncodingSlot(0, "acos")),))
     with pytest.raises(ValueError):
