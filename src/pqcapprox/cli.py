@@ -591,8 +591,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         cfg = ExperimentConfig(**{**doc, **given})
     except TypeError as exc:  # unknown or missing keys, or not a JSON object
         raise ValueError(f"invalid config {args.config}: {exc}") from exc
-    _reject_unread(f"experiment {cfg.experiment!r}", given,
-                   _READS[cfg.experiment] | _REPORT_READS)
+    reads = _READS[cfg.experiment] | _REPORT_READS
+    if not cfg.with_l2:  # only the L2 estimate draws samples
+        reads -= {"samples"}
+    _reject_unread(f"experiment {cfg.experiment!r}", given, reads)
     report = run_experiment(cfg)
     print(report.to_json())
     return 0 if report.passed else 1

@@ -418,9 +418,10 @@ def test_shots_are_rejected_where_nothing_is_sampled(capsys, tmp_path, monkeypat
         (("report", "--experiment", "qsp", "--target", "poly:0.5", "--K", "9", "--samples", "3"),
          ("--K", "--samples")),
         (("report", "--config", "cfg.json", "--n", "3"), ("--n",)),
+        (("report", "--experiment", "taylor", "--samples", "50"), ("--samples",)),
     ],
     ids=["config-and-flags", "build", "compare-fnn", "classical-bernstein", "fnn-compare",
-         "build-kind", "report-experiment", "config-experiment"],
+         "build-kind", "report-experiment", "config-experiment", "samples-without-l2"],
 )
 def test_no_flag_is_dropped_silently(capsys, tmp_path, monkeypatch, argv, named):
     monkeypatch.chdir(tmp_path)
