@@ -156,8 +156,6 @@ class FnnComparison:
     """
 
     spec: FnnComparisonSpec
-    log10_k_pqc: float
-    log10_k_fnn: float
     log10_pqc_size: float
     log10_fnn_size: float
     log10_pqc_params: float
@@ -170,10 +168,6 @@ class FnnComparison:
     @property
     def log10_param_ratio(self) -> float:
         return self.log10_pqc_params - self.log10_fnn_params
-
-    @property
-    def size_ratio(self) -> float:
-        return 10.0**self.log10_size_ratio
 
     @property
     def param_ratio(self) -> float:
@@ -206,8 +200,6 @@ def fnn_compare(spec: FnnComparisonSpec) -> FnnComparison:
     to10 = 1.0 / ln(10.0)
     return FnnComparison(
         spec=spec,
-        log10_k_pqc=ln_kp * to10,
-        log10_k_fnn=ln_kf * to10,
         log10_pqc_size=(ln_pqc_width + ln_pqc_depth) * to10,
         log10_fnn_size=(ln_fnn_width + ln_fnn_depth) * to10,
         log10_pqc_params=ln_pqc_params * to10,

@@ -157,7 +157,6 @@ def build_monomial_pqc(
     c: float,
     alpha: MultiIndex,
     shifts: Optional[Sequence[float]] = None,
-    tol: float = 1e-11,
 ) -> BlockCircuit:
     """d parallel angle sequences realizing c * prod_j (x_j - shift_j)^alpha_j.
 
@@ -175,7 +174,7 @@ def build_monomial_pqc(
     total_res = 0.0
     for j, power in enumerate(alpha):
         coeff = min(max(c, -1.0), 1.0) if j == 0 else 1.0
-        angles = synthesize_cached(_monomial_target(coeff, power), tol)
+        angles = synthesize_cached(_monomial_target(coeff, power), 1e-11)
         total_res += angles.residual
         slot = EncodingSlot(j, "acos", shifts[j])
         line = Circuit(1, qsp_line(angles.angles, slot)).shifted(j, d)
@@ -274,7 +273,7 @@ def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircu
 # ---------------------------------------------------------------------------
 
 
-def build_poly_pqc(p: MultivariatePolynomial, tol: float = 1e-11) -> BlockCircuit:
+def build_poly_pqc(p: MultivariatePolynomial) -> BlockCircuit:
     """LCU of monomial circuits realizing the multivariate polynomial.
 
     Coefficients with |c| > 1 cannot ride a single angle sequence, so the
@@ -285,7 +284,7 @@ def build_poly_pqc(p: MultivariatePolynomial, tol: float = 1e-11) -> BlockCircui
         raise ValueError("cannot build a circuit for the empty polynomial")
     scale = max(1.0, p.max_abs_coeff())
     alphas = sorted(p.terms.keys())
-    units = [build_monomial_pqc(p.terms[a] / scale, a, tol=tol) for a in alphas]
+    units = [build_monomial_pqc(p.terms[a] / scale, a) for a in alphas]
     combined = lcu_combine(units, label=f"poly d={p.dims} terms={len(alphas)}")
     return replace(
         combined, rescale=combined.rescale * scale, tol=combined.tol * scale
@@ -298,10 +297,7 @@ def build_poly_pqc(p: MultivariatePolynomial, tol: float = 1e-11) -> BlockCircui
 
 
 def build_parity_pair_pqc(
-    p: Polynomial,
-    coord: int = 0,
-    scale: Optional[float] = None,
-    tol: float = 1e-11,
+    p: Polynomial, coord: int = 0, scale: Optional[float] = None
 ) -> BlockCircuit:
     """Width-2 unit realizing a mixed-parity univariate polynomial.
 
@@ -309,7 +305,8 @@ def build_parity_pair_pqc(
     common factor M so the halves fit the unit sup-norm bound on [-1, 1])
     and summed with a one-ancilla uniform LCU: qubit 0 selects the half,
     qubit 1 carries the data.  The represented value is p(x) after the
-    rescale 2*M.
+    rescale 2*M.  A given ``scale`` is M itself: a synthesis failure then
+    raises, since a caller that fixed M has fixed the rescale as well.
     """
     even, odd = parity_split(p)
     grid = chebyshev_grid(max(1000, 10 * (p.degree + 1)))
@@ -320,17 +317,19 @@ def build_parity_pair_pqc(
     if m < m_needed - 1e-12:
         raise ValueError(f"scale {m} below the required half norm {m_needed}")
     try:
-        ang_even = synthesize_cached(ParityPolynomial(even.base.scaled(1.0 / m), 0), tol)
-        ang_odd = synthesize_cached(ParityPolynomial(odd.base.scaled(1.0 / m), 1), tol)
+        ang_even = synthesize_cached(ParityPolynomial(even.base.scaled(1.0 / m), 0), 1e-12)
+        ang_odd = synthesize_cached(ParityPolynomial(odd.base.scaled(1.0 / m), 1), 1e-12)
     except qsp.QspSynthesisError as err:
+        if scale is not None:
+            raise
         # halves whose sup norm sits exactly at 1 can stall the solver; pull
         # the target strictly inside and fold the margin into the rescale
         logger.debug(
             "parity pair degree %d: %s; retrying at scale %g", p.degree, err, m / 0.999
         )
         m = m / 0.999
-        ang_even = synthesize_cached(ParityPolynomial(even.base.scaled(1.0 / m), 0), tol)
-        ang_odd = synthesize_cached(ParityPolynomial(odd.base.scaled(1.0 / m), 1), tol)
+        ang_even = synthesize_cached(ParityPolynomial(even.base.scaled(1.0 / m), 0), 1e-12)
+        ang_odd = synthesize_cached(ParityPolynomial(odd.base.scaled(1.0 / m), 1), 1e-12)
 
     slot = EncodingSlot(coord, "acos", 0.0)
     even_line = Circuit(2, Circuit(1, qsp_line(ang_even.angles, slot)).shifted(1, 2).gates)
@@ -358,9 +357,7 @@ def _bernstein_factor(n: int, k: int) -> Polynomial:
     return Polynomial(tuple(_np_poly.polymul(xk, rest)))
 
 
-def build_bernstein_pqc(
-    f: TargetFunctionSpec, n: int, tol: float = 1e-12
-) -> BlockCircuit:
+def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
     """Circuit evaluating the degree-n Bernstein polynomial of f.
 
     One width-2 parity-pair unit per coordinate per grid node; the node
@@ -386,7 +383,7 @@ def build_bernstein_pqc(
         tol_unit = 0.0
         for j, k in enumerate(kvec):
             poly = factors[k].scaled(fval) if j == 0 else factors[k]
-            pair = build_parity_pair_pqc(poly, coord=j, scale=m_common, tol=tol)
+            pair = build_parity_pair_pqc(poly, coord=j, scale=m_common)
             tol_unit += pair.tol / pair.rescale  # block-level error of this pair
             gates.extend(pair.circuit.shifted(2 * j, width).gates)
         circuit = Circuit(width, tuple(gates), label=f"bernstein-term k={kvec}")
@@ -527,9 +524,7 @@ def build_taylor_coeff_pqc(table: TaylorCoeffTable, alpha: MultiIndex) -> Circui
     return Circuit(width, tuple(gates), label=f"taylor-coeff alpha={tuple(alpha)}")
 
 
-def build_taylor_series_pqc(
-    table: TaylorCoeffTable, eta: MultiIndex, tol: float = 1e-11
-) -> BlockCircuit:
+def build_taylor_series_pqc(table: TaylorCoeffTable, eta: MultiIndex) -> BlockCircuit:
     """LCU over Taylor terms; with the address register prepared in |eta>,
     the block value is sum_alpha xi[eta, alpha] * (x - eta/K)^alpha.
 
@@ -550,7 +545,7 @@ def build_taylor_series_pqc(
     for alpha in multi_indices(d, table.s):
         coeff_circ = build_taylor_coeff_pqc(table, alpha)
         gates = list(coeff_circ.shifted(0, width).gates)
-        mono = build_monomial_pqc(1.0, alpha, shifts=shifts, tol=tol)
+        mono = build_monomial_pqc(1.0, alpha, shifts=shifts)
         gates.extend(mono.circuit.shifted(bits + 1, width).gates)
         circuit = Circuit(width, tuple(gates), label=f"taylor-term alpha={alpha}")
         units.append(BlockCircuit(circuit, prep, rescale=1.0, tol=mono.tol))
@@ -585,22 +580,15 @@ class NestedTaylorModel:
     or an (N, d) array of points.
     """
 
-    def __init__(
-        self,
-        f: TargetFunctionSpec,
-        spec: LocalizationSpec,
-        s: int,
-        tol: float = 1e-11,
-    ):
+    def __init__(self, f: TargetFunctionSpec, spec: LocalizationSpec, s: int):
         if f.holder is None or f.holder[1] > 1.0 + 1e-12:
             raise ValueError("nested construction needs a unit smoothness certificate")
         self.f = f
         self.spec = spec
         self.s = s
-        self.tol = tol
         self.table = TaylorCoeffTable.from_target(f, spec.K, s)
         self.loc_blocks = build_localization_pqc(spec, f.dims)
-        self.series = build_taylor_series_pqc(self.table, (0,) * f.dims, tol)
+        self.series = build_taylor_series_pqc(self.table, (0,) * f.dims)
 
     @property
     def tol_agg(self) -> float:

@@ -79,8 +79,7 @@ class ExperimentConfig:
                 raise ValueError(f"config key {name!r} must be positive, got {value}")
         if self.s is not None and self.s < 0:
             raise ValueError(f"config key 's' must be at least 0, got {self.s}")
-        known = {"qsp", "poly", "bernstein", "localization", "taylor", "trig", "fnn_compare"}
-        if self.experiment not in known:
+        if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.shots > 0 and self.seed is None:
             raise ValueError("seed is mandatory when shots > 0")
@@ -151,22 +150,25 @@ def _emit_block(bc: circuits.BlockCircuit, path: str) -> None:
 
 
 def _load_block(path: str) -> circuits.BlockCircuit:
+    """The circuit and both sidecars that _emit_block writes; a missing file
+    raises, since no default prep or rescale is right for every circuit."""
     p = Path(path)
     circuit = sim.circuit_from_text(p.read_text())
-    prep_path = p.with_suffix(p.suffix + ".prep")
+    prep = sim.circuit_from_text(p.with_suffix(p.suffix + ".prep").read_text())
     meta_path = p.with_suffix(p.suffix + ".meta.json")
-    prep = (
-        sim.circuit_from_text(prep_path.read_text())
-        if prep_path.exists()
-        else sim.Circuit(circuit.width, ())
-    )
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    meta = json.loads(meta_path.read_text())
+    types = {"rescale": float, "block_value_is_real": bool, "tol": float}
+    if not (isinstance(meta, dict) and all(_has_type(meta.get(k), t) for k, t in types.items())):
+        raise ValueError(
+            f"{meta_path} must hold a JSON object with a number rescale,"
+            " a boolean block_value_is_real and a number tol"
+        )
     return circuits.BlockCircuit(
         circuit,
         prep,
-        rescale=float(meta.get("rescale", 1.0)),
-        block_value_is_real=bool(meta.get("block_value_is_real", True)),
-        tol=float(meta.get("tol", 0.0)),
+        rescale=float(meta["rescale"]),
+        block_value_is_real=meta["block_value_is_real"],
+        tol=float(meta["tol"]),
     )
 
 
@@ -202,12 +204,24 @@ def _localization_spec(cfg: ExperimentConfig) -> LocalizationSpec:
     return LocalizationSpec(cfg.K, delta, cfg.eps)
 
 
-_CONSTRUCTORS: dict[str, Callable[[ExperimentConfig], circuits.BlockCircuit]] = {
-    "poly": lambda cfg: circuits.build_poly_pqc(_poly_target(cfg)),
-    "bernstein": lambda cfg: circuits.build_bernstein_pqc(_bernstein_target(cfg), cfg.n),
-    "localization": lambda cfg: circuits.build_localization_pqc(_localization_spec(cfg), 1)[0],
-    "trig": lambda cfg: circuits.build_trig_poly_pqc(_parse_trig(cfg.target, cfg.d)),
+# each build kind: the constructor that its experiment checks, and the flags
+# it reads.  monomial has no experiment and reads --c and --alpha, which are
+# not config keys, so _cmd_build builds it directly.
+_BUILDS: dict[str, tuple[Optional[Callable[[ExperimentConfig], circuits.BlockCircuit]], set]] = {
+    "monomial": (None, {"c", "alpha"}),
+    "poly": (lambda cfg: circuits.build_poly_pqc(_poly_target(cfg)), {"target"}),
+    "bernstein": (lambda cfg: circuits.build_bernstein_pqc(_bernstein_target(cfg), cfg.n),
+                  {"target", "d", "n"}),
+    "localization": (lambda cfg: circuits.build_localization_pqc(_localization_spec(cfg), 1)[0],
+                     {"K", "delta", "eps"}),
+    "trig": (lambda cfg: circuits.build_trig_poly_pqc(_parse_trig(cfg.target, cfg.d)),
+             {"target", "d"}),
 }
+
+
+def _build(cfg: ExperimentConfig) -> circuits.BlockCircuit:
+    """The circuit of the build kind named like the config's experiment."""
+    return _BUILDS[cfg.experiment][0](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +244,7 @@ def _nested_resources(model: circuits.NestedTaylorModel) -> sim.ResourceCount:
 
 
 def run_experiment(cfg: ExperimentConfig) -> approx.ErrorReport:
-    handler = {
-        "qsp": _run_qsp,
-        "poly": _run_poly,
-        "bernstein": _run_bernstein,
-        "localization": _run_localization,
-        "taylor": _run_taylor,
-        "trig": _run_trig,
-        "fnn_compare": _run_fnn_compare,
-    }[cfg.experiment]
-    report, block = handler(cfg)
+    report, block = _EXPERIMENTS[cfg.experiment][0](cfg)
     if cfg.emit_circuit:  # the config admits it only where a circuit is built
         _emit_block(block, cfg.emit_circuit)
     report.experiment = cfg.experiment
@@ -268,7 +273,7 @@ def _run_qsp(cfg: ExperimentConfig) -> _Outcome:
 
 def _run_poly(cfg: ExperimentConfig) -> _Outcome:
     mp = _poly_target(cfg)
-    bc = _CONSTRUCTORS["poly"](cfg)
+    bc = _build(cfg)
     grid = approx.GridSpec(1, cfg.points_per_axis or 51)
     sup = approx.sup_error(mp, lambda xs: circuits.evaluate_block(bc, xs), grid)
     return approx.ErrorReport(
@@ -291,7 +296,7 @@ def _run_bernstein(cfg: ExperimentConfig) -> _Outcome:
     resources = None
     tol_agg = 0.0
     if quantum:
-        bc = _CONSTRUCTORS["bernstein"](cfg)
+        bc = _build(cfg)
         # one Hadamard-test run per grid point: the benchmark's traced
         # report counts one sim.run and one evaluate_block call per point
         model = approx.pointwise(lambda x: circuits.evaluate_block(bc, x))
@@ -324,7 +329,7 @@ def _run_bernstein(cfg: ExperimentConfig) -> _Outcome:
 
 def _run_localization(cfg: ExperimentConfig) -> _Outcome:
     spec = _localization_spec(cfg)
-    bc = _CONSTRUCTORS["localization"](cfg)
+    bc = _build(cfg)
     rng = np.random.default_rng(cfg.seed)
     xs, ks = [], []
     while len(xs) < 500:
@@ -383,7 +388,7 @@ def _run_taylor(cfg: ExperimentConfig) -> _Outcome:
 
 def _run_trig(cfg: ExperimentConfig) -> _Outcome:
     t = _parse_trig(cfg.target, cfg.d)
-    bc = _CONSTRUCTORS["trig"](cfg)
+    bc = _build(cfg)
     pts = cfg.points_per_axis or (100 if cfg.d == 1 else 11)
     axis = np.linspace(0.0, 2.0 * math.pi, pts, endpoint=False)
     mesh = np.stack(np.meshgrid(*([axis] * cfg.d), indexing="ij"), -1).reshape(-1, cfg.d)
@@ -420,6 +425,21 @@ def _run_fnn_compare(cfg: ExperimentConfig) -> _Outcome:
     ), None
 
 
+# each experiment: its handler, and the config keys it reads beside the ones
+# every report reads
+_EXPERIMENTS: dict[str, tuple[Callable[[ExperimentConfig], _Outcome], set]] = {
+    "qsp": (_run_qsp, {"target", "tol"}),
+    "poly": (_run_poly, {"target", "tol", "points_per_axis"}),
+    "bernstein": (_run_bernstein, {"target", "d", "n", "eps", "points_per_axis", "shots"}),
+    "localization": (_run_localization, {"K", "delta", "eps"}),
+    "taylor": (_run_taylor,
+               {"target", "d", "K", "delta", "s", "points_per_axis", "with_l2", "samples"}),
+    "trig": (_run_trig, {"target", "d", "tol", "points_per_axis"}),
+    "fnn_compare": (_run_fnn_compare, {"d", "s", "eps", "lambda0"}),
+}
+_REPORT_READS = {"experiment", "seed", "output_path", "emit_circuit"}
+
+
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -447,27 +467,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
-
-# the config keys each experiment reads, beside the ones every report reads
-_READS = {
-    "qsp": {"target", "tol"},
-    "poly": {"target", "tol", "points_per_axis"},
-    "bernstein": {"target", "d", "n", "eps", "points_per_axis", "shots"},
-    "localization": {"K", "delta", "eps"},
-    "taylor": {"target", "d", "K", "delta", "s", "points_per_axis", "with_l2", "samples"},
-    "trig": {"target", "d", "tol", "points_per_axis"},
-    "fnn_compare": {"d", "s", "eps", "lambda0"},
-}
-_REPORT_READS = {"experiment", "seed", "output_path", "emit_circuit"}
-
-# the flags each build kind's constructor reads
-_BUILD_READS = {
-    "monomial": {"c", "alpha"},
-    "poly": {"target"},
-    "bernstein": {"target", "d", "n"},
-    "localization": {"K", "delta", "eps"},
-    "trig": {"target", "d"},
-}
 
 
 def _given(args: argparse.Namespace) -> dict:
@@ -497,8 +496,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_synth.set_defaults(func=_cmd_synth)
 
     p_build = subs.add_parser("build", help="build and serialize a circuit")
-    p_build.add_argument("--kind", required=True,
-                         choices=["monomial", "poly", "bernstein", "localization", "trig"])
+    p_build.add_argument("--kind", required=True, choices=list(_BUILDS))
     p_build.add_argument("--c", type=float, default=argparse.SUPPRESS,
                          help="monomial coefficient (default 1)")
     p_build.add_argument("--alpha", default=argparse.SUPPRESS,
@@ -552,12 +550,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_build(args: argparse.Namespace) -> int:
     given = _given(args)
     typed = [*given, *(k for k in ("c", "alpha") if k in args)]
-    _reject_unread(f"build --kind {args.kind}", typed, _BUILD_READS[args.kind])
-    if args.kind == "monomial":
+    build, reads = _BUILDS[args.kind]
+    _reject_unread(f"build --kind {args.kind}", typed, reads)
+    if build is None:  # monomial
         alpha = tuple(int(a) for a in getattr(args, "alpha", "1").split(","))
         bc = circuits.build_monomial_pqc(getattr(args, "c", 1.0), alpha)
     else:
-        bc = _CONSTRUCTORS[args.kind](ExperimentConfig(args.kind, **given))
+        bc = build(ExperimentConfig(args.kind, **given))
     _emit_block(bc, args.circuit_path)
     rc = sim.resource_count(bc.circuit)
     print(json.dumps({
@@ -591,7 +590,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         cfg = ExperimentConfig(**{**doc, **given})
     except TypeError as exc:  # unknown or missing keys, or not a JSON object
         raise ValueError(f"invalid config {args.config}: {exc}") from exc
-    reads = _READS[cfg.experiment] | _REPORT_READS
+    reads = _EXPERIMENTS[cfg.experiment][1] | _REPORT_READS
     if not cfg.with_l2:  # only the L2 estimate draws samples
         reads -= {"samples"}
     _reject_unread(f"experiment {cfg.experiment!r}", given, reads)

@@ -28,12 +28,10 @@ logger = logging.getLogger(__name__)
 MultiIndex = tuple[int, ...]
 Point = Sequence[float]
 
-_COEFF_TRIM = 0.0  # exact trimming only; callers prune noise explicitly
-
 
 def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
     cs = list(float(c) for c in coeffs)
-    while len(cs) > 1 and cs[-1] == _COEFF_TRIM:
+    while len(cs) > 1 and cs[-1] == 0.0:  # exact zeros only; callers prune noise
         cs.pop()
     return tuple(cs)
 
@@ -102,8 +100,8 @@ class ParityPolynomial:
     def __call__(self, x):
         return self.base(x)
 
-    def sup_norm(self, npts: int = 1000) -> float:
-        m = max(npts, 10 * (self.degree + 1))
+    def sup_norm(self) -> float:
+        m = max(1000, 10 * (self.degree + 1))
         if self.base.basis == "chebyshev":
             vals = _cheb_values(np.asarray(self.base.coeffs), m)
         else:
@@ -115,12 +113,6 @@ def chebyshev_grid(n: int) -> np.ndarray:
     """n Chebyshev-spaced points in [-1, 1], the default verification grid."""
     k = np.arange(n)
     return np.cos((2 * k + 1) * np.pi / (2 * n))
-
-
-def _cheb_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m first-kind Chebyshev nodes cos(theta_k) and their sin(theta_k)."""
-    theta = np.pi * (np.arange(m) + 0.5) / m
-    return np.cos(theta), np.sin(theta)
 
 
 @cache
@@ -179,7 +171,7 @@ def _cheb_refit(fn: Callable[[np.ndarray], np.ndarray], deg: int) -> np.ndarray:
     first-kind nodes.  The DCT keeps rounding near machine precision at
     degrees in the thousands; numpy's Vandermonde-based ``chebinterpolate``
     reproduces a degree-2216 series only to about 1e-10."""
-    return _cheb_coeffs(fn(_cheb_nodes(deg + 1)[0]))
+    return _cheb_coeffs(fn(chebyshev_grid(deg + 1)))
 
 
 def parity_split(p: Polynomial) -> tuple[ParityPolynomial, ParityPolynomial]:
@@ -471,17 +463,15 @@ def _erf_chebyshev(kappa: float, n_interp: int) -> np.ndarray:
     return coef
 
 
-def _refined_sup(
-    coef: np.ndarray, grid: np.ndarray, vals: np.ndarray, spacing: float, peaks: int = 8
-) -> float:
-    """True sup of |series| via local refinement around the top grid peaks.
+def _refined_sup(coef: np.ndarray, grid: np.ndarray, vals: np.ndarray, spacing: float) -> float:
+    """True sup of |series| via local refinement around the top 8 grid peaks.
 
     All peaks are refined together: each of 3 rounds evaluates a 33-point
     window around every peak with one ``chebval`` call, then narrows each
     window 8x around its own maximum.
     """
     best = float(np.max(vals))
-    x0 = grid[np.argsort(vals)[-peaks:]]
+    x0 = grid[np.argsort(vals)[-8:]]
     h = np.full(len(x0), spacing)
     for _ in range(3):
         xs = np.clip(np.linspace(x0 - h, x0 + h, 33, axis=-1), -1.0, 1.0)

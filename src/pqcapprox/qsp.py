@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _np_poly
 
-from .poly import ParityPolynomial, _cheb_coeffs, _cheb_nodes, _cheb_values
+from .poly import ParityPolynomial, _cheb_coeffs, _cheb_values, chebyshev_grid
 
 logger = logging.getLogger(__name__)
 
@@ -53,10 +53,6 @@ class QspAngleSequence:
     angles: tuple[float, ...]
     residual: float = 0.0
 
-    @property
-    def layers(self) -> int:
-        return len(self.angles) - 1
-
 
 @dataclass(frozen=True)
 class TrigQspParams:
@@ -69,10 +65,6 @@ class TrigQspParams:
     def __post_init__(self) -> None:
         if len(self.thetas) != len(self.phis):
             raise ValueError("thetas and phis must have equal length")
-
-    @property
-    def layers(self) -> int:
-        return len(self.thetas) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +265,8 @@ def _coeff_jacobian(phi: np.ndarray, xs, a_slots) -> np.ndarray:
     return _cheb_coeffs(grad)[:, a_slots].T
 
 
-def _newton_solve(phi, xs, a_slots, target, tol, max_iter=60):
-    """Damped Newton on the coefficient residual.
+def _newton_solve(phi, xs, a_slots, target, tol):
+    """Damped Newton on the coefficient residual, for up to 60 steps.
 
     A line-search candidate is scored from its residual alone; a Jacobian
     is built only for a step about to be solved, so a stage builds one per
@@ -288,7 +280,7 @@ def _newton_solve(phi, xs, a_slots, target, tol, max_iter=60):
     norm = np.linalg.norm(res)
     steps = halvings = builds = 0
     polish = 2  # extra steps after convergence push toward the machine floor
-    while steps < max_iter:
+    while steps < 60:
         if norm <= tol:
             if polish == 0:
                 break
@@ -332,10 +324,7 @@ def _fast_len(n: int) -> int:
 
 
 def qsp_synthesize(
-    p: ParityPolynomial,
-    tol: float = 1e-8,
-    max_restarts: int = 32,
-    rng_seed: int = 20240811,
+    p: ParityPolynomial, tol: float = 1e-8, max_restarts: int = 32
 ) -> QspAngleSequence:
     """Find angles whose plus-state block value reproduces p on [-1, 1].
 
@@ -363,7 +352,7 @@ def qsp_synthesize(
         c = float(np.clip(target_full[0], -1.0, 1.0))
         return QspAngleSequence((2.0 * math.acos(c),), residual=0.0)
 
-    xs = _cheb_nodes(_fast_len(L + 1))[0]
+    xs = chebyshev_grid(_fast_len(L + 1))
     a_slots = np.arange(L % 2, L + 1, 2)
     target = np.zeros(L + 1)
     target[: len(target_full)] = target_full
@@ -387,7 +376,7 @@ def qsp_synthesize(
 
     best_norm = np.inf
     schedules = [[1.0], [0.25, 0.5, 0.75, 0.9, 1.0]]
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(20240811)
     for i, sched in enumerate(schedules):
         if i:
             logger.debug("degree %d: falling back to scale schedule %s", L, sched)
@@ -406,7 +395,7 @@ def qsp_synthesize(
 
 def _verified(thetas: np.ndarray, p: ParityPolynomial, tol: float, norm: float) -> QspAngleSequence:
     m = 4 * (p.degree + 1)
-    b = qsp_block_values(thetas, _cheb_nodes(m)[0])
+    b = qsp_block_values(thetas, chebyshev_grid(m))
     resid = float(np.max(np.abs(b - _cheb_values(_target_cheb(p), m))))
     if resid > tol:
         raise QspSynthesisError("converged in coefficients but grid residual high", resid)
@@ -497,7 +486,7 @@ def qsp_synthesize_completion(p: ParityPolynomial, tol: float = 1e-7) -> QspAngl
 
     phis = _strip_layers(big_p, big_q, L)
     thetas = tuple(-2.0 * phi for phi in phis)
-    grid = _cheb_nodes(4 * (L + 1))[0]
+    grid = chebyshev_grid(4 * (L + 1))
     resid = float(np.max(np.abs(qsp_block_values(thetas, grid) - p(grid))))
     if resid > tol:
         raise QspSynthesisError("completion synthesis residual too high", resid)

@@ -740,13 +740,16 @@ def circuit_to_text(c: Circuit) -> str:
 
 def circuit_from_text(text: str) -> Circuit:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("width ") or not lines[1].startswith("label"):
+    head = lines[0].split() if lines else []
+    if len(lines) < 2 or len(head) != 2 or head[0] != "width" or not lines[1].startswith("label"):
         raise ValueError("malformed circuit text: expected width/label header")
-    width = int(lines[0].split()[1])
+    width = int(head[1])
     label = lines[1][len("label") :].strip()
     gates = []
     for ln in lines[2:]:
         parts = ln.split()
+        if len(parts) < 2:
+            raise ValueError(f"gate line {ln!r} has no targets")
         kind = parts[0]
         sub = None
         if kind.startswith("MCU."):

@@ -198,6 +198,24 @@ def test_parity_pair_logs_its_retry_only_when_asked(monkeypatch, caplog):
     assert "retrying at scale" in message
 
 
+def test_parity_pair_with_a_given_scale_raises_instead_of_retrying(monkeypatch):
+    # build_bernstein_pqc fixes each unit's rescale from the scale it gives
+    # its pairs, so a pair retried at another scale would come out wrong
+    synthesize_cached = C.synthesize_cached
+    calls = []
+
+    def first_fails(target, tol):
+        calls.append(1)
+        if len(calls) == 1:
+            raise Q.QspSynthesisError("forced", 0.5)
+        return synthesize_cached(target, tol)
+
+    monkeypatch.setattr(C, "synthesize_cached", first_fails)
+    with pytest.raises(Q.QspSynthesisError, match="forced"):
+        C.build_bernstein_pqc(targets.abs_centered(1), 4)
+    assert len(calls) == 1
+
+
 def test_poly_single_monomial_equals_monomial():
     mp = P.MultivariatePolynomial({(2, 1): 0.6}, 2)
     bc = C.build_poly_pqc(mp)

@@ -268,6 +268,37 @@ def test_eval_missing_circuit_file(capsys, tmp_path):
     assert json.loads(err.strip())["error"]
 
 
+def _drop(path):
+    path.unlink()
+
+
+@pytest.mark.parametrize(
+    "suffix, damage, expected",
+    [
+        (".prep", _drop, "b.txt.prep"),
+        (".meta.json", _drop, "b.txt.meta.json"),
+        ("", lambda p: p.write_text(p.read_text() + "H\n"), "no targets"),
+        (".prep", lambda p: p.write_text("width \nlabel plus-prep\n"), "header"),
+        (".meta.json", lambda p: p.write_text("[2.0, true, 0.0]"), "b.txt.meta.json"),
+        (".meta.json", lambda p: p.write_text(p.read_text().replace("true", '"false"')),
+         "b.txt.meta.json"),
+    ],
+    ids=["missing-prep", "missing-meta", "gate-without-targets", "width-without-value",
+         "meta-not-an-object", "meta-flag-not-a-boolean"],
+)
+def test_eval_rejects_a_damaged_circuit(capsys, tmp_path, suffix, damage, expected):
+    # at x = 0.3 the d=1, n=4 Bernstein circuit reads 0.2459; a default prep
+    # and rescale of 1 would read 0.3760 without both sidecars, 96.34 without
+    # the prep and 0.00096 without the metadata
+    path = tmp_path / "b.txt"
+    flags = ("--kind", "bernstein", "--d", "1", "--n", "4", "--emit-circuit", str(path))
+    assert run_cli(capsys, "build", *flags)[0] == 0
+    damage(Path(f"{path}{suffix}"))
+    code, out, err = run_cli(capsys, "eval", "--circuit", str(path), "--x", "0.3")
+    assert code == 2 and out == ""
+    assert expected in json.loads(err.strip())["error"]
+
+
 def test_construction_error_is_reported(capsys, monkeypatch):
     def fail(spec):
         raise ConstructionError(f"localization polynomial failed for {spec}")

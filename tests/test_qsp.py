@@ -245,7 +245,8 @@ def test_fast_length_nodes_give_the_same_coefficients(L):
     thetas = rng.uniform(-np.pi, np.pi, L + 1)
 
     def coefficients(m):
-        xs, sines = P._cheb_nodes(m)
+        xs = P.chebyshev_grid(m)
+        sines = np.sin(np.pi * (np.arange(m) + 0.5) / m)  # sin(arccos(x)) at the nodes
         b = Q.qsp_block_values(thetas, xs)
         return P._cheb_coeffs(b.real), P._cheb_coeffs(b.imag / sines)
 
