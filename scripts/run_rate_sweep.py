@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Sweep the cell count K for the nested local-Taylor circuit and fit the
-empirical convergence rate against the K^-beta prediction."""
+empirical convergence rate against the K^-beta prediction.
+
+Exits 1 when the sup error at any K exceeds its bound plus tol_agg.
+"""
 
 import argparse
 import json
+import sys
 
 from pqcapprox import approx, targets
 from pqcapprox.circuits import NestedTaylorModel
@@ -11,7 +15,7 @@ from pqcapprox.cli import default_delta
 from pqcapprox.poly import LocalizationSpec, thm_bounds
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--target", default="halfsine")
     ap.add_argument("--d", type=int, default=1)
@@ -33,8 +37,10 @@ def main() -> None:
         )
         sup = approx.sup_error(f, model, grid)
         bound = thm_bounds("thm3", d=f.dims, s=s, beta=beta, K=K)
-        rows.append({"K": K, "sup_error": sup, "bound": bound, "tol_agg": model.tol_agg})
-        print(f"K={K:3d}  sup={sup:.4e}  bound={bound:.4e}  pass={sup <= bound + model.tol_agg}")
+        passed = bool(sup <= bound + model.tol_agg)
+        rows.append({"K": K, "sup_error": sup, "bound": bound, "tol_agg": model.tol_agg,
+                     "passed": passed})
+        print(f"K={K:3d}  sup={sup:.4e}  bound={bound:.4e}  pass={passed}")
 
     exponent = None
     if len(rows) >= 3:
@@ -43,7 +49,8 @@ def main() -> None:
     if args.output:
         with open(args.output, "w") as fh:
             json.dump({"rows": rows, "exponent": exponent}, fh, indent=2)
+    return 0 if all(r["passed"] for r in rows) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -361,7 +361,12 @@ def _run_taylor(cfg: ExperimentConfig) -> _Outcome:
     if f.holder is None:
         raise ValueError("taylor experiment needs a smoothness-certified target")
     beta = f.holder[0]
-    s = cfg.s if cfg.s is not None else f.holder_s
+    s = f.holder_s
+    if cfg.s is not None and cfg.s != s:  # the bound is certified for beta = s + r only
+        raise ValueError(
+            f"config key 's' is {cfg.s}, but target {f.name!r} certifies beta={beta},"
+            f" so its Taylor order is s={s}"
+        )
     K = cfg.K
     delta = cfg.delta if cfg.delta is not None else default_delta(f.dims, K)
     spec = LocalizationSpec(K, delta, 0.5 / K)

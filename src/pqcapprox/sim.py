@@ -253,7 +253,8 @@ def _gate_kind(g: Gate) -> str:
 
 
 def _apply_gate(amps: np.ndarray, g: Gate, width: int) -> np.ndarray:
-    """Reference kernel: one bound gate, masks rebuilt from scratch.
+    """Reference kernel: one bound gate on the first axis of amps (a state,
+    or the columns of a matrix), masks rebuilt from scratch.
 
     Kept independent of ``GateProgram`` so ``circuit_unitary`` can serve as
     the test oracle for the compiled path.
@@ -302,6 +303,17 @@ class GateProgram:
     as ops.  On the Hadamard tests of the d=2, n=4 Bernstein block and of
     the d=2, K=4, s=1 Taylor series block this leaves 221 of 431 ops and 59
     of 263.  ``width`` and ``gates`` are those of the source circuit.
+
+    ``prefix`` is the index of the first slotted op (``len(pairs)`` when
+    there is none).  The ops before it are fixed, so from a basis start the
+    state before op ``prefix`` is one fixed vector: a batch run takes it
+    from ``stored``, a dict on the program keyed by start index, and runs
+    only the ops from ``prefix`` on.  A start not stored yet runs the prefix
+    through the same op loop first; it is stored while ``stored`` holds at
+    most PREFIX_BYTES.  The stored states are those of the relabelled indices,
+    before the ``perm`` gather.  The Bernstein block above runs 9 ops
+    before its prefix ends and 212 after it; the Taylor series block, which
+    starts from one of K^d cells, runs 37 before and 22 after.
     """
 
     def __init__(self, c: Circuit):
@@ -382,6 +394,25 @@ class GateProgram:
                 np.array(pos), np.array(slot_idx), (after @ first)[:, None],
                 (after @ gens @ first)[:, None],
             ))
+        self.prefix = int(self.slotted[0]) if len(self.slotted) else len(self.pairs)
+        self.stored: dict[int, np.ndarray] = {}
+
+    def prefix_states(self, starts: np.ndarray) -> np.ndarray:
+        """The (2**width, N) states before op ``prefix`` from the basis
+        states ``starts``, one column per start, taken from the store."""
+        keys = starts.tolist()
+        found = {s: self.stored.get(s) for s in keys}
+        missing = [s for s, col in found.items() if col is None]
+        if missing:
+            cols = np.zeros((2**self.width, len(missing)), dtype=complex)
+            cols[missing, np.arange(len(missing))] = 1.0
+            _evolve(self, cols, None, 0, self.prefix)
+            room = PREFIX_BYTES // cols[:, 0].nbytes - len(self.stored)
+            for j, s in enumerate(missing):
+                found[s] = cols[:, j].copy()
+                if j < room:
+                    self.stored[s] = found[s]
+        return np.stack([found[s] for s in keys], axis=1)
 
     def op_matrices(self, x: Optional[np.ndarray]) -> np.ndarray:
         """The (len(slotted), N, 2, 2) matrices of the slotted ops, bound at
@@ -418,7 +449,8 @@ def run(
     slots, runs from ``init`` (default all-zeros) and returns a Statevector.
     A batch: ``x`` of shape (N, d) and/or ``start``, the N initial
     basis-state indices (default 0), returns the (N, 2**width) final
-    amplitudes, one row per point.  A plain circuit is compiled first.
+    amplitudes, one row per point; it starts each point from the program's
+    stored state after its fixed prefix.  A plain circuit is compiled first.
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
     dim = 2**program.width
@@ -428,8 +460,8 @@ def run(
         if len(state.amplitudes) != dim:
             raise ValueError("initial state dimension does not match circuit width")
         amps = state.amplitudes.reshape(dim, 1).copy()
-        _evolve(program, amps, None if xs is None else xs[None])
-        return Statevector(amps[:, 0])
+        _evolve(program, amps, None if xs is None else xs[None], 0, len(program.pairs))
+        return Statevector(_readout(program, amps)[:, 0])
     if init is not None:
         raise ValueError("a batch starts from basis states: pass start, not init")
     if xs is not None and xs.ndim != 2:
@@ -439,17 +471,18 @@ def run(
         raise ValueError(f"{len(xs)} points but {len(starts)} start indices")
     if len(starts) and (starts.min() < 0 or starts.max() >= dim):
         raise ValueError(f"start indices must lie in [0, {dim})")
-    amps = np.zeros((dim, len(starts)), dtype=complex)
-    amps[starts, np.arange(len(starts))] = 1.0
-    _evolve(program, amps, xs)
-    return amps.T
+    amps = program.prefix_states(starts)
+    _evolve(program, amps, xs, program.prefix, len(program.pairs))
+    return _readout(program, amps).T
 
 
-def _evolve(program: GateProgram, amps: np.ndarray, xs: Optional[np.ndarray]) -> None:
-    """Apply the program in place to the (2**width, N) amplitudes, column n
-    with the encoding angles of point xs[n]; check each column's norm."""
+def _evolve(
+    program: GateProgram, amps: np.ndarray, xs: Optional[np.ndarray], lo: int, hi: int
+) -> None:
+    """Apply ops lo..hi-1 of the program in place to the (2**width, N)
+    amplitudes, column n with the encoding angles of point xs[n]."""
     n = amps.shape[1]
-    mats = program.op_matrices(xs) if program.slots else None
+    mats = program.op_matrices(xs) if hi > program.prefix else None
     if n == 1:
         # one point: the state drops its batch axis, so numpy takes its fast
         # 1-D fancy-index path, and each op's matrix, shared or bound at the
@@ -457,26 +490,35 @@ def _evolve(program: GateProgram, amps: np.ndarray, xs: Optional[np.ndarray]) ->
         state, matrices = amps[:, 0], program.heads.copy()
         if mats is not None:
             matrices[program.slotted] = mats[:, 0]
-        for pair, m in zip(program.pairs, matrices):
+        for pair, m in zip(program.pairs[lo:hi], matrices[lo:hi]):
             state[pair] = m @ state[pair]
     else:
         bound = {} if mats is None else dict(zip(program.slotted.tolist(), mats))
-        for k, (pair, head) in enumerate(zip(program.pairs, program.heads)):
+        for k, pair in enumerate(program.pairs[lo:hi], lo):
             a = amps[pair]
             if k not in bound:  # one matrix for all N points
-                amps[pair] = (head @ a.reshape(2, -1)).reshape(a.shape)
+                amps[pair] = (program.heads[k] @ a.reshape(2, -1)).reshape(a.shape)
             else:  # point n's matrix on its (2, pairs) slice
                 amps[pair] = (bound[k] @ a.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+def _readout(program: GateProgram, amps: np.ndarray) -> np.ndarray:
+    """The true final amplitudes of an evolved (2**width, N) array: gathered
+    by ``perm``, each column's norm checked."""
     if program.perm is not None:  # the X runs, applied as one relabelling
-        amps[:] = amps[program.perm]
+        amps = amps[program.perm]
     norms = np.linalg.norm(amps, axis=0)
     if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
         bad = norms[~(np.abs(norms - 1.0) <= 1e-10)]
         raise RuntimeError(f"simulation lost unitarity: norm {bad[0]}")
+    return amps
 
 
 # Bytes of state one batch run holds; larger batches run in chunks of points.
 BATCH_BYTES = 1 << 19
+# Bytes of prefix states one program stores: every start of the d=3, K=4
+# Taylor series block (64 states of 2**13 amplitudes).
+PREFIX_BYTES = 1 << 23
 
 
 def expectation_z0(s: Statevector | np.ndarray) -> float | np.ndarray:
@@ -710,8 +752,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     dim = 2**c.width
     u = np.eye(dim, dtype=complex)
     for g in c.gates:
-        cols = [_apply_gate(u[:, j].copy(), g, c.width) for j in range(dim)]
-        u = np.stack(cols, axis=1)
+        u = _apply_gate(u, g, c.width)
     return u
 
 

@@ -211,6 +211,21 @@ def test_report_rejects_nonpositive_tolerances_and_negative_order(capsys, key, a
     assert len(lines) == 1 and f"config key {key!r}" in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize("s, code", [("0", 2), ("2", 2), ("1", 0)])
+def test_report_taylor_takes_only_the_certified_order(capsys, s, code):
+    # halfsine certifies beta = 2, so its Taylor order is s = 1
+    got, out, err = run_cli(capsys, "report", "--experiment", "taylor", "--target", "halfsine",
+                            "--K", "2", "--s", s)
+    assert got == code
+    if code == 2:
+        lines = err.strip().splitlines()
+        message = json.loads(lines[0])["error"]
+        assert len(lines) == 1 and out == ""
+        assert f"config key 's' is {s}" in message and "s=1" in message
+    else:
+        assert json.loads(out)["params"]["s"] == 1
+
+
 def test_package_runs_without_scipy():
     # with sys.modules["scipy"] = None any scipy import raises ImportError,
     # so a lazy import inside a report cannot bring the load back

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqcapprox import circuits as C
 from pqcapprox import sim as S
+from pqcapprox import targets
 
 
 def random_circuit(rng, width, n_gates, mcu=False):
@@ -334,6 +337,117 @@ def test_batch_rejects_bad_start_indices():
         S.run(prog, x=np.zeros((3, 1)), start=np.array([0, 1]))
     with pytest.raises(ValueError):
         S.run(prog, init=S.Statevector.zero(2), start=np.array([0]))
+
+
+# ---------------------------------------------------------------------------
+# Stored prefix states
+# ---------------------------------------------------------------------------
+
+
+def unstored_run(prog, xs, starts):
+    """The final amplitudes of a batch run of every op from op 0, with no
+    stored prefix state."""
+    amps = np.zeros((2**prog.width, len(starts)), dtype=complex)
+    amps[starts, np.arange(len(starts))] = 1.0
+    S._evolve(prog, amps, xs, 0, len(prog.pairs))
+    return S._readout(prog, amps).T
+
+
+@pytest.fixture(scope="module")
+def series_block():
+    """The d=2, K=4, s=1 Taylor series block, the start index of each of its
+    16 cells, one point per cell in the input range of its slots, and the
+    same point repeated for the dense oracle."""
+    table = C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1)
+    bc = C.build_taylor_series_pqc(table, (0, 0))
+    starts = C.series_start(table, np.array(list(itertools.product(range(4), repeat=2))))
+    xs = np.random.default_rng(5).uniform(0.0, 0.25, (16, 2))
+    return bc, starts, xs, np.tile([0.1, 0.2], (16, 1))
+
+
+def series_program(bc):
+    return S.GateProgram(S.hadamard_test_circuit(bc.circuit, bc.prep, "real"))
+
+
+def test_stored_prefix_gives_the_unstored_values_at_every_start(series_block):
+    bc, starts, xs, x0 = series_block
+    psi = S.circuit_unitary(bc.prep)[:, starts]  # the ancilla is qubit 0, in |0>
+    dense = np.einsum("in,ij,jn->n", psi.conj(), S.circuit_unitary(bc.circuit.bound(x0[0])), psi)
+    assert np.max(np.abs(dense.imag)) <= 1e-12
+    # one program fills its store from single points, the other from a batch
+    for singles_first in (True, False):
+        prog = series_program(bc)
+        assert (prog.prefix, len(prog.pairs)) == (37, 59)
+        for x in (xs, x0):
+            want = S.expectation_z0(unstored_run(prog, x, starts))
+            want_single = [S.expectation_z0(unstored_run(prog, x[[n]], starts[[n]]))[0]
+                           for n in range(16)]
+            for _ in range(2):
+                if singles_first:
+                    single = [S.expectation_z0(S.run(prog, x=x[[n]], start=starts[[n]]))[0]
+                              for n in range(16)]
+                batch = S.expectation_z0(S.run(prog, x=x, start=starts))
+                if not singles_first:
+                    single = [S.expectation_z0(S.run(prog, x=x[[n]], start=starts[[n]]))[0]
+                              for n in range(16)]
+                assert np.array_equal(batch, want)
+                assert np.array_equal(single, want_single)
+        assert sorted(prog.stored) == sorted(starts.tolist())
+        assert np.max(np.abs(batch - dense.real)) <= 1e-10
+        assert np.max(np.abs(np.array(single) - dense.real)) <= 1e-10
+
+
+def test_program_without_slots_stores_its_whole_run():
+    circ = S.Circuit(3, (S.h(0), S.cnot(0, 1), S.ry(2, 0.3), S.xg(1),
+                         S.Gate("MCU", (2,), (0, 1), angle=0.7, sub="Rx")))
+    prog = S.GateProgram(circ)
+    assert prog.prefix == len(prog.pairs) == 3 and prog.perm is not None
+    starts = np.array([5, 0, 5, 3])
+    want = S.circuit_unitary(circ)[:, starts].T
+    first = S.run(prog, start=starts)
+    assert np.max(np.abs(first - want)) <= 1e-14
+    assert sorted(prog.stored) == [0, 3, 5]
+    # the stored states are those before the perm gather
+    assert not np.array_equal(prog.stored[5], want[0])
+    assert np.array_equal(S.run(prog, start=starts), first)
+
+
+def test_program_with_a_slotted_first_op_has_an_empty_prefix():
+    circ = S.Circuit(2, (S.encoding_gate(0, S.EncodingSlot(0, "acos", 0.1)), S.h(1),
+                         S.cnot(0, 1), S.rz(1, 0.4)))
+    prog = S.GateProgram(circ)
+    assert prog.prefix == 0
+    xs, starts = np.array([[0.3], [-0.5], [0.7]]), np.array([2, 1, 2])
+    got = S.run(prog, x=xs, start=starts)
+    assert np.array_equal(got, unstored_run(prog, xs, starts))
+    for x, s, amps in zip(xs, starts, got):
+        assert np.max(np.abs(amps - S.circuit_unitary(circ.bound(x))[:, s])) <= 1e-14
+    assert sorted(prog.stored) == [1, 2]
+
+
+def test_init_and_single_point_runs_leave_the_store_alone(series_block):
+    bc, starts, xs, _ = series_block
+    prog = series_program(bc)
+    init = basis_state(prog.width, int(starts[5]))
+    got = S.run(prog, init=init, x=xs[5]).amplitudes
+    assert np.array_equal(got, unstored_run(prog, xs[[5]], starts[[5]])[0])
+    assert np.array_equal(S.run(prog, x=xs[5]).amplitudes, unstored_run(prog, xs[[5]], [0])[0])
+    assert prog.stored == {}
+
+
+@pytest.mark.parametrize("states", [0, 3])
+def test_prefix_store_stops_at_its_byte_cap(monkeypatch, series_block, states):
+    bc, starts, xs, _ = series_block
+    prog = series_program(bc)
+    monkeypatch.setattr(S, "PREFIX_BYTES", states * 16 * 2**prog.width)
+    for _ in range(2):
+        got = S.run(prog, x=xs, start=starts)
+        assert np.array_equal(got, unstored_run(prog, xs, starts))
+        assert len(prog.stored) == states
+        for n in range(16):
+            single = S.run(prog, x=xs[[n]], start=starts[[n]])
+            assert np.array_equal(single, unstored_run(prog, xs[[n]], starts[[n]]))
+    assert len(prog.stored) == states
 
 
 # ---------------------------------------------------------------------------
