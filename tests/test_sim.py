@@ -369,32 +369,36 @@ def series_program(bc):
     return S.GateProgram(S.hadamard_test_circuit(bc.circuit, bc.prep, "real"))
 
 
+def stored_run(prog, xs, starts):
+    return S.run(prog, x=xs, start=starts)
+
+
+def batch_values(run, prog, xs, starts):
+    return S.expectation_z0(run(prog, xs, starts))
+
+
+def single_values(run, prog, xs, starts):
+    return np.concatenate([batch_values(run, prog, xs[[n]], starts[[n]])
+                           for n in range(len(starts))])
+
+
 def test_stored_prefix_gives_the_unstored_values_at_every_start(series_block):
     bc, starts, xs, x0 = series_block
     psi = S.circuit_unitary(bc.prep)[:, starts]  # the ancilla is qubit 0, in |0>
     dense = np.einsum("in,ij,jn->n", psi.conj(), S.circuit_unitary(bc.circuit.bound(x0[0])), psi)
     assert np.max(np.abs(dense.imag)) <= 1e-12
     # one program fills its store from single points, the other from a batch
-    for singles_first in (True, False):
+    for order in ((single_values, batch_values), (batch_values, single_values)):
         prog = series_program(bc)
         assert (prog.prefix, len(prog.pairs)) == (37, 59)
         for x in (xs, x0):
-            want = S.expectation_z0(unstored_run(prog, x, starts))
-            want_single = [S.expectation_z0(unstored_run(prog, x[[n]], starts[[n]]))[0]
-                           for n in range(16)]
-            for _ in range(2):
-                if singles_first:
-                    single = [S.expectation_z0(S.run(prog, x=x[[n]], start=starts[[n]]))[0]
-                              for n in range(16)]
-                batch = S.expectation_z0(S.run(prog, x=x, start=starts))
-                if not singles_first:
-                    single = [S.expectation_z0(S.run(prog, x=x[[n]], start=starts[[n]]))[0]
-                              for n in range(16)]
-                assert np.array_equal(batch, want)
-                assert np.array_equal(single, want_single)
+            for _ in range(2):  # the second pass runs from stored states only
+                for values in order:
+                    got = values(stored_run, prog, x, starts)
+                    assert np.array_equal(got, values(unstored_run, prog, x, starts))
         assert sorted(prog.stored) == sorted(starts.tolist())
-        assert np.max(np.abs(batch - dense.real)) <= 1e-10
-        assert np.max(np.abs(np.array(single) - dense.real)) <= 1e-10
+        for values in order:
+            assert np.max(np.abs(values(stored_run, prog, x0, starts) - dense.real)) <= 1e-10
 
 
 def test_program_without_slots_stores_its_whole_run():
