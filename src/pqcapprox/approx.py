@@ -169,10 +169,6 @@ class FnnComparison:
     def log10_param_ratio(self) -> float:
         return self.log10_pqc_params - self.log10_fnn_params
 
-    @property
-    def param_ratio(self) -> float:
-        return 10.0**self.log10_param_ratio
-
 
 def fnn_compare(spec: FnnComparisonSpec) -> FnnComparison:
     """Evaluate the closed-form width/depth/parameter magnitudes.

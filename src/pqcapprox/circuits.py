@@ -92,11 +92,8 @@ def evaluate_block(
     """
     xs = None if x is None else np.asarray(x, dtype=float)
     one = start is None and (xs is None or xs.ndim == 1)
-    if one:
-        if xs is None:
-            start = np.zeros(1, dtype=int)
-        else:
-            xs = xs[None]
+    if one and xs is not None:
+        xs = xs[None]
     # the ancilla is qubit 0 and starts in |0>, so a work-register index is
     # also the index of the whole Hadamard-test state
     values = [sim.expectations_z0(p, xs, start) for p in bc.programs]

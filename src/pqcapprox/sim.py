@@ -300,20 +300,29 @@ class GateProgram:
     relabelled pairs, and ``run`` gathers the state by ``perm`` once at the
     end (``perm`` is None where the flips cancel).  Only indices change,
     never a product, so every value is bit-identical to applying the flips
-    as ops.  On the Hadamard tests of the d=2, n=4 Bernstein block and of
-    the d=2, K=4, s=1 Taylor series block this leaves 221 of 431 ops and 59
-    of 263.  ``width`` and ``gates`` are those of the source circuit.
+    as ops.  ``width`` and ``gates`` are those of the source circuit.
+
+    Ops that touch disjoint amplitudes commute, so they run as one layer
+    (``layers``, with each op's index in ``layer_of``): one gather of the
+    layer's pairs, an elementwise 2x2 update and one scatter, with the
+    coefficients of the fixed members taken at compile time and those of
+    the slotted members from ``op_matrices`` in a second sub-apply.
 
     ``prefix`` is the index of the first slotted op (``len(pairs)`` when
     there is none).  The ops before it are fixed, so from a basis start the
     state before op ``prefix`` is one fixed vector: a batch run takes it
     from ``stored``, a dict on the program keyed by start index, and runs
-    only the ops from ``prefix`` on.  A start not stored yet runs the prefix
-    through the same op loop first; it is stored while ``stored`` holds at
-    most PREFIX_BYTES.  The stored states are those of the relabelled indices,
-    before the ``perm`` gather.  The Bernstein block above runs 9 ops
-    before its prefix ends and 212 after it; the Taylor series block, which
-    starts from one of K^d cells, runs 37 before and 22 after.
+    only the layers from ``prefix`` on.  No layer crosses ``prefix``.  A
+    start not stored yet runs the prefix through the same layer loop first;
+    it is stored while ``stored`` holds at most PREFIX_BYTES.  The stored
+    states are those of the relabelled indices, before the ``perm`` gather.
+
+    On the Hadamard test of the d=2, n=4 Bernstein block this leaves 221 of
+    431 ops in 21 layers: 9 before the prefix ends and 12 after it, which
+    make 16 sub-applies per point (212 ops before layering).  The d=2, K=4,
+    s=1 Taylor series block, which starts from one of K^d cells, leaves 59
+    of 263 ops in 11 layers: 6 before the prefix ends and 5 after it, which
+    make 6 sub-applies per point (22 ops before layering).
     """
 
     def __init__(self, c: Circuit):
@@ -396,6 +405,56 @@ class GateProgram:
             ))
         self.prefix = int(self.slotted[0]) if len(self.slotted) else len(self.pairs)
         self.stored: dict[int, np.ndarray] = {}
+        # Each op joins the layer after the last layer that touches any of
+        # its amplitudes, so a layer's members touch disjoint amplitudes and
+        # commute, and overlapping ops keep their order.  The ops before
+        # prefix and those from it on are scheduled apart: no layer crosses
+        # prefix, and layer_at maps the op bounds 0, prefix and len(pairs)
+        # to layer bounds.
+        self.layer_of = np.empty(len(self.pairs), dtype=int)
+        self.layer_at = {0: 0}
+        for lo, hi in ((0, self.prefix), (self.prefix, len(self.pairs))):
+            last = np.full(2**c.width, self.layer_at[lo] - 1)  # per amplitude
+            for k in range(lo, hi):
+                self.layer_of[k] = last[self.pairs[k]].max() + 1
+                last[self.pairs[k]] = self.layer_of[k]
+            self.layer_at[hi] = int(last.max()) + 1
+        # the row of each slotted op's matrix in op_matrices, -1 for a fixed op
+        row = np.full(len(self.pairs), -1)
+        row[self.slotted] = np.arange(len(self.slotted))
+        self.layers = [
+            self._layer(ks[row[ks] < 0], ks[row[ks] >= 0], row)
+            for ks in (np.flatnonzero(self.layer_of == layer)
+                       for layer in range(self.layer_at[len(self.pairs)]))
+        ]
+
+    def _layer(self, fixed: np.ndarray, slotted: np.ndarray, row: np.ndarray) -> tuple:
+        """One layer as two sub-applies, None where it has no such members:
+        the fixed members' concatenated (i0, i1) pairs with the (2, 2, P, 1)
+        coefficients of each pair (one (2, 2, 1, 1) matrix for a single
+        member), and the slotted members' pairs with the row in
+        ``op_matrices`` of each pair's matrix."""
+        fixed_part = slotted_part = None
+        if len(fixed):
+            pair, op = self._joined(fixed)
+            if len(fixed) == 1:
+                coef = self.heads[fixed[0]][:, :, None, None]
+            else:
+                coef = np.ascontiguousarray(self.heads[op].transpose(1, 2, 0)[..., None])
+            fixed_part = (pair, coef)
+        if len(slotted):
+            pair, op = self._joined(slotted)
+            slotted_part = (pair, row[op])
+        return fixed_part, slotted_part
+
+    def _joined(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The concatenated pairs of ops ks and the op of each pair.  Each
+        op's ``pairs`` entry becomes a view of them, so one copy is kept."""
+        sizes = [self.pairs[k].shape[1] for k in ks]
+        joined = np.concatenate([self.pairs[k] for k in ks], axis=1)
+        for k, end, size in zip(ks, np.cumsum(sizes), sizes):
+            self.pairs[k] = joined[:, end - size:end]
+        return joined, np.repeat(ks, sizes)
 
     def prefix_states(self, starts: np.ndarray) -> np.ndarray:
         """The (2**width, N) states before op ``prefix`` from the basis
@@ -480,26 +539,30 @@ def _evolve(
     program: GateProgram, amps: np.ndarray, xs: Optional[np.ndarray], lo: int, hi: int
 ) -> None:
     """Apply ops lo..hi-1 of the program in place to the (2**width, N)
-    amplitudes, column n with the encoding angles of point xs[n]."""
-    n = amps.shape[1]
-    mats = program.op_matrices(xs) if hi > program.prefix else None
-    if n == 1:
-        # one point: the state drops its batch axis, so numpy takes its fast
-        # 1-D fancy-index path, and each op's matrix, shared or bound at the
-        # point, applies to a plain (2, pairs) slice
-        state, matrices = amps[:, 0], program.heads.copy()
-        if mats is not None:
-            matrices[program.slotted] = mats[:, 0]
-        for pair, m in zip(program.pairs[lo:hi], matrices[lo:hi]):
-            state[pair] = m @ state[pair]
-    else:
-        bound = {} if mats is None else dict(zip(program.slotted.tolist(), mats))
-        for k, pair in enumerate(program.pairs[lo:hi], lo):
-            a = amps[pair]
-            if k not in bound:  # one matrix for all N points
-                amps[pair] = (program.heads[k] @ a.reshape(2, -1)).reshape(a.shape)
-            else:  # point n's matrix on its (2, pairs) slice
-                amps[pair] = (bound[k] @ a.transpose(2, 0, 1)).transpose(1, 2, 0)
+    amplitudes, column n with the encoding angles of point xs[n], one layer
+    at a time.  lo and hi are op bounds that end a layer: 0, ``prefix`` or
+    ``len(pairs)``."""
+    # one point: the state and the coefficients drop their batch axis, so
+    # numpy takes its fast 1-D fancy-index path
+    tail = 0 if amps.shape[1] == 1 else slice(None)
+    state = amps[:, tail]
+    if hi > program.prefix:  # (2, 2, len(slotted), N), entry by entry
+        mats = program.op_matrices(xs).transpose(2, 3, 0, 1)[..., tail]
+    for fixed, slotted in program.layers[program.layer_at[lo]:program.layer_at[hi]]:
+        if fixed is not None:
+            _apply(state, fixed[0], fixed[1][..., tail])
+        if slotted is not None:
+            _apply(state, slotted[0], mats[:, :, slotted[1]])
+
+
+def _apply(state: np.ndarray, pair: np.ndarray, coef: np.ndarray) -> None:
+    """a0' = c00 a0 + c01 a1 and a1' = c10 a0 + c11 a1 at every amplitude
+    pair (a0, a1) = state[pair], elementwise with the coefficients
+    coef[:, :, p] of pair p."""
+    a = state[pair]
+    out = coef[:, 0] * a[0]
+    out += coef[:, 1] * a[1]  # in place: one temporary of a's size fewer
+    state[pair] = out
 
 
 def _readout(program: GateProgram, amps: np.ndarray) -> np.ndarray:
@@ -538,10 +601,13 @@ def expectations_z0(
 ) -> np.ndarray:
     """expectation_z0 of each final state of a batch run (see run).
 
-    The batch runs in chunks of points whose states fit in BATCH_BYTES.
+    With neither x nor start it is a batch of one from |0..0>.  The batch
+    runs in chunks of points whose states fit in BATCH_BYTES.
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
     x = None if x is None else np.asarray(x, dtype=float)
+    if x is None and start is None:
+        start = np.zeros(1, dtype=int)
     n = len(x) if x is not None else len(start)
     rows = max(1, BATCH_BYTES // (np.dtype(complex).itemsize * 2**program.width))
     out = np.empty(n)

@@ -173,7 +173,7 @@ def test_fnn_compare_ratio_consistency():
     spec = A.FnnComparisonSpec(6, 3, 0.1, 0.5)
     comp = A.fnn_compare(spec)
     direct = 10.0 ** (comp.log10_pqc_params - comp.log10_fnn_params)
-    assert comp.param_ratio == pytest.approx(direct, rel=1e-12)
+    assert 10.0 ** comp.log10_param_ratio == pytest.approx(direct, rel=1e-12)
 
 
 def test_fnn_compare_monotone_in_d():

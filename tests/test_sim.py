@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqcapprox import circuits as C
+from pqcapprox import poly as P
 from pqcapprox import sim as S
 from pqcapprox import targets
 
@@ -452,6 +453,107 @@ def test_prefix_store_stops_at_its_byte_cap(monkeypatch, series_block, states):
             single = S.run(prog, x=xs[[n]], start=starts[[n]])
             assert np.array_equal(single, unstored_run(prog, xs[[n]], starts[[n]]))
     assert len(prog.stored) == states
+
+
+# ---------------------------------------------------------------------------
+# Layer schedule
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bernstein_block():
+    """The d=2, n=4 Bernstein block of abs_centered."""
+    f = targets.abs_centered(2)
+    return f, C.build_bernstein_pqc(f, 4)
+
+
+def check_schedule(prog):
+    """Every op in exactly one layer, disjoint members, overlapping ops in
+    program order, and no layer across prefix; returns the members."""
+    members = [[k for k in range(len(prog.pairs)) if prog.layer_of[k] == layer]
+               for layer in range(len(prog.layers))]
+    assert len(prog.layer_of) == len(prog.pairs)
+    assert all(members)
+    for ks, (fixed, slotted) in zip(members, prog.layers):
+        want = np.sort(np.concatenate([prog.pairs[k] for k in ks], axis=1), axis=None)
+        applied = [part[0] for part in (fixed, slotted) if part is not None]
+        got = np.concatenate(applied, axis=1)
+        assert np.array_equal(np.sort(got, axis=None), want)
+        assert len(np.unique(want)) == want.size  # pairwise disjoint amplitudes
+        assert (slotted is not None) == any(k in prog.slotted for k in ks)
+    touched = [set(pair.ravel().tolist()) for pair in prog.pairs]
+    for i, j in itertools.combinations(range(len(prog.pairs)), 2):
+        if touched[i] & touched[j]:
+            assert prog.layer_of[i] < prog.layer_of[j]
+    cut = prog.layer_at[prog.prefix]
+    assert all(prog.layer_of[:prog.prefix] < cut) and all(prog.layer_of[prog.prefix:] >= cut)
+    assert prog.layer_at[0] == 0 and prog.layer_at[len(prog.pairs)] == len(prog.layers)
+    return members
+
+
+def applies_after_prefix(prog):
+    """Sub-applies a batch run makes from its stored prefix states."""
+    return sum((fixed is not None) + (slotted is not None)
+               for fixed, slotted in prog.layers[prog.layer_at[prog.prefix]:])
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_schedule_of_random_programs(seed):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 5))
+    circ, _ = flipping_circuit(rng, width, 8)
+    check_schedule(S.GateProgram(circ))
+    check_schedule(S.GateProgram(random_slotted_circuit(rng, width, 6)))
+
+
+def dense_columns(circ, x, starts):
+    """Columns ``starts`` of circuit_unitary(circ.bound(x)), by its reference
+    kernel on those columns alone."""
+    amps = np.zeros((2**circ.width, len(starts)), dtype=complex)
+    amps[starts, np.arange(len(starts))] = 1.0
+    for g in circ.bound(x).gates:
+        amps = S._apply_gate(amps, g, circ.width)
+    return amps.T
+
+
+@pytest.mark.parametrize("block", ["bernstein", "series"])
+def test_layered_blocks_match_the_dense_oracle(block, bernstein_block, series_block):
+    if block == "bernstein":
+        bc = bernstein_block[1]
+        xs = np.random.default_rng(7).uniform(0.0, 1.0, (4, 2))
+        starts, max_applies = np.zeros(4, dtype=int), 16
+    else:
+        bc, starts, xs, _ = series_block
+        xs, starts, max_applies = xs[:4], starts[:4], 6
+    circ = S.hadamard_test_circuit(bc.circuit, bc.prep, "real")
+    prog = S.GateProgram(circ)
+    check_schedule(prog)
+    assert applies_after_prefix(prog) <= max_applies
+    batch = S.run(prog, x=xs, start=starts)
+    for n, (x, s) in enumerate(zip(xs, starts)):
+        want = dense_columns(circ, x, [s])[0]
+        single = S.run(prog, init=basis_state(prog.width, s), x=x).amplitudes
+        assert np.max(np.abs(single - want)) <= 1e-12
+        assert np.max(np.abs(batch[n] - want)) <= 1e-12
+        assert np.array_equal(S.run(prog, x=xs[[n]], start=starts[[n]])[0], batch[n])
+        assert np.array_equal(single, batch[n])
+
+
+def test_layered_bernstein_batch_matches_the_classical_sum(bernstein_block):
+    f, bc = bernstein_block
+    xs = np.random.default_rng(8).uniform(0.0, 1.0, (64, 2))
+    got = C.evaluate_block(bc, xs)
+    want = np.array([P.bernstein_eval(f, 4, x) for x in xs])
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_expectations_without_points_or_starts_run_from_zero():
+    circ = S.Circuit(2, (S.h(0), S.ry(1, 0.4), S.cnot(1, 0)))
+    want = S.expectation_z0(S.run(circ))
+    for c in (circ, S.GateProgram(circ)):
+        got = S.expectations_z0(c)
+        assert got.shape == (1,) and got[0] == want
 
 
 # ---------------------------------------------------------------------------
