@@ -434,27 +434,22 @@ class GateProgram:
         coefficients of each pair (one (2, 2, 1, 1) matrix for a single
         member), and the slotted members' pairs with the row in
         ``op_matrices`` of each pair's matrix."""
+        def joined(ks):  # the members' pairs, and the op of each pair
+            return (np.concatenate([self.pairs[k] for k in ks], axis=1),
+                    np.repeat(ks, [self.pairs[k].shape[1] for k in ks]))
+
         fixed_part = slotted_part = None
         if len(fixed):
-            pair, op = self._joined(fixed)
+            pair, op = joined(fixed)
             if len(fixed) == 1:
                 coef = self.heads[fixed[0]][:, :, None, None]
             else:
                 coef = np.ascontiguousarray(self.heads[op].transpose(1, 2, 0)[..., None])
             fixed_part = (pair, coef)
         if len(slotted):
-            pair, op = self._joined(slotted)
+            pair, op = joined(slotted)
             slotted_part = (pair, row[op])
         return fixed_part, slotted_part
-
-    def _joined(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The concatenated pairs of ops ks and the op of each pair.  Each
-        op's ``pairs`` entry becomes a view of them, so one copy is kept."""
-        sizes = [self.pairs[k].shape[1] for k in ks]
-        joined = np.concatenate([self.pairs[k] for k in ks], axis=1)
-        for k, end, size in zip(ks, np.cumsum(sizes), sizes):
-            self.pairs[k] = joined[:, end - size:end]
-        return joined, np.repeat(ks, sizes)
 
     def prefix_states(self, starts: np.ndarray) -> np.ndarray:
         """The (2**width, N) states before op ``prefix`` from the basis

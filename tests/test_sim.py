@@ -469,7 +469,7 @@ def bernstein_block():
 
 def check_schedule(prog):
     """Every op in exactly one layer, disjoint members, overlapping ops in
-    program order, and no layer across prefix; returns the members."""
+    program order, and no layer across prefix."""
     members = [[k for k in range(len(prog.pairs)) if prog.layer_of[k] == layer]
                for layer in range(len(prog.layers))]
     assert len(prog.layer_of) == len(prog.pairs)
@@ -488,7 +488,6 @@ def check_schedule(prog):
     cut = prog.layer_at[prog.prefix]
     assert all(prog.layer_of[:prog.prefix] < cut) and all(prog.layer_of[prog.prefix:] >= cut)
     assert prog.layer_at[0] == 0 and prog.layer_at[len(prog.pairs)] == len(prog.layers)
-    return members
 
 
 def applies_after_prefix(prog):
