@@ -47,7 +47,6 @@ from .poly import (
     lipschitz_bernstein_bound,
     localization_poly,
     parity_split,
-    sign_approx_poly,
     taylor_expand,
     thm_bounds,
 )
@@ -56,19 +55,14 @@ from .qsp import (
     QspSynthesisError,
     TrigQspParams,
     qsp_synthesize,
-    qsp_synthesize_completion,
-    qsp_unitary,
-    trig_qsp_unitary,
 )
 from .sim import (
     Circuit,
     Gate,
     GateProgram,
     ResourceCount,
-    Statevector,
     decompose_mcu,
     expectation_z0,
-    hadamard_test,
     resource_count,
     run,
     sample_shots,

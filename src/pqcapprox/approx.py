@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .poly import LocalizationSpec, TargetFunctionSpec
+from .poly import LocalizationSpec, TargetFunctionSpec, _physical_memory_bytes
 from .sim import ResourceCount
 
 _DEFAULT_POINTS = {1: 101, 2: 41, 3: 15}
@@ -33,6 +33,17 @@ class GridSpec:
         if self.points_per_axis == 0:
             object.__setattr__(
                 self, "points_per_axis", _DEFAULT_POINTS.get(self.dims, 11)
+            )
+        # meshing holds two float arrays of (points, dims): the meshgrid
+        # copies and their stack
+        count = self.points_per_axis**self.dims
+        need = 2.0 * count * self.dims * np.dtype(float).itemsize
+        have = _physical_memory_bytes()
+        if need > have:
+            raise ValueError(
+                f"a grid of {count} points ({self.points_per_axis}^{self.dims}) needs"
+                f" {need / 2**30:.1f} GiB to mesh, more than the {have / 2**30:.1f} GiB"
+                " of physical memory; lower points_per_axis or d"
             )
 
     def _band_spec(self) -> LocalizationSpec:

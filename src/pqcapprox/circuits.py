@@ -57,8 +57,11 @@ class BlockCircuit:
     tol: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rescale < 1.0 - 1e-12:
-            raise ValueError("rescale must be >= 1")
+        # written as "not >=" so that a NaN is rejected too
+        if not (math.isfinite(self.rescale) and self.rescale >= 1.0 - 1e-12):
+            raise ValueError(f"rescale must be finite and >= 1, got {self.rescale}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         if self.circuit.width != self.prep.width:
             raise ValueError("circuit and prep widths differ")
 

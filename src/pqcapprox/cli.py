@@ -73,12 +73,14 @@ class ExperimentConfig:
             if value < 1:
                 raise ValueError(f"config key {name!r} must be at least 1, got {value}")
         # written as "not >" so that a NaN is rejected too
-        for name in ("eps", "delta"):
+        for name in ("eps", "delta", "tol"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"config key {name!r} must be positive, got {value}")
         if self.s is not None and self.s < 0:
             raise ValueError(f"config key 's' must be at least 0, got {self.s}")
+        if self.shots < 0:
+            raise ValueError(f"config key 'shots' must be at least 0, got {self.shots}")
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.shots > 0 and self.seed is None:

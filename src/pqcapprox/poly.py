@@ -656,21 +656,6 @@ def _screen_start(
     return top if run_start is None else run_start
 
 
-def sign_approx_poly(delta: float, eps: float) -> ParityPolynomial:
-    """Odd polynomial P with |P| <= 1 on [-1,1] and |sgn(x) - P(x)| <= eps
-    for |x| >= delta/2, at the smallest verified Chebyshev-truncation degree.
-
-    Raises ConstructionError if no truncation passes the dense-grid checks.
-    """
-    coef = _sign_cheb_series(delta, eps, R=1.0)
-    return ParityPolynomial(Polynomial(tuple(coef), "chebyshev"), 1)
-
-
-def sign_degree_constant(delta: float, eps: float, degree: int) -> float:
-    """Implied constant C in degree <= C * (1/delta) * ln(1/eps)."""
-    return degree * delta / math.log(1.0 / eps)
-
-
 @dataclass(frozen=True)
 class _StepApproximant:
     """Smoothed step 1/2 + erf(kappa u)/2 truncated to a Chebyshev series.

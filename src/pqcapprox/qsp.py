@@ -16,8 +16,8 @@ X-basis synthesis solves for symmetric angles by Newton iteration on the
 Chebyshev coefficients of the realized block value, warm-started from an
 exact zero-block seed and continued in target scale; this stays reliable
 into the high hundreds of layers, where the localization polynomials live.
-An independent completion backend (spectral factorization of 1 - p^2 by
-root pairing, then layer stripping) cross-checks low degrees.
+The dense layer-by-layer unitaries and an independent completion
+synthesizer that check this module live with the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -29,13 +29,10 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _np_poly
 
 from .poly import ParityPolynomial, _cheb_coeffs, _cheb_values, chebyshev_grid
 
 logger = logging.getLogger(__name__)
-
-_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
 
 class QspSynthesisError(RuntimeError):
@@ -70,32 +67,6 @@ class TrigQspParams:
 # ---------------------------------------------------------------------------
 # X-basis circuit evaluation
 # ---------------------------------------------------------------------------
-
-
-def _rz(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]], dtype=complex
-    )
-
-
-def _encoding(x: float) -> np.ndarray:
-    s = math.sqrt(max(0.0, 1.0 - x * x))
-    return np.array([[x, 1j * s], [1j * s, x]], dtype=complex)
-
-
-def qsp_unitary(a: QspAngleSequence, x: float) -> np.ndarray:
-    """The 2x2 unitary R_Z(t0) * prod_j [S(x) R_Z(tj)] at input x.
-
-    Dense and layer by layer: the reference that qsp_block_values is tested
-    against.
-    """
-    if not -1.0 <= x <= 1.0:
-        raise ValueError(f"encoding input {x} outside [-1, 1]")
-    u = _rz(a.angles[0])
-    s = _encoding(x)
-    for theta in a.angles[1:]:
-        u = u @ s @ _rz(theta)
-    return u
 
 
 def qsp_block_values(angles: Sequence[float], xs: np.ndarray) -> np.ndarray:
@@ -403,171 +374,8 @@ def _verified(thetas: np.ndarray, p: ParityPolynomial, tol: float, norm: float) 
 
 
 # ---------------------------------------------------------------------------
-# Completion backend: spectral factorization + layer stripping
-# ---------------------------------------------------------------------------
-
-
-def qsp_synthesize_completion(p: ParityPolynomial, tol: float = 1e-7) -> QspAngleSequence:
-    """Independent synthesis by completing p to a full unitary.
-
-    Writes 1 - p(x)^2 = A(x)^2 + (1-x^2) B(x)^2 by pairing the roots of its
-    Laurent lift (Fejer-Riesz factorization), sets P = p + iA, Q = iB, and
-    strips layers from the top degree.  Reliable for degree up to ~16 in
-    double precision; used as a test oracle against the Newton backend.
-    """
-    pw = p.base.to_power()
-    L = p.degree
-    if L == 0:
-        c = float(np.clip(pw.coeffs[0], -1.0, 1.0))
-        return QspAngleSequence((2.0 * math.acos(c),), residual=0.0)
-    pc = np.zeros(L + 1)
-    pc[: len(pw.coeffs)] = pw.coeffs
-
-    r_power = -_np_poly.polymul(pc, pc)
-    r_power[0] += 1.0  # 1 - p^2
-    r_cheb = _cheb.poly2cheb(r_power)
-
-    # Laurent lift H(z) = z^{2L} * R((z + 1/z)/2); coefficients from the
-    # Chebyshev expansion of R: T_k contributes (z^k + z^-k)/2
-    h = np.zeros(4 * L + 1)
-    h[2 * L] = r_cheb[0]
-    for k in range(1, len(r_cheb)):
-        h[2 * L + k] += r_cheb[k] / 2.0
-        h[2 * L - k] += r_cheb[k] / 2.0
-    roots = _np_poly.polyroots(h)
-    inside = list(roots[np.abs(roots) < 1.0 - 1e-7])
-    on_circle = roots[np.abs(np.abs(roots) - 1.0) <= 1e-7]
-    # |p| = 1 at isolated points puts even-multiplicity roots on the circle;
-    # take half of each cluster at its centroid.  Clusters are found by
-    # distance on the circle, not by np.angle order: a double root at z = -1
-    # can come back as a conjugate pair split across the +-pi branch cut.
-    # Conjugate clusters have conjugate centroids, so the selection stays
-    # conjugate-closed (raw members of a split pair would not be).
-    if len(on_circle) % 2 != 0:
-        raise QspSynthesisError("odd number of unit-circle roots", np.inf)
-    remaining = on_circle
-    while len(remaining):
-        near = np.abs(np.angle(remaining / remaining[0])) < 1e-5
-        cluster = remaining[near]
-        remaining = remaining[~near]
-        if len(cluster) % 2 != 0:
-            raise QspSynthesisError("unpaired unit-circle root cluster", np.inf)
-        inside.extend([np.mean(cluster)] * (len(cluster) // 2))
-    inside = np.asarray(inside)
-    if len(inside) != 2 * L:
-        raise QspSynthesisError(
-            f"root pairing failed: {len(inside)} roots selected for degree {L}", np.inf
-        )
-    g = _np_poly.polyfromroots(inside)
-    # normalize |G|^2 = H / z^{2L} on the unit circle
-    zs = np.exp(1j * np.linspace(0.3, 2 * np.pi + 0.3, 37)[:-1])
-    f_vals = _np_poly.polyval(zs, h) / zs ** (2 * L)
-    g_vals = _np_poly.polyval(zs, g)
-    ratio = np.real(f_vals) / np.abs(g_vals) ** 2
-    kappa = math.sqrt(float(np.mean(ratio)))
-    # conjugate-closed roots give real coefficients; anything else is a fault
-    imag = float(np.max(np.abs(np.imag(g))))
-    if imag > 1e-9:
-        raise QspSynthesisError("root selection not conjugate-closed", imag)
-    gamma = np.real(g) * kappa
-
-    a_cheb = np.zeros(L + 1)
-    b_u = np.zeros(L)  # coefficients in the second-kind basis U_{k-1}
-    a_cheb[0] = gamma[L]
-    for k in range(1, L + 1):
-        a_cheb[k] = gamma[L + k] + gamma[L - k]
-        b_u[k - 1] = gamma[L + k] - gamma[L - k]
-    a_power = _cheb.cheb2poly(a_cheb) if L > 0 else a_cheb
-    b_power = _second_kind_to_power(b_u)
-
-    big_p = pc.astype(complex) + 1j * np.asarray(a_power, dtype=complex).copy()
-    big_p = _padded(big_p, L + 1)
-    big_q = 1j * _padded(np.asarray(b_power, dtype=complex), L)
-
-    phis = _strip_layers(big_p, big_q, L)
-    thetas = tuple(-2.0 * phi for phi in phis)
-    grid = chebyshev_grid(4 * (L + 1))
-    resid = float(np.max(np.abs(qsp_block_values(thetas, grid) - p(grid))))
-    if resid > tol:
-        raise QspSynthesisError("completion synthesis residual too high", resid)
-    return QspAngleSequence(thetas, residual=resid)
-
-
-def _padded(arr: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=complex)
-    out[: min(len(arr), n)] = arr[:n]
-    return out
-
-
-def _second_kind_to_power(b_u: np.ndarray) -> np.ndarray:
-    """Power coefficients of sum_k b_u[k] * U_k(x)."""
-    if len(b_u) == 0:
-        return np.zeros(1)
-    basis = [np.array([1.0]), np.array([0.0, 2.0])]
-    while len(basis) < len(b_u):
-        nxt = 2.0 * np.concatenate([[0.0], basis[-1]])
-        nxt[: len(basis[-2])] -= basis[-2]
-        basis.append(nxt)
-    out = np.zeros(len(b_u))
-    for k, c in enumerate(b_u):
-        out[: k + 1] += c * basis[k][: k + 1]
-    return out
-
-
-def _strip_layers(big_p: np.ndarray, big_q: np.ndarray, L: int) -> list[float]:
-    """Peel angles off (P, Q) from the top layer down."""
-    phis = [0.0] * (L + 1)
-    P, Q = big_p.copy(), big_q.copy()
-    for layer in range(L, 0, -1):
-        lead_p = P[layer]
-        lead_q = Q[layer - 1]
-        if abs(lead_q) < 1e-13 or abs(lead_p) < 1e-13:
-            raise QspSynthesisError(
-                f"degenerate leading coefficients at layer {layer}", np.inf
-            )
-        phi = 0.5 * np.angle(lead_p / lead_q)
-        em, ep = np.exp(-1j * phi), np.exp(1j * phi)
-        # P' = x P e^{-i phi} + (1 - x^2) Q e^{i phi}; Q' = x Q e^{i phi} - P e^{-i phi}
-        newP = np.zeros(layer + 2, dtype=complex)
-        newP[1 : layer + 2] += em * P[: layer + 1]
-        newP[: layer] += ep * Q[:layer]
-        newP[2 : layer + 2] -= ep * Q[:layer]
-        newQ = np.zeros(layer + 1, dtype=complex)
-        newQ[1 : layer + 1] += ep * Q[:layer]
-        newQ[: layer + 1] -= em * P[: layer + 1]
-        P = newP[:layer]
-        Q = newQ[: max(layer - 1, 1)] if layer > 1 else np.zeros(1, dtype=complex)
-        phis[layer] = float(phi)
-    phis[0] = float(np.angle(P[0]))
-    return phis
-
-
-# ---------------------------------------------------------------------------
 # Z-basis (trigonometric) circuits
 # ---------------------------------------------------------------------------
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _z_encoding(x: float) -> np.ndarray:
-    return np.array([[np.exp(0.5j * x), 0.0], [0.0, np.exp(-0.5j * x)]], dtype=complex)
-
-
-def trig_qsp_unitary(params: TrigQspParams, x: float) -> np.ndarray:
-    """R_Z(w) R_Y(t0) R_Z(p0) * prod_j [S(x) R_Y(tj) R_Z(pj)] at input x."""
-    u = _rz(params.omega) @ _ry(params.thetas[0]) @ _rz(params.phis[0])
-    s = _z_encoding(x)
-    for theta, phi in zip(params.thetas[1:], params.phis[1:]):
-        u = u @ s @ _ry(theta) @ _rz(phi)
-    return u
-
-
-def trig_block_values(params: TrigQspParams, xs: np.ndarray) -> np.ndarray:
-    """Zero-state block values <0|U(x)|0> for a batch of inputs."""
-    return np.array([trig_qsp_unitary(params, float(x))[0, 0] for x in xs])
 
 
 def trig_monomial_params(c: complex, n: int) -> TrigQspParams:

@@ -47,6 +47,9 @@ def encoding_angles(xform: str, u: np.ndarray) -> np.ndarray:
             raise ValueError(f"encoding argument {bad[0]} outside [-1, 1]")
         return -2.0 * np.arccos(np.minimum(np.maximum(u, -1.0), 1.0))
     if xform == "zrot":
+        if not np.all(np.isfinite(u)):
+            bad = u[~np.isfinite(u)]
+            raise ValueError(f"encoding argument {bad[0]} is not finite")
         return -u
     raise ValueError(f"unknown encoding xform {xform!r}")
 
@@ -104,10 +107,6 @@ def xg(q: int) -> Gate:
 
 def zg(q: int) -> Gate:
     return Gate("Z", (q,))
-
-
-def rx(q: int, angle: float, trainable: bool = False) -> Gate:
-    return Gate("Rx", (q,), angle=angle, trainable=trainable)
 
 
 def ry(q: int, angle: float, trainable: bool = False) -> Gate:
@@ -187,38 +186,6 @@ class Circuit:
                 )
         return Circuit(self.width, tuple(out), self.label)
 
-    def concat(self, other: "Circuit") -> "Circuit":
-        if other.width != self.width:
-            raise ValueError("cannot concatenate circuits of different widths")
-        return Circuit(self.width, self.gates + other.gates, self.label)
-
-
-@dataclass(frozen=True)
-class Statevector:
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        n = len(amps)
-        if n == 0 or (n & (n - 1)) != 0:
-            raise ValueError("amplitude count must be a power of two")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state norm {norm} deviates from 1")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def zero(cls, width: int) -> "Statevector":
-        if width > MAX_WIDTH:
-            raise ValueError(f"width {width} exceeds the {MAX_WIDTH}-qubit cap")
-        amps = np.zeros(2**width, dtype=complex)
-        amps[0] = 1.0
-        return cls(amps)
-
-    @property
-    def width(self) -> int:
-        return int(len(self.amplitudes)).bit_length() - 1
-
 
 def gate_matrix_1q(kind: str, angle: Optional[float] = None) -> np.ndarray:
     if kind == "H":
@@ -250,37 +217,6 @@ _PAULI_X = gate_matrix_1q("X")
 def _gate_kind(g: Gate) -> str:
     """The single-qubit kind a gate applies to its target."""
     return g.sub if g.kind == "MCU" else ("X" if g.kind == "CNOT" else g.kind)
-
-
-def _apply_gate(amps: np.ndarray, g: Gate, width: int) -> np.ndarray:
-    """Reference kernel: one bound gate on the first axis of amps (a state,
-    or the columns of a matrix), masks rebuilt from scratch.
-
-    Kept independent of ``GateProgram`` so ``circuit_unitary`` can serve as
-    the test oracle for the compiled path.
-    """
-    if g.slot is not None:
-        raise ValueError("cannot simulate a circuit with unbound encoding slots")
-    mat = gate_matrix_1q(_gate_kind(g), g.angle)
-    target = g.targets[0]
-    tbit = 1 << (width - 1 - target)
-    idx = np.arange(2**width)
-    if g.controls:
-        cmask = 0
-        for c in g.controls:
-            cmask |= 1 << (width - 1 - c)
-        sel = (idx & cmask) == cmask
-    else:
-        sel = None
-    lower = (idx & tbit) == 0
-    mask0 = lower if sel is None else (lower & sel)
-    i0 = idx[mask0]
-    i1 = i0 | tbit
-    a0, a1 = amps[i0], amps[i1]
-    amps = amps.copy()
-    amps[i0] = mat[0, 0] * a0 + mat[0, 1] * a1
-    amps[i1] = mat[1, 0] * a0 + mat[1, 1] * a1
-    return amps
 
 
 class GateProgram:
@@ -493,34 +429,26 @@ def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def run(
     c: Circuit | GateProgram,
-    init: Optional[Statevector] = None,
-    x: Optional[Sequence[float] | np.ndarray] = None,
+    x: Optional[np.ndarray] = None,
     start: Optional[np.ndarray] = None,
-) -> Statevector | np.ndarray:
-    """Apply the circuit to one initial state or to a batch of basis states.
+) -> np.ndarray:
+    """The (N, 2**width) final amplitudes of a batch run, one row per point.
 
-    One point: ``x`` of shape (d,), or None for a circuit without encoding
-    slots, runs from ``init`` (default all-zeros) and returns a Statevector.
-    A batch: ``x`` of shape (N, d) and/or ``start``, the N initial
-    basis-state indices (default 0), returns the (N, 2**width) final
-    amplitudes, one row per point; it starts each point from the program's
-    stored state after its fixed prefix.  A plain circuit is compiled first.
+    ``x`` is an (N, d) point array, or None for a circuit without encoding
+    slots, and ``start`` holds the N initial basis-state indices (default
+    0); with neither it is a batch of one from |0..0>.  Each point starts
+    from the program's stored state after its fixed prefix.  A plain
+    circuit is compiled first.
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
     dim = 2**program.width
     xs = None if x is None else np.asarray(x, dtype=float)
-    if start is None and (xs is None or xs.ndim == 1):
-        state = init if init is not None else Statevector.zero(program.width)
-        if len(state.amplitudes) != dim:
-            raise ValueError("initial state dimension does not match circuit width")
-        amps = state.amplitudes.reshape(dim, 1).copy()
-        _evolve(program, amps, None if xs is None else xs[None], 0, len(program.pairs))
-        return Statevector(_readout(program, amps)[:, 0])
-    if init is not None:
-        raise ValueError("a batch starts from basis states: pass start, not init")
     if xs is not None and xs.ndim != 2:
         raise ValueError("a batch takes an (N, d) point array")
-    starts = np.zeros(len(xs), dtype=int) if start is None else np.asarray(start)
+    if start is None:
+        starts = np.zeros(1 if xs is None else len(xs), dtype=int)
+    else:
+        starts = np.asarray(start)
     if xs is not None and len(xs) != len(starts):
         raise ValueError(f"{len(xs)} points but {len(starts)} start indices")
     if len(starts) and (starts.min() < 0 or starts.max() >= dim):
@@ -579,10 +507,9 @@ BATCH_BYTES = 1 << 19
 PREFIX_BYTES = 1 << 23
 
 
-def expectation_z0(s: Statevector | np.ndarray) -> float | np.ndarray:
+def expectation_z0(amps: np.ndarray) -> float | np.ndarray:
     """Expectation of Pauli Z on qubit 0 (the most significant bit), of one
-    state or of each row of an (N, 2**width) amplitude array."""
-    amps = s.amplitudes if isinstance(s, Statevector) else s
+    state's amplitudes or of each row of an (N, 2**width) amplitude array."""
     probs = np.abs(amps) ** 2
     half = probs.shape[-1] // 2
     z = np.sum(probs[..., :half], axis=-1) - np.sum(probs[..., half:], axis=-1)
@@ -636,12 +563,6 @@ def hadamard_test_circuit(u: Circuit, prep: Circuit, part: str = "real") -> Circ
     return Circuit(w, tuple(gates), label=f"hadamard_test[{part}] {u.label}")
 
 
-def hadamard_test(u: Circuit, prep: Circuit, part: str = "real") -> float:
-    """Exact Re (or Im) of <psi|U|psi> with |psi> = prep|0...0>."""
-    circ = hadamard_test_circuit(u, prep, part)
-    return expectation_z0(run(circ))
-
-
 def sample_shots(
     c: Circuit | GateProgram,
     shots: int,
@@ -652,12 +573,12 @@ def sample_shots(
 
     Samples the qubit-0 measurement ``shots`` times with a seeded generator;
     returns (estimate, standard error).  Deterministic for a fixed seed.
-    ``x`` binds the encoding slots, as in ``run``.
+    ``x``, one point of shape (d,), binds the encoding slots.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    state = run(c, x=x)
-    probs = np.abs(state.amplitudes) ** 2
+    state = run(c, x=None if x is None else np.asarray(x, dtype=float)[None])[0]
+    probs = np.abs(state) ** 2
     p_one = float(np.sum(probs[len(probs) // 2 :]))
     rng = np.random.default_rng(seed)
     ones = rng.random(shots) < p_one
@@ -804,17 +725,6 @@ def resource_count(c: Circuit) -> ResourceCount:
         if g.trainable:
             params += 1
     return ResourceCount(c.width, depth, params, len(c.gates))
-
-
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Dense unitary of the circuit; test oracle for width <= 10."""
-    if c.width > 10:
-        raise ValueError("dense unitary restricted to width <= 10")
-    dim = 2**c.width
-    u = np.eye(dim, dtype=complex)
-    for g in c.gates:
-        u = _apply_gate(u, g, c.width)
-    return u
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,18 @@ def test_grid_default_points_per_axis():
     assert A.GridSpec(3).points_per_axis == 15
 
 
+def test_grid_too_large_to_mesh_fails_before_meshing(monkeypatch):
+    # the default 11 points per axis at d = 12 would mesh 11^12 points
+    with pytest.raises(ValueError, match=f"grid of {11**12} points"):
+        A.GridSpec(12)
+    # two (points, dims) float arrays: 2 * 15^3 * 3 * 8 bytes for d = 3
+    monkeypatch.setattr(A, "_physical_memory_bytes", lambda: 2 * 15**3 * 3 * 8 - 1)
+    with pytest.raises(ValueError, match=f"grid of {15**3} points"):
+        A.GridSpec(3)
+    monkeypatch.setattr(A, "_physical_memory_bytes", lambda: 2 * 15**3 * 3 * 8)
+    assert len(A.GridSpec(3).points()) == 15**3
+
+
 def test_grid_band_regions_partition():
     full = A.GridSpec(1, 101)
     union = A.GridSpec(1, 101, region="union_q_eta", K=4, delta=0.05)

@@ -10,6 +10,8 @@ from pqcapprox import qsp as Q
 from pqcapprox import sim as S
 from pqcapprox import targets
 
+from oracles import circuit_unitary, qsp_unitary, trig_qsp_unitary
+
 
 def halfsine():
     return targets.halfsine()
@@ -25,8 +27,8 @@ def test_qsp_line_matches_unitary():
     angles = tuple(rng.normal(size=5))
     x = 0.37
     circ = S.Circuit(1, C.qsp_line(angles, S.EncodingSlot(0, "acos"))).bound((x,))
-    u_circ = S.circuit_unitary(circ)
-    u_ref = Q.qsp_unitary(Q.QspAngleSequence(angles), x)
+    u_circ = circuit_unitary(circ)
+    u_ref = qsp_unitary(Q.QspAngleSequence(angles), x)
     assert np.max(np.abs(u_circ - u_ref)) <= 1e-12
 
 
@@ -37,8 +39,8 @@ def test_trig_line_matches_unitary():
     )
     x = 1.1
     circ = S.Circuit(1, C.trig_line(params, S.EncodingSlot(0, "zrot"))).bound((x,))
-    u_circ = S.circuit_unitary(circ)
-    u_ref = Q.trig_qsp_unitary(params, x)
+    u_circ = circuit_unitary(circ)
+    u_ref = trig_qsp_unitary(params, x)
     assert np.max(np.abs(u_circ - u_ref)) <= 1e-12
 
 
@@ -89,7 +91,7 @@ def _random_single_qubit_unit(rng):
     for _ in range(n):
         k = rng.integers(0, 4)
         if k == 0:
-            gates.append(S.rx(0, float(rng.normal())))
+            gates.append(S.Gate("Rx", (0,), angle=float(rng.normal())))
         elif k == 1:
             gates.append(S.ry(0, float(rng.normal())))
         elif k == 2:
@@ -150,7 +152,7 @@ def test_assembled_circuit_is_unitary():
     rng = np.random.default_rng(9)
     units = [_random_single_qubit_unit(rng) for _ in range(3)]
     combined = C.lcu_combine(units)
-    u = S.circuit_unitary(combined.circuit)
+    u = circuit_unitary(combined.circuit)
     assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= 1e-10
 
 
@@ -396,21 +398,21 @@ def test_taylor_coeff_block_values():
         K=2, s=0, d=1, xi={((0,), (0,)): 1.0, ((1,), (0,)): -0.5}
     )
     circ = C.build_taylor_coeff_pqc(table, (0,))
-    u = S.circuit_unitary(circ)
+    u = circuit_unitary(circ)
     # eta = 0: address |0>, coeff |0>
-    psi0 = S.Statevector.zero(circ.width).amplitudes
+    psi0 = np.eye(len(u))[0]
     assert np.vdot(psi0, u @ psi0).real == pytest.approx(1.0, abs=1e-12)
     # eta = 1
     prep = S.Circuit(circ.width, (S.xg(0),))
-    psi1 = S.run(prep).amplitudes
+    psi1 = S.run(prep)[0]
     assert np.vdot(psi1, u @ psi1).real == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_taylor_coeff_zero_block():
     table = C.TaylorCoeffTable(K=1, s=0, d=1, xi={((0,), (0,)): 0.0})
     circ = C.build_taylor_coeff_pqc(table, (0,))
-    psi = S.Statevector.zero(circ.width).amplitudes
-    u = S.circuit_unitary(circ)
+    psi = np.eye(2**circ.width)[0]
+    u = circuit_unitary(circ)
     assert abs(np.vdot(psi, u @ psi)) <= 1e-12
 
 
@@ -461,7 +463,7 @@ def test_series_start_is_the_address_prep():
     for eta, start in zip(cells, starts):
         bc = C.build_taylor_series_pqc(table, tuple(eta))
         writes = S.Circuit(bc.width, tuple(g for g in bc.prep.gates if g.kind == "X"))
-        assert np.flatnonzero(S.run(writes).amplitudes) == [start]
+        assert np.flatnonzero(S.run(writes)[0]) == [start]
     # two bits per coordinate, coordinate 0 first, above the coefficient
     # qubit and the two data qubits
     assert C.series_start(table, np.array([[1, 0], [0, 1]])).tolist() == [0b0100 << 3, 0b0001 << 3]
@@ -604,3 +606,14 @@ def test_trig_poly_constant_one():
     bc = C.build_trig_poly_pqc(t)
     for x in (0.0, 1.3, 5.5):
         assert C.evaluate_block(bc, (x,)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trig_block_rejects_a_non_finite_input(bad):
+    # the Z encoding takes any finite angle, so only a non-finite one is
+    # out of its range; it used to surface as a lost-unitarity RuntimeError
+    bc = C.build_trig_poly_pqc(P.MultivariateTrigPolynomial({(1,): 0.45, (-1,): 0.45}, 1))
+    with pytest.raises(ValueError, match=f"encoding argument {bad} is not finite"):
+        C.evaluate_block(bc, (bad,))
+    with pytest.raises(ValueError, match="not finite"):
+        C.evaluate_block(bc, np.array([[0.3], [bad]]))

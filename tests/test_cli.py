@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -201,8 +202,14 @@ def test_report_rejects_sizes_below_one(argv, tmp_path):
         ("eps", ("--experiment", "bernstein", "--eps", "nan")),
         ("delta", ("--experiment", "localization", "--delta", "-0.01")),
         ("s", ("--experiment", "taylor", "--s", "-1")),
+        ("tol", ("--experiment", "trig", "--tol", "nan")),
+        ("tol", ("--experiment", "qsp", "--tol", "nan")),
+        ("tol", ("--experiment", "qsp", "--tol", "-1")),
+        ("tol", ("--experiment", "poly", "--tol", "0")),
+        ("shots", ("--experiment", "bernstein", "--d", "1", "--shots", "-5", "--seed", "1")),
     ],
-    ids=["eps-zero", "eps-nan", "delta", "s"],
+    ids=["eps-zero", "eps-nan", "delta", "s", "tol-nan-trig", "tol-nan-qsp", "tol-negative",
+         "tol-zero", "shots"],
 )
 def test_report_rejects_nonpositive_tolerances_and_negative_order(capsys, key, argv):
     code, out, err = run_cli(capsys, "report", *argv)
@@ -287,6 +294,11 @@ def _drop(path):
     path.unlink()
 
 
+def _meta_with(key, value):
+    """Damage that sets one metadata key; json writes NaN and Infinity."""
+    return lambda p: p.write_text(json.dumps({**json.loads(p.read_text()), key: value}))
+
+
 @pytest.mark.parametrize(
     "suffix, damage, expected",
     [
@@ -297,9 +309,15 @@ def _drop(path):
         (".meta.json", lambda p: p.write_text("[2.0, true, 0.0]"), "b.txt.meta.json"),
         (".meta.json", lambda p: p.write_text(p.read_text().replace("true", '"false"')),
          "b.txt.meta.json"),
+        (".meta.json", _meta_with("rescale", math.nan), "rescale must be finite"),
+        (".meta.json", _meta_with("rescale", math.inf), "rescale must be finite"),
+        (".meta.json", _meta_with("tol", math.nan), "tol must be finite"),
+        (".meta.json", _meta_with("tol", -1.0), "tol must be finite"),
+        (".meta.json", _meta_with("tol", math.inf), "tol must be finite"),
     ],
     ids=["missing-prep", "missing-meta", "gate-without-targets", "width-without-value",
-         "meta-not-an-object", "meta-flag-not-a-boolean"],
+         "meta-not-an-object", "meta-flag-not-a-boolean", "rescale-nan", "rescale-infinity",
+         "tol-nan", "tol-negative", "tol-infinity"],
 )
 def test_eval_rejects_a_damaged_circuit(capsys, tmp_path, suffix, damage, expected):
     # at x = 0.3 the d=1, n=4 Bernstein circuit reads 0.2459; a default prep
@@ -312,6 +330,27 @@ def test_eval_rejects_a_damaged_circuit(capsys, tmp_path, suffix, damage, expect
     code, out, err = run_cli(capsys, "eval", "--circuit", str(path), "--x", "0.3")
     assert code == 2 and out == ""
     assert expected in json.loads(err.strip())["error"]
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_eval_rejects_a_non_finite_trig_input(capsys, tmp_path, x):
+    path = tmp_path / "trig.txt"
+    flags = ("--kind", "trig", "--target", "trig:1=0.45;-1=0.45", "--emit-circuit", str(path))
+    assert run_cli(capsys, "build", *flags)[0] == 0
+    code, out, err = run_cli(capsys, "eval", "--circuit", str(path), f"--x={x}")
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "not finite" in json.loads(lines[0])["error"]
+
+
+def test_report_rejects_a_grid_too_large_to_mesh():
+    # d = 12 meshes 11^12 points by default; n = 1 keeps the pipeline classical
+    proc = run_python("-m", "pqcapprox.cli", "report", "--experiment", "bernstein",
+                      "--d", "12", "--n", "1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and f"grid of {11**12} points" in json.loads(lines[0])["error"]
 
 
 def test_construction_error_is_reported(capsys, monkeypatch):
@@ -426,7 +465,7 @@ def test_report_samples_shots_from_the_compiled_block(capsys):
     bc = circuits.build_bernstein_pqc(targets.by_name("abs_centered", 1), 4)
     x0 = (0.5,)
     ht = sim.hadamard_test_circuit(bc.circuit.bound(x0), bc.prep.bound(x0))
-    assert exact == pytest.approx(sim.expectation_z0(sim.run(ht)), abs=1e-12)
+    assert exact == pytest.approx(sim.expectations_z0(ht)[0], abs=1e-12)
     assert params["rescale"] == bc.rescale
 
 

