@@ -11,7 +11,6 @@ readout; nested combinations multiply the factors.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -19,7 +18,6 @@ from itertools import product
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as _np_poly
 
 from . import qsp, sim
 from .poly import (
@@ -30,15 +28,12 @@ from .poly import (
     ParityPolynomial,
     Polynomial,
     TargetFunctionSpec,
-    chebyshev_grid,
     localization_poly,
     multi_indices,
     parity_split,
     taylor_expand,
 )
 from .sim import Circuit, EncodingSlot, Gate, encoding_gate, h, rz, xg, zg
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -139,7 +134,7 @@ def trig_line(params: qsp.TrigQspParams, slot: EncodingSlot) -> tuple[Gate, ...]
 
 
 @cache
-def synthesize_cached(p: ParityPolynomial, tol: float = 1e-11) -> qsp.QspAngleSequence:
+def synthesize_cached(p: ParityPolynomial, tol: float) -> qsp.QspAngleSequence:
     return qsp.qsp_synthesize(p, tol=tol)
 
 
@@ -296,42 +291,23 @@ def build_poly_pqc(p: MultivariatePolynomial) -> BlockCircuit:
 # ---------------------------------------------------------------------------
 
 
-def build_parity_pair_pqc(
-    p: Polynomial, coord: int = 0, scale: Optional[float] = None
-) -> BlockCircuit:
-    """Width-2 unit realizing a mixed-parity univariate polynomial.
+def build_parity_pair_pqc(p: Polynomial, slot: EncodingSlot, scale: float) -> BlockCircuit:
+    """Width-2 unit realizing a mixed-parity polynomial p(u) of the slot's
+    argument u.
 
-    The even and odd halves are synthesized separately (each scaled by a
-    common factor M so the halves fit the unit sup-norm bound on [-1, 1])
-    and summed with a one-ancilla uniform LCU: qubit 0 selects the half,
-    qubit 1 carries the data.  The represented value is p(x) after the
-    rescale 2*M.  A given ``scale`` is M itself: a synthesis failure then
-    raises, since a caller that fixed M has fixed the rescale as well.
+    The even and odd halves, each divided by ``scale`` to fit the unit
+    sup-norm bound on [-1, 1], are synthesized separately and summed with a
+    one-ancilla uniform LCU: qubit 0 selects the half, qubit 1 carries the
+    data.  The represented value is p(u) after the rescale 2*scale.  A
+    scale below either half's sup norm raises.
     """
     even, odd = parity_split(p)
-    grid = chebyshev_grid(max(1000, 10 * (p.degree + 1)))
-    m_needed = max(
-        float(np.max(np.abs(even(grid)))), float(np.max(np.abs(odd(grid)))), 1.0
-    )
-    m = scale if scale is not None else m_needed
-    if m < m_needed - 1e-12:
-        raise ValueError(f"scale {m} below the required half norm {m_needed}")
-    try:
-        ang_even = synthesize_cached(ParityPolynomial(even.base.scaled(1.0 / m), 0), 1e-12)
-        ang_odd = synthesize_cached(ParityPolynomial(odd.base.scaled(1.0 / m), 1), 1e-12)
-    except qsp.QspSynthesisError as err:
-        if scale is not None:
-            raise
-        # halves whose sup norm sits exactly at 1 can stall the solver; pull
-        # the target strictly inside and fold the margin into the rescale
-        logger.debug(
-            "parity pair degree %d: %s; retrying at scale %g", p.degree, err, m / 0.999
-        )
-        m = m / 0.999
-        ang_even = synthesize_cached(ParityPolynomial(even.base.scaled(1.0 / m), 0), 1e-12)
-        ang_odd = synthesize_cached(ParityPolynomial(odd.base.scaled(1.0 / m), 1), 1e-12)
+    m_needed = max(even.sup_norm(), odd.sup_norm())
+    if scale < m_needed - 1e-12:
+        raise ValueError(f"scale {scale} below the required half norm {m_needed}")
+    ang_even = synthesize_cached(ParityPolynomial(even.base.scaled(1.0 / scale), 0), 1e-12)
+    ang_odd = synthesize_cached(ParityPolynomial(odd.base.scaled(1.0 / scale), 1), 1e-12)
 
-    slot = EncodingSlot(coord, "acos", 0.0)
     even_line = Circuit(2, Circuit(1, qsp_line(ang_even.angles, slot)).shifted(1, 2).gates)
     odd_line = Circuit(2, Circuit(1, qsp_line(ang_odd.angles, slot)).shifted(1, 2).gates)
     gates: list[Gate] = [h(0), xg(0)]
@@ -344,50 +320,69 @@ def build_parity_pair_pqc(
     return BlockCircuit(
         circuit,
         prep,
-        rescale=2.0 * m,
-        tol=m * (ang_even.residual + ang_odd.residual),
+        rescale=2.0 * scale,
+        tol=scale * (ang_even.residual + ang_odd.residual),
     )
 
 
 def _bernstein_factor(n: int, k: int) -> Polynomial:
-    """binom(n, k) * x^k * (1 - x)^(n - k) in the power basis."""
-    xk = np.zeros(k + 1)
-    xk[k] = float(math.comb(n, k))
-    rest = _np_poly.polypow([1.0, -1.0], n - k) if n > k else np.array([1.0])
-    return Polynomial(tuple(_np_poly.polymul(xk, rest)))
+    """binom(n, k) x^k (1 - x)^(n - k) at x = (1 + w)/2, in the power basis
+    of w: binom(n, k) (1 + w)^k (1 - w)^(n - k) / 2^n.
+
+    The product is expanded in integers and each coefficient rounded once,
+    so the coefficients that cancel are exact zeros.
+    """
+    coeffs = [1]
+    for sign in [1] * k + [-1] * (n - k):  # times (1 + sign w)
+        coeffs = [a + sign * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return Polynomial(tuple(math.comb(n, k) * c / 2**n for c in coeffs))
 
 
 def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
-    """Circuit evaluating the degree-n Bernstein polynomial of f.
+    """Circuit evaluating the degree-n Bernstein polynomial of f on [0, 1]^d.
 
     One width-2 parity-pair unit per coordinate per grid node; the node
     value f(k/n) rides the first coordinate's unit.  The outer LCU runs
-    over all (n+1)^d nodes.
+    over all (n+1)^d nodes.  A build whose Hadamard test would be wider
+    than ``sim.MAX_WIDTH`` raises before any unit is built.
+
+    Each unit reads w = 2x - 1 (slot scale 2, shift 1), which sweeps
+    [-1, 1] as x sweeps [0, 1], and realizes the factor
+    B_k(w) = binom(n, k) ((1 + w)/2)^k ((1 - w)/2)^(n - k).  Every parity
+    half of every factor is bounded by 1 on [-1, 1], so one scale 1/0.999
+    serves them all.  Proof: B_k(-w) = B_{n-k}(w), so the halves are
+    (B_k(w) +- B_{n-k}(w)) / 2.  The B_j(w) are nonnegative on [-1, 1], and
+    for k != n - k, B_k(w) + B_{n-k}(w) <= sum_j B_j(w) = 1, so each half is
+    at most 1/2 in absolute value.  For k = n - k the odd half is zero and
+    the even half is B_k(w) <= 1.  Numerically every half is at most 1/2
+    for n <= 40.  The node value |f(k/n)| <= 1 only shrinks the halves, and
+    the 0.999 keeps every target strictly inside the unit bound; it rides
+    the rescale.
     """
     d = f.dims
-    factors = [_bernstein_factor(n, k) for k in range(n + 1)]
-    grid = chebyshev_grid(max(1000, 10 * (n + 1)))
-    m_common = 1.0
-    for poly in factors:
-        e, o = parity_split(poly)
-        m_common = max(
-            m_common, float(np.max(np.abs(e(grid)))), float(np.max(np.abs(o(grid))))
+    terms = (n + 1) ** d
+    width = (terms - 1).bit_length() + 2 * d + 1  # selection, units, test ancilla
+    if width > sim.MAX_WIDTH:
+        raise ValueError(
+            f"bernstein d={d}, n={n} has {terms} terms, so its Hadamard test needs"
+            f" {width} qubits, more than the {sim.MAX_WIDTH}-qubit cap"
         )
-    m_common /= 0.999  # strictly interior targets; the margin rides the rescale
+    factors = [_bernstein_factor(n, k) for k in range(n + 1)]
+    m_common = 1.0 / 0.999
+    slots = [EncodingSlot(j, "acos", shift=1.0, scale=2.0) for j in range(d)]  # w = 2x - 1
 
     units = []
     for kvec in product(range(n + 1), repeat=d):
         fval = float(np.clip(f.evaluator(tuple(k / n for k in kvec)), -1.0, 1.0))
-        width = 2 * d
         gates: list[Gate] = []
         tol_unit = 0.0
         for j, k in enumerate(kvec):
             poly = factors[k].scaled(fval) if j == 0 else factors[k]
-            pair = build_parity_pair_pqc(poly, coord=j, scale=m_common)
+            pair = build_parity_pair_pqc(poly, slots[j], m_common)
             tol_unit += pair.tol / pair.rescale  # block-level error of this pair
-            gates.extend(pair.circuit.shifted(2 * j, width).gates)
-        circuit = Circuit(width, tuple(gates), label=f"bernstein-term k={kvec}")
-        prep = Circuit(width, tuple(h(2 * j + 1) for j in range(d)), label="plus-prep")
+            gates.extend(pair.circuit.shifted(2 * j, 2 * d).gates)
+        circuit = Circuit(2 * d, tuple(gates), label=f"bernstein-term k={kvec}")
+        prep = Circuit(2 * d, tuple(h(2 * j + 1) for j in range(d)), label="plus-prep")
         units.append(
             BlockCircuit(
                 circuit,

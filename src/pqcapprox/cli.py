@@ -34,12 +34,9 @@ from .poly import (
     ParityPolynomial,
     Polynomial,
     TargetFunctionSpec,
-    bernstein_eval,
     parity_split,
     thm_bounds,
 )
-
-_QUANTUM_BERNSTEIN_TERM_CAP = 128
 
 
 @dataclass
@@ -85,15 +82,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.shots > 0 and self.seed is None:
             raise ValueError("seed is mandatory when shots > 0")
-        quantum = self.experiment == "bernstein" and _quantum_bernstein(self)
-        cap = _QUANTUM_BERNSTEIN_TERM_CAP
-        if self.shots > 0 and not quantum:
-            raise ValueError(f"shots are sampled only by bernstein with (n+1)^d <= {cap}")
-        if self.emit_circuit and self.experiment in ("bernstein", "fnn_compare") and not quantum:
-            raise ValueError(
-                f"config key 'emit_circuit' needs a circuit: fnn_compare and bernstein"
-                f" with (n+1)^d > {cap} build none"
-            )
+        if self.shots > 0 and self.experiment != "bernstein":
+            raise ValueError("shots are sampled only by bernstein")
+        if self.emit_circuit and self.experiment == "fnn_compare":
+            raise ValueError("config key 'emit_circuit' needs a circuit: fnn_compare builds none")
         if self.seed is None:
             self.seed = 0
 
@@ -107,11 +99,6 @@ def _has_type(value: object, hint: object) -> bool:
         abstract = numbers.Integral if hint is int else numbers.Real
         return isinstance(value, abstract) and not isinstance(value, bool)
     return isinstance(value, hint)
-
-
-def _quantum_bernstein(cfg: ExperimentConfig) -> bool:
-    """Whether bernstein simulates its circuit, not the classical polynomial."""
-    return (cfg.n + 1) ** cfg.d <= _QUANTUM_BERNSTEIN_TERM_CAP
 
 
 def default_delta(d: int, K: int) -> float:
@@ -293,31 +280,22 @@ def _run_bernstein(cfg: ExperimentConfig) -> _Outcome:
     if f.lipschitz is None:
         raise ValueError("bernstein experiment needs a Lipschitz-certified target")
     n, d, eps = cfg.n, cfg.d, cfg.eps
-    quantum = _quantum_bernstein(cfg)
-    bc = None
-    resources = None
-    tol_agg = 0.0
-    if quantum:
-        bc = _build(cfg)
-        # one Hadamard-test run per grid point: the benchmark's traced
-        # report counts one sim.run and one evaluate_block call per point
-        model = approx.pointwise(lambda x: circuits.evaluate_block(bc, x))
-        resources = sim.resource_count(bc.circuit)
-        tol_agg = bc.tol
-    else:
-        model = approx.pointwise(lambda x: bernstein_eval(f, n, x))
-    grid = approx.GridSpec(d, cfg.points_per_axis)
+    grid = approx.GridSpec(d, cfg.points_per_axis)  # a grid too large fails first
+    bc = _build(cfg)
+    # one Hadamard-test run per grid point: the benchmark's traced report
+    # counts one sim.run and one evaluate_block call per point
+    model = approx.pointwise(lambda x: circuits.evaluate_block(bc, x))
     sup = approx.sup_error(f, model, grid)
     bound = thm_bounds("thm2", d=d, ell=f.lipschitz, n=n, eps=eps)
     report = approx.ErrorReport(
         sup_error=sup,
         bound=bound,
         bound_name="lipschitz-global",
-        tol_agg=tol_agg,
-        resources=resources,
-        params={"n": n, "d": d, "eps": eps, "pipeline": "quantum" if quantum else "classical"},
+        tol_agg=bc.tol,
+        resources=sim.resource_count(bc.circuit),
+        params={"n": n, "d": d, "eps": eps},
     )
-    if cfg.shots > 0:  # the config admits shots only on the quantum pipeline
+    if cfg.shots > 0:
         # sampling happens at block scale; the rescale factor multiplies the
         # shot noise, so the meaningful record is the raw block estimate
         x0 = (0.5,) * d

@@ -27,20 +27,23 @@ _ROTATIONS = ("Rx", "Ry", "Rz")
 class EncodingSlot:
     """Deferred data-dependent angle.
 
-    xform "acos": angle = -2*arccos(x[coord] - shift), the X-basis encoding.
-    xform "zrot": angle = -(x[coord] - shift), the Z-basis encoding.
+    The transform reads the affine argument u = scale*x[coord] - shift.
+    xform "acos": angle = -2*arccos(u), the X-basis encoding.
+    xform "zrot": angle = -u, the Z-basis encoding.
     """
 
     coord: int
     xform: str
     shift: float = 0.0
+    scale: float = 1.0
 
     def angle_for(self, x: Sequence[float]) -> float:
-        return float(encoding_angles(self.xform, np.array([float(x[self.coord]) - self.shift]))[0])
+        u = float(x[self.coord]) * self.scale - self.shift
+        return float(encoding_angles(self.xform, np.array([u]))[0])
 
 
 def encoding_angles(xform: str, u: np.ndarray) -> np.ndarray:
-    """Angles of an encoding transform at arguments u = x[coord] - shift."""
+    """Angles of an encoding transform at arguments u = scale*x[coord] - shift."""
     if xform == "acos":
         if not np.all(np.abs(u) <= 1.0 + 1e-9):  # NaN is out of range too
             bad = u[~(np.abs(u) <= 1.0 + 1e-9)]
@@ -310,13 +313,14 @@ class GateProgram:
         self.perm = None if np.array_equal(perm, idx) else perm
         self.slots = tuple(slot_of)
         # slots bound together: one group per xform, with the slot indices,
-        # coordinates and shifts of its members
+        # coordinates, scales and shifts of its members
         groups: dict[str, list[int]] = {}
         for i, (_, slot) in enumerate(self.slots):
             groups.setdefault(slot.xform, []).append(i)
         self.slot_groups = [
             (xform, np.array(idx),
              np.array([self.slots[i][1].coord for i in idx]),
+             np.array([self.slots[i][1].scale for i in idx]),
              np.array([self.slots[i][1].shift for i in idx]))
             for xform, idx in groups.items()
         ]
@@ -411,8 +415,8 @@ class GateProgram:
             raise ValueError("circuit has unbound encoding slots; pass x")
         xs = np.asarray(x, dtype=float)
         half = np.empty((len(self.slots), len(xs)))
-        for xform, idx, coords, shifts in self.slot_groups:
-            half[idx] = encoding_angles(xform, (xs[:, coords] - shifts).T) / 2.0
+        for xform, idx, coords, scales, shifts in self.slot_groups:
+            half[idx] = encoding_angles(xform, (xs[:, coords] * scales - shifts).T) / 2.0
         cos, sin = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
         (_, slot_idx, a, ag), *later = self.stages
         mats = cos[slot_idx] * a + sin[slot_idx] * ag
@@ -743,7 +747,8 @@ def circuit_to_text(c: Circuit) -> str:
         if g.angle is not None:
             parts.append(f"a={g.angle!r}")
         if g.slot is not None:
-            parts.append(f"enc={g.slot.xform}:{g.slot.coord}:{g.slot.shift!r}")
+            slot = g.slot
+            parts.append(f"enc={slot.xform}:{slot.coord}:{slot.shift!r}:{slot.scale!r}")
         if g.trainable:
             parts.append("train")
         lines.append(" ".join(parts))
@@ -777,8 +782,12 @@ def circuit_from_text(text: str) -> Circuit:
             elif tok.startswith("a="):
                 angle = float(tok[2:])
             elif tok.startswith("enc="):
-                xform, coord, shift = tok[4:].split(":")
-                slot = EncodingSlot(int(coord), xform, float(shift))
+                # xform:coord:shift:scale; a token without the scale has scale 1
+                fields = tok[4:].split(":")
+                if len(fields) not in (3, 4):
+                    raise ValueError(f"encoding token {tok!r} is not xform:coord:shift:scale")
+                xform, coord, *affine = fields
+                slot = EncodingSlot(int(coord), xform, *map(float, affine))
             elif tok == "train":
                 trainable = True
             else:

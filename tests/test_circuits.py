@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -161,48 +160,39 @@ def test_assembled_circuit_is_unitary():
 # ---------------------------------------------------------------------------
 
 
+X_SLOT = S.EncodingSlot(0, "acos")
+
+
 def test_parity_pair_constant():
-    bc = C.build_parity_pair_pqc(P.Polynomial((1.0,)))
+    bc = C.build_parity_pair_pqc(P.Polynomial((1.0,)), X_SLOT, 1.0)
     assert bc.rescale == pytest.approx(2.0)
     assert C.evaluate_block(bc, (0.4,)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_parity_pair_frozen_examples():
-    bc = C.build_parity_pair_pqc(P.Polynomial((0.0, 1.0, -1.0)))
+    # halves -x^2 and x, each of sup norm 1
+    bc = C.build_parity_pair_pqc(P.Polynomial((0.0, 1.0, -1.0)), X_SLOT, 1.0 / 0.999)
     assert C.evaluate_block(bc, (0.5,)) == pytest.approx(0.25, abs=1e-9)
-    pol = P.Polynomial((0.0, 3.0, -6.0, 3.0))  # 3x(1-x)^2
-    bc = C.build_parity_pair_pqc(pol)
+    pol = P.Polynomial((0.0, 3.0, -6.0, 3.0))  # 3x(1-x)^2, halves of sup norm 6
+    bc = C.build_parity_pair_pqc(pol, X_SLOT, 6.0 / 0.999)
     assert C.evaluate_block(bc, (0.2,)) == pytest.approx(0.384, abs=1e-9)
     assert bc.circuit.width == 2
+    with pytest.raises(ValueError, match="below the required half norm"):
+        C.build_parity_pair_pqc(pol, X_SLOT, 5.9)
 
 
-def test_parity_pair_logs_its_retry_only_when_asked(monkeypatch, caplog):
-    synthesize_cached = C.synthesize_cached
-    calls = []
-
-    def first_fails(target, tol):
-        calls.append(1)
-        if len(calls) == 1:
-            raise Q.QspSynthesisError("forced", 0.5)
-        return synthesize_cached(target, tol)
-
-    monkeypatch.setattr(C, "synthesize_cached", first_fails)
-    pol = P.Polynomial((0.0, 3.0, -6.0, 3.0))  # 3x(1-x)^2
-    bc = C.build_parity_pair_pqc(pol)
-    assert len(calls) == 3  # the failed even half, then both halves again
-    assert C.evaluate_block(bc, (0.2,)) == pytest.approx(0.384, abs=1e-9)
-    assert not [r for r in caplog.records if r.name == "pqcapprox.circuits"]
-    calls.clear()
-    with caplog.at_level(logging.DEBUG, logger="pqcapprox.circuits"):
-        C.build_parity_pair_pqc(pol)
-    (message,) = [r.getMessage() for r in caplog.records if r.name == "pqcapprox.circuits"]
-    assert message.startswith("parity pair degree 3: forced (best residual 5.000e-01);")
-    assert "retrying at scale" in message
+def test_parity_pair_reads_the_affine_argument_of_its_slot():
+    # p(u) = u^2 - u/2 at u = 2x - 1
+    pol = P.Polynomial((0.0, -0.5, 1.0))
+    bc = C.build_parity_pair_pqc(pol, S.EncodingSlot(0, "acos", 1.0, 2.0), 1.0 / 0.999)
+    for x in (0.0, 0.3, 0.75, 1.0):
+        u = 2.0 * x - 1.0
+        assert C.evaluate_block(bc, (x,)) == pytest.approx(u * u - 0.5 * u, abs=1e-10)
 
 
 def test_parity_pair_with_a_given_scale_raises_instead_of_retrying(monkeypatch):
     # build_bernstein_pqc fixes each unit's rescale from the scale it gives
-    # its pairs, so a pair retried at another scale would come out wrong
+    # its pairs, so a failed synthesis raises rather than change the scale
     synthesize_cached = C.synthesize_cached
     calls = []
 
@@ -303,6 +293,38 @@ def test_bernstein_pqc_2d():
         assert C.evaluate_block(bc, x) == pytest.approx(
             P.bernstein_eval(f, 2, x), abs=1e-6
         )
+
+
+def test_bernstein_factor_halves_in_w_are_bounded_by_one_half():
+    # the docstring's bound, and the exact zeros of the symmetric factor
+    for n in range(1, 41):
+        for k in range(n + 1):
+            even, odd = P.parity_split(C._bernstein_factor(n, k))
+            assert max(even.sup_norm(), odd.sup_norm()) <= 0.5 + 1e-12, (n, k)
+            if 2 * k == n:
+                assert odd.base.is_zero()
+    x = np.linspace(0.0, 1.0, 11)
+    assert np.allclose(C._bernstein_factor(5, 2)(2 * x - 1), 10 * x**2 * (1 - x) ** 3, atol=1e-15)
+
+
+def test_bernstein_d2_n11_block_matches_the_classical_sum():
+    # 144 terms, padded to 256: every unit's halves share the scale 1/0.999
+    f = targets.abs_centered(2)
+    bc = C.build_bernstein_pqc(f, 11)
+    assert bc.rescale == pytest.approx(256 * (2 / 0.999) ** 2)
+    xs = np.random.default_rng(11).uniform(0.0, 1.0, (20, 2))
+    want = np.array([P.bernstein_eval(f, 11, x) for x in xs])
+    assert np.max(np.abs(C.evaluate_block(bc, xs) - want)) <= 1e-9
+
+
+def test_bernstein_block_rejects_an_input_outside_the_unit_cube():
+    f = targets.abs_centered(1)
+    bc = C.build_bernstein_pqc(f, 4)
+    for x in (0.0, 1.0):  # w = -1 and w = 1
+        assert C.evaluate_block(bc, (x,)) == pytest.approx(P.bernstein_eval(f, 4, (x,)), abs=1e-12)
+    for x in (-0.25, 1.25):  # w = 2x - 1 outside [-1, 1]
+        with pytest.raises(ValueError, match="outside"):
+            C.evaluate_block(bc, (x,))
 
 
 # ---------------------------------------------------------------------------

@@ -344,13 +344,55 @@ def test_eval_rejects_a_non_finite_trig_input(capsys, tmp_path, x):
 
 
 def test_report_rejects_a_grid_too_large_to_mesh():
-    # d = 12 meshes 11^12 points by default; n = 1 keeps the pipeline classical
+    # d = 12 meshes 11^12 points by default; the grid is checked before the
+    # circuit, whose 37-qubit Hadamard test would fail the width check
     proc = run_python("-m", "pqcapprox.cli", "report", "--experiment", "bernstein",
                       "--d", "12", "--n", "1")
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and f"grid of {11**12} points" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("build", "--kind", "bernstein", "--d", "4", "--n", "16", "--emit-circuit", "big.txt"),
+         ("d=4", "n=16", "83521 terms", "26 qubits", "24-qubit cap")),
+        (("build", "--kind", "bernstein", "--d", "9", "--n", "1", "--emit-circuit", "big.txt"),
+         ("d=9", "n=1", "512 terms", "28 qubits")),
+        (("report", "--experiment", "bernstein", "--d", "9", "--n", "1",
+          "--points-per-axis", "2"), ("d=9", "n=1", "512 terms", "28 qubits")),
+    ],
+    ids=["build-d4-n16", "build-d9-n1", "report-d9-n1"],
+)
+def test_bernstein_wider_than_the_simulator_fails_before_any_unit(
+    capsys, tmp_path, monkeypatch, argv, named
+):
+    def no_unit(*args):
+        raise AssertionError("a unit was built")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(circuits, "build_parity_pair_pqc", no_unit)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    message = json.loads(err.strip())["error"]
+    assert all(s in message for s in named), message
+    assert not list(tmp_path.iterdir())
+
+
+def test_report_bernstein_d1_n32_passes_on_its_circuit(capsys):
+    # 33 terms at n = 32: the parity halves in w = 2x - 1 are bounded by 1,
+    # so the rescale is 64 * 2/0.999 and rounding stays far below the bound
+    code, out, _ = run_cli(capsys, "report", "--experiment", "bernstein", "--d", "1", "--n", "32")
+    doc = json.loads(out)
+    assert code == 0 and doc["pass"]
+    f = targets.by_name("abs_centered", 1)
+    grid = np.linspace(0.0, 1.0, 101)
+    classical = max(abs(f((x,)) - poly.bernstein_eval(f, 32, (x,))) for x in grid)
+    assert abs(doc["sup_error"] - classical) <= 1e-9
+    assert doc["tol_agg"] <= 1e-12
+    assert "pipeline" not in doc["params"]
 
 
 def test_construction_error_is_reported(capsys, monkeypatch):
@@ -472,12 +514,11 @@ def test_report_samples_shots_from_the_compiled_block(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("report", "--experiment", "bernstein", "--d", "2", "--n", "12"),
         ("report", "--experiment", "poly", "--target", "poly:0.5"),
         ("compare-fnn",),
         ("build", "--kind", "bernstein", "--emit-circuit", "never.txt"),
     ],
-    ids=["classical-bernstein", "poly", "compare-fnn", "build"],
+    ids=["poly", "compare-fnn", "build"],
 )
 def test_shots_are_rejected_where_nothing_is_sampled(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -495,8 +536,6 @@ def test_shots_are_rejected_where_nothing_is_sampled(capsys, tmp_path, monkeypat
           "--output", "built.json", "--points-per-axis", "9"), ("--output", "--points-per-axis")),
         (("compare-fnn", "--K", "9", "--n", "3", "--target", "abc", "--with-l2"),
          ("--K", "--n", "--target", "--with-l2")),
-        (("report", "--experiment", "bernstein", "--d", "2", "--n", "12",
-          "--emit-circuit", "cl.txt"), ("emit_circuit",)),
         (("report", "--experiment", "fnn_compare", "--emit-circuit", "g.txt"), ("emit_circuit",)),
         (("build", "--kind", "poly", "--target", "poly:0.5", "--d", "3", "--c", "7",
           "--emit-circuit", "p.txt"), ("--d", "--c")),
@@ -505,7 +544,7 @@ def test_shots_are_rejected_where_nothing_is_sampled(capsys, tmp_path, monkeypat
         (("report", "--config", "cfg.json", "--n", "3"), ("--n",)),
         (("report", "--experiment", "taylor", "--samples", "50"), ("--samples",)),
     ],
-    ids=["config-and-flags", "build", "compare-fnn", "classical-bernstein", "fnn-compare",
+    ids=["config-and-flags", "build", "compare-fnn", "fnn-compare",
          "build-kind", "report-experiment", "config-experiment", "samples-without-l2"],
 )
 def test_no_flag_is_dropped_silently(capsys, tmp_path, monkeypatch, argv, named):

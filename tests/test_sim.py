@@ -113,9 +113,9 @@ def random_slotted_circuit(rng, width, n_runs):
             elif choice < 6:
                 kind = ("Rx", "Ry", "Rz")[choice - 3]
                 angle = float(rng.normal())
-            else:
+            else:  # |scale x - shift| <= 1 on random_batch's range
                 slot = S.EncodingSlot(choice - 6, ("acos", "zrot")[choice - 6],
-                                      float(rng.uniform(-0.2, 0.2)))
+                                      float(rng.uniform(-0.2, 0.2)), float(rng.uniform(0.5, 1.0)))
                 kind = "Rx" if slot.xform == "acos" else "Rz"
             if ctrls:
                 gates.append(S.Gate("MCU", (q,), ctrls, angle=angle, sub=kind, slot=slot))
@@ -673,13 +673,33 @@ def test_text_round_trip():
     gates = (
         S.h(0),
         S.encoding_gate(2, S.EncodingSlot(0, "acos", 0.25)),
+        S.encoding_gate(1, S.EncodingSlot(1, "acos", 1.0, 2.0)),
         S.Gate("MCU", (3,), (0, 1), angle=0.5, trainable=True, sub="Ry"),
+        S.Gate("MCU", (0,), (2,), sub="Rz", slot=S.EncodingSlot(2, "zrot", -0.5, 3.0)),
         S.cnot(1, 2),
         S.xg(3),
         S.rz(1, -1.25, trainable=True),
     )
     c = S.Circuit(4, gates, label="round trip example")
     assert S.circuit_from_text(S.circuit_to_text(c)) == c
+
+
+def test_old_three_field_slots_load_with_scale_one_and_evaluate_unchanged():
+    bc = C.build_monomial_pqc(0.5, (1, 2))
+    old = S.circuit_to_text(bc.circuit).replace(":0.0:1.0\n", ":0.0\n")  # no scale field
+    assert old.count("enc=acos:0:0.0\n") == 1 and old.count("enc=acos:1:0.0\n") == 2
+    circ = S.circuit_from_text(old)
+    assert circ == bc.circuit
+    assert all(g.slot.scale == 1.0 for g in circ.gates if g.slot)
+    x = np.array([[0.8, 0.5], [0.3, -0.6]])
+    loaded = C.BlockCircuit(circ, bc.prep, bc.rescale, tol=bc.tol)
+    assert np.array_equal(C.evaluate_block(loaded, x), C.evaluate_block(bc, x))
+
+
+@pytest.mark.parametrize("token", ["enc=acos:0", "enc=acos:0:0.0:1.0:2.0"])
+def test_text_rejects_a_slot_token_with_the_wrong_field_count(token):
+    with pytest.raises(ValueError, match="xform:coord:shift:scale"):
+        S.circuit_from_text(f"width 1\nlabel bad\nRx 0 {token}\n")
 
 
 def test_text_rejects_garbage():
