@@ -62,7 +62,6 @@ from .sim import (
     GateProgram,
     ResourceCount,
     decompose_mcu,
-    expectation_z0,
     resource_count,
     run,
     sample_shots,

@@ -74,10 +74,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"config key {name!r} must be positive, got {value}")
-        if self.s is not None and self.s < 0:
-            raise ValueError(f"config key 's' must be at least 0, got {self.s}")
-        if self.shots < 0:
-            raise ValueError(f"config key 'shots' must be at least 0, got {self.shots}")
+        for name in ("s", "shots", "points_per_axis"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"config key {name!r} must be at least 0, got {value}")
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.shots > 0 and self.seed is None:
@@ -299,7 +299,7 @@ def _run_bernstein(cfg: ExperimentConfig) -> _Outcome:
         # sampling happens at block scale; the rescale factor multiplies the
         # shot noise, so the meaningful record is the raw block estimate
         x0 = (0.5,) * d
-        est, err = sim.sample_shots(bc.programs[0], cfg.shots, cfg.seed, x0)
+        est, err = sim.sample_shots(bc.program, cfg.shots, cfg.seed, x0)
         report.params["shot_estimate_block"] = est
         report.params["shot_stderr_block"] = err
         report.params["shot_exact_block"] = circuits.evaluate_block(bc, x0) / bc.rescale

@@ -256,12 +256,12 @@ class GateProgram:
     it is stored while ``stored`` holds at most PREFIX_BYTES.  The stored
     states are those of the relabelled indices, before the ``perm`` gather.
 
-    On the Hadamard test of the d=2, n=4 Bernstein block this leaves 221 of
-    431 ops in 21 layers: 9 before the prefix ends and 12 after it, which
-    make 16 sub-applies per point (212 ops before layering).  The d=2, K=4,
-    s=1 Taylor series block, which starts from one of K^d cells, leaves 59
-    of 263 ops in 11 layers: 6 before the prefix ends and 5 after it, which
-    make 6 sub-applies per point (22 ops before layering).
+    On the Hadamard test of the d=2, n=4 Bernstein block this leaves 220 of
+    430 ops in 20 layers: 9 before the prefix ends and 11 after it, which
+    make 15 sub-applies per point (211 ops before layering).  The d=2, K=4,
+    s=1 Taylor series block, which starts from one of K^d cells, leaves 58
+    of 262 ops in 10 layers: 6 before the prefix ends and 4 after it, which
+    make 5 sub-applies per point (21 ops before layering).
     """
 
     def __init__(self, c: Circuit):
@@ -511,24 +511,19 @@ BATCH_BYTES = 1 << 19
 PREFIX_BYTES = 1 << 23
 
 
-def expectation_z0(amps: np.ndarray) -> float | np.ndarray:
-    """Expectation of Pauli Z on qubit 0 (the most significant bit), of one
-    state's amplitudes or of each row of an (N, 2**width) amplitude array."""
-    probs = np.abs(amps) ** 2
-    half = probs.shape[-1] // 2
-    z = np.sum(probs[..., :half], axis=-1) - np.sum(probs[..., half:], axis=-1)
-    return float(z) if z.ndim == 0 else z
-
-
-def expectations_z0(
+def hadamard_values(
     c: Circuit | GateProgram,
     x: Optional[np.ndarray] = None,
     start: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """expectation_z0 of each final state of a batch run (see run).
+    """The complex values <psi|U|psi> that a Hadamard test (see
+    hadamard_test_circuit) holds after each point of a batch run (see run).
 
-    With neither x nor start it is a batch of one from |0..0>.  The batch
-    runs in chunks of points whose states fit in BATCH_BYTES.
+    With a0 and a1 the halves of a final state where the ancilla, qubit 0,
+    reads 0 and 1, the ancilla's <X> + i<Y> is 2 sum conj(a0) a1, so one
+    run gives both parts.  With neither x nor start it is a batch of one
+    from |0..0>.  The batch runs in chunks of points whose states fit in
+    BATCH_BYTES.
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
     x = None if x is None else np.asarray(x, dtype=float)
@@ -536,35 +531,33 @@ def expectations_z0(
         start = np.zeros(1, dtype=int)
     n = len(x) if x is not None else len(start)
     rows = max(1, BATCH_BYTES // (np.dtype(complex).itemsize * 2**program.width))
-    out = np.empty(n)
+    out = np.empty(n, dtype=complex)
     for lo in range(0, n, rows):
-        part = slice(lo, lo + rows)
-        out[part] = expectation_z0(run(
+        chunk = slice(lo, lo + rows)
+        amps = run(
             program,
-            x=None if x is None else x[part],
-            start=None if start is None else start[part],
-        ))
+            x=None if x is None else x[chunk],
+            start=None if start is None else start[chunk],
+        )
+        half = amps.shape[1] // 2
+        out[chunk] = 2.0 * np.einsum("ij,ij->i", amps[:, :half].conj(), amps[:, half:])
     return out
 
 
-def hadamard_test_circuit(u: Circuit, prep: Circuit, part: str = "real") -> Circuit:
-    """Composed circuit whose qubit-0 Z expectation reads the block value.
+def hadamard_test_circuit(u: Circuit, prep: Circuit) -> Circuit:
+    """Composed circuit whose ancilla holds the block value <psi|U|psi>.
 
     A fresh ancilla is prepended as qubit 0; prep acts unconditionally on
-    the work register, u is applied controlled on the ancilla.
+    the work register, the ancilla is put in |+>, and u is applied
+    controlled on the ancilla.  hadamard_values reads the value.
     """
     if u.width != prep.width:
         raise ValueError("u and prep must act on the same width")
-    if part not in ("real", "imaginary"):
-        raise ValueError("part must be 'real' or 'imaginary'")
     w = u.width + 1
     gates: list[Gate] = list(prep.shifted(1, w).gates)
     gates.append(h(0))
     gates.extend(u.shifted(1, w).controlled_on((0,)).gates)
-    if part == "imaginary":
-        gates.append(rz(0, -math.pi / 2.0))
-    gates.append(h(0))
-    return Circuit(w, tuple(gates), label=f"hadamard_test[{part}] {u.label}")
+    return Circuit(w, tuple(gates), label=f"hadamard_test {u.label}")
 
 
 def sample_shots(
@@ -573,17 +566,18 @@ def sample_shots(
     seed: int,
     x: Optional[Sequence[float] | np.ndarray] = None,
 ) -> tuple[float, float]:
-    """Monte-Carlo estimate of expectation_z0 after running c at the point x.
+    """Monte-Carlo estimate of the real part of a Hadamard test's value.
 
-    Samples the qubit-0 measurement ``shots`` times with a seeded generator;
-    returns (estimate, standard error).  Deterministic for a fixed seed.
-    ``x``, one point of shape (d,), binds the encoding slots.
+    Samples the ancilla's X measurement ``shots`` times with a seeded
+    generator, reading -1 with probability (1 - Re v)/2 for the exact value
+    v of hadamard_values at the point x; returns (estimate, standard error).
+    Deterministic for a fixed seed.  ``x``, one point of shape (d,), binds
+    the encoding slots.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    state = run(c, x=None if x is None else np.asarray(x, dtype=float)[None])[0]
-    probs = np.abs(state) ** 2
-    p_one = float(np.sum(probs[len(probs) // 2 :]))
+    value = hadamard_values(c, None if x is None else np.asarray(x, dtype=float)[None])[0]
+    p_one = (1.0 - value.real) / 2.0
     rng = np.random.default_rng(seed)
     ones = rng.random(shots) < p_one
     vals = 1.0 - 2.0 * ones.astype(float)

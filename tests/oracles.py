@@ -1,10 +1,11 @@
 """Independent references the package is tested against.
 
 These are deliberately slow and direct: a dense unitary built gate by gate,
-the layer-by-layer 2x2 products of the X- and Z-encoding lines, and a second
-angle synthesizer (Fejer-Riesz completion) that cross-checks the Newton one
-at low degree.  None of them shares code with the paths under test beyond
-the gate matrices and the block-value readout.
+the block values <psi|U|psi> read from it, the ancilla's <X> + i<Y> of a
+final state, the layer-by-layer 2x2 products of the X- and Z-encoding
+lines, and a second angle synthesizer (Fejer-Riesz completion) that
+cross-checks the Newton one at low degree.  None of them shares code with
+the paths under test beyond the gate matrices.
 """
 
 from __future__ import annotations
@@ -70,6 +71,20 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     for g in c.gates:
         u = _apply_gate(u, g, c.width)
     return u
+
+
+def block_values(u: Circuit, prep: Circuit, starts=(0,)) -> np.ndarray:
+    """<psi|U|psi> with |psi> = prep|s> for each start index s, from the
+    dense unitaries of the bound circuits u and prep."""
+    psi = circuit_unitary(prep)[:, list(starts)]
+    return np.einsum("in,ij,jn->n", psi.conj(), circuit_unitary(u), psi)
+
+
+def ancilla_values(amps: np.ndarray) -> np.ndarray:
+    """<X> + i<Y> of qubit 0 in each row of an (N, 2**width) amplitude
+    array: 2 <a0|a1>, with a0 and a1 the halves where qubit 0 reads 0 and 1."""
+    half = amps.shape[1] // 2
+    return np.array([2.0 * np.vdot(a[:half], a[half:]) for a in amps])
 
 # ---------------------------------------------------------------------------
 # Single-qubit lines, layer by layer

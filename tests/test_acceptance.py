@@ -17,7 +17,7 @@ from pqcapprox import qsp as Q
 from pqcapprox import sim as S
 from pqcapprox import targets
 
-from oracles import circuit_unitary, qsp_synthesize_completion
+from oracles import block_values, circuit_unitary, qsp_synthesize_completion
 from test_qsp import random_parity_target
 
 HALFSINE = targets.halfsine()
@@ -350,7 +350,7 @@ def test_criterion_11_shot_estimator():
     bc = C.build_bernstein_pqc(f, 2)
     x0 = (0.35,)
     ht = S.hadamard_test_circuit(bc.circuit.bound(x0), bc.prep.bound(x0))
-    exact = S.expectations_z0(ht)[0]
+    exact = block_values(bc.circuit.bound(x0), bc.prep)[0].real
     estimates = []
     for seed in range(20):
         est, _ = S.sample_shots(ht, 10_000, seed=seed)

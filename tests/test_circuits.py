@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from pqcapprox import qsp as Q
 from pqcapprox import sim as S
 from pqcapprox import targets
 
-from oracles import circuit_unitary, qsp_unitary, trig_qsp_unitary
+from oracles import block_values, circuit_unitary, qsp_unitary, trig_qsp_unitary
 
 
 def halfsine():
@@ -99,7 +100,8 @@ def _random_single_qubit_unit(rng):
             gates.append(S.zg(0))
     circuit = S.Circuit(1, tuple(gates))
     prep = S.Circuit(1, (S.h(0),))
-    return C.BlockCircuit(circuit, prep, rescale=1.0)
+    # <+|U|+> of random rotations is complex
+    return C.BlockCircuit(circuit, prep, rescale=1.0, block_value_is_real=False)
 
 
 def test_lcu_single_unit_unchanged():
@@ -129,6 +131,17 @@ def test_lcu_pad_terms_contribute_zero():
     # 4 * block - sum(units) isolates the pad contribution
     pad_contrib = C.evaluate_block(combined) - sum(values)
     assert abs(pad_contrib) <= 1e-12
+
+
+def test_lcu_of_a_real_and_a_complex_unit_is_complex():
+    real = C.build_trig_monomial_pqc(0.5, (0,))  # 0.5 e^{0i}
+    real = dataclasses.replace(real, block_value_is_real=True)
+    cplx = C.build_trig_monomial_pqc(0.5j, (1,))
+    combined = C.lcu_combine([real, cplx])
+    assert not combined.block_value_is_real
+    x = (0.7,)
+    want = C.evaluate_block(real, x) + C.evaluate_block(cplx, x)
+    assert abs(C.evaluate_block(combined, x) - want) <= 1e-12
 
 
 def test_lcu_rejects_mixed_rescale():
@@ -356,22 +369,51 @@ def test_evaluate_block_rejects_acos_argument_out_of_range():
 def test_evaluate_block_reuses_compiled_programs():
     real = C.build_monomial_pqc(0.5, (1, 1))
     cplx = C.build_trig_monomial_pqc(0.5j, (1,))
-    for bc, n_parts in ((real, 1), (cplx, 2)):
+    for bc in (real, cplx):
         C.evaluate_block(bc, (0.3, 0.4))
-        programs = bc.programs
-        assert len(programs) == n_parts
+        program = bc.program
+        assert isinstance(program, S.GateProgram)
         C.evaluate_block(bc, (0.1, 0.2))
-        assert bc.programs is programs
-        assert all(a is b for a, b in zip(bc.programs, programs))
+        assert bc.program is program
+
+
+def test_complex_block_reads_both_parts_from_one_run_per_chunk(monkeypatch):
+    bc = C.build_trig_monomial_pqc(0.5j, (1,))
+    xs = np.array([[0.3], [-1.2], [2.5]])
+    calls = []
+    real_run = S.run
+
+    def counting_run(program, **kwargs):
+        calls.append(len(kwargs["x"]))
+        return real_run(program, **kwargs)
+
+    monkeypatch.setattr(S, "run", counting_run)
+    got = C.evaluate_block(bc, xs)
+    assert calls == [3]
+    one = C.evaluate_block(bc, xs[1])
+    assert calls == [3, 1] and isinstance(one, complex)
+    for x, value in zip(xs, got):
+        want = block_values(bc.circuit.bound(x), bc.prep)[0] * bc.rescale
+        assert abs(value - want) <= 1e-12
+        assert abs(want - 0.5j * np.exp(1j * x[0])) <= 1e-12
+
+
+def test_evaluate_block_rejects_a_complex_block_declared_real():
+    bc = C.build_trig_monomial_pqc(0.5j, (1,))
+    mislabelled = dataclasses.replace(bc, block_value_is_real=True)
+    with pytest.raises(ValueError, match="declared real"):
+        C.evaluate_block(mislabelled, (0.3,))
+    # a real value of a complex block, Im 0 to rounding, reads as real
+    assert C.evaluate_block(mislabelled, (math.pi / 2,)) == pytest.approx(-0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("build, max_ops", [
-    (lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4), 221),
+    (lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4), 220),
     (lambda: C.build_taylor_series_pqc(
-        C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)), 59),
+        C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)), 58),
 ], ids=["bernstein-d2-n4", "taylor-series-d2-K4-s1"])
 def test_compiled_hadamard_test_keeps_no_flip_or_identity_op(build, max_ops):
-    prog = build().programs[0]
+    prog = build().program
     fixed = np.setdiff1d(np.arange(len(prog.pairs)), prog.slotted)
     for m in prog.heads[fixed]:
         assert not np.array_equal(m, S.gate_matrix_1q("X"))

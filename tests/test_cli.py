@@ -15,6 +15,8 @@ import pqcapprox
 from pqcapprox import circuits, cli, poly, sim, targets
 from pqcapprox.poly import ConstructionError
 
+from oracles import block_values
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -207,9 +209,11 @@ def test_report_rejects_sizes_below_one(argv, tmp_path):
         ("tol", ("--experiment", "qsp", "--tol", "-1")),
         ("tol", ("--experiment", "poly", "--tol", "0")),
         ("shots", ("--experiment", "bernstein", "--d", "1", "--shots", "-5", "--seed", "1")),
+        *(("points_per_axis", ("--experiment", kind, "--points-per-axis", "-3"))
+          for kind in ("bernstein", "poly", "trig", "taylor")),
     ],
     ids=["eps-zero", "eps-nan", "delta", "s", "tol-nan-trig", "tol-nan-qsp", "tol-negative",
-         "tol-zero", "shots"],
+         "tol-zero", "shots", "points-bernstein", "points-poly", "points-trig", "points-taylor"],
 )
 def test_report_rejects_nonpositive_tolerances_and_negative_order(capsys, key, argv):
     code, out, err = run_cli(capsys, "report", *argv)
@@ -330,6 +334,20 @@ def test_eval_rejects_a_damaged_circuit(capsys, tmp_path, suffix, damage, expect
     code, out, err = run_cli(capsys, "eval", "--circuit", str(path), "--x", "0.3")
     assert code == 2 and out == ""
     assert expected in json.loads(err.strip())["error"]
+
+
+def test_eval_reads_both_parts_and_rejects_a_complex_block_declared_real(capsys, tmp_path):
+    path = tmp_path / "trig.txt"
+    flags = ("--kind", "trig", "--target", "trig:1=0.9", "--emit-circuit", str(path))
+    assert run_cli(capsys, "build", *flags)[0] == 0
+    code, out, _ = run_cli(capsys, "eval", "--circuit", str(path), "--x", "1.1")
+    value = json.loads(out)
+    assert code == 0 and abs(complex(value["re"], value["im"]) - 0.9 * np.exp(1.1j)) <= 1e-12
+    meta = Path(f"{path}.meta.json")
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "block_value_is_real": True}))
+    code, out, err = run_cli(capsys, "eval", "--circuit", str(path), "--x", "1.1")
+    assert code == 2 and out == ""
+    assert "declared real" in json.loads(err.strip())["error"]
 
 
 @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
@@ -506,8 +524,7 @@ def test_report_samples_shots_from_the_compiled_block(capsys):
     assert abs(params["shot_estimate_block"] - exact) <= 5 * params["shot_stderr_block"]
     bc = circuits.build_bernstein_pqc(targets.by_name("abs_centered", 1), 4)
     x0 = (0.5,)
-    ht = sim.hadamard_test_circuit(bc.circuit.bound(x0), bc.prep.bound(x0))
-    assert exact == pytest.approx(sim.expectations_z0(ht)[0], abs=1e-12)
+    assert exact == pytest.approx(block_values(bc.circuit.bound(x0), bc.prep)[0].real, abs=1e-12)
     assert params["rescale"] == bc.rescale
 
 

@@ -11,7 +11,7 @@ from pqcapprox import poly as P
 from pqcapprox import sim as S
 from pqcapprox import targets
 
-from oracles import _apply_gate, circuit_unitary
+from oracles import _apply_gate, ancilla_values, block_values, circuit_unitary
 
 
 def rx(q, angle, trainable=False):
@@ -45,7 +45,7 @@ def random_circuit(rng, width, n_gates, mcu=False):
 
 
 # ---------------------------------------------------------------------------
-# run / expectation
+# run / readout
 # ---------------------------------------------------------------------------
 
 
@@ -67,10 +67,11 @@ def test_cnot_textbook_action():
     assert np.allclose(out, expected)
 
 
-def test_expectation_z0_basis_states():
-    assert S.expectation_z0(S.run(S.Circuit(1, ()))[0]) == pytest.approx(1.0)
-    assert S.expectation_z0(S.run(S.Circuit(2, (S.xg(0),)))[0]) == pytest.approx(-1.0)
-    assert S.expectation_z0(S.run(S.Circuit(1, (S.h(0),)))[0]) == pytest.approx(0.0, abs=1e-15)
+def test_hadamard_values_of_basis_states():
+    """|+> reads 1, |-> reads -1 and a basis state of the ancilla reads 0."""
+    assert S.hadamard_values(S.Circuit(1, (S.h(0),)))[0] == pytest.approx(1.0)
+    assert S.hadamard_values(S.Circuit(2, (S.xg(0), S.h(0))))[0] == pytest.approx(-1.0)
+    assert S.hadamard_values(S.Circuit(1, ()))[0] == pytest.approx(0.0, abs=1e-15)
 
 
 @given(st.integers(0, 10**6))
@@ -136,11 +137,10 @@ def test_compiled_program_matches_dense_unitary(seed):
     assert len(prog.pairs) <= 6
     dense = circuit_unitary(circ.bound(x))
     assert np.max(np.abs(S.run(prog, x=[x])[0] - dense[:, 0])) <= 1e-10
-    psi = S.run(prep)[0]
-    block = np.vdot(psi, dense @ psi)
-    for part, want in (("real", block.real), ("imaginary", block.imag)):
-        ht = S.GateProgram(S.hadamard_test_circuit(circ, prep, part))
-        assert abs(S.expectations_z0(ht, [x])[0] - want) <= 1e-10
+    want = block_values(circ.bound(x), prep)[0]
+    ht = S.GateProgram(S.hadamard_test_circuit(circ, prep))
+    got = S.hadamard_values(ht, [x])[0]
+    assert abs(got.real - want.real) <= 1e-10 and abs(got.imag - want.imag) <= 1e-10
 
 
 def flip_gate(q, ctrls):
@@ -206,11 +206,10 @@ def test_flips_compile_to_a_relabelling(seed):
     xs, starts = random_batch(rng, width, 5)
     assert np.array_equal(S.run(prog, x=xs, start=starts), unstored_run(prog, xs, starts))
     prep = random_circuit(rng, width, 4)
-    psi = S.run(prep)[0]
-    block = np.vdot(psi, dense @ psi)
-    for part, want in (("real", block.real), ("imaginary", block.imag)):
-        ht = S.GateProgram(S.hadamard_test_circuit(circ, prep, part))
-        assert abs(S.expectations_z0(ht, [x])[0] - want) <= 1e-10
+    want = block_values(circ.bound(x), prep)[0]
+    ht = S.GateProgram(S.hadamard_test_circuit(circ, prep))
+    got = S.hadamard_values(ht, [x])[0]
+    assert abs(got.real - want.real) <= 1e-10 and abs(got.imag - want.imag) <= 1e-10
 
 
 def test_flip_pairs_leave_no_relabelling():
@@ -284,9 +283,11 @@ def test_chunked_expectations_equal_single_point_runs(seed):
         # a budget of three states: 11 points run in chunks of 3, 3, 3 and 2
         mp.setattr(S, "BATCH_BYTES", 3 * 16 * 2**width)
         mp.setattr(S, "run", counting_run)
-        got = S.expectations_z0(prog, xs, starts)
+        got = S.hadamard_values(prog, xs, starts)
     assert chunks == [3, 3, 3, 2]
-    assert np.array_equal(got, S.expectation_z0(unstored_run(prog, xs, starts)))
+    assert np.array_equal(got, S.hadamard_values(prog, xs, starts))  # one chunk
+    want = ancilla_values(unstored_run(prog, xs, starts))
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_batch_point_outside_encoding_range_fails():
@@ -352,7 +353,7 @@ def series_block():
 
 
 def series_program(bc):
-    return S.GateProgram(S.hadamard_test_circuit(bc.circuit, bc.prep, "real"))
+    return S.GateProgram(S.hadamard_test_circuit(bc.circuit, bc.prep))
 
 
 def stored_run(prog, xs, starts):
@@ -360,7 +361,7 @@ def stored_run(prog, xs, starts):
 
 
 def batch_values(run, prog, xs, starts):
-    return S.expectation_z0(run(prog, xs, starts))
+    return ancilla_values(run(prog, xs, starts))
 
 
 def single_values(run, prog, xs, starts):
@@ -370,13 +371,13 @@ def single_values(run, prog, xs, starts):
 
 def test_stored_prefix_gives_the_unstored_values_at_every_start(series_block):
     bc, starts, xs, x0 = series_block
-    psi = circuit_unitary(bc.prep)[:, starts]  # the ancilla is qubit 0, in |0>
-    dense = np.einsum("in,ij,jn->n", psi.conj(), circuit_unitary(bc.circuit.bound(x0[0])), psi)
+    # the ancilla is qubit 0, in |0>
+    dense = block_values(bc.circuit.bound(x0[0]), bc.prep, starts)
     assert np.max(np.abs(dense.imag)) <= 1e-12
     # one program fills its store from single points, the other from a batch
     for order in ((single_values, batch_values), (batch_values, single_values)):
         prog = series_program(bc)
-        assert (prog.prefix, len(prog.pairs)) == (37, 59)
+        assert (prog.prefix, len(prog.pairs)) == (37, 58)
         for x in (xs, x0):
             for _ in range(2):  # the second pass runs from stored states only
                 for values in order:
@@ -384,7 +385,7 @@ def test_stored_prefix_gives_the_unstored_values_at_every_start(series_block):
                     assert np.array_equal(got, values(unstored_run, prog, x, starts))
         assert sorted(prog.stored) == sorted(starts.tolist())
         for values in order:
-            assert np.max(np.abs(values(stored_run, prog, x0, starts) - dense.real)) <= 1e-10
+            assert np.max(np.abs(values(stored_run, prog, x0, starts) - dense)) <= 1e-10
 
 
 def test_program_without_slots_stores_its_whole_run():
@@ -496,11 +497,11 @@ def test_layered_blocks_match_the_dense_oracle(block, bernstein_block, series_bl
     if block == "bernstein":
         bc = bernstein_block[1]
         xs = np.random.default_rng(7).uniform(0.0, 1.0, (4, 2))
-        starts, max_applies = np.zeros(4, dtype=int), 16
+        starts, max_applies = np.zeros(4, dtype=int), 15
     else:
         bc, starts, xs, _ = series_block
-        xs, starts, max_applies = xs[:4], starts[:4], 6
-    circ = S.hadamard_test_circuit(bc.circuit, bc.prep, "real")
+        xs, starts, max_applies = xs[:4], starts[:4], 5
+    circ = S.hadamard_test_circuit(bc.circuit, bc.prep)
     prog = S.GateProgram(circ)
     check_schedule(prog)
     assert applies_after_prefix(prog) <= max_applies
@@ -524,10 +525,11 @@ def test_layered_bernstein_batch_matches_the_classical_sum(bernstein_block):
 
 def test_expectations_without_points_or_starts_run_from_zero():
     circ = S.Circuit(2, (S.h(0), S.ry(1, 0.4), S.cnot(1, 0)))
-    want = S.expectation_z0(S.run(circ)[0])
+    want = S.hadamard_values(circ, start=np.zeros(1, dtype=int))
+    assert abs(want[0] - ancilla_values(circuit_unitary(circ)[:, :1].T)[0]) <= 1e-15
     for c in (circ, S.GateProgram(circ)):
-        got = S.expectations_z0(c)
-        assert got.shape == (1,) and got[0] == want
+        got = S.hadamard_values(c)
+        assert got.shape == (1,) and got[0] == want[0]
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +537,10 @@ def test_expectations_without_points_or_starts_run_from_zero():
 # ---------------------------------------------------------------------------
 
 
-def hadamard_test(u, prep, part="real"):
-    """Re (or Im) of <psi|U|psi> with |psi> = prep|0...0>, read as
-    BlockCircuit.programs reads it."""
-    return S.expectations_z0(S.hadamard_test_circuit(u, prep, part))[0]
+def hadamard_test(u, prep):
+    """<psi|U|psi> with |psi> = prep|0...0>, read as BlockCircuit.program
+    reads it."""
+    return S.hadamard_values(S.hadamard_test_circuit(u, prep))[0]
 
 
 def test_hadamard_test_identity():
@@ -557,13 +559,11 @@ def test_hadamard_test_matches_dense(width):
     rng = np.random.default_rng(width + 100)
     u = random_circuit(rng, width, 15, mcu=True)
     prep = random_circuit(rng, width, 6)
-    psi = S.run(prep)[0]
-    block = np.vdot(psi, circuit_unitary(u) @ psi)
-    re = hadamard_test(u, prep, "real")
-    im = hadamard_test(u, prep, "imaginary")
+    block = block_values(u, prep)[0]
+    got = hadamard_test(u, prep)
     tol = 1e-12 if width <= 2 else 1e-10
-    assert abs(re - block.real) <= tol
-    assert abs(im - block.imag) <= tol
+    assert abs(got.real - block.real) <= tol
+    assert abs(got.imag - block.imag) <= tol
 
 
 def test_hadamard_test_width_mismatch():
@@ -577,17 +577,18 @@ def test_hadamard_test_width_mismatch():
 
 
 def test_shots_deterministic_state():
-    est, err = S.sample_shots(S.Circuit(1, ()), 500, seed=1)
+    identity = S.hadamard_test_circuit(S.Circuit(1, ()), S.Circuit(1, ()))
+    est, err = S.sample_shots(identity, 500, seed=1)
     assert est == 1.0 and err == 0.0
 
 
 def test_shots_reproducible():
-    c = S.Circuit(1, (S.h(0),))
+    c = S.hadamard_test_circuit(S.Circuit(1, (S.xg(0),)), S.Circuit(1, ()))
     assert S.sample_shots(c, 1000, seed=7) == S.sample_shots(c, 1000, seed=7)
 
 
 def test_shots_concentration():
-    c = S.Circuit(1, (S.h(0),))
+    c = S.hadamard_test_circuit(S.Circuit(1, (S.xg(0),)), S.Circuit(1, ()))  # <0|X|0> = 0
     estimates = [S.sample_shots(c, 10_000, seed=s)[0] for s in range(20)]
     assert abs(float(np.mean(estimates))) <= 5.0 / math.sqrt(10_000 * 20)
 
