@@ -28,6 +28,8 @@ from .poly import (
     ParityPolynomial,
     Polynomial,
     TargetFunctionSpec,
+    _cheb_coeffs,
+    chebyshev_grid,
     localization_poly,
     multi_indices,
     parity_split,
@@ -416,12 +418,43 @@ def build_localization_pqc(spec: LocalizationSpec, d: int) -> list[BlockCircuit]
     return blocks
 
 
+@cache
+def localization_chebyshev(spec: LocalizationSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The powers k = L mod 2, L mod 2 + 2, ..., L and the Chebyshev
+    coefficients c_k of the block value of the synthesized L-layer line,
+    taken from its values at _fast_len(L + 1) first-kind nodes (exact for
+    its degree L).  Its parity is that of L, so the other c_k vanish."""
+    angles = localization_angles(spec).angles
+    L = len(angles) - 1
+    nodes = chebyshev_grid(qsp._fast_len(L + 1))
+    coeffs = _cheb_coeffs(np.real(qsp.qsp_block_values(angles, nodes)))[L % 2:L + 1:2]
+    powers = np.arange(L % 2, L + 1, 2)
+    for a in (powers, coeffs):  # cached, so every caller shares them
+        a.setflags(write=False)
+    return powers, coeffs
+
+
 def localization_values(spec: LocalizationSpec, x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Fast block values of every coordinate, in x's shape (identical to the
-    Hadamard test); x is one point or an (N, d) array of points."""
-    angles = localization_angles(spec)
+    """Fast block values of every coordinate, in x's shape; x is one point or
+    an (N, d) array of points.
+
+    Each value is sum_k c_k cos(k arccos u) over localization_chebyshev,
+    equal up to rounding to the Hadamard test and to qsp.qsp_block_values:
+    on 20k points of [-1, 1] within 7.3e-14 at K = 8 (L = 894), 1.7e-13 at
+    K = 16 and 5.1e-13 at K = 32 (L = 5806).  Points run in chunks whose
+    (N, 1, K) cosine table fits in sim.BATCH_BYTES; the product is stacked,
+    so a point gives bit-identical values alone or in a batch."""
+    powers, coeffs = localization_chebyshev(spec)
     xs = np.asarray(x, dtype=float)
-    return np.real(qsp.qsp_block_values(angles.angles, xs.ravel())).reshape(xs.shape)
+    u = xs.ravel()
+    if not np.all(np.abs(u) <= 1.0 + 1e-12):  # NaN fails this too
+        raise ValueError("encoding inputs outside [-1, 1]")
+    theta = np.arccos(np.clip(u, -1.0, 1.0))[:, None, None]
+    out = np.empty(len(u))
+    size = max(1, sim.BATCH_BYTES // powers.nbytes)  # float64 table rows, int64 powers
+    for lo in range(0, len(u), size):
+        out[lo:lo + size] = (np.cos(theta[lo:lo + size] * powers) @ coeffs)[:, 0]
+    return out.reshape(xs.shape)
 
 
 def round_to_eta(values: Sequence[float] | np.ndarray, K: int) -> MultiIndex | np.ndarray:

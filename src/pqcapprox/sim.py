@@ -228,10 +228,17 @@ class GateProgram:
     Every maximal run of consecutive gates on one target under one control
     set becomes a single op: a 2x2 matrix applied to the amplitude pairs
     ``(i0, i1)`` that differ in the target bit and have every control bit
-    set.  The fixed gates of a run are multiplied together here.  An op
-    without encoding slots is fixed: its ``heads`` matrix serves every
-    point.  Only the ops listed in ``slotted`` are bound per point, from the
-    slot factors and the fixed products between them.
+    set, except that a run splits where its encoding slot changes, so an op
+    binds one slot.  No circuit the package builds splits a run.  The fixed
+    gates of an op are multiplied together here.  An op without encoding
+    slots is fixed: its ``heads`` matrix serves every point.  Only the ops
+    listed in ``slotted`` are bound per point.  ``chains`` holds each one's
+    slot and, per slot factor, its rotation kind and the fixed product after
+    it.  With h the slot's half angle, such an op is a trigonometric
+    polynomial in h of degree its slot count, so it is compiled once into
+    its Fourier coefficients (``slot_tables``, one per slot), and
+    ``op_matrices`` binds every op of a slot with one table of cos hk and
+    sin hk and one product.
 
     A fixed run whose product is exactly X (an X, CNOT or multi-controlled
     X flip) is not an op: it relabels the amplitudes it swaps, and a run
@@ -272,26 +279,29 @@ class GateProgram:
         idx = np.arange(2**c.width)
         eye = np.eye(2, dtype=complex)
         pair_of: dict[tuple[int, int], np.ndarray] = {}
-        slot_of: dict[tuple[str, EncodingSlot], int] = {}
-        runs: list[np.ndarray] = []  # per run: its (i0, i1) pairs
-        heads: list[np.ndarray] = []  # fixed product before a run's first slot
-        chains: list[list[list]] = []  # per run: [slot index, fixed product after it]
+        runs: list[np.ndarray] = []  # per op: its (i0, i1) pairs
+        heads: list[np.ndarray] = []  # fixed product before an op's first slot
+        slots: list[Optional[EncodingSlot]] = []  # per op: its slot, if any
+        chains: list[list[list]] = []  # per op: [kind, fixed product after it] per slot
         prev = None
         for g in c.gates:
             tbit = 1 << (c.width - 1 - g.targets[0])
             cmask = sum(1 << (c.width - 1 - q) for q in g.controls)
-            if (tbit, cmask) != prev:
+            # a run splits where its slot changes, so every op has one slot
+            if (tbit, cmask) != prev or (g.slot is not None and slots[-1] not in (None, g.slot)):
                 if (tbit, cmask) not in pair_of:
                     i0 = idx[((idx & tbit) == 0) & ((idx & cmask) == cmask)]
                     pair_of[tbit, cmask] = np.stack([i0, i0 | tbit])
                 runs.append(pair_of[tbit, cmask])
                 heads.append(eye)
+                slots.append(None)
                 chains.append([])
                 prev = (tbit, cmask)
             kind = _gate_kind(g)
             chain = chains[-1]
             if g.slot is not None:
-                chain.append([slot_of.setdefault((kind, g.slot), len(slot_of)), eye])
+                slots[-1] = g.slot
+                chain.append([kind, eye])
             elif chain:
                 chain[-1][1] = gate_matrix_1q(kind, g.angle) @ chain[-1][1]
             else:
@@ -303,46 +313,25 @@ class GateProgram:
         perm = idx.copy()
         self.pairs: list[np.ndarray] = []
         kept = []
-        for pair, head, chain in zip(runs, heads, chains):
+        for pair, head, slot, chain in zip(runs, heads, slots, chains):
             if not chain and np.array_equal(head, _PAULI_X):
                 perm[pair] = perm[pair[::-1]]
             elif chain or not np.array_equal(head, eye):
                 self.pairs.append(perm[pair])
-                kept.append((head, chain))
-        heads, chains = [head for head, _ in kept], [chain for _, chain in kept]
+                kept.append((head, slot, chain))
         self.perm = None if np.array_equal(perm, idx) else perm
-        self.slots = tuple(slot_of)
-        # slots bound together: one group per xform, with the slot indices,
-        # coordinates, scales and shifts of its members
-        groups: dict[str, list[int]] = {}
-        for i, (_, slot) in enumerate(self.slots):
-            groups.setdefault(slot.xform, []).append(i)
-        self.slot_groups = [
-            (xform, np.array(idx),
-             np.array([self.slots[i][1].coord for i in idx]),
-             np.array([self.slots[i][1].scale for i in idx]),
-             np.array([self.slots[i][1].shift for i in idx]))
-            for xform, idx in groups.items()
+        self.heads = np.array([head for head, *_ in kept], dtype=complex).reshape(len(kept), 2, 2)
+        self.slotted = np.array([k for k, (*_, chain) in enumerate(kept) if chain], dtype=int)
+        self.chains = [kept[k][1:] for k in self.slotted]
+        # slotted ops bound together: one table per slot
+        groups: dict[EncodingSlot, list[int]] = {}
+        for p in sorted(range(len(self.chains)), key=lambda p: -len(self.chains[p][1])):
+            groups.setdefault(self.chains[p][0], []).append(p)  # longest chains first
+        self.slot_tables = [
+            (slot, np.array(ops), *_fourier_table(self.heads[self.slotted[ops]],
+                                                  [self.chains[p][1] for p in ops]))
+            for slot, ops in groups.items()
         ]
-        self.heads = np.array(heads, dtype=complex).reshape(len(heads), 2, 2)
-        self.slotted = np.array([k for k, chain in enumerate(chains) if chain], dtype=int)
-        # Stage j: every slotted op with more than j slots takes its j-th
-        # slot factor R = cos I + sin G, then the fixed product A up to its
-        # next slot, so the stage multiplies by cos A + sin AG.  Stage 0 also
-        # folds in the head H: cos AH + sin AGH, linear in the slot's cos and
-        # sin, so an op with one slot needs no matrix product per point.
-        slotted_chains = [chains[k] for k in self.slotted]
-        self.stages = []
-        for j in range(max(map(len, slotted_chains), default=0)):
-            pos = [p for p, chain in enumerate(slotted_chains) if len(chain) > j]
-            slot_idx = [slotted_chains[p][j][0] for p in pos]
-            after = np.array([slotted_chains[p][j][1] for p in pos])
-            gens = np.array([_GENERATORS[self.slots[i][0]] for i in slot_idx])
-            first = self.heads[self.slotted] if j == 0 else np.eye(2)
-            self.stages.append((
-                np.array(pos), np.array(slot_idx), (after @ first)[:, None],
-                (after @ gens @ first)[:, None],
-            ))
         self.prefix = int(self.slotted[0]) if len(self.slotted) else len(self.pairs)
         self.stored: dict[int, np.ndarray] = {}
         # Each op joins the layer after the last layer that touches any of
@@ -410,25 +399,68 @@ class GateProgram:
 
     def op_matrices(self, x: Optional[np.ndarray]) -> np.ndarray:
         """The (len(slotted), N, 2, 2) matrices of the slotted ops, bound at
-        each row of the (N, d) point array x."""
+        each row of the (N, d) point array x: per slot, its (N, 1, K) table
+        of cos hk and sin hk times its compiled (K, 8 ops) matrix."""
         if x is None:
             raise ValueError("circuit has unbound encoding slots; pass x")
         xs = np.asarray(x, dtype=float)
-        half = np.empty((len(self.slots), len(xs)))
-        for xform, idx, coords, scales, shifts in self.slot_groups:
-            half[idx] = encoding_angles(xform, (xs[:, coords] * scales - shifts).T) / 2.0
-        cos, sin = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
-        (_, slot_idx, a, ag), *later = self.stages
-        mats = cos[slot_idx] * a + sin[slot_idx] * ag
-        for pos, slot_idx, a, ag in later:
-            mats[pos] = _mul2(cos[slot_idx] * a + sin[slot_idx] * ag, mats[pos])
+        mats = np.empty((len(self.slotted), len(xs), 2, 2), dtype=complex)
+        for slot, ops, powers, cosines, rows in self.slot_tables:
+            half = encoding_angles(slot.xform, xs[:, slot.coord] * slot.scale - slot.shift) / 2.0
+            # in chunks of points whose tables fit in BATCH_BYTES (a table
+            # row has as many float64 entries as powers has int64 ones)
+            size = max(1, BATCH_BYTES // powers.nbytes)
+            for lo in range(0, len(xs), size):
+                hk = half[lo:lo + size, None, None] * powers
+                np.cos(hk[..., :cosines], out=hk[..., :cosines])
+                np.sin(hk[..., cosines:], out=hk[..., cosines:])
+                # stacked, so a point's row is the same product alone or in a batch
+                parts = (hk @ rows).view(complex).reshape(len(hk), len(ops), 2, 2)
+                mats[ops, lo:lo + size] = parts.swapaxes(0, 1)
         return mats
 
 
-def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over broadcast stacks of 2x2 matrices, as a sum of two outer
-    products: numpy's matmul makes one small product per stack element."""
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+def _fourier_table(heads: np.ndarray, chains: list[list[list]]) -> tuple:
+    """Ops of one slot, compiled for op_matrices: the powers k of the table
+    [cos hk (k >= 0), sin hk (k > 0)], how many are cosines, and the real
+    (K, 8 ops) matrix that maps the table to the ops' entries, real and
+    imaginary parts interleaved.
+
+    An op with head H and m slot factors, each followed by its fixed
+    product A_j, is A_m R_m(h) ... A_1 R_1(h) H with
+    R_j = cos h I + sin h G_j = e^{ih} (I - iG_j)/2 + e^{-ih} (I + iG_j)/2,
+    so it is sum_k c_k e^{ihk} over k = -m, -m+2, ..., m.  Stage j
+    multiplies every op with more than j factors by A_j R_j; the chains come
+    longest first, so those ops lead, and each holds the j+1 coefficients
+    of powers -j, -j+2, ..., j.  Then c_k e^{ihk} + c_-k e^{-ihk} is
+    (c_k + c_-k) cos hk + i (c_k - c_-k) sin hk."""
+    m = len(chains[0])
+    coef = np.zeros((len(chains), 2, 2, 2 * m + 1), dtype=complex)  # power k at m + k
+    live = heads[..., None]
+    eye = np.eye(2)
+    for j in range(m + 1):
+        n = sum(len(chain) > j for chain in chains)
+        coef[n:len(live), ..., m - j:m + j + 1:2] = live[n:]  # the ops with j factors
+        if not n:
+            break
+        after = np.array([chain[j][1] for chain in chains[:n]])
+        gens = np.array([_GENERATORS[chain[j][0]] for chain in chains[:n]])
+        # A_j (I - iG)/2 e^{ih} and A_j (I + iG)/2 e^{-ih}, stacked
+        halves = np.concatenate([after @ (eye - 1j * gens), after @ (eye + 1j * gens)], axis=1)
+        both = (halves / 2.0 @ live[:n].reshape(n, 2, -1)).reshape(n, 2, 2, 2, j + 1)
+        live = np.empty((n, 2, 2, j + 2), dtype=complex)
+        live[..., :-1] = both[:, 1]  # e^{-ih} takes power -j+2q to -(j+1)+2q
+        live[..., -1] = 0.0
+        live[..., 1:] += both[:, 0]  # and e^{ih} to -(j+1)+2(q+1)
+    # when every op has m's parity the other powers vanish and stay out of the table
+    step = 2 if len({len(chain) % 2 for chain in chains}) == 1 else 1
+    powers = np.arange(m % step, m + 1, step)
+    sines = powers[powers > 0]
+    rows = np.concatenate([coef[..., m + powers] + coef[..., m - powers] * (powers > 0),
+                           1j * (coef[..., m + sines] - coef[..., m - sines])], axis=-1)
+    rows = np.moveaxis(rows, -1, 0)
+    return (np.concatenate([powers, sines]), len(powers),
+            np.stack([rows.real, rows.imag], axis=-1).reshape(len(rows), -1))
 
 
 def run(

@@ -2,10 +2,12 @@
 
 These are deliberately slow and direct: a dense unitary built gate by gate,
 the block values <psi|U|psi> read from it, the ancilla's <X> + i<Y> of a
-final state, the layer-by-layer 2x2 products of the X- and Z-encoding
-lines, and a second angle synthesizer (Fejer-Riesz completion) that
-cross-checks the Newton one at low degree.  None of them shares code with
-the paths under test beyond the gate matrices.
+final state, a compiled program's slotted op matrices bound one slot
+factor at a time, the layer-by-layer 2x2 products of the X- and
+Z-encoding lines, and a second angle synthesizer (Fejer-Riesz completion)
+that cross-checks the Newton one at low degree.  None of them shares code
+with the paths under test beyond the gate matrices and, for the op
+matrices, the program's compiled chains of fixed products.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ from pqcapprox.qsp import (
     TrigQspParams,
     qsp_block_values,
 )
-from pqcapprox.sim import Circuit, Gate, _gate_kind, gate_matrix_1q
+from pqcapprox.sim import (
+    _GENERATORS,
+    Circuit,
+    Gate,
+    GateProgram,
+    _gate_kind,
+    encoding_angles,
+    gate_matrix_1q,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +95,51 @@ def ancilla_values(amps: np.ndarray) -> np.ndarray:
     array: 2 <a0|a1>, with a0 and a1 the halves where qubit 0 reads 0 and 1."""
     half = amps.shape[1] // 2
     return np.array([2.0 * np.vdot(a[:half], a[half:]) for a in amps])
+
+
+# ---------------------------------------------------------------------------
+# Slotted op matrices, stage by stage
+# ---------------------------------------------------------------------------
+
+
+def stages(program: GateProgram) -> list[tuple]:
+    """Stage j: every slotted op with more than j slots takes its j-th
+    slot factor R = cos I + sin G, then the fixed product A up to its next
+    slot, so the stage multiplies by cos A + sin AG.  Stage 0 also folds in
+    the head H: cos AH + sin AGH, linear in the slot's cos and sin, so an
+    op with one slot needs no matrix product per point."""
+    chains = [chain for _, chain in program.chains]
+    out = []
+    for j in range(max(map(len, chains), default=0)):
+        pos = [p for p, chain in enumerate(chains) if len(chain) > j]
+        after = np.array([chains[p][j][1] for p in pos])
+        gens = np.array([_GENERATORS[chains[p][j][0]] for p in pos])
+        first = program.heads[program.slotted] if j == 0 else np.eye(2)
+        out.append((np.array(pos), (after @ first)[:, None], (after @ gens @ first)[:, None]))
+    return out
+
+
+def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over broadcast stacks of 2x2 matrices, as a sum of two outer
+    products: numpy's matmul makes one small product per stack element."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def stage_op_matrices(program: GateProgram, x: np.ndarray) -> np.ndarray:
+    """The (len(slotted), N, 2, 2) matrices of a program's slotted ops at
+    the (N, d) points x, one 2x2 product per slot and point: the reference
+    for GateProgram.op_matrices."""
+    xs = np.asarray(x, dtype=float)
+    half = np.array([
+        encoding_angles(slot.xform, xs[:, slot.coord] * slot.scale - slot.shift) / 2.0
+        for slot, _ in program.chains
+    ]).reshape(len(program.chains), len(xs))
+    cos, sin = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
+    (pos, a, ag), *later = stages(program)
+    mats = cos[pos] * a + sin[pos] * ag
+    for pos, a, ag in later:
+        mats[pos] = _mul2(cos[pos] * a + sin[pos] * ag, mats[pos])
+    return mats
 
 # ---------------------------------------------------------------------------
 # Single-qubit lines, layer by layer

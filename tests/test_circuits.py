@@ -436,6 +436,31 @@ def test_localization_fast_path_equals_hadamard_test():
         assert ht == pytest.approx(fast, abs=1e-10)
 
 
+@pytest.mark.parametrize("spec", [P.LocalizationSpec(4, 0.05, 0.1),
+                                  P.LocalizationSpec(8, 0.05, 0.0125)], ids=["K4", "K8"])
+def test_localization_values_match_the_transfer_product(spec):
+    angles = C.localization_angles(spec).angles
+    xs = np.concatenate([[0.0, 1e-12, 1.0 - 1e-12, 1.0, -1.0], np.linspace(-1.0, 1.0, 1001)])
+    got = C.localization_values(spec, xs)
+    want = np.real(Q.qsp_block_values(angles, xs))
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for n in range(len(xs)):
+        assert C.localization_values(spec, xs[[n]])[0] == got[n]
+    for bad in (1.0 + 1e-8, -1.0 - 1e-8, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            C.localization_values(spec, [0.5, bad])
+
+
+@pytest.mark.parametrize("tables", [4, 0])
+def test_localization_values_in_chunks_equal_one_batch(monkeypatch, tables):
+    spec = P.LocalizationSpec(4, 0.05, 0.1)
+    xs = np.random.default_rng(9).random((7, 3))
+    whole = C.localization_values(spec, xs)
+    # budgets of four points' cosine tables and of less than one
+    monkeypatch.setattr(S, "BATCH_BYTES", tables * C.localization_chebyshev(spec)[0].nbytes)
+    assert np.array_equal(C.localization_values(spec, xs), whole)
+
+
 def test_round_to_eta():
     assert C.round_to_eta([0.0], 4) == (0,)
     assert C.round_to_eta([0.55], 4) == (2,)

@@ -483,6 +483,16 @@ def test_build_localization(tmp_path, capsys):
     assert 0.5 < v < 0.75
 
 
+def test_eval_rejects_a_localization_input_outside_the_encoding_range(tmp_path, capsys):
+    path = tmp_path / "loc.txt"
+    flags = ("--kind", "localization", "--K", "2", "--eps", "0.25", "--emit-circuit", str(path))
+    assert run_cli(capsys, "build", *flags)[0] == 0
+    code, out, err = run_cli(capsys, "eval", "--circuit", str(path), "--x", "1.5")
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "outside [-1, 1]" in json.loads(lines[0])["error"]
+
+
 def test_compare_fnn(capsys):
     flags = ("--d", "20", "--s", "5", "--eps", "0.1", "--lambda0", "0.5")
     code, out, _ = run_cli(capsys, "compare-fnn", *flags)

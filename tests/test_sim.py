@@ -11,7 +11,13 @@ from pqcapprox import poly as P
 from pqcapprox import sim as S
 from pqcapprox import targets
 
-from oracles import _apply_gate, ancilla_values, block_values, circuit_unitary
+from oracles import (
+    _apply_gate,
+    ancilla_values,
+    block_values,
+    circuit_unitary,
+    stage_op_matrices,
+)
 
 
 def rx(q, angle, trainable=False):
@@ -125,6 +131,20 @@ def random_slotted_circuit(rng, width, n_runs):
     return S.Circuit(width, tuple(gates))
 
 
+def slot_splits(circ):
+    """Places where a run of gates on one target under one control set
+    changes its encoding slot: each starts one more op, since an op binds
+    one slot."""
+    count, prev, slot = 0, None, None
+    for g in circ.gates:
+        if (g.targets, set(g.controls)) != prev:
+            prev, slot = (g.targets, set(g.controls)), None
+        if g.slot is not None:
+            count += slot not in (None, g.slot)
+            slot = g.slot
+    return count
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_compiled_program_matches_dense_unitary(seed):
@@ -134,7 +154,7 @@ def test_compiled_program_matches_dense_unitary(seed):
     prep = random_circuit(rng, width, 4)
     x = (float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-3.0, 3.0)))
     prog = S.GateProgram(circ)
-    assert len(prog.pairs) <= 6
+    assert len(prog.pairs) <= 6 + slot_splits(circ)
     dense = circuit_unitary(circ.bound(x))
     assert np.max(np.abs(S.run(prog, x=[x])[0] - dense[:, 0])) <= 1e-10
     want = block_values(circ.bound(x), prep)[0]
@@ -197,7 +217,7 @@ def test_flips_compile_to_a_relabelling(seed):
     n_runs = 8
     circ, flips = flipping_circuit(rng, width, n_runs)
     prog = S.GateProgram(circ)
-    assert len(prog.pairs) <= n_runs - flips
+    assert len(prog.pairs) <= n_runs - flips + slot_splits(circ)
     x = (float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-3.0, 3.0)))
     dense = circuit_unitary(circ.bound(x))
     every = np.arange(2**width)
@@ -521,6 +541,101 @@ def test_layered_bernstein_batch_matches_the_classical_sum(bernstein_block):
     got = C.evaluate_block(bc, xs)
     want = np.array([P.bernstein_eval(f, 4, x) for x in xs])
     assert np.max(np.abs(got - want)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Fourier binding of the slotted ops
+# ---------------------------------------------------------------------------
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_fourier_binding_matches_the_stage_products(seed):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 5))
+    circ = random_slotted_circuit(rng, width, 6)
+    prog = S.GateProgram(circ)
+    assert all(slot is not None for slot, _ in prog.chains)
+    xs, _ = random_batch(rng, width, int(rng.integers(1, 9)))
+    got = prog.op_matrices(xs)
+    assert got.shape == (len(prog.slotted), len(xs), 2, 2)
+    assert np.max(np.abs(got - stage_op_matrices(prog, xs)), initial=0.0) <= 1e-13
+    for n in range(len(xs)):
+        assert np.array_equal(prog.op_matrices(xs[[n]])[:, 0], got[:, n])
+
+
+@pytest.mark.parametrize("tables", [3, 0])
+def test_op_matrices_in_chunks_equal_one_batch(monkeypatch, bernstein_block, tables):
+    prog = bernstein_block[1].program
+    xs = np.random.default_rng(12).uniform(0.0, 1.0, (7, 2))
+    whole = prog.op_matrices(xs)
+    # budgets of three points' tables and of less than one
+    row = max(powers.nbytes for _, _, powers, *_ in prog.slot_tables)
+    monkeypatch.setattr(S, "BATCH_BYTES", tables * row)
+    assert np.array_equal(prog.op_matrices(xs), whole)
+
+
+def localization_k2():
+    return C.build_localization_pqc(P.LocalizationSpec(2, 0.1, 0.05), 1)[0]
+
+
+def trig_block():
+    return C.build_trig_poly_pqc(P.MultivariateTrigPolynomial({(1, -2): 0.3j, (0, 1): 0.4}, 2))
+
+
+@pytest.mark.parametrize("block", ["bernstein", "series", "trig", "localization"])
+def test_fourier_binding_of_the_constructions(block, bernstein_block, series_block):
+    rng = np.random.default_rng(11)
+    bc, xs = {
+        "bernstein": lambda: (bernstein_block[1], rng.uniform(0.0, 1.0, (6, 2))),
+        "series": lambda: (series_block[0], series_block[2][:6]),
+        "trig": lambda: (trig_block(), rng.uniform(-3.0, 3.0, (6, 2))),
+        "localization": lambda: (localization_k2(),
+                                 np.array([[0.0], [1e-12], [0.3], [0.8], [1 - 1e-12], [1.0]])),
+    }[block]()
+    prog = bc.program
+    got = prog.op_matrices(xs)
+    assert np.max(np.abs(got - stage_op_matrices(prog, xs))) <= 1e-13
+    for n in range(len(xs)):
+        assert np.array_equal(prog.op_matrices(xs[[n]])[:, 0], got[:, n])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4),
+    lambda: C.build_taylor_series_pqc(
+        C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)),
+    lambda: C.build_monomial_pqc(0.5, (1, 2)),
+    lambda: C.build_poly_pqc(P.MultivariatePolynomial({(1, 0): 0.5, (0, 2): 0.25}, 2)),
+    trig_block,
+    localization_k2,
+], ids=["bernstein", "series", "monomial", "poly", "trig", "localization"])
+def test_no_construction_splits_a_run(build):
+    bc = build()
+    assert slot_splits(S.hadamard_test_circuit(bc.circuit, bc.prep)) == 0
+
+
+def test_a_run_splits_where_its_slot_changes():
+    text = (
+        "width 2\nlabel two slots in one run\n"
+        "H 1\n"
+        "MCU.Rx 1 c=0 enc=acos:0:0.1:1.0\n"
+        "MCU.Ry 1 c=0 a=0.3\n"
+        "MCU.Rz 1 c=0 enc=zrot:1:0.0:2.0\n"
+        "MCU.Rz 1 c=0 enc=zrot:1:0.0:2.0\n"
+        "MCU.H 1 c=0\n"
+        "MCU.Rx 1 c=0 enc=acos:0:0.1:1.0\n"
+    )
+    circ = S.circuit_from_text(text)
+    assert slot_splits(circ) == 2
+    prog = S.GateProgram(circ)
+    assert len(prog.pairs) == 4 and len(prog.slotted) == 3
+    assert [len(chain) for _, chain in prog.chains] == [1, 2, 1]
+    xs = np.array([[0.3, -1.2], [-0.9, 2.5], [1.1, 0.4]])
+    every = np.arange(4)
+    for x in xs:
+        got = S.run(prog, x=np.tile(x, (4, 1)), start=every)
+        assert np.max(np.abs(got - circuit_unitary(circ.bound(x)).T)) <= 1e-14
+    assert np.max(np.abs(prog.op_matrices(xs) - stage_op_matrices(prog, xs))) <= 1e-15
 
 
 def test_expectations_without_points_or_starts_run_from_zero():
