@@ -485,10 +485,12 @@ def _refined_sup(coef: np.ndarray, grid: np.ndarray, vals: np.ndarray, spacing: 
 # Bytes per (degree + 1)^2 of angle synthesis at that degree.  The peak is
 # in qsp._half_chain_grad, over n = degree // 2 + 1 free angles x m nodes:
 # the complex prefix rows (32) and the real gradient (8); the suffix is one
-# column per node, and the previous Jacobian is released before the next is
-# built.  The DCT's temporaries (at most 20 beside the gradient), the n x n
-# Jacobian and the LU copy that np.linalg.solve makes are allocated after
-# the prefix is freed, so they stay under that peak.  n <= (degree + 2) / 2
+# column per node, and a Jacobian kept for chord steps is released before
+# the next is built.  The DCT's temporaries (at most 20 beside the
+# gradient), the n x n Jacobian and the LU copy that np.linalg.solve makes
+# are allocated after the prefix is freed, and the line search's half-chain
+# residuals sweep blocks of qsp._BLOCK_WIDTH points, so they stay under
+# that peak.  n <= (degree + 2) / 2
 # and m = qsp._fast_len(degree + 1) <= 8/7 (degree + 1) from degree 13 on,
 # so the peak of 40 n m bytes is at most 40 * 4/7 * (degree + 2) *
 # (degree + 1), which is at most 24 (degree + 1)^2 from degree 19 on.
@@ -656,21 +658,32 @@ def _screen_start(
     return top if run_start is None else run_start
 
 
-@dataclass(frozen=True)
-class _StepApproximant:
-    """Smoothed step 1/2 + erf(kappa u)/2 truncated to a Chebyshev series.
+# Bytes of stacked step arguments per Clenshaw pass of _evenized_steps.  A
+# pass whose arrays outgrow the core's cache runs slower than one pass per
+# step: at K=32 (5810 nodes) one pass over all 31 steps took 6.0 s, one per
+# step 5.0 s and passes of this size 3.8 s (medians of three, alternated on
+# a 2-vCPU Xeon with 2 MB of L2 per core), while K <= 8 takes one pass.
+_STEP_PASS_BYTES = 2**18
 
-    The series lives in the scaled variable u/R so it can be evaluated for
-    |u| <= R; ``center`` positions the step at u = x - center.
-    """
 
-    coef: tuple[float, ...]  # Chebyshev series of (1 + P_sgn)(u/R) / 2
-    R: float
-    center: float
+def _evenized_steps(
+    x: np.ndarray, sgn_coef: np.ndarray, R: float, centers: np.ndarray
+) -> np.ndarray:
+    """Sum over the K - 1 centers c of (st_c(x) + st_c(-x)) / K, in order,
+    where st_c(x) = 1/2 + P_sgn((x - c)/R)/2 is the smoothed step at c and
+    the Chebyshev series sgn_coef of P_sgn is evaluated for |u| <= 1.
 
-    def __call__(self, x):
-        u = (np.asarray(x, dtype=float) - self.center) / self.R
-        return 0.5 + 0.5 * _cheb.chebval(u, self.coef)
+    One Clenshaw pass runs over a group of steps and both signs at once; it
+    is elementwise, so each value is the one a per-step evaluation gives."""
+    K = len(centers) + 1
+    group = max(1, _STEP_PASS_BYTES // (16 * len(x)))
+    total = np.zeros_like(x)
+    for i in range(0, K - 1, group):
+        u = (np.stack((x, -x)) - centers[i : i + group, None, None]) / R
+        for pos, neg in 0.5 + 0.5 * _cheb.chebval(u, sgn_coef):
+            # each evenized step is ~0 on the mirrored side
+            total += (pos + neg) / K
+    return total
 
 
 def localization_poly(spec: LocalizationSpec) -> Polynomial:
@@ -708,21 +721,11 @@ def _build_localization(spec: LocalizationSpec, step_eps: float) -> Polynomial:
     R = 2.0  # shifted arguments x -/+ c stay within [-2, 2] for x in [-1,1]
     sgn_coef = _sign_cheb_series(delta, step_eps, R)
     sgn_degree = len(sgn_coef) - 1
-    centers = [k / K - delta / 2.0 for k in range(1, K)]
-    steps = [_StepApproximant(tuple(sgn_coef), R, c) for c in centers]
-
-    def raw(x):
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        for st in steps:
-            # evenized: st(x) + st(-x), each step ~0 on the mirrored side
-            total += (st(x) + st(-x)) / K
-        return total
-
+    centers = np.array([k / K - delta / 2.0 for k in range(1, K)])
     # the evenized steps are exactly a Chebyshev series of degree sgn_degree,
     # so interpolation at a few more first-kind nodes gives its coefficients
     deg = sgn_degree + 2
-    c_raw = _cheb_refit(raw, deg + (deg % 2))
+    c_raw = _cheb_refit(lambda x: _evenized_steps(x, sgn_coef, R, centers), deg + (deg % 2))
     c_raw[1::2] = 0.0  # construction is exactly even; remove interpolation noise
     # the series' own values on the dense verification grid
     n_grid = max(2000, 10 * (sgn_degree + 1))

@@ -12,10 +12,13 @@ Two circuit families are handled:
   monomial ``c exp(i n x)`` has exact parameters (``trig_monomial_params``)
   and a trigonometric polynomial is the LCU sum of its monomials.
 
-X-basis synthesis solves for symmetric angles by Newton iteration on the
-Chebyshev coefficients of the realized block value, warm-started from an
-exact zero-block seed and continued in target scale; this stays reliable
-into the high hundreds of layers, where the localization polynomials live.
+X-basis synthesis solves for symmetric angles by chord-Newton iteration on
+the Chebyshev coefficients of the realized block value, warm-started from
+an exact zero-block seed and continued in target scale; this stays
+reliable into the thousands of layers, where the localization polynomials
+live.  The palindrome lets half of each chain stand for the whole one, in
+the residual (_half_chain_values) and in the Jacobian (_half_chain_grad);
+the final grid check (_verified) evaluates the full chain.
 The dense layer-by-layer unitaries and an independent completion
 synthesizer that check this module live with the tests (tests/oracles.py).
 """
@@ -222,12 +225,32 @@ def _symmetric_angles(phi: np.ndarray, L: int) -> np.ndarray:
     return thetas
 
 
+def _half_chain_values(thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Real part Re U_00 of the block value of a symmetric sequence, from
+    half its chain (see _symmetric_angles and _half_chain_grad).
+
+    With (r0, r1) the top row of P_h R_Z(t_h), h = L // 2, the palindrome
+    gives S_h = P_{L-h}^T R_Z(pi), whose first column is -i (a, b) for the
+    top row (a, b) of P_{L-h}.  So U_00 = -i (r0 a + r1 b), and (a, b) is
+    one more S(x) layer from (r0, r1) when L is odd, R_Z(-t_h) when even.
+    """
+    L = len(thetas) - 1
+    h = L // 2
+    r0, r1 = _transfer_top_rows(thetas[: h + 1], xs)
+    if L % 2:
+        isx = 1j * np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
+        a, b = r0 * xs + r1 * isx, r0 * isx + r1 * xs
+    else:
+        a, b = r0 * np.exp(0.5j * thetas[h]), r1 * np.exp(-0.5j * thetas[h])
+    return (r0 * a + r1 * b).imag
+
+
 def _coeff_residual(phi: np.ndarray, xs, a_slots, target) -> np.ndarray:
     """Newton residual from the block values alone: the parity-L Chebyshev
     coefficients of the (real) block value at the first-kind nodes xs minus
     the target.  a_slots ends at L."""
-    b = qsp_block_values(_symmetric_angles(phi, a_slots[-1]), xs)
-    return _cheb_coeffs(b.real)[a_slots] - target
+    b = _half_chain_values(_symmetric_angles(phi, a_slots[-1]), xs)
+    return _cheb_coeffs(b)[a_slots] - target
 
 
 def _coeff_jacobian(phi: np.ndarray, xs, a_slots) -> np.ndarray:
@@ -237,29 +260,37 @@ def _coeff_jacobian(phi: np.ndarray, xs, a_slots) -> np.ndarray:
 
 
 def _newton_solve(phi, xs, a_slots, target, tol):
-    """Damped Newton on the coefficient residual, for up to 60 steps.
+    """Damped chord-Newton on the coefficient residual, for up to 60 steps.
 
-    A line-search candidate is scored from its residual alone; a Jacobian
-    is built only for a step about to be solved, so a stage builds one per
-    accepted step, plus one for a last step that fails.  A singular Jacobian
-    ends the stage like an exhausted line search.  Once the norm is within
-    tol, up to two polish steps are tried at full length only.  Returns
-    (phi, residual norm, accepted steps, rejected line-search candidates,
-    Jacobian builds).
+    A line-search candidate is scored from its residual alone.  A step
+    reuses the last Jacobian only if the step before it was accepted at
+    full length and cut the residual norm at least 100-fold; otherwise,
+    and for every polish step, a fresh Jacobian is built, after the old one
+    is released.  A line search that fails on a reused Jacobian is retried
+    on a fresh one; one that fails on a fresh Jacobian, or a singular
+    Jacobian, ends the stage.  Once the norm is within tol, up to two
+    polish steps are tried at full length only.  Returns (phi, residual
+    norm, accepted steps, rejected line-search candidates, Jacobian builds).
     """
     res = _coeff_residual(phi, xs, a_slots, target)
     norm = np.linalg.norm(res)
     steps = halvings = builds = 0
     polish = 2  # extra steps after convergence push toward the machine floor
+    jac = None
     while steps < 60:
         if norm <= tol:
             if polish == 0:
                 break
             polish -= 1
-        builds += 1
+            # the root can be singular (the identity target is), where
+            # polish on a stale Jacobian ends further from it
+            jac = None
+        fresh = jac is None
+        if fresh:
+            builds += 1
+            jac = _coeff_jacobian(phi, xs, a_slots)
         try:
-            # the Jacobian is released once solved, before the line search
-            step = np.linalg.solve(_coeff_jacobian(phi, xs, a_slots), -res)
+            step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
             break
         scale = 1.0
@@ -270,12 +301,17 @@ def _newton_solve(phi, xs, a_slots, target, tol):
             cres = _coeff_residual(cand, xs, a_slots, target)
             cnorm = np.linalg.norm(cres)
             if cnorm < norm:
+                if scale < 1.0 or 100.0 * cnorm > norm:
+                    jac = None
                 phi, res, norm = cand, cres, cnorm
                 break
             scale *= 0.5
             halvings += 1
         else:
-            break
+            jac = None
+            if fresh:
+                break
+            continue
         steps += 1
     return phi, norm, steps, halvings, builds
 

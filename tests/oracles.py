@@ -4,10 +4,11 @@ These are deliberately slow and direct: a dense unitary built gate by gate,
 the block values <psi|U|psi> read from it, the ancilla's <X> + i<Y> of a
 final state, a compiled program's slotted op matrices bound one slot
 factor at a time, the layer-by-layer 2x2 products of the X- and
-Z-encoding lines, and a second angle synthesizer (Fejer-Riesz completion)
-that cross-checks the Newton one at low degree.  None of them shares code
-with the paths under test beyond the gate matrices and, for the op
-matrices, the program's compiled chains of fixed products.
+Z-encoding lines, a second angle synthesizer (Fejer-Riesz completion)
+that cross-checks the Newton one at low degree, and the localization's
+evenized step sum evaluated one step and one sign at a time.  None of them
+shares code with the paths under test beyond the gate matrices and, for
+the op matrices, the program's compiled chains of fixed products.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def stage_op_matrices(program: GateProgram, x: np.ndarray) -> np.ndarray:
     the (N, d) points x, one 2x2 product per slot and point: the reference
     for GateProgram.op_matrices."""
     xs = np.asarray(x, dtype=float)
+    if not program.chains:  # no slotted op
+        return np.zeros((0, len(xs), 2, 2), dtype=complex)
     half = np.array([
         encoding_angles(slot.xform, xs[:, slot.coord] * slot.scale - slot.shift) / 2.0
         for slot, _ in program.chains
@@ -140,6 +143,26 @@ def stage_op_matrices(program: GateProgram, x: np.ndarray) -> np.ndarray:
     for pos, a, ag in later:
         mats[pos] = _mul2(cos[pos] * a + sin[pos] * ag, mats[pos])
     return mats
+
+
+# ---------------------------------------------------------------------------
+# Localization steps, one at a time
+# ---------------------------------------------------------------------------
+
+
+def per_step_evenized_steps(x, sgn_coef, R, centers) -> np.ndarray:
+    """poly._evenized_steps with one Clenshaw evaluation per step and sign:
+    (st_c(x) + st_c(-x)) / K summed over the centers in order, where
+    st_c(x) = 1/2 + P_sgn((x - c)/R)/2."""
+    x = np.asarray(x, dtype=float)
+    K = len(centers) + 1
+    total = np.zeros_like(x)
+    for c in centers:
+        pos = 0.5 + 0.5 * _cheb.chebval((x - c) / R, sgn_coef)
+        neg = 0.5 + 0.5 * _cheb.chebval((-x - c) / R, sgn_coef)
+        total += (pos + neg) / K
+    return total
+
 
 # ---------------------------------------------------------------------------
 # Single-qubit lines, layer by layer

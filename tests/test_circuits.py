@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -343,6 +344,18 @@ def test_bernstein_block_rejects_an_input_outside_the_unit_cube():
 # ---------------------------------------------------------------------------
 # Localization
 # ---------------------------------------------------------------------------
+
+
+def test_constructions_synthesize_without_fallback(caplog, monkeypatch):
+    # every synthesis runs uncached and converges in its first schedule
+    monkeypatch.setattr(C, "synthesize_cached", C.synthesize_cached.__wrapped__)
+    with caplog.at_level(logging.DEBUG, logger="pqcapprox.qsp"):
+        for K in (2, 4, 8):
+            C.localization_angles.__wrapped__(P.LocalizationSpec(K, 0.3 / K, 0.5 / K))
+        C.build_bernstein_pqc(targets.abs_centered(2), 4)
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum("newton stage" in m for m in messages) > 3
+    assert not [m for m in messages if "falling back" in m or "random restart" in m]
 
 
 def test_localization_block_single_band():

@@ -10,6 +10,8 @@ from scipy import fft, special
 
 from pqcapprox import poly as P
 
+from oracles import per_step_evenized_steps
+
 
 # ---------------------------------------------------------------------------
 # parity_split
@@ -432,6 +434,19 @@ def test_localization_degrees_are_pinned(caplog, K, delta, eps, sign_degree, deg
     (message,) = [r.getMessage() for r in caplog.records]
     assert message.endswith(f"degree {sign_degree}, 2 exact checks")
     assert loc.degree == degree
+
+
+@pytest.mark.parametrize("K", [2, 4, 8])
+def test_localization_step_passes_are_bit_equal_to_per_step(monkeypatch, K):
+    spec = P.LocalizationSpec(K, 0.3 / K, 0.5 / K)
+    coeffs = P.localization_poly(spec).coeffs  # one pass over all steps
+    monkeypatch.setattr(P, "_evenized_steps", per_step_evenized_steps)
+    assert P.localization_poly(spec).coeffs == coeffs
+    monkeypatch.undo()
+    # passes of one step, then of three (at K=8's 897 nodes)
+    for pass_bytes in (1, 3 * 16 * 900):
+        monkeypatch.setattr(P, "_STEP_PASS_BYTES", pass_bytes)
+        assert P.localization_poly(spec).coeffs == coeffs
 
 
 def test_localization_spec_validation():

@@ -2,6 +2,8 @@ import logging
 import math
 import re
 import tracemalloc
+import weakref
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -283,37 +285,121 @@ def test_singular_jacobian_ends_in_synthesis_error(monkeypatch, caplog):
     assert all(": 0 iterations, 0 halvings, 1 jacobian builds" in m for m in stages)
 
 
-def test_jacobian_built_once_per_accepted_step(monkeypatch):
-    half_chain_grad, newton_solve, solve = Q._half_chain_grad, Q._newton_solve, np.linalg.solve
-    grads, solves, stages = [], [], []
+def stage_problem(target):
+    """(xs, a_slots, coefficient target) of qsp_synthesize's Newton stage."""
+    L = target.degree
+    a_slots = np.arange(L % 2, L + 1, 2)
+    coeffs = np.zeros(L + 1)
+    full = Q._target_cheb(target)
+    coeffs[: len(full)] = full
+    return P.chebyshev_grid(Q._fast_len(L + 1)), a_slots, coeffs[a_slots]
 
-    def counted_grad(*args):
-        grads.append(1)
-        return half_chain_grad(*args)
 
-    def counted_solve(*args):
-        solves.append(1)
+def record_newton(monkeypatch, spoil=lambda events: False):
+    """Log the events of each Newton stage: ("res", norm) per residual,
+    ("build",) per Jacobian gradient and ("solve",) per linear solve.
+    Returns the list of (events, tol, result) it fills.  spoil(events)
+    True makes that residual infinite."""
+    residual, grad, solve, newton = (
+        Q._coeff_residual, Q._half_chain_grad, np.linalg.solve, Q._newton_solve)
+    stages, events = [], []
+
+    def logged_residual(*args):
+        res = residual(*args) + (np.inf if spoil(events) else 0.0)
+        events.append(("res", np.linalg.norm(res)))
+        return res
+
+    def logged_grad(*args):
+        events.append(("build",))
+        return grad(*args)
+
+    def logged_solve(*args):
+        events.append(("solve",))
         return solve(*args)
 
-    def stage(*args, **kwargs):
-        before = len(grads), len(solves)
-        out = newton_solve(*args, **kwargs)
-        stages.append((len(grads) - before[0], len(solves) - before[1], *out[2:]))
+    def stage(*args):
+        events.clear()
+        out = newton(*args)
+        stages.append((list(events), args[-1], out))
         return out
 
-    monkeypatch.setattr(Q, "_half_chain_grad", counted_grad)
-    monkeypatch.setattr(Q.np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(Q, "_coeff_residual", logged_residual)
+    monkeypatch.setattr(Q, "_half_chain_grad", logged_grad)
+    monkeypatch.setattr(Q.np.linalg, "solve", logged_solve)
     monkeypatch.setattr(Q, "_newton_solve", stage)
-    # the first target rejects its last polish step at full length, which a
-    # Jacobian built per candidate, or one after the last step, would miscount;
-    # the second rejects no candidate at all
+    return stages
+
+
+def replay_jacobian_rule(events, tol, result):
+    """Check one stage's events against the chord rule of _newton_solve and
+    its returned counts; return why each solve built or reused a Jacobian."""
+    (_, norm), *rest = events
+    reasons = Counter()
+    why, built, tried = "first", False, 0
+    for kind, *value in rest:
+        if kind == "build":
+            assert not built
+            built = True
+        elif kind == "solve":
+            # a fresh Jacobian exactly when the last step gives a reason
+            assert built == (why is not None), why
+            reasons[why or "reused"] += 1
+            why, built, tried = "failed", False, 0
+        else:
+            tried += 1
+            if why == "failed" and value[0] < norm:
+                why = ("halved" if tried > 1 else "weak" if 100 * value[0] > norm
+                       else "polish" if value[0] <= tol else None)
+                norm = value[0]
+    _, final, steps, halvings, builds = result
+    assert final == norm and builds == sum(kind == "build" for kind, *_ in rest)
+    assert steps + halvings == sum(kind == "res" for kind, *_ in rest)
+    return reasons
+
+
+def test_jacobian_rebuilt_after_a_halved_weak_or_polish_step(monkeypatch):
+    stages = record_newton(monkeypatch)
     for seed, sup in [(2, 0.999), (0, 0.99)]:
         Q.qsp_synthesize(random_parity_target(np.random.default_rng(seed), 9, sup), tol=1e-10)
-    assert [halvings for *_, halvings, _ in stages] == [1, 0]
-    for grad_calls, solve_calls, steps, halvings, builds in stages:
-        # one Jacobian per step solved: each accepted step, and a rejected
-        # step, which in these stages is always the last
-        assert grad_calls == solve_calls == builds == steps + halvings
+    # a stage from a far start, which halves some steps
+    xs, a_slots, target = stage_problem(random_parity_target(np.random.default_rng(3), 9))
+    phi = np.random.default_rng(103).normal(0.0, 1.0, len(a_slots))
+    Q._newton_solve(phi, xs, a_slots, target, 1e-12)
+    reasons = sum((replay_jacobian_rule(*stage) for stage in stages), Counter())
+    assert {"halved", "weak", "polish", "reused"} <= set(reasons)
+
+
+def test_failed_chord_line_search_retries_on_a_fresh_jacobian(monkeypatch):
+    def after_first_reuse(events):
+        # every candidate of the first solve that reuses a Jacobian
+        reused = [i for i, (kind, *_) in enumerate(events)
+                  if kind == "solve" and events[i - 1][0] != "build"]
+        return bool(reused) and all(kind == "res" for kind, *_ in events[reused[0] + 1 :])
+
+    stages = record_newton(monkeypatch, after_first_reuse)
+    loc = P.localization_poly(P.LocalizationSpec(2, 0.15, 0.25))
+    Q.qsp_synthesize(P.ParityPolynomial(loc, 0), tol=1e-9)
+    ((events, tol, result),) = stages
+    reasons = replay_jacobian_rule(events, tol, result)
+    assert reasons["failed"] == 1 and result[3] >= 25
+
+
+def test_no_two_jacobians_alive_at_once(monkeypatch):
+    jacobian, alive = Q._coeff_jacobian, []
+
+    def tracked(*args):
+        assert all(ref() is None for ref in alive)
+        jac = jacobian(*args)
+        alive.append(weakref.ref(jac))
+        return jac
+
+    monkeypatch.setattr(Q, "_coeff_jacobian", tracked)
+    loc = P.localization_poly(P.LocalizationSpec(2, 0.15, 0.25))
+    Q.qsp_synthesize(P.ParityPolynomial(loc, 0), tol=1e-9)
+    xs, a_slots, target = stage_problem(random_parity_target(np.random.default_rng(3), 9))
+    phi = np.random.default_rng(103).normal(0.0, 1.0, len(a_slots))
+    Q._newton_solve(phi, xs, a_slots, target, 1e-12)
+    assert len(alive) > 10
 
 
 def test_synthesis_logs_each_stage_only_when_asked(caplog, monkeypatch):
@@ -324,22 +410,43 @@ def test_synthesis_logs_each_stage_only_when_asked(caplog, monkeypatch):
         grads.append(1)
         return half_chain_grad(*args)
 
+    def logged_stage(target):
+        grads.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="pqcapprox.qsp"):
+            Q.qsp_synthesize(target, tol=1e-9)
+        (message,) = [r.getMessage() for r in caplog.records]
+        match = re.fullmatch(
+            rf"degree {target.degree} newton stage at scale 1: (\d+) iterations,"
+            r" (\d+) halvings, (\d+) jacobian builds, coefficient norm \S+",
+            message,
+        )
+        steps, halvings, builds = (int(g) for g in match.groups())
+        assert builds == len(grads)
+        return steps, halvings, builds
+
     monkeypatch.setattr(Q, "_half_chain_grad", counted)
     target = random_parity_target(np.random.default_rng(23), 7)
     Q.qsp_synthesize(target)
     assert not [r for r in caplog.records if r.name == "pqcapprox.qsp"]
-    grads.clear()
-    with caplog.at_level(logging.DEBUG, logger="pqcapprox.qsp"):
-        Q.qsp_synthesize(target)
-    (message,) = [r.getMessage() for r in caplog.records]
-    match = re.fullmatch(
-        r"degree 7 newton stage at scale 1: (\d+) iterations, (\d+) halvings,"
-        r" (\d+) jacobian builds, coefficient norm \S+",
-        message,
-    )
-    steps, halvings, builds = (int(g) for g in match.groups())
-    # the stage's one rejected candidate is its last polish step, solved too
-    assert steps > 1 and halvings == 1 and builds == len(grads) == steps + 1
+    steps, halvings, builds = logged_stage(target)
+    # the one rejected candidate is the last polish step, solved on a fresh
+    # Jacobian like every polish step
+    assert steps > 1 and halvings == 1 and 2 <= builds <= steps + 1
+    # a degree-894 stage reuses a Jacobian after each strong step
+    loc = P.localization_poly(P.LocalizationSpec(8, 0.3 / 8, 0.5 / 8))
+    steps, halvings, builds = logged_stage(P.ParityPolynomial(loc, 0))
+    assert halvings == 0 and builds < steps
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 894, 895])
+def test_half_chain_values_match_the_full_chain(L):
+    rng = np.random.default_rng(L)
+    xs = np.concatenate([P.chebyshev_grid(Q._fast_len(L + 1)), [-1.0, 0.0, 1.0]])
+    for _ in range(3):
+        thetas = Q._symmetric_angles(rng.uniform(-np.pi, np.pi, L // 2 + 1), L)
+        full = Q.qsp_block_values(thetas, xs).real
+        assert np.max(np.abs(Q._half_chain_values(thetas, xs) - full)) <= 1e-13
 
 
 def test_synthesis_peak_memory_within_guard():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqcapprox import circuits as C
@@ -549,6 +549,7 @@ def test_layered_bernstein_batch_matches_the_classical_sum(bernstein_block):
 
 
 @given(st.integers(0, 10**6))
+@example(seed=12424)  # a circuit with no slotted op
 @settings(max_examples=25, deadline=None)
 def test_fourier_binding_matches_the_stage_products(seed):
     rng = np.random.default_rng(seed)
