@@ -33,8 +33,10 @@ from .circuits import (
     build_trig_poly_pqc,
     evaluate_block,
     lcu_combine,
+    line_block,
     localization_values,
     round_to_eta,
+    tensor,
 )
 from .poly import (
     LocalizationSpec,

@@ -1,12 +1,20 @@
 """Assembly of the explicit function-approximating circuits.
 
-The constructions follow a single pattern: per-coordinate single-qubit
-angle sequences realize univariate factors, tensor products realize
-monomials, and a uniform linear-combination-of-unitaries (LCU) wrapper
-with Hadamard-layer prep sums terms.  Because the uniform LCU produces
-the sum divided by the padded term count, every BlockCircuit carries an
-explicit classical ``rescale`` factor that restores normalization at
-readout; nested combinations multiply the factors.
+Every construction is built from three combinators.  ``line_block`` puts
+one QSP line, a single-qubit angle sequence realizing a univariate
+polynomial, on |+>.  ``tensor`` places blocks side by side, so its block
+value is the product of theirs: a monomial is a tensor of lines, a
+trigonometric monomial a tensor of Z-encoding lines, a Bernstein term a
+tensor of parity pairs and a Taylor term the tensor of the coefficient
+register and a monomial.  ``lcu_combine``, a uniform
+linear-combination-of-unitaries (LCU) wrapper with Hadamard-layer prep,
+sums units: a parity pair sums its even and odd lines, and the
+polynomial, Bernstein, Taylor-series and trigonometric circuits sum their
+terms.  Each level places the gates of its parts once, shifted and
+controlled in one copy (``sim.Circuit.placed``).  Because the uniform LCU
+produces the sum divided by the padded term count, every BlockCircuit
+carries an explicit classical ``rescale`` factor that restores
+normalization at readout; nested combinations multiply the factors.
 """
 
 from __future__ import annotations
@@ -105,13 +113,13 @@ def evaluate_block(
 
 
 # ---------------------------------------------------------------------------
-# Single-qubit line circuits
+# Line circuits, line blocks and their tensor product
 # ---------------------------------------------------------------------------
 
 
 def qsp_line(angles: Sequence[float], slot: EncodingSlot) -> tuple[Gate, ...]:
     """Gate list (application order) of the X-encoding angle sequence."""
-    q = 0  # lines are built on qubit 0 and shifted by callers
+    q = 0  # lines are built on qubit 0 and placed by callers
     gates: list[Gate] = []
     for theta in reversed(angles[1:]):
         gates.append(rz(q, float(theta), trainable=True))
@@ -144,6 +152,53 @@ def _monomial_target(coeff: float, power: int) -> ParityPolynomial:
     return ParityPolynomial(Polynomial(tuple(coeffs)), power % 2)
 
 
+def line_block(angles: qsp.QspAngleSequence, slot: EncodingSlot, label: str) -> BlockCircuit:
+    """The X-encoding line of the angles on |+>, whose block value is the
+    synthesized polynomial; its tol is the synthesis residual."""
+    return BlockCircuit(
+        Circuit(1, qsp_line(angles.angles, slot), label=label),
+        Circuit(1, (h(0),), label="plus-prep"),
+        rescale=1.0,
+        tol=angles.residual,
+    )
+
+
+def tensor(blocks: Sequence[BlockCircuit], label: str) -> BlockCircuit:
+    """Blocks side by side on consecutive qubits, the first from qubit 0.
+
+    The preps and circuits act on disjoint qubits, so the block value is
+    the product of the blocks' values and the rescale the product of their
+    rescales.  Each block value lies in the unit disk and is off by at most
+    tol_i / rescale_i, so the product is off by at most their sum, and tol
+    is rescale * sum tol_i / rescale_i.  The prep keeps the first block's
+    label.
+    """
+    if not blocks:
+        raise ValueError("tensor needs at least one block")
+    width = sum(b.width for b in blocks)
+    gates: list[Gate] = []
+    prep: list[Gate] = []
+    offset = 0
+    for b in blocks:
+        gates.extend(b.circuit.placed(offset, width, ()).gates)
+        prep.extend(b.prep.placed(offset, width, ()).gates)
+        offset += b.width
+    rescale = math.prod(b.rescale for b in blocks)
+    return BlockCircuit(
+        Circuit(width, tuple(gates), label=label),
+        Circuit(width, tuple(prep), label=blocks[0].prep.label),
+        rescale=rescale,
+        block_value_is_real=all(b.block_value_is_real for b in blocks),
+        tol=rescale * sum(b.tol / b.rescale for b in blocks),
+    )
+
+
+def _rescaled(bc: BlockCircuit, scale: float) -> BlockCircuit:
+    """The block of scale times bc's represented value: the block values
+    stay and the rescale and tol take the factor."""
+    return replace(bc, rescale=bc.rescale * scale, tol=bc.tol * scale)
+
+
 # ---------------------------------------------------------------------------
 # Monomial circuits
 # ---------------------------------------------------------------------------
@@ -154,30 +209,23 @@ def build_monomial_pqc(
     alpha: MultiIndex,
     shifts: Optional[Sequence[float]] = None,
 ) -> BlockCircuit:
-    """d parallel angle sequences realizing c * prod_j (x_j - shift_j)^alpha_j.
+    """Tensor product of d lines realizing c * prod_j (x_j - shift_j)^alpha_j.
 
-    The coefficient rides on the first coordinate's sequence.  Width is d,
+    The coefficient rides on the first coordinate's line.  Width is d,
     depth at most 2*|alpha| + 1, trainable parameters |alpha| + d.
     """
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("negative monomial exponent")
-    if abs(c) > 1.0 + 1e-12:
+    if not abs(c) <= 1.0 + 1e-12:  # NaN fails this too
         raise ValueError("monomial coefficient must satisfy |c| <= 1")
-    d = len(alpha)
-    shifts = tuple(shifts) if shifts is not None else (0.0,) * d
-    gates: list[Gate] = []
-    total_res = 0.0
+    shifts = tuple(shifts) if shifts is not None else (0.0,) * len(alpha)
+    lines = []
     for j, power in enumerate(alpha):
         coeff = min(max(c, -1.0), 1.0) if j == 0 else 1.0
         angles = synthesize_cached(_monomial_target(coeff, power), 1e-11)
-        total_res += angles.residual
-        slot = EncodingSlot(j, "acos", shifts[j])
-        line = Circuit(1, qsp_line(angles.angles, slot)).shifted(j, d)
-        gates.extend(line.gates)
-    circuit = Circuit(d, tuple(gates), label=f"monomial c={c:.6g} alpha={alpha}")
-    prep = Circuit(d, tuple(h(j) for j in range(d)), label="plus-prep")
-    return BlockCircuit(circuit, prep, rescale=1.0, tol=total_res)
+        lines.append(line_block(angles, EncodingSlot(j, "acos", shifts[j]), ""))
+    return tensor(lines, label=f"monomial c={c:.6g} alpha={alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +258,15 @@ def _pad_gate(prep: Circuit) -> Gate:
     raise ValueError("no qubit with a known zero-block pad under this prep")
 
 
+def _selected(body: Circuit, pattern: Sequence[int]) -> tuple[Gate, ...]:
+    """body on the qubits after a selection register, run where qubit q of
+    the register holds pattern[q]: controlled on the register, between X
+    masks on the qubits whose bit is 0."""
+    a = len(pattern)
+    mask = tuple(xg(q) for q, bit in enumerate(pattern) if not bit)
+    return mask + body.placed(a, a + body.width, range(a)).gates + mask
+
+
 def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircuit:
     """Uniform linear combination of unit blocks.
 
@@ -238,23 +295,16 @@ def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircu
     a = (t - 1).bit_length()
     t_pad = 1 << a
     width = a + w
-    pad = _pad_gate(prep)
+    pad = Circuit(w, (_pad_gate(prep),), label="pad")
 
     gates: list[Gate] = [h(i) for i in range(a)]
-    selectors = list(range(a))
     for j in range(t_pad):
-        if j < t:
-            body = units[j].circuit.shifted(a, width)
-        else:
-            body = Circuit(w, (pad,), label="pad").shifted(a, width)
-        mask = [xg(i) for i in range(a) if not (j >> (a - 1 - i)) & 1]
-        gates.extend(mask)
-        gates.extend(body.controlled_on(selectors).gates)
-        gates.extend(mask)
+        body = units[j].circuit if j < t else pad
+        gates.extend(_selected(body, [(j >> (a - 1 - i)) & 1 for i in range(a)]))
     gates.extend(h(i) for i in range(a))
 
     circuit = Circuit(width, tuple(gates), label=label)
-    new_prep = prep.shifted(a, width)
+    new_prep = prep.placed(a, width, ())
     return BlockCircuit(
         circuit,
         new_prep,
@@ -281,10 +331,7 @@ def build_poly_pqc(p: MultivariatePolynomial) -> BlockCircuit:
     scale = max(1.0, p.max_abs_coeff())
     alphas = sorted(p.terms.keys())
     units = [build_monomial_pqc(p.terms[a] / scale, a) for a in alphas]
-    combined = lcu_combine(units, label=f"poly d={p.dims} terms={len(alphas)}")
-    return replace(
-        combined, rescale=combined.rescale * scale, tol=combined.tol * scale
-    )
+    return _rescaled(lcu_combine(units, label=f"poly d={p.dims} terms={len(alphas)}"), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +353,11 @@ def build_parity_pair_pqc(p: Polynomial, slot: EncodingSlot, scale: float) -> Bl
     m_needed = max(even.sup_norm(), odd.sup_norm())
     if scale < m_needed - 1e-12:
         raise ValueError(f"scale {scale} below the required half norm {m_needed}")
-    ang_even = synthesize_cached(ParityPolynomial(even.base.scaled(1.0 / scale), 0), 1e-12)
-    ang_odd = synthesize_cached(ParityPolynomial(odd.base.scaled(1.0 / scale), 1), 1e-12)
-
-    even_line = Circuit(2, Circuit(1, qsp_line(ang_even.angles, slot)).shifted(1, 2).gates)
-    odd_line = Circuit(2, Circuit(1, qsp_line(ang_odd.angles, slot)).shifted(1, 2).gates)
-    gates: list[Gate] = [h(0), xg(0)]
-    gates.extend(even_line.controlled_on((0,)).gates)
-    gates.append(xg(0))
-    gates.extend(odd_line.controlled_on((0,)).gates)
-    gates.append(h(0))
-    circuit = Circuit(2, tuple(gates), label=f"parity-pair deg={p.degree}")
-    prep = Circuit(2, (h(1),), label="plus-prep")
-    return BlockCircuit(
-        circuit,
-        prep,
-        rescale=2.0 * scale,
-        tol=scale * (ang_even.residual + ang_odd.residual),
-    )
+    lines = []
+    for parity, half in enumerate((even, odd)):
+        angles = synthesize_cached(ParityPolynomial(half.base.scaled(1.0 / scale), parity), 1e-12)
+        lines.append(line_block(angles, slot, ""))
+    return _rescaled(lcu_combine(lines, label=f"parity-pair deg={p.degree}"), scale)
 
 
 def _bernstein_factor(n: int, k: int) -> Polynomial:
@@ -375,23 +409,9 @@ def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
     units = []
     for kvec in product(range(n + 1), repeat=d):
         fval = float(np.clip(f.evaluator(tuple(k / n for k in kvec)), -1.0, 1.0))
-        gates: list[Gate] = []
-        tol_unit = 0.0
-        for j, k in enumerate(kvec):
-            poly = factors[k].scaled(fval) if j == 0 else factors[k]
-            pair = build_parity_pair_pqc(poly, slots[j], m_common)
-            tol_unit += pair.tol / pair.rescale  # block-level error of this pair
-            gates.extend(pair.circuit.shifted(2 * j, 2 * d).gates)
-        circuit = Circuit(2 * d, tuple(gates), label=f"bernstein-term k={kvec}")
-        prep = Circuit(2 * d, tuple(h(2 * j + 1) for j in range(d)), label="plus-prep")
-        units.append(
-            BlockCircuit(
-                circuit,
-                prep,
-                rescale=(2.0 * m_common) ** d,
-                tol=tol_unit * (2.0 * m_common) ** d,
-            )
-        )
+        polys = [factors[k].scaled(fval) if j == 0 else factors[k] for j, k in enumerate(kvec)]
+        pairs = [build_parity_pair_pqc(p, slot, m_common) for p, slot in zip(polys, slots)]
+        units.append(tensor(pairs, label=f"bernstein-term k={kvec}"))
     return lcu_combine(units, label=f"bernstein d={d} n={n}")
 
 
@@ -407,15 +427,10 @@ def localization_angles(spec: LocalizationSpec) -> qsp.QspAngleSequence:
 def build_localization_pqc(spec: LocalizationSpec, d: int) -> list[BlockCircuit]:
     """One single-qubit block per coordinate mapping band k into (k/K, k/K+eps)."""
     angles = localization_angles(spec)
-    blocks = []
-    for j in range(d):
-        slot = EncodingSlot(j, "acos", 0.0)
-        circuit = Circuit(
-            1, qsp_line(angles.angles, slot), label=f"localization K={spec.K} x{j}"
-        )
-        prep = Circuit(1, (h(0),), label="plus-prep")
-        blocks.append(BlockCircuit(circuit, prep, rescale=1.0, tol=angles.residual))
-    return blocks
+    return [
+        line_block(angles, EncodingSlot(j, "acos", 0.0), f"localization K={spec.K} x{j}")
+        for j in range(d)
+    ]
 
 
 @cache
@@ -528,27 +543,18 @@ def _address_bits(table: TaylorCoeffTable, eta: MultiIndex) -> list[int]:
 def build_taylor_coeff_pqc(table: TaylorCoeffTable, alpha: MultiIndex) -> Circuit:
     """Address-controlled rotations storing the order-alpha coefficients.
 
-    For every grid cell eta one multi-controlled R_X with angle
-    2*arccos(xi) targets the coefficient qubit; the diagonal block at
-    address eta then reads xi exactly.
+    For every grid cell eta one R_X with angle 2*arccos(xi) targets the
+    coefficient qubit, selected by the address register holding eta; the
+    diagonal block at address eta then reads xi exactly.  With K = 1 the
+    register is empty and its one R_X is plain.
     """
-    bits = table.address_bits
-    width = bits + 1
-    coeff_q = bits
     gates: list[Gate] = []
     for eta in product(range(table.K), repeat=table.d):
-        xi = table.xi[(eta, tuple(alpha))]
-        theta = 2.0 * math.acos(xi)
-        if bits == 0:
-            gates.append(Gate("Rx", (coeff_q,), angle=theta, trainable=True))
-            continue
-        mask = [xg(q) for q, bit in enumerate(_address_bits(table, eta)) if not bit]
-        gates.extend(mask)
-        gates.append(
-            Gate("MCU", (coeff_q,), tuple(range(bits)), angle=theta, trainable=True, sub="Rx")
-        )
-        gates.extend(mask)
-    return Circuit(width, tuple(gates), label=f"taylor-coeff alpha={tuple(alpha)}")
+        theta = 2.0 * math.acos(table.xi[(eta, tuple(alpha))])
+        rx = Circuit(1, (Gate("Rx", (0,), angle=theta, trainable=True),))
+        gates.extend(_selected(rx, _address_bits(table, eta)))
+    label = f"taylor-coeff alpha={tuple(alpha)}"
+    return Circuit(table.address_bits + 1, tuple(gates), label=label)
 
 
 def build_taylor_series_pqc(table: TaylorCoeffTable, eta: MultiIndex) -> BlockCircuit:
@@ -559,23 +565,21 @@ def build_taylor_series_pqc(table: TaylorCoeffTable, eta: MultiIndex) -> BlockCi
     reads every cell from the block of cell 0 (see ``series_start``).
     """
     eta = tuple(int(e) for e in eta)
-    bits = table.address_bits
-    d = table.d
-    width = bits + 1 + d
     shifts = tuple(e / table.K for e in eta)
-
-    units = []
-    prep_gates = [xg(q) for q, bit in enumerate(_address_bits(table, eta)) if bit]
-    prep_gates.extend(h(bits + 1 + j) for j in range(d))
-    prep = Circuit(width, tuple(prep_gates), label=f"eta-prep {eta}")
-
-    for alpha in multi_indices(d, table.s):
-        coeff_circ = build_taylor_coeff_pqc(table, alpha)
-        gates = list(coeff_circ.shifted(0, width).gates)
-        mono = build_monomial_pqc(1.0, alpha, shifts=shifts)
-        gates.extend(mono.circuit.shifted(bits + 1, width).gates)
-        circuit = Circuit(width, tuple(gates), label=f"taylor-term alpha={alpha}")
-        units.append(BlockCircuit(circuit, prep, rescale=1.0, tol=mono.tol))
+    # the address register in |eta> and the coefficient qubit in |0>
+    prep = Circuit(
+        table.address_bits + 1,
+        tuple(xg(q) for q, bit in enumerate(_address_bits(table, eta)) if bit),
+        label=f"eta-prep {eta}",
+    )
+    units = [
+        tensor(
+            [BlockCircuit(build_taylor_coeff_pqc(table, alpha), prep, rescale=1.0),
+             build_monomial_pqc(1.0, alpha, shifts=shifts)],
+            label=f"taylor-term alpha={alpha}",
+        )
+        for alpha in multi_indices(table.d, table.s)
+    ]
     return lcu_combine(units, label=f"taylor-series eta={eta} s={table.s}")
 
 
@@ -653,26 +657,22 @@ class NestedTaylorModel:
 
 
 def build_trig_monomial_pqc(c: complex, n: Sequence[int]) -> BlockCircuit:
-    """d parallel Z-encoding sequences realizing c * exp(i n . x).
+    """Tensor product of d Z-encoding lines realizing c * exp(i n . x).
 
     Exact parameters (no optimization): positive and negative frequencies
     use the diagonal of the encoding product, the coefficient rides the
     first coordinate.  Depth is at most 6|n| + 3, parameters 4|n| + 3d.
     """
     n = tuple(int(v) for v in n)
-    if abs(c) > 1.0 + 1e-12:
+    if not abs(c) <= 1.0 + 1e-12:  # NaN fails this too
         raise ValueError("trig coefficient must satisfy |c| <= 1")
-    d = len(n)
-    gates: list[Gate] = []
+    zero = Circuit(1, (), label="zero-prep")
+    lines = []
     for j, freq in enumerate(n):
-        coeff = c if j == 0 else 1.0
-        params = qsp.trig_monomial_params(coeff, freq)
-        slot = EncodingSlot(j, "zrot", 0.0)
-        line = Circuit(1, trig_line(params, slot)).shifted(j, d)
-        gates.extend(line.gates)
-    circuit = Circuit(d, tuple(gates), label=f"trig-monomial c={c:.6g} n={n}")
-    prep = Circuit(d, (), label="zero-prep")
-    return BlockCircuit(circuit, prep, rescale=1.0, block_value_is_real=False)
+        params = qsp.trig_monomial_params(c if j == 0 else 1.0, freq)
+        line = Circuit(1, trig_line(params, EncodingSlot(j, "zrot", 0.0)))
+        lines.append(BlockCircuit(line, zero, rescale=1.0, block_value_is_real=False))
+    return tensor(lines, label=f"trig-monomial c={c:.6g} n={n}")
 
 
 def build_trig_poly_pqc(t: MultivariateTrigPolynomial) -> BlockCircuit:

@@ -162,21 +162,17 @@ def _load_block(path: str) -> circuits.BlockCircuit:
 
 
 def _qsp_block(
-    target_text: str, tol: float, label: str = ""
+    target_text: str, tol: float, label: str
 ) -> tuple[ParityPolynomial, qsp.QspAngleSequence, circuits.BlockCircuit]:
-    """A definite-parity inline polynomial as one plus-prep QSP line."""
+    """A definite-parity inline polynomial as one line block; a nonempty
+    label is followed by the degree."""
     even, odd = parity_split(_parse_poly(target_text))
     if not (odd.base.is_zero() or even.base.is_zero()):
         raise ValueError("qsp targets need definite parity; split mixed polynomials first")
     target = even if odd.base.is_zero() else odd
     angles = qsp.qsp_synthesize(target, tol=tol)
-    line = sim.Circuit(
-        1,
-        circuits.qsp_line(angles.angles, sim.EncodingSlot(0, "acos")),
-        label=f"{label} degree={target.degree}" if label else "",
-    )
-    prep = sim.Circuit(1, (sim.h(0),), label="plus-prep")
-    return target, angles, circuits.BlockCircuit(line, prep, rescale=1.0, tol=angles.residual)
+    label = f"{label} degree={target.degree}" if label else ""
+    return target, angles, circuits.line_block(angles, sim.EncodingSlot(0, "acos"), label)
 
 
 def _poly_target(cfg: ExperimentConfig) -> MultivariatePolynomial:
@@ -245,7 +241,7 @@ def run_experiment(cfg: ExperimentConfig) -> approx.ErrorReport:
 
 
 def _run_qsp(cfg: ExperimentConfig) -> _Outcome:
-    target, angles, bc = _qsp_block(cfg.target or "poly:1", max(cfg.tol, 1e-12))
+    target, angles, bc = _qsp_block(cfg.target or "poly:1", max(cfg.tol, 1e-12), "")
     grid = np.cos(np.linspace(0.01, math.pi - 0.01, 257))
     resid = float(
         np.max(np.abs(qsp.qsp_block_values(angles.angles, grid) - target(grid)))

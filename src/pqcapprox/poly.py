@@ -10,6 +10,7 @@ by the experiment harness.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 import os
@@ -53,7 +54,11 @@ class Polynomial:
     def __post_init__(self) -> None:
         if self.basis not in ("power", "chebyshev"):
             raise ValueError(f"unknown basis {self.basis!r}")
-        object.__setattr__(self, "coeffs", _trimmed(self.coeffs))
+        coeffs = _trimmed(self.coeffs)
+        if not all(map(math.isfinite, coeffs)):
+            k = [math.isfinite(c) for c in coeffs].index(False)
+            raise ValueError(f"coefficient {coeffs[k]} of index {k} is not finite")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -229,6 +234,8 @@ class MultivariatePolynomial:
                 raise ValueError(f"multi-index {alpha} has wrong length for d={self.dims}")
             if any(a < 0 for a in alpha):
                 raise ValueError(f"negative entry in multi-index {alpha}")
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient {c} of {alpha} is not finite")
             if c != 0.0:
                 clean[alpha] = float(c)
         object.__setattr__(self, "terms", clean)
@@ -259,6 +266,8 @@ class MultivariateTrigPolynomial:
             n = tuple(int(v) for v in n)
             if len(n) != self.dims:
                 raise ValueError(f"frequency {n} has wrong length for d={self.dims}")
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {c} of frequency {n} is not finite")
             if c != 0:
                 clean[n] = complex(c)
         object.__setattr__(self, "terms", clean)

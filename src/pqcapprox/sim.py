@@ -37,10 +37,6 @@ class EncodingSlot:
     shift: float = 0.0
     scale: float = 1.0
 
-    def angle_for(self, x: Sequence[float]) -> float:
-        u = float(x[self.coord]) * self.scale - self.shift
-        return float(encoding_angles(self.xform, np.array([u]))[0])
-
 
 def encoding_angles(xform: str, u: np.ndarray) -> np.ndarray:
     """Angles of an encoding transform at arguments u = scale*x[coord] - shift."""
@@ -97,7 +93,8 @@ class Gate:
     def bound(self, x: Sequence[float]) -> "Gate":
         if self.slot is None:
             return self
-        return replace(self, angle=self.slot.angle_for(x), slot=None)
+        u = np.array([float(x[self.slot.coord]) * self.slot.scale - self.slot.shift])
+        return replace(self, angle=float(encoding_angles(self.slot.xform, u)[0]), slot=None)
 
 
 def h(q: int) -> Gate:
@@ -151,43 +148,28 @@ class Circuit:
             return self
         return Circuit(self.width, tuple(g.bound(x) for g in self.gates), self.label)
 
-    def shifted(self, offset: int, new_width: int) -> "Circuit":
-        """Same gates on qubits offset..offset+width-1 of a wider register."""
-        gates = tuple(
-            replace(
-                g,
-                targets=tuple(q + offset for q in g.targets),
-                controls=tuple(q + offset for q in g.controls),
-            )
-            for g in self.gates
-        )
-        return Circuit(new_width, gates, self.label)
+    def placed(self, offset: int, width: int, controls: Sequence[int]) -> "Circuit":
+        """The same gates on qubits offset..offset+self.width-1 of a
+        width-qubit register, each also controlled on ``controls``.
 
-    def controlled_on(self, controls: Sequence[int]) -> "Circuit":
-        """Every gate additionally controlled on the given qubits."""
-        extra = tuple(controls)
-        out = []
+        Every gate is copied once.  A gate that gains controls becomes an
+        MCU of its single-qubit kind with the sorted union of its controls,
+        except that an X with one control in all becomes a CNOT.
+        """
+        extra = set(controls)
+        gates = []
         for g in self.gates:
-            allc = tuple(sorted(set(g.controls) | set(extra)))
-            if g.kind == "MCU":
-                out.append(replace(g, controls=allc))
-            elif g.kind == "CNOT":
-                out.append(Gate("MCU", g.targets, allc, sub="X"))
-            elif g.kind == "X" and len(allc) == 1:
-                out.append(Gate("CNOT", g.targets, allc))
-            else:
-                out.append(
-                    Gate(
-                        "MCU",
-                        g.targets,
-                        allc,
-                        angle=g.angle,
-                        trainable=g.trainable,
-                        sub=g.kind,
-                        slot=g.slot,
-                    )
-                )
-        return Circuit(self.width, tuple(out), self.label)
+            targets = tuple(q + offset for q in g.targets)
+            ctrls = tuple(q + offset for q in g.controls)
+            kind, sub = g.kind, g.sub
+            if extra:
+                ctrls = tuple(sorted(extra.union(ctrls)))
+                if kind == "X" and len(ctrls) == 1:
+                    kind = "CNOT"
+                else:
+                    kind, sub = "MCU", _gate_kind(g)
+            gates.append(Gate(kind, targets, ctrls, g.angle, g.trainable, sub, g.slot))
+        return Circuit(width, tuple(gates), self.label)
 
 
 def gate_matrix_1q(kind: str, angle: Optional[float] = None) -> np.ndarray:
@@ -586,9 +568,7 @@ def hadamard_test_circuit(u: Circuit, prep: Circuit) -> Circuit:
     if u.width != prep.width:
         raise ValueError("u and prep must act on the same width")
     w = u.width + 1
-    gates: list[Gate] = list(prep.shifted(1, w).gates)
-    gates.append(h(0))
-    gates.extend(u.shifted(1, w).controlled_on((0,)).gates)
+    gates = [*prep.placed(1, w, ()).gates, h(0), *u.placed(1, w, (0,)).gates]
     return Circuit(w, tuple(gates), label=f"hadamard_test {u.label}")
 
 

@@ -76,6 +76,32 @@ def test_monomial_rejects_big_coefficient():
         C.build_monomial_pqc(1.5, (1,))
 
 
+def test_monomial_and_trig_monomial_reject_a_nan_coefficient():
+    with pytest.raises(ValueError, match=r"\|c\| <= 1"):
+        C.build_monomial_pqc(math.nan, (1,))
+    with pytest.raises(ValueError, match=r"\|c\| <= 1"):
+        C.build_trig_monomial_pqc(complex(math.nan, 0.0), (1,))
+
+
+def test_tensor_of_a_real_and_a_complex_line_multiplies_their_values():
+    angles = C.synthesize_cached(P.ParityPolynomial(P.Polynomial((0.0, 0.3, 0.0, 0.5)), 1), 1e-12)
+    real = dataclasses.replace(C.line_block(angles, S.EncodingSlot(0, "acos"), "x"),
+                               rescale=3.0, tol=1e-3)
+    params = Q.trig_monomial_params(0.6j, 2)
+    cplx = C.BlockCircuit(S.Circuit(1, C.trig_line(params, S.EncodingSlot(1, "zrot"))),
+                          S.Circuit(1, (), label="zero-prep"), rescale=1.5,
+                          block_value_is_real=False, tol=2e-3)
+    both = C.tensor([real, cplx], "pair")
+    assert (both.width, both.circuit.label, both.prep.label) == (2, "pair", "plus-prep")
+    assert not both.block_value_is_real
+    assert both.rescale == 4.5 and both.tol == 4.5 * (1e-3 / 3.0 + 2e-3 / 1.5)
+    for x in [(0.3, 1.1), (-0.8, 4.0)]:
+        want = (block_values(real.circuit.bound(x), real.prep)[0]
+                * block_values(cplx.circuit.bound(x), cplx.prep)[0])
+        assert abs(block_values(both.circuit.bound(x), both.prep)[0] - want) <= 1e-12
+        assert abs(C.evaluate_block(both, x) - 4.5 * want) <= 1e-12
+
+
 def test_monomial_shifted_argument():
     bc = C.build_monomial_pqc(1.0, (2,), shifts=(0.25,))
     assert C.evaluate_block(bc, (0.75,)) == pytest.approx(0.25, abs=1e-10)
@@ -516,6 +542,13 @@ def test_taylor_coeff_zero_block():
     psi = np.eye(2**circ.width)[0]
     u = circuit_unitary(circ)
     assert abs(np.vdot(psi, u @ psi)) <= 1e-12
+
+
+def test_taylor_coeff_register_of_one_cell_is_one_plain_rx():
+    table = C.TaylorCoeffTable(K=1, s=0, d=2, xi={((0, 0), (0, 0)): 0.25})
+    circ = C.build_taylor_coeff_pqc(table, (0, 0))
+    assert circ.width == 1
+    assert circ.gates == (S.Gate("Rx", (0,), angle=2.0 * math.acos(0.25), trainable=True),)
 
 
 def test_taylor_coeff_gate_count():

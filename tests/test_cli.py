@@ -62,6 +62,27 @@ def test_synth_rejects_mixed_parity(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("synth", "--coeffs", "nan,0"),
+    ("report", "--experiment", "poly", "--target", "poly:nan"),
+    ("report", "--experiment", "trig", "--target", "trig:1=nan"),
+], ids=["synth", "poly", "trig"])
+def test_a_non_finite_inline_coefficient_is_bad_input(capsys, argv):
+    # these used to print "angles": [NaN] with exit 0, or end in a lost-
+    # unitarity traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "not finite" in json.loads(lines[0])["error"]
+
+
+def test_build_monomial_blames_a_nan_coefficient(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "build", "--kind", "monomial", "--c", "nan",
+                             "--emit-circuit", str(tmp_path / "m.txt"))
+    assert code == 2 and out == ""
+    assert "|c| <= 1" in json.loads(err.strip())["error"]
+
+
 def test_report_qsp_constant(capsys):
     code, out, _ = run_cli(
         capsys, "report", "--experiment", "qsp", "--target", "poly:1", "--tol", "1e-8"

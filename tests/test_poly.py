@@ -52,6 +52,17 @@ def test_parity_polynomial_rejects_mixed():
         P.ParityPolynomial(P.Polynomial((1.0, 1.0)), 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polynomials_reject_a_non_finite_coefficient(bad):
+    with pytest.raises(ValueError, match="coefficient .* of index 1 is not finite"):
+        P.Polynomial((0.5, bad))
+    with pytest.raises(ValueError, match="not finite"):
+        P.MultivariatePolynomial({(0, 1): 0.5, (1, 0): bad}, 2)
+    for c in (complex(bad, 0.0), complex(0.0, bad)):
+        with pytest.raises(ValueError, match="not finite"):
+            P.MultivariateTrigPolynomial({(1,): c}, 1)
+
+
 # ---------------------------------------------------------------------------
 # Bernstein evaluation
 # ---------------------------------------------------------------------------

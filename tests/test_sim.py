@@ -102,6 +102,32 @@ def test_run_matches_dense_unitary(width):
     assert np.max(np.abs(out - dense.T)) <= 1e-10
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_placed_circuit_is_controlled_identity_tensor_u(seed):
+    """Placed at an offset under extra controls, a bound circuit acts as
+    I where a control bit is 0 and as I (x) U (x) I where all are 1."""
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 4))
+    offset, after = (int(v) for v in rng.integers(0, 3, size=2))
+    total = offset + width + after
+    outside = [q for q in range(total) if not offset <= q < offset + width]
+    controls = rng.choice(outside, int(rng.integers(0, len(outside) + 1)), replace=False)
+    x = rng.uniform(-0.5, 0.5, size=2)
+    u = S.Circuit(width, random_slotted_circuit(rng, width, 4).bound(x).gates
+                  + random_circuit(rng, width, 8, mcu=True).gates
+                  + tuple(S.xg(int(q)) for q in rng.integers(0, width, size=2)))
+    placed = u.placed(offset, total, controls.tolist())
+    assert len(placed.gates) == len(u.gates) and placed.width == total
+    idx = np.arange(2**total)
+    on = np.ones(len(idx), dtype=bool)
+    for q in controls:
+        on &= (idx >> (total - 1 - int(q))) & 1 == 1
+    block = np.kron(np.kron(np.eye(2**offset), circuit_unitary(u)), np.eye(2**after))
+    want = np.where(np.outer(on, on), block, np.diag(~on).astype(complex))
+    assert np.max(np.abs(circuit_unitary(placed) - want)) <= 1e-12
+
+
 def random_slotted_circuit(rng, width, n_runs):
     """Runs of 3-6 gates on one target under one control set, with MCUs and
     X/Z-encoding slots on coordinates 0 and 1 mixed among fixed gates."""
