@@ -7,11 +7,13 @@ value is the product of theirs: a monomial is a tensor of lines, a
 trigonometric monomial a tensor of Z-encoding lines, a Bernstein term a
 tensor of parity pairs and a Taylor term the tensor of the coefficient
 register and a monomial.  ``lcu_combine``, a uniform
-linear-combination-of-unitaries (LCU) wrapper with Hadamard-layer prep,
-sums units: a parity pair sums its even and odd lines, and the
-polynomial, Bernstein, Taylor-series and trigonometric circuits sum their
-terms.  Each level places the gates of its parts once, shifted and
-controlled in one copy (``sim.Circuit.placed``).  Because the uniform LCU
+linear-combination-of-unitaries (LCU) wrapper, sums units: a parity pair
+sums its even and odd lines, and the polynomial, Bernstein, Taylor-series
+and trigonometric circuits sum their terms.  Its selection H's sit in the
+block's prep, which the Hadamard test runs uncontrolled once per start, so
+the circuit is the bare SELECT.  Each level places the gates of its parts
+once, shifted and controlled in one copy (``sim.Circuit.placed``), and
+every report counts prep followed by circuit.  Because the uniform LCU
 produces the sum divided by the padded term count, every BlockCircuit
 carries an explicit classical ``rescale`` factor that restores
 normalization at readout; nested combinations multiply the factors.
@@ -271,10 +273,14 @@ def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircu
     """Uniform linear combination of unit blocks.
 
     Pads the unit count to a power of two with zero-block units, prepends a
-    Hadamard-prepped selection register, and applies each unit controlled on
-    its selection pattern.  The block value becomes (1/T_pad) * sum of unit
-    block values; the rescale factor absorbs T_pad times the (shared) unit
-    rescale.
+    selection register, and applies each unit controlled on its selection
+    pattern.  The selection H's open the prep, ahead of the placed unit
+    prep, and the circuit is the bare SELECT: with |psi> the unit prep's
+    state, <0, psi|H SEL H|0, psi> = <H0, psi|SEL|H0, psi>, so the block
+    value is (1/T_pad) * sum of unit block values as with an H frame in
+    the circuit, but the Hadamard test runs the H's once per start, not
+    controlled at every point.  The rescale factor absorbs T_pad times the
+    (shared) unit rescale.
     """
     if not units:
         raise ValueError("lcu_combine needs at least one unit")
@@ -297,17 +303,15 @@ def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircu
     width = a + w
     pad = Circuit(w, (_pad_gate(prep),), label="pad")
 
-    gates: list[Gate] = [h(i) for i in range(a)]
+    gates: list[Gate] = []
     for j in range(t_pad):
         body = units[j].circuit if j < t else pad
         gates.extend(_selected(body, [(j >> (a - 1 - i)) & 1 for i in range(a)]))
-    gates.extend(h(i) for i in range(a))
 
-    circuit = Circuit(width, tuple(gates), label=label)
-    new_prep = prep.placed(a, width, ())
+    selection = tuple(h(i) for i in range(a))
     return BlockCircuit(
-        circuit,
-        new_prep,
+        Circuit(width, tuple(gates), label=label),
+        Circuit(width, selection + prep.placed(a, width, ()).gates, label=prep.label),
         rescale=rescale * t_pad,
         block_value_is_real=real,
         tol=sum(u.tol for u in units),
@@ -501,8 +505,8 @@ class TaylorCoeffTable:
 
     def __post_init__(self) -> None:
         for (eta, alpha), v in self.xi.items():
-            if abs(v) > 1.0 + 1e-9:
-                raise ValueError(f"coefficient {v} at {(eta, alpha)} outside [-1, 1]")
+            if not abs(v) <= 1.0 + 1e-9:  # NaN fails this too
+                raise ValueError(f"coefficient {v} at cell {eta}, order {alpha} outside [-1, 1]")
 
     @classmethod
     def from_target(cls, f: TargetFunctionSpec, K: int, s: int) -> "TaylorCoeffTable":

@@ -217,9 +217,15 @@ def _build(cfg: ExperimentConfig) -> circuits.BlockCircuit:
 _Outcome = tuple[approx.ErrorReport, Optional[circuits.BlockCircuit]]
 
 
+def _resources(bc: circuits.BlockCircuit) -> sim.ResourceCount:
+    """The tallies of prep followed by circuit, so that no count depends on
+    which of the two holds a gate."""
+    return sim.resource_count(sim.Circuit(bc.width, bc.prep.gates + bc.circuit.gates))
+
+
 def _nested_resources(model: circuits.NestedTaylorModel) -> sim.ResourceCount:
-    loc = sim.resource_count(model.loc_blocks[0].circuit)
-    series = sim.resource_count(model.series.circuit)
+    loc = _resources(model.loc_blocks[0])
+    series = _resources(model.series)
     return sim.ResourceCount(
         width=max(loc.width * model.f.dims, series.width),
         depth=loc.depth + series.depth,  # nested halves are counted additively
@@ -251,7 +257,7 @@ def _run_qsp(cfg: ExperimentConfig) -> _Outcome:
         bound=cfg.tol,
         bound_name="synthesis-tolerance",
         tol_agg=0.0,
-        resources=sim.resource_count(bc.circuit),
+        resources=_resources(bc),
         params={"degree": target.degree, "residual": angles.residual},
     ), bc
 
@@ -266,7 +272,7 @@ def _run_poly(cfg: ExperimentConfig) -> _Outcome:
         bound=cfg.tol,
         bound_name="exact-representation",
         tol_agg=bc.tol,
-        resources=sim.resource_count(bc.circuit),
+        resources=_resources(bc),
         params={"terms": len(mp.terms)},
     ), bc
 
@@ -288,7 +294,7 @@ def _run_bernstein(cfg: ExperimentConfig) -> _Outcome:
         bound=bound,
         bound_name="lipschitz-global",
         tol_agg=bc.tol,
-        resources=sim.resource_count(bc.circuit),
+        resources=_resources(bc),
         params={"n": n, "d": d, "eps": eps},
     )
     if cfg.shots > 0:
@@ -325,7 +331,7 @@ def _run_localization(cfg: ExperimentConfig) -> _Outcome:
         bound=spec.eps,
         bound_name="band-tolerance",
         tol_agg=bc.tol,
-        resources=sim.resource_count(bc.circuit),
+        resources=_resources(bc),
         region="union_q_eta",
         params={"K": spec.K, "delta": spec.delta, "eta_recovered": recovered},
         contract_held=recovered,
@@ -379,7 +385,7 @@ def _run_trig(cfg: ExperimentConfig) -> _Outcome:
         bound=cfg.tol,
         bound_name="exact-representation",
         tol_agg=bc.tol,
-        resources=sim.resource_count(bc.circuit),
+        resources=_resources(bc),
         params={"terms": len(t.terms)},
     ), bc
 
@@ -539,7 +545,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     else:
         bc = build(ExperimentConfig(args.kind, **given))
     _emit_block(bc, args.circuit_path)
-    rc = sim.resource_count(bc.circuit)
+    rc = _resources(bc)
     print(json.dumps({
         "width": rc.width, "depth": rc.depth, "params": rc.trainable_params,
         "gates": rc.gate_total, "rescale": bc.rescale, "tol": bc.tol,

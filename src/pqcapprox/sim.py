@@ -245,12 +245,12 @@ class GateProgram:
     it is stored while ``stored`` holds at most PREFIX_BYTES.  The stored
     states are those of the relabelled indices, before the ``perm`` gather.
 
-    On the Hadamard test of the d=2, n=4 Bernstein block this leaves 220 of
-    430 ops in 20 layers: 9 before the prefix ends and 11 after it, which
-    make 15 sub-applies per point (211 ops before layering).  The d=2, K=4,
-    s=1 Taylor series block, which starts from one of K^d cells, leaves 58
-    of 262 ops in 10 layers: 6 before the prefix ends and 4 after it, which
-    make 5 sub-applies per point (21 ops before layering).
+    On the Hadamard test of the d=2, n=4 Bernstein block this leaves 117 of
+    377 ops in 12 layers: 10 before the prefix ends and 2 after it, which
+    make 4 sub-applies per point (107 ops before layering).  The d=2, K=4,
+    s=1 Taylor series block, which starts from one of K^d cells, leaves 56
+    of 260 ops in 8 layers: 6 before the prefix ends and 2 after it, which
+    make 3 sub-applies per point (19 ops before layering).
     """
 
     def __init__(self, c: Circuit):

@@ -171,6 +171,14 @@ def test_lcu_of_a_real_and_a_complex_unit_is_complex():
     assert abs(C.evaluate_block(combined, x) - want) <= 1e-12
 
 
+def test_lcu_selection_h_frame_is_the_prep_head():
+    rng = np.random.default_rng(8)
+    units = [_random_single_qubit_unit(rng) for _ in range(3)]
+    combined = C.lcu_combine(units)
+    assert combined.prep.gates == (S.h(0), S.h(1), S.h(2))
+    assert all("H" not in (g.kind, g.sub) for g in combined.circuit.gates)
+
+
 def test_lcu_rejects_mixed_rescale():
     rng = np.random.default_rng(5)
     u1 = _random_single_qubit_unit(rng)
@@ -447,9 +455,9 @@ def test_evaluate_block_rejects_a_complex_block_declared_real():
 
 
 @pytest.mark.parametrize("build, max_ops", [
-    (lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4), 220),
+    (lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4), 117),
     (lambda: C.build_taylor_series_pqc(
-        C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)), 58),
+        C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)), 56),
 ], ids=["bernstein-d2-n4", "taylor-series-d2-K4-s1"])
 def test_compiled_hadamard_test_keeps_no_flip_or_identity_op(build, max_ops):
     prog = build().program
@@ -558,6 +566,16 @@ def test_taylor_coeff_gate_count():
     rotations = [g for g in circ.gates if g.kind in ("MCU", "Rx")]
     assert len(rotations) == 4  # K^d
     assert S.resource_count(circ).trainable_params == 4
+
+
+def test_taylor_coeff_table_rejects_a_nan_coefficient():
+    with pytest.raises(ValueError, match=r"cell \(0,\), order \(0,\)"):
+        C.TaylorCoeffTable(K=1, s=0, d=1, xi={((0,), (0,)): math.nan})
+    # a NaN derivative fails as the table is made, not in the simulation
+    f = P.TargetFunctionSpec(1, lambda x: 0.5,
+                             derivative_oracle=lambda a, x: 0.5 if a == (0,) else math.nan)
+    with pytest.raises(ValueError, match=r"nan of \(1,\) is not finite"):
+        C.TaylorCoeffTable.from_target(f, 2, 1)
 
 
 def test_taylor_series_constant_order():

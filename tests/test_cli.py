@@ -490,6 +490,28 @@ def test_build_and_eval_round_trip(tmp_path, capsys):
     assert code == 0 and json.loads(out)["value"] == pytest.approx(0.3, abs=1e-9)
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def test_an_h_framed_bernstein_file_still_evaluates(tmp_path, capsys):
+    """tests/data holds `build --kind bernstein --d 1 --n 4` as written while
+    lcu_combine put its selection H's in the circuit; it must read as the
+    circuit built now, whose prep holds them."""
+    old = cli._load_block(str(DATA / "bernstein_d1_n4.txt"))
+    assert old.circuit.gates[:3] == (sim.h(0), sim.h(1), sim.h(2))
+    assert old.prep.gates == (sim.h(4),)
+    new = circuits.build_bernstein_pqc(targets.abs_centered(1), 4)
+    for x in (0.0, 0.13, 0.3, 0.77, 1.0):
+        assert abs(circuits.evaluate_block(old, (x,)) - circuits.evaluate_block(new, (x,))) <= 1e-12
+    path = tmp_path / "bernstein.txt"
+    assert run_cli(capsys, "build", "--kind", "bernstein", "--d", "1", "--n", "4",
+                   "--emit-circuit", str(path))[0] == 0
+    # three selection H's for the 5 terms, the parity pairs' one, then the data qubit's
+    prep = sim.circuit_from_text(Path(f"{path}.prep").read_text())
+    assert prep.gates == tuple(sim.h(q) for q in range(5))
+    assert not any(g.sub == "H" for g in sim.circuit_from_text(path.read_text()).gates)
+
+
 def test_build_localization(tmp_path, capsys):
     path = tmp_path / "loc.txt"
     code, out, _ = run_cli(

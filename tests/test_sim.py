@@ -423,7 +423,7 @@ def test_stored_prefix_gives_the_unstored_values_at_every_start(series_block):
     # one program fills its store from single points, the other from a batch
     for order in ((single_values, batch_values), (batch_values, single_values)):
         prog = series_program(bc)
-        assert (prog.prefix, len(prog.pairs)) == (37, 58)
+        assert (prog.prefix, len(prog.pairs)) == (37, 56)
         for x in (xs, x0):
             for _ in range(2):  # the second pass runs from stored states only
                 for values in order:
@@ -543,10 +543,10 @@ def test_layered_blocks_match_the_dense_oracle(block, bernstein_block, series_bl
     if block == "bernstein":
         bc = bernstein_block[1]
         xs = np.random.default_rng(7).uniform(0.0, 1.0, (4, 2))
-        starts, max_applies = np.zeros(4, dtype=int), 15
+        starts, max_applies = np.zeros(4, dtype=int), 4
     else:
         bc, starts, xs, _ = series_block
-        xs, starts, max_applies = xs[:4], starts[:4], 5
+        xs, starts, max_applies = xs[:4], starts[:4], 3
     circ = S.hadamard_test_circuit(bc.circuit, bc.prep)
     prog = S.GateProgram(circ)
     check_schedule(prog)
@@ -639,6 +639,32 @@ def test_fourier_binding_of_the_constructions(block, bernstein_block, series_blo
 def test_no_construction_splits_a_run(build):
     bc = build()
     assert slot_splits(S.hadamard_test_circuit(bc.circuit, bc.prep)) == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4),
+    lambda: C.build_taylor_series_pqc(
+        C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)),
+    lambda: C.build_poly_pqc(P.MultivariatePolynomial({(1, 0): 0.5, (0, 2): 0.25}, 2)),
+    lambda: C.build_parity_pair_pqc(P.Polynomial((0.2, 0.3, 0.4)), S.EncodingSlot(0, "acos"), 1.0),
+    trig_block,
+], ids=["bernstein", "series", "poly", "parity-pair", "trig"])
+def test_no_layer_after_prefix_runs_a_selection_h(build):
+    """lcu_combine's selection H's sit in the prep, so they run once per
+    start within the prefix: no fixed op after it is a bare H."""
+    prog = build().program
+    fixed = np.setdiff1d(np.arange(prog.prefix, len(prog.pairs)), prog.slotted)
+    assert not any(np.allclose(m, S.gate_matrix_1q("H"), rtol=0, atol=1e-12)
+                   for m in prog.heads[fixed])
+
+
+def test_bernstein_d2_point_runs_two_layers_after_prefix(bernstein_block):
+    """The perfbench bernstein_d2 block: every layer after prefix binds a
+    slot, and a point makes one fixed and one slotted sub-apply in each."""
+    prog = bernstein_block[1].program
+    assert prog.layer_at[len(prog.pairs)] - prog.layer_at[prog.prefix] == 2
+    assert applies_after_prefix(prog) == 4
+    assert sum(prog.pairs[k].shape[1] for k in range(prog.prefix, len(prog.pairs))) == 456
 
 
 def test_a_run_splits_where_its_slot_changes():
