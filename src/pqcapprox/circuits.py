@@ -136,10 +136,10 @@ def trig_line(params: qsp.TrigQspParams, slot: EncodingSlot) -> tuple[Gate, ...]
     gates: list[Gate] = []
     for theta, phi in zip(reversed(params.thetas[1:]), reversed(params.phis[1:])):
         gates.append(rz(q, float(phi), trainable=True))
-        gates.append(Gate("Ry", (q,), angle=float(theta), trainable=True))
+        gates.append(Gate("Ry", q, angle=float(theta), trainable=True))
         gates.append(encoding_gate(q, slot))
     gates.append(rz(q, float(params.phis[0]), trainable=True))
-    gates.append(Gate("Ry", (q,), angle=float(params.thetas[0]), trainable=True))
+    gates.append(Gate("Ry", q, angle=float(params.thetas[0]), trainable=True))
     gates.append(rz(q, float(params.omega), trainable=True))
     return tuple(gates)
 
@@ -238,8 +238,10 @@ def build_monomial_pqc(
 def _prep_kinds(prep: Circuit) -> list[str]:
     kinds = ["zero"] * prep.width
     for g in prep.gates:
-        q = g.targets[0]
-        if g.kind == "H" and kinds[q] == "zero":
+        q = g.target
+        if g.controls:  # entangles: its target holds no known state
+            kinds[q] = "other"
+        elif g.kind == "H" and kinds[q] == "zero":
             kinds[q] = "plus"
         elif g.kind == "X" and kinds[q] in ("zero", "one"):
             kinds[q] = "one" if kinds[q] == "zero" else "zero"
@@ -555,7 +557,7 @@ def build_taylor_coeff_pqc(table: TaylorCoeffTable, alpha: MultiIndex) -> Circui
     gates: list[Gate] = []
     for eta in product(range(table.K), repeat=table.d):
         theta = 2.0 * math.acos(table.xi[(eta, tuple(alpha))])
-        rx = Circuit(1, (Gate("Rx", (0,), angle=theta, trainable=True),))
+        rx = Circuit(1, (Gate("Rx", 0, angle=theta, trainable=True),))
         gates.extend(_selected(rx, _address_bits(table, eta)))
     label = f"taylor-coeff alpha={tuple(alpha)}"
     return Circuit(table.address_bits + 1, tuple(gates), label=label)

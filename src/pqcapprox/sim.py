@@ -1,12 +1,13 @@
 """Exact statevector simulation, Hadamard-test readout, and resource counts.
 
 Qubit 0 is the most significant bit of the basis-state index.  Circuits are
-ordered gate lists; a gate either carries a concrete angle or an encoding
+ordered gate lists; a gate is a single-qubit kind on one target under a
+possibly empty control set, and carries a concrete angle or an encoding
 slot that is bound to a data point before simulation.  ``GateProgram``
-compiles a circuit once, so each run only binds the slots.  Multi-controlled
-single-qubit gates (MCU) are native simulator primitives; ``decompose_mcu``
-lowers them to CNOT plus single-qubit rotations for the depth/gate-count
-claims and equivalence tests.
+compiles a circuit once, so each run only binds the slots.  Controlled
+gates are native simulator primitives; ``lowered`` expands them into
+one-control X's and single-qubit rotations for the depth/gate-count claims
+and equivalence tests.
 """
 
 from __future__ import annotations
@@ -55,40 +56,30 @@ def encoding_angles(xform: str, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Gate:
+    """A single-qubit gate on ``target``, applied where every qubit in
+    ``controls`` reads 1; a rotation carries an angle or an encoding slot."""
+
     kind: str
-    targets: tuple[int, ...]
+    target: int
     controls: tuple[int, ...] = ()
     angle: Optional[float] = None
     trainable: bool = False
-    sub: Optional[str] = None
     slot: Optional[EncodingSlot] = None
 
     def __post_init__(self) -> None:
-        if set(self.targets) & set(self.controls):
-            raise ValueError("targets and controls must be disjoint")
-        if self.kind in _SINGLE_KINDS:
-            if len(self.targets) != 1 or self.controls:
-                raise ValueError(f"{self.kind} takes one target and no controls")
-        elif self.kind == "CNOT":
-            if len(self.targets) != 1 or len(self.controls) != 1:
-                raise ValueError("CNOT takes one control and one target")
-        elif self.kind == "MCU":
-            if self.sub not in _SINGLE_KINDS:
-                raise ValueError(f"MCU wraps a single-qubit kind, got {self.sub!r}")
-            if len(self.targets) != 1:
-                raise ValueError("MCU takes one target")
-        else:
+        if self.kind not in _SINGLE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        rot = self.sub if self.kind == "MCU" else self.kind
-        if rot in _ROTATIONS:
+        if len({self.target, *self.controls}) != 1 + len(self.controls):
+            raise ValueError("target and controls must be distinct qubits")
+        if self.kind in _ROTATIONS:
             if self.angle is None and self.slot is None:
-                raise ValueError(f"{rot} needs an angle or an encoding slot")
+                raise ValueError(f"{self.kind} needs an angle or an encoding slot")
         elif self.angle is not None or self.slot is not None:
             raise ValueError(f"{self.kind} does not take an angle")
 
     @property
     def qubits(self) -> tuple[int, ...]:
-        return self.targets + self.controls
+        return (self.target,) + self.controls
 
     def bound(self, x: Sequence[float]) -> "Gate":
         if self.slot is None:
@@ -98,32 +89,32 @@ class Gate:
 
 
 def h(q: int) -> Gate:
-    return Gate("H", (q,))
+    return Gate("H", q)
 
 
 def xg(q: int) -> Gate:
-    return Gate("X", (q,))
+    return Gate("X", q)
 
 
 def zg(q: int) -> Gate:
-    return Gate("Z", (q,))
+    return Gate("Z", q)
 
 
 def ry(q: int, angle: float, trainable: bool = False) -> Gate:
-    return Gate("Ry", (q,), angle=angle, trainable=trainable)
+    return Gate("Ry", q, angle=angle, trainable=trainable)
 
 
 def rz(q: int, angle: float, trainable: bool = False) -> Gate:
-    return Gate("Rz", (q,), angle=angle, trainable=trainable)
+    return Gate("Rz", q, angle=angle, trainable=trainable)
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate("CNOT", (target,), (control,))
+    return Gate("X", target, (control,))
 
 
 def encoding_gate(q: int, slot: EncodingSlot) -> Gate:
     kind = "Rx" if slot.xform == "acos" else "Rz"
-    return Gate(kind, (q,), slot=slot)
+    return Gate(kind, q, slot=slot)
 
 
 @dataclass(frozen=True)
@@ -150,26 +141,16 @@ class Circuit:
 
     def placed(self, offset: int, width: int, controls: Sequence[int]) -> "Circuit":
         """The same gates on qubits offset..offset+self.width-1 of a
-        width-qubit register, each also controlled on ``controls``.
-
-        Every gate is copied once.  A gate that gains controls becomes an
-        MCU of its single-qubit kind with the sorted union of its controls,
-        except that an X with one control in all becomes a CNOT.
-        """
+        width-qubit register, each also controlled on ``controls``: every
+        gate is copied once, its target shifted and its controls the sorted
+        union of its shifted controls and ``controls``."""
         extra = set(controls)
-        gates = []
-        for g in self.gates:
-            targets = tuple(q + offset for q in g.targets)
-            ctrls = tuple(q + offset for q in g.controls)
-            kind, sub = g.kind, g.sub
-            if extra:
-                ctrls = tuple(sorted(extra.union(ctrls)))
-                if kind == "X" and len(ctrls) == 1:
-                    kind = "CNOT"
-                else:
-                    kind, sub = "MCU", _gate_kind(g)
-            gates.append(Gate(kind, targets, ctrls, g.angle, g.trainable, sub, g.slot))
-        return Circuit(width, tuple(gates), self.label)
+        return Circuit(width, tuple(
+            Gate(g.kind, g.target + offset,
+                 tuple(sorted(extra.union(q + offset for q in g.controls))),
+                 g.angle, g.trainable, g.slot)
+            for g in self.gates
+        ), self.label)
 
 
 def gate_matrix_1q(kind: str, angle: Optional[float] = None) -> np.ndarray:
@@ -199,11 +180,6 @@ _GENERATORS = {
 _PAULI_X = gate_matrix_1q("X")
 
 
-def _gate_kind(g: Gate) -> str:
-    """The single-qubit kind a gate applies to its target."""
-    return g.sub if g.kind == "MCU" else ("X" if g.kind == "CNOT" else g.kind)
-
-
 class GateProgram:
     """A circuit compiled once; running it at x only binds encoding angles.
 
@@ -222,8 +198,8 @@ class GateProgram:
     ``op_matrices`` binds every op of a slot with one table of cos hk and
     sin hk and one product.
 
-    A fixed run whose product is exactly X (an X, CNOT or multi-controlled
-    X flip) is not an op: it relabels the amplitudes it swaps, and a run
+    A fixed run whose product is exactly X (an X flip under any controls)
+    is not an op: it relabels the amplitudes it swaps, and a run
     that is exactly I is dropped.  The ops after a flip address the
     relabelled pairs, and ``run`` gathers the state by ``perm`` once at the
     end (``perm`` is None where the flips cancel).  Only indices change,
@@ -267,7 +243,7 @@ class GateProgram:
         chains: list[list[list]] = []  # per op: [kind, fixed product after it] per slot
         prev = None
         for g in c.gates:
-            tbit = 1 << (c.width - 1 - g.targets[0])
+            tbit = 1 << (c.width - 1 - g.target)
             cmask = sum(1 << (c.width - 1 - q) for q in g.controls)
             # a run splits where its slot changes, so every op has one slot
             if (tbit, cmask) != prev or (g.slot is not None and slots[-1] not in (None, g.slot)):
@@ -279,15 +255,14 @@ class GateProgram:
                 slots.append(None)
                 chains.append([])
                 prev = (tbit, cmask)
-            kind = _gate_kind(g)
             chain = chains[-1]
             if g.slot is not None:
                 slots[-1] = g.slot
-                chain.append([kind, eye])
+                chain.append([g.kind, eye])
             elif chain:
-                chain[-1][1] = gate_matrix_1q(kind, g.angle) @ chain[-1][1]
+                chain[-1][1] = gate_matrix_1q(g.kind, g.angle) @ chain[-1][1]
             else:
-                heads[-1] = gate_matrix_1q(kind, g.angle) @ heads[-1]
+                heads[-1] = gate_matrix_1q(g.kind, g.angle) @ heads[-1]
         # A fixed run that is exactly X only swaps amplitudes, and one that
         # is exactly I does nothing: neither becomes an op.  The true state
         # is t[j] = stored[perm[j]]; an X run swaps perm at its pairs, and
@@ -583,23 +558,23 @@ def sample_shots(
     Samples the ancilla's X measurement ``shots`` times with a seeded
     generator, reading -1 with probability (1 - Re v)/2 for the exact value
     v of hadamard_values at the point x; returns (estimate, standard error).
-    Deterministic for a fixed seed.  ``x``, one point of shape (d,), binds
-    the encoding slots.
+    The count k of -1 readings is one binomial draw, so memory does not
+    grow with N = ``shots``: the estimate is m = 1 - 2k/N and its standard
+    error sqrt((1 - m^2)/(N - 1)).  Deterministic for a fixed seed.  ``x``,
+    one point of shape (d,), binds the encoding slots.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= np.iinfo(np.int64).max:
+        raise ValueError(f"shots must lie in [1, 2**63 - 1], got {shots}")
     value = hadamard_values(c, None if x is None else np.asarray(x, dtype=float)[None])[0]
-    p_one = (1.0 - value.real) / 2.0
-    rng = np.random.default_rng(seed)
-    ones = rng.random(shots) < p_one
-    vals = 1.0 - 2.0 * ones.astype(float)
-    estimate = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(shots)) if shots > 1 else 0.0
+    p_one = min(max((1.0 - value.real) / 2.0, 0.0), 1.0)
+    ones = int(np.random.default_rng(seed).binomial(shots, p_one))
+    estimate = 1.0 - 2.0 * ones / shots
+    stderr = math.sqrt((1.0 - estimate**2) / (shots - 1)) if shots > 1 else 0.0
     return estimate, stderr
 
 
 # ---------------------------------------------------------------------------
-# MCU lowering
+# Lowering controlled gates
 # ---------------------------------------------------------------------------
 
 
@@ -625,7 +600,7 @@ def _ucr(axis: str, controls: tuple[int, ...], target: int, angles: np.ndarray) 
     if not controls:
         if abs(angles[0]) < 1e-15:
             return []
-        return [Gate(axis, (target,), angle=float(angles[0]), trainable=False)]
+        return [Gate(axis, target, angle=float(angles[0]))]
     half = len(angles) // 2
     plus = (angles[:half] + angles[half:]) / 2.0
     minus = (angles[:half] - angles[half:]) / 2.0
@@ -651,32 +626,28 @@ def _controlled_phase(qubits: tuple[int, ...], delta: float) -> list[Gate]:
 
 
 def decompose_mcu(g: Gate) -> list[Gate]:
-    """Lower a multi-controlled single-qubit gate to CNOTs and rotations.
+    """Lower a bound gate to one-control X's and uncontrolled rotations.
 
     The composed unitary equals the native gate up to global phase; no
-    ancilla qubits are used.
+    ancilla qubits are used.  A gate without controls is its own lowering.
     """
-    if g.kind != "MCU":
-        raise ValueError("decompose_mcu expects an MCU gate")
     if g.slot is not None:
         raise ValueError("bind encoding slots before lowering")
     if not g.controls:
-        return [Gate(g.sub, g.targets, angle=g.angle, trainable=g.trainable)]
-    target = g.targets[0]
-    controls = tuple(g.controls)
-    m = len(controls)
+        return [g]
+    target, controls, m = g.target, g.controls, len(g.controls)
 
-    if g.sub in _ROTATIONS:
+    if g.kind in _ROTATIONS:
         pattern = np.zeros(2**m)
         pattern[-1] = g.angle
-        if g.sub == "Rx":  # conjugate the Z-axis multiplexor onto the X axis
+        if g.kind == "Rx":  # conjugate the Z-axis multiplexor onto the X axis
             gates = [ry(target, -math.pi / 2.0)]
             gates.extend(_ucr("Rz", controls, target, pattern))
             gates.append(ry(target, math.pi / 2.0))
             return gates
-        return _ucr(g.sub, controls, target, pattern)
+        return _ucr(g.kind, controls, target, pattern)
 
-    delta, a, b, c = _zyz_angles(gate_matrix_1q(g.sub, g.angle))
+    delta, a, b, c = _zyz_angles(gate_matrix_1q(g.kind, g.angle))
     gates: list[Gate] = []
     for axis, angle in (("Rz", c), ("Ry", b), ("Rz", a)):
         if abs(angle) > 1e-15:
@@ -688,13 +659,14 @@ def decompose_mcu(g: Gate) -> list[Gate]:
 
 
 def lowered(c: Circuit) -> Circuit:
-    """Expand every MCU into CNOT + single-qubit rotations."""
+    """Expand every controlled gate except a one-control X into one-control
+    X's and single-qubit rotations; the circuit must be bound."""
     gates: list[Gate] = []
     for g in c.gates:
-        if g.kind == "MCU":
-            gates.extend(decompose_mcu(g))
-        else:
+        if g.kind == "X" and len(g.controls) == 1:
             gates.append(g)
+        else:
+            gates.extend(decompose_mcu(g))
     return Circuit(c.width, tuple(gates), c.label)
 
 
@@ -721,7 +693,8 @@ def resource_count(c: Circuit) -> ResourceCount:
     """Width, greedy-ASAP depth, trainable-parameter and gate tallies.
 
     ``resource_count(lowered(c))`` tallies the elementary gate set, with the
-    MCU gates expanded to CNOT plus single-qubit rotations.
+    controlled gates expanded to one-control X's plus single-qubit
+    rotations; lowering needs a bound circuit (see ``Circuit.bound``).
     """
     level = [0] * c.width
     depth = 0
@@ -743,12 +716,14 @@ def resource_count(c: Circuit) -> ResourceCount:
 
 
 def circuit_to_text(c: Circuit) -> str:
-    """Line-oriented format: header (width, label), then one gate per line."""
+    """Line-oriented format: header (width, label), then one gate per line.
+    A controlled gate is spelled CNOT if it is an X with one control and
+    MCU.<kind> otherwise."""
     lines = [f"width {c.width}", f"label {c.label}"]
     for g in c.gates:
-        kind = f"MCU.{g.sub}" if g.kind == "MCU" else g.kind
-        parts = [kind, ",".join(str(q) for q in g.targets)]
+        parts = [g.kind, str(g.target)]
         if g.controls:
+            parts[0] = "CNOT" if g.kind == "X" and len(g.controls) == 1 else f"MCU.{g.kind}"
             parts.append("c=" + ",".join(str(q) for q in g.controls))
         if g.angle is not None:
             parts.append(f"a={g.angle!r}")
@@ -773,11 +748,9 @@ def circuit_from_text(text: str) -> Circuit:
         parts = ln.split()
         if len(parts) < 2:
             raise ValueError(f"gate line {ln!r} has no targets")
-        kind = parts[0]
-        sub = None
-        if kind.startswith("MCU."):
-            kind, sub = "MCU", kind[4:]
-        targets = tuple(int(t) for t in parts[1].split(","))
+        if "," in parts[1]:
+            raise ValueError(f"gate line {ln!r} has more than one target")
+        target = int(parts[1])
         controls: tuple[int, ...] = ()
         angle = None
         slot = None
@@ -798,5 +771,16 @@ def circuit_from_text(text: str) -> Circuit:
                 trainable = True
             else:
                 raise ValueError(f"unknown token {tok!r} in circuit text")
-        gates.append(Gate(kind, targets, controls, angle, trainable, sub, slot))
+        kind = parts[0]
+        if kind == "CNOT":
+            if len(controls) != 1:
+                raise ValueError(f"CNOT line {ln!r} needs exactly one control")
+            kind = "X"
+        elif kind.startswith("MCU."):
+            kind = kind[4:]
+            if kind not in _SINGLE_KINDS:
+                raise ValueError(f"unknown controlled kind {parts[0]!r} in line {ln!r}")
+        elif controls:
+            raise ValueError(f"{kind} line {ln!r} has controls: spell it CNOT or MCU.{kind}")
+        gates.append(Gate(kind, target, controls, angle, trainable, slot))
     return Circuit(width, tuple(gates), label)

@@ -31,7 +31,6 @@ from pqcapprox.sim import (
     Circuit,
     Gate,
     GateProgram,
-    _gate_kind,
     encoding_angles,
     gate_matrix_1q,
 )
@@ -51,9 +50,8 @@ def _apply_gate(amps: np.ndarray, g: Gate, width: int) -> np.ndarray:
     """
     if g.slot is not None:
         raise ValueError("cannot simulate a circuit with unbound encoding slots")
-    mat = gate_matrix_1q(_gate_kind(g), g.angle)
-    target = g.targets[0]
-    tbit = 1 << (width - 1 - target)
+    mat = gate_matrix_1q(g.kind, g.angle)
+    tbit = 1 << (width - 1 - g.target)
     idx = np.arange(2**width)
     if g.controls:
         cmask = 0

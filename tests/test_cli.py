@@ -339,10 +339,16 @@ def _meta_with(key, value):
         (".meta.json", _meta_with("tol", math.nan), "tol must be finite"),
         (".meta.json", _meta_with("tol", -1.0), "tol must be finite"),
         (".meta.json", _meta_with("tol", math.inf), "tol must be finite"),
+        ("", lambda p: p.write_text(p.read_text() + "CNOT 3 c=0,1\n"), "exactly one control"),
+        ("", lambda p: p.write_text(p.read_text() + "MCU.CNOT 3 c=0\n"),
+         "unknown controlled kind"),
+        ("", lambda p: p.write_text(p.read_text() + "Rz 3,4 a=0.5\n"), "more than one target"),
+        ("", lambda p: p.write_text(p.read_text() + "MCU.Rz 3 c=0,0 a=0.5\n"), "distinct qubits"),
     ],
     ids=["missing-prep", "missing-meta", "gate-without-targets", "width-without-value",
          "meta-not-an-object", "meta-flag-not-a-boolean", "rescale-nan", "rescale-infinity",
-         "tol-nan", "tol-negative", "tol-infinity"],
+         "tol-nan", "tol-negative", "tol-infinity", "cnot-with-two-controls",
+         "unknown-controlled-kind", "two-targets", "repeated-control"],
 )
 def test_eval_rejects_a_damaged_circuit(capsys, tmp_path, suffix, damage, expected):
     # at x = 0.3 the d=1, n=4 Bernstein circuit reads 0.2459; a default prep
@@ -509,7 +515,8 @@ def test_an_h_framed_bernstein_file_still_evaluates(tmp_path, capsys):
     # three selection H's for the 5 terms, the parity pairs' one, then the data qubit's
     prep = sim.circuit_from_text(Path(f"{path}.prep").read_text())
     assert prep.gates == tuple(sim.h(q) for q in range(5))
-    assert not any(g.sub == "H" for g in sim.circuit_from_text(path.read_text()).gates)
+    circuit = sim.circuit_from_text(path.read_text())
+    assert not any(g.kind == "H" and g.controls for g in circuit.gates)
 
 
 def test_build_localization(tmp_path, capsys):
@@ -579,6 +586,18 @@ def test_report_samples_shots_from_the_compiled_block(capsys):
     x0 = (0.5,)
     assert exact == pytest.approx(block_values(bc.circuit.bound(x0), bc.prep)[0].real, abs=1e-12)
     assert params["rescale"] == bc.rescale
+
+
+def test_report_samples_1e11_shots_and_refuses_a_count_beyond_int64(capsys):
+    flags = ("report", "--experiment", "bernstein", "--d", "1", "--n", "4", "--seed", "1")
+    code, out, _ = run_cli(capsys, *flags, "--shots", str(10**11))
+    assert code == 0
+    params = json.loads(out)["params"]
+    error = abs(params["shot_estimate_block"] - params["shot_exact_block"])
+    assert error <= 5 * params["shot_stderr_block"]
+    code, out, err = run_cli(capsys, *flags, "--shots", str(2**63))
+    assert code == 2 and out == ""
+    assert "shots" in json.loads(err.strip())["error"]
 
 
 @pytest.mark.parametrize(

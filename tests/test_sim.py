@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from oracles import (
 
 
 def rx(q, angle, trainable=False):
-    return S.Gate("Rx", (q,), angle=angle, trainable=trainable)
+    return S.Gate("Rx", q, angle=angle, trainable=trainable)
 
 
 def random_circuit(rng, width, n_gates, mcu=False):
@@ -46,7 +47,7 @@ def random_circuit(rng, width, n_gates, mcu=False):
         else:
             if mcu and width >= 3:
                 ctrls = tuple(c for c in range(width) if c != q)[:2]
-                gates.append(S.Gate("MCU", (q,), ctrls, angle=float(rng.normal()), sub="Ry"))
+                gates.append(S.Gate("Ry", q, ctrls, angle=float(rng.normal())))
     return S.Circuit(width, tuple(gates))
 
 
@@ -129,7 +130,7 @@ def test_placed_circuit_is_controlled_identity_tensor_u(seed):
 
 
 def random_slotted_circuit(rng, width, n_runs):
-    """Runs of 3-6 gates on one target under one control set, with MCUs and
+    """Runs of 3-6 gates on one target under one control set, controlled and
     X/Z-encoding slots on coordinates 0 and 1 mixed among fixed gates."""
     gates = []
     for _ in range(n_runs):
@@ -150,10 +151,7 @@ def random_slotted_circuit(rng, width, n_runs):
                 slot = S.EncodingSlot(choice - 6, ("acos", "zrot")[choice - 6],
                                       float(rng.uniform(-0.2, 0.2)), float(rng.uniform(0.5, 1.0)))
                 kind = "Rx" if slot.xform == "acos" else "Rz"
-            if ctrls:
-                gates.append(S.Gate("MCU", (q,), ctrls, angle=angle, sub=kind, slot=slot))
-            else:
-                gates.append(S.Gate(kind, (q,), angle=angle, slot=slot))
+            gates.append(S.Gate(kind, q, ctrls, angle=angle, slot=slot))
     return S.Circuit(width, tuple(gates))
 
 
@@ -163,8 +161,8 @@ def slot_splits(circ):
     one slot."""
     count, prev, slot = 0, None, None
     for g in circ.gates:
-        if (g.targets, set(g.controls)) != prev:
-            prev, slot = (g.targets, set(g.controls)), None
+        if (g.target, set(g.controls)) != prev:
+            prev, slot = (g.target, set(g.controls)), None
         if g.slot is not None:
             count += slot not in (None, g.slot)
             slot = g.slot
@@ -190,16 +188,12 @@ def test_compiled_program_matches_dense_unitary(seed):
 
 
 def flip_gate(q, ctrls):
-    """X on q under the controls, as the kind a circuit would use."""
-    if not ctrls:
-        return S.xg(q)
-    if len(ctrls) == 1:
-        return S.cnot(ctrls[0], q)
-    return S.Gate("MCU", (q,), ctrls, sub="X")
+    """X on q under the controls."""
+    return S.Gate("X", q, ctrls)
 
 
 def flipping_circuit(rng, width, n_runs):
-    """Runs that fuse to exactly X (one X, CNOT or MCU.X), runs that fuse
+    """Runs that fuse to exactly X (one X under any controls), runs that fuse
     to exactly I (the same flip twice) and runs of rotations, with slotted
     and fixed ones, in random order; no two neighbouring runs share a
     target and control set, so each run compiles on its own.  Returns the
@@ -228,10 +222,7 @@ def flipping_circuit(rng, width, n_runs):
                 rot = ("Rx", "Rz")[coord]
             else:
                 angle = float(rng.normal())
-            if ctrls:
-                gates.append(S.Gate("MCU", (q,), ctrls, angle=angle, sub=rot, slot=slot))
-            else:
-                gates.append(S.Gate(rot, (q,), angle=angle, slot=slot))
+            gates.append(S.Gate(rot, q, ctrls, angle=angle, slot=slot))
     return S.Circuit(width, tuple(gates)), flips
 
 
@@ -275,7 +266,7 @@ def test_program_rejects_unbound_slots():
     with pytest.raises(ValueError):
         S.run(S.GateProgram(circ), x=None)
     with pytest.raises(ValueError):  # only rotations take an encoding slot
-        S.Gate("H", (0,), slot=S.EncodingSlot(0, "acos"))
+        S.Gate("H", 0, slot=S.EncodingSlot(0, "acos"))
 
 
 def test_width_cap():
@@ -436,7 +427,7 @@ def test_stored_prefix_gives_the_unstored_values_at_every_start(series_block):
 
 def test_program_without_slots_stores_its_whole_run():
     circ = S.Circuit(3, (S.h(0), S.cnot(0, 1), S.ry(2, 0.3), S.xg(1),
-                         S.Gate("MCU", (2,), (0, 1), angle=0.7, sub="Rx")))
+                         S.Gate("Rx", 2, (0, 1), angle=0.7)))
     prog = S.GateProgram(circ)
     assert prog.prefix == len(prog.pairs) == 3 and prog.perm is not None
     starts = np.array([5, 0, 5, 3])
@@ -761,19 +752,36 @@ def test_shots_concentration():
     assert abs(float(np.mean(estimates))) <= 5.0 / math.sqrt(10_000 * 20)
 
 
+def test_shots_are_one_binomial_draw():
+    """10^11 shots cost no memory per shot; a count beyond int64 is refused."""
+    c = S.hadamard_test_circuit(S.Circuit(1, (S.ry(0, 1.1),)), S.Circuit(1, ()))
+    exact = math.cos(0.55)  # <0|Ry(1.1)|0>
+    tracemalloc.start()
+    try:
+        est, err = S.sample_shots(c, 10**11, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert err == pytest.approx(math.sqrt((1.0 - exact**2) / 10**11), rel=1e-3)
+    assert abs(est - exact) <= 5 * err
+    with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+        S.sample_shots(c, 2**63, seed=1)
+
+
 # ---------------------------------------------------------------------------
-# MCU lowering
+# Lowering controlled gates
 # ---------------------------------------------------------------------------
 
 
 def test_decompose_no_controls_is_bare_gate():
-    g = S.Gate("MCU", (0,), (), angle=0.3, sub="Ry")
+    g = S.Gate("Ry", 0, angle=0.3)
     out = S.decompose_mcu(g)
     assert len(out) == 1 and out[0].kind == "Ry"
 
 
 def test_decompose_single_controlled_rx():
-    g = S.Gate("MCU", (1,), (0,), angle=0.9, sub="Rx")
+    g = S.Gate("Rx", 1, (0,), angle=0.9)
     native = circuit_unitary(S.Circuit(2, (g,)))
     low = circuit_unitary(S.Circuit(2, tuple(S.decompose_mcu(g))))
     phase = np.vdot(low.ravel(), native.ravel())
@@ -785,21 +793,38 @@ def test_decompose_single_controlled_rx():
 @pytest.mark.parametrize("sub,angle", [("Rz", 0.7), ("Ry", -1.2), ("Rx", 0.4),
                                        ("X", None), ("H", None), ("Z", None)])
 def test_decompose_matches_native(m, sub, angle):
-    g = S.Gate("MCU", (m,), tuple(range(m)), angle=angle, sub=sub)
+    g = S.Gate(sub, m, tuple(range(m)), angle=angle)
     native = circuit_unitary(S.Circuit(m + 1, (g,)))
     gates = S.decompose_mcu(g)
     low = circuit_unitary(S.Circuit(m + 1, tuple(gates)))
     phase = np.vdot(low.ravel(), native.ravel())
     phase /= abs(phase)
     assert np.max(np.abs(native - phase * low)) <= 1e-9
-    assert all(x.kind in ("CNOT", "Rx", "Ry", "Rz") for x in gates)
-    assert all(len(x.controls) <= 1 for x in gates)
+    assert all(x.kind in ("Rx", "Ry", "Rz") and not x.controls
+               or x.kind == "X" and len(x.controls) == 1 for x in gates)
 
 
 def test_lowered_circuit_contains_no_mcu():
-    g = S.Gate("MCU", (2,), (0, 1), angle=0.3, sub="Ry")
+    g = S.Gate("Ry", 2, (0, 1), angle=0.3)
     circ = S.lowered(S.Circuit(3, (S.h(0), g)))
-    assert all(x.kind != "MCU" for x in circ.gates)
+    assert all(len(x.controls) <= 1 and (x.kind == "X" or not x.controls) for x in circ.gates)
+
+
+def test_lowered_bernstein_block_matches_native():
+    """The bound d=1, n=2 Bernstein block lowers to CNOTs and uncontrolled
+    rotations with the native unitary up to a global phase; unbound, it
+    does not lower."""
+    bc = C.build_bernstein_pqc(targets.abs_centered(1), 2)
+    native = bc.circuit.bound((0.3,))
+    low = S.lowered(native)
+    assert (len(native.gates), len(low.gates)) == (33, 581)
+    assert all(len(x.controls) <= 1 and (x.kind == "X" or not x.controls) for x in low.gates)
+    want, got = circuit_unitary(native), circuit_unitary(low)
+    phase = np.vdot(got.ravel(), want.ravel())
+    phase /= abs(phase)
+    assert np.max(np.abs(want - phase * got)) <= 1e-12
+    with pytest.raises(ValueError, match="bind encoding slots before lowering"):
+        S.lowered(bc.circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -843,14 +868,22 @@ def test_text_round_trip():
         S.h(0),
         S.encoding_gate(2, S.EncodingSlot(0, "acos", 0.25)),
         S.encoding_gate(1, S.EncodingSlot(1, "acos", 1.0, 2.0)),
-        S.Gate("MCU", (3,), (0, 1), angle=0.5, trainable=True, sub="Ry"),
-        S.Gate("MCU", (0,), (2,), sub="Rz", slot=S.EncodingSlot(2, "zrot", -0.5, 3.0)),
+        S.Gate("Ry", 3, (0, 1), angle=0.5, trainable=True),
+        S.Gate("Rz", 0, (2,), slot=S.EncodingSlot(2, "zrot", -0.5, 3.0)),
         S.cnot(1, 2),
         S.xg(3),
         S.rz(1, -1.25, trainable=True),
     )
     c = S.Circuit(4, gates, label="round trip example")
     assert S.circuit_from_text(S.circuit_to_text(c)) == c
+
+
+def test_text_spells_controlled_gates_cnot_or_mcu():
+    c = S.Circuit(3, (S.cnot(0, 2), S.Gate("X", 2, (0, 1)), S.Gate("H", 1, (0,))))
+    assert S.circuit_to_text(c).splitlines()[2:] == ["CNOT 2 c=0", "MCU.X 2 c=0,1", "MCU.H 1 c=0"]
+    assert S.circuit_from_text("width 2\nlabel old\nMCU.X 1 c=0\n").gates == (S.cnot(0, 1),)
+    with pytest.raises(ValueError, match="spell it CNOT or MCU.X"):
+        S.circuit_from_text("width 2\nlabel bad\nX 1 c=0\n")
 
 
 def test_old_three_field_slots_load_with_scale_one_and_evaluate_unchanged():
