@@ -171,6 +171,22 @@ def _cheb_values(coef: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _mirrored(half: np.ndarray, m: int, parity: int) -> np.ndarray:
+    """Values of a series of definite parity at chebyshev_grid(m), along the
+    last axis, from its values at the first ceil(m / 2) nodes, those with
+    x >= 0.  Node m - 1 - k is node k mirrored, where the series takes
+    (-1)^parity times its value."""
+    h = (m + 1) // 2
+    out = np.empty(half.shape[:-1] + (m,))
+    out[..., :h] = half
+    tail = half[..., : m - h][..., ::-1]
+    if parity:
+        np.negative(tail, out=out[..., h:])
+    else:
+        out[..., h:] = tail
+    return out
+
+
 def _cheb_refit(fn: Callable[[np.ndarray], np.ndarray], deg: int) -> np.ndarray:
     """Chebyshev coefficients of the degree-deg interpolant of fn at deg + 1
     first-kind nodes.  The DCT keeps rounding near machine precision at
@@ -491,18 +507,19 @@ def _refined_sup(coef: np.ndarray, grid: np.ndarray, vals: np.ndarray, spacing: 
     return best
 
 
-# Bytes per (degree + 1)^2 of angle synthesis at that degree.  The peak is
-# in qsp._half_chain_grad, over n = degree // 2 + 1 free angles x m nodes:
-# the complex prefix rows (32) and the real gradient (8); the suffix is one
-# column per node, and a Jacobian kept for chord steps is released before
-# the next is built.  The DCT's temporaries (at most 20 beside the
-# gradient), the n x n Jacobian and the LU copy that np.linalg.solve makes
-# are allocated after the prefix is freed, and the line search's half-chain
-# residuals sweep blocks of qsp._BLOCK_WIDTH points, so they stay under
-# that peak.  n <= (degree + 2) / 2
-# and m = qsp._fast_len(degree + 1) <= 8/7 (degree + 1) from degree 13 on,
-# so the peak of 40 n m bytes is at most 40 * 4/7 * (degree + 2) *
-# (degree + 1), which is at most 24 (degree + 1)^2 from degree 19 on.
+# Bytes per (degree + 1)^2 of angle synthesis at that degree, with n =
+# degree // 2 + 1 free angles and m = qsp._fast_len(degree + 1) nodes.  A
+# Jacobian build runs qsp._half_chain_grad over the ceil(m / 2) nodes with
+# x >= 0: the complex prefix rows (32 bytes per angle and node) and the real
+# gradient (8), about 20 n m bytes in all.  _mirrored then fills in the full
+# (n, m) gradient (8 n m) and the half is freed before the DCT, whose
+# temporaries reach 20 n m beside its input: the peak is 28 n m, in
+# _cheb_coeffs.  The n x n Jacobian, the LU copy that np.linalg.solve makes
+# and the line search's half-chain residuals, which sweep blocks of
+# qsp._BLOCK_WIDTH points, stay under it, and a Jacobian kept for chord
+# steps is released before the next is built.  n <= (degree + 2) / 2 and
+# m <= 8/7 (degree + 1) from degree 13 on, so 28 n m is at most
+# 16 (degree + 2) (degree + 1) <= 24 (degree + 1)^2 there.
 _SYNTHESIS_BYTES_PER_ENTRY = 24
 
 
@@ -549,12 +566,15 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     edge = (delta / 2.0) / R
     n_grid = max(1000, 10 * n_interp)
     # mix Chebyshev and uniform spacing and saturate the transition edges,
-    # where the truncation error rings hardest
+    # where the truncation error rings hardest.  Every series checked is odd
+    # (its even entries are exactly 0.0) and its target is sgn, so its size
+    # and its error are even in x: the grid is the x >= 0 half of one that
+    # is symmetric about 0, where sgn is 1 at every point outside the gap.
     ramp = np.linspace(edge, min(1.0, edge + 2.0 / max(kappa, 1.0)), 400)
-    rest = np.concatenate([np.linspace(-1.0, 1.0, n_grid), ramp, -ramp])
-    grid = np.sort(np.concatenate([chebyshev_grid(n_grid), rest]))
-    target = np.sign(grid)
-    outside = np.abs(grid) >= edge
+    nodes = chebyshev_grid(n_grid)[: (n_grid + 1) // 2]
+    rest = np.concatenate([np.linspace(-1.0, 1.0, n_grid)[n_grid // 2 :], ramp])
+    grid = np.sort(np.concatenate([nodes, rest]))
+    outside = grid >= edge
     spacing = 2.0 / n_grid
     eps_check = eps * (1.0 - 1e-3)  # margin for downstream evaluation grids
 
@@ -567,12 +587,14 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
         nonlocal checks
         checks += 1
         coef = coef_full[: deg + 1].copy()
-        vals = np.concatenate([_cheb_values(coef, n_grid), _cheb.chebval(rest, coef)])[order]
+        vals = np.concatenate(
+            [_cheb_values(coef, n_grid)[: len(nodes)], _cheb.chebval(rest, coef)]
+        )[order]
         m = _refined_sup(coef, grid, np.abs(vals), spacing)
         if m > 1.0:
             coef = coef / (m * (1.0 + 1e-12))
             vals /= m * (1.0 + 1e-12)
-        vals -= target
+        vals -= 1.0
         if np.max(np.abs(vals[outside])) <= eps_check:
             return coef
         return None
@@ -586,10 +608,10 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
             break
     else:
         top = len(coef_full) - 1
-    start = _screen_start(coef_full, grid, target, outside, eps_check, top)
+    start = _screen_start(coef_full, grid, outside, eps_check, top)
     # the permutation that sorts the evaluation points into the grid, made
     # after the screen, whose buffers are this search's memory peak
-    order = np.argsort(np.concatenate([chebyshev_grid(n_grid), rest]))
+    order = np.argsort(np.concatenate([nodes, rest]))
     # walk up to the first exact pass, then down to the smallest
     best = None
     for deg in range(start, len(coef_full), 2):
@@ -616,7 +638,6 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
 def _screen_start(
     coef: np.ndarray,
     grid: np.ndarray,
-    target: np.ndarray,
     outside: np.ndarray,
     eps_check: float,
     top: int,
@@ -624,18 +645,18 @@ def _screen_start(
     """Degree at which the exact walk of ``_sign_cheb_series`` starts.
 
     One upward sweep of T_{k+1} = 2x T_k - T_{k-1} over the verification
-    grid keeps the odd partial sum S_d and, at each odd d <= top, applies
-    the exact check's test with the grid maximum in place of the refined
-    sup.  Returns the lowest degree of the run of screen passes that ends
-    at top, or top itself if the screen fails there.  The exact walk still
-    decides the degree, so a wrong screen costs exact checks, not accuracy.
-    The degree matches that of a walk down from top unless the exact check
-    fails somewhere inside that run.
+    grid (x >= 0, where sgn is 1 outside the gap) keeps the odd partial sum
+    S_d and, at each odd d <= top, applies the exact check's test with the
+    grid maximum in place of the refined sup.  Returns the lowest degree of
+    the run of screen passes that ends at top, or top itself if the screen
+    fails there.  The exact walk still decides the degree, so a wrong
+    screen costs exact checks, not accuracy.  The degree matches that of a
+    walk down from top unless the exact check fails somewhere inside that
+    run.
     """
     # outside points first, so their errors are a view of the partial sum
     x = np.concatenate([grid[outside], grid[~outside]])
-    t_out = target[outside]
-    n_out = len(t_out)
+    n_out = int(np.count_nonzero(outside))
     two_x = 2.0 * x
     t_prev, t_cur = np.ones_like(x), x.copy()  # T_0, T_1
     partial = coef[1] * t_cur
@@ -659,7 +680,7 @@ def _screen_start(
         if m > 1.0:
             np.divide(s_out, m * (1.0 + 1e-12), out=err)
             s_out = err
-        np.subtract(s_out, t_out, out=err)
+        np.subtract(s_out, 1.0, out=err)
         if np.max(np.abs(err, out=err)) > eps_check:
             run_start = None
         elif run_start is None:
@@ -731,10 +752,13 @@ def _build_localization(spec: LocalizationSpec, step_eps: float) -> Polynomial:
     sgn_coef = _sign_cheb_series(delta, step_eps, R)
     sgn_degree = len(sgn_coef) - 1
     centers = np.array([k / K - delta / 2.0 for k in range(1, K)])
-    # the evenized steps are exactly a Chebyshev series of degree sgn_degree,
-    # so interpolation at a few more first-kind nodes gives its coefficients
+    # the evenized steps are exactly an even Chebyshev series of degree
+    # sgn_degree, so interpolation at a few more first-kind nodes gives its
+    # coefficients, and the nodes with x >= 0 give its values at all of them
     deg = sgn_degree + 2
-    c_raw = _cheb_refit(lambda x: _evenized_steps(x, sgn_coef, R, centers), deg + (deg % 2))
+    m = deg + (deg % 2) + 1
+    steps = _evenized_steps(chebyshev_grid(m)[: (m + 1) // 2], sgn_coef, R, centers)
+    c_raw = _cheb_coeffs(_mirrored(steps, m, 0))
     c_raw[1::2] = 0.0  # construction is exactly even; remove interpolation noise
     # the series' own values on the dense verification grid
     n_grid = max(2000, 10 * (sgn_degree + 1))

@@ -19,6 +19,19 @@ reliable into the thousands of layers, where the localization polynomials
 live.  The palindrome lets half of each chain stand for the whole one, in
 the residual (_half_chain_values) and in the Jacobian (_half_chain_grad);
 the final grid check (_verified) evaluates the full chain.
+
+Parity halves the nodes as well.  S(-x) = -Z S(x) Z and Z commutes with
+R_Z, so U(-x) = (-1)^L Z U(x) Z for any angles, and the block value obeys
+f(-x) = (-1)^L conj(f(x)).  The Chebyshev nodes are symmetric about 0, so
+every series evaluated on them is taken at the nodes with x >= 0 only:
+* the residual and the Jacobian rows are the real part of f, and its
+  derivatives, for symmetric angles, so they have the parity of L and the
+  other half is filled in by poly._mirrored;
+* the final grid check reads |f - p| for a target p of parity L, which is
+  even for any angles, so its maximum is reached at x >= 0.
+The sign and step series of the localization polynomial follow the same
+rule in poly (_sign_cheb_series, _build_localization).
+
 The dense layer-by-layer unitaries and an independent completion
 synthesizer that check this module live with the tests (tests/oracles.py).
 """
@@ -33,7 +46,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .poly import ParityPolynomial, _cheb_coeffs, _cheb_values, chebyshev_grid
+from .poly import ParityPolynomial, _cheb_coeffs, _cheb_values, _mirrored, chebyshev_grid
 
 logger = logging.getLogger(__name__)
 
@@ -248,14 +261,19 @@ def _half_chain_values(thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def _coeff_residual(phi: np.ndarray, xs, a_slots, target) -> np.ndarray:
     """Newton residual from the block values alone: the parity-L Chebyshev
     coefficients of the (real) block value at the first-kind nodes xs minus
-    the target.  a_slots ends at L."""
-    b = _half_chain_values(_symmetric_angles(phi, a_slots[-1]), xs)
-    return _cheb_coeffs(b)[a_slots] - target
+    the target.  a_slots ends at L.  The block value is evaluated at the
+    x >= 0 half of xs and mirrored (see the module docstring)."""
+    L, m = a_slots[-1], len(xs)
+    b = _half_chain_values(_symmetric_angles(phi, L), xs[: (m + 1) // 2])
+    return _cheb_coeffs(_mirrored(b, m, L % 2))[a_slots] - target
 
 
 def _coeff_jacobian(phi: np.ndarray, xs, a_slots) -> np.ndarray:
-    """d(residual)/d(phi), square: |a_slots| = L // 2 + 1 = len(phi)."""
-    grad = _half_chain_grad(_symmetric_angles(phi, a_slots[-1]), xs)
+    """d(residual)/d(phi), square: |a_slots| = L // 2 + 1 = len(phi).  Each
+    gradient row has the parity of L, so it is mirrored like the residual;
+    the half rows are freed before the transform."""
+    L, m = a_slots[-1], len(xs)
+    grad = _mirrored(_half_chain_grad(_symmetric_angles(phi, L), xs[: (m + 1) // 2]), m, L % 2)
     return _cheb_coeffs(grad)[:, a_slots].T
 
 
@@ -401,9 +419,12 @@ def qsp_synthesize(
 
 
 def _verified(thetas: np.ndarray, p: ParityPolynomial, tol: float, norm: float) -> QspAngleSequence:
+    # |block value - p| is even for any angles (see the module docstring),
+    # so the x >= 0 half of the m nodes, the first m // 2, gives its maximum
     m = 4 * (p.degree + 1)
-    b = qsp_block_values(thetas, chebyshev_grid(m))
-    resid = float(np.max(np.abs(b - _cheb_values(_target_cheb(p), m))))
+    h = m // 2
+    b = qsp_block_values(thetas, chebyshev_grid(m)[:h])
+    resid = float(np.max(np.abs(b - _cheb_values(_target_cheb(p), m)[:h])))
     if resid > tol:
         raise QspSynthesisError("converged in coefficients but grid residual high", resid)
     return QspAngleSequence(tuple(float(t) for t in thetas), residual=resid)

@@ -755,7 +755,13 @@ def circuit_from_text(text: str) -> Circuit:
         angle = None
         slot = None
         trainable = False
+        keys: set[str] = set()
         for tok in parts[2:]:
+            key, eq, _ = tok.partition("=")
+            if eq:
+                if key in keys:
+                    raise ValueError(f"gate line {ln!r} repeats its {key}= token")
+                keys.add(key)
             if tok.startswith("c="):
                 controls = tuple(int(q) for q in tok[2:].split(","))
             elif tok.startswith("a="):

@@ -344,11 +344,15 @@ def _meta_with(key, value):
          "unknown controlled kind"),
         ("", lambda p: p.write_text(p.read_text() + "Rz 3,4 a=0.5\n"), "more than one target"),
         ("", lambda p: p.write_text(p.read_text() + "MCU.Rz 3 c=0,0 a=0.5\n"), "distinct qubits"),
+        ("", lambda p: p.write_text(p.read_text() + "Rz 0 a=0.1 a=0.2\n"), "repeats its a= token"),
+        ("", lambda p: p.write_text(p.read_text() + "MCU.Ry 1 c=0 c=0 a=0.3\n"),
+         "repeats its c= token"),
     ],
     ids=["missing-prep", "missing-meta", "gate-without-targets", "width-without-value",
          "meta-not-an-object", "meta-flag-not-a-boolean", "rescale-nan", "rescale-infinity",
          "tol-nan", "tol-negative", "tol-infinity", "cnot-with-two-controls",
-         "unknown-controlled-kind", "two-targets", "repeated-control"],
+         "unknown-controlled-kind", "two-targets", "repeated-control", "repeated-angle",
+         "repeated-control-token"],
 )
 def test_eval_rejects_a_damaged_circuit(capsys, tmp_path, suffix, damage, expected):
     # at x = 0.3 the d=1, n=4 Bernstein circuit reads 0.2459; a default prep

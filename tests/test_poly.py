@@ -231,11 +231,15 @@ def _reference_search(delta, eps, R):
     edge = (delta / 2.0) / R
     n_grid = max(1000, 10 * n_interp)
     ramp = np.linspace(edge, min(1.0, edge + 2.0 / max(kappa, 1.0)), 400)
-    grid = np.sort(np.concatenate(
-        [P.chebyshev_grid(n_grid), np.linspace(-1.0, 1.0, n_grid), ramp, -ramp]
-    ))
-    target = np.sign(grid)
-    outside = np.abs(grid) >= edge
+    # the x >= 0 half of a grid symmetric about 0, as the package checks:
+    # the series is odd and sgn is 1 there outside the gap
+    grid = np.sort(np.concatenate([
+        P.chebyshev_grid(n_grid)[: (n_grid + 1) // 2],
+        np.linspace(-1.0, 1.0, n_grid)[n_grid // 2 :],
+        ramp,
+    ]))
+    assert np.all(grid >= 0.0)
+    outside = grid >= edge
     spacing = 2.0 / n_grid
     eps_check = eps * (1.0 - 1e-3)
 
@@ -246,7 +250,7 @@ def _reference_search(delta, eps, R):
         assert P._refined_sup(coef, grid, vals, spacing) == m
         if m > 1.0:
             coef = coef / (m * (1.0 + 1e-12))
-        errs = np.abs(chebval(grid, coef) - target)
+        errs = np.abs(chebval(grid, coef) - 1.0)
         return coef if np.max(errs[outside]) <= eps_check else None
 
     tails = np.cumsum(np.abs(coef_full[::-1]))[::-1]
@@ -310,6 +314,27 @@ def test_sign_series_survives_a_wrong_screen(monkeypatch, where):
     start = top if where == "top" else low
     monkeypatch.setattr(P, "_screen_start", lambda *args: start)
     assert P._sign_cheb_series(delta, eps, R).tobytes() == expected.tobytes()
+
+
+def test_sign_series_is_checked_with_even_entries_exactly_zero(monkeypatch):
+    # an odd series against sgn has an even error, which the x >= 0 grid
+    # of the screen and the exact checks covers only if the series is odd
+    screen, refine, seen = P._screen_start, P._refined_sup, []
+
+    def screened(coef, *args):
+        seen.append(coef.copy())
+        return screen(coef, *args)
+
+    def refined(coef, *args):
+        seen.append(coef.copy())
+        return refine(coef, *args)
+
+    monkeypatch.setattr(P, "_screen_start", screened)
+    monkeypatch.setattr(P, "_refined_sup", refined)
+    out = P._sign_cheb_series(0.0625, 0.0125, 2.0)
+    assert len(seen) == 3  # the screen and two exact checks
+    for coef in seen + [out]:
+        assert np.all(coef[::2] == 0.0)
 
 
 def test_sign_series_logs_its_search(caplog):
@@ -445,6 +470,26 @@ def test_localization_degrees_are_pinned(caplog, K, delta, eps, sign_degree, deg
     (message,) = [r.getMessage() for r in caplog.records]
     assert message.endswith(f"degree {sign_degree}, 2 exact checks")
     assert loc.degree == degree
+
+
+@pytest.mark.parametrize("K", [2, 4, 8])
+def test_mirrored_step_sum_matches_per_step_on_all_nodes(K):
+    spec = P.LocalizationSpec(K, 0.3 / K, 0.5 / K)
+    sgn = P._sign_cheb_series(spec.delta, spec.eps / (2.0 * (K + 1)), 2.0)
+    centers = np.array([k / K - spec.delta / 2.0 for k in range(1, K)])
+    deg = len(sgn) + 1  # _build_localization refits at degree sgn_degree + 2,
+    m = deg + deg % 2 + 1  # made even, so at an odd node count
+    nodes = P.chebyshev_grid(m)
+    h = (m + 1) // 2
+    mirrored = P._mirrored(P._evenized_steps(nodes[:h], sgn, 2.0, centers), m, 0)
+    # bit-equal where node m - 1 - k is exactly -x_k ...
+    exact = np.concatenate([nodes[:h], -nodes[: m - h][::-1]])
+    assert np.array_equal(mirrored, per_step_evenized_steps(exact, sgn, 2.0, centers))
+    # ... and the rounded nodes are symmetric only to about an ulp, which
+    # the steps' slope at K >= 4 lifts above 1e-15
+    if K == 2:
+        full = per_step_evenized_steps(nodes, sgn, 2.0, centers)
+        assert np.max(np.abs(mirrored - full)) <= 1e-15
 
 
 @pytest.mark.parametrize("K", [2, 4, 8])

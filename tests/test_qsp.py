@@ -357,6 +357,23 @@ def replay_jacobian_rule(events, tol, result):
     return reasons
 
 
+def polish_solves(events, tol):
+    """For each solve made with the residual norm within tol (a polish
+    step), whether a Jacobian was built for it."""
+    (_, norm), *rest = events
+    out, built = [], False
+    for kind, *value in rest:
+        if kind == "build":
+            built = True
+        elif kind == "solve":
+            if norm <= tol:
+                out.append(built)
+            built = False
+        else:
+            norm = min(norm, value[0])  # a candidate is taken when it is lower
+    return out
+
+
 def test_jacobian_rebuilt_after_a_halved_weak_or_polish_step(monkeypatch):
     stages = record_newton(monkeypatch)
     for seed, sup in [(2, 0.999), (0, 0.99)]:
@@ -426,13 +443,18 @@ def test_synthesis_logs_each_stage_only_when_asked(caplog, monkeypatch):
         return steps, halvings, builds
 
     monkeypatch.setattr(Q, "_half_chain_grad", counted)
+    stages = record_newton(monkeypatch)
     target = random_parity_target(np.random.default_rng(23), 7)
     Q.qsp_synthesize(target)
     assert not [r for r in caplog.records if r.name == "pqcapprox.qsp"]
+    stages.clear()
     steps, halvings, builds = logged_stage(target)
-    # the one rejected candidate is the last polish step, solved on a fresh
-    # Jacobian like every polish step
-    assert steps > 1 and halvings == 1 and 2 <= builds <= steps + 1
+    assert steps > 1 and 2 <= builds <= steps + 1
+    # every polish step is solved on a fresh Jacobian
+    ((events, tol, result),) = stages
+    replay_jacobian_rule(events, tol, result)
+    fresh = polish_solves(events, tol)
+    assert fresh and all(fresh)
     # a degree-894 stage reuses a Jacobian after each strong step
     loc = P.localization_poly(P.LocalizationSpec(8, 0.3 / 8, 0.5 / 8))
     steps, halvings, builds = logged_stage(P.ParityPolynomial(loc, 0))
@@ -447,6 +469,44 @@ def test_half_chain_values_match_the_full_chain(L):
         thetas = Q._symmetric_angles(rng.uniform(-np.pi, np.pi, L // 2 + 1), L)
         full = Q.qsp_block_values(thetas, xs).real
         assert np.max(np.abs(Q._half_chain_values(thetas, xs) - full)) <= 1e-13
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 178, 894, 895])
+def test_half_node_residual_and_jacobian_match_all_nodes(L):
+    # L = 2 and 4 sample at 3 and 5 nodes, an odd length with a node at 0
+    rng = np.random.default_rng(L)
+    xs = P.chebyshev_grid(Q._fast_len(L + 1))
+    a_slots = np.arange(L % 2, L + 1, 2)
+    target = rng.normal(size=len(a_slots))
+    for _ in range(2):
+        phi = rng.uniform(-np.pi, np.pi, len(a_slots))
+        thetas = Q._symmetric_angles(phi, L)
+        res = P._cheb_coeffs(Q._half_chain_values(thetas, xs))[a_slots] - target
+        jac = P._cheb_coeffs(Q._half_chain_grad(thetas, xs))[:, a_slots].T
+        assert np.max(np.abs(Q._coeff_residual(phi, xs, a_slots, target) - res)) <= 1e-13
+        assert np.max(np.abs(Q._coeff_jacobian(phi, xs, a_slots) - jac)) <= 1e-12
+
+
+@pytest.mark.parametrize("L", [1, 2, 7, 30])
+def test_grid_check_reads_half_the_nodes(L):
+    # |block value - p| is even in x for any angles, so the x >= 0 half of
+    # the nodes holds its maximum; one perturbed angle still fails the check
+    rng = np.random.default_rng(40 + L)
+    target = random_parity_target(rng, L)
+    coef = Q._target_cheb(target)
+    m = 4 * (L + 1)
+    xs = P.chebyshev_grid(m)
+    for _ in range(3):
+        thetas = rng.uniform(-np.pi, np.pi, L + 1)
+        err = np.abs(Q.qsp_block_values(thetas, xs) - P._cheb_values(coef, m))
+        assert abs(np.max(err[: m // 2]) - np.max(err)) <= 1e-14
+    angles = np.array(Q.qsp_synthesize(target, tol=1e-10).angles)
+    assert Q._verified(angles, target, 1e-10, 0.0).residual <= 1e-10
+    for k in sorted({0, L // 2, L}):
+        bent = angles.copy()
+        bent[k] += 1e-6
+        with pytest.raises(Q.QspSynthesisError, match="grid residual high"):
+            Q._verified(bent, target, 1e-10, 0.0)
 
 
 def test_synthesis_peak_memory_within_guard():

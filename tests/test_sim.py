@@ -904,6 +904,12 @@ def test_text_rejects_a_slot_token_with_the_wrong_field_count(token):
         S.circuit_from_text(f"width 1\nlabel bad\nRx 0 {token}\n")
 
 
+def test_text_rejects_a_repeated_slot_token():
+    # a second enc= token would silently replace the first slot
+    with pytest.raises(ValueError, match="repeats its enc= token"):
+        S.circuit_from_text("width 1\nlabel bad\nRx 0 enc=acos:0:0.0:1.0 enc=acos:0:0.1:1.0\n")
+
+
 def test_text_rejects_garbage():
     with pytest.raises(ValueError):
         S.circuit_from_text("not a circuit")
