@@ -12,7 +12,7 @@ sums its even and odd lines, and the polynomial, Bernstein, Taylor-series
 and trigonometric circuits sum their terms.  Its selection H's sit in the
 block's prep, which the Hadamard test runs uncontrolled once per start, so
 the circuit is the bare SELECT.  Each level places the gates of its parts
-once, shifted and controlled in one copy (``sim.Circuit.placed``), and
+once, shifted and controlled in one copy (``sim._composed``), and
 every report counts prep followed by circuit.  Because the uniform LCU
 produces the sum divided by the padded term count, every BlockCircuit
 carries an explicit classical ``rescale`` factor that restores
@@ -122,10 +122,11 @@ def evaluate_block(
 def qsp_line(angles: Sequence[float], slot: EncodingSlot) -> tuple[Gate, ...]:
     """Gate list (application order) of the X-encoding angle sequence."""
     q = 0  # lines are built on qubit 0 and placed by callers
+    enc = encoding_gate(q, slot)  # one gate object serves every layer
     gates: list[Gate] = []
     for theta in reversed(angles[1:]):
         gates.append(rz(q, float(theta), trainable=True))
-        gates.append(encoding_gate(q, slot))
+        gates.append(enc)
     gates.append(rz(q, float(angles[0]), trainable=True))
     return tuple(gates)
 
@@ -133,11 +134,12 @@ def qsp_line(angles: Sequence[float], slot: EncodingSlot) -> tuple[Gate, ...]:
 def trig_line(params: qsp.TrigQspParams, slot: EncodingSlot) -> tuple[Gate, ...]:
     """Gate list (application order) of the Z-encoding parameter sequence."""
     q = 0
+    enc = encoding_gate(q, slot)
     gates: list[Gate] = []
     for theta, phi in zip(reversed(params.thetas[1:]), reversed(params.phis[1:])):
         gates.append(rz(q, float(phi), trainable=True))
         gates.append(Gate("Ry", q, angle=float(theta), trainable=True))
-        gates.append(encoding_gate(q, slot))
+        gates.append(enc)
     gates.append(rz(q, float(params.phis[0]), trainable=True))
     gates.append(Gate("Ry", q, angle=float(params.thetas[0]), trainable=True))
     gates.append(rz(q, float(params.omega), trainable=True))
@@ -178,17 +180,12 @@ def tensor(blocks: Sequence[BlockCircuit], label: str) -> BlockCircuit:
     if not blocks:
         raise ValueError("tensor needs at least one block")
     width = sum(b.width for b in blocks)
-    gates: list[Gate] = []
-    prep: list[Gate] = []
-    offset = 0
-    for b in blocks:
-        gates.extend(b.circuit.placed(offset, width, ()).gates)
-        prep.extend(b.prep.placed(offset, width, ()).gates)
-        offset += b.width
+    offsets = np.cumsum([0] + [b.width for b in blocks]).tolist()
     rescale = math.prod(b.rescale for b in blocks)
     return BlockCircuit(
-        Circuit(width, tuple(gates), label=label),
-        Circuit(width, tuple(prep), label=blocks[0].prep.label),
+        sim._composed(width, [(b.circuit, o, ()) for b, o in zip(blocks, offsets)], label),
+        sim._composed(width, [(b.prep, o, ()) for b, o in zip(blocks, offsets)],
+                      blocks[0].prep.label),
         rescale=rescale,
         block_value_is_real=all(b.block_value_is_real for b in blocks),
         tol=rescale * sum(b.tol / b.rescale for b in blocks),
@@ -262,13 +259,14 @@ def _pad_gate(prep: Circuit) -> Gate:
     raise ValueError("no qubit with a known zero-block pad under this prep")
 
 
-def _selected(body: Circuit, pattern: Sequence[int]) -> tuple[Gate, ...]:
-    """body on the qubits after a selection register, run where qubit q of
-    the register holds pattern[q]: controlled on the register, between X
-    masks on the qubits whose bit is 0."""
+def _selected(body: Circuit, pattern: Sequence[int]) -> list[tuple[Circuit, int, Sequence[int]]]:
+    """The ``sim._composed`` parts that run body on the qubits after a
+    selection register where qubit q of the register holds pattern[q]:
+    controlled on the register, between X masks on the qubits whose bit
+    is 0."""
     a = len(pattern)
-    mask = tuple(xg(q) for q, bit in enumerate(pattern) if not bit)
-    return mask + body.placed(a, a + body.width, range(a)).gates + mask
+    mask = Circuit(a, tuple(xg(q) for q, bit in enumerate(pattern) if not bit))
+    return [(mask, 0, ()), (body, a, range(a)), (mask, 0, ())]
 
 
 def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircuit:
@@ -305,15 +303,15 @@ def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircu
     width = a + w
     pad = Circuit(w, (_pad_gate(prep),), label="pad")
 
-    gates: list[Gate] = []
+    parts = []
     for j in range(t_pad):
         body = units[j].circuit if j < t else pad
-        gates.extend(_selected(body, [(j >> (a - 1 - i)) & 1 for i in range(a)]))
+        parts += _selected(body, [(j >> (a - 1 - i)) & 1 for i in range(a)])
 
-    selection = tuple(h(i) for i in range(a))
+    selection = Circuit(a, tuple(h(i) for i in range(a)))
     return BlockCircuit(
-        Circuit(width, tuple(gates), label=label),
-        Circuit(width, selection + prep.placed(a, width, ()).gates, label=prep.label),
+        sim._composed(width, parts, label),
+        sim._composed(width, [(selection, 0, ()), (prep, a, ())], prep.label),
         rescale=rescale * t_pad,
         block_value_is_real=real,
         tol=sum(u.tol for u in units),
@@ -554,13 +552,13 @@ def build_taylor_coeff_pqc(table: TaylorCoeffTable, alpha: MultiIndex) -> Circui
     diagonal block at address eta then reads xi exactly.  With K = 1 the
     register is empty and its one R_X is plain.
     """
-    gates: list[Gate] = []
+    parts = []
     for eta in product(range(table.K), repeat=table.d):
         theta = 2.0 * math.acos(table.xi[(eta, tuple(alpha))])
         rx = Circuit(1, (Gate("Rx", 0, angle=theta, trainable=True),))
-        gates.extend(_selected(rx, _address_bits(table, eta)))
+        parts += _selected(rx, _address_bits(table, eta))
     label = f"taylor-coeff alpha={tuple(alpha)}"
-    return Circuit(table.address_bits + 1, tuple(gates), label=label)
+    return sim._composed(table.address_bits + 1, parts, label)
 
 
 def build_taylor_series_pqc(table: TaylorCoeffTable, eta: MultiIndex) -> BlockCircuit:

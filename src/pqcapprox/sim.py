@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -140,34 +141,84 @@ class Circuit:
         return Circuit(self.width, tuple(g.bound(x) for g in self.gates), self.label)
 
     def placed(self, offset: int, width: int, controls: Sequence[int]) -> "Circuit":
-        """The same gates on qubits offset..offset+self.width-1 of a
-        width-qubit register, each also controlled on ``controls``: every
-        gate is copied once, its target shifted and its controls the sorted
-        union of its shifted controls and ``controls``."""
-        extra = set(controls)
-        return Circuit(width, tuple(
-            Gate(g.kind, g.target + offset,
-                 tuple(sorted(extra.union(q + offset for q in g.controls))),
-                 g.angle, g.trainable, g.slot)
-            for g in self.gates
-        ), self.label)
+        """This circuit alone, placed as a ``_composed`` part."""
+        return _composed(width, [(self, offset, controls)], self.label)
+
+
+def _composed(
+    width: int, parts: Sequence[tuple[Circuit, int, Sequence[int]]], label: str
+) -> Circuit:
+    """The width-qubit circuit that runs each (circuit, offset, controls)
+    part in turn: every gate copied once, its target shifted by offset and
+    its controls the sorted union of its shifted controls and ``controls``.
+    Each placement is checked once: the part fits in the register, and the
+    added controls are distinct register qubits off it.  The parts' gates
+    were checked when their circuits were built, so no copy is."""
+    gates: list[Gate] = []
+    set_field = object.__setattr__  # bypasses the frozen dataclasses' guard
+    for c, offset, controls in parts:
+        extra = tuple(controls)
+        if offset < 0 or offset + c.width > width:
+            raise ValueError(
+                f"a {c.width}-qubit part at offset {offset} does not fit width {width}")
+        if len(set(extra)) != len(extra):
+            raise ValueError(f"repeated control in {extra}")
+        for q in extra:
+            if not 0 <= q < width or offset <= q < offset + c.width:
+                where = "on a placed qubit" if 0 <= q < width else f"outside width {width}"
+                raise ValueError(f"control {q} lies {where}")
+        if not offset and not extra:  # unmoved: the gates themselves
+            gates += c.gates
+            continue
+        shifted: dict[tuple[int, ...], tuple[int, ...]] = {}  # each control set once
+        for g in c.gates:
+            ctl = shifted.get(g.controls)
+            if ctl is None:
+                shift = {q + offset for q in g.controls}
+                ctl = shifted[g.controls] = tuple(sorted(shift.union(extra)))
+            copy = object.__new__(Gate)  # set field by field: no Gate.__post_init__
+            set_field(copy, "kind", g.kind)
+            set_field(copy, "target", g.target + offset)
+            set_field(copy, "controls", ctl)
+            set_field(copy, "angle", g.angle)
+            set_field(copy, "trainable", g.trainable)
+            set_field(copy, "slot", g.slot)
+            gates.append(copy)
+    out = object.__new__(Circuit)  # no Circuit.__post_init__
+    for name, value in (("width", width), ("gates", tuple(gates)), ("label", label)):
+        set_field(out, name, value)
+    return out
+
+
+_FIXED = {"H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+          "X": np.array([[0, 1], [1, 0]], dtype=complex),
+          "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
 
 
 def gate_matrix_1q(kind: str, angle: Optional[float] = None) -> np.ndarray:
-    if kind == "H":
-        return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    if kind == "X":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if kind == "Z":
-        return np.array([[1, 0], [0, -1]], dtype=complex)
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return _gate_matrices(kind, [angle])[0]
+
+
+def _gate_matrices(kind: str, angles: list) -> np.ndarray:
+    """The (N, 2, 2) matrices of N gates of one kind at the given angles
+    (None for H, X and Z).  Rotation entries take math.cos and math.sin of
+    each half angle, so a matrix does not depend on its batch."""
+    if kind in _FIXED:
+        return np.tile(_FIXED[kind], (len(angles), 1, 1))
+    out = np.zeros((len(angles), 2, 2), dtype=complex)
+    c = np.array([math.cos(a / 2.0) for a in angles])
+    s = np.array([math.sin(a / 2.0) for a in angles])
     if kind == "Rx":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if kind == "Ry":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind == "Rz":
-        return np.array([[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]], dtype=complex)
-    raise ValueError(f"no matrix for kind {kind!r}")
+        out[:, 0, 0] = out[:, 1, 1] = c
+        out[:, 0, 1] = out[:, 1, 0] = -1j * s
+    elif kind == "Ry":
+        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c, -s, s, c
+    elif kind == "Rz":
+        a = np.array(angles)
+        out[:, 0, 0], out[:, 1, 1] = np.exp(-0.5j * a), np.exp(0.5j * a)
+    else:
+        raise ValueError(f"no matrix for kind {kind!r}")
+    return out
 
 
 # R(t) = cos(t/2) I + sin(t/2) G for each rotation kind, with G = -i times
@@ -177,7 +228,6 @@ _GENERATORS = {
     "Ry": np.array([[0, -1], [1, 0]], dtype=complex),
     "Rz": np.array([[-1j, 0], [0, 1j]]),
 }
-_PAULI_X = gate_matrix_1q("X")
 
 
 class GateProgram:
@@ -221,12 +271,9 @@ class GateProgram:
     it is stored while ``stored`` holds at most PREFIX_BYTES.  The stored
     states are those of the relabelled indices, before the ``perm`` gather.
 
-    On the Hadamard test of the d=2, n=4 Bernstein block this leaves 117 of
-    377 ops in 12 layers: 10 before the prefix ends and 2 after it, which
-    make 4 sub-applies per point (107 ops before layering).  The d=2, K=4,
-    s=1 Taylor series block, which starts from one of K^d cells, leaves 56
-    of 260 ops in 8 layers: 6 before the prefix ends and 2 after it, which
-    make 3 sub-applies per point (19 ops before layering).
+    The compile checks nothing per gate (the circuit's gates were checked
+    when it was built): each distinct (target, controls) is masked once,
+    and the fixed factors are multiplied in stacked stages.
     """
 
     def __init__(self, c: Circuit):
@@ -235,51 +282,59 @@ class GateProgram:
         self.width = c.width
         self.gates = c.gates
         idx = np.arange(2**c.width)
-        eye = np.eye(2, dtype=complex)
-        pair_of: dict[tuple[int, int], np.ndarray] = {}
-        runs: list[np.ndarray] = []  # per op: its (i0, i1) pairs
-        heads: list[np.ndarray] = []  # fixed product before an op's first slot
-        slots: list[Optional[EncodingSlot]] = []  # per op: its slot, if any
-        chains: list[list[list]] = []  # per op: [kind, fixed product after it] per slot
-        prev = None
+        # One pass splits the gates into runs, the ops, and each run into
+        # segments of fixed gates: its head, before its first slot, and one
+        # after each slot.  Segment s is fixed[starts[s]:starts[s + 1]].
+        masks: dict[tuple, tuple[int, int]] = {}  # (target, controls) -> (tbit, cmask)
+        # per op: its (tbit, cmask), slot, head segment and [kind, segment] per slot
+        runs, slots, heads, chains, starts, fixed = [], [], [], [], [], []
         for g in c.gates:
-            tbit = 1 << (c.width - 1 - g.target)
-            cmask = sum(1 << (c.width - 1 - q) for q in g.controls)
+            key = masks.get((g.target, g.controls))
+            if key is None:
+                cmask = sum(1 << (c.width - 1 - q) for q in g.controls)
+                key = masks[g.target, g.controls] = (1 << (c.width - 1 - g.target), cmask)
             # a run splits where its slot changes, so every op has one slot
-            if (tbit, cmask) != prev or (g.slot is not None and slots[-1] not in (None, g.slot)):
-                if (tbit, cmask) not in pair_of:
-                    i0 = idx[((idx & tbit) == 0) & ((idx & cmask) == cmask)]
-                    pair_of[tbit, cmask] = np.stack([i0, i0 | tbit])
-                runs.append(pair_of[tbit, cmask])
-                heads.append(eye)
+            if (not runs or key != runs[-1]
+                    or g.slot is not None and slots[-1] not in (None, g.slot)):
+                runs.append(key)
                 slots.append(None)
+                heads.append(len(starts))
                 chains.append([])
-                prev = (tbit, cmask)
-            chain = chains[-1]
+                starts.append(len(fixed))
             if g.slot is not None:
                 slots[-1] = g.slot
-                chain.append([g.kind, eye])
-            elif chain:
-                chain[-1][1] = gate_matrix_1q(g.kind, g.angle) @ chain[-1][1]
+                chains[-1].append([g.kind, len(starts)])
+                starts.append(len(fixed))
             else:
-                heads[-1] = gate_matrix_1q(g.kind, g.angle) @ heads[-1]
+                fixed.append(g)
+        prods = _segment_products(fixed, starts)
         # A fixed run that is exactly X only swaps amplitudes, and one that
         # is exactly I does nothing: neither becomes an op.  The true state
         # is t[j] = stored[perm[j]]; an X run swaps perm at its pairs, and
-        # every kept op addresses the stored pairs perm[pair].
-        perm = idx.copy()
+        # every kept op addresses the stored pairs perm[pair].  X runs in a
+        # row under one cmask commute, and together XOR the indices with
+        # every cmask bit set by their target bits: one relabelling.
+        head, unslotted = prods[heads], np.array([not chain for chain in chains], dtype=bool)
+        flips = unslotted & (head == _FIXED["X"]).all(axis=(1, 2))
+        keeps = ~unslotted | ~(head == np.eye(2)).all(axis=(1, 2))
+        perm, pair_of, kept = idx.copy(), {}, []
         self.pairs: list[np.ndarray] = []
-        kept = []
-        for pair, head, slot, chain in zip(runs, heads, slots, chains):
-            if not chain and np.array_equal(head, _PAULI_X):
-                perm[pair] = perm[pair[::-1]]
-            elif chain or not np.array_equal(head, eye):
-                self.pairs.append(perm[pair])
-                kept.append((head, slot, chain))
+        for (cmask, k), group in groupby(np.flatnonzero(flips | keeps).tolist(),
+                                         key=lambda k: (runs[k][1], -1 if flips[k] else k)):
+            if k < 0:
+                where = idx[(idx & cmask) == cmask]
+                perm[where] = perm[where ^ np.bitwise_xor.reduce([runs[f][0] for f in group])]
+                continue
+            if runs[k] not in pair_of:
+                i0 = idx[((idx & runs[k][0]) == 0) & ((idx & cmask) == cmask)]
+                pair_of[runs[k]] = np.stack([i0, i0 | runs[k][0]])
+            self.pairs.append(perm[pair_of[runs[k]]])
+            kept.append(k)
         self.perm = None if np.array_equal(perm, idx) else perm
-        self.heads = np.array([head for head, *_ in kept], dtype=complex).reshape(len(kept), 2, 2)
-        self.slotted = np.array([k for k, (*_, chain) in enumerate(kept) if chain], dtype=int)
-        self.chains = [kept[k][1:] for k in self.slotted]
+        self.heads = head[kept]
+        self.slotted = np.array([i for i, k in enumerate(kept) if chains[k]], dtype=int)
+        self.chains = [(slots[k], [[kind, prods[seg]] for kind, seg in chains[k]])
+                       for k in kept if chains[k]]
         # slotted ops bound together: one table per slot
         groups: dict[EncodingSlot, list[int]] = {}
         for p in sorted(range(len(self.chains)), key=lambda p: -len(self.chains[p][1])):
@@ -377,6 +432,24 @@ class GateProgram:
         return mats
 
 
+def _segment_products(gates: list[Gate], starts: list[int]) -> np.ndarray:
+    """The product M_k ... M_1 I of the matrices of each segment
+    gates[starts[s]:starts[s + 1]], by the same 2x2 products in the same
+    order as gate by gate, in one stacked product per stage."""
+    mats = np.empty((len(gates), 2, 2), dtype=complex)
+    for kind in {g.kind for g in gates}:
+        at = [i for i, g in enumerate(gates) if g.kind == kind]
+        mats[at] = _gate_matrices(kind, [gates[i].angle for i in at])
+    length = np.diff(starts + [len(gates)])
+    order = np.argsort(-length, kind="stable")  # longest first: stage j takes a prefix
+    first = np.array(starts, dtype=int)[order]
+    acc = np.tile(np.eye(2, dtype=complex), (len(starts), 1, 1))
+    for j in range(int(length.max(initial=0))):
+        n = int(np.count_nonzero(length > j))
+        acc[:n] = mats[first[:n] + j] @ acc[:n]
+    return acc[np.argsort(order)]
+
+
 def _fourier_table(heads: np.ndarray, chains: list[list[list]]) -> tuple:
     """Ops of one slot, compiled for op_matrices: the powers k of the table
     [cos hk (k >= 0), sin hk (k > 0)], how many are cosines, and the real
@@ -390,10 +463,14 @@ def _fourier_table(heads: np.ndarray, chains: list[list[list]]) -> tuple:
     multiplies every op with more than j factors by A_j R_j; the chains come
     longest first, so those ops lead, and each holds the j+1 coefficients
     of powers -j, -j+2, ..., j.  Then c_k e^{ihk} + c_-k e^{-ihk} is
-    (c_k + c_-k) cos hk + i (c_k - c_-k) sin hk."""
+    (c_k + c_-k) cos hk + i (c_k - c_-k) sin hk.  The stages share two
+    buffers (live packs each column's powers), so none allocates."""
     m = len(chains[0])
     coef = np.zeros((len(chains), 2, 2, 2 * m + 1), dtype=complex)  # power k at m + k
-    live = heads[..., None]
+    live_buf = np.empty((len(chains), 2, 2 * m + 2), dtype=complex)
+    both_buf = np.empty((len(chains), 4, 2 * m + 2), dtype=complex)
+    live = live_buf[..., :2].reshape(len(chains), 2, 2, 1)
+    live[..., 0] = heads
     eye = np.eye(2)
     for j in range(m + 1):
         n = sum(len(chain) > j for chain in chains)
@@ -404,8 +481,9 @@ def _fourier_table(heads: np.ndarray, chains: list[list[list]]) -> tuple:
         gens = np.array([_GENERATORS[chain[j][0]] for chain in chains[:n]])
         # A_j (I - iG)/2 e^{ih} and A_j (I + iG)/2 e^{-ih}, stacked
         halves = np.concatenate([after @ (eye - 1j * gens), after @ (eye + 1j * gens)], axis=1)
-        both = (halves / 2.0 @ live[:n].reshape(n, 2, -1)).reshape(n, 2, 2, 2, j + 1)
-        live = np.empty((n, 2, 2, j + 2), dtype=complex)
+        both = np.matmul(halves / 2.0, live_buf[:n, :, :2 * j + 2], out=both_buf[:n, :, :2 * j + 2])
+        both = both.reshape(n, 2, 2, 2, j + 1)
+        live = live_buf[:n, :, :2 * j + 4].reshape(n, 2, 2, j + 2)
         live[..., :-1] = both[:, 1]  # e^{-ih} takes power -j+2q to -(j+1)+2q
         live[..., -1] = 0.0
         live[..., 1:] += both[:, 0]  # and e^{ih} to -(j+1)+2(q+1)
@@ -542,9 +620,8 @@ def hadamard_test_circuit(u: Circuit, prep: Circuit) -> Circuit:
     """
     if u.width != prep.width:
         raise ValueError("u and prep must act on the same width")
-    w = u.width + 1
-    gates = [*prep.placed(1, w, ()).gates, h(0), *u.placed(1, w, (0,)).gates]
-    return Circuit(w, tuple(gates), label=f"hadamard_test {u.label}")
+    parts = [(prep, 1, ()), (Circuit(1, (h(0),)), 0, ()), (u, 1, (0,))]
+    return _composed(u.width + 1, parts, f"hadamard_test {u.label}")
 
 
 def sample_shots(

@@ -1,7 +1,8 @@
 """Independent references the package is tested against.
 
 These are deliberately slow and direct: a dense unitary built gate by gate,
-the block values <psi|U|psi> read from it, the ancilla's <X> + i<Y> of a
+the block values <psi|U|psi> read from it, circuit placement with every
+copy and every level validated, the ancilla's <X> + i<Y> of a
 final state, a compiled program's slotted op matrices bound one slot
 factor at a time, the layer-by-layer 2x2 products of the X- and
 Z-encoding lines, a second angle synthesizer (Fejer-Riesz completion)
@@ -94,6 +95,32 @@ def ancilla_values(amps: np.ndarray) -> np.ndarray:
     array: 2 <a0|a1>, with a0 and a1 the halves where qubit 0 reads 0 and 1."""
     half = amps.shape[1] // 2
     return np.array([2.0 * np.vdot(a[:half], a[half:]) for a in amps])
+
+
+# ---------------------------------------------------------------------------
+# Placement with every copy and every level validated
+# ---------------------------------------------------------------------------
+
+
+def placed_reference(c: Circuit, offset: int, width: int, controls) -> Circuit:
+    """c's gates on qubits offset..offset+c.width-1 of a width-qubit
+    register, each also controlled on ``controls``: a validated Gate per
+    copy in a validated Circuit, as Circuit.placed built them while every
+    nesting level checked every gate."""
+    extra = set(controls)
+    return Circuit(width, tuple(
+        Gate(g.kind, g.target + offset,
+             tuple(sorted(extra.union(q + offset for q in g.controls))),
+             g.angle, g.trainable, g.slot)
+        for g in c.gates
+    ), c.label)
+
+
+def composed_reference(width: int, parts, label: str) -> Circuit:
+    """The (circuit, offset, controls) parts placed by placed_reference in
+    turn, joined into a validated Circuit."""
+    return Circuit(width, tuple(g for c, offset, controls in parts
+                                for g in placed_reference(c, offset, width, controls).gates), label)
 
 
 # ---------------------------------------------------------------------------

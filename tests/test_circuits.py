@@ -11,7 +11,14 @@ from pqcapprox import qsp as Q
 from pqcapprox import sim as S
 from pqcapprox import targets
 
-from oracles import block_values, circuit_unitary, qsp_unitary, trig_qsp_unitary
+from oracles import (
+    block_values,
+    circuit_unitary,
+    composed_reference,
+    placed_reference,
+    qsp_unitary,
+    trig_qsp_unitary,
+)
 
 
 def halfsine():
@@ -215,6 +222,34 @@ def test_lcu_rejects_mixed_prep():
     u2 = C.BlockCircuit(u1.circuit, S.Circuit(1, ()), rescale=1.0)
     with pytest.raises(ValueError):
         C.lcu_combine([u1, u2])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4),
+    lambda: C.build_bernstein_pqc(targets.abs_centered(1), 16),
+    lambda: C.build_taylor_series_pqc(
+        C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)),
+    lambda: C.build_monomial_pqc(-0.7, (0, 3, 1)),
+    lambda: C.build_poly_pqc(P.MultivariatePolynomial({(1, 0): 0.5, (0, 2): 0.25}, 2)),
+    lambda: C.build_trig_poly_pqc(
+        P.MultivariateTrigPolynomial({(1, 0): 0.3, (0, -1): 0.3, (1, 1): 0.2}, 2)),
+    lambda: C.build_localization_pqc(P.LocalizationSpec(2, 0.1, 0.25), 1)[0],
+], ids=["bernstein-d2-n4", "bernstein-d1-n16", "taylor-d2-series", "monomial", "poly",
+        "trig-d2", "localization-k2"])
+def test_assembly_equals_the_per_copy_validated_reference(build, monkeypatch):
+    """Placements checked once per call and copies not re-validated emit the
+    circuits that a validated Gate per copy and a validated Circuit per
+    level emit (synthesis is cached, so both builds take the same angles)."""
+    def emitted(bc):
+        ht = S.hadamard_test_circuit(bc.circuit, bc.prep)
+        return [(c.width, c.gates, S.circuit_to_text(c)) for c in (bc.circuit, bc.prep, ht)]
+
+    fast = emitted(build())
+    for width, gates, _ in fast:  # every composite still passes the per-gate check
+        assert S.Circuit(width, gates).gates == gates
+    monkeypatch.setattr(S.Circuit, "placed", lambda c, *args: placed_reference(c, *args))
+    monkeypatch.setattr(S, "_composed", composed_reference)
+    assert emitted(build()) == fast
 
 
 def test_assembled_circuit_is_unitary():

@@ -347,12 +347,16 @@ def _meta_with(key, value):
         ("", lambda p: p.write_text(p.read_text() + "Rz 0 a=0.1 a=0.2\n"), "repeats its a= token"),
         ("", lambda p: p.write_text(p.read_text() + "MCU.Ry 1 c=0 c=0 a=0.3\n"),
          "repeats its c= token"),
+        ("", lambda p: p.write_text(p.read_text() + "Rz 5 a=0.5\n"),
+         "gate Rz addresses qubits outside width 5"),
+        (".prep", lambda p: p.write_text(p.read_text() + "MCU.Ry 0 c=7 a=0.3\n"),
+         "gate Ry addresses qubits outside width 5"),
     ],
     ids=["missing-prep", "missing-meta", "gate-without-targets", "width-without-value",
          "meta-not-an-object", "meta-flag-not-a-boolean", "rescale-nan", "rescale-infinity",
          "tol-nan", "tol-negative", "tol-infinity", "cnot-with-two-controls",
          "unknown-controlled-kind", "two-targets", "repeated-control", "repeated-angle",
-         "repeated-control-token"],
+         "repeated-control-token", "gate-outside-width", "prep-control-outside-width"],
 )
 def test_eval_rejects_a_damaged_circuit(capsys, tmp_path, suffix, damage, expected):
     # at x = 0.3 the d=1, n=4 Bernstein circuit reads 0.2459; a default prep

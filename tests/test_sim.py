@@ -129,6 +129,45 @@ def test_placed_circuit_is_controlled_identity_tensor_u(seed):
     assert np.max(np.abs(circuit_unitary(placed) - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("offset, width, controls, message", [
+    (-1, 4, (), "at offset -1 does not fit width 4"),
+    (3, 4, (), "at offset 3 does not fit width 4"),
+    (1, 4, (4,), "control 4 lies outside width 4"),
+    (1, 4, (-1,), "control -1 lies outside width 4"),
+    (1, 4, (2,), "control 2 lies on a placed qubit"),
+    (1, 4, (0, 3, 0), "repeated control"),
+], ids=["negative-offset", "past-width", "control-past-width", "negative-control",
+        "control-on-placed-qubit", "repeated-control"])
+def test_a_bad_placement_raises_a_named_error(offset, width, controls, message):
+    """Copies are not checked gate by gate, so placed and every composite
+    built by _composed check the placement itself."""
+    u = S.Circuit(2, (S.h(0), S.cnot(0, 1), S.rz(1, 0.3)))
+    with pytest.raises(ValueError, match=message):
+        u.placed(offset, width, controls)
+    with pytest.raises(ValueError, match=message):
+        S._composed(width, [(S.Circuit(1, (S.h(0),)), 0, ()), (u, offset, controls)], "")
+
+
+@pytest.mark.parametrize(
+    "gate", [S.h(2), S.rz(-1, 0.3), S.cnot(2, 0), S.Gate("Ry", 1, (0, 5), 0.2)],
+    ids=["target-past-width", "negative-target", "control-past-width", "second-control-past-width"],
+)
+def test_a_circuit_of_outside_gates_is_still_checked_per_gate(gate):
+    with pytest.raises(ValueError, match="addresses qubits outside width 2"):
+        S.Circuit(2, (S.h(0), gate))
+
+
+def test_placement_shifts_each_control_set_once_and_keeps_unmoved_gates():
+    """Gates with equal control sets share one shifted tuple, and an
+    unmoved part keeps its gate objects."""
+    u = S.Circuit(2, (S.cnot(0, 1), S.rz(1, 0.2), S.cnot(0, 1), S.h(0)))
+    placed = u.placed(1, 4, (0,))
+    assert [g.controls for g in placed.gates] == [(0, 1), (0,), (0, 1), (0,)]
+    assert placed.gates[0].controls is placed.gates[2].controls
+    assert all(a is b for a, b in zip(u.placed(0, 3, ()).gates, u.gates))
+    assert placed == S.Circuit(4, placed.gates)
+
+
 def random_slotted_circuit(rng, width, n_runs):
     """Runs of 3-6 gates on one target under one control set, controlled and
     X/Z-encoding slots on coordinates 0 and 1 mixed among fixed gates."""
