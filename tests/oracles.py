@@ -105,8 +105,8 @@ def ancilla_values(amps: np.ndarray) -> np.ndarray:
 def placed_reference(c: Circuit, offset: int, width: int, controls) -> Circuit:
     """c's gates on qubits offset..offset+c.width-1 of a width-qubit
     register, each also controlled on ``controls``: a validated Gate per
-    copy in a validated Circuit, as Circuit.placed built them while every
-    nesting level checked every gate."""
+    copy in a validated Circuit, as each nesting level built them when
+    every level checked every gate."""
     extra = set(controls)
     return Circuit(width, tuple(
         Gate(g.kind, g.target + offset,

@@ -15,7 +15,6 @@ from oracles import (
     block_values,
     circuit_unitary,
     composed_reference,
-    placed_reference,
     qsp_unitary,
     trig_qsp_unitary,
 )
@@ -247,7 +246,6 @@ def test_assembly_equals_the_per_copy_validated_reference(build, monkeypatch):
     fast = emitted(build())
     for width, gates, _ in fast:  # every composite still passes the per-gate check
         assert S.Circuit(width, gates).gates == gates
-    monkeypatch.setattr(S.Circuit, "placed", lambda c, *args: placed_reference(c, *args))
     monkeypatch.setattr(S, "_composed", composed_reference)
     assert emitted(build()) == fast
 

@@ -118,7 +118,7 @@ def test_placed_circuit_is_controlled_identity_tensor_u(seed):
     u = S.Circuit(width, random_slotted_circuit(rng, width, 4).bound(x).gates
                   + random_circuit(rng, width, 8, mcu=True).gates
                   + tuple(S.xg(int(q)) for q in rng.integers(0, width, size=2)))
-    placed = u.placed(offset, total, controls.tolist())
+    placed = S._composed(total, [(u, offset, controls.tolist())], "")
     assert len(placed.gates) == len(u.gates) and placed.width == total
     idx = np.arange(2**total)
     on = np.ones(len(idx), dtype=bool)
@@ -139,11 +139,11 @@ def test_placed_circuit_is_controlled_identity_tensor_u(seed):
 ], ids=["negative-offset", "past-width", "control-past-width", "negative-control",
         "control-on-placed-qubit", "repeated-control"])
 def test_a_bad_placement_raises_a_named_error(offset, width, controls, message):
-    """Copies are not checked gate by gate, so placed and every composite
-    built by _composed check the placement itself."""
+    """Copies are not checked gate by gate, so _composed checks each
+    placement itself, alone or after another part."""
     u = S.Circuit(2, (S.h(0), S.cnot(0, 1), S.rz(1, 0.3)))
     with pytest.raises(ValueError, match=message):
-        u.placed(offset, width, controls)
+        S._composed(width, [(u, offset, controls)], "")
     with pytest.raises(ValueError, match=message):
         S._composed(width, [(S.Circuit(1, (S.h(0),)), 0, ()), (u, offset, controls)], "")
 
@@ -161,10 +161,12 @@ def test_placement_shifts_each_control_set_once_and_keeps_unmoved_gates():
     """Gates with equal control sets share one shifted tuple, and an
     unmoved part keeps its gate objects."""
     u = S.Circuit(2, (S.cnot(0, 1), S.rz(1, 0.2), S.cnot(0, 1), S.h(0)))
-    placed = u.placed(1, 4, (0,))
+    placed = S._composed(4, [(u, 1, (0,))], "")
     assert [g.controls for g in placed.gates] == [(0, 1), (0,), (0, 1), (0,)]
     assert placed.gates[0].controls is placed.gates[2].controls
-    assert all(a is b for a, b in zip(u.placed(0, 3, ()).gates, u.gates))
+    assert all(a is b for a, b in zip(S._composed(3, [(u, 0, ())], "").gates, u.gates))
+    # an added control past the part sorts after its own, and offset 0 with controls copies
+    assert [g.controls for g in S._composed(3, [(u, 0, (2,))], "").gates] == [(0, 2), (2,)] * 2
     assert placed == S.Circuit(4, placed.gates)
 
 
