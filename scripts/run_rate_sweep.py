@@ -2,17 +2,17 @@
 """Sweep the cell count K for the nested local-Taylor circuit and fit the
 empirical convergence rate against the K^-beta prediction.
 
-Exits 1 when the sup error at any K exceeds its bound plus tol_agg.
+Each K is one ``report --experiment taylor`` run (``cli.run_experiment``),
+so the sweep checks the bound the report checks.  Exits 1 when the sup
+error at any K exceeds its bound plus tol_agg.
 """
 
 import argparse
 import json
 import sys
 
-from pqcapprox import approx, targets
-from pqcapprox.circuits import NestedTaylorModel
-from pqcapprox.cli import default_delta
-from pqcapprox.poly import LocalizationSpec, thm_bounds
+from pqcapprox import approx
+from pqcapprox.cli import ExperimentConfig, run_experiment
 
 
 def main() -> int:
@@ -24,23 +24,16 @@ def main() -> int:
     ap.add_argument("--output", default="")
     args = ap.parse_args()
 
-    f = targets.by_name(args.target, args.d)
-    beta, _ = f.holder
-    s = f.holder_s
     rows = []
     for K in (int(k) for k in args.ks.split(",")):
-        delta = default_delta(f.dims, K)
-        spec = LocalizationSpec(K, delta, 0.5 / K)
-        model = NestedTaylorModel(f, spec, s)
-        grid = approx.GridSpec(
-            f.dims, args.points_per_axis, region="union_q_eta", K=K, delta=delta
-        )
-        sup = approx.sup_error(f, model, grid)
-        bound = thm_bounds("thm3", d=f.dims, s=s, beta=beta, K=K)
-        passed = bool(sup <= bound + model.tol_agg)
-        rows.append({"K": K, "sup_error": sup, "bound": bound, "tol_agg": model.tol_agg,
-                     "passed": passed})
-        print(f"K={K:3d}  sup={sup:.4e}  bound={bound:.4e}  pass={passed}")
+        report = run_experiment(ExperimentConfig(
+            "taylor", target=args.target, d=args.d, K=K, points_per_axis=args.points_per_axis
+        ))
+        beta = report.params["beta"]
+        rows.append({"K": K, "sup_error": report.sup_error, "bound": report.bound,
+                     "tol_agg": report.tol_agg, "passed": report.passed})
+        print(f"K={K:3d}  sup={report.sup_error:.4e}  bound={report.bound:.4e}"
+              f"  pass={report.passed}")
 
     exponent = None
     if len(rows) >= 3:

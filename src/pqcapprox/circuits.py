@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import product
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -351,12 +351,10 @@ def build_parity_pair_pqc(p: Polynomial, slot: EncodingSlot, scale: float) -> Bl
     sup-norm bound on [-1, 1], are synthesized separately and summed with a
     one-ancilla uniform LCU: qubit 0 selects the half, qubit 1 carries the
     data.  The represented value is p(u) after the rescale 2*scale.  A
-    scale below either half's sup norm raises.
+    scale below either half's sup norm raises ValueError: synthesis checks
+    each scaled half, and a cached half passed that check.
     """
     even, odd = parity_split(p)
-    m_needed = max(even.sup_norm(), odd.sup_norm())
-    if scale < m_needed - 1e-12:
-        raise ValueError(f"scale {scale} below the required half norm {m_needed}")
     lines = []
     for parity, half in enumerate((even, odd)):
         angles = synthesize_cached(ParityPolynomial(half.base.scaled(1.0 / scale), parity), 1e-12)
@@ -598,12 +596,6 @@ def series_start(table: TaylorCoeffTable, eta: np.ndarray) -> np.ndarray:
     return _address(table, eta) << (table.d + 1)
 
 
-class NestedEval(NamedTuple):
-    value: float
-    eta: MultiIndex
-    in_trifling: bool
-
-
 class NestedTaylorModel:
     """Localization nested with local Taylor series.
 
@@ -629,30 +621,15 @@ class NestedTaylorModel:
     def tol_agg(self) -> float:
         return sum(b.tol for b in self.loc_blocks) + self.series.tol
 
-    def evaluate(self, x: Sequence[float] | np.ndarray) -> NestedEval:
-        """The value, cell and gap flag of one point, or arrays of them over
-        the rows of an (N, d) array."""
-        xs = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(xs)
-        eta, values = self._read(pts)
-        trifling = (self.spec.bands_of(pts) < 0).any(axis=1)
-        if xs.ndim == 1:
-            return NestedEval(float(values[0]), tuple(int(e) for e in eta[0]), bool(trifling[0]))
-        return NestedEval(values, eta, trifling)
-
     def __call__(self, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
         """The value at one point, or the values at the rows of an (N, d) array."""
         xs = np.asarray(x, dtype=float)
-        values = self._read(np.atleast_2d(xs))[1]
-        return float(values[0]) if xs.ndim == 1 else values
-
-    def _read(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The cells and values at the rows of an (N, d) array."""
+        pts = np.atleast_2d(xs)
         eta = round_to_eta(localization_values(self.spec, pts), self.spec.K)
         values = evaluate_block(
             self.series, pts - eta / self.spec.K, start=series_start(self.table, eta)
         )
-        return eta, values
+        return float(values[0]) if xs.ndim == 1 else values
 
 
 # ---------------------------------------------------------------------------

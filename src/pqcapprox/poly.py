@@ -570,10 +570,11 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     # (its even entries are exactly 0.0) and its target is sgn, so its size
     # and its error are even in x: the grid is the x >= 0 half of one that
     # is symmetric about 0, where sgn is 1 at every point outside the gap.
+    # Every check below is blind to the order of the points, so none sorts.
     ramp = np.linspace(edge, min(1.0, edge + 2.0 / max(kappa, 1.0)), 400)
     nodes = chebyshev_grid(n_grid)[: (n_grid + 1) // 2]
     rest = np.concatenate([np.linspace(-1.0, 1.0, n_grid)[n_grid // 2 :], ramp])
-    grid = np.sort(np.concatenate([nodes, rest]))
+    grid = np.concatenate([nodes, rest])
     outside = grid >= edge
     spacing = 2.0 / n_grid
     eps_check = eps * (1.0 - 1e-3)  # margin for downstream evaluation grids
@@ -582,14 +583,12 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
 
     def candidate(deg: int) -> Optional[np.ndarray]:
         # one evaluation: the Chebyshev part of the grid by a DCT, the rest
-        # by chebval, put in grid order by `order`; a rescaled series' values
-        # are these divided by the same factor
+        # by chebval; a rescaled series' values are these divided by the
+        # same factor
         nonlocal checks
         checks += 1
         coef = coef_full[: deg + 1].copy()
-        vals = np.concatenate(
-            [_cheb_values(coef, n_grid)[: len(nodes)], _cheb.chebval(rest, coef)]
-        )[order]
+        vals = np.concatenate([_cheb_values(coef, n_grid)[: len(nodes)], _cheb.chebval(rest, coef)])
         m = _refined_sup(coef, grid, np.abs(vals), spacing)
         if m > 1.0:
             coef = coef / (m * (1.0 + 1e-12))
@@ -609,9 +608,6 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     else:
         top = len(coef_full) - 1
     start = _screen_start(coef_full, grid, outside, eps_check, top)
-    # the permutation that sorts the evaluation points into the grid, made
-    # after the screen, whose buffers are this search's memory peak
-    order = np.argsort(np.concatenate([nodes, rest]))
     # walk up to the first exact pass, then down to the smallest
     best = None
     for deg in range(start, len(coef_full), 2):

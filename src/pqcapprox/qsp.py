@@ -348,9 +348,11 @@ def _fast_len(n: int) -> int:
         m += 1
 
 
-def qsp_synthesize(
-    p: ParityPolynomial, tol: float = 1e-8, max_restarts: int = 32
-) -> QspAngleSequence:
+# Seeded random restarts qsp_synthesize tries after both scale schedules fail.
+_MAX_RESTARTS = 32
+
+
+def qsp_synthesize(p: ParityPolynomial, tol: float = 1e-8) -> QspAngleSequence:
     """Find angles whose plus-state block value reproduces p on [-1, 1].
 
     The angles are symmetric (_symmetric_angles), so the realized block
@@ -367,8 +369,6 @@ def qsp_synthesize(
     """
     target_full = _target_cheb(p)
     L = p.degree
-    if p.degree % 2 != p.parity and not p.base.is_zero():
-        raise ValueError("degree and parity of the target disagree")
     sup = p.sup_norm()
     if sup > 1.0 + 1e-12:
         raise ValueError(f"target sup norm {sup:.6g} exceeds 1 on [-1, 1]")
@@ -409,8 +409,8 @@ def qsp_synthesize(
         best_norm = min(best_norm, norm)
         if norm <= coeff_tol:
             return _verified(_symmetric_angles(phi, L), p, tol, best_norm)
-    for restart in range(max_restarts):
-        logger.debug("degree %d: random restart %d of %d", L, restart + 1, max_restarts)
+    for restart in range(_MAX_RESTARTS):
+        logger.debug("degree %d: random restart %d of %d", L, restart + 1, _MAX_RESTARTS)
         phi, norm = attempt(rng.normal(0.0, 0.2, len(a_slots)), [0.25, 0.5, 0.75, 0.9, 1.0])
         best_norm = min(best_norm, norm)
         if norm <= coeff_tol:

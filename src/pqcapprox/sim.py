@@ -236,27 +236,29 @@ class GateProgram:
     never a product, so every value is bit-identical to applying the flips
     as ops.  ``width`` and ``gates`` are those of the source circuit.
 
-    Ops that touch disjoint amplitudes commute, so they run as one layer
-    (``layers``, with each op's index in ``layer_of``): one gather of the
-    layer's pairs, an elementwise 2x2 update and one scatter, with the
-    coefficients of the fixed members taken at compile time and those of
-    the slotted members from ``op_matrices`` in a second sub-apply.
-
     ``prefix`` is the index of the first slotted op (``len(pairs)`` when
     there is none).  The ops before it are fixed, so from a basis start the
     state before op ``prefix`` is one fixed vector: a batch run takes it
-    from ``stored``, a dict on the program keyed by start index, and runs
-    only the layers from ``prefix`` on.  No layer crosses ``prefix``.  A
-    start not stored yet runs the prefix through the same layer loop first;
-    it is stored while ``stored`` holds at most PREFIX_BYTES.  The stored
-    states are those of the relabelled indices, before the ``perm`` gather.
+    from ``stored``, a dict on the program keyed by start index.  A start
+    not stored yet runs the prefix op by op, once; its state is stored while
+    ``stored`` holds at most PREFIX_BYTES.  The stored states are those of
+    the relabelled indices, before the ``perm`` gather.
+
+    The ops from ``prefix`` on run at every point.  Ops that touch disjoint
+    amplitudes commute, so they run as one layer (``layers``, with each
+    op's layer in ``layer_of``, -1 before ``prefix``): one gather of the
+    layer's pairs, an elementwise 2x2 update and one scatter, with the
+    coefficients of the fixed members taken at compile time and those of
+    the slotted members from ``op_matrices`` in a second sub-apply.  Each
+    pair sees the products of running the ops one by one, in the same
+    order, so every value is bit-identical to that.
 
     On the Hadamard test of the d=2, n=4 Bernstein block this leaves 117 of
-    377 ops in 12 layers: 10 before the prefix ends and 2 after it, which
-    make 4 sub-applies per point (107 ops before layering).  The d=2, K=4,
-    s=1 Taylor series block, which starts from one of K^d cells, leaves 56
-    of 260 ops in 8 layers: 6 before the prefix ends and 2 after it, which
-    make 3 sub-applies per point (19 ops before layering).
+    377 ops: 10 before ``prefix``, and 107 after it in 2 layers, which make
+    4 sub-applies per point.  The d=2, K=4, s=1 Taylor series block, which
+    starts from one of K^d cells, leaves 56 of 260 ops: 37 before
+    ``prefix``, and 19 after it in 2 layers, which make 3 sub-applies per
+    point.
 
     The compile checks no gate (the circuit checked its gates, or its
     placements, when it was built), and masks each (target, controls) once.
@@ -328,35 +330,28 @@ class GateProgram:
         ]
         self.prefix = int(self.slotted[0]) if len(self.slotted) else len(self.pairs)
         self.stored: dict[int, np.ndarray] = {}
-        # Each op joins the layer after the last layer that touches any of
-        # its amplitudes, so a layer's members touch disjoint amplitudes and
-        # commute, and overlapping ops keep their order.  The ops before
-        # prefix and those from it on are scheduled apart: no layer crosses
-        # prefix, and layer_at maps the op bounds 0, prefix and len(pairs)
-        # to layer bounds.
-        self.layer_of = np.empty(len(self.pairs), dtype=int)
-        self.layer_at = {0: 0}
-        for lo, hi in ((0, self.prefix), (self.prefix, len(self.pairs))):
-            last = np.full(2**c.width, self.layer_at[lo] - 1)  # per amplitude
-            for k in range(lo, hi):
-                self.layer_of[k] = last[self.pairs[k]].max() + 1
-                last[self.pairs[k]] = self.layer_of[k]
-            self.layer_at[hi] = int(last.max()) + 1
+        # Each op from prefix on joins the layer after the last layer that
+        # touches any of its amplitudes, so a layer's members touch disjoint
+        # amplitudes and commute, and overlapping ops keep their order.  The
+        # ops before prefix run one by one in prefix_states (layer -1).
+        self.layer_of = np.full(len(self.pairs), -1)
+        last = np.full(2**c.width, -1)  # per amplitude
+        for k in range(self.prefix, len(self.pairs)):
+            self.layer_of[k] = last[self.pairs[k]].max() + 1
+            last[self.pairs[k]] = self.layer_of[k]
         # the row of each slotted op's matrix in op_matrices, -1 for a fixed op
         row = np.full(len(self.pairs), -1)
         row[self.slotted] = np.arange(len(self.slotted))
         self.layers = [
             self._layer(ks[row[ks] < 0], ks[row[ks] >= 0], row)
-            for ks in (np.flatnonzero(self.layer_of == layer)
-                       for layer in range(self.layer_at[len(self.pairs)]))
+            for ks in (np.flatnonzero(self.layer_of == layer) for layer in range(last.max() + 1))
         ]
 
     def _layer(self, fixed: np.ndarray, slotted: np.ndarray, row: np.ndarray) -> tuple:
         """One layer as two sub-applies, None where it has no such members:
         the fixed members' concatenated (i0, i1) pairs with the (2, 2, P, 1)
-        coefficients of each pair (one (2, 2, 1, 1) matrix for a single
-        member), and the slotted members' pairs with the row in
-        ``op_matrices`` of each pair's matrix."""
+        coefficients of each pair, and the slotted members' pairs with the
+        row in ``op_matrices`` of each pair's matrix."""
         def joined(ks):  # the members' pairs, and the op of each pair
             return (np.concatenate([self.pairs[k] for k in ks], axis=1),
                     np.repeat(ks, [self.pairs[k].shape[1] for k in ks]))
@@ -364,11 +359,7 @@ class GateProgram:
         fixed_part = slotted_part = None
         if len(fixed):
             pair, op = joined(fixed)
-            if len(fixed) == 1:
-                coef = self.heads[fixed[0]][:, :, None, None]
-            else:
-                coef = np.ascontiguousarray(self.heads[op].transpose(1, 2, 0)[..., None])
-            fixed_part = (pair, coef)
+            fixed_part = (pair, np.ascontiguousarray(self.heads[op].transpose(1, 2, 0)[..., None]))
         if len(slotted):
             pair, op = joined(slotted)
             slotted_part = (pair, row[op])
@@ -383,7 +374,8 @@ class GateProgram:
         if missing:
             cols = np.zeros((2**self.width, len(missing)), dtype=complex)
             cols[missing, np.arange(len(missing))] = 1.0
-            _evolve(self, cols, None, 0, self.prefix)
+            for pair, head in zip(self.pairs[:self.prefix], self.heads):
+                _apply(cols, pair, head[:, :, None, None])  # once per start: no schedule
             room = PREFIX_BYTES // cols[:, 0].nbytes - len(self.stored)
             for j, s in enumerate(missing):
                 found[s] = cols[:, j].copy()
@@ -401,16 +393,12 @@ class GateProgram:
         mats = np.empty((len(self.slotted), len(xs), 2, 2), dtype=complex)
         for slot, ops, powers, cosines, rows in self.slot_tables:
             half = encoding_angles(slot.xform, xs[:, slot.coord] * slot.scale - slot.shift) / 2.0
-            # in chunks of points whose tables fit in BATCH_BYTES (a table
-            # row has as many float64 entries as powers has int64 ones)
-            size = max(1, BATCH_BYTES // powers.nbytes)
-            for lo in range(0, len(xs), size):
-                hk = half[lo:lo + size, None, None] * powers
-                np.cos(hk[..., :cosines], out=hk[..., :cosines])
-                np.sin(hk[..., cosines:], out=hk[..., cosines:])
-                # stacked, so a point's row is the same product alone or in a batch
-                parts = (hk @ rows).view(complex).reshape(len(hk), len(ops), 2, 2)
-                mats[ops, lo:lo + size] = parts.swapaxes(0, 1)
+            hk = half[:, None, None] * powers
+            np.cos(hk[..., :cosines], out=hk[..., :cosines])
+            np.sin(hk[..., cosines:], out=hk[..., cosines:])
+            # stacked, so a point's row is the same product alone or in a batch
+            parts = (hk @ rows).view(complex).reshape(len(hk), len(ops), 2, 2)
+            mats[ops] = parts.swapaxes(0, 1)
         return mats
 
 
@@ -489,24 +477,21 @@ def run(
     if len(starts) and (starts.min() < 0 or starts.max() >= dim):
         raise ValueError(f"start indices must lie in [0, {dim})")
     amps = program.prefix_states(starts)
-    _evolve(program, amps, xs, program.prefix, len(program.pairs))
+    _evolve(program, amps, xs)
     return _readout(program, amps).T
 
 
-def _evolve(
-    program: GateProgram, amps: np.ndarray, xs: Optional[np.ndarray], lo: int, hi: int
-) -> None:
-    """Apply ops lo..hi-1 of the program in place to the (2**width, N)
-    amplitudes, column n with the encoding angles of point xs[n], one layer
-    at a time.  lo and hi are op bounds that end a layer: 0, ``prefix`` or
-    ``len(pairs)``."""
+def _evolve(program: GateProgram, amps: np.ndarray, xs: Optional[np.ndarray]) -> None:
+    """Apply the layers, the ops from ``prefix`` on, in place to the
+    (2**width, N) states before op ``prefix``, column n with the encoding
+    angles of point xs[n]."""
     # one point: the state and the coefficients drop their batch axis, so
     # numpy takes its fast 1-D fancy-index path
     tail = 0 if amps.shape[1] == 1 else slice(None)
     state = amps[:, tail]
-    if hi > program.prefix:  # (2, 2, len(slotted), N), entry by entry
+    if program.layers:  # (2, 2, len(slotted), N), entry by entry
         mats = program.op_matrices(xs).transpose(2, 3, 0, 1)[..., tail]
-    for fixed, slotted in program.layers[program.layer_at[lo]:program.layer_at[hi]]:
+    for fixed, slotted in program.layers:
         if fixed is not None:
             _apply(state, fixed[0], fixed[1][..., tail])
         if slotted is not None:
@@ -535,7 +520,7 @@ def _readout(program: GateProgram, amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-# Bytes of state one batch run holds; larger batches run in chunks of points.
+# Bytes of state, or of slot tables, per chunk of points in hadamard_values.
 BATCH_BYTES = 1 << 19
 # Bytes of prefix states one program stores: every start of the d=3, K=4
 # Taylor series block (64 states of 2**13 amplitudes).
@@ -553,15 +538,18 @@ def hadamard_values(
     With a0 and a1 the halves of a final state where the ancilla, qubit 0,
     reads 0 and 1, the ancilla's <X> + i<Y> is 2 sum conj(a0) a1, so one
     run gives both parts.  With neither x nor start it is a batch of one
-    from |0..0>.  The batch runs in chunks of points whose states fit in
-    BATCH_BYTES.
+    from |0..0>.  The batch runs in chunks of points whose states and slot
+    tables both fit in BATCH_BYTES (a table row has as many float64
+    entries as its powers have int64 ones).
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
     x = None if x is None else np.asarray(x, dtype=float)
     if x is None and start is None:
         start = np.zeros(1, dtype=int)
     n = len(x) if x is not None else len(start)
-    rows = max(1, BATCH_BYTES // (np.dtype(complex).itemsize * 2**program.width))
+    row = max([np.dtype(complex).itemsize * 2**program.width]
+              + [powers.nbytes for _, _, powers, *_ in program.slot_tables])
+    rows = max(1, BATCH_BYTES // row)
     out = np.empty(n, dtype=complex)
     for lo in range(0, n, rows):
         chunk = slice(lo, lo + rows)

@@ -280,7 +280,7 @@ def test_parity_pair_frozen_examples():
     bc = C.build_parity_pair_pqc(pol, X_SLOT, 6.0 / 0.999)
     assert C.evaluate_block(bc, (0.2,)) == pytest.approx(0.384, abs=1e-9)
     assert bc.circuit.width == 2
-    with pytest.raises(ValueError, match="below the required half norm"):
+    with pytest.raises(ValueError, match="target sup norm .* exceeds 1"):
         C.build_parity_pair_pqc(pol, X_SLOT, 5.9)
 
 
@@ -659,9 +659,9 @@ def test_shared_series_block_equals_per_cell_blocks(f, K):
         cell = C.build_taylor_series_pqc(model.table, eta)
         for frac in (0.05, 0.4, 0.65):  # inside band eta on every axis
             x = (np.array(eta) + frac) / K
-            res = model.evaluate(x)
-            assert res.eta == eta and not res.in_trifling
-            assert res.value == C.evaluate_block(cell, x)
+            assert C.round_to_eta(C.localization_values(spec, x), K) == eta
+            assert (spec.bands_of(x) == eta).all()
+            assert model(x) == C.evaluate_block(cell, x)
 
 
 def test_series_start_is_the_address_prep():
@@ -684,14 +684,14 @@ def test_nested_batch_equals_single_points():
     spec = P.LocalizationSpec(4, 1 / 16, 1 / 8)
     model = C.NestedTaylorModel(f, spec, 1)
     xs = np.random.default_rng(5).random((40, 2))
-    batch = model.evaluate(xs)
-    assert batch.in_trifling.any() and not batch.in_trifling.all()
-    assert np.array_equal(model(xs), batch.value)
+    batch = model(xs)
+    cells = C.round_to_eta(C.localization_values(spec, xs), 4)
+    trifling = (spec.bands_of(xs) < 0).any(axis=1)
+    assert trifling.any() and not trifling.all()  # points in and out of the gaps
     assert model(np.empty((0, 2))).shape == (0,)
-    for x, value, eta, trifling in zip(xs, batch.value, batch.eta, batch.in_trifling):
-        one = model.evaluate(x)
-        assert abs(one.value - value) <= 1e-14
-        assert one.eta == tuple(eta) and one.in_trifling == trifling
+    for x, value, eta in zip(xs, batch, cells):
+        assert abs(model(x) - value) <= 1e-14
+        assert C.round_to_eta(C.localization_values(spec, x), 4) == tuple(eta)
 
 
 def test_evaluate_block_batch_equals_single_points():
@@ -728,42 +728,39 @@ def test_nested_constant_target():
     spec = P.LocalizationSpec(2, 0.1, 0.25)
     model = C.NestedTaylorModel(f, spec, 1)
     for x in (0.1, 0.3, 0.8):
-        res = model.evaluate((x,))
-        assert res.value == pytest.approx(0.4, abs=1e-8)
+        assert model((x,)) == pytest.approx(0.4, abs=1e-8)
 
 
 def test_nested_halfsine_bound():
     f = halfsine()
     spec = P.LocalizationSpec(4, 0.05, 1 / 8)
     model = C.NestedTaylorModel(f, spec, 1)
-    res = model.evaluate((0.3,))
-    assert res.eta == (1,)
-    assert not res.in_trifling
+    assert C.round_to_eta(C.localization_values(spec, (0.3,)), 4) == (1,)
+    assert spec.bands_of(0.3) == 1
     bound = P.thm_bounds("thm3", d=1, s=1, beta=2, K=4)
-    assert abs(res.value - f((0.3,))) <= bound + model.tol_agg
+    assert abs(model((0.3,)) - f((0.3,))) <= bound + model.tol_agg
 
 
 def test_nested_exact_at_expansion_point():
     f = halfsine()
     spec = P.LocalizationSpec(4, 0.05, 1 / 8)
     model = C.NestedTaylorModel(f, spec, 1)
-    res = model.evaluate((0.25,))
-    assert res.value == pytest.approx(f((0.25,)), abs=1e-8)
+    assert model((0.25,)) == pytest.approx(f((0.25,)), abs=1e-8)
 
 
 def test_nested_trifling_flagged():
     f = halfsine()
     spec = P.LocalizationSpec(4, 0.05, 1 / 8)
-    model = C.NestedTaylorModel(f, spec, 1)
-    res = model.evaluate((0.24,))  # inside the gap (0.25 - delta, 0.25)
-    assert res.in_trifling
+    assert spec.bands_of(0.24) == -1  # inside the gap (0.25 - delta, 0.25)
+    value = C.NestedTaylorModel(f, spec, 1)((0.24,))  # a gap point still reads a cell
+    assert math.isfinite(value)
 
 
 def test_eval_nested_taylor_function():
     f = halfsine()
     spec = P.LocalizationSpec(2, 0.1, 0.25)
-    res = C.NestedTaylorModel(f, spec, 1).evaluate((0.7,))
-    assert abs(res.value - f((0.7,))) <= P.thm_bounds(
+    value = C.NestedTaylorModel(f, spec, 1)((0.7,))
+    assert abs(value - f((0.7,))) <= P.thm_bounds(
         "thm3", d=1, s=1, beta=2, K=2
     ) + 1e-6
 

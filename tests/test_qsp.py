@@ -271,10 +271,11 @@ def test_singular_jacobian_ends_in_synthesis_error(monkeypatch, caplog):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(Q.np.linalg, "solve", singular)
+    monkeypatch.setattr(Q, "_MAX_RESTARTS", 2)
     target = random_parity_target(np.random.default_rng(3), 5)
     with caplog.at_level(logging.DEBUG, logger="pqcapprox.qsp"):
         with pytest.raises(Q.QspSynthesisError) as info:
-            Q.qsp_synthesize(target, max_restarts=2)
+            Q.qsp_synthesize(target)
     assert math.isfinite(info.value.residual) and info.value.residual > 0.0
     messages = [r.getMessage() for r in caplog.records]
     assert "degree 5: falling back to scale schedule [0.25, 0.5, 0.75, 0.9, 1.0]" in messages

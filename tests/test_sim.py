@@ -410,11 +410,18 @@ def test_batch_rejects_bad_start_indices():
 
 
 def unstored_run(prog, xs, starts):
-    """The final amplitudes of a batch run of every op from op 0, with no
-    stored prefix state."""
+    """The final amplitudes of a batch run with no stored prefix state and
+    no layers: every op in turn from op 0, each pair updated as a layer
+    updates it."""
     amps = np.zeros((2**prog.width, len(starts)), dtype=complex)
     amps[starts, np.arange(len(starts))] = 1.0
-    S._evolve(prog, amps, xs, 0, len(prog.pairs))
+    mats = prog.op_matrices(xs) if len(prog.slotted) else None  # (slotted, N, 2, 2)
+    row = dict(zip(prog.slotted.tolist(), range(len(prog.slotted))))
+    for k, pair in enumerate(prog.pairs):
+        if k in row:
+            S._apply(amps, pair, mats[row[k]].transpose(1, 2, 0)[:, :, None])
+        else:
+            S._apply(amps, pair, prog.heads[k][:, :, None, None])
     return S._readout(prog, amps).T
 
 
@@ -522,8 +529,8 @@ def bernstein_block():
 
 
 def check_schedule(prog):
-    """Every op in exactly one layer, disjoint members, overlapping ops in
-    program order, and no layer across prefix."""
+    """Every op from prefix on in exactly one layer, disjoint members and
+    overlapping ops in program order; the ops before prefix in none."""
     members = [[k for k in range(len(prog.pairs)) if prog.layer_of[k] == layer]
                for layer in range(len(prog.layers))]
     assert len(prog.layer_of) == len(prog.pairs)
@@ -536,18 +543,15 @@ def check_schedule(prog):
         assert len(np.unique(want)) == want.size  # pairwise disjoint amplitudes
         assert (slotted is not None) == any(k in prog.slotted for k in ks)
     touched = [set(pair.ravel().tolist()) for pair in prog.pairs]
-    for i, j in itertools.combinations(range(len(prog.pairs)), 2):
+    for i, j in itertools.combinations(range(prog.prefix, len(prog.pairs)), 2):
         if touched[i] & touched[j]:
             assert prog.layer_of[i] < prog.layer_of[j]
-    cut = prog.layer_at[prog.prefix]
-    assert all(prog.layer_of[:prog.prefix] < cut) and all(prog.layer_of[prog.prefix:] >= cut)
-    assert prog.layer_at[0] == 0 and prog.layer_at[len(prog.pairs)] == len(prog.layers)
+    assert all(prog.layer_of[:prog.prefix] == -1) and all(prog.layer_of[prog.prefix:] >= 0)
 
 
-def applies_after_prefix(prog):
+def applies_per_point(prog):
     """Sub-applies a batch run makes from its stored prefix states."""
-    return sum((fixed is not None) + (slotted is not None)
-               for fixed, slotted in prog.layers[prog.layer_at[prog.prefix]:])
+    return sum((fixed is not None) + (slotted is not None) for fixed, slotted in prog.layers)
 
 
 @given(st.integers(0, 10**6))
@@ -582,7 +586,7 @@ def test_layered_blocks_match_the_dense_oracle(block, bernstein_block, series_bl
     circ = S.hadamard_test_circuit(bc.circuit, bc.prep)
     prog = S.GateProgram(circ)
     check_schedule(prog)
-    assert applies_after_prefix(prog) <= max_applies
+    assert applies_per_point(prog) <= max_applies
     batch = S.run(prog, x=xs, start=starts)
     for n, (x, s) in enumerate(zip(xs, starts)):
         want = dense_columns(circ, x, [s])[0]
@@ -623,19 +627,29 @@ def test_fourier_binding_matches_the_stage_products(seed):
         assert np.array_equal(prog.op_matrices(xs[[n]])[:, 0], got[:, n])
 
 
-@pytest.mark.parametrize("tables", [3, 0])
-def test_op_matrices_in_chunks_equal_one_batch(monkeypatch, bernstein_block, tables):
-    prog = bernstein_block[1].program
-    xs = np.random.default_rng(12).uniform(0.0, 1.0, (7, 2))
-    whole = prog.op_matrices(xs)
-    # budgets of three points' tables and of less than one
-    row = max(powers.nbytes for _, _, powers, *_ in prog.slot_tables)
-    monkeypatch.setattr(S, "BATCH_BYTES", tables * row)
-    assert np.array_equal(prog.op_matrices(xs), whole)
-
-
 def localization_k2():
     return C.build_localization_pqc(P.LocalizationSpec(2, 0.1, 0.05), 1)[0]
+
+
+@pytest.mark.parametrize("tables", [3, 0])
+def test_hadamard_values_in_chunks_equal_one_batch(monkeypatch, tables):
+    prog = localization_k2().program
+    row = max(powers.nbytes for _, _, powers, *_ in prog.slot_tables)
+    assert row > 16 * 2**prog.width  # a point's slot table outweighs its state
+    xs = np.random.default_rng(12).uniform(0.0, 1.0, (7, 1))
+    whole = S.hadamard_values(prog, xs)
+    chunks = []
+    real_run = S.run
+
+    def counting_run(program, **kwargs):
+        chunks.append(len(kwargs["x"]))
+        return real_run(program, **kwargs)
+
+    # budgets of three points' tables and of less than one
+    monkeypatch.setattr(S, "BATCH_BYTES", tables * row)
+    monkeypatch.setattr(S, "run", counting_run)
+    assert np.array_equal(S.hadamard_values(prog, xs), whole)
+    assert chunks == ([3, 3, 1] if tables else [1] * 7)
 
 
 def trig_block():
@@ -694,8 +708,8 @@ def test_bernstein_d2_point_runs_two_layers_after_prefix(bernstein_block):
     """The perfbench bernstein_d2 block: every layer after prefix binds a
     slot, and a point makes one fixed and one slotted sub-apply in each."""
     prog = bernstein_block[1].program
-    assert prog.layer_at[len(prog.pairs)] - prog.layer_at[prog.prefix] == 2
-    assert applies_after_prefix(prog) == 4
+    assert len(prog.layers) == 2
+    assert applies_per_point(prog) == 4
     assert sum(prog.pairs[k].shape[1] for k in range(prog.prefix, len(prog.pairs))) == 456
 
 
