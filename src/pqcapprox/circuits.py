@@ -39,6 +39,7 @@ from .poly import (
     Polynomial,
     TargetFunctionSpec,
     _cheb_coeffs,
+    _mirrored,
     chebyshev_grid,
     localization_poly,
     multi_indices,
@@ -152,8 +153,7 @@ def synthesize_cached(p: ParityPolynomial, tol: float) -> qsp.QspAngleSequence:
 
 
 def _monomial_target(coeff: float, power: int) -> ParityPolynomial:
-    coeffs = [0.0] * power + [coeff] if power > 0 else [coeff]
-    return ParityPolynomial(Polynomial(tuple(coeffs)), power % 2)
+    return ParityPolynomial(Polynomial.from_power([0.0] * power + [coeff]), power % 2)
 
 
 def line_block(angles: qsp.QspAngleSequence, slot: EncodingSlot, label: str) -> BlockCircuit:
@@ -363,16 +363,21 @@ def build_parity_pair_pqc(p: Polynomial, slot: EncodingSlot, scale: float) -> Bl
 
 
 def _bernstein_factor(n: int, k: int) -> Polynomial:
-    """binom(n, k) x^k (1 - x)^(n - k) at x = (1 + w)/2, in the power basis
-    of w: binom(n, k) (1 + w)^k (1 - w)^(n - k) / 2^n.
+    """binom(n, k) x^k (1 - x)^(n - k) at x = (1 + w)/2 as a Chebyshev series
+    in w: binom(n, k) (1 + w)^k (1 - w)^(n - k) / 2^n.
 
-    The product is expanded in integers and each coefficient rounded once,
-    so the coefficients that cancel are exact zeros.
+    Each factor (1 +- w), doubled, multiplies the series in integers by
+    T_1 T_0 = T_1 and T_1 T_j = (T_{j+1} + T_{j-1}) / 2, so 4^n times the
+    product has integer coefficients.  Each coefficient is rounded once, so
+    the coefficients that cancel are exact zeros and B_{n-k}(w) = B_k(-w)
+    holds bit for bit.
     """
     coeffs = [1]
-    for sign in [1] * k + [-1] * (n - k):  # times (1 + sign w)
-        coeffs = [a + sign * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return Polynomial(tuple(math.comb(n, k) * c / 2**n for c in coeffs))
+    for sign in [1] * k + [-1] * (n - k):  # times 2 (1 + sign T_1)
+        up = [0, 2 * coeffs[0]] + coeffs[1:]  # 2 T_1 T_0 and the T_{j+1} of 2 T_1 T_j
+        down = coeffs[1:] + [0, 0]  # the T_{j-1} of 2 T_1 T_j
+        coeffs = [2 * c + sign * (u + d) for c, u, d in zip(coeffs + [0], up, down)]
+    return Polynomial(tuple(math.comb(n, k) * c / 4**n for c in coeffs))
 
 
 def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
@@ -440,11 +445,13 @@ def localization_chebyshev(spec: LocalizationSpec) -> tuple[np.ndarray, np.ndarr
     """The powers k = L mod 2, L mod 2 + 2, ..., L and the Chebyshev
     coefficients c_k of the block value of the synthesized L-layer line,
     taken from its values at _fast_len(L + 1) first-kind nodes (exact for
-    its degree L).  Its parity is that of L, so the other c_k vanish."""
+    its degree L).  Its parity is that of L, so the other c_k vanish, and
+    the nodes with x >= 0 give its values at all of them."""
     angles = localization_angles(spec).angles
     L = len(angles) - 1
-    nodes = chebyshev_grid(qsp._fast_len(L + 1))
-    coeffs = _cheb_coeffs(np.real(qsp.qsp_block_values(angles, nodes)))[L % 2:L + 1:2]
+    m = qsp._fast_len(L + 1)
+    half = np.real(qsp.qsp_block_values(angles, chebyshev_grid(m)[: (m + 1) // 2]))
+    coeffs = _cheb_coeffs(_mirrored(half, m, L % 2))[L % 2:L + 1:2]
     powers = np.arange(L % 2, L + 1, 2)
     for a in (powers, coeffs):  # cached, so every caller shares them
         a.setflags(write=False)

@@ -108,11 +108,11 @@ def default_delta(d: int, K: int) -> float:
     return min(K ** float(-d), 0.3 / K)
 
 
-def _parse_poly(text: str) -> Polynomial:
+def _parse_poly(text: str) -> tuple[float, ...]:
+    """The power coefficients c0, c1, ... of 'poly:c0,c1,...'."""
     if not text.startswith("poly:"):
         raise ValueError("inline polynomial must look like 'poly:c0,c1,...'")
-    coeffs = tuple(float(tok) for tok in text[len("poly:") :].split(","))
-    return Polynomial(coeffs)
+    return tuple(float(tok) for tok in text[len("poly:") :].split(","))
 
 
 def _parse_trig(text: str, d: int) -> MultivariateTrigPolynomial:
@@ -166,7 +166,7 @@ def _qsp_block(
 ) -> tuple[ParityPolynomial, qsp.QspAngleSequence, circuits.BlockCircuit]:
     """A definite-parity inline polynomial as one line block; a nonempty
     label is followed by the degree."""
-    even, odd = parity_split(_parse_poly(target_text))
+    even, odd = parity_split(Polynomial.from_power(_parse_poly(target_text)))
     if not (odd.base.is_zero() or even.base.is_zero()):
         raise ValueError("qsp targets need definite parity; split mixed polynomials first")
     target = even if odd.base.is_zero() else odd
@@ -176,8 +176,7 @@ def _qsp_block(
 
 
 def _poly_target(cfg: ExperimentConfig) -> MultivariatePolynomial:
-    p = _parse_poly(cfg.target)
-    return MultivariatePolynomial({(k,): c for k, c in enumerate(p.coeffs)}, 1)
+    return MultivariatePolynomial({(k,): c for k, c in enumerate(_parse_poly(cfg.target))}, 1)
 
 
 def _bernstein_target(cfg: ExperimentConfig) -> TargetFunctionSpec:

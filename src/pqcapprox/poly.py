@@ -1,7 +1,7 @@
 """Polynomial containers and the classical approximation-theory toolbox.
 
-Everything here is plain numerics: univariate polynomials in power or
-Chebyshev basis, multivariate polynomials as sparse coefficient maps,
+Everything here is plain numerics: univariate polynomials as Chebyshev
+series, multivariate polynomials as sparse coefficient maps,
 Bernstein evaluation, sign/step/localization approximants built from
 Chebyshev truncations of scaled error functions, local Taylor expansion
 with a finite-difference fallback, and the closed-form error bounds used
@@ -22,7 +22,6 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 from numpy import fft as _fft  # at import: numpy would load it lazily, inside a report
 from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 
 logger = logging.getLogger(__name__)
 
@@ -34,49 +33,40 @@ def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
     cs = list(float(c) for c in coeffs)
     while len(cs) > 1 and cs[-1] == 0.0:  # exact zeros only; callers prune noise
         cs.pop()
+    if not all(map(math.isfinite, cs)):
+        k = [math.isfinite(c) for c in cs].index(False)
+        raise ValueError(f"coefficient {cs[k]} of index {k} is not finite")
     return tuple(cs)
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense univariate polynomial.
-
-    ``coeffs[k]`` multiplies ``x**k`` when ``basis == "power"`` and the
-    Chebyshev polynomial ``T_k(x)`` when ``basis == "chebyshev"``.  The
-    Chebyshev basis exists because the step/localization approximants reach
-    degrees in the hundreds, far beyond what power-basis coefficients can
-    represent in double precision.
+    """Dense univariate polynomial as a Chebyshev series: ``coeffs[k]``
+    multiplies ``T_k(x)``.  The step/localization approximants reach degrees
+    in the hundreds, far beyond what power-basis coefficients can represent
+    in double precision; power coefficients enter once, by ``from_power``.
     """
 
     coeffs: tuple[float, ...]
-    basis: str = "power"
 
     def __post_init__(self) -> None:
-        if self.basis not in ("power", "chebyshev"):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        coeffs = _trimmed(self.coeffs)
-        if not all(map(math.isfinite, coeffs)):
-            k = [math.isfinite(c) for c in coeffs].index(False)
-            raise ValueError(f"coefficient {coeffs[k]} of index {k} is not finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _trimmed(self.coeffs))
+
+    @classmethod
+    def from_power(cls, coeffs: Sequence[float]) -> "Polynomial":
+        """The series of sum_k coeffs[k] x^k.  Degrees 0 and 1 pass through
+        unchanged; higher ones take the rounding of numpy's ``poly2cheb``."""
+        return cls(tuple(_cheb.poly2cheb(_trimmed(coeffs))))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        if self.basis == "power":
-            return _poly.polyval(x, self.coeffs)
         return _cheb.chebval(x, self.coeffs)
 
-    def to_power(self) -> "Polynomial":
-        """Convert to power basis. Ill-conditioned beyond degree ~30."""
-        if self.basis == "power":
-            return self
-        return Polynomial(tuple(_cheb.cheb2poly(self.coeffs)), "power")
-
     def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial(tuple(factor * c for c in self.coeffs), self.basis)
+        return Polynomial(tuple(factor * c for c in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.coeffs)
@@ -107,11 +97,7 @@ class ParityPolynomial:
 
     def sup_norm(self) -> float:
         m = max(1000, 10 * (self.degree + 1))
-        if self.base.basis == "chebyshev":
-            vals = _cheb_values(np.asarray(self.base.coeffs), m)
-        else:
-            vals = self.base(chebyshev_grid(m))
-        return float(np.max(np.abs(vals)))
+        return float(np.max(np.abs(_cheb_values(self.base.coeffs, m))))
 
 
 def chebyshev_grid(n: int) -> np.ndarray:
@@ -200,8 +186,8 @@ def parity_split(p: Polynomial) -> tuple[ParityPolynomial, ParityPolynomial]:
     even = [c if k % 2 == 0 else 0.0 for k, c in enumerate(p.coeffs)]
     odd = [c if k % 2 == 1 else 0.0 for k, c in enumerate(p.coeffs)]
     return (
-        ParityPolynomial(Polynomial(tuple(even), p.basis), 0),
-        ParityPolynomial(Polynomial(tuple(odd), p.basis), 1),
+        ParityPolynomial(Polynomial(tuple(even)), 0),
+        ParityPolynomial(Polynomial(tuple(odd)), 1),
     )
 
 
@@ -723,7 +709,7 @@ def localization_poly(spec: LocalizationSpec) -> Polynomial:
     K, delta, eps = spec.K, spec.delta, spec.eps
     if K == 1:
         # single band: the zero polynomial shifted into (0, eps)
-        return Polynomial((eps / 2.0,), "chebyshev")
+        return Polynomial((eps / 2.0,))
 
     # per-step accuracy: the band shift argument needs a*(K+1) < eps
     a_target = eps / (2.0 * (K + 1))
@@ -790,7 +776,7 @@ def _build_localization(spec: LocalizationSpec, step_eps: float) -> Polynomial:
     # the values checked above
     coef = scale * c_raw
     coef[0] += shift * scale
-    return Polynomial(tuple(coef), "chebyshev")
+    return Polynomial(tuple(coef))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .poly import ParityPolynomial, _cheb_coeffs, _cheb_values, _mirrored, chebyshev_grid
 
@@ -220,12 +219,6 @@ def _half_chain_grad(thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _target_cheb(p: ParityPolynomial) -> np.ndarray:
-    if p.base.basis == "chebyshev":
-        return np.asarray(p.base.coeffs, dtype=float)
-    return np.asarray(_cheb.poly2cheb(p.base.coeffs), dtype=float)
-
-
 def _symmetric_angles(phi: np.ndarray, L: int) -> np.ndarray:
     """theta_0..theta_L from phi = (theta_L, theta_1..theta_h), h = L // 2:
     the interior is a palindrome and theta_0 = theta_L - pi, which makes the
@@ -367,21 +360,18 @@ def qsp_synthesize(p: ParityPolynomial, tol: float = 1e-8) -> QspAngleSequence:
 
     Raises QspSynthesisError with the best residual on failure.
     """
-    target_full = _target_cheb(p)
     L = p.degree
     sup = p.sup_norm()
     if sup > 1.0 + 1e-12:
         raise ValueError(f"target sup norm {sup:.6g} exceeds 1 on [-1, 1]")
 
     if L == 0:
-        c = float(np.clip(target_full[0], -1.0, 1.0))
+        c = float(np.clip(p.base.coeffs[0], -1.0, 1.0))
         return QspAngleSequence((2.0 * math.acos(c),), residual=0.0)
 
     xs = chebyshev_grid(_fast_len(L + 1))
     a_slots = np.arange(L % 2, L + 1, 2)
-    target = np.zeros(L + 1)
-    target[: len(target_full)] = target_full
-    target = target[a_slots]
+    target = np.asarray(p.base.coeffs)[a_slots]  # p has L + 1 coefficients
     coeff_tol = tol / (4.0 * (L + 1))
 
     def attempt(phi: np.ndarray, scales: Sequence[float]) -> tuple[np.ndarray, float]:
@@ -424,7 +414,7 @@ def _verified(thetas: np.ndarray, p: ParityPolynomial, tol: float, norm: float) 
     m = 4 * (p.degree + 1)
     h = m // 2
     b = qsp_block_values(thetas, chebyshev_grid(m)[:h])
-    resid = float(np.max(np.abs(b - _cheb_values(_target_cheb(p), m)[:h])))
+    resid = float(np.max(np.abs(b - _cheb_values(p.base.coeffs, m)[:h])))
     if resid > tol:
         raise QspSynthesisError("converged in coefficients but grid residual high", resid)
     return QspAngleSequence(tuple(float(t) for t in thetas), residual=resid)

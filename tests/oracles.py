@@ -250,13 +250,13 @@ def qsp_synthesize_completion(p: ParityPolynomial, tol: float = 1e-7) -> QspAngl
     strips layers from the top degree.  Reliable for degree up to ~16 in
     double precision; used as a test oracle against the Newton backend.
     """
-    pw = p.base.to_power()
+    pw = _cheb.cheb2poly(p.base.coeffs)
     L = p.degree
     if L == 0:
-        c = float(np.clip(pw.coeffs[0], -1.0, 1.0))
+        c = float(np.clip(pw[0], -1.0, 1.0))
         return QspAngleSequence((2.0 * math.acos(c),), residual=0.0)
     pc = np.zeros(L + 1)
-    pc[: len(pw.coeffs)] = pw.coeffs
+    pc[: len(pw)] = pw
 
     r_power = -_np_poly.polymul(pc, pc)
     r_power[0] += 1.0  # 1 - p^2

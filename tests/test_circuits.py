@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_monomial_and_trig_monomial_reject_a_nan_coefficient():
 
 
 def test_tensor_of_a_real_and_a_complex_line_multiplies_their_values():
-    angles = C.synthesize_cached(P.ParityPolynomial(P.Polynomial((0.0, 0.3, 0.0, 0.5)), 1), 1e-12)
+    angles = C.synthesize_cached(P.ParityPolynomial(P.Polynomial.from_power((0.0, 0.3, 0.0, 0.5)), 1), 1e-12)
     real = dataclasses.replace(C.line_block(angles, S.EncodingSlot(0, "acos"), "x"),
                                rescale=3.0, tol=1e-3)
     params = Q.trig_monomial_params(0.6j, 2)
@@ -274,9 +275,9 @@ def test_parity_pair_constant():
 
 def test_parity_pair_frozen_examples():
     # halves -x^2 and x, each of sup norm 1
-    bc = C.build_parity_pair_pqc(P.Polynomial((0.0, 1.0, -1.0)), X_SLOT, 1.0 / 0.999)
+    bc = C.build_parity_pair_pqc(P.Polynomial.from_power((0.0, 1.0, -1.0)), X_SLOT, 1.0 / 0.999)
     assert C.evaluate_block(bc, (0.5,)) == pytest.approx(0.25, abs=1e-9)
-    pol = P.Polynomial((0.0, 3.0, -6.0, 3.0))  # 3x(1-x)^2, halves of sup norm 6
+    pol = P.Polynomial.from_power((0.0, 3.0, -6.0, 3.0))  # 3x(1-x)^2, halves of sup norm 6
     bc = C.build_parity_pair_pqc(pol, X_SLOT, 6.0 / 0.999)
     assert C.evaluate_block(bc, (0.2,)) == pytest.approx(0.384, abs=1e-9)
     assert bc.circuit.width == 2
@@ -286,7 +287,7 @@ def test_parity_pair_frozen_examples():
 
 def test_parity_pair_reads_the_affine_argument_of_its_slot():
     # p(u) = u^2 - u/2 at u = 2x - 1
-    pol = P.Polynomial((0.0, -0.5, 1.0))
+    pol = P.Polynomial.from_power((0.0, -0.5, 1.0))
     bc = C.build_parity_pair_pqc(pol, S.EncodingSlot(0, "acos", 1.0, 2.0), 1.0 / 0.999)
     for x in (0.0, 0.3, 0.75, 1.0):
         u = 2.0 * x - 1.0
@@ -408,6 +409,49 @@ def test_bernstein_factor_halves_in_w_are_bounded_by_one_half():
                 assert odd.base.is_zero()
     x = np.linspace(0.0, 1.0, 11)
     assert np.allclose(C._bernstein_factor(5, 2)(2 * x - 1), 10 * x**2 * (1 - x) ** 3, atol=1e-15)
+
+
+def exact_bernstein_factor(n, k):
+    """The Chebyshev coefficients of binom(n, k) (1 + w)^k (1 - w)^(n - k) / 2^n
+    as fractions: its power coefficients, then w^j = 2^-j sum_i binom(j, i) T_|j-2i|."""
+    power = [1]
+    for sign in [1] * k + [-1] * (n - k):
+        power = [a + sign * b for a, b in zip(power + [0], [0] + power)]
+    out = [Fraction(0)] * (n + 1)
+    for j, c in enumerate(power):
+        for i in range(j + 1):
+            out[abs(j - 2 * i)] += Fraction(math.comb(n, k) * c * math.comb(j, i), 2 ** (n + j))
+    return out
+
+
+def test_bernstein_factor_is_the_correctly_rounded_series():
+    for n in range(1, 25):
+        for k in range(n + 1):
+            want = tuple(float(c) for c in exact_bernstein_factor(n, k))
+            assert C._bernstein_factor(n, k).coeffs == want, (n, k)
+
+
+def test_bernstein_factors_mirror_bit_for_bit():
+    # B_{n-k}(w) = B_k(-w) negates the odd coefficients exactly, so the even
+    # halves of mirrored factors are equal and share a synthesis
+    def bits(coeffs):
+        return [float.hex(c + 0.0) for c in coeffs]  # a zero's sign aside
+
+    for n in range(1, 65):
+        factors = [C._bernstein_factor(n, k).coeffs for k in range(n + 1)]
+        for k in range(n // 2 + 1):
+            mirrored = [-c if j % 2 else c for j, c in enumerate(factors[k])]
+            assert bits(factors[n - k]) == bits(mirrored), (n, k)
+
+
+def test_bernstein_d1_n64_block_is_within_its_tol_of_the_classical_sum():
+    # each factor is rounded once; factors rounded in the power basis of w
+    # and then converted are 5.3e-9 off here, against a tol near 2e-14
+    f = targets.abs_centered(1)
+    bc = C.build_bernstein_pqc(f, 64)
+    xs = np.linspace(0.0, 1.0, 257)[:, None]
+    want = np.array([P.bernstein_eval(f, 64, x) for x in xs])
+    assert np.max(np.abs(C.evaluate_block(bc, xs) - want)) <= bc.tol + 1e-12
 
 
 def test_bernstein_d2_n11_block_matches_the_classical_sum():

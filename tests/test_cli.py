@@ -56,6 +56,16 @@ def test_synth_emits_circuit(tmp_path, capsys):
     assert json.loads(out)["value"] == pytest.approx(0.27, abs=1e-9)
 
 
+def test_synth_reads_power_coefficients(tmp_path, capsys):
+    # 0.9 x^2 at x = 0.5; read as Chebyshev coefficients, 0.9 T_2 gives -0.45
+    path = tmp_path / "square.txt"
+    code, _, _ = run_cli(capsys, "synth", "--coeffs", "0,0,0.9", "--emit-circuit", str(path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "eval", "--circuit", str(path), "--x", "0.5")
+    assert code == 0
+    assert abs(json.loads(out)["value"] - 0.225) <= 1e-12
+
+
 def test_synth_rejects_mixed_parity(capsys):
     code, _, err = run_cli(capsys, "synth", "--coeffs", "0.5,0.5")
     assert code == 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.polynomial import polyval
 from scipy import fft, special
 
 from pqcapprox import poly as P
@@ -61,6 +62,28 @@ def test_polynomials_reject_a_non_finite_coefficient(bad):
     for c in (complex(bad, 0.0), complex(0.0, bad)):
         with pytest.raises(ValueError, match="not finite"):
             P.MultivariateTrigPolynomial({(1,): c}, 1)
+
+
+@given(st.lists(st.floats(-10, 10), min_size=1, max_size=2))
+def test_from_power_is_the_identity_up_to_degree_one(coeffs):
+    # bit for bit, a zero's sign aside: T_0 = 1 and T_1 = x
+    def bits(p):
+        return [float.hex(c + 0.0) for c in p.coeffs]
+
+    assert bits(P.Polynomial.from_power(coeffs)) == bits(P.Polynomial(coeffs))
+
+
+@given(st.lists(st.floats(-10, 10), min_size=3, max_size=12))
+def test_from_power_takes_the_values_of_the_power_series(coeffs):
+    x = np.linspace(-1.0, 1.0, 101)
+    got = P.Polynomial.from_power(coeffs)(x)
+    assert np.max(np.abs(got - polyval(x, coeffs))) <= 1e-14 * (1.0 + sum(map(abs, coeffs)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_power_rejects_a_non_finite_coefficient(bad):
+    with pytest.raises(ValueError, match="coefficient .* of index 2 is not finite"):
+        P.Polynomial.from_power((0.5, 0.0, bad, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +181,7 @@ def sign_approx_poly(delta: float, eps: float) -> P.ParityPolynomial:
     Raises ConstructionError if no truncation passes the dense-grid checks.
     """
     coef = P._sign_cheb_series(delta, eps, R=1.0)
-    return P.ParityPolynomial(P.Polynomial(tuple(coef), "chebyshev"), 1)
+    return P.ParityPolynomial(P.Polynomial(tuple(coef)), 1)
 
 
 def sign_degree_constant(delta: float, eps: float, degree: int) -> float:

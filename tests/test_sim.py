@@ -692,7 +692,7 @@ def test_no_construction_splits_a_run(build):
     lambda: C.build_taylor_series_pqc(
         C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)),
     lambda: C.build_poly_pqc(P.MultivariatePolynomial({(1, 0): 0.5, (0, 2): 0.25}, 2)),
-    lambda: C.build_parity_pair_pqc(P.Polynomial((0.2, 0.3, 0.4)), S.EncodingSlot(0, "acos"), 1.0),
+    lambda: C.build_parity_pair_pqc(P.Polynomial.from_power((0.2, 0.3, 0.4)), S.EncodingSlot(0, "acos"), 1.0),
     trig_block,
 ], ids=["bernstein", "series", "poly", "parity-pair", "trig"])
 def test_no_layer_after_prefix_runs_a_selection_h(build):
