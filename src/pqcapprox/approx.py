@@ -15,6 +15,21 @@ from .sim import ResourceCount
 _DEFAULT_POINTS = {1: 101, 2: 41, 3: 15}
 
 
+def check_mesh(points_per_axis: int, dims: int) -> None:
+    """Raise ValueError if a grid of points_per_axis**dims points would not
+    fit in physical memory to mesh.  Meshing holds two float arrays of
+    (points, dims): the meshgrid copies and their stack."""
+    count = points_per_axis**dims
+    need = 2.0 * count * dims * np.dtype(float).itemsize
+    have = _physical_memory_bytes()
+    if need > have:
+        raise ValueError(
+            f"a grid of {count} points ({points_per_axis}^{dims}) needs"
+            f" {need / 2**30:.1f} GiB to mesh, more than the {have / 2**30:.1f} GiB"
+            " of physical memory; lower points_per_axis or d"
+        )
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Deterministic evaluation grid on [0,1]^d, optionally band-restricted."""
@@ -34,17 +49,7 @@ class GridSpec:
             object.__setattr__(
                 self, "points_per_axis", _DEFAULT_POINTS.get(self.dims, 11)
             )
-        # meshing holds two float arrays of (points, dims): the meshgrid
-        # copies and their stack
-        count = self.points_per_axis**self.dims
-        need = 2.0 * count * self.dims * np.dtype(float).itemsize
-        have = _physical_memory_bytes()
-        if need > have:
-            raise ValueError(
-                f"a grid of {count} points ({self.points_per_axis}^{self.dims}) needs"
-                f" {need / 2**30:.1f} GiB to mesh, more than the {have / 2**30:.1f} GiB"
-                " of physical memory; lower points_per_axis or d"
-            )
+        check_mesh(self.points_per_axis, self.dims)
 
     def _band_spec(self) -> LocalizationSpec:
         # eps is irrelevant for membership; pick any valid value
@@ -242,14 +247,6 @@ class ErrorReport:
         return self.contract_held and self.sup_error <= self.bound + self.tol_agg
 
     def to_dict(self) -> dict:
-        res = None
-        if self.resources is not None:
-            res = {
-                "width": self.resources.width,
-                "depth": self.resources.depth,
-                "params": self.resources.trainable_params,
-                "gates": self.resources.gate_total,
-            }
         return {
             "experiment": self.experiment,
             "sup_error": self.sup_error,
@@ -257,7 +254,7 @@ class ErrorReport:
             "bound": self.bound,
             "bound_name": self.bound_name,
             "tol_agg": self.tol_agg,
-            "resources": res,
+            "resources": None if self.resources is None else self.resources.to_dict(),
             "region": self.region,
             "seed": self.seed,
             "pass": self.passed,

@@ -374,8 +374,9 @@ def _run_taylor(cfg: ExperimentConfig) -> _Outcome:
 
 def _run_trig(cfg: ExperimentConfig) -> _Outcome:
     t = _parse_trig(cfg.target, cfg.d)
-    bc = _build(cfg)
     pts = cfg.points_per_axis or (100 if cfg.d == 1 else 11)
+    approx.check_mesh(pts, cfg.d)  # a grid too large fails first
+    bc = _build(cfg)
     axis = np.linspace(0.0, 2.0 * math.pi, pts, endpoint=False)
     mesh = np.stack(np.meshgrid(*([axis] * cfg.d), indexing="ij"), -1).reshape(-1, cfg.d)
     sup = approx.sup_error(t, lambda xs: circuits.evaluate_block(bc, xs), mesh)
@@ -544,11 +545,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     else:
         bc = build(ExperimentConfig(args.kind, **given))
     _emit_block(bc, args.circuit_path)
-    rc = _resources(bc)
-    print(json.dumps({
-        "width": rc.width, "depth": rc.depth, "params": rc.trainable_params,
-        "gates": rc.gate_total, "rescale": bc.rescale, "tol": bc.tol,
-    }, indent=2))
+    print(json.dumps({**_resources(bc).to_dict(), "rescale": bc.rescale, "tol": bc.tol},
+                     indent=2))
     return 0
 
 

@@ -219,14 +219,14 @@ class GateProgram:
     set, except that a run splits where its encoding slot changes, so an op
     binds one slot.  No circuit the package builds splits a run.  The fixed
     gates of an op are multiplied together here.  An op without encoding
-    slots is fixed: its ``heads`` matrix serves every point.  Only the ops
-    listed in ``slotted`` are bound per point.  ``chains`` holds each one's
-    slot and, per slot factor, its rotation kind and the fixed product after
-    it.  With h the slot's half angle, such an op is a trigonometric
-    polynomial in h of degree its slot count, so it is compiled once into
-    its Fourier coefficients (``slot_tables``, one per slot), and
-    ``op_matrices`` binds every op of a slot with one table of cos hk and
-    sin hk and one product.
+    slots is fixed: its ``heads`` matrix serves every point.  ``chains``
+    holds the slot of each op in ``slotted`` and, per slot factor, its
+    rotation kind and the fixed product after it.  With h the slot's half
+    angle, such an op is a trigonometric polynomial in h of degree its slot
+    count, so it is compiled once into its Fourier coefficients
+    (``slot_tables``, one per slot, with each op's row in ``op_matrices``),
+    and ``op_matrices`` binds every op of a slot with one table of cos hk
+    and sin hk and one product.
 
     A fixed run whose product is exactly X (an X flip under any controls)
     is not an op: it relabels the amplitudes it swaps, and a run
@@ -244,21 +244,18 @@ class GateProgram:
     ``stored`` holds at most PREFIX_BYTES.  The stored states are those of
     the relabelled indices, before the ``perm`` gather.
 
-    The ops from ``prefix`` on run at every point.  Ops that touch disjoint
-    amplitudes commute, so they run as one layer (``layers``, with each
-    op's layer in ``layer_of``, -1 before ``prefix``): one gather of the
-    layer's pairs, an elementwise 2x2 update and one scatter, with the
-    coefficients of the fixed members taken at compile time and those of
-    the slotted members from ``op_matrices`` in a second sub-apply.  Each
-    pair sees the products of running the ops one by one, in the same
-    order, so every value is bit-identical to that.
+    The ops from ``prefix`` on run at every point, op k with row
+    k - prefix of ``op_matrices``.  Ops that touch disjoint amplitudes
+    commute, so they run as one layer (``layers``: the members' pairs and
+    the row of each pair's op): one gather, an elementwise 2x2 update and
+    one scatter.  Each pair sees the products of running the ops one by
+    one, in the same order, so every value is bit-identical to that.
 
     On the Hadamard test of the d=2, n=4 Bernstein block this leaves 117 of
-    377 ops: 10 before ``prefix``, and 107 after it in 2 layers, which make
-    4 sub-applies per point.  The d=2, K=4, s=1 Taylor series block, which
-    starts from one of K^d cells, leaves 56 of 260 ops: 37 before
-    ``prefix``, and 19 after it in 2 layers, which make 3 sub-applies per
-    point.
+    377 ops: 10 before ``prefix``, and 107 from it on in 2 layers.  The d=2,
+    K=4, s=1 Taylor series block, which starts from one of K^d cells,
+    leaves 56 of 260 ops: 37 before ``prefix``, and 19 from it on in 2
+    layers.
 
     The compile checks no gate (the circuit checked its gates, or its
     placements, when it was built), and masks each (target, controls) once.
@@ -319,51 +316,31 @@ class GateProgram:
         self.heads = np.array([head for head, *_ in kept], dtype=complex).reshape(len(kept), 2, 2)
         self.slotted = np.array([k for k, (*_, chain) in enumerate(kept) if chain], dtype=int)
         self.chains = [kept[k][1:] for k in self.slotted]
-        # slotted ops bound together: one table per slot
+        self.prefix = int(self.slotted[0]) if len(self.slotted) else len(self.pairs)
+        # slotted ops bound together: one table per slot, holding each op's row
         groups: dict[EncodingSlot, list[int]] = {}
         for p in sorted(range(len(self.chains)), key=lambda p: -len(self.chains[p][1])):
             groups.setdefault(self.chains[p][0], []).append(p)  # longest chains first
         self.slot_tables = [
-            (slot, np.array(ops), *_fourier_table(self.heads[self.slotted[ops]],
-                                                  [self.chains[p][1] for p in ops]))
-            for slot, ops in groups.items()
+            (slot, self.slotted[ps] - self.prefix,
+             *_fourier_table(self.heads[self.slotted[ps]], [self.chains[p][1] for p in ps]))
+            for slot, ps in groups.items()
         ]
-        self.prefix = int(self.slotted[0]) if len(self.slotted) else len(self.pairs)
         self.stored: dict[int, np.ndarray] = {}
         # Each op from prefix on joins the layer after the last layer that
         # touches any of its amplitudes, so a layer's members touch disjoint
-        # amplitudes and commute, and overlapping ops keep their order.  The
-        # ops before prefix run one by one in prefix_states (layer -1).
-        self.layer_of = np.full(len(self.pairs), -1)
+        # amplitudes and commute, and overlapping ops keep their order.
+        ops = self.pairs[self.prefix:]
+        layer_of = np.zeros(len(ops), dtype=int)
         last = np.full(2**c.width, -1)  # per amplitude
-        for k in range(self.prefix, len(self.pairs)):
-            self.layer_of[k] = last[self.pairs[k]].max() + 1
-            last[self.pairs[k]] = self.layer_of[k]
-        # the row of each slotted op's matrix in op_matrices, -1 for a fixed op
-        row = np.full(len(self.pairs), -1)
-        row[self.slotted] = np.arange(len(self.slotted))
-        self.layers = [
-            self._layer(ks[row[ks] < 0], ks[row[ks] >= 0], row)
-            for ks in (np.flatnonzero(self.layer_of == layer) for layer in range(last.max() + 1))
+        for r, pair in enumerate(ops):
+            layer_of[r] = last[pair].max() + 1
+            last[pair] = layer_of[r]
+        self.layers = [  # the members' pairs, and the row of each pair's op
+            (np.concatenate([ops[r] for r in rows], axis=1),
+             np.repeat(rows, [ops[r].shape[1] for r in rows]))
+            for rows in (np.flatnonzero(layer_of == layer) for layer in range(last.max() + 1))
         ]
-
-    def _layer(self, fixed: np.ndarray, slotted: np.ndarray, row: np.ndarray) -> tuple:
-        """One layer as two sub-applies, None where it has no such members:
-        the fixed members' concatenated (i0, i1) pairs with the (2, 2, P, 1)
-        coefficients of each pair, and the slotted members' pairs with the
-        row in ``op_matrices`` of each pair's matrix."""
-        def joined(ks):  # the members' pairs, and the op of each pair
-            return (np.concatenate([self.pairs[k] for k in ks], axis=1),
-                    np.repeat(ks, [self.pairs[k].shape[1] for k in ks]))
-
-        fixed_part = slotted_part = None
-        if len(fixed):
-            pair, op = joined(fixed)
-            fixed_part = (pair, np.ascontiguousarray(self.heads[op].transpose(1, 2, 0)[..., None]))
-        if len(slotted):
-            pair, op = joined(slotted)
-            slotted_part = (pair, row[op])
-        return fixed_part, slotted_part
 
     def prefix_states(self, starts: np.ndarray) -> np.ndarray:
         """The (2**width, N) states before op ``prefix`` from the basis
@@ -384,21 +361,24 @@ class GateProgram:
         return np.stack([found[s] for s in keys], axis=1)
 
     def op_matrices(self, x: Optional[np.ndarray]) -> np.ndarray:
-        """The (len(slotted), N, 2, 2) matrices of the slotted ops, bound at
-        each row of the (N, d) point array x: per slot, its (N, 1, K) table
-        of cos hk and sin hk times its compiled (K, 8 ops) matrix."""
+        """The (len(pairs) - prefix, N, 2, 2) matrices of the ops from
+        ``prefix`` on, op k in row k - prefix, at each row of the (N, d)
+        point array x: a fixed op's ``heads`` matrix, and per slot its (N,
+        1, K) table of cos hk and sin hk times its compiled (K, 8 ops)
+        matrix."""
         if x is None:
             raise ValueError("circuit has unbound encoding slots; pass x")
         xs = np.asarray(x, dtype=float)
-        mats = np.empty((len(self.slotted), len(xs), 2, 2), dtype=complex)
-        for slot, ops, powers, cosines, rows in self.slot_tables:
+        mats = np.empty((len(self.pairs) - self.prefix, len(xs), 2, 2), dtype=complex)
+        mats[:] = self.heads[self.prefix:, None]  # the slotted rows are bound below
+        for slot, rows, powers, cosines, table in self.slot_tables:
             half = encoding_angles(slot.xform, xs[:, slot.coord] * slot.scale - slot.shift) / 2.0
             hk = half[:, None, None] * powers
             np.cos(hk[..., :cosines], out=hk[..., :cosines])
             np.sin(hk[..., cosines:], out=hk[..., cosines:])
             # stacked, so a point's row is the same product alone or in a batch
-            parts = (hk @ rows).view(complex).reshape(len(hk), len(ops), 2, 2)
-            mats[ops] = parts.swapaxes(0, 1)
+            parts = (hk @ table).view(complex).reshape(len(hk), len(rows), 2, 2)
+            mats[rows] = parts.swapaxes(0, 1)
         return mats
 
 
@@ -489,13 +469,10 @@ def _evolve(program: GateProgram, amps: np.ndarray, xs: Optional[np.ndarray]) ->
     # numpy takes its fast 1-D fancy-index path
     tail = 0 if amps.shape[1] == 1 else slice(None)
     state = amps[:, tail]
-    if program.layers:  # (2, 2, len(slotted), N), entry by entry
+    if program.layers:  # (2, 2, len(pairs) - prefix, N), entry by entry
         mats = program.op_matrices(xs).transpose(2, 3, 0, 1)[..., tail]
-    for fixed, slotted in program.layers:
-        if fixed is not None:
-            _apply(state, fixed[0], fixed[1][..., tail])
-        if slotted is not None:
-            _apply(state, slotted[0], mats[:, :, slotted[1]])
+    for pair, rows in program.layers:
+        _apply(state, pair, mats[:, :, rows])
 
 
 def _apply(state: np.ndarray, pair: np.ndarray, coef: np.ndarray) -> None:
@@ -716,6 +693,11 @@ class ResourceCount:
             raise ValueError("resource counts must be nonnegative")
         if self.trainable_params > self.gate_total:
             raise ValueError("trainable parameter count exceeds gate count")
+
+    def to_dict(self) -> dict:
+        """The JSON keys of the counts, as reports and ``build`` print them."""
+        return {"width": self.width, "depth": self.depth,
+                "params": self.trainable_params, "gates": self.gate_total}
 
 
 def resource_count(c: Circuit) -> ResourceCount:

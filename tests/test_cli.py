@@ -407,14 +407,19 @@ def test_eval_rejects_a_non_finite_trig_input(capsys, tmp_path, x):
 
 
 def test_report_rejects_a_grid_too_large_to_mesh():
-    # d = 12 meshes 11^12 points by default; the grid is checked before the
-    # circuit, whose 37-qubit Hadamard test would fail the width check
-    proc = run_python("-m", "pqcapprox.cli", "report", "--experiment", "bernstein",
-                      "--d", "12", "--n", "1")
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.strip().splitlines()
-    assert len(lines) == 1 and f"grid of {11**12} points" in json.loads(lines[0])["error"]
+    for argv, count in (
+        # d = 12 meshes 11^12 points by default; the grid is checked before
+        # the circuit, whose 37-qubit Hadamard test would fail the width check
+        (("--experiment", "bernstein", "--d", "12", "--n", "1"), 11**12),
+        # the trig grid on [0, 2 pi)^d passes the same check
+        (("--experiment", "trig", "--target", "trig:1,1,1=0.5", "--d", "3",
+          "--points-per-axis", "200000"), 200000**3),
+    ):
+        proc = run_python("-m", "pqcapprox.cli", "report", *argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and f"grid of {count} points" in json.loads(lines[0])["error"]
 
 
 @pytest.mark.parametrize(

@@ -412,16 +412,15 @@ def test_batch_rejects_bad_start_indices():
 def unstored_run(prog, xs, starts):
     """The final amplitudes of a batch run with no stored prefix state and
     no layers: every op in turn from op 0, each pair updated as a layer
-    updates it."""
+    updates it, op k from row k - prefix of op_matrices from prefix on."""
     amps = np.zeros((2**prog.width, len(starts)), dtype=complex)
     amps[starts, np.arange(len(starts))] = 1.0
-    mats = prog.op_matrices(xs) if len(prog.slotted) else None  # (slotted, N, 2, 2)
-    row = dict(zip(prog.slotted.tolist(), range(len(prog.slotted))))
+    mats = prog.op_matrices(xs) if prog.layers else None  # (len(pairs) - prefix, N, 2, 2)
     for k, pair in enumerate(prog.pairs):
-        if k in row:
-            S._apply(amps, pair, mats[row[k]].transpose(1, 2, 0)[:, :, None])
-        else:
+        if k < prog.prefix:
             S._apply(amps, pair, prog.heads[k][:, :, None, None])
+        else:
+            S._apply(amps, pair, mats[k - prog.prefix].transpose(1, 2, 0)[:, :, None])
     return S._readout(prog, amps).T
 
 
@@ -529,29 +528,30 @@ def bernstein_block():
 
 
 def check_schedule(prog):
-    """Every op from prefix on in exactly one layer, disjoint members and
-    overlapping ops in program order; the ops before prefix in none."""
-    members = [[k for k in range(len(prog.pairs)) if prog.layer_of[k] == layer]
-               for layer in range(len(prog.layers))]
-    assert len(prog.layer_of) == len(prog.pairs)
-    assert all(members)
-    for ks, (fixed, slotted) in zip(members, prog.layers):
-        want = np.sort(np.concatenate([prog.pairs[k] for k in ks], axis=1), axis=None)
-        applied = [part[0] for part in (fixed, slotted) if part is not None]
-        got = np.concatenate(applied, axis=1)
-        assert np.array_equal(np.sort(got, axis=None), want)
-        assert len(np.unique(want)) == want.size  # pairwise disjoint amplitudes
-        assert (slotted is not None) == any(k in prog.slotted for k in ks)
-    touched = [set(pair.ravel().tolist()) for pair in prog.pairs]
-    for i, j in itertools.combinations(range(prog.prefix, len(prog.pairs)), 2):
+    """Every op from prefix on in exactly one layer, whose pairs and rows
+    cover its members exactly once, op k as row k - prefix; disjoint
+    members and overlapping ops in program order."""
+    ops = prog.pairs[prog.prefix:]
+    layer_of = np.full(len(ops), -1)
+    for layer, (pair, rows) in enumerate(prog.layers):
+        members = np.unique(rows)
+        assert len(members) and 0 <= members[0] and members[-1] < len(ops)
+        assert all(layer_of[members] == -1)  # in no earlier layer
+        layer_of[members] = layer
+        assert pair.shape == (2, len(rows))
+        for r in members:
+            assert np.array_equal(pair[:, rows == r], ops[r])
+        assert len(np.unique(pair)) == pair.size  # pairwise disjoint amplitudes
+    assert all(layer_of >= 0)
+    touched = [set(pair.ravel().tolist()) for pair in ops]
+    for i, j in itertools.combinations(range(len(ops)), 2):
         if touched[i] & touched[j]:
-            assert prog.layer_of[i] < prog.layer_of[j]
-    assert all(prog.layer_of[:prog.prefix] == -1) and all(prog.layer_of[prog.prefix:] >= 0)
+            assert layer_of[i] < layer_of[j]
 
 
 def applies_per_point(prog):
-    """Sub-applies a batch run makes from its stored prefix states."""
-    return sum((fixed is not None) + (slotted is not None) for fixed, slotted in prog.layers)
+    """Applies a batch run makes from its stored prefix states."""
+    return len(prog.layers)
 
 
 @given(st.integers(0, 10**6))
@@ -579,10 +579,10 @@ def test_layered_blocks_match_the_dense_oracle(block, bernstein_block, series_bl
     if block == "bernstein":
         bc = bernstein_block[1]
         xs = np.random.default_rng(7).uniform(0.0, 1.0, (4, 2))
-        starts, max_applies = np.zeros(4, dtype=int), 4
+        starts, max_applies = np.zeros(4, dtype=int), 2
     else:
         bc, starts, xs, _ = series_block
-        xs, starts, max_applies = xs[:4], starts[:4], 3
+        xs, starts, max_applies = xs[:4], starts[:4], 2
     circ = S.hadamard_test_circuit(bc.circuit, bc.prep)
     prog = S.GateProgram(circ)
     check_schedule(prog)
@@ -621,10 +621,24 @@ def test_fourier_binding_matches_the_stage_products(seed):
     assert all(slot is not None for slot, _ in prog.chains)
     xs, _ = random_batch(rng, width, int(rng.integers(1, 9)))
     got = prog.op_matrices(xs)
-    assert got.shape == (len(prog.slotted), len(xs), 2, 2)
-    assert np.max(np.abs(got - stage_op_matrices(prog, xs)), initial=0.0) <= 1e-13
+    assert got.shape == (len(prog.pairs) - prog.prefix, len(xs), 2, 2)
+    slotted = got[prog.slotted - prog.prefix]
+    assert np.max(np.abs(slotted - stage_op_matrices(prog, xs)), initial=0.0) <= 1e-13
     for n in range(len(xs)):
         assert np.array_equal(prog.op_matrices(xs[[n]])[:, 0], got[:, n])
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_fixed_rows_of_op_matrices_are_their_heads(seed):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 5))
+    prog = S.GateProgram(random_slotted_circuit(rng, width, 6))
+    fixed = np.setdiff1d(np.arange(prog.prefix, len(prog.pairs)), prog.slotted)
+    for n in rng.integers(1, 9, 3):
+        xs, _ = random_batch(rng, width, int(n))
+        got = prog.op_matrices(xs)[fixed - prog.prefix]
+        assert np.array_equal(got, np.broadcast_to(prog.heads[fixed][:, None], got.shape))
 
 
 def localization_k2():
@@ -668,7 +682,7 @@ def test_fourier_binding_of_the_constructions(block, bernstein_block, series_blo
     }[block]()
     prog = bc.program
     got = prog.op_matrices(xs)
-    assert np.max(np.abs(got - stage_op_matrices(prog, xs))) <= 1e-13
+    assert np.max(np.abs(got[prog.slotted - prog.prefix] - stage_op_matrices(prog, xs))) <= 1e-13
     for n in range(len(xs)):
         assert np.array_equal(prog.op_matrices(xs[[n]])[:, 0], got[:, n])
 
@@ -705,11 +719,10 @@ def test_no_layer_after_prefix_runs_a_selection_h(build):
 
 
 def test_bernstein_d2_point_runs_two_layers_after_prefix(bernstein_block):
-    """The perfbench bernstein_d2 block: every layer after prefix binds a
-    slot, and a point makes one fixed and one slotted sub-apply in each."""
+    """The perfbench bernstein_d2 block: two layers from prefix on, each
+    one apply per point."""
     prog = bernstein_block[1].program
-    assert len(prog.layers) == 2
-    assert applies_per_point(prog) == 4
+    assert applies_per_point(prog) == 2
     assert sum(prog.pairs[k].shape[1] for k in range(prog.prefix, len(prog.pairs))) == 456
 
 
@@ -734,7 +747,8 @@ def test_a_run_splits_where_its_slot_changes():
     for x in xs:
         got = S.run(prog, x=np.tile(x, (4, 1)), start=every)
         assert np.max(np.abs(got - circuit_unitary(circ.bound(x)).T)) <= 1e-14
-    assert np.max(np.abs(prog.op_matrices(xs) - stage_op_matrices(prog, xs))) <= 1e-15
+    got = prog.op_matrices(xs)[prog.slotted - prog.prefix]
+    assert np.max(np.abs(got - stage_op_matrices(prog, xs))) <= 1e-15
 
 
 def test_expectations_without_points_or_starts_run_from_zero():
