@@ -1,15 +1,15 @@
 """Assembly of the explicit function-approximating circuits.
 
-Every construction is built from three combinators.  ``line_block`` puts
-one QSP line, a single-qubit angle sequence realizing a univariate
-polynomial, on |+>.  ``tensor`` places blocks side by side, so its block
-value is the product of theirs: a monomial is a tensor of lines, a
-trigonometric monomial a tensor of Z-encoding lines, a Bernstein term a
-tensor of parity pairs and a Taylor term the tensor of the coefficient
-register and a monomial.  ``lcu_combine``, a uniform
+Every construction but the Bernstein circuit is built from three
+combinators.  ``line_block`` puts one QSP line, a single-qubit angle
+sequence realizing a univariate polynomial, on |+>.  ``tensor`` places
+blocks side by side, so its block value is the product of theirs: a
+monomial is a tensor of lines, a trigonometric monomial a tensor of
+Z-encoding lines and a Taylor term the tensor of the coefficient register
+and a monomial.  ``lcu_combine``, a uniform
 linear-combination-of-unitaries (LCU) wrapper, sums units: a parity pair
-sums its even and odd lines, and the polynomial, Bernstein, Taylor-series
-and trigonometric circuits sum their terms.  Its selection H's sit in the
+sums its even and odd lines, and the polynomial, Taylor-series and
+trigonometric circuits sum their terms.  Its selection H's sit in the
 block's prep, which the Hadamard test runs uncontrolled once per start, so
 the circuit is the bare SELECT.  Each level places the gates of its parts
 once, shifted and controlled in one copy (``sim._composed``), and
@@ -17,6 +17,11 @@ every report counts prep followed by circuit.  Because the uniform LCU
 produces the sum divided by the padded term count, every BlockCircuit
 carries an explicit classical ``rescale`` factor that restores
 normalization at readout; nested combinations multiply the factors.
+
+The Bernstein circuit (``build_bernstein_pqc``) synthesizes no angles: a
+weighted prep holds the Chebyshev coefficients of B_n f, and one SELECT
+per coordinate applies powers of the encoding gate, whose <0|.|0> entries
+are Chebyshev polynomials.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .poly import (
     Polynomial,
     TargetFunctionSpec,
     _cheb_coeffs,
+    _grid_values,
     _mirrored,
     chebyshev_grid,
     localization_poly,
@@ -270,7 +276,9 @@ def _selected(body: Circuit, pattern: Sequence[int]) -> list[tuple[Circuit, int,
 
 
 def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircuit:
-    """Uniform linear combination of unit blocks.
+    """Uniform linear combination of unit blocks: every unit weighs the
+    same, so the sum carries no coefficients.  (The Bernstein circuit,
+    whose terms carry f, has its own weighted prep instead.)
 
     Pads the unit count to a power of two with zero-block units, prepends a
     selection register, and applies each unit controlled on its selection
@@ -380,46 +388,105 @@ def _bernstein_factor(n: int, k: int) -> Polynomial:
     return Polynomial(tuple(math.comb(n, k) * c / 4**n for c in coeffs))
 
 
+def _bernstein_chebyshev(f: TargetFunctionSpec, n: int) -> np.ndarray:
+    """The (n+1)^d Chebyshev coefficients b_m of B_n f in w = 2x - 1:
+    b_m = sum_k f(k/n) prod_j beta_{k_j, m_j}, with beta_{k, m} the T_m
+    coefficient of ``_bernstein_factor(n, k)``, one contraction per axis."""
+    beta = np.array([_bernstein_factor(n, k).coeffs for k in range(n + 1)])
+    b = _grid_values(f, n)
+    for _ in range(f.dims):  # each contraction moves its axis to the end
+        b = np.tensordot(b, beta, axes=([0], [0]))
+    return b
+
+
+def _amplitude_prep(probs: np.ndarray) -> list[Gate]:
+    """Ry tree (Mottonen et al., quant-ph/0404089) taking |0..0> to
+    sum_i sqrt(probs[i]) |i> on log2(len(probs)) qubits, qubit 0 the most
+    significant.  Level l is one uniformly controlled Ry on qubit l: at each
+    value of qubits 0..l-1 it splits that value's mass between the two
+    halves below it.  Its angles carry the probabilities, so they are
+    trainable; a level whose angles are all 0 is left out."""
+    gates = []
+    for level in range(len(probs).bit_length() - 1):
+        mass = probs.reshape(1 << level, 2, -1).sum(axis=2)  # (prefix, next bit)
+        angles = 2.0 * np.arctan2(np.sqrt(mass[:, 1]), np.sqrt(mass[:, 0]))
+        if angles.any():  # a level that moves no mass would be bare CNOTs
+            gates += sim._ucr("Ry", tuple(range(level)), level, angles)
+    return [replace(g, trainable=True) if g.kind == "Ry" else g for g in gates]
+
+
+def _on_value(register: Sequence[int], value: int, body: list[Gate]) -> list[Gate]:
+    """body, its gates controlled on the register, between X masks on the
+    register qubits whose bit of value (big-endian) is 0, so that it acts
+    where the register holds value (as ``_selected`` places a unit)."""
+    a = len(register)
+    mask = [xg(q) for i, q in enumerate(register) if not (value >> (a - 1 - i)) & 1]
+    return mask + body + mask
+
+
 def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
-    """Circuit evaluating the degree-n Bernstein polynomial of f on [0, 1]^d.
+    """Circuit evaluating the degree-n Bernstein polynomial B_n f on [0, 1]^d.
 
-    One width-2 parity-pair unit per coordinate per grid node; the node
-    value f(k/n) rides the first coordinate's unit.  The outer LCU runs
-    over all (n+1)^d nodes.  A build whose Hadamard test would be wider
-    than ``sim.MAX_WIDTH`` raises before any unit is built.
+    The polynomial is the paper's, so its error bound holds unchanged; the
+    circuit is this package's own.  In w = 2x - 1,
+    B_n f = sum_m b_m prod_j T_{m_j}(w_j) over m in {0..n}^d
+    (``_bernstein_chebyshev``).  Coordinate j has an index register holding
+    m_j, and the d data qubits follow the registers.
 
-    Each unit reads w = 2x - 1 (slot scale 2, shift 1), which sweeps
-    [-1, 1] as x sweeps [0, 1], and realizes the factor
-    B_k(w) = binom(n, k) ((1 + w)/2)^k ((1 - w)/2)^(n - k).  Every parity
-    half of every factor is bounded by 1 on [-1, 1], so one scale 1/0.999
-    serves them all.  Proof: B_k(-w) = B_{n-k}(w), so the halves are
-    (B_k(w) +- B_{n-k}(w)) / 2.  The B_j(w) are nonnegative on [-1, 1], and
-    for k != n - k, B_k(w) + B_{n-k}(w) <= sum_j B_j(w) = 1, so each half is
-    at most 1/2 in absolute value.  For k = n - k the odd half is zero and
-    the even half is B_k(w) <= 1.  Numerically every half is at most 1/2
-    for n <= 40.  The node value |f(k/n)| <= 1 only shrinks the halves, and
-    the 0.999 keeps every target strictly inside the unit bound; it rides
-    the rescale.
+    - The prep writes sum_m sqrt(|b_m| / R) |m> with R = max(1, sum |b|),
+      by an Ry tree over the registers (``_amplitude_prep``): a weighted
+      LCU prep (Childs and Wiebe, arXiv:1202.5822).
+    - The circuit first negates every |m> with b_m < 0: a Z under X masks.
+      It is fixed, so the compiled Hadamard test runs it once per start.
+    - Then, per coordinate j and m_j = 1..n, one op: m_j encoding gates on
+      data qubit j, slot w_j = 2x_j - 1, controlled on register j holding
+      m_j.  An encoding gate is e^{i theta X} with w = cos theta, so
+      <0|e^{i m theta X}|0> = T_m(w): QSP with trivial phases (Low and
+      Chuang, arXiv:1606.02685), with no angle synthesized.
+
+    The block value is sum_m b_m prod_j T_{m_j}(w_j) / R, and the rescale R
+    restores B_n f; tol is 0.  Coordinate 0's register has
+    (n+1).bit_length() qubits, so it holds the pad value n + 1.  The pad
+    takes the spare mass 1 - sum |b| / R, and its op is an X on data qubit
+    0, whose block value <0|X|0> is 0.  Ops on distinct values of one
+    register touch disjoint amplitudes, so a point runs one layer per
+    coordinate.  A build whose Hadamard test would be wider than
+    ``sim.MAX_WIDTH`` raises before f is sampled.
     """
     d = f.dims
-    terms = (n + 1) ** d
-    width = (terms - 1).bit_length() + 2 * d + 1  # selection, units, test ancilla
-    if width > sim.MAX_WIDTH:
+    sizes = [(n + 1).bit_length()] + [n.bit_length()] * (d - 1)
+    offsets = np.cumsum([0] + sizes).tolist()
+    a = offsets[-1]  # index qubits; data qubit j is qubit a + j
+    width = a + d
+    if width + 1 > sim.MAX_WIDTH:  # the Hadamard test adds an ancilla
         raise ValueError(
-            f"bernstein d={d}, n={n} has {terms} terms, so its Hadamard test needs"
-            f" {width} qubits, more than the {sim.MAX_WIDTH}-qubit cap"
+            f"bernstein d={d}, n={n} has {(n + 1) ** d} terms, so its Hadamard test needs"
+            f" {width + 1} qubits, more than the {sim.MAX_WIDTH}-qubit cap"
         )
-    factors = [_bernstein_factor(n, k) for k in range(n + 1)]
-    m_common = 1.0 / 0.999
-    slots = [EncodingSlot(j, "acos", shift=1.0, scale=2.0) for j in range(d)]  # w = 2x - 1
+    b = _bernstein_chebyshev(f, n)
+    total = float(np.abs(b).sum())
+    rescale = max(1.0, total)
+    signed = np.zeros([1 << size for size in sizes])  # indexed by the registers' values
+    signed[(slice(0, n + 1),) * d] = b / rescale
+    probs = np.abs(signed).ravel()
+    pad = (n + 1) << (a - sizes[0])  # n + 1 in register 0, 0 elsewhere
+    probs[pad] = max(0.0, 1.0 - total / rescale)
 
-    units = []
-    for kvec in product(range(n + 1), repeat=d):
-        fval = float(np.clip(f.evaluator(tuple(k / n for k in kvec)), -1.0, 1.0))
-        polys = [factors[k].scaled(fval) if j == 0 else factors[k] for j, k in enumerate(kvec)]
-        pairs = [build_parity_pair_pqc(p, slot, m_common) for p, slot in zip(polys, slots)]
-        units.append(tensor(pairs, label=f"bernstein-term k={kvec}"))
-    return lcu_combine(units, label=f"bernstein d={d} n={n}")
+    registers = [range(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    gates = []
+    for i in np.flatnonzero(signed.ravel() < 0.0).tolist():
+        gates += _on_value(range(a), i, [Gate("Z", a - 1, tuple(range(a - 1)))])
+    gates += _on_value(registers[0], n + 1, [Gate("X", a, tuple(registers[0]))])
+    for j, reg in enumerate(registers):
+        slot = EncodingSlot(j, "acos", shift=1.0, scale=2.0)  # w = 2x - 1
+        enc = Gate("Rx", a + j, tuple(reg), slot=slot)  # one object per coordinate
+        for m in range(1, n + 1):
+            gates += _on_value(reg, m, [enc] * m)
+    return BlockCircuit(
+        Circuit(width, tuple(gates), label=f"bernstein d={d} n={n}"),
+        Circuit(width, tuple(_amplitude_prep(probs)), label="bernstein-prep"),
+        rescale=rescale,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -295,8 +295,8 @@ def test_parity_pair_reads_the_affine_argument_of_its_slot():
 
 
 def test_parity_pair_with_a_given_scale_raises_instead_of_retrying(monkeypatch):
-    # build_bernstein_pqc fixes each unit's rescale from the scale it gives
-    # its pairs, so a failed synthesis raises rather than change the scale
+    # a pair's rescale is fixed by the scale it is given, so a failed
+    # synthesis raises rather than change the scale
     synthesize_cached = C.synthesize_cached
     calls = []
 
@@ -308,7 +308,7 @@ def test_parity_pair_with_a_given_scale_raises_instead_of_retrying(monkeypatch):
 
     monkeypatch.setattr(C, "synthesize_cached", first_fails)
     with pytest.raises(Q.QspSynthesisError, match="forced"):
-        C.build_bernstein_pqc(targets.abs_centered(1), 4)
+        C.build_parity_pair_pqc(P.Polynomial.from_power((0.2, 0.3, 0.4)), X_SLOT, 1.0)
     assert len(calls) == 1
 
 
@@ -378,14 +378,18 @@ def test_bernstein_pqc_matches_classical():
     )
 
 
-def test_bernstein_rebuild_hits_the_synthesis_cache():
-    f = P.TargetFunctionSpec(2, lambda x: 0.5 * x[0] * (1 - x[1]))
-    C.build_bernstein_pqc(f, 2)
+def test_bernstein_build_calls_no_synthesis(monkeypatch):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("qsp_synthesize was called")
+
+    monkeypatch.setattr(Q, "qsp_synthesize", no_synthesis)
     before = C.synthesize_cached.cache_info()
-    C.build_bernstein_pqc(f, 2)
-    after = C.synthesize_cached.cache_info()
-    assert after.hits > before.hits
-    assert after.misses == before.misses
+    f = P.TargetFunctionSpec(2, lambda x: 0.5 * x[0] * (1 - x[1]))
+    bc = C.build_bernstein_pqc(f, 2)
+    x = (0.3, 0.6)
+    assert C.evaluate_block(bc, x) == pytest.approx(P.bernstein_eval(f, 2, x), abs=1e-14)
+    assert C.synthesize_cached.cache_info() == before
+    assert bc.tol == 0.0
 
 
 def test_bernstein_pqc_2d():
@@ -400,7 +404,9 @@ def test_bernstein_pqc_2d():
 
 
 def test_bernstein_factor_halves_in_w_are_bounded_by_one_half():
-    # the docstring's bound, and the exact zeros of the symmetric factor
+    # B_k(-w) = B_{n-k}(w), so the halves are (B_k(w) +- B_{n-k}(w)) / 2;
+    # the B_j(w) are nonnegative and sum to 1, so each half is at most 1/2
+    # where k != n - k, and the odd half of the symmetric factor is exactly 0
     for n in range(1, 41):
         for k in range(n + 1):
             even, odd = P.parity_split(C._bernstein_factor(n, k))
@@ -455,13 +461,104 @@ def test_bernstein_d1_n64_block_is_within_its_tol_of_the_classical_sum():
 
 
 def test_bernstein_d2_n11_block_matches_the_classical_sum():
-    # 144 terms, padded to 256: every unit's halves share the scale 1/0.999
+    # 144 Chebyshev terms whose l1 norm is below 1, so the rescale is 1
     f = targets.abs_centered(2)
     bc = C.build_bernstein_pqc(f, 11)
-    assert bc.rescale == pytest.approx(256 * (2 / 0.999) ** 2)
+    assert np.abs(C._bernstein_chebyshev(f, 11)).sum() < 1.0
+    assert bc.rescale == 1.0
     xs = np.random.default_rng(11).uniform(0.0, 1.0, (20, 2))
     want = np.array([P.bernstein_eval(f, 11, x) for x in xs])
     assert np.max(np.abs(C.evaluate_block(bc, xs) - want)) <= 1e-9
+
+
+def chebyshev_sum(b, w):
+    """sum_m b_m prod_j T_{m_j}(w_j) at one point w."""
+    for wj in w:  # each contraction takes the leading axis
+        b = np.tensordot(np.polynomial.chebyshev.chebvander(wj, b.shape[0] - 1)[0], b, axes=1)
+    return float(b)
+
+
+@pytest.mark.parametrize("d, n", [(1, 16), (2, 4), (3, 3)])
+def test_bernstein_chebyshev_coefficients_are_the_classical_polynomial(d, n):
+    f = targets.gauss_bump(d)
+    b = C._bernstein_chebyshev(f, n)
+    assert b.shape == (n + 1,) * d
+    for x in np.random.default_rng(d).uniform(0.0, 1.0, (10, d)):
+        assert abs(chebyshev_sum(b, 2 * x - 1) - P.bernstein_eval(f, n, x)) <= 1e-14
+
+
+def prep_amplitudes(bc, d, n):
+    """The prep's amplitudes on the index registers, with the data qubits
+    in |0..0>, indexed by the registers' values."""
+    state = circuit_unitary(bc.prep)[:, 0]
+    sizes = [(n + 1).bit_length()] + [n.bit_length()] * (d - 1)
+    assert bc.width == sum(sizes) + d
+    return state.reshape([1 << a for a in sizes] + [2**d])[..., 0]
+
+
+@pytest.mark.parametrize("target, d, n", [
+    (targets.abs_centered, 2, 4),
+    (targets.product_sines, 2, 3),
+])
+def test_bernstein_prep_holds_the_weighted_coefficients(target, d, n):
+    f = target(d)
+    bc = C.build_bernstein_pqc(f, n)
+    b = C._bernstein_chebyshev(f, n)
+    assert (b < 0).any()  # both targets go through the sign diagonal
+    total = np.abs(b).sum()
+    amps = prep_amplitudes(bc, d, n)
+    want = np.zeros(amps.shape)
+    want[(slice(0, n + 1),) * d] = np.sqrt(np.abs(b) / bc.rescale)
+    want[(n + 1,) + (0,) * (d - 1)] = np.sqrt(1.0 - total / bc.rescale)  # the pad
+    assert np.max(np.abs(amps - want)) <= 1e-14
+    assert all(g.trainable for g in bc.prep.gates if g.kind == "Ry")
+    # one Z per negative coefficient, and the block reads the signed sum
+    assert sum(g.kind == "Z" for g in bc.circuit.gates) == np.count_nonzero(b < 0)
+    xs = np.random.default_rng(5).uniform(0.0, 1.0, (20, d))
+    want = np.array([P.bernstein_eval(f, n, x) for x in xs])
+    assert np.max(np.abs(C.evaluate_block(bc, xs) - want)) <= 1e-14
+
+
+def step(d):
+    return P.TargetFunctionSpec(d, lambda x: 1.0 if x[0] < 0.5 else -1.0)
+
+
+@pytest.mark.parametrize("target, d, n, over", [
+    (targets.abs_centered, 1, 1, False),
+    (targets.abs_centered, 2, 3, False),
+    (step, 1, 4, True),
+    (step, 2, 3, True),
+], ids=["pad-qubit-n1", "pad-qubit-d2-n3", "l1-over-one-d1-n4", "l1-over-one-d2-n3"])
+def test_bernstein_pad_takes_the_spare_mass(target, d, n, over):
+    """Register 0 always holds the pad value n + 1, a qubit more where n + 1
+    is a power of two.  It takes the mass that sum |b| / R leaves, and its
+    op flips data qubit 0, so it adds 0 to the block value; where sum |b|
+    exceeds 1 it takes none and the rescale is sum |b|."""
+    f = target(d)
+    bc = C.build_bernstein_pqc(f, n)
+    total = np.abs(C._bernstein_chebyshev(f, n)).sum()
+    assert (total > 1.0) == over
+    assert bc.rescale == (total if over else 1.0)
+    pad = prep_amplitudes(bc, d, n)[(n + 1,) + (0,) * (d - 1)]
+    assert abs(pad**2 - max(0.0, 1.0 - total)) <= 1e-14
+    xs = np.random.default_rng(6).uniform(0.0, 1.0, (20, d))
+    want = np.array([P.bernstein_eval(f, n, x) for x in xs])
+    assert np.max(np.abs(C.evaluate_block(bc, xs) - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("target, d, n", [
+    (targets.abs_centered, 1, 16),
+    (targets.product_sines, 2, 4),
+    (targets.gauss_bump, 3, 2),
+])
+def test_bernstein_point_runs_one_layer_per_coordinate(target, d, n):
+    """The prep, the sign diagonal and the pad are fixed and run before
+    ``prefix``; from it on run the n ops of each coordinate's SELECT, one
+    layer per coordinate."""
+    prog = C.build_bernstein_pqc(target(d), n).program
+    assert np.array_equal(prog.slotted, np.arange(prog.prefix, len(prog.pairs)))
+    assert len(prog.slotted) == n * d
+    assert len(prog.layers) == d
 
 
 def test_bernstein_block_rejects_an_input_outside_the_unit_cube():
@@ -485,9 +582,8 @@ def test_constructions_synthesize_without_fallback(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="pqcapprox.qsp"):
         for K in (2, 4, 8):
             C.localization_angles.__wrapped__(P.LocalizationSpec(K, 0.3 / K, 0.5 / K))
-        C.build_bernstein_pqc(targets.abs_centered(2), 4)
     messages = [r.getMessage() for r in caplog.records]
-    assert sum("newton stage" in m for m in messages) > 3
+    assert sum("newton stage" in m for m in messages) == 3  # one per synthesis
     assert not [m for m in messages if "falling back" in m or "random restart" in m]
 
 
@@ -554,7 +650,7 @@ def test_evaluate_block_rejects_a_complex_block_declared_real():
 
 
 @pytest.mark.parametrize("build, max_ops", [
-    (lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4), 117),
+    (lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4), 42),
     (lambda: C.build_taylor_series_pqc(
         C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)), 56),
 ], ids=["bernstein-d2-n4", "taylor-series-d2-K4-s1"])

@@ -357,10 +357,10 @@ def _meta_with(key, value):
         ("", lambda p: p.write_text(p.read_text() + "Rz 0 a=0.1 a=0.2\n"), "repeats its a= token"),
         ("", lambda p: p.write_text(p.read_text() + "MCU.Ry 1 c=0 c=0 a=0.3\n"),
          "repeats its c= token"),
-        ("", lambda p: p.write_text(p.read_text() + "Rz 5 a=0.5\n"),
-         "gate Rz addresses qubits outside width 5"),
+        ("", lambda p: p.write_text(p.read_text() + "Rz 4 a=0.5\n"),
+         "gate Rz addresses qubits outside width 4"),
         (".prep", lambda p: p.write_text(p.read_text() + "MCU.Ry 0 c=7 a=0.3\n"),
-         "gate Ry addresses qubits outside width 5"),
+         "gate Ry addresses qubits outside width 4"),
     ],
     ids=["missing-prep", "missing-meta", "gate-without-targets", "width-without-value",
          "meta-not-an-object", "meta-flag-not-a-boolean", "rescale-nan", "rescale-infinity",
@@ -370,8 +370,7 @@ def _meta_with(key, value):
 )
 def test_eval_rejects_a_damaged_circuit(capsys, tmp_path, suffix, damage, expected):
     # at x = 0.3 the d=1, n=4 Bernstein circuit reads 0.2459; a default prep
-    # and rescale of 1 would read 0.3760 without both sidecars, 96.34 without
-    # the prep and 0.00096 without the metadata
+    # of |0..0> would select T_0 alone and read 1 at every x
     path = tmp_path / "b.txt"
     flags = ("--kind", "bernstein", "--d", "1", "--n", "4", "--emit-circuit", str(path))
     assert run_cli(capsys, "build", *flags)[0] == 0
@@ -409,7 +408,7 @@ def test_eval_rejects_a_non_finite_trig_input(capsys, tmp_path, x):
 def test_report_rejects_a_grid_too_large_to_mesh():
     for argv, count in (
         # d = 12 meshes 11^12 points by default; the grid is checked before
-        # the circuit, whose 37-qubit Hadamard test would fail the width check
+        # the circuit, whose 26-qubit Hadamard test would fail the width check
         (("--experiment", "bernstein", "--d", "12", "--n", "1"), 11**12),
         # the trig grid on [0, 2 pi)^d passes the same check
         (("--experiment", "trig", "--target", "trig:1,1,1=0.5", "--d", "3",
@@ -425,23 +424,25 @@ def test_report_rejects_a_grid_too_large_to_mesh():
 @pytest.mark.parametrize(
     "argv, named",
     [
+        # registers of 5 qubits each, 4 data qubits and the ancilla
         (("build", "--kind", "bernstein", "--d", "4", "--n", "16", "--emit-circuit", "big.txt"),
-         ("d=4", "n=16", "83521 terms", "26 qubits", "24-qubit cap")),
-        (("build", "--kind", "bernstein", "--d", "9", "--n", "1", "--emit-circuit", "big.txt"),
-         ("d=9", "n=1", "512 terms", "28 qubits")),
-        (("report", "--experiment", "bernstein", "--d", "9", "--n", "1",
-          "--points-per-axis", "2"), ("d=9", "n=1", "512 terms", "28 qubits")),
+         ("d=4", "n=16", "83521 terms", "25 qubits", "24-qubit cap")),
+        # registers of 3 + 8 * 2 qubits, 9 data qubits and the ancilla
+        (("build", "--kind", "bernstein", "--d", "9", "--n", "3", "--emit-circuit", "big.txt"),
+         ("d=9", "n=3", "262144 terms", "29 qubits")),
+        (("report", "--experiment", "bernstein", "--d", "9", "--n", "3",
+          "--points-per-axis", "2"), ("d=9", "n=3", "262144 terms", "29 qubits")),
     ],
-    ids=["build-d4-n16", "build-d9-n1", "report-d9-n1"],
+    ids=["build-d4-n16", "build-d9-n3", "report-d9-n3"],
 )
 def test_bernstein_wider_than_the_simulator_fails_before_any_unit(
     capsys, tmp_path, monkeypatch, argv, named
 ):
-    def no_unit(*args):
-        raise AssertionError("a unit was built")
+    def no_sampling(*args):
+        raise AssertionError("the target was sampled")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(circuits, "build_parity_pair_pqc", no_unit)
+    monkeypatch.setattr(circuits, "_bernstein_chebyshev", no_sampling)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     message = json.loads(err.strip())["error"]
@@ -450,8 +451,8 @@ def test_bernstein_wider_than_the_simulator_fails_before_any_unit(
 
 
 def test_report_bernstein_d1_n32_passes_on_its_circuit(capsys):
-    # 33 terms at n = 32: the parity halves in w = 2x - 1 are bounded by 1,
-    # so the rescale is 64 * 2/0.999 and rounding stays far below the bound
+    # 33 Chebyshev terms at n = 32, whose l1 norm is below 1: the rescale is
+    # 1 and rounding stays far below the bound
     code, out, _ = run_cli(capsys, "report", "--experiment", "bernstein", "--d", "1", "--n", "32")
     doc = json.loads(out)
     assert code == 0 and doc["pass"]
@@ -535,11 +536,13 @@ def test_an_h_framed_bernstein_file_still_evaluates(tmp_path, capsys):
     path = tmp_path / "bernstein.txt"
     assert run_cli(capsys, "build", "--kind", "bernstein", "--d", "1", "--n", "4",
                    "--emit-circuit", str(path))[0] == 0
-    # three selection H's for the 5 terms, the parity pairs' one, then the data qubit's
+    # the prep is the Ry tree of the coefficients on the 3-qubit register,
+    # and the circuit holds no H
     prep = sim.circuit_from_text(Path(f"{path}.prep").read_text())
-    assert prep.gates == tuple(sim.h(q) for q in range(5))
+    assert {(g.kind, g.trainable) for g in prep.gates} == {("Ry", True), ("X", False)}
+    assert all(g.target < 3 for g in prep.gates)
     circuit = sim.circuit_from_text(path.read_text())
-    assert not any(g.kind == "H" and g.controls for g in circuit.gates)
+    assert not any(g.kind == "H" for g in circuit.gates)
 
 
 def test_build_localization(tmp_path, capsys):
