@@ -265,13 +265,19 @@ def _pad_gate(prep: Circuit) -> Gate:
     raise ValueError("no qubit with a known zero-block pad under this prep")
 
 
-def _selected(body: Circuit, pattern: Sequence[int]) -> list[tuple[Circuit, int, Sequence[int]]]:
-    """The ``sim._composed`` parts that run body on the qubits after a
-    selection register where qubit q of the register holds pattern[q]:
-    controlled on the register, between X masks on the qubits whose bit
-    is 0."""
-    a = len(pattern)
-    mask = Circuit(a, tuple(xg(q) for q, bit in enumerate(pattern) if not bit))
+def _mask(register: Sequence[int], value: int) -> list[Gate]:
+    """X on the register qubits whose bit of value (big-endian) is 0: a gate
+    controlled on the register, between two masks, acts where it holds
+    value."""
+    a = len(register)
+    return [xg(q) for i, q in enumerate(register) if not (value >> (a - 1 - i)) & 1]
+
+
+def _selected(body: Circuit, a: int, value: int) -> list[tuple[Circuit, int, Sequence[int]]]:
+    """The ``sim._composed`` parts that run body on the qubits after an
+    a-qubit selection register where it holds value: controlled on the
+    register, between its masks (``_mask``)."""
+    mask = Circuit(a, tuple(_mask(range(a), value)))
     return [(mask, 0, ()), (body, a, range(a)), (mask, 0, ())]
 
 
@@ -314,7 +320,7 @@ def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircu
     parts = []
     for j in range(t_pad):
         body = units[j].circuit if j < t else pad
-        parts += _selected(body, [(j >> (a - 1 - i)) & 1 for i in range(a)])
+        parts += _selected(body, a, j)
 
     selection = Circuit(a, tuple(h(i) for i in range(a)))
     return BlockCircuit(
@@ -399,29 +405,49 @@ def _bernstein_chebyshev(f: TargetFunctionSpec, n: int) -> np.ndarray:
     return b
 
 
+def _gray_rank(value: int) -> int:
+    """Position of value in the reflected Gray code, whose neighbours
+    differ in one bit."""
+    rank = 0
+    while value:
+        rank ^= value
+        value >>= 1
+    return rank
+
+
+def _on_values(register: Sequence[int], cases: Sequence[tuple[int, list[Gate]]]) -> list[Gate]:
+    """Each (value, gates) case, its gates (controlled on the register)
+    acting where the register holds value.  The cases touch distinct
+    values, so they commute and run in Gray-code order of value; between
+    the masks (``_mask``) of neighbouring cases only the qubits whose mask
+    differs flip, one where the values are Gray neighbours."""
+    gates: list[Gate] = []
+    held: list[Gate] = []  # the mask in place
+    for value, body in sorted(cases, key=lambda case: _gray_rank(case[0])):
+        mask = _mask(register, value)
+        gates += [g for g in held if g not in mask] + [g for g in mask if g not in held] + body
+        held = mask
+    return gates + held
+
+
 def _amplitude_prep(probs: np.ndarray) -> list[Gate]:
     """Ry tree (Mottonen et al., quant-ph/0404089) taking |0..0> to
     sum_i sqrt(probs[i]) |i> on log2(len(probs)) qubits, qubit 0 the most
-    significant.  Level l is one uniformly controlled Ry on qubit l: at each
-    value of qubits 0..l-1 it splits that value's mass between the two
-    halves below it.  Its angles carry the probabilities, so they are
-    trainable; a level whose angles are all 0 is left out."""
+    significant.  Node v of level l is one Ry on qubit l, controlled on
+    qubits 0..l-1 holding v (``_on_values``): it splits v's mass between
+    the two halves below it.  A node with angle 0, which moves no mass, is
+    left out, so gates lie only on the paths to nonzero probabilities, and
+    the nodes of one level touch each amplitude pair of its qubit at most
+    once.  The angles carry the probabilities, so they are trainable."""
     gates = []
     for level in range(len(probs).bit_length() - 1):
         mass = probs.reshape(1 << level, 2, -1).sum(axis=2)  # (prefix, next bit)
         angles = 2.0 * np.arctan2(np.sqrt(mass[:, 1]), np.sqrt(mass[:, 0]))
-        if angles.any():  # a level that moves no mass would be bare CNOTs
-            gates += sim._ucr("Ry", tuple(range(level)), level, angles)
-    return [replace(g, trainable=True) if g.kind == "Ry" else g for g in gates]
-
-
-def _on_value(register: Sequence[int], value: int, body: list[Gate]) -> list[Gate]:
-    """body, its gates controlled on the register, between X masks on the
-    register qubits whose bit of value (big-endian) is 0, so that it acts
-    where the register holds value (as ``_selected`` places a unit)."""
-    a = len(register)
-    mask = [xg(q) for i, q in enumerate(register) if not (value >> (a - 1 - i)) & 1]
-    return mask + body + mask
+        gates += _on_values(range(level), [
+            (v, [Gate("Ry", level, tuple(range(level)), angle=float(angles[v]), trainable=True)])
+            for v in np.flatnonzero(angles).tolist()
+        ])
+    return gates
 
 
 def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
@@ -473,15 +499,13 @@ def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
     probs[pad] = max(0.0, 1.0 - total / rescale)
 
     registers = [range(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
-    gates = []
-    for i in np.flatnonzero(signed.ravel() < 0.0).tolist():
-        gates += _on_value(range(a), i, [Gate("Z", a - 1, tuple(range(a - 1)))])
-    gates += _on_value(registers[0], n + 1, [Gate("X", a, tuple(registers[0]))])
+    flip = Gate("Z", a - 1, tuple(range(a - 1)))
+    gates = _on_values(range(a), [(i, [flip]) for i in np.flatnonzero(signed.ravel() < 0.0).tolist()])
+    gates += _on_values(registers[0], [(n + 1, [Gate("X", a, tuple(registers[0]))])])
     for j, reg in enumerate(registers):
         slot = EncodingSlot(j, "acos", shift=1.0, scale=2.0)  # w = 2x - 1
         enc = Gate("Rx", a + j, tuple(reg), slot=slot)  # one object per coordinate
-        for m in range(1, n + 1):
-            gates += _on_value(reg, m, [enc] * m)
+        gates += _on_values(reg, [(m, [enc] * m) for m in range(1, n + 1)])
     return BlockCircuit(
         Circuit(width, tuple(gates), label=f"bernstein d={d} n={n}"),
         Circuit(width, tuple(_amplitude_prep(probs)), label="bernstein-prep"),
@@ -628,7 +652,7 @@ def build_taylor_coeff_pqc(table: TaylorCoeffTable, alpha: MultiIndex) -> Circui
     for eta in product(range(table.K), repeat=table.d):
         theta = 2.0 * math.acos(table.xi[(eta, tuple(alpha))])
         rx = Circuit(1, (Gate("Rx", 0, angle=theta, trainable=True),))
-        parts += _selected(rx, _address_bits(table, eta))
+        parts += _selected(rx, table.address_bits, int(_address(table, eta)))
     label = f"taylor-coeff alpha={tuple(alpha)}"
     return sim._composed(table.address_bits + 1, parts, label)
 

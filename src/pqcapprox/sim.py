@@ -251,8 +251,8 @@ class GateProgram:
     one scatter.  Each pair sees the products of running the ops one by
     one, in the same order, so every value is bit-identical to that.
 
-    On the Hadamard test of the d=2, n=4 Bernstein block this leaves 42 of
-    145 ops: 34 before ``prefix``, and 8 from it on in 2 layers.  The d=2,
+    On the Hadamard test of the d=2, n=4 Bernstein block this leaves 16 of
+    64 ops: 8 before ``prefix``, and 8 from it on in 2 layers.  The d=2,
     K=4, s=1 Taylor series block, which starts from one of K^d cells,
     leaves 56 of 260 ops: 37 before ``prefix``, and 19 from it on in 2
     layers.

@@ -561,6 +561,40 @@ def test_bernstein_point_runs_one_layer_per_coordinate(target, d, n):
     assert len(prog.layers) == d
 
 
+@pytest.mark.parametrize("values", [[5], [0, 3, 5, 6], [7, 1, 4, 2, 0]])
+def test_on_values_acts_on_each_value_and_restores_the_register(values):
+    flip = S.Gate("Z", 2, (0, 1))
+    gates = C._on_values(range(3), [(v, [flip]) for v in values])
+    want = np.ones(8)
+    want[values] = -1.0
+    assert np.array_equal(circuit_unitary(S.Circuit(3, tuple(gates))), np.diag(want))
+    # between two cases no qubit flips twice: neighbouring masks share theirs
+    flipped = []
+    for g in gates:
+        flipped = flipped + [g.target] if g.kind == "X" else []
+        assert len(set(flipped)) == len(flipped)
+
+
+def test_bernstein_compiled_prep_holds_one_state_of_pairs_per_level():
+    """Each tree node is one Ry controlled on the qubits before it holding
+    the node's value, so the nodes of one level touch each amplitude pair
+    of their qubit at most once.  At d=3, n=8 (12 index qubits, a 16-qubit
+    Hadamard test) one uncontrolled Ry per node compiled to 4,095
+    full-width pair arrays, 2 GiB."""
+    d, n = 3, 8
+    bc = C.build_bernstein_pqc(targets.abs_centered(d), n)
+    a = bc.width - d
+    assert all(g.controls == tuple(range(g.target)) for g in bc.prep.gates if g.kind == "Ry")
+    assert all(not g.controls for g in bc.prep.gates if g.kind != "Ry")
+    prog = bc.program
+    # a prep levels, the sign diagonal, the pad and d SELECTs, each at most
+    # 2^(w-1) pairs of two 8-byte indices
+    assert sum(p.nbytes for p in prog.pairs) <= (a + 2 + d) * 8 * 2**prog.width
+    xs = np.random.default_rng(7).uniform(0.0, 1.0, (4, d))
+    want = np.array([P.bernstein_eval(targets.abs_centered(d), n, x) for x in xs])
+    assert np.max(np.abs(C.evaluate_block(bc, xs) - want)) <= 1e-14
+
+
 def test_bernstein_block_rejects_an_input_outside_the_unit_cube():
     f = targets.abs_centered(1)
     bc = C.build_bernstein_pqc(f, 4)
@@ -650,7 +684,7 @@ def test_evaluate_block_rejects_a_complex_block_declared_real():
 
 
 @pytest.mark.parametrize("build, max_ops", [
-    (lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4), 42),
+    (lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4), 16),
     (lambda: C.build_taylor_series_pqc(
         C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)), 56),
 ], ids=["bernstein-d2-n4", "taylor-series-d2-K4-s1"])
