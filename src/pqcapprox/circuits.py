@@ -18,6 +18,11 @@ produces the sum divided by the padded term count, every BlockCircuit
 carries an explicit classical ``rescale`` factor that restores
 normalization at readout; nested combinations multiply the factors.
 
+Every selection, in the LCU, the Taylor coefficient register and the
+Bernstein prep, pad, sign diagonal and SELECT, runs a gate where a
+register holds a value: controlled on the register's 1 bits and
+zero-controlled on its 0 bits (``_holding``), with no X's around it.
+
 The Bernstein circuit (``build_bernstein_pqc``) synthesizes no angles: a
 weighted prep holds the Chebyshev coefficients of B_n f, and one SELECT
 per coordinate applies powers of the encoding gate, whose <0|.|0> entries
@@ -189,8 +194,8 @@ def tensor(blocks: Sequence[BlockCircuit], label: str) -> BlockCircuit:
     offsets = np.cumsum([0] + [b.width for b in blocks]).tolist()
     rescale = math.prod(b.rescale for b in blocks)
     return BlockCircuit(
-        sim._composed(width, [(b.circuit, o, ()) for b, o in zip(blocks, offsets)], label),
-        sim._composed(width, [(b.prep, o, ()) for b, o in zip(blocks, offsets)],
+        sim._composed(width, [(b.circuit, o, (), ()) for b, o in zip(blocks, offsets)], label),
+        sim._composed(width, [(b.prep, o, (), ()) for b, o in zip(blocks, offsets)],
                       blocks[0].prep.label),
         rescale=rescale,
         block_value_is_real=all(b.block_value_is_real for b in blocks),
@@ -242,7 +247,7 @@ def _prep_kinds(prep: Circuit) -> list[str]:
     kinds = ["zero"] * prep.width
     for g in prep.gates:
         q = g.target
-        if g.controls:  # entangles: its target holds no known state
+        if g.controls or g.zeros:  # entangles: its target holds no known state
             kinds[q] = "other"
         elif g.kind == "H" and kinds[q] == "zero":
             kinds[q] = "plus"
@@ -265,20 +270,14 @@ def _pad_gate(prep: Circuit) -> Gate:
     raise ValueError("no qubit with a known zero-block pad under this prep")
 
 
-def _mask(register: Sequence[int], value: int) -> list[Gate]:
-    """X on the register qubits whose bit of value (big-endian) is 0: a gate
-    controlled on the register, between two masks, acts where it holds
-    value."""
+def _holding(register: Sequence[int], value: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The controls and the zero-controls under which a gate acts where the
+    register holds value (big-endian): the register qubits whose bit of
+    value is 1, and those whose bit is 0."""
     a = len(register)
-    return [xg(q) for i, q in enumerate(register) if not (value >> (a - 1 - i)) & 1]
-
-
-def _selected(body: Circuit, a: int, value: int) -> list[tuple[Circuit, int, Sequence[int]]]:
-    """The ``sim._composed`` parts that run body on the qubits after an
-    a-qubit selection register where it holds value: controlled on the
-    register, between its masks (``_mask``)."""
-    mask = Circuit(a, tuple(_mask(range(a), value)))
-    return [(mask, 0, ()), (body, a, range(a)), (mask, 0, ())]
+    bits = [(value >> (a - 1 - i)) & 1 for i in range(a)]
+    return (tuple(q for q, bit in zip(register, bits) if bit),
+            tuple(q for q, bit in zip(register, bits) if not bit))
 
 
 def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircuit:
@@ -317,15 +316,11 @@ def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircu
     width = a + w
     pad = Circuit(w, (_pad_gate(prep),), label="pad")
 
-    parts = []
-    for j in range(t_pad):
-        body = units[j].circuit if j < t else pad
-        parts += _selected(body, a, j)
-
+    parts = [(units[j].circuit if j < t else pad, a, *_holding(range(a), j)) for j in range(t_pad)]
     selection = Circuit(a, tuple(h(i) for i in range(a)))
     return BlockCircuit(
         sim._composed(width, parts, label),
-        sim._composed(width, [(selection, 0, ()), (prep, a, ())], prep.label),
+        sim._composed(width, [(selection, 0, (), ()), (prep, a, (), ())], prep.label),
         rescale=rescale * t_pad,
         block_value_is_real=real,
         tol=sum(u.tol for u in units),
@@ -405,36 +400,11 @@ def _bernstein_chebyshev(f: TargetFunctionSpec, n: int) -> np.ndarray:
     return b
 
 
-def _gray_rank(value: int) -> int:
-    """Position of value in the reflected Gray code, whose neighbours
-    differ in one bit."""
-    rank = 0
-    while value:
-        rank ^= value
-        value >>= 1
-    return rank
-
-
-def _on_values(register: Sequence[int], cases: Sequence[tuple[int, list[Gate]]]) -> list[Gate]:
-    """Each (value, gates) case, its gates (controlled on the register)
-    acting where the register holds value.  The cases touch distinct
-    values, so they commute and run in Gray-code order of value; between
-    the masks (``_mask``) of neighbouring cases only the qubits whose mask
-    differs flip, one where the values are Gray neighbours."""
-    gates: list[Gate] = []
-    held: list[Gate] = []  # the mask in place
-    for value, body in sorted(cases, key=lambda case: _gray_rank(case[0])):
-        mask = _mask(register, value)
-        gates += [g for g in held if g not in mask] + [g for g in mask if g not in held] + body
-        held = mask
-    return gates + held
-
-
 def _amplitude_prep(probs: np.ndarray) -> list[Gate]:
     """Ry tree (Mottonen et al., quant-ph/0404089) taking |0..0> to
     sum_i sqrt(probs[i]) |i> on log2(len(probs)) qubits, qubit 0 the most
     significant.  Node v of level l is one Ry on qubit l, controlled on
-    qubits 0..l-1 holding v (``_on_values``): it splits v's mass between
+    qubits 0..l-1 holding v (``_holding``): it splits v's mass between
     the two halves below it.  A node with angle 0, which moves no mass, is
     left out, so gates lie only on the paths to nonzero probabilities, and
     the nodes of one level touch each amplitude pair of its qubit at most
@@ -443,10 +413,10 @@ def _amplitude_prep(probs: np.ndarray) -> list[Gate]:
     for level in range(len(probs).bit_length() - 1):
         mass = probs.reshape(1 << level, 2, -1).sum(axis=2)  # (prefix, next bit)
         angles = 2.0 * np.arctan2(np.sqrt(mass[:, 1]), np.sqrt(mass[:, 0]))
-        gates += _on_values(range(level), [
-            (v, [Gate("Ry", level, tuple(range(level)), angle=float(angles[v]), trainable=True)])
-            for v in np.flatnonzero(angles).tolist()
-        ])
+        for v in np.flatnonzero(angles).tolist():
+            ones, zeros = _holding(range(level), v)
+            gates.append(Gate("Ry", level, ones, angle=float(angles[v]), trainable=True,
+                              zeros=zeros))
     return gates
 
 
@@ -462,7 +432,9 @@ def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
     - The prep writes sum_m sqrt(|b_m| / R) |m> with R = max(1, sum |b|),
       by an Ry tree over the registers (``_amplitude_prep``): a weighted
       LCU prep (Childs and Wiebe, arXiv:1202.5822).
-    - The circuit first negates every |m> with b_m < 0: a Z under X masks.
+    - The circuit first negates every |m> with b_m < 0: between two X's on
+      data qubit 0, one Z on it controlled on the whole index register
+      holding m.  The data qubits start in |0>, where XZX = -Z reads -1.
       It is fixed, so the compiled Hadamard test runs it once per start.
     - Then, per coordinate j and m_j = 1..n, one op: m_j encoding gates on
       data qubit j, slot w_j = 2x_j - 1, controlled on register j holding
@@ -499,13 +471,16 @@ def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
     probs[pad] = max(0.0, 1.0 - total / rescale)
 
     registers = [range(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
-    flip = Gate("Z", a - 1, tuple(range(a - 1)))
-    gates = _on_values(range(a), [(i, [flip]) for i in np.flatnonzero(signed.ravel() < 0.0).tolist()])
-    gates += _on_values(registers[0], [(n + 1, [Gate("X", a, tuple(registers[0]))])])
+    signs = [Gate("Z", a, ones, zeros=zeros) for ones, zeros in
+             (_holding(range(a), i) for i in np.flatnonzero(signed.ravel() < 0.0).tolist())]
+    gates = [xg(a), *signs, xg(a)] if signs else []
+    ones, zeros = _holding(registers[0], n + 1)
+    gates.append(Gate("X", a, ones, zeros=zeros))
     for j, reg in enumerate(registers):
         slot = EncodingSlot(j, "acos", shift=1.0, scale=2.0)  # w = 2x - 1
-        enc = Gate("Rx", a + j, tuple(reg), slot=slot)  # one object per coordinate
-        gates += _on_values(reg, [(m, [enc] * m) for m in range(1, n + 1)])
+        for m in range(1, n + 1):
+            ones, zeros = _holding(reg, m)
+            gates += [Gate("Rx", a + j, ones, slot=slot, zeros=zeros)] * m
     return BlockCircuit(
         Circuit(width, tuple(gates), label=f"bernstein d={d} n={n}"),
         Circuit(width, tuple(_amplitude_prep(probs)), label="bernstein-prep"),
@@ -634,12 +609,6 @@ def _address(table: TaylorCoeffTable, eta: MultiIndex | np.ndarray) -> int | np.
     return (cells << (m * np.arange(table.d - 1, -1, -1))).sum(axis=-1)
 
 
-def _address_bits(table: TaylorCoeffTable, eta: MultiIndex) -> list[int]:
-    """The bit of each address qubit when the register holds cell eta."""
-    value, bits = int(_address(table, eta)), table.address_bits
-    return [(value >> (bits - 1 - q)) & 1 for q in range(bits)]
-
-
 def build_taylor_coeff_pqc(table: TaylorCoeffTable, alpha: MultiIndex) -> Circuit:
     """Address-controlled rotations storing the order-alpha coefficients.
 
@@ -648,13 +617,13 @@ def build_taylor_coeff_pqc(table: TaylorCoeffTable, alpha: MultiIndex) -> Circui
     diagonal block at address eta then reads xi exactly.  With K = 1 the
     register is empty and its one R_X is plain.
     """
-    parts = []
+    bits = table.address_bits
+    gates = []
     for eta in product(range(table.K), repeat=table.d):
         theta = 2.0 * math.acos(table.xi[(eta, tuple(alpha))])
-        rx = Circuit(1, (Gate("Rx", 0, angle=theta, trainable=True),))
-        parts += _selected(rx, table.address_bits, int(_address(table, eta)))
-    label = f"taylor-coeff alpha={tuple(alpha)}"
-    return sim._composed(table.address_bits + 1, parts, label)
+        ones, zeros = _holding(range(bits), int(_address(table, eta)))
+        gates.append(Gate("Rx", bits, ones, angle=theta, trainable=True, zeros=zeros))
+    return Circuit(bits + 1, tuple(gates), label=f"taylor-coeff alpha={tuple(alpha)}")
 
 
 def build_taylor_series_pqc(table: TaylorCoeffTable, eta: MultiIndex) -> BlockCircuit:
@@ -666,10 +635,11 @@ def build_taylor_series_pqc(table: TaylorCoeffTable, eta: MultiIndex) -> BlockCi
     """
     eta = tuple(int(e) for e in eta)
     shifts = tuple(e / table.K for e in eta)
-    # the address register in |eta> and the coefficient qubit in |0>
+    # X on the address qubits whose bit of eta's address is 1: the address
+    # register in |eta> and the coefficient qubit in |0>
     prep = Circuit(
         table.address_bits + 1,
-        tuple(xg(q) for q, bit in enumerate(_address_bits(table, eta)) if bit),
+        tuple(map(xg, _holding(range(table.address_bits), int(_address(table, eta)))[0])),
         label=f"eta-prep {eta}",
     )
     units = [

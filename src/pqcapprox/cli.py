@@ -219,7 +219,8 @@ _Outcome = tuple[approx.ErrorReport, Optional[circuits.BlockCircuit]]
 def _resources(bc: circuits.BlockCircuit) -> sim.ResourceCount:
     """The tallies of prep followed by circuit, so that no count depends on
     which of the two holds a gate."""
-    return sim.resource_count(sim._composed(bc.width, [(bc.prep, 0, ()), (bc.circuit, 0, ())], ""))
+    parts = [(bc.prep, 0, (), ()), (bc.circuit, 0, (), ())]
+    return sim.resource_count(sim._composed(bc.width, parts, ""))
 
 
 def _nested_resources(model: circuits.NestedTaylorModel) -> sim.ResourceCount:

@@ -1,13 +1,15 @@
 """Exact statevector simulation, Hadamard-test readout, and resource counts.
 
 Qubit 0 is the most significant bit of the basis-state index.  Circuits are
-ordered gate lists; a gate is a single-qubit kind on one target under a
-possibly empty control set, and carries a concrete angle or an encoding
-slot that is bound to a data point before simulation.  ``GateProgram``
-compiles a circuit once, so each run only binds the slots.  Controlled
-gates are native simulator primitives; ``lowered`` expands them into
-one-control X's and single-qubit rotations for the depth/gate-count claims
-and equivalence tests.
+ordered gate lists; a gate is a single-qubit kind on one target, acting
+where each of its controls reads 1 and each of its zero-controls reads 0
+(either set may be empty), so a gate runs under one value of a register
+with no X's around it.  It carries a concrete angle or an encoding slot
+that is bound to a data point before simulation.  ``GateProgram`` compiles
+a circuit once, so each run only binds the slots.  Controlled gates are
+native simulator primitives; ``lowered`` expands them into one-control X's
+and single-qubit rotations for the depth/gate-count claims and equivalence
+tests.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def encoding_angles(xform: str, u: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Gate:
     """A single-qubit gate on ``target``, applied where every qubit in
-    ``controls`` reads 1; a rotation carries an angle or an encoding slot."""
+    ``controls`` reads 1 and every qubit in ``zeros`` reads 0; a rotation
+    carries an angle or an encoding slot."""
 
     kind: str
     target: int
@@ -65,12 +68,13 @@ class Gate:
     angle: Optional[float] = None
     trainable: bool = False
     slot: Optional[EncodingSlot] = None
+    zeros: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in _SINGLE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len({self.target, *self.controls}) != 1 + len(self.controls):
-            raise ValueError("target and controls must be distinct qubits")
+        if len(set(self.qubits)) != len(self.qubits):
+            raise ValueError("target, controls and zeros must be distinct qubits")
         if self.kind in _ROTATIONS:
             if self.angle is None and self.slot is None:
                 raise ValueError(f"{self.kind} needs an angle or an encoding slot")
@@ -79,7 +83,7 @@ class Gate:
 
     @property
     def qubits(self) -> tuple[int, ...]:
-        return (self.target,) + self.controls
+        return (self.target,) + self.controls + self.zeros
 
     def bound(self, x: Sequence[float]) -> "Gate":
         if self.slot is None:
@@ -140,18 +144,20 @@ class Circuit:
         return Circuit(self.width, tuple(g.bound(x) for g in self.gates), self.label)
 
 
-def _composed(width: int, parts: Sequence[tuple[Circuit, int, Sequence[int]]],
+def _composed(width: int, parts: Sequence[tuple[Circuit, int, Sequence[int], Sequence[int]]],
               label: str) -> Circuit:
-    """The width-qubit circuit that runs each (circuit, offset, controls)
-    part in turn: every gate copied once, its target shifted by offset and
-    its controls the sorted union of its shifted controls and ``controls``.
-    Each placement is checked once: the part fits in the register, and the
-    added controls are distinct register qubits off it.  The parts' gates
-    were checked when their circuits were built, so no copy is."""
+    """The width-qubit circuit that runs each (circuit, offset, controls,
+    zeros) part in turn: every gate copied once, its target shifted by
+    offset, its controls the sorted union of its shifted controls and
+    ``controls`` and its zeros likewise with ``zeros``.  Each placement is
+    checked once: the part fits in the register, and the added controls and
+    zeros are distinct register qubits off it.  The parts' gates were
+    checked when their circuits were built, so no copy is."""
     gates: list[Gate] = []
     set_field = object.__setattr__  # bypasses the frozen dataclasses' guard
-    for c, offset, controls in parts:
-        extra = tuple(controls)
+    for c, offset, ones, zeros in parts:
+        ones, zeros = tuple(ones), tuple(zeros)
+        extra = ones + zeros
         if offset < 0 or offset + c.width > width:
             raise ValueError(
                 f"a {c.width}-qubit part at offset {offset} does not fit width {width}")
@@ -164,17 +170,20 @@ def _composed(width: int, parts: Sequence[tuple[Circuit, int, Sequence[int]]],
         if not offset and not extra:  # unmoved: the gates themselves
             gates += c.gates
             continue
-        shifted: dict[tuple[int, ...], tuple[int, ...]] = {}  # each control set once
+        shifted: dict[tuple, tuple] = {}  # each (controls, zeros) pair once
         for g in c.gates:
-            if g.controls not in shifted:
-                shifted[g.controls] = tuple(sorted(extra + tuple(q + offset for q in g.controls)))
+            key = g.controls, g.zeros
+            if key not in shifted:
+                shifted[key] = (tuple(sorted(ones + tuple(q + offset for q in g.controls))),
+                                tuple(sorted(zeros + tuple(q + offset for q in g.zeros))))
             copy = object.__new__(Gate)  # field by field: no __post_init__, compact layout
             set_field(copy, "kind", g.kind)
             set_field(copy, "target", g.target + offset)
-            set_field(copy, "controls", shifted[g.controls])
+            set_field(copy, "controls", shifted[key][0])
             set_field(copy, "angle", g.angle)
             set_field(copy, "trainable", g.trainable)
             set_field(copy, "slot", g.slot)
+            set_field(copy, "zeros", shifted[key][1])
             gates.append(copy)
     out = object.__new__(Circuit)  # no Circuit.__post_init__
     vars(out).update(width=width, gates=tuple(gates), label=label)
@@ -215,34 +224,27 @@ class GateProgram:
 
     Every maximal run of consecutive gates on one target under one control
     set becomes a single op: a 2x2 matrix applied to the amplitude pairs
-    ``(i0, i1)`` that differ in the target bit and have every control bit
-    set, except that a run splits where its encoding slot changes, so an op
-    binds one slot.  No circuit the package builds splits a run.  The fixed
-    gates of an op are multiplied together here.  An op without encoding
-    slots is fixed: its ``heads`` matrix serves every point.  ``chains``
-    holds the slot of each op in ``slotted`` and, per slot factor, its
-    rotation kind and the fixed product after it.  With h the slot's half
-    angle, such an op is a trigonometric polynomial in h of degree its slot
-    count, so it is compiled once into its Fourier coefficients
-    (``slot_tables``, one per slot, with each op's row in ``op_matrices``),
-    and ``op_matrices`` binds every op of a slot with one table of cos hk
-    and sin hk and one product.
-
-    A fixed run whose product is exactly X (an X flip under any controls)
-    is not an op: it relabels the amplitudes it swaps, and a run
-    that is exactly I is dropped.  The ops after a flip address the
-    relabelled pairs, and ``run`` gathers the state by ``perm`` once at the
-    end (``perm`` is None where the flips cancel).  Only indices change,
-    never a product, so every value is bit-identical to applying the flips
-    as ops.  ``width`` and ``gates`` are those of the source circuit.
+    ``(i0, i1)`` that differ in the target bit, with every control bit set
+    and every zero-control bit clear, except that a run splits where its
+    encoding slot changes, so an op binds one slot.  No circuit the package
+    builds splits a run.  The fixed gates of an op are multiplied together
+    here, and a fixed run whose product is exactly I is dropped.  An op
+    without encoding slots is fixed: its ``heads`` matrix serves every
+    point.  ``chains`` holds the slot of each op in ``slotted`` and, per
+    slot factor, its rotation kind and the fixed product after it.  With h
+    the slot's half angle, such an op is a trigonometric polynomial in h of
+    degree its slot count, so it is compiled once into its Fourier
+    coefficients (``slot_tables``, one per slot, with each op's row in
+    ``op_matrices``), and ``op_matrices`` binds every op of a slot with one
+    table of cos hk and sin hk and one product.  ``width`` and ``gates``
+    are those of the source circuit.
 
     ``prefix`` is the index of the first slotted op (``len(pairs)`` when
     there is none).  The ops before it are fixed, so from a basis start the
     state before op ``prefix`` is one fixed vector: a batch run takes it
     from ``stored``, a dict on the program keyed by start index.  A start
     not stored yet runs the prefix op by op, once; its state is stored while
-    ``stored`` holds at most PREFIX_BYTES.  The stored states are those of
-    the relabelled indices, before the ``perm`` gather.
+    ``stored`` holds at most PREFIX_BYTES.
 
     The ops from ``prefix`` on run at every point, op k with row
     k - prefix of ``op_matrices``.  Ops that touch disjoint amplitudes
@@ -251,14 +253,17 @@ class GateProgram:
     one scatter.  Each pair sees the products of running the ops one by
     one, in the same order, so every value is bit-identical to that.
 
-    On the Hadamard test of the d=2, n=4 Bernstein block this leaves 16 of
-    64 ops: 8 before ``prefix``, and 8 from it on in 2 layers.  The d=2,
-    K=4, s=1 Taylor series block, which starts from one of K^d cells,
-    leaves 56 of 260 ops: 37 before ``prefix``, and 19 from it on in 2
+    On the Hadamard test of the d=2, n=4 Bernstein block this leaves 19 ops
+    of 31 gates: 11 before ``prefix``, and 8 from it on in 2 layers.  The
+    d=2, K=4, s=1 Taylor series block, which starts from one of K^d cells,
+    leaves 56 ops of 64 gates: 37 before ``prefix``, and 19 from it on in 2
     layers.
 
     The compile checks no gate (the circuit checked its gates, or its
-    placements, when it was built), and masks each (target, controls) once.
+    placements, when it was built), and masks each (target, controls,
+    zeros) once.  The pairs of an op are those of its target under all-ones
+    controls on the union of its controls and zero-controls, found once per
+    such (target, union), with the zero-control bits cleared.
     """
 
     def __init__(self, c: Circuit):
@@ -268,24 +273,28 @@ class GateProgram:
         self.gates = c.gates
         idx = np.arange(2**c.width)
         eye = np.eye(2, dtype=complex)
-        masks: dict[tuple, tuple[int, int]] = {}  # (target, controls) -> (tbit, cmask)
-        pair_of: dict[tuple[int, int], np.ndarray] = {}
+        masks: dict[tuple, tuple[int, int, int]] = {}  # (target, controls, zeros) -> bits
+        pair_of: dict[tuple[int, int, int], np.ndarray] = {}  # bits -> pairs
         runs: list[np.ndarray] = []  # per op: its (i0, i1) pairs
         heads: list[np.ndarray] = []  # fixed product before an op's first slot
         slots: list[Optional[EncodingSlot]] = []  # per op: its slot, if any
         chains: list[list[list]] = []  # per op: [kind, fixed product after it] per slot
         prev = None
         for g in c.gates:
-            key = masks.get((g.target, g.controls))
-            if key is None:
-                cmask = sum(1 << (c.width - 1 - q) for q in g.controls)
-                key = masks[g.target, g.controls] = (1 << (c.width - 1 - g.target), cmask)
+            key = masks.get((g.target, g.controls, g.zeros))
+            if key is None:  # (target bit, control and zero-control bits, zero-control bits)
+                bits = [sum(1 << (c.width - 1 - q) for q in qs) for qs in (g.qubits[1:], g.zeros)]
+                key = masks[g.target, g.controls, g.zeros] = (1 << (c.width - 1 - g.target), *bits)
             # a run splits where its slot changes, so every op has one slot
             if key != prev or (g.slot is not None and slots[-1] not in (None, g.slot)):
                 if key not in pair_of:
-                    tbit, cmask = key
-                    i0 = idx[((idx & tbit) == 0) & ((idx & cmask) == cmask)]
-                    pair_of[key] = np.stack([i0, i0 | tbit])
+                    # the pairs with every control and zero-control bit set, those bits cleared
+                    tbit, cmask, zmask = key
+                    if (tbit, cmask, 0) not in pair_of:
+                        i0 = idx[(idx & (tbit | cmask)) == cmask]
+                        pair_of[tbit, cmask, 0] = np.stack([i0, i0 | tbit])
+                    if zmask:
+                        pair_of[key] = pair_of[tbit, cmask, 0] ^ zmask
                 runs.append(pair_of[key])
                 heads.append(eye)
                 slots.append(None)
@@ -299,23 +308,13 @@ class GateProgram:
                 chain[-1][1] = gate_matrix_1q(g.kind, g.angle) @ chain[-1][1]
             else:
                 heads[-1] = gate_matrix_1q(g.kind, g.angle) @ heads[-1]
-        # A fixed run that is exactly X only swaps amplitudes, and one that
-        # is exactly I does nothing: neither becomes an op.  The true state
-        # is t[j] = stored[perm[j]]; an X run swaps perm at its pairs, and
-        # every kept op addresses the stored pairs perm[pair].
-        perm = idx.copy()
-        self.pairs: list[np.ndarray] = []
-        kept = []
-        for pair, head, slot, chain in zip(runs, heads, slots, chains):
-            if not chain and np.array_equal(head, _FIXED["X"]):
-                perm[pair] = perm[pair[::-1]]
-            elif chain or not np.array_equal(head, eye):
-                self.pairs.append(perm[pair])
-                kept.append((head, slot, chain))
-        self.perm = None if np.array_equal(perm, idx) else perm
-        self.heads = np.array([head for head, *_ in kept], dtype=complex).reshape(len(kept), 2, 2)
-        self.slotted = np.array([k for k, (*_, chain) in enumerate(kept) if chain], dtype=int)
-        self.chains = [kept[k][1:] for k in self.slotted]
+        # a fixed run that is exactly I does nothing, so it is no op
+        kept = [k for k, (head, chain) in enumerate(zip(heads, chains))
+                if chain or not np.array_equal(head, eye)]
+        self.pairs: list[np.ndarray] = [runs[k] for k in kept]
+        self.heads = np.array([heads[k] for k in kept], dtype=complex).reshape(len(kept), 2, 2)
+        self.slotted = np.array([p for p, k in enumerate(kept) if chains[k]], dtype=int)
+        self.chains = [(slots[kept[p]], chains[kept[p]]) for p in self.slotted]
         self.prefix = int(self.slotted[0]) if len(self.slotted) else len(self.pairs)
         # slotted ops bound together: one table per slot, holding each op's row
         groups: dict[EncodingSlot, list[int]] = {}
@@ -440,8 +439,9 @@ def run(
     ``x`` is an (N, d) point array, or None for a circuit without encoding
     slots, and ``start`` holds the N initial basis-state indices (default
     0); with neither it is a batch of one from |0..0>.  Each point starts
-    from the program's stored state after its fixed prefix.  A plain
-    circuit is compiled first.
+    from the program's stored state after its fixed prefix, and a final
+    state whose norm is off 1 by more than 1e-10 raises.  A plain circuit
+    is compiled first.
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
     dim = 2**program.width
@@ -458,7 +458,11 @@ def run(
         raise ValueError(f"start indices must lie in [0, {dim})")
     amps = program.prefix_states(starts)
     _evolve(program, amps, xs)
-    return _readout(program, amps).T
+    norms = np.linalg.norm(amps, axis=0)
+    if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
+        bad = norms[~(np.abs(norms - 1.0) <= 1e-10)]
+        raise RuntimeError(f"simulation lost unitarity: norm {bad[0]}")
+    return amps.T
 
 
 def _evolve(program: GateProgram, amps: np.ndarray, xs: Optional[np.ndarray]) -> None:
@@ -483,18 +487,6 @@ def _apply(state: np.ndarray, pair: np.ndarray, coef: np.ndarray) -> None:
     out = coef[:, 0] * a[0]
     out += coef[:, 1] * a[1]  # in place: one temporary of a's size fewer
     state[pair] = out
-
-
-def _readout(program: GateProgram, amps: np.ndarray) -> np.ndarray:
-    """The true final amplitudes of an evolved (2**width, N) array: gathered
-    by ``perm``, each column's norm checked."""
-    if program.perm is not None:  # the X runs, applied as one relabelling
-        amps = amps[program.perm]
-    norms = np.linalg.norm(amps, axis=0)
-    if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
-        bad = norms[~(np.abs(norms - 1.0) <= 1e-10)]
-        raise RuntimeError(f"simulation lost unitarity: norm {bad[0]}")
-    return amps
 
 
 # Bytes of state, or of slot tables, per chunk of points in hadamard_values.
@@ -549,7 +541,7 @@ def hadamard_test_circuit(u: Circuit, prep: Circuit) -> Circuit:
     """
     if u.width != prep.width:
         raise ValueError("u and prep must act on the same width")
-    parts = [(prep, 1, ()), (Circuit(1, (h(0),)), 0, ()), (u, 1, (0,))]
+    parts = [(prep, 1, (), ()), (Circuit(1, (h(0),)), 0, (), ()), (u, 1, (0,), ())]
     return _composed(u.width + 1, parts, f"hadamard_test {u.label}")
 
 
@@ -635,11 +627,17 @@ def decompose_mcu(g: Gate) -> list[Gate]:
     """Lower a bound gate to one-control X's and uncontrolled rotations.
 
     The composed unitary equals the native gate up to global phase; no
-    ancilla qubits are used.  A gate without controls is its own lowering.
+    ancilla qubits are used.  Each zero-control becomes a control between
+    two X's.  A gate without controls, or a one-control X, is its own
+    lowering.
     """
     if g.slot is not None:
         raise ValueError("bind encoding slots before lowering")
-    if not g.controls:
+    if g.zeros:
+        flips = [xg(q) for q in g.zeros]
+        opened = replace(g, controls=tuple(sorted(g.controls + g.zeros)), zeros=())
+        return flips + decompose_mcu(opened) + flips
+    if not g.controls or g.kind == "X" and len(g.controls) == 1:
         return [g]
     target, controls, m = g.target, g.controls, len(g.controls)
 
@@ -666,14 +664,9 @@ def decompose_mcu(g: Gate) -> list[Gate]:
 
 def lowered(c: Circuit) -> Circuit:
     """Expand every controlled gate except a one-control X into one-control
-    X's and single-qubit rotations; the circuit must be bound."""
-    gates: list[Gate] = []
-    for g in c.gates:
-        if g.kind == "X" and len(g.controls) == 1:
-            gates.append(g)
-        else:
-            gates.extend(decompose_mcu(g))
-    return Circuit(c.width, tuple(gates), c.label)
+    X's and single-qubit rotations (``decompose_mcu``); the circuit must be
+    bound."""
+    return Circuit(c.width, tuple(x for g in c.gates for x in decompose_mcu(g)), c.label)
 
 
 # ---------------------------------------------------------------------------
@@ -728,14 +721,18 @@ def resource_count(c: Circuit) -> ResourceCount:
 
 def circuit_to_text(c: Circuit) -> str:
     """Line-oriented format: header (width, label), then one gate per line.
-    A controlled gate is spelled CNOT if it is an X with one control and
-    MCU.<kind> otherwise."""
+    A controlled gate lists its controls in a c= token and its zero-controls
+    in a z= token.  It is spelled CNOT if it is an X with one control and no
+    zero-control, and MCU.<kind> otherwise."""
     lines = [f"width {c.width}", f"label {c.label}"]
     for g in c.gates:
         parts = [g.kind, str(g.target)]
-        if g.controls:
-            parts[0] = "CNOT" if g.kind == "X" and len(g.controls) == 1 else f"MCU.{g.kind}"
-            parts.append("c=" + ",".join(str(q) for q in g.controls))
+        if g.controls or g.zeros:
+            cnot = g.kind == "X" and len(g.controls) == 1 and not g.zeros
+            parts[0] = "CNOT" if cnot else f"MCU.{g.kind}"
+        for key, qs in (("c", g.controls), ("z", g.zeros)):
+            if qs:
+                parts.append(f"{key}=" + ",".join(str(q) for q in qs))
         if g.angle is not None:
             parts.append(f"a={g.angle!r}")
         if g.slot is not None:
@@ -763,6 +760,7 @@ def circuit_from_text(text: str) -> Circuit:
             raise ValueError(f"gate line {ln!r} has more than one target")
         target = int(parts[1])
         controls: tuple[int, ...] = ()
+        zeros: tuple[int, ...] = ()
         angle = None
         slot = None
         trainable = False
@@ -775,6 +773,8 @@ def circuit_from_text(text: str) -> Circuit:
                 keys.add(key)
             if tok.startswith("c="):
                 controls = tuple(int(q) for q in tok[2:].split(","))
+            elif tok.startswith("z="):
+                zeros = tuple(int(q) for q in tok[2:].split(","))
             elif tok.startswith("a="):
                 angle = float(tok[2:])
             elif tok.startswith("enc="):
@@ -790,14 +790,14 @@ def circuit_from_text(text: str) -> Circuit:
                 raise ValueError(f"unknown token {tok!r} in circuit text")
         kind = parts[0]
         if kind == "CNOT":
-            if len(controls) != 1:
-                raise ValueError(f"CNOT line {ln!r} needs exactly one control")
+            if len(controls) != 1 or zeros:
+                raise ValueError(f"CNOT line {ln!r} needs exactly one control and no zero-control")
             kind = "X"
         elif kind.startswith("MCU."):
             kind = kind[4:]
             if kind not in _SINGLE_KINDS:
                 raise ValueError(f"unknown controlled kind {parts[0]!r} in line {ln!r}")
-        elif controls:
+        elif controls or zeros:
             raise ValueError(f"{kind} line {ln!r} has controls: spell it CNOT or MCU.{kind}")
-        gates.append(Gate(kind, target, controls, angle, trainable, slot))
+        gates.append(Gate(kind, target, controls, angle, trainable, slot, zeros))
     return Circuit(width, tuple(gates), label)

@@ -44,7 +44,9 @@ from pqcapprox.sim import (
 
 def _apply_gate(amps: np.ndarray, g: Gate, width: int) -> np.ndarray:
     """Reference kernel: one bound gate on the first axis of amps (a state,
-    or the columns of a matrix), masks rebuilt from scratch.
+    or the columns of a matrix), masks rebuilt from scratch.  The gate acts
+    where the bits of its controls and zero-controls (cmask) read its
+    controls' bits set and its zero-controls' clear (cval).
 
     Kept independent of ``GateProgram`` so ``circuit_unitary`` can serve as
     the test oracle for the compiled path.
@@ -54,11 +56,14 @@ def _apply_gate(amps: np.ndarray, g: Gate, width: int) -> np.ndarray:
     mat = gate_matrix_1q(g.kind, g.angle)
     tbit = 1 << (width - 1 - g.target)
     idx = np.arange(2**width)
-    if g.controls:
-        cmask = 0
+    if g.controls or g.zeros:
+        cmask = cval = 0
         for c in g.controls:
             cmask |= 1 << (width - 1 - c)
-        sel = (idx & cmask) == cmask
+            cval |= 1 << (width - 1 - c)
+        for z in g.zeros:
+            cmask |= 1 << (width - 1 - z)
+        sel = (idx & cmask) == cval
     else:
         sel = None
     lower = (idx & tbit) == 0
@@ -102,25 +107,26 @@ def ancilla_values(amps: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def placed_reference(c: Circuit, offset: int, width: int, controls) -> Circuit:
+def placed_reference(c: Circuit, offset: int, width: int, controls, zeros) -> Circuit:
     """c's gates on qubits offset..offset+c.width-1 of a width-qubit
-    register, each also controlled on ``controls``: a validated Gate per
-    copy in a validated Circuit, as each nesting level built them when
-    every level checked every gate."""
-    extra = set(controls)
+    register, each also controlled on ``controls`` and zero-controlled on
+    ``zeros``: a validated Gate per copy in a validated Circuit, as each
+    nesting level built them when every level checked every gate."""
     return Circuit(width, tuple(
         Gate(g.kind, g.target + offset,
-             tuple(sorted(extra.union(q + offset for q in g.controls))),
-             g.angle, g.trainable, g.slot)
+             tuple(sorted(set(controls).union(q + offset for q in g.controls))),
+             g.angle, g.trainable, g.slot,
+             tuple(sorted(set(zeros).union(q + offset for q in g.zeros))))
         for g in c.gates
     ), c.label)
 
 
 def composed_reference(width: int, parts, label: str) -> Circuit:
-    """The (circuit, offset, controls) parts placed by placed_reference in
-    turn, joined into a validated Circuit."""
-    return Circuit(width, tuple(g for c, offset, controls in parts
-                                for g in placed_reference(c, offset, width, controls).gates), label)
+    """The (circuit, offset, controls, zeros) parts placed by
+    placed_reference in turn, joined into a validated Circuit."""
+    return Circuit(width, tuple(g for c, offset, controls, zeros in parts
+                                for g in placed_reference(c, offset, width, controls, zeros).gates),
+                   label)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,31 @@ def test_lcu_pad_skips_the_target_of_a_controlled_x_in_the_prep():
         C.lcu_combine(units)
 
 
+def test_lcu_pad_skips_the_targets_of_zero_controlled_gates_in_the_prep():
+    """A zero-controlled gate in the prep entangles its target as a
+    controlled one does: an X there is no basis flip and an H no |+>, and a
+    Ry leaves no known state, so the pad goes on the one untouched qubit."""
+    rng = np.random.default_rng(80)
+    gates = (S.ry(0, 0.7), S.Gate("X", 1, zeros=(0,)), S.Gate("H", 2, zeros=(0,)),
+             S.Gate("Ry", 3, (1,), angle=0.4, zeros=(0,)))
+    prep = S.Circuit(5, gates, label="zero-entangled")
+    units = [
+        C.BlockCircuit(S.Circuit(5, (S.rz(2, float(a)), S.ry(3, float(b)))), prep, rescale=1.0,
+                       block_value_is_real=False)
+        for a, b in rng.normal(size=(3, 2))
+    ]
+    combined = C.lcu_combine(units)
+    pads = [g for g in combined.circuit.gates if g.kind in ("X", "Z")]
+    assert pads == [S.Gate("X", 6, (0, 1))]  # qubit 4 of the unit, after 2 selection qubits
+    pad_contrib = C.evaluate_block(combined) - sum(C.evaluate_block(u) for u in units)
+    assert abs(pad_contrib) <= 1e-12
+    narrow = S.Circuit(4, gates, label="zero-entangled")
+    units = [C.BlockCircuit(S.Circuit(4, (S.rz(1, 0.3 * k),)), narrow, rescale=1.0)
+             for k in range(3)]
+    with pytest.raises(ValueError, match="no qubit with a known zero-block pad"):
+        C.lcu_combine(units)
+
+
 def test_lcu_of_a_real_and_a_complex_unit_is_complex():
     real = C.build_trig_monomial_pqc(0.5, (0,))  # 0.5 e^{0i}
     real = dataclasses.replace(real, block_value_is_real=True)
@@ -563,16 +588,18 @@ def test_bernstein_point_runs_one_layer_per_coordinate(target, d, n):
 
 @pytest.mark.parametrize("values", [[5], [0, 3, 5, 6], [7, 1, 4, 2, 0]])
 def test_on_values_acts_on_each_value_and_restores_the_register(values):
-    flip = S.Gate("Z", 2, (0, 1))
-    gates = C._on_values(range(3), [(v, [flip]) for v in values])
-    want = np.ones(8)
-    want[values] = -1.0
-    assert np.array_equal(circuit_unitary(S.Circuit(3, tuple(gates))), np.diag(want))
-    # between two cases no qubit flips twice: neighbouring masks share theirs
-    flipped = []
-    for g in gates:
-        flipped = flipped + [g.target] if g.kind == "X" else []
-        assert len(set(flipped)) == len(flipped)
+    """A gate selected by ``_holding`` acts where the register holds its
+    value and nowhere else, with no X that could leave the register
+    changed: here a Z on a fourth qubit, which XZX turns into -1 on |0>."""
+    gates = [S.xg(3)]
+    for v in values:
+        ones, zeros = C._holding(range(3), v)
+        assert sorted(ones + zeros) == [0, 1, 2]
+        gates.append(S.Gate("Z", 3, ones, zeros=zeros))
+    gates.append(S.xg(3))
+    want = np.ones(16)
+    want[2 * np.array(values)] = -1.0
+    assert np.array_equal(circuit_unitary(S.Circuit(4, tuple(gates))), np.diag(want))
 
 
 def test_bernstein_compiled_prep_holds_one_state_of_pairs_per_level():
@@ -584,12 +611,12 @@ def test_bernstein_compiled_prep_holds_one_state_of_pairs_per_level():
     d, n = 3, 8
     bc = C.build_bernstein_pqc(targets.abs_centered(d), n)
     a = bc.width - d
-    assert all(g.controls == tuple(range(g.target)) for g in bc.prep.gates if g.kind == "Ry")
-    assert all(not g.controls for g in bc.prep.gates if g.kind != "Ry")
+    assert all(g.kind == "Ry" for g in bc.prep.gates)
+    assert all(sorted(g.controls + g.zeros) == list(range(g.target)) for g in bc.prep.gates)
     prog = bc.program
-    # a prep levels, the sign diagonal, the pad and d SELECTs, each at most
-    # 2^(w-1) pairs of two 8-byte indices
-    assert sum(p.nbytes for p in prog.pairs) <= (a + 2 + d) * 8 * 2**prog.width
+    # a prep levels, the sign pair's two X's, its Z's, the pad and d
+    # SELECTs, each at most 2^(w-1) pairs of two 8-byte indices
+    assert sum(p.nbytes for p in prog.pairs) <= (a + 4 + d) * 8 * 2**prog.width
     xs = np.random.default_rng(7).uniform(0.0, 1.0, (4, d))
     want = np.array([P.bernstein_eval(targets.abs_centered(d), n, x) for x in xs])
     assert np.max(np.abs(C.evaluate_block(bc, xs) - want)) <= 1e-14
@@ -683,18 +710,49 @@ def test_evaluate_block_rejects_a_complex_block_declared_real():
     assert C.evaluate_block(mislabelled, (math.pi / 2,)) == pytest.approx(-0.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("build, max_ops", [
-    (lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4), 16),
+def x_gates(bc):
+    """The X gates of a block's prep and of its circuit."""
+    return [[g for g in c.gates if g.kind == "X"] for c in (bc.prep, bc.circuit)]
+
+
+def test_each_construction_places_exactly_its_stated_xs():
+    """Selections use zero-controls, so the only X's are the ones each
+    construction states: the Bernstein sign pair and pad, the Taylor
+    eta-prep and the LCU pad on a basis-state qubit."""
+    # Bernstein: data qubit 0 is qubit 6; the sign pair brackets the Z's,
+    # and the pad runs where register 0 (qubits 0..2) holds n + 1 = 0b101
+    bc = C.build_bernstein_pqc(targets.abs_centered(2), 4)
+    signs = np.count_nonzero(C._bernstein_chebyshev(targets.abs_centered(2), 4) < 0)
+    pad = S.Gate("X", 6, (0, 2), zeros=(1,))
+    assert x_gates(bc) == [[], [S.xg(6), S.xg(6), pad]]
+    assert [g.kind for g in bc.circuit.gates[:signs + 2]] == ["X"] + ["Z"] * signs + ["X"]
+    # with no negative coefficient there is no sign pair
+    bc = C.build_bernstein_pqc(targets.abs_centered(1), 1)
+    assert (C._bernstein_chebyshev(targets.abs_centered(1), 1) >= 0).all()
+    assert x_gates(bc) == [[], [S.Gate("X", 2, (0,), zeros=(1,))]]
+    # Taylor: the eta-prep writes cell (1, 2), 0b0110, on the address
+    # register after the 2 LCU selection qubits; the LCU pad is a Z
+    table = C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1)
+    bc = C.build_taylor_series_pqc(table, (1, 2))
+    assert x_gates(bc) == [[S.xg(3), S.xg(4)], []]
+    # LCU: three trig units on the zero prep pad value 3 with an X on the unit's qubit 0
+    bc = C.build_trig_poly_pqc(P.MultivariateTrigPolynomial({(1,): 0.3, (-1,): 0.3, (2,): 0.2}, 1))
+    assert x_gates(bc) == [[], [S.Gate("X", 2, (0, 1))]]
+    for bc in (C.build_monomial_pqc(0.5, (1, 2)),
+               C.build_poly_pqc(P.MultivariatePolynomial({(1, 0): 0.5, (0, 2): 0.25}, 2))):
+        assert x_gates(bc) == [[], []]
+
+
+@pytest.mark.parametrize("build, ops", [
+    (lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4), 19),
     (lambda: C.build_taylor_series_pqc(
         C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)), 56),
 ], ids=["bernstein-d2-n4", "taylor-series-d2-K4-s1"])
-def test_compiled_hadamard_test_keeps_no_flip_or_identity_op(build, max_ops):
+def test_compiled_hadamard_test_keeps_no_identity_op(build, ops):
     prog = build().program
     fixed = np.setdiff1d(np.arange(len(prog.pairs)), prog.slotted)
-    for m in prog.heads[fixed]:
-        assert not np.array_equal(m, S.gate_matrix_1q("X"))
-        assert not np.array_equal(m, np.eye(2))
-    assert len(prog.pairs) <= max_ops
+    assert not any(np.array_equal(m, np.eye(2)) for m in prog.heads[fixed])
+    assert len(prog.pairs) == ops
 
 
 def test_localization_block_frozen_example():

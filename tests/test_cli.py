@@ -361,12 +361,19 @@ def _meta_with(key, value):
          "gate Rz addresses qubits outside width 4"),
         (".prep", lambda p: p.write_text(p.read_text() + "MCU.Ry 0 c=7 a=0.3\n"),
          "gate Ry addresses qubits outside width 4"),
+        ("", lambda p: p.write_text(p.read_text() + "MCU.Rz 3 z=3 a=0.5\n"), "distinct qubits"),
+        ("", lambda p: p.write_text(p.read_text() + "MCU.Rz 3 c=0 z=1,0 a=0.5\n"),
+         "distinct qubits"),
+        ("", lambda p: p.write_text(p.read_text() + "MCU.X 3 z=0 z=1\n"), "repeats its z= token"),
+        ("", lambda p: p.write_text(p.read_text() + "CNOT 3 c=0 z=1\n"), "no zero-control"),
     ],
     ids=["missing-prep", "missing-meta", "gate-without-targets", "width-without-value",
          "meta-not-an-object", "meta-flag-not-a-boolean", "rescale-nan", "rescale-infinity",
          "tol-nan", "tol-negative", "tol-infinity", "cnot-with-two-controls",
          "unknown-controlled-kind", "two-targets", "repeated-control", "repeated-angle",
-         "repeated-control-token", "gate-outside-width", "prep-control-outside-width"],
+         "repeated-control-token", "gate-outside-width", "prep-control-outside-width",
+         "zero-control-on-target", "zero-control-on-control", "repeated-zero-token",
+         "cnot-with-a-zero-control"],
 )
 def test_eval_rejects_a_damaged_circuit(capsys, tmp_path, suffix, damage, expected):
     # at x = 0.3 the d=1, n=4 Bernstein circuit reads 0.2459; a default prep
@@ -537,9 +544,10 @@ def test_an_h_framed_bernstein_file_still_evaluates(tmp_path, capsys):
     assert run_cli(capsys, "build", "--kind", "bernstein", "--d", "1", "--n", "4",
                    "--emit-circuit", str(path))[0] == 0
     # the prep is the Ry tree of the coefficients on the 3-qubit register,
-    # and the circuit holds no H
+    # its nodes selected by zero-controls with no X's, and the circuit holds no H
     prep = sim.circuit_from_text(Path(f"{path}.prep").read_text())
-    assert {(g.kind, g.trainable) for g in prep.gates} == {("Ry", True), ("X", False)}
+    assert {(g.kind, g.trainable) for g in prep.gates} == {("Ry", True)}
+    assert any(g.zeros for g in prep.gates)
     assert all(g.target < 3 for g in prep.gates)
     circuit = sim.circuit_from_text(path.read_text())
     assert not any(g.kind == "H" for g in circuit.gates)

@@ -106,46 +106,53 @@ def test_run_matches_dense_unitary(width):
 @given(st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_placed_circuit_is_controlled_identity_tensor_u(seed):
-    """Placed at an offset under extra controls, a bound circuit acts as
-    I where a control bit is 0 and as I (x) U (x) I where all are 1."""
+    """Placed at an offset under extra controls and zero-controls, a bound
+    circuit acts as I where a control bit is 0 or a zero-control bit is 1,
+    and as I (x) U (x) I elsewhere."""
     rng = np.random.default_rng(seed)
     width = int(rng.integers(1, 4))
     offset, after = (int(v) for v in rng.integers(0, 3, size=2))
     total = offset + width + after
     outside = [q for q in range(total) if not offset <= q < offset + width]
-    controls = rng.choice(outside, int(rng.integers(0, len(outside) + 1)), replace=False)
+    extra = rng.choice(outside, int(rng.integers(0, len(outside) + 1)), replace=False).tolist()
+    split = int(rng.integers(0, len(extra) + 1))
+    controls, zeros = extra[:split], extra[split:]
     x = rng.uniform(-0.5, 0.5, size=2)
-    u = S.Circuit(width, random_slotted_circuit(rng, width, 4).bound(x).gates
+    u = S.Circuit(width, selected_circuit(rng, width, 4).bound(x).gates
                   + random_circuit(rng, width, 8, mcu=True).gates
                   + tuple(S.xg(int(q)) for q in rng.integers(0, width, size=2)))
-    placed = S._composed(total, [(u, offset, controls.tolist())], "")
+    placed = S._composed(total, [(u, offset, controls, zeros)], "")
     assert len(placed.gates) == len(u.gates) and placed.width == total
     idx = np.arange(2**total)
     on = np.ones(len(idx), dtype=bool)
-    for q in controls:
-        on &= (idx >> (total - 1 - int(q))) & 1 == 1
+    for q in extra:
+        on &= (idx >> (total - 1 - q)) & 1 == (q in controls)
     block = np.kron(np.kron(np.eye(2**offset), circuit_unitary(u)), np.eye(2**after))
     want = np.where(np.outer(on, on), block, np.diag(~on).astype(complex))
     assert np.max(np.abs(circuit_unitary(placed) - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("offset, width, controls, message", [
-    (-1, 4, (), "at offset -1 does not fit width 4"),
-    (3, 4, (), "at offset 3 does not fit width 4"),
-    (1, 4, (4,), "control 4 lies outside width 4"),
-    (1, 4, (-1,), "control -1 lies outside width 4"),
-    (1, 4, (2,), "control 2 lies on a placed qubit"),
-    (1, 4, (0, 3, 0), "repeated control"),
+@pytest.mark.parametrize("offset, width, controls, zeros, message", [
+    (-1, 4, (), (), "at offset -1 does not fit width 4"),
+    (3, 4, (), (), "at offset 3 does not fit width 4"),
+    (1, 4, (4,), (), "control 4 lies outside width 4"),
+    (1, 4, (-1,), (), "control -1 lies outside width 4"),
+    (1, 4, (2,), (), "control 2 lies on a placed qubit"),
+    (1, 4, (0, 3, 0), (), "repeated control"),
+    (1, 4, (), (4,), "control 4 lies outside width 4"),
+    (1, 4, (0,), (2,), "control 2 lies on a placed qubit"),
+    (1, 4, (0,), (3, 0), "repeated control"),
 ], ids=["negative-offset", "past-width", "control-past-width", "negative-control",
-        "control-on-placed-qubit", "repeated-control"])
-def test_a_bad_placement_raises_a_named_error(offset, width, controls, message):
+        "control-on-placed-qubit", "repeated-control", "zero-past-width", "zero-on-placed-qubit",
+        "control-repeated-as-zero"])
+def test_a_bad_placement_raises_a_named_error(offset, width, controls, zeros, message):
     """Copies are not checked gate by gate, so _composed checks each
     placement itself, alone or after another part."""
     u = S.Circuit(2, (S.h(0), S.cnot(0, 1), S.rz(1, 0.3)))
     with pytest.raises(ValueError, match=message):
-        S._composed(width, [(u, offset, controls)], "")
+        S._composed(width, [(u, offset, controls, zeros)], "")
     with pytest.raises(ValueError, match=message):
-        S._composed(width, [(S.Circuit(1, (S.h(0),)), 0, ()), (u, offset, controls)], "")
+        S._composed(width, [(S.Circuit(1, (S.h(0),)), 0, (), ()), (u, offset, controls, zeros)], "")
 
 
 @pytest.mark.parametrize(
@@ -161,13 +168,18 @@ def test_placement_shifts_each_control_set_once_and_keeps_unmoved_gates():
     """Gates with equal control sets share one shifted tuple, and an
     unmoved part keeps its gate objects."""
     u = S.Circuit(2, (S.cnot(0, 1), S.rz(1, 0.2), S.cnot(0, 1), S.h(0)))
-    placed = S._composed(4, [(u, 1, (0,))], "")
+    placed = S._composed(4, [(u, 1, (0,), ())], "")
     assert [g.controls for g in placed.gates] == [(0, 1), (0,), (0, 1), (0,)]
     assert placed.gates[0].controls is placed.gates[2].controls
-    assert all(a is b for a, b in zip(S._composed(3, [(u, 0, ())], "").gates, u.gates))
+    assert all(a is b for a, b in zip(S._composed(3, [(u, 0, (), ())], "").gates, u.gates))
     # an added control past the part sorts after its own, and offset 0 with controls copies
-    assert [g.controls for g in S._composed(3, [(u, 0, (2,))], "").gates] == [(0, 2), (2,)] * 2
+    assert [g.controls for g in S._composed(3, [(u, 0, (2,), ())], "").gates] == [(0, 2), (2,)] * 2
     assert placed == S.Circuit(4, placed.gates)
+    # added zero-controls join the shifted zero-controls of each gate, sorted
+    v = S.Circuit(2, (S.Gate("X", 1, zeros=(0,)), S.h(0)))
+    zeroed = S._composed(5, [(v, 2, (4,), (1, 0))], "")
+    assert [(g.controls, g.zeros) for g in zeroed.gates] == [((4,), (0, 1, 2)), ((4,), (0, 1))]
+    assert zeroed == S.Circuit(5, zeroed.gates)
 
 
 def random_slotted_circuit(rng, width, n_runs):
@@ -202,8 +214,8 @@ def slot_splits(circ):
     one slot."""
     count, prev, slot = 0, None, None
     for g in circ.gates:
-        if (g.target, set(g.controls)) != prev:
-            prev, slot = (g.target, set(g.controls)), None
+        if (g.target, set(g.controls), set(g.zeros)) != prev:
+            prev, slot = (g.target, set(g.controls), set(g.zeros)), None
         if g.slot is not None:
             count += slot not in (None, g.slot)
             slot = g.slot
@@ -228,31 +240,26 @@ def test_compiled_program_matches_dense_unitary(seed):
     assert abs(got.real - want.real) <= 1e-10 and abs(got.imag - want.imag) <= 1e-10
 
 
-def flip_gate(q, ctrls):
-    """X on q under the controls."""
-    return S.Gate("X", q, ctrls)
-
-
-def flipping_circuit(rng, width, n_runs):
-    """Runs that fuse to exactly X (one X under any controls), runs that fuse
-    to exactly I (the same flip twice) and runs of rotations, with slotted
-    and fixed ones, in random order; no two neighbouring runs share a
-    target and control set, so each run compiles on its own.  Returns the
-    circuit and the number of X and I runs."""
-    gates, prev, flips = [], None, 0
+def selected_circuit(rng, width, n_runs):
+    """Runs on one target under random controls and zero-controls: runs
+    that fuse to exactly X, runs that fuse to exactly I (the same X twice)
+    and runs of rotations, with slotted and fixed ones, in random order; no
+    two neighbouring runs share a target, control set and zero-control set,
+    so each run compiles on its own."""
+    gates, prev = [], None
     for _ in range(n_runs):
         while True:
             q = int(rng.integers(0, width))
-            others = [c for c in range(width) if c != q]
-            ctrls = tuple(sorted(rng.choice(others, int(rng.integers(0, len(others) + 1)),
-                                            replace=False).tolist()))
-            if width == 1 or (q, ctrls) != prev:
+            others = rng.permutation([c for c in range(width) if c != q]).tolist()
+            k = int(rng.integers(0, len(others) + 1))
+            split = int(rng.integers(0, k + 1))
+            ctrls, zeros = tuple(sorted(others[:split])), tuple(sorted(others[split:k]))
+            if width == 1 or (q, ctrls, zeros) != prev:
                 break
-        prev = (q, ctrls)
+        prev = (q, ctrls, zeros)
         kind = int(rng.integers(0, 3))
         if kind < 2:  # X, or the identity X X
-            gates.extend([flip_gate(q, ctrls)] * (kind + 1))
-            flips += width > 1
+            gates.extend([S.Gate("X", q, ctrls, zeros=zeros)] * (kind + 1))
             continue
         for _ in range(int(rng.integers(1, 4))):
             rot = ("Rx", "Ry", "Rz")[int(rng.integers(0, 3))]
@@ -263,41 +270,41 @@ def flipping_circuit(rng, width, n_runs):
                 rot = ("Rx", "Rz")[coord]
             else:
                 angle = float(rng.normal())
-            gates.append(S.Gate(rot, q, ctrls, angle=angle, slot=slot))
-    return S.Circuit(width, tuple(gates)), flips
+            gates.append(S.Gate(rot, q, ctrls, angle=angle, slot=slot, zeros=zeros))
+    return S.Circuit(width, tuple(gates))
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
-def test_flips_compile_to_a_relabelling(seed):
+def test_zero_controlled_program_matches_dense_unitary(seed):
+    """Each op of a zero-controlled gate acts on the pairs where its
+    zero-controls read 0, at one point and in a batch; X runs are ops and
+    only runs that are exactly I are dropped."""
     rng = np.random.default_rng(seed)
     width = int(rng.integers(1, 5))
     n_runs = 8
-    circ, flips = flipping_circuit(rng, width, n_runs)
+    circ = selected_circuit(rng, width, n_runs)
     prog = S.GateProgram(circ)
-    assert len(prog.pairs) <= n_runs - flips + slot_splits(circ)
+    assert len(prog.pairs) <= n_runs + slot_splits(circ)
+    fixed = np.setdiff1d(np.arange(len(prog.pairs)), prog.slotted)
+    assert not any(np.array_equal(m, np.eye(2)) for m in prog.heads[fixed])
     x = (float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-3.0, 3.0)))
     dense = circuit_unitary(circ.bound(x))
+    assert np.max(np.abs(S.run(prog, x=[x])[0] - dense[:, 0])) <= 1e-10
     every = np.arange(2**width)
     out = S.run(prog, x=np.tile(x, (len(every), 1)), start=every)
     assert np.max(np.abs(out - dense.T)) <= 1e-10
     xs, starts = random_batch(rng, width, 5)
-    assert np.array_equal(S.run(prog, x=xs, start=starts), unstored_run(prog, xs, starts))
+    batch = S.run(prog, x=xs, start=starts)
+    assert np.array_equal(batch, unstored_run(prog, xs, starts))
+    for n in range(len(xs)):
+        assert np.max(np.abs(batch[n] - dense_columns(circ, xs[n], [starts[n]])[0])) <= 1e-10
+        assert np.array_equal(S.run(prog, x=xs[[n]], start=starts[[n]])[0], batch[n])
     prep = random_circuit(rng, width, 4)
     want = block_values(circ.bound(x), prep)[0]
     ht = S.GateProgram(S.hadamard_test_circuit(circ, prep))
     got = S.hadamard_values(ht, [x])[0]
     assert abs(got.real - want.real) <= 1e-10 and abs(got.imag - want.imag) <= 1e-10
-
-
-def test_flip_pairs_leave_no_relabelling():
-    circ = S.Circuit(3, (S.cnot(0, 1), S.h(2), S.cnot(0, 1), S.xg(2), S.xg(2)))
-    prog = S.GateProgram(circ)
-    assert len(prog.pairs) == 1 and prog.perm is None
-    prog = S.GateProgram(S.Circuit(3, (S.cnot(0, 1), S.h(2))))
-    assert len(prog.pairs) == 1 and prog.perm is not None
-    want = circuit_unitary(S.Circuit(3, (S.cnot(0, 1), S.h(2))))
-    assert np.max(np.abs(S.run(prog, start=np.arange(8)) - want.T)) <= 1e-14
 
 
 def test_program_rejects_unbound_slots():
@@ -421,7 +428,7 @@ def unstored_run(prog, xs, starts):
             S._apply(amps, pair, prog.heads[k][:, :, None, None])
         else:
             S._apply(amps, pair, mats[k - prog.prefix].transpose(1, 2, 0)[:, :, None])
-    return S._readout(prog, amps).T
+    return amps.T
 
 
 @pytest.fixture(scope="module")
@@ -476,14 +483,14 @@ def test_program_without_slots_stores_its_whole_run():
     circ = S.Circuit(3, (S.h(0), S.cnot(0, 1), S.ry(2, 0.3), S.xg(1),
                          S.Gate("Rx", 2, (0, 1), angle=0.7)))
     prog = S.GateProgram(circ)
-    assert prog.prefix == len(prog.pairs) == 3 and prog.perm is not None
+    assert prog.prefix == len(prog.pairs) == 5
     starts = np.array([5, 0, 5, 3])
     want = circuit_unitary(circ)[:, starts].T
     first = S.run(prog, start=starts)
     assert np.max(np.abs(first - want)) <= 1e-14
     assert sorted(prog.stored) == [0, 3, 5]
-    # the stored states are those before the perm gather
-    assert not np.array_equal(prog.stored[5], want[0])
+    # no layer runs after the prefix: the stored states are the final ones
+    assert not prog.layers and np.array_equal(prog.stored[5], first[0])
     assert np.array_equal(S.run(prog, start=starts), first)
 
 
@@ -559,8 +566,7 @@ def applies_per_point(prog):
 def test_schedule_of_random_programs(seed):
     rng = np.random.default_rng(seed)
     width = int(rng.integers(1, 5))
-    circ, _ = flipping_circuit(rng, width, 8)
-    check_schedule(S.GateProgram(circ))
+    check_schedule(S.GateProgram(selected_circuit(rng, width, 8)))
     check_schedule(S.GateProgram(random_slotted_circuit(rng, width, 6)))
 
 
@@ -875,6 +881,22 @@ def test_decompose_matches_native(m, sub, angle):
                or x.kind == "X" and len(x.controls) == 1 for x in gates)
 
 
+@pytest.mark.parametrize("sub,angle", [("Ry", -1.2), ("Rx", 0.4), ("X", None), ("Z", None)])
+@pytest.mark.parametrize("controls, zeros", [((), (0,)), ((1,), (0, 2)), ((), (0, 1, 2))])
+def test_decompose_wraps_each_zero_control_in_two_xs(sub, angle, controls, zeros):
+    g = S.Gate(sub, 3, controls, angle=angle, zeros=zeros)
+    native = circuit_unitary(S.Circuit(4, (g,)))
+    for gates in (S.decompose_mcu(g), S.lowered(S.Circuit(4, (g,))).gates):
+        flips = [[x.target for x in gates[:len(zeros)]], [x.target for x in gates[-len(zeros):]]]
+        assert flips == [list(zeros)] * 2
+        assert all(not x.zeros and (len(x.controls) <= 1 and x.kind == "X" or not x.controls)
+                   for x in gates)
+        low = circuit_unitary(S.Circuit(4, tuple(gates)))
+        phase = np.vdot(low.ravel(), native.ravel())
+        phase /= abs(phase)
+        assert np.max(np.abs(native - phase * low)) <= 1e-9
+
+
 def test_lowered_circuit_contains_no_mcu():
     g = S.Gate("Ry", 2, (0, 1), angle=0.3)
     circ = S.lowered(S.Circuit(3, (S.h(0), g)))
@@ -882,13 +904,15 @@ def test_lowered_circuit_contains_no_mcu():
 
 
 def test_lowered_bernstein_block_matches_native():
-    """The bound d=1, n=2 Bernstein block lowers to CNOTs and uncontrolled
-    rotations with the native unitary up to a global phase; unbound, it
-    does not lower."""
+    """The bound d=1, n=2 Bernstein block lowers to CNOTs, X's and
+    uncontrolled rotations with the native unitary up to a global phase
+    (each zero-control a control between two X's); unbound, it does not
+    lower."""
     bc = C.build_bernstein_pqc(targets.abs_centered(1), 2)
     native = bc.circuit.bound((0.3,))
     low = S.lowered(native)
-    assert (len(native.gates), len(low.gates)) == (8, 65)
+    assert sum(len(g.zeros) for g in native.gates) == 3
+    assert (len(native.gates), len(low.gates)) == (4, 67)
     assert all(len(x.controls) <= 1 and (x.kind == "X" or not x.controls) for x in low.gates)
     want, got = circuit_unitary(native), circuit_unitary(low)
     phase = np.vdot(got.ravel(), want.ravel())
@@ -944,9 +968,44 @@ def test_text_round_trip():
         S.cnot(1, 2),
         S.xg(3),
         S.rz(1, -1.25, trainable=True),
+        S.Gate("Ry", 0, (1,), angle=0.25, trainable=True, zeros=(3, 2)),
+        S.Gate("X", 2, zeros=(0,)),
+        S.Gate("Rx", 3, slot=S.EncodingSlot(1, "acos", 1.0, 2.0), zeros=(0, 1)),
     )
     c = S.Circuit(4, gates, label="round trip example")
     assert S.circuit_from_text(S.circuit_to_text(c)) == c
+
+
+@st.composite
+def text_gates(draw, width=5):
+    """A gate on a width-qubit register with random controls, zero-controls,
+    angle or encoding slot, and trainable flag."""
+    kind = draw(st.sampled_from(S._SINGLE_KINDS))
+    qubits = draw(st.permutations(range(width)))
+    ones = draw(st.integers(0, width - 1))
+    zeros = draw(st.integers(0, width - 1 - ones))
+    angle = slot = None
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if kind in ("Rx", "Ry", "Rz"):
+        if draw(st.booleans()):
+            slot = S.EncodingSlot(draw(st.integers(0, 3)), draw(st.sampled_from(["acos", "zrot"])),
+                                  draw(finite), draw(finite))
+        else:
+            angle = draw(finite)
+    return S.Gate(kind, qubits[0], tuple(qubits[1:1 + ones]), angle, draw(st.booleans()), slot,
+                  tuple(qubits[1 + ones:1 + ones + zeros]))
+
+
+@given(st.lists(text_gates(), max_size=12))
+@settings(max_examples=50, deadline=None)
+def test_text_round_trip_of_random_gates(gates):
+    c = S.Circuit(5, tuple(gates), label="random gates")
+    text = S.circuit_to_text(c)
+    assert S.circuit_from_text(text) == c
+    for g, line in zip(gates, text.splitlines()[2:]):
+        cnot = g.kind == "X" and len(g.controls) == 1 and not g.zeros
+        assert (line.split()[0] == "CNOT") == cnot
+        assert (" z=" in line) == bool(g.zeros)
 
 
 def test_text_spells_controlled_gates_cnot_or_mcu():
@@ -955,6 +1014,24 @@ def test_text_spells_controlled_gates_cnot_or_mcu():
     assert S.circuit_from_text("width 2\nlabel old\nMCU.X 1 c=0\n").gates == (S.cnot(0, 1),)
     with pytest.raises(ValueError, match="spell it CNOT or MCU.X"):
         S.circuit_from_text("width 2\nlabel bad\nX 1 c=0\n")
+    # an X with one control is spelled CNOT only without zero-controls
+    zeroed = S.Circuit(3, (S.Gate("X", 2, (0,), zeros=(1,)), S.Gate("X", 2, zeros=(0,))))
+    assert S.circuit_to_text(zeroed).splitlines()[2:] == ["MCU.X 2 c=0 z=1", "MCU.X 2 z=0"]
+    with pytest.raises(ValueError, match="exactly one control and no zero-control"):
+        S.circuit_from_text("width 3\nlabel bad\nCNOT 2 c=0 z=1\n")
+    with pytest.raises(ValueError, match="spell it CNOT or MCU.Rz"):
+        S.circuit_from_text("width 2\nlabel bad\nRz 1 z=0 a=0.5\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("MCU.X 2 z=0 z=1", "repeats its z= token"),
+    ("MCU.Ry 2 z=2 a=0.5", "must be distinct qubits"),
+    ("MCU.Ry 2 c=0 z=1,0 a=0.5", "must be distinct qubits"),
+    ("MCU.Ry 2 z=1,1 a=0.5", "must be distinct qubits"),
+], ids=["repeated-token", "zero-on-target", "zero-on-control", "repeated-zero"])
+def test_text_rejects_a_bad_zero_control(line, message):
+    with pytest.raises(ValueError, match=message):
+        S.circuit_from_text(f"width 3\nlabel bad\n{line}\n")
 
 
 def test_old_three_field_slots_load_with_scale_one_and_evaluate_unchanged():
