@@ -287,7 +287,7 @@ def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircu
 
     Pads the unit count to a power of two with zero-block units, prepends a
     selection register, and applies each unit controlled on its selection
-    pattern.  The selection H's open the prep, ahead of the placed unit
+    pattern, the pads first.  The selection H's open the prep, ahead of the placed unit
     prep, and the circuit is the bare SELECT: with |psi> the unit prep's
     state, <0, psi|H SEL H|0, psi> = <H0, psi|SEL|H0, psi>, so the block
     value is (1/T_pad) * sum of unit block values as with an H frame in
@@ -316,7 +316,10 @@ def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircu
     width = a + w
     pad = Circuit(w, (_pad_gate(prep),), label="pad")
 
-    parts = [(units[j].circuit if j < t else pad, a, *_holding(range(a), j)) for j in range(t_pad)]
+    # pads first: their values are disjoint from the units', so the order
+    # does not change the SELECT, and a fixed pad runs in the stored prefix
+    order = [*range(t, t_pad), *range(t)]
+    parts = [(units[j].circuit if j < t else pad, a, *_holding(range(a), j)) for j in order]
     selection = Circuit(a, tuple(h(i) for i in range(a)))
     return BlockCircuit(
         sim._composed(width, parts, label),

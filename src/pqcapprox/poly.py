@@ -63,7 +63,7 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        return _cheb.chebval(x, self.coeffs)
+        return _chebval(x, self.coeffs)
 
     def scaled(self, factor: float) -> "Polynomial":
         return Polynomial(tuple(factor * c for c in self.coeffs))
@@ -98,6 +98,29 @@ class ParityPolynomial:
     def sup_norm(self) -> float:
         m = max(1000, 10 * (self.degree + 1))
         return float(np.max(np.abs(_cheb_values(self.base.coeffs, m))))
+
+
+def _chebval(x, coef):
+    """Values of the Chebyshev series coef at x, bit for bit those of numpy's
+    ``chebval``: its Clenshaw recurrence, the same operations in the same
+    order, but in three buffers of x's shape that every step reuses, where
+    ``chebval`` allocates two fresh arrays per coefficient."""
+    x = np.asarray(x, dtype=float)
+    c = np.asarray(coef, dtype=float)
+    if len(c) <= 2:
+        return c[0] + (c[1] if len(c) == 2 else 0) * x
+    x2 = 2 * x
+    c0 = np.full(x.shape, c[-2])
+    c1 = np.full(x.shape, c[-1])
+    t = np.empty(x.shape)
+    for k in range(3, len(c) + 1):
+        np.multiply(c1, x2, out=t)
+        t += c0  # chebval's tmp + c1 * x2: the sum is the same either way round
+        np.subtract(c[-k], c1, out=c0)
+        c1, t = t, c1
+    c1 *= x
+    c1 += c0
+    return c1[()]
 
 
 def chebyshev_grid(n: int) -> np.ndarray:
@@ -478,7 +501,7 @@ def _refined_sup(coef: np.ndarray, grid: np.ndarray, vals: np.ndarray, spacing: 
     """True sup of |series| via local refinement around the top 8 grid peaks.
 
     All peaks are refined together: each of 3 rounds evaluates a 33-point
-    window around every peak with one ``chebval`` call, then narrows each
+    window around every peak with one ``_chebval`` call, then narrows each
     window 8x around its own maximum.
     """
     best = float(np.max(vals))
@@ -486,7 +509,7 @@ def _refined_sup(coef: np.ndarray, grid: np.ndarray, vals: np.ndarray, spacing: 
     h = np.full(len(x0), spacing)
     for _ in range(3):
         xs = np.clip(np.linspace(x0 - h, x0 + h, 33, axis=-1), -1.0, 1.0)
-        local = np.abs(_cheb.chebval(xs, coef))
+        local = np.abs(_chebval(xs, coef))
         j = np.argmax(local, axis=1)
         best = max(best, float(np.max(local)))
         x0, h = xs[np.arange(len(x0)), j], h / 8.0
@@ -567,14 +590,18 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
 
     checks = 0
 
+    def values(deg: int) -> np.ndarray:
+        # the Chebyshev part of the grid by a DCT, the rest by _chebval
+        coef = coef_full[: deg + 1]
+        return np.concatenate([_cheb_values(coef, n_grid)[: len(nodes)], _chebval(rest, coef)])
+
     def candidate(deg: int) -> Optional[np.ndarray]:
-        # one evaluation: the Chebyshev part of the grid by a DCT, the rest
-        # by chebval; a rescaled series' values are these divided by the
+        # one evaluation; a rescaled series' values are these divided by the
         # same factor
         nonlocal checks
         checks += 1
         coef = coef_full[: deg + 1].copy()
-        vals = np.concatenate([_cheb_values(coef, n_grid)[: len(nodes)], _cheb.chebval(rest, coef)])
+        vals = values(deg)
         m = _refined_sup(coef, grid, np.abs(vals), spacing)
         if m > 1.0:
             coef = coef / (m * (1.0 + 1e-12))
@@ -587,13 +614,13 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     # the tail-bound degree usually passes; the screen moves the start of the
     # exact walk down to where its own run of passes ending there begins
     tails = np.cumsum(np.abs(coef_full[::-1]))[::-1]
-    for deg in range(1, len(coef_full), 2):
-        if deg + 1 < len(tails) and tails[deg + 1] <= eps / 4.0:
+    for deg in range(1, len(coef_full) - 1, 2):
+        if tails[deg + 1] <= eps / 4.0:
             top = deg
             break
     else:
-        top = len(coef_full) - 1
-    start = _screen_start(coef_full, grid, outside, eps_check, top)
+        top = len(coef_full) - 2  # the last odd degree
+    start = _screen_start(coef_full, values(top), grid, outside, eps_check, top)
     # walk up to the first exact pass, then down to the smallest
     best = None
     for deg in range(start, len(coef_full), 2):
@@ -619,6 +646,7 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
 
 def _screen_start(
     coef: np.ndarray,
+    vals: np.ndarray,
     grid: np.ndarray,
     outside: np.ndarray,
     eps_check: float,
@@ -626,37 +654,32 @@ def _screen_start(
 ) -> int:
     """Degree at which the exact walk of ``_sign_cheb_series`` starts.
 
-    One upward sweep of T_{k+1} = 2x T_k - T_{k-1} over the verification
-    grid (x >= 0, where sgn is 1 outside the gap) keeps the odd partial sum
-    S_d and, at each odd d <= top, applies the exact check's test with the
-    grid maximum in place of the refined sup.  Returns the lowest degree of
-    the run of screen passes that ends at top, or top itself if the screen
-    fails there.  The exact walk still decides the degree, so a wrong
-    screen costs exact checks, not accuracy.  The degree matches that of a
-    walk down from top unless the exact check fails somewhere inside that
-    run.
+    A walk down over the odd degrees d <= top on the verification grid
+    (x >= 0, where sgn is 1 outside the gap).  It starts from vals, the
+    partial sum S_top on the grid as the exact check evaluates it, and at
+    each d applies the exact check's test with the grid maximum in place of
+    the refined sup.  Even coefficients are zero, so S_{d-2} = S_d - c_d T_d,
+    with T_d = cos(d arccos x) at top and top + 2 and then
+    T_{d-2} = 2 T_2 T_d - T_{d+2} below.  Returns the lowest degree of the
+    run of screen passes that ends at top, where the walk stops at its
+    first failure, or top itself if the screen fails there.  The exact walk
+    still decides the degree, so a wrong screen costs exact checks, not
+    accuracy.  The degree matches that of a walk down from top unless the
+    exact check fails somewhere inside that run.
     """
-    # outside points first, so their errors are a view of the partial sum
+    # outside points first, so their values are a view of the partial sum
     x = np.concatenate([grid[outside], grid[~outside]])
+    partial = np.concatenate([vals[outside], vals[~outside]])
     n_out = int(np.count_nonzero(outside))
-    two_x = 2.0 * x
-    t_prev, t_cur = np.ones_like(x), x.copy()  # T_0, T_1
-    partial = coef[1] * t_cur
+    theta = np.arccos(x)
+    t_cur, t_up = np.cos(top * theta), np.cos((top + 2) * theta)  # T_d, T_{d+2}
+    two_t2 = 4.0 * x * x - 2.0
     # every step works in these buffers: a grid-sized temporary per step
     # would be mapped and unmapped by malloc each time, page faults included
     buf = np.empty_like(x)
     err = np.empty(n_out)
-    run_start = None
-    for d in range(1, top + 1, 2):
-        if d > 1:
-            # even coefficients are zero, so S_d = S_{d-2} + c_d T_d
-            np.multiply(two_x, t_cur, out=buf)
-            buf -= t_prev  # T_{d-1}
-            np.multiply(two_x, buf, out=t_prev)
-            t_prev -= t_cur  # T_d
-            t_prev, t_cur, buf = buf, t_prev, t_cur
-            np.multiply(t_cur, coef[d], out=buf)
-            partial += buf
+    run_start = top
+    for d in range(top, 0, -2):
         m = float(np.max(np.abs(partial, out=buf)))
         s_out = partial[:n_out]
         if m > 1.0:
@@ -664,10 +687,14 @@ def _screen_start(
             s_out = err
         np.subtract(s_out, 1.0, out=err)
         if np.max(np.abs(err, out=err)) > eps_check:
-            run_start = None
-        elif run_start is None:
-            run_start = d
-    return top if run_start is None else run_start
+            break
+        run_start = d
+        np.multiply(t_cur, coef[d], out=buf)
+        partial -= buf  # S_{d-2}
+        np.multiply(two_t2, t_cur, out=buf)
+        buf -= t_up  # T_{d-2}
+        t_up, t_cur, buf = t_cur, buf, t_up
+    return run_start
 
 
 # Bytes of stacked step arguments per Clenshaw pass of _evenized_steps.  A
@@ -692,7 +719,7 @@ def _evenized_steps(
     total = np.zeros_like(x)
     for i in range(0, K - 1, group):
         u = (np.stack((x, -x)) - centers[i : i + group, None, None]) / R
-        for pos, neg in 0.5 + 0.5 * _cheb.chebval(u, sgn_coef):
+        for pos, neg in 0.5 + 0.5 * _chebval(u, sgn_coef):
             # each evenized step is ~0 on the mirrored side
             total += (pos + neg) / K
     return total

@@ -20,6 +20,17 @@ live.  The palindrome lets half of each chain stand for the whole one, in
 the residual (_half_chain_values) and in the Jacobian (_half_chain_grad);
 the final grid check (_verified) evaluates the full chain.
 
+The seed's Jacobian needs no build.  At phi = 0 the angles are
+(-pi, 0, .., 0), so U = iZ S(x)^L, and moving the paired angle phi_j moves
+the real block value by T_{L-2j}: J(0) is the anti-diagonal map with 1 at
+(h - j, j), h = L // 2, and 1/2 at (0, h) for an even L, whose centre
+angle enters once.  Its step is the negated, reversed residual
+(_zero_seed_step), the map fixed-point QSP iteration rests on (Dong, Lin,
+Ni and Wang, arXiv:2209.10162).  Every step, polish included, follows one
+chord rule (_newton_solve), and a stage within tolerance ends after two
+weak steps.  Degrees 0 and 1 need no Newton stage: one angle gives
+cos(theta_0 / 2), and phi = (t,) gives sin(t) x.
+
 Parity halves the nodes as well.  S(-x) = -Z S(x) Z and Z commutes with
 R_Z, so U(-x) = (-1)^L Z U(x) Z for any angles, and the block value obeys
 f(-x) = (-1)^L conj(f(x)).  The Chebyshev nodes are symmetric about 0, so
@@ -270,42 +281,54 @@ def _coeff_jacobian(phi: np.ndarray, xs, a_slots) -> np.ndarray:
     return _cheb_coeffs(grad)[:, a_slots].T
 
 
+def _zero_seed_step(res: np.ndarray, L: int) -> np.ndarray:
+    """The Newton step -J(0)^-1 res at phi = 0, with no Jacobian built: J(0)
+    has 1 at (h - j, j), h = L // 2, and 1/2 at (0, h) for an even L (see
+    the module docstring), so the step is the negated, reversed residual,
+    with its last entry doubled for an even L."""
+    step = -res[::-1]
+    if L % 2 == 0:
+        step[-1] *= 2.0
+    return step
+
+
 def _newton_solve(phi, xs, a_slots, target, tol):
     """Damped chord-Newton on the coefficient residual, for up to 60 steps.
 
     A line-search candidate is scored from its residual alone.  A step
     reuses the last Jacobian only if the step before it was accepted at
-    full length and cut the residual norm at least 100-fold; otherwise,
-    and for every polish step, a fresh Jacobian is built, after the old one
-    is released.  A line search that fails on a reused Jacobian is retried
-    on a fresh one; one that fails on a fresh Jacobian, or a singular
-    Jacobian, ends the stage.  Once the norm is within tol, up to two
-    polish steps are tried at full length only.  Returns (phi, residual
-    norm, accepted steps, rejected line-search candidates, Jacobian builds).
+    full length and cut the residual norm at least 100-fold; otherwise a
+    fresh Jacobian is built, after the old one is released.  At phi = 0
+    the Jacobian is J(0) in closed form (_zero_seed_step), so a stage from
+    the zero seed builds none for its first step.  A line search that fails
+    on a kept Jacobian (J(0) included) is retried on a fresh one; one that
+    fails on a fresh Jacobian, or a singular Jacobian, ends the stage.
+    Once the norm is within tol, steps are tried at full length only, and
+    the stage ends after two of them that each cut the norm less than
+    100-fold.  Returns (phi, residual norm, accepted steps, rejected
+    line-search candidates, Jacobian builds).
     """
+    L = a_slots[-1]
     res = _coeff_residual(phi, xs, a_slots, target)
     norm = np.linalg.norm(res)
     steps = halvings = builds = 0
-    polish = 2  # extra steps after convergence push toward the machine floor
+    weak_polish = 0  # weak steps from within tol, toward the machine floor
     jac = None
-    while steps < 60:
-        if norm <= tol:
-            if polish == 0:
-                break
-            polish -= 1
-            # the root can be singular (the identity target is), where
-            # polish on a stale Jacobian ends further from it
-            jac = None
-        fresh = jac is None
+    zero = not phi.any()  # the kept Jacobian is J(0)
+    while steps < 60 and weak_polish < 2:
+        fresh = jac is None and not zero
         if fresh:
             builds += 1
             jac = _coeff_jacobian(phi, xs, a_slots)
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            break
+        if zero:
+            step = _zero_seed_step(res, L)
+        else:
+            try:
+                step = np.linalg.solve(jac, -res)
+            except np.linalg.LinAlgError:
+                break
         scale = 1.0
-        # a polish step that does not help at full length has met the
+        # a step within tol that does not help at full length has met the
         # rounding floor, where halving it only searches noise
         for _ in range(25 if norm > tol else 1):
             cand = phi + scale * step
@@ -313,13 +336,14 @@ def _newton_solve(phi, xs, a_slots, target, tol):
             cnorm = np.linalg.norm(cres)
             if cnorm < norm:
                 if scale < 1.0 or 100.0 * cnorm > norm:
-                    jac = None
+                    jac, zero = None, False
+                    weak_polish += norm <= tol
                 phi, res, norm = cand, cres, cnorm
                 break
             scale *= 0.5
             halvings += 1
         else:
-            jac = None
+            jac, zero = None, False
             if fresh:
                 break
             continue
@@ -352,7 +376,8 @@ def qsp_synthesize(p: ParityPolynomial, tol: float = 1e-8) -> QspAngleSequence:
     value is real and is matched to p in Chebyshev coefficient space: a
     square system of its L // 2 + 1 parity-L coefficients in as many free
     angles.  Damped Newton from the exact zero-block seed phi = 0, with
-    scale continuation and seeded random restarts as fallbacks.  The
+    scale continuation and seeded random restarts as fallbacks; degrees 0
+    and 1 take their one free angle in closed form.  The
     coefficients are taken at _fast_len(L + 1) first-kind nodes: any
     m >= L + 1 nodes give coefficients 0..L of a degree-L block value
     exactly, and a length the FFT factors well makes the transforms
@@ -368,6 +393,10 @@ def qsp_synthesize(p: ParityPolynomial, tol: float = 1e-8) -> QspAngleSequence:
     if L == 0:
         c = float(np.clip(p.base.coeffs[0], -1.0, 1.0))
         return QspAngleSequence((2.0 * math.acos(c),), residual=0.0)
+    if L == 1:
+        # phi = (t,) gives the block value sin(t) x
+        t = math.asin(float(np.clip(p.base.coeffs[1], -1.0, 1.0)))
+        return _verified(_symmetric_angles(np.array([t]), 1), p, tol, 0.0)
 
     xs = chebyshev_grid(_fast_len(L + 1))
     a_slots = np.arange(L % 2, L + 1, 2)

@@ -256,7 +256,7 @@ class GateProgram:
     On the Hadamard test of the d=2, n=4 Bernstein block this leaves 19 ops
     of 31 gates: 11 before ``prefix``, and 8 from it on in 2 layers.  The
     d=2, K=4, s=1 Taylor series block, which starts from one of K^d cells,
-    leaves 56 ops of 64 gates: 37 before ``prefix``, and 19 from it on in 2
+    leaves 56 ops of 64 gates: 38 before ``prefix``, and 18 from it on in 2
     layers.
 
     The compile checks no gate (the circuit checked its gates, or its

@@ -6,8 +6,9 @@ copy and every level validated, the ancilla's <X> + i<Y> of a
 final state, a compiled program's slotted op matrices bound one slot
 factor at a time, the layer-by-layer 2x2 products of the X- and
 Z-encoding lines, a second angle synthesizer (Fejer-Riesz completion)
-that cross-checks the Newton one at low degree, and the localization's
-evenized step sum evaluated one step and one sign at a time.  None of them
+that cross-checks the Newton one at low degree, the localization's
+evenized step sum evaluated one step and one sign at a time, and the sign
+series' screen as an upward sweep over every odd degree.  None of them
 shares code with the paths under test beyond the gate matrices and, for
 the op matrices, the program's compiled chains of fixed products.
 """
@@ -177,7 +178,7 @@ def stage_op_matrices(program: GateProgram, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Localization steps, one at a time
+# Localization steps, one at a time, and the sign screen, swept upward
 # ---------------------------------------------------------------------------
 
 
@@ -193,6 +194,30 @@ def per_step_evenized_steps(x, sgn_coef, R, centers) -> np.ndarray:
         neg = 0.5 + 0.5 * _cheb.chebval((-x - c) / R, sgn_coef)
         total += (pos + neg) / K
     return total
+
+
+def upward_screen_start(coef, grid, outside, eps_check, top) -> int:
+    """poly._screen_start as one upward sweep over every odd degree d <= top:
+    T_{k+1} = 2x T_k - T_{k-1} from T_0 and T_1 builds each partial sum
+    S_d, which takes the exact check's test with the grid maximum in place
+    of the refined sup.  Returns the lowest degree of the run of passes that
+    ends at top, or top itself if the test fails there."""
+    x = np.asarray(grid, dtype=float)
+    t_prev, t_cur = np.ones_like(x), x.copy()  # T_{d-1}, T_d
+    partial = coef[1] * t_cur
+    run_start = None
+    for d in range(1, top + 1, 2):
+        if d > 1:
+            t_mid = 2.0 * x * t_cur - t_prev
+            t_prev, t_cur = t_mid, 2.0 * x * t_mid - t_cur
+            partial = partial + coef[d] * t_cur
+        m = float(np.max(np.abs(partial)))
+        s_out = partial[outside] / (m * (1.0 + 1e-12)) if m > 1.0 else partial[outside]
+        if np.max(np.abs(s_out - 1.0)) > eps_check:
+            run_start = None
+        elif run_start is None:
+            run_start = d
+    return top if run_start is None else run_start
 
 
 # ---------------------------------------------------------------------------

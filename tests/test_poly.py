@@ -11,7 +11,7 @@ from scipy import fft, special
 
 from pqcapprox import poly as P
 
-from oracles import per_step_evenized_steps
+from oracles import per_step_evenized_steps, upward_screen_start
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +314,26 @@ def test_sign_series_matches_exhaustive_walk(delta, eps, R):
     assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
 
+# the first step specs eps / (2 (K + 1)) of the K = 4, 8 and 16 reports of
+# the bound suite, the benchmark and CI (SEARCH_SPECS holds K = 2's)
+STEP_SPECS = [(0.05, 0.025 / 10, 2.0), (0.0375, 0.0625 / 18, 2.0), (0.01875, 0.03125 / 34, 2.0)]
+
+
+@pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS + STEP_SPECS)
+def test_screen_walk_down_starts_where_the_upward_sweep_does(monkeypatch, delta, eps, R):
+    screen, starts = P._screen_start, []
+
+    def compared(coef, vals, grid, outside, eps_check, top):
+        start = screen(coef, vals, grid, outside, eps_check, top)
+        starts.append((start, upward_screen_start(coef, grid, outside, eps_check, top)))
+        return start
+
+    monkeypatch.setattr(P, "_screen_start", compared)
+    P._sign_cheb_series(delta, eps, R)
+    ((start, swept),) = starts
+    assert start == swept
+
+
 @pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS)
 def test_erf_interpolant_matches_scipy(delta, eps, R):
     kappa, n_interp = _interpolant_size(delta, eps, R)
@@ -438,6 +458,15 @@ def test_cheb_values_match_chebval_and_invert_cheb_coeffs(m):
     back = P._cheb_coeffs(vals)
     assert np.max(np.abs(back[: len(coef)] - coef)) <= 1e-13
     assert np.max(np.abs(back[len(coef) :]), initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 892])
+def test_chebval_is_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    coef = rng.normal(size=n)
+    for x in (0.3, np.array(-0.6), rng.uniform(-1.0, 1.0, 50), rng.uniform(-1.0, 1.0, (2, 3, 7))):
+        got, want = P._chebval(x, coef), chebval(x, coef)
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
 
 
 def test_cheb_values_refuse_to_alias():

@@ -280,10 +280,13 @@ def test_singular_jacobian_ends_in_synthesis_error(monkeypatch, caplog):
     messages = [r.getMessage() for r in caplog.records]
     assert "degree 5: falling back to scale schedule [0.25, 0.5, 0.75, 0.9, 1.0]" in messages
     assert "degree 5: random restart 2 of 2" in messages
-    # every stage stops at its first solve: no step, one Jacobian
+    # every stage stops at its first solve, after one Jacobian: a stage from
+    # the zero seed (the first of each schedule) has taken its closed-form
+    # step by then, a random restart no step
     stages = [m for m in messages if "newton stage" in m]
     assert len(stages) == 4
-    assert all(": 0 iterations, 0 halvings, 1 jacobian builds" in m for m in stages)
+    assert all(": 1 iterations, 0 halvings, 1 jacobian builds" in m for m in stages[:2])
+    assert all(": 0 iterations, 0 halvings, 1 jacobian builds" in m for m in stages[2:])
 
 
 def stage_problem(target):
@@ -298,11 +301,13 @@ def stage_problem(target):
 
 def record_newton(monkeypatch, spoil=lambda events: False):
     """Log the events of each Newton stage: ("res", norm) per residual,
-    ("build",) per Jacobian gradient and ("solve",) per linear solve.
-    Returns the list of (events, tol, result) it fills.  spoil(events)
-    True makes that residual infinite."""
-    residual, grad, solve, newton = (
-        Q._coeff_residual, Q._half_chain_grad, np.linalg.solve, Q._newton_solve)
+    ("build",) per Jacobian gradient, ("solve",) per linear solve and
+    ("zero",) per step on the closed-form J(0).  Returns the list of
+    (events, tol, result) it fills.  spoil(events) True makes that residual
+    infinite."""
+    residual, grad, solve, zero, newton = (
+        Q._coeff_residual, Q._half_chain_grad, np.linalg.solve, Q._zero_seed_step,
+        Q._newton_solve)
     stages, events = [], []
 
     def logged_residual(*args):
@@ -318,6 +323,10 @@ def record_newton(monkeypatch, spoil=lambda events: False):
         events.append(("solve",))
         return solve(*args)
 
+    def logged_zero(*args):
+        events.append(("zero",))
+        return zero(*args)
+
     def stage(*args):
         events.clear()
         out = newton(*args)
@@ -327,20 +336,29 @@ def record_newton(monkeypatch, spoil=lambda events: False):
     monkeypatch.setattr(Q, "_coeff_residual", logged_residual)
     monkeypatch.setattr(Q, "_half_chain_grad", logged_grad)
     monkeypatch.setattr(Q.np.linalg, "solve", logged_solve)
+    monkeypatch.setattr(Q, "_zero_seed_step", logged_zero)
     monkeypatch.setattr(Q, "_newton_solve", stage)
     return stages
 
 
 def replay_jacobian_rule(events, tol, result):
-    """Check one stage's events against the chord rule of _newton_solve and
-    its returned counts; return why each solve built or reused a Jacobian."""
+    """Check one stage's events against the chord rule of _newton_solve,
+    its end after two weak steps from within tol, and its returned counts;
+    return why each solve built or reused a Jacobian.  The first step of a
+    stage from the zero seed solves on J(0), which has no build."""
     (_, norm), *rest = events
     reasons = Counter()
-    why, built, tried = "first", False, 0
+    why, built, tried, weak_polish = "first", False, 0, 0
     for kind, *value in rest:
+        assert weak_polish < 2
         if kind == "build":
             assert not built
             built = True
+        elif kind == "zero":
+            # J(0) is the zero seed's Jacobian, kept like a built one
+            assert not built and why in ("first", None), why
+            reasons["zero seed" if why == "first" else "reused"] += 1
+            why, built, tried = "failed", False, 0
         elif kind == "solve":
             # a fresh Jacobian exactly when the last step gives a reason
             assert built == (why is not None), why
@@ -349,12 +367,15 @@ def replay_jacobian_rule(events, tol, result):
         else:
             tried += 1
             if why == "failed" and value[0] < norm:
-                why = ("halved" if tried > 1 else "weak" if 100 * value[0] > norm
-                       else "polish" if value[0] <= tol else None)
+                why = "halved" if tried > 1 else "weak" if 100 * value[0] > norm else None
+                weak_polish += why == "weak" and norm <= tol
                 norm = value[0]
     _, final, steps, halvings, builds = result
     assert final == norm and builds == sum(kind == "build" for kind, *_ in rest)
     assert steps + halvings == sum(kind == "res" for kind, *_ in rest)
+    # the stage ended after its second weak polish step, a failed line
+    # search or 60 steps
+    assert weak_polish == 2 or why == "failed" or steps == 60
     return reasons
 
 
@@ -366,7 +387,7 @@ def polish_solves(events, tol):
     for kind, *value in rest:
         if kind == "build":
             built = True
-        elif kind == "solve":
+        elif kind in ("solve", "zero"):
             if norm <= tol:
                 out.append(built)
             built = False
@@ -384,7 +405,11 @@ def test_jacobian_rebuilt_after_a_halved_weak_or_polish_step(monkeypatch):
     phi = np.random.default_rng(103).normal(0.0, 1.0, len(a_slots))
     Q._newton_solve(phi, xs, a_slots, target, 1e-12)
     reasons = sum((replay_jacobian_rule(*stage) for stage in stages), Counter())
-    assert {"halved", "weak", "polish", "reused"} <= set(reasons)
+    assert {"halved", "weak", "reused", "zero seed"} <= set(reasons)
+    # polish steps follow the same rule: one after a strong step reuses the
+    # Jacobian, one after a weak step builds
+    polish = sum((polish_solves(events, tol) for events, tol, _ in stages), [])
+    assert True in polish and False in polish
 
 
 def test_failed_chord_line_search_retries_on_a_fresh_jacobian(monkeypatch):
@@ -451,15 +476,66 @@ def test_synthesis_logs_each_stage_only_when_asked(caplog, monkeypatch):
     stages.clear()
     steps, halvings, builds = logged_stage(target)
     assert steps > 1 and 2 <= builds <= steps + 1
-    # every polish step is solved on a fresh Jacobian
+    # polish steps follow the chord rule, and the stage ends within 60 steps
+    # after two weak ones or on a failed line search (see the replay)
     ((events, tol, result),) = stages
     replay_jacobian_rule(events, tol, result)
     fresh = polish_solves(events, tol)
-    assert fresh and all(fresh)
+    assert False in fresh and fresh[-1] and result[2] < 60
     # a degree-894 stage reuses a Jacobian after each strong step
     loc = P.localization_poly(P.LocalizationSpec(8, 0.3 / 8, 0.5 / 8))
     steps, halvings, builds = logged_stage(P.ParityPolynomial(loc, 0))
     assert halvings == 0 and builds < steps
+
+
+@pytest.mark.parametrize("L", list(range(1, 13)) + [420, 421, 894, 895])
+def test_zero_seed_jacobian_in_closed_form(L):
+    # at phi = 0, U = iZ S(x)^L and phi_j moves the block value by T_{L-2j}:
+    # 1 at (h - j, j), but 1/2 at (0, h) for an even L
+    xs = P.chebyshev_grid(Q._fast_len(L + 1))
+    a_slots = np.arange(L % 2, L + 1, 2)
+    n, h = len(a_slots), L // 2
+    closed = np.zeros((n, n))
+    closed[h - np.arange(n), np.arange(n)] = 1.0
+    if L % 2 == 0:
+        closed[0, h] = 0.5
+    assert np.max(np.abs(Q._coeff_jacobian(np.zeros(n), xs, a_slots) - closed)) <= 1e-12
+    res = np.random.default_rng(L).normal(size=n)
+    assert np.array_equal(closed @ Q._zero_seed_step(res, L), -res)
+
+
+def test_zero_seed_stage_builds_no_jacobian_for_its_first_step(monkeypatch):
+    stages = record_newton(monkeypatch)
+    xs, a_slots, target = stage_problem(random_parity_target(np.random.default_rng(3), 9))
+    Q._newton_solve(np.zeros(len(a_slots)), xs, a_slots, target, 1e-12)
+    ((events, tol, result),) = stages
+    assert [kind for kind, *_ in events[:3]] == ["res", "zero", "res"]
+    assert replay_jacobian_rule(events, tol, result)["zero seed"] == 1
+    assert result[4] < result[2]
+
+
+@pytest.mark.parametrize("c", [-1.0, -0.3, 0.0, 0.5, 1.0])
+def test_degree_one_target_in_closed_form(c, caplog):
+    target = P.ParityPolynomial(P.Polynomial((0.0, c)), 1)
+    with caplog.at_level(logging.DEBUG, logger="pqcapprox.qsp"):
+        a = Q.qsp_synthesize(target)
+    assert not [r for r in caplog.records if "newton stage" in r.getMessage()]
+    grid = np.linspace(-1.0, 1.0, 101)
+    assert a.residual <= 1e-15
+    assert np.max(np.abs(Q.qsp_block_values(a.angles, grid) - c * grid)) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_boundary_targets_rebuild_at_every_step(monkeypatch, k):
+    # |x^k| reaches 1 at x = +-1, where the root is singular and Newton
+    # converges linearly: every step is weak, so none reuses a Jacobian
+    stages = record_newton(monkeypatch)
+    target = P.ParityPolynomial(P.Polynomial.from_power([0.0] * k + [1.0]), k % 2)
+    a = Q.qsp_synthesize(target, tol=1e-11)
+    ((events, tol, result),) = stages
+    reasons = replay_jacobian_rule(events, tol, result)
+    assert "reused" not in reasons and reasons["weak"] == result[4]
+    assert a.residual <= 3.5e-14
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 894, 895])

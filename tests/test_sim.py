@@ -468,7 +468,7 @@ def test_stored_prefix_gives_the_unstored_values_at_every_start(series_block):
     # one program fills its store from single points, the other from a batch
     for order in ((single_values, batch_values), (batch_values, single_values)):
         prog = series_program(bc)
-        assert (prog.prefix, len(prog.pairs)) == (37, 56)
+        assert (prog.prefix, len(prog.pairs)) == (38, 56)
         for x in (xs, x0):
             for _ in range(2):  # the second pass runs from stored states only
                 for values in order:
