@@ -516,19 +516,17 @@ def _refined_sup(coef: np.ndarray, grid: np.ndarray, vals: np.ndarray, spacing: 
     return best
 
 
-# Bytes per (degree + 1)^2 of angle synthesis at that degree, with n =
-# degree // 2 + 1 free angles and m = qsp._fast_len(degree + 1) nodes.  A
-# Jacobian build runs qsp._half_chain_grad over the ceil(m / 2) nodes with
-# x >= 0: the complex prefix rows (32 bytes per angle and node) and the real
-# gradient (8), about 20 n m bytes in all.  _mirrored then fills in the full
-# (n, m) gradient (8 n m) and the half is freed before the DCT, whose
-# temporaries reach 20 n m beside its input: the peak is 28 n m, in
-# _cheb_coeffs.  The n x n Jacobian, the LU copy that np.linalg.solve makes
-# and the line search's half-chain residuals, which sweep blocks of
-# qsp._BLOCK_WIDTH points, stay under it, and a Jacobian kept for chord
-# steps is released before the next is built.  n <= (degree + 2) / 2 and
-# m <= 8/7 (degree + 1) from degree 13 on, so 28 n m is at most
-# 16 (degree + 2) (degree + 1) <= 24 (degree + 1)^2 there.
+# Bytes per (degree + 1)^2 that _check_degree_fits reserves for angle
+# synthesis at that degree.  Synthesis holds O(degree) now: a fixed-point
+# stage (qsp._fixed_point_solve) keeps its iterates and residuals, n floats
+# each with n = degree // 2 + 1, and two n x qsp._ANDERSON_DEPTH arrays of
+# their differences; each residual sweeps blocks of about qsp._BLOCK_WIDTH
+# points and takes one DCT of the qsp._fast_len(degree + 1) node values, and
+# the final grid check sweeps 2 (degree + 1) nodes the same way.  Its traced
+# peak is 0.9 MiB at degree 894 and 1.2 MiB at 2216.  The value 24 bounded
+# the 28 n m bytes of the dense Jacobian build that synthesis no longer
+# makes; it stays, an upper bound that rejects no degree it accepted before,
+# until the guard is derived again from the O(degree) footprint.
 _SYNTHESIS_BYTES_PER_ENTRY = 24
 
 

@@ -12,32 +12,31 @@ Two circuit families are handled:
   monomial ``c exp(i n x)`` has exact parameters (``trig_monomial_params``)
   and a trigonometric polynomial is the LCU sum of its monomials.
 
-X-basis synthesis solves for symmetric angles by chord-Newton iteration on
-the Chebyshev coefficients of the realized block value, warm-started from
-an exact zero-block seed and continued in target scale; this stays
-reliable into the thousands of layers, where the localization polynomials
-live.  The palindrome lets half of each chain stand for the whole one, in
-the residual (_half_chain_values) and in the Jacobian (_half_chain_grad);
-the final grid check (_verified) evaluates the full chain.
+X-basis synthesis solves for symmetric angles by fixed-point iteration on
+the Chebyshev coefficients of the realized block value, started from an
+exact zero-block seed and continued in target scale; this stays reliable
+into the thousands of layers, where the localization polynomials live.
+The palindrome lets half of each chain stand for the whole one in the
+residual (_half_chain_values); the final grid check (_verified) evaluates
+the full chain.
 
-The seed's Jacobian needs no build.  At phi = 0 the angles are
+The iteration needs no Jacobian build.  At phi = 0 the angles are
 (-pi, 0, .., 0), so U = iZ S(x)^L, and moving the paired angle phi_j moves
 the real block value by T_{L-2j}: J(0) is the anti-diagonal map with 1 at
 (h - j, j), h = L // 2, and 1/2 at (0, h) for an even L, whose centre
 angle enters once.  Its step is the negated, reversed residual
-(_zero_seed_step), the map fixed-point QSP iteration rests on (Dong, Lin,
-Ni and Wang, arXiv:2209.10162).  Every step, polish included, follows one
-chord rule (_newton_solve), and a stage within tolerance ends after two
-weak steps.  Degrees 0 and 1 need no Newton stage: one angle gives
-cos(theta_0 / 2), and phi = (t,) gives sin(t) x.
+(_zero_seed_step).  Taking that step at every phi is fixed-point QSP
+iteration (Dong, Lin, Ni and Wang, arXiv:2209.10162), and Anderson mixing
+over the last iterates accelerates it (_fixed_point_solve), so a stage
+holds O(L) numbers and no Jacobian.  Degrees 0 and 1 need no stage: one
+angle gives cos(theta_0 / 2), and phi = (t,) gives sin(t) x.
 
 Parity halves the nodes as well.  S(-x) = -Z S(x) Z and Z commutes with
 R_Z, so U(-x) = (-1)^L Z U(x) Z for any angles, and the block value obeys
 f(-x) = (-1)^L conj(f(x)).  The Chebyshev nodes are symmetric about 0, so
 every series evaluated on them is taken at the nodes with x >= 0 only:
-* the residual and the Jacobian rows are the real part of f, and its
-  derivatives, for symmetric angles, so they have the parity of L and the
-  other half is filled in by poly._mirrored;
+* the residual is the real part of f for symmetric angles, so it has the
+  parity of L and the other half is filled in by poly._mirrored;
 * the final grid check reads |f - p| for a target p of parity L, which is
   even for any angles, so its maximum is reached at x >= 0.
 The sign and step series of the localization polynomial follow the same
@@ -173,60 +172,8 @@ def _su2_product(a1, b1, a2, b2) -> tuple[np.ndarray, np.ndarray]:
     return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
-def _half_chain_grad(thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Gradient of the real block value of a symmetric sequence, (n, points).
-
-    The sequence is theta_0 = theta_L - pi with a palindromic interior, and
-    row k is the derivative along phi_k (see _symmetric_angles).  With P_j
-    the product before R_Z(t_j) and S_j the one after it, the palindrome gives
-    S_j^T = R_Z(pi) P_{L-j}, so the terms of t_j and t_{L-j} sum to
-    tr(P_j R_Z'(t_j) S_j) = Im(r0 u - r1 v), where (r0, r1) is the top row
-    of P_j R_Z(t_j) and (u, v) the first column of S_j.  So only the prefix
-    up to P_{L-h}, h = L // 2, is swept, then the suffix columns backwards
-    from S_h = P_{L-h}^T R_Z(pi), whose first column is -i (top row of
-    P_{L-h}).  The centre angle of an even L has one term: half the trace.
-    """
-    nx, L = xs.shape[0], len(thetas) - 1
-    h = L // 2
-    isx = 1j * np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-    e0 = np.exp(-0.5j * thetas)
-    e1 = np.exp(0.5j * thetas)
-
-    rows = np.empty((h + 1, 2, nx), dtype=complex)  # top row of P_j R_Z(t_j)
-    a, b = np.ones(nx, dtype=complex), np.zeros(nx, dtype=complex)
-    for j in range(h + 1):
-        r0, r1 = rows[j]
-        np.multiply(a, e0[j], out=r0)
-        np.multiply(b, e1[j], out=r1)
-        if j < L - h:
-            a, b = r0 * xs + r1 * isx, r0 * isx + r1 * xs
-    u, v = -1j * a, -1j * b
-
-    grad = np.empty((h + 1, nx))
-    t = np.empty(nx, dtype=complex)
-    w = np.empty(nx, dtype=complex)
-    for j in range(h, -1, -1):
-        np.multiply(rows[j, 0], u, out=t)
-        np.multiply(rows[j, 1], v, out=w)
-        t -= w
-        grad[j] = t.imag
-        if j:
-            # first column of S_{j-1} = S(x) R_Z(t_j) S_j
-            u *= e0[j]
-            v *= e1[j]
-            np.multiply(isx, v, out=t)
-            np.multiply(isx, u, out=w)
-            u *= xs
-            u += t
-            v *= xs
-            v += w
-    if L % 2 == 0:
-        grad[h] *= 0.5
-    return grad
-
-
 # ---------------------------------------------------------------------------
-# Synthesis: Newton on Chebyshev coefficients
+# Synthesis: fixed-point iteration on Chebyshev coefficients
 # ---------------------------------------------------------------------------
 
 
@@ -244,7 +191,7 @@ def _symmetric_angles(phi: np.ndarray, L: int) -> np.ndarray:
 
 def _half_chain_values(thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Real part Re U_00 of the block value of a symmetric sequence, from
-    half its chain (see _symmetric_angles and _half_chain_grad).
+    half its chain (see _symmetric_angles).
 
     With (r0, r1) the top row of P_h R_Z(t_h), h = L // 2, the palindrome
     gives S_h = P_{L-h}^T R_Z(pi), whose first column is -i (a, b) for the
@@ -263,7 +210,7 @@ def _half_chain_values(thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def _coeff_residual(phi: np.ndarray, xs, a_slots, target) -> np.ndarray:
-    """Newton residual from the block values alone: the parity-L Chebyshev
+    """Synthesis residual from the block values alone: the parity-L Chebyshev
     coefficients of the (real) block value at the first-kind nodes xs minus
     the target.  a_slots ends at L.  The block value is evaluated at the
     x >= 0 half of xs and mirrored (see the module docstring)."""
@@ -272,83 +219,70 @@ def _coeff_residual(phi: np.ndarray, xs, a_slots, target) -> np.ndarray:
     return _cheb_coeffs(_mirrored(b, m, L % 2))[a_slots] - target
 
 
-def _coeff_jacobian(phi: np.ndarray, xs, a_slots) -> np.ndarray:
-    """d(residual)/d(phi), square: |a_slots| = L // 2 + 1 = len(phi).  Each
-    gradient row has the parity of L, so it is mirrored like the residual;
-    the half rows are freed before the transform."""
-    L, m = a_slots[-1], len(xs)
-    grad = _mirrored(_half_chain_grad(_symmetric_angles(phi, L), xs[: (m + 1) // 2]), m, L % 2)
-    return _cheb_coeffs(grad)[:, a_slots].T
-
-
 def _zero_seed_step(res: np.ndarray, L: int) -> np.ndarray:
-    """The Newton step -J(0)^-1 res at phi = 0, with no Jacobian built: J(0)
-    has 1 at (h - j, j), h = L // 2, and 1/2 at (0, h) for an even L (see
-    the module docstring), so the step is the negated, reversed residual,
-    with its last entry doubled for an even L."""
+    """The step -J(0)^-1 res, the Newton step at phi = 0 and the fixed-point
+    step everywhere, with no Jacobian built: J(0) has 1 at (h - j, j),
+    h = L // 2, and 1/2 at (0, h) for an even L (see the module docstring),
+    so the step is the negated, reversed residual, with its last entry
+    doubled for an even L."""
     step = -res[::-1]
     if L % 2 == 0:
         step[-1] *= 2.0
     return step
 
 
-def _newton_solve(phi, xs, a_slots, target, tol):
-    """Damped chord-Newton on the coefficient residual, for up to 60 steps.
+# Iterates whose differences fit each step of _fixed_point_solve, and the
+# steps a stage may go without halving its best norm: before that norm is
+# within tol, and after, where the steps polish it to the rounding floor.
+_ANDERSON_DEPTH = 20
+_STALL_STEPS = 50
+_POLISH_STEPS = 6
 
-    A line-search candidate is scored from its residual alone.  A step
-    reuses the last Jacobian only if the step before it was accepted at
-    full length and cut the residual norm at least 100-fold; otherwise a
-    fresh Jacobian is built, after the old one is released.  At phi = 0
-    the Jacobian is J(0) in closed form (_zero_seed_step), so a stage from
-    the zero seed builds none for its first step.  A line search that fails
-    on a kept Jacobian (J(0) included) is retried on a fresh one; one that
-    fails on a fresh Jacobian, or a singular Jacobian, ends the stage.
-    Once the norm is within tol, steps are tried at full length only, and
-    the stage ends after two of them that each cut the norm less than
-    100-fold.  Returns (phi, residual norm, accepted steps, rejected
-    line-search candidates, Jacobian builds).
+
+def _fixed_point_solve(phi, xs, a_slots, target, tol):
+    """Fixed-point iteration phi <- g(phi) = phi - J(0)^-1 r(phi) on the
+    coefficient residual r, with Anderson mixing.
+
+    Each step takes one residual and one _zero_seed_step.  Its iterate is
+    g_k - dG gamma, where the columns of dD and dG are the differences of
+    d_j = g(phi_j) - phi_j and of g(phi_j) over the last _ANDERSON_DEPTH
+    steps, and gamma is the least-squares (minimum-norm) fit of d_k by dD
+    (Anderson mixing of type II, Walker and Ni, SIAM J. Numer. Anal. 49(4),
+    2011).  The stage ends when its best norm has not halved in
+    _STALL_STEPS steps, or in _POLISH_STEPS once it is within tol, so it
+    polishes to the rounding floor, and at a non-finite residual.  Returns
+    (best phi, its residual norm, steps).
     """
-    L = a_slots[-1]
-    res = _coeff_residual(phi, xs, a_slots, target)
-    norm = np.linalg.norm(res)
-    steps = halvings = builds = 0
-    weak_polish = 0  # weak steps from within tol, toward the machine floor
-    jac = None
-    zero = not phi.any()  # the kept Jacobian is J(0)
-    while steps < 60 and weak_polish < 2:
-        fresh = jac is None and not zero
-        if fresh:
-            builds += 1
-            jac = _coeff_jacobian(phi, xs, a_slots)
-        if zero:
-            step = _zero_seed_step(res, L)
+    L, n = a_slots[-1], len(phi)
+    dd = np.empty((n, _ANDERSON_DEPTH))
+    dg = np.empty((n, _ANDERSON_DEPTH))
+    best_phi, best, mark = phi, np.inf, np.inf
+    steps = stalled = 0
+    while True:
+        res = _coeff_residual(phi, xs, a_slots, target)
+        norm = np.linalg.norm(res)
+        if not np.isfinite(norm):
+            break
+        if norm < best:
+            best_phi, best = phi, norm
+            if norm <= 0.5 * mark:
+                mark, stalled = norm, 0
+        if stalled == (_POLISH_STEPS if best <= tol else _STALL_STEPS):
+            break
+        d = _zero_seed_step(res, L)
+        g = phi + d
+        if steps:
+            j = (steps - 1) % _ANDERSON_DEPTH
+            dd[:, j] = d - d_prev
+            dg[:, j] = g - g_prev
+            k = min(steps, _ANDERSON_DEPTH)
+            phi = g - dg[:, :k] @ np.linalg.lstsq(dd[:, :k], d, rcond=None)[0]
         else:
-            try:
-                step = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError:
-                break
-        scale = 1.0
-        # a step within tol that does not help at full length has met the
-        # rounding floor, where halving it only searches noise
-        for _ in range(25 if norm > tol else 1):
-            cand = phi + scale * step
-            cres = _coeff_residual(cand, xs, a_slots, target)
-            cnorm = np.linalg.norm(cres)
-            if cnorm < norm:
-                if scale < 1.0 or 100.0 * cnorm > norm:
-                    jac, zero = None, False
-                    weak_polish += norm <= tol
-                phi, res, norm = cand, cres, cnorm
-                break
-            scale *= 0.5
-            halvings += 1
-        else:
-            jac, zero = None, False
-            if fresh:
-                break
-            continue
+            phi = g
+        d_prev, g_prev = d, g
         steps += 1
-    return phi, norm, steps, halvings, builds
+        stalled += 1
+    return best_phi, best, steps
 
 
 def _fast_len(n: int) -> int:
@@ -375,12 +309,14 @@ def qsp_synthesize(p: ParityPolynomial, tol: float = 1e-8) -> QspAngleSequence:
     The angles are symmetric (_symmetric_angles), so the realized block
     value is real and is matched to p in Chebyshev coefficient space: a
     square system of its L // 2 + 1 parity-L coefficients in as many free
-    angles.  Damped Newton from the exact zero-block seed phi = 0, with
-    scale continuation and seeded random restarts as fallbacks; degrees 0
-    and 1 take their one free angle in closed form.  The
-    coefficients are taken at _fast_len(L + 1) first-kind nodes: any
-    m >= L + 1 nodes give coefficients 0..L of a degree-L block value
-    exactly, and a length the FFT factors well makes the transforms
+    angles.  Anderson-accelerated fixed-point iteration on the closed-form
+    J(0) (_fixed_point_solve) from the exact zero-block seed phi = 0, with
+    scale continuation and seeded random restarts as fallbacks; its memory
+    is O(L), since no Jacobian is built.  Degrees 0 and 1 take their one
+    free angle in closed form.  Every result passes the grid check
+    _verified.  The coefficients are taken at _fast_len(L + 1) first-kind
+    nodes: any m >= L + 1 nodes give coefficients 0..L of a degree-L block
+    value exactly, and a length the FFT factors well makes the transforms
     several times faster.
 
     Raises QspSynthesisError with the best residual on failure.
@@ -396,7 +332,7 @@ def qsp_synthesize(p: ParityPolynomial, tol: float = 1e-8) -> QspAngleSequence:
     if L == 1:
         # phi = (t,) gives the block value sin(t) x
         t = math.asin(float(np.clip(p.base.coeffs[1], -1.0, 1.0)))
-        return _verified(_symmetric_angles(np.array([t]), 1), p, tol, 0.0)
+        return _verified(_symmetric_angles(np.array([t]), 1), p, tol)
 
     xs = chebyshev_grid(_fast_len(L + 1))
     a_slots = np.arange(L % 2, L + 1, 2)
@@ -406,13 +342,10 @@ def qsp_synthesize(p: ParityPolynomial, tol: float = 1e-8) -> QspAngleSequence:
     def attempt(phi: np.ndarray, scales: Sequence[float]) -> tuple[np.ndarray, float]:
         norm = np.inf
         for scale in scales:
-            phi, norm, steps, halvings, builds = _newton_solve(
-                phi, xs, a_slots, scale * target, coeff_tol
-            )
+            phi, norm, steps = _fixed_point_solve(phi, xs, a_slots, scale * target, coeff_tol)
             logger.debug(
-                "degree %d newton stage at scale %g: %d iterations, %d halvings,"
-                " %d jacobian builds, coefficient norm %.3e",
-                L, scale, steps, halvings, builds, norm,
+                "degree %d fixed-point stage at scale %g: %d steps, coefficient norm %.3e",
+                L, scale, steps, norm,
             )
             if norm > math.sqrt(coeff_tol):  # stage failed; no point continuing
                 break
@@ -427,17 +360,17 @@ def qsp_synthesize(p: ParityPolynomial, tol: float = 1e-8) -> QspAngleSequence:
         phi, norm = attempt(np.zeros(len(a_slots)), sched)
         best_norm = min(best_norm, norm)
         if norm <= coeff_tol:
-            return _verified(_symmetric_angles(phi, L), p, tol, best_norm)
+            return _verified(_symmetric_angles(phi, L), p, tol)
     for restart in range(_MAX_RESTARTS):
         logger.debug("degree %d: random restart %d of %d", L, restart + 1, _MAX_RESTARTS)
         phi, norm = attempt(rng.normal(0.0, 0.2, len(a_slots)), [0.25, 0.5, 0.75, 0.9, 1.0])
         best_norm = min(best_norm, norm)
         if norm <= coeff_tol:
-            return _verified(_symmetric_angles(phi, L), p, tol, best_norm)
+            return _verified(_symmetric_angles(phi, L), p, tol)
     raise QspSynthesisError("qsp synthesis did not converge", best_norm)
 
 
-def _verified(thetas: np.ndarray, p: ParityPolynomial, tol: float, norm: float) -> QspAngleSequence:
+def _verified(thetas: np.ndarray, p: ParityPolynomial, tol: float) -> QspAngleSequence:
     # |block value - p| is even for any angles (see the module docstring),
     # so the x >= 0 half of the m nodes, the first m // 2, gives its maximum
     m = 4 * (p.degree + 1)

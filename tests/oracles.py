@@ -6,7 +6,7 @@ copy and every level validated, the ancilla's <X> + i<Y> of a
 final state, a compiled program's slotted op matrices bound one slot
 factor at a time, the layer-by-layer 2x2 products of the X- and
 Z-encoding lines, a second angle synthesizer (Fejer-Riesz completion)
-that cross-checks the Newton one at low degree, the localization's
+that cross-checks the fixed-point one at low degree, the localization's
 evenized step sum evaluated one step and one sign at a time, and the sign
 series' screen as an upward sweep over every odd degree.  None of them
 shares code with the paths under test beyond the gate matrices and, for
@@ -279,7 +279,7 @@ def qsp_synthesize_completion(p: ParityPolynomial, tol: float = 1e-7) -> QspAngl
     Writes 1 - p(x)^2 = A(x)^2 + (1-x^2) B(x)^2 by pairing the roots of its
     Laurent lift (Fejer-Riesz factorization), sets P = p + iA, Q = iB, and
     strips layers from the top degree.  Reliable for degree up to ~16 in
-    double precision; used as a test oracle against the Newton backend.
+    double precision; used as a test oracle against qsp_synthesize.
     """
     pw = _cheb.cheb2poly(p.base.coeffs)
     L = p.degree

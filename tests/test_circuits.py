@@ -644,7 +644,7 @@ def test_constructions_synthesize_without_fallback(caplog, monkeypatch):
         for K in (2, 4, 8):
             C.localization_angles.__wrapped__(P.LocalizationSpec(K, 0.3 / K, 0.5 / K))
     messages = [r.getMessage() for r in caplog.records]
-    assert sum("newton stage" in m for m in messages) == 3  # one per synthesis
+    assert sum("fixed-point stage" in m for m in messages) == 3  # one per synthesis
     assert not [m for m in messages if "falling back" in m or "random restart" in m]
 
 
