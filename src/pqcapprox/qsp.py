@@ -232,11 +232,15 @@ def _zero_seed_step(res: np.ndarray, L: int) -> np.ndarray:
 
 
 # Iterates whose differences fit each step of _fixed_point_solve, and the
-# steps a stage may go without halving its best norm: before that norm is
-# within tol, and after, where the steps polish it to the rounding floor.
+# largest condition (estimated from the QR factor's diagonal) their
+# difference matrix may have; the steps a stage may go without halving its
+# best norm: before that norm is within tol, and after, where the steps
+# polish it to the rounding floor; and the steps a stage may take at most.
 _ANDERSON_DEPTH = 20
+_ANDERSON_COND = 1e3
 _STALL_STEPS = 50
 _POLISH_STEPS = 6
+_MAX_STEPS = 400
 
 
 def _fixed_point_solve(phi, xs, a_slots, target, tol):
@@ -245,17 +249,19 @@ def _fixed_point_solve(phi, xs, a_slots, target, tol):
 
     Each step takes one residual and one _zero_seed_step.  Its iterate is
     g_k - dG gamma, where the columns of dD and dG are the differences of
-    d_j = g(phi_j) - phi_j and of g(phi_j) over the last _ANDERSON_DEPTH
-    steps, and gamma is the least-squares (minimum-norm) fit of d_k by dD
-    (Anderson mixing of type II, Walker and Ni, SIAM J. Numer. Anal. 49(4),
-    2011).  The stage ends when its best norm has not halved in
-    _STALL_STEPS steps, or in _POLISH_STEPS once it is within tol, so it
-    polishes to the rounding floor, and at a non-finite residual.  Returns
+    d_j = g(phi_j) - phi_j and of g(phi_j) over the last steps, and gamma is
+    the least-squares fit of d_k by dD (Anderson mixing of type II, Walker
+    and Ni, SIAM J. Numer. Anal. 49(4), 2011).  The window keeps at most
+    min(_ANDERSON_DEPTH, n) columns, and, as Walker and Ni do, drops its
+    oldest while dD is ill-conditioned (_anderson_step), so the fit stays
+    determined and its steps stay small near the rounding floor.  The stage
+    ends when its best norm has not halved in _STALL_STEPS steps, or in
+    _POLISH_STEPS once it is within tol, so it polishes to the rounding
+    floor; at a non-finite residual; and after _MAX_STEPS steps.  Returns
     (best phi, its residual norm, steps).
     """
-    L, n = a_slots[-1], len(phi)
-    dd = np.empty((n, _ANDERSON_DEPTH))
-    dg = np.empty((n, _ANDERSON_DEPTH))
+    L, depth = a_slots[-1], min(_ANDERSON_DEPTH, len(phi))
+    dd, dg = [], []  # difference columns, oldest first
     best_phi, best, mark = phi, np.inf, np.inf
     steps = stalled = 0
     while True:
@@ -267,22 +273,35 @@ def _fixed_point_solve(phi, xs, a_slots, target, tol):
             best_phi, best = phi, norm
             if norm <= 0.5 * mark:
                 mark, stalled = norm, 0
-        if stalled == (_POLISH_STEPS if best <= tol else _STALL_STEPS):
+        if stalled >= (_POLISH_STEPS if best <= tol else _STALL_STEPS) or steps == _MAX_STEPS:
             break
         d = _zero_seed_step(res, L)
         g = phi + d
         if steps:
-            j = (steps - 1) % _ANDERSON_DEPTH
-            dd[:, j] = d - d_prev
-            dg[:, j] = g - g_prev
-            k = min(steps, _ANDERSON_DEPTH)
-            phi = g - dg[:, :k] @ np.linalg.lstsq(dd[:, :k], d, rcond=None)[0]
+            dd.append(d - d_prev)
+            dg.append(g - g_prev)
+            del dd[:-depth], dg[:-depth]
+            phi = _anderson_step(g, d, dd, dg)
         else:
             phi = g
         d_prev, g_prev = d, g
         steps += 1
         stalled += 1
     return best_phi, best, steps
+
+
+def _anderson_step(g, d, dd, dg):
+    """The mixed iterate g - dG gamma, with gamma the least-squares fit of d
+    by dD from dD = QR.  Drops the oldest columns of dd and dg in place
+    while the diagonal of R spans more than _ANDERSON_COND (or has a zero),
+    and takes the plain step g if none is left."""
+    while dd:
+        q, r = np.linalg.qr(np.column_stack(dd))
+        diag = np.abs(np.diagonal(r))
+        if 0.0 < diag.max() <= _ANDERSON_COND * diag.min():
+            return g - np.column_stack(dg) @ np.linalg.solve(r, q.T @ d)
+        del dd[0], dg[0]
+    return g
 
 
 def _fast_len(n: int) -> int:

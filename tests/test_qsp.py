@@ -328,8 +328,10 @@ def replay_stage(norms, zeros, tol, result):
                 best = norm
                 if norm <= 0.5 * mark:
                     mark, stalled = norm, 0
-            if stalled == (Q._POLISH_STEPS if best <= tol else Q._STALL_STEPS):
+            if stalled >= (Q._POLISH_STEPS if best <= tol else Q._STALL_STEPS):
                 why = "polished" if best <= tol else "stalled"
+            elif k == Q._MAX_STEPS:
+                why = "capped"
         if why:
             assert k == len(norms) - 1, "the stage went on after its end"
             break
@@ -353,6 +355,43 @@ def test_stage_steps_on_j0_and_ends_by_its_rule(monkeypatch):
     Q._fixed_point_solve(np.zeros(len(a_slots)), xs, a_slots, 1.5 * target, 1e-12)
     ends = Counter(replay_stage(*stage) for stage in stages)
     assert ends["polished"] >= 3 and ends["stalled"] == 1
+
+
+def scripted_residual(monkeypatch, norms):
+    """Make _coeff_residual return vectors with the given norms in turn,
+    whatever phi is, and fail past their end so a stage cannot run on."""
+    calls = iter(norms)
+
+    def residual(phi, xs, a_slots, target):
+        return np.full(len(phi), next(calls) / math.sqrt(len(phi)))
+
+    monkeypatch.setattr(Q, "_coeff_residual", residual)
+
+
+def test_stage_ends_when_its_best_creeps_within_tol(monkeypatch):
+    # the best norm creeps from 1.5 tol to below tol in 34 steps without
+    # halving, then sits at a floor above half its mark: the stage is past
+    # its polish window as soon as it is within tol, and must end there
+    tol = 1e-10
+    norms = [max(1.5 * tol * (1.0 - 0.01 * k), 0.9 * tol) for k in range(200)]
+    scripted_residual(monkeypatch, norms)
+    xs, a_slots, _ = stage_problem(random_parity_target(np.random.default_rng(4), 9))
+    k = next(k for k, norm in enumerate(norms) if norm <= tol)
+    _, best, steps = Q._fixed_point_solve(np.zeros(len(a_slots)), xs, a_slots, None, tol)
+    assert Q._POLISH_STEPS < k < Q._STALL_STEPS
+    assert steps == k and best == pytest.approx(norms[k], rel=1e-12)
+
+
+def test_stage_ends_after_its_step_cap(monkeypatch):
+    # a norm that halves at every step never stalls; tol 0 is never met
+    monkeypatch.setattr(Q, "_MAX_STEPS", 30)
+    scripted_residual(monkeypatch, [0.5**k for k in range(40)])
+    xs, a_slots, _ = stage_problem(random_parity_target(np.random.default_rng(4), 9))
+    stages = record_stages(monkeypatch)
+    Q._fixed_point_solve(np.zeros(len(a_slots)), xs, a_slots, None, 0.0)
+    ((norms, zeros, tol, result),) = stages
+    assert replay_stage(norms, zeros, tol, result) == "capped"
+    assert result[2] == 30 and result[1] == pytest.approx(0.5**30, rel=1e-12)
 
 
 def test_synthesis_logs_each_stage_only_when_asked(caplog, monkeypatch):
