@@ -519,11 +519,12 @@ def _refined_sup(coef: np.ndarray, grid: np.ndarray, vals: np.ndarray, spacing: 
 # Bytes per (degree + 1)^2 that _check_degree_fits reserves for angle
 # synthesis at that degree.  Synthesis holds O(degree) now: a fixed-point
 # stage (qsp._fixed_point_solve) keeps its iterates and residuals, n floats
-# each with n = degree // 2 + 1, and two n x qsp._ANDERSON_DEPTH arrays of
-# their differences; each residual sweeps blocks of about qsp._BLOCK_WIDTH
-# points and takes one DCT of the qsp._fast_len(degree + 1) node values, and
-# the final grid check sweeps 2 (degree + 1) nodes the same way.  Its traced
-# peak is 0.9 MiB at degree 894 and 1.2 MiB at 2216.  The value 24 bounded
+# each with n = degree // 2 + 1, up to 2 qsp._ANDERSON_DEPTH columns of
+# their differences and, per step, an n x qsp._ANDERSON_DEPTH QR of one set
+# of them; each residual sweeps blocks of about qsp._BLOCK_WIDTH points and
+# takes one DCT of the qsp._fast_len(degree + 1) node values, and the final
+# grid check sweeps 2 (degree + 1) nodes the same way.  Its traced peak is
+# 0.84 MiB at degree 894 and 1.2 MiB at 2216.  The value 24 bounded
 # the 28 n m bytes of the dense Jacobian build that synthesis no longer
 # makes; it stays, an upper bound that rejects no degree it accepted before,
 # until the guard is derived again from the O(degree) footprint.
