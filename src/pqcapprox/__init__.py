@@ -63,7 +63,6 @@ from .sim import (
     Gate,
     GateProgram,
     ResourceCount,
-    decompose_mcu,
     resource_count,
     run,
     sample_shots,

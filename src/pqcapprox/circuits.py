@@ -118,7 +118,7 @@ def evaluate_block(
     values = sim.hadamard_values(bc.program, xs, start)
     if bc.block_value_is_real:
         # at block scale: real constructions leave at most about 3e-15
-        leak = float(np.max(np.abs(values.imag), initial=0.0))
+        leak = float(np.abs(values.imag).max(initial=0.0))
         if leak > 1e-9:
             raise ValueError(f"block declared real has an imaginary part of {leak:.3g}")
         values = values.real
@@ -540,9 +540,9 @@ def localization_values(spec: LocalizationSpec, x: Sequence[float] | np.ndarray)
     powers, coeffs = localization_chebyshev(spec)
     xs = np.asarray(x, dtype=float)
     u = xs.ravel()
-    if not np.all(np.abs(u) <= 1.0 + 1e-12):  # NaN fails this too
+    if not (np.abs(u) <= 1.0 + 1e-12).all():  # NaN fails this too
         raise ValueError("encoding inputs outside [-1, 1]")
-    theta = np.arccos(np.clip(u, -1.0, 1.0))[:, None, None]
+    theta = np.arccos(np.minimum(np.maximum(u, -1.0), 1.0))[:, None, None]
     out = np.empty(len(u))
     size = max(1, sim.BATCH_BYTES // powers.nbytes)  # float64 table rows, int64 powers
     for lo in range(0, len(u), size):
@@ -556,10 +556,10 @@ def round_to_eta(values: Sequence[float] | np.ndarray, K: int) -> MultiIndex | n
     One point's values give a tuple; an (N, d) array gives an integer array.
     """
     v = np.asarray(values, dtype=float)
-    if not np.all((v >= -1e-9) & (v <= 1.0 + 1e-9)):  # NaN fails too
-        bad = v[~((v >= -1e-9) & (v <= 1.0 + 1e-9))]
-        raise ValueError(f"localization output {bad[0]} outside [0, 1]")
-    cells = np.clip(np.floor(K * v).astype(int), 0, K - 1)
+    ok = (v >= -1e-9) & (v <= 1.0 + 1e-9)
+    if not ok.all():  # NaN fails too
+        raise ValueError(f"localization output {v[~ok][0]} outside [0, 1]")
+    cells = np.minimum(np.maximum(np.floor(K * v).astype(int), 0), K - 1)
     return tuple(int(c) for c in cells) if v.ndim == 1 else cells
 
 
@@ -597,6 +597,13 @@ class TaylorCoeffTable:
     def address_bits(self) -> int:
         return self.d * max(1, (self.K - 1).bit_length()) if self.K > 1 else 0
 
+    @cached_property
+    def address_weights(self) -> np.ndarray:
+        """The place value of each coordinate's cell in the address (see
+        ``_address``)."""
+        m = self.address_bits // self.d
+        return 1 << (m * np.arange(self.d - 1, -1, -1))
+
 
 def _address(table: TaylorCoeffTable, eta: MultiIndex | np.ndarray) -> int | np.ndarray:
     """Value of the address register holding cell eta, or of each row of an
@@ -606,10 +613,10 @@ def _address(table: TaylorCoeffTable, eta: MultiIndex | np.ndarray) -> int | np.
     first; address qubit q holds bit address_bits - 1 - q of the value.
     """
     cells = np.asarray(eta, dtype=int)
-    if cells.shape[-1:] != (table.d,) or cells.size and (cells.min() < 0 or cells.max() >= table.K):
+    # viewed unsigned, a negative cell lies above K too, so one pass checks both ends
+    if cells.shape[-1:] != (table.d,) or cells.size and cells.view(np.uint64).max() >= table.K:
         raise ValueError(f"invalid address {eta}")
-    m = table.address_bits // table.d
-    return (cells << (m * np.arange(table.d - 1, -1, -1))).sum(axis=-1)
+    return cells @ table.address_weights
 
 
 def build_taylor_coeff_pqc(table: TaylorCoeffTable, alpha: MultiIndex) -> Circuit:
@@ -675,7 +682,8 @@ class NestedTaylorModel:
     0, with its Hadamard test started from |eta> on the address register at
     input x - eta/K.  That equals the block of cell eta, whose prep writes
     eta and whose data slots are shifted by eta/K.  A call takes one point
-    or an (N, d) array of points.
+    or an (N, d) array of points; a point of another length than f's d
+    raises ValueError.
     """
 
     def __init__(self, f: TargetFunctionSpec, spec: LocalizationSpec, s: int):
@@ -696,6 +704,9 @@ class NestedTaylorModel:
         """The value at one point, or the values at the rows of an (N, d) array."""
         xs = np.asarray(x, dtype=float)
         pts = np.atleast_2d(xs)
+        if pts.shape[-1] != self.f.dims:
+            raise ValueError(f"the model takes points of {self.f.dims} coordinates,"
+                             f" got {pts.shape[-1]}")
         eta = round_to_eta(localization_values(self.spec, pts), self.spec.K)
         values = evaluate_block(
             self.series, pts - eta / self.spec.K, start=series_start(self.table, eta)

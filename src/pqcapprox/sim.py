@@ -7,9 +7,7 @@ where each of its controls reads 1 and each of its zero-controls reads 0
 with no X's around it.  It carries a concrete angle or an encoding slot
 that is bound to a data point before simulation.  ``GateProgram`` compiles
 a circuit once, so each run only binds the slots.  Controlled gates are
-native simulator primitives; ``lowered`` expands them into one-control X's
-and single-qubit rotations for the depth/gate-count claims and equivalence
-tests.
+native simulator primitives.
 """
 
 from __future__ import annotations
@@ -44,14 +42,14 @@ class EncodingSlot:
 def encoding_angles(xform: str, u: np.ndarray) -> np.ndarray:
     """Angles of an encoding transform at arguments u = scale*x[coord] - shift."""
     if xform == "acos":
-        if not np.all(np.abs(u) <= 1.0 + 1e-9):  # NaN is out of range too
-            bad = u[~(np.abs(u) <= 1.0 + 1e-9)]
-            raise ValueError(f"encoding argument {bad[0]} outside [-1, 1]")
+        ok = np.abs(u) <= 1.0 + 1e-9
+        if not ok.all():  # NaN is out of range too
+            raise ValueError(f"encoding argument {u[~ok][0]} outside [-1, 1]")
         return -2.0 * np.arccos(np.minimum(np.maximum(u, -1.0), 1.0))
     if xform == "zrot":
-        if not np.all(np.isfinite(u)):
-            bad = u[~np.isfinite(u)]
-            raise ValueError(f"encoding argument {bad[0]} is not finite")
+        ok = np.isfinite(u)
+        if not ok.all():
+            raise ValueError(f"encoding argument {u[~ok][0]} is not finite")
         return -u
     raise ValueError(f"unknown encoding xform {xform!r}")
 
@@ -233,18 +231,24 @@ class GateProgram:
     point.  ``chains`` holds the slot of each op in ``slotted`` and, per
     slot factor, its rotation kind and the fixed product after it.  With h
     the slot's half angle, such an op is a trigonometric polynomial in h of
-    degree its slot count, so it is compiled once into its Fourier
-    coefficients (``slot_tables``, one per slot, with each op's row in
-    ``op_matrices``), and ``op_matrices`` binds every op of a slot with one
-    table of cos hk and sin hk and one product.  ``width`` and ``gates``
-    are those of the source circuit.
+    degree its slot count, so each slot's ops compile into their Fourier
+    coefficients (``slot_tables``), and the slots' tables into one block
+    table, every slot's cosine rows first and every slot's sine rows after.
+    ``op_matrices`` binds every slotted op with one affine map of the
+    point, one table of cos hk and sin hk and one product.  ``width`` and
+    ``gates`` are those of the source circuit, and ``coords`` is the number
+    of point coordinates its slots read.
 
-    ``prefix`` is the index of the first slotted op (``len(pairs)`` when
-    there is none).  The ops before it are fixed, so from a basis start the
-    state before op ``prefix`` is one fixed vector: a batch run takes it
-    from ``stored``, a dict on the program keyed by start index.  A start
-    not stored yet runs the prefix op by op, once; its state is stored while
-    ``stored`` holds at most PREFIX_BYTES.
+    ``prefix`` is the number of ops run once per start, ``pairs[:prefix]``:
+    the fixed ops before the first slotted op, and every later fixed op
+    that touches no amplitude of an earlier kept op.  The other ops from
+    the first slotted op on are kept, and run at every point.  A hoisted op
+    acts on amplitudes disjoint from every kept op before it, so it
+    commutes with them, and each amplitude still sees its ops in circuit
+    order.  From a basis start the state after the prefix is one fixed
+    vector: a batch run takes it from ``stored``, a dict on the program
+    keyed by start index.  A start not stored yet runs the prefix op by op,
+    once; its state is stored while ``stored`` holds at most PREFIX_BYTES.
 
     The ops from ``prefix`` on run at every point, op k with row
     k - prefix of ``op_matrices``.  Ops that touch disjoint amplitudes
@@ -254,10 +258,10 @@ class GateProgram:
     one, in the same order, so every value is bit-identical to that.
 
     On the Hadamard test of the d=2, n=4 Bernstein block this leaves 19 ops
-    of 31 gates: 11 before ``prefix``, and 8 from it on in 2 layers.  The
-    d=2, K=4, s=1 Taylor series block, which starts from one of K^d cells,
-    leaves 56 ops of 64 gates: 38 before ``prefix``, and 18 from it on in 2
-    layers.
+    of 31 gates: 11 in the prefix, and 8 from it on in 2 layers.  The d=2,
+    K=4, s=1 Taylor series block, which starts from one of K^d cells,
+    leaves 56 ops of 64 gates: 54 in the prefix, and its 2 slotted ops in 1
+    layer.
 
     The compile checks no gate (the circuit checked its gates, or its
     placements, when it was built), and masks each (target, controls,
@@ -311,44 +315,93 @@ class GateProgram:
         # a fixed run that is exactly I does nothing, so it is no op
         kept = [k for k, (head, chain) in enumerate(zip(heads, chains))
                 if chain or not np.array_equal(head, eye)]
-        self.pairs: list[np.ndarray] = [runs[k] for k in kept]
-        self.heads = np.array([heads[k] for k in kept], dtype=complex).reshape(len(kept), 2, 2)
-        self.slotted = np.array([p for p, k in enumerate(kept) if chains[k]], dtype=int)
-        self.chains = [(slots[kept[p]], chains[kept[p]]) for p in self.slotted]
-        self.prefix = int(self.slotted[0]) if len(self.slotted) else len(self.pairs)
-        # slotted ops bound together: one table per slot, holding each op's row
-        groups: dict[EncodingSlot, list[int]] = {}
-        for p in sorted(range(len(self.chains)), key=lambda p: -len(self.chains[p][1])):
-            groups.setdefault(self.chains[p][0], []).append(p)  # longest chains first
-        self.slot_tables = [
-            (slot, self.slotted[ps] - self.prefix,
-             *_fourier_table(self.heads[self.slotted[ps]], [self.chains[p][1] for p in ps]))
-            for slot, ps in groups.items()
-        ]
-        self.stored: dict[int, np.ndarray] = {}
-        # Each op from prefix on joins the layer after the last layer that
-        # touches any of its amplitudes, so a layer's members touch disjoint
-        # amplitudes and commute, and overlapping ops keep their order.
+        # From the first slotted op on, a fixed op that no kept op before it
+        # touches joins the prefix; every other op is kept and joins the
+        # layer after the last layer that touches any of its amplitudes, so
+        # a layer's members touch disjoint amplitudes and commute, and
+        # overlapping ops keep their order.
+        first = next((p for p, k in enumerate(kept) if chains[k]), len(kept))
+        order, suffix, layer_of = kept[:first], [], []
+        last = np.full(2**c.width, -1)  # per amplitude: its last kept op's layer
+        for k in kept[first:]:
+            layer = int(last[runs[k]].max()) + 1
+            if layer or chains[k]:
+                suffix.append(k)
+                layer_of.append(layer)
+                last[runs[k]] = layer
+            else:
+                order.append(k)
+        self.prefix = len(order)
+        order += suffix
+        self.pairs: list[np.ndarray] = [runs[k] for k in order]
+        self.heads = np.array([heads[k] for k in order], dtype=complex).reshape(len(order), 2, 2)
+        self.slotted = np.array([p for p, k in enumerate(order) if chains[k]], dtype=int)
+        self.chains = [(slots[order[p]], chains[order[p]]) for p in self.slotted]
+        self.coords = 1 + max((slot.coord for slot, _ in self.chains), default=-1)
+        layer_of = np.array(layer_of, dtype=int)
         ops = self.pairs[self.prefix:]
-        layer_of = np.zeros(len(ops), dtype=int)
-        last = np.full(2**c.width, -1)  # per amplitude
-        for r, pair in enumerate(ops):
-            layer_of[r] = last[pair].max() + 1
-            last[pair] = layer_of[r]
         self.layers = [  # the members' pairs, and the row of each pair's op
             (np.concatenate([ops[r] for r in rows], axis=1),
              np.repeat(rows, [ops[r].shape[1] for r in rows]))
             for rows in (np.flatnonzero(layer_of == layer) for layer in range(last.max() + 1))
         ]
+        self.stored: dict[int, np.ndarray] = {}
+        self._compile_tables()
+
+    def _compile_tables(self) -> None:
+        """Compile each slot's ops into its Fourier table (``slot_tables``:
+        per slot, its ops' indices in ``chains``, their powers, how many are
+        cosines, and the table), and the tables into the block table that
+        op_matrices binds.  Row r of the block table takes cos or sin of
+        row_power[r] times the half angle of slot row_slot[r], every cosine
+        row first, and column 8p + e holds entry e of slotted op p, real and
+        imaginary parts interleaved.  The slots are sorted by xform, and
+        ``xforms`` holds each xform's slice of them."""
+        groups: dict[EncodingSlot, list[int]] = {}
+        for p in sorted(range(len(self.chains)), key=lambda p: -len(self.chains[p][1])):
+            groups.setdefault(self.chains[p][0], []).append(p)  # longest chains first
+        slots = sorted(groups, key=lambda slot: slot.xform)
+        self.slot_tables = [
+            (slot, ps, *_fourier_table(self.heads[self.slotted[ps]],
+                                       [self.chains[p][1] for p in ps]))
+            for slot, ps in ((slot, groups[slot]) for slot in slots)
+        ]
+        self.slot_coords = np.array([slot.coord for slot in slots], dtype=int)
+        self.slot_scales = np.array([slot.scale for slot in slots]).reshape(-1, 1)
+        self.slot_shifts = np.array([slot.shift for slot in slots]).reshape(-1, 1)
+        xforms = [slot.xform for slot in slots]
+        self.xforms = [(xf, slice(xforms.index(xf), xforms.index(xf) + xforms.count(xf)))
+                       for xf in dict.fromkeys(xforms)]
+        rows = [(s, j) for s, (_, _, powers, _, _) in enumerate(self.slot_tables)
+                for j in range(len(powers))]
+        rows.sort(key=lambda r: r[1] >= self.slot_tables[r[0]][3])  # stable: cosines first
+        self.cosines = sum(cosines for _, _, _, cosines, _ in self.slot_tables)
+        self.row_slot = np.array([s for s, _ in rows], dtype=int)
+        self.row_power = np.zeros(len(rows), dtype=int)
+        self.table = np.zeros((len(rows), 8 * len(self.chains)))
+        index = np.array([j for _, j in rows], dtype=int)
+        for s, (_, ps, powers, _, table) in enumerate(self.slot_tables):
+            mine = np.flatnonzero(self.row_slot == s)
+            self.row_power[mine] = powers[index[mine]]
+            cols = 8 * np.array(ps)[:, None] + np.arange(8)
+            self.table[np.ix_(mine, cols.ravel())] = table[index[mine]]
+        # bytes per point of a chunk in hadamard_values: its state or one
+        # slot's table row (as many float64 entries as its int64 powers)
+        self.row_bytes = max([np.dtype(complex).itemsize * 2**self.width]
+                             + [powers.nbytes for _, _, powers, _, _ in self.slot_tables])
 
     def prefix_states(self, starts: np.ndarray) -> np.ndarray:
-        """The (2**width, N) states before op ``prefix`` from the basis
-        states ``starts``, one column per start, taken from the store."""
+        """The (2**width, N) states after the prefix from the basis states
+        ``starts``, one column per start, taken from the store.  A start
+        outside [0, 2**width) raises ValueError."""
         keys = starts.tolist()
         found = {s: self.stored.get(s) for s in keys}
+        dim = 2**self.width
+        if not all(0 <= s < dim for s in found):  # one pass over the distinct starts
+            raise ValueError(f"start indices must lie in [0, {dim})")
         missing = [s for s, col in found.items() if col is None]
         if missing:
-            cols = np.zeros((2**self.width, len(missing)), dtype=complex)
+            cols = np.zeros((dim, len(missing)), dtype=complex)
             cols[missing, np.arange(len(missing))] = 1.0
             for pair, head in zip(self.pairs[:self.prefix], self.heads):
                 _apply(cols, pair, head[:, :, None, None])  # once per start: no schedule
@@ -357,27 +410,35 @@ class GateProgram:
                 found[s] = cols[:, j].copy()
                 if j < room:
                     self.stored[s] = found[s]
+        if len(keys) == 1:  # a copy, without np.stack's dispatch
+            return found[keys[0]][:, None].copy()
         return np.stack([found[s] for s in keys], axis=1)
 
     def op_matrices(self, x: Optional[np.ndarray]) -> np.ndarray:
         """The (len(pairs) - prefix, N, 2, 2) matrices of the ops from
         ``prefix`` on, op k in row k - prefix, at each row of the (N, d)
-        point array x: a fixed op's ``heads`` matrix, and per slot its (N,
-        1, K) table of cos hk and sin hk times its compiled (K, 8 ops)
-        matrix."""
+        point array x: a fixed op's ``heads`` matrix, and the slotted ops'
+        (N, 1, K) table of cos hk and sin hk times the block table."""
         if x is None:
             raise ValueError("circuit has unbound encoding slots; pass x")
         xs = np.asarray(x, dtype=float)
+        # per slot and point, u = scale x[coord] - shift: the point axis last
+        u = xs.T[self.slot_coords] * self.slot_scales - self.slot_shifts
+        half = np.empty_like(u)
+        for xform, slots in self.xforms:
+            half[slots] = encoding_angles(xform, u[slots])
+        half /= 2.0
+        hk = np.multiply(half.T[:, self.row_slot], self.row_power, order="C")
+        np.cos(hk[:, :self.cosines], out=hk[:, :self.cosines])
+        np.sin(hk[:, self.cosines:], out=hk[:, self.cosines:])
+        # stacked, so a point's row is the same product alone or in a batch
+        parts = (hk[:, None] @ self.table).view(complex)
+        parts = parts.reshape(len(xs), len(self.chains), 2, 2)
+        if len(self.slotted) == len(self.pairs) - self.prefix:
+            return parts.swapaxes(0, 1)
         mats = np.empty((len(self.pairs) - self.prefix, len(xs), 2, 2), dtype=complex)
         mats[:] = self.heads[self.prefix:, None]  # the slotted rows are bound below
-        for slot, rows, powers, cosines, table in self.slot_tables:
-            half = encoding_angles(slot.xform, xs[:, slot.coord] * slot.scale - slot.shift) / 2.0
-            hk = half[:, None, None] * powers
-            np.cos(hk[..., :cosines], out=hk[..., :cosines])
-            np.sin(hk[..., cosines:], out=hk[..., cosines:])
-            # stacked, so a point's row is the same product alone or in a batch
-            parts = (hk @ table).view(complex).reshape(len(hk), len(rows), 2, 2)
-            mats[rows] = parts.swapaxes(0, 1)
+        mats[self.slotted - self.prefix] = parts.swapaxes(0, 1)
         return mats
 
 
@@ -438,30 +499,32 @@ def run(
 
     ``x`` is an (N, d) point array, or None for a circuit without encoding
     slots, and ``start`` holds the N initial basis-state indices (default
-    0); with neither it is a batch of one from |0..0>.  Each point starts
-    from the program's stored state after its fixed prefix, and a final
-    state whose norm is off 1 by more than 1e-10 raises.  A plain circuit
-    is compiled first.
+    0); with neither it is a batch of one from |0..0>.  A point with fewer
+    coordinates than the slots read (``GateProgram.coords``) raises
+    ValueError.  Each point starts from the program's stored state after
+    its prefix, and a final state whose norm is off 1 by more than 1e-10
+    raises.  A plain circuit is compiled first.
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
-    dim = 2**program.width
     xs = None if x is None else np.asarray(x, dtype=float)
     if xs is not None and xs.ndim != 2:
         raise ValueError("a batch takes an (N, d) point array")
+    if xs is not None and xs.shape[1] < program.coords:
+        raise ValueError(
+            f"the circuit reads {program.coords} coordinates, but the point has {xs.shape[1]}")
     if start is None:
         starts = np.zeros(1 if xs is None else len(xs), dtype=int)
     else:
         starts = np.asarray(start)
     if xs is not None and len(xs) != len(starts):
         raise ValueError(f"{len(xs)} points but {len(starts)} start indices")
-    if len(starts) and (starts.min() < 0 or starts.max() >= dim):
-        raise ValueError(f"start indices must lie in [0, {dim})")
-    amps = program.prefix_states(starts)
+    amps = program.prefix_states(starts)  # checks the start indices
     _evolve(program, amps, xs)
-    norms = np.linalg.norm(amps, axis=0)
-    if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
-        bad = norms[~(np.abs(norms - 1.0) <= 1e-10)]
-        raise RuntimeError(f"simulation lost unitarity: norm {bad[0]}")
+    # np.linalg.norm's own sum, without its dispatch
+    norms = np.sqrt(np.add.reduce((amps.conj() * amps).real, axis=0))
+    ok = np.abs(norms - 1.0) <= 1e-10
+    if not ok.all():  # NaN fails too
+        raise RuntimeError(f"simulation lost unitarity: norm {norms[~ok][0]}")
     return amps.T
 
 
@@ -489,7 +552,7 @@ def _apply(state: np.ndarray, pair: np.ndarray, coef: np.ndarray) -> None:
     state[pair] = out
 
 
-# Bytes of state, or of slot tables, per chunk of points in hadamard_values.
+# Bytes of states, or of table rows, per chunk of points in hadamard_values.
 BATCH_BYTES = 1 << 19
 # Bytes of prefix states one program stores: every start of the d=3, K=4
 # Taylor series block (64 states of 2**13 amplitudes).
@@ -507,18 +570,16 @@ def hadamard_values(
     With a0 and a1 the halves of a final state where the ancilla, qubit 0,
     reads 0 and 1, the ancilla's <X> + i<Y> is 2 sum conj(a0) a1, so one
     run gives both parts.  With neither x nor start it is a batch of one
-    from |0..0>.  The batch runs in chunks of points whose states and slot
-    tables both fit in BATCH_BYTES (a table row has as many float64
-    entries as its powers have int64 ones).
+    from |0..0>.  The batch runs in chunks of points whose states, and
+    whose table rows of any one slot, fit in BATCH_BYTES
+    (``GateProgram.row_bytes`` per point).
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
     x = None if x is None else np.asarray(x, dtype=float)
     if x is None and start is None:
         start = np.zeros(1, dtype=int)
     n = len(x) if x is not None else len(start)
-    row = max([np.dtype(complex).itemsize * 2**program.width]
-              + [powers.nbytes for _, _, powers, *_ in program.slot_tables])
-    rows = max(1, BATCH_BYTES // row)
+    rows = max(1, BATCH_BYTES // program.row_bytes)
     out = np.empty(n, dtype=complex)
     for lo in range(0, n, rows):
         chunk = slice(lo, lo + rows)
@@ -572,104 +633,6 @@ def sample_shots(
 
 
 # ---------------------------------------------------------------------------
-# Lowering controlled gates
-# ---------------------------------------------------------------------------
-
-
-def _zyz_angles(mat: np.ndarray) -> tuple[float, float, float, float]:
-    """(delta, a, b, c) with mat = e^{i delta} Rz(a) Ry(b) Rz(c)."""
-    det = np.linalg.det(mat)
-    delta = 0.5 * float(np.angle(det))
-    m = mat * np.exp(-1j * delta)
-    b = 2.0 * math.atan2(abs(m[1, 0]), abs(m[0, 0]))
-    if abs(m[0, 0]) > 1e-12 and abs(m[1, 0]) > 1e-12:
-        apc = 2.0 * float(np.angle(m[1, 1]))
-        amc = 2.0 * float(np.angle(m[1, 0]))
-        a, c = (apc + amc) / 2.0, (apc - amc) / 2.0
-    elif abs(m[0, 0]) > 1e-12:  # diagonal
-        a, c = 2.0 * float(np.angle(m[1, 1])), 0.0
-    else:  # anti-diagonal
-        a, c = 2.0 * float(np.angle(m[1, 0])), 0.0
-    return delta, a, b, c
-
-
-def _ucr(axis: str, controls: tuple[int, ...], target: int, angles: np.ndarray) -> list[Gate]:
-    """Uniformly controlled rotation sum_j |j><j| R_axis(angles[j])."""
-    if not controls:
-        if abs(angles[0]) < 1e-15:
-            return []
-        return [Gate(axis, target, angle=float(angles[0]))]
-    half = len(angles) // 2
-    plus = (angles[:half] + angles[half:]) / 2.0
-    minus = (angles[:half] - angles[half:]) / 2.0
-    first, rest = controls[0], controls[1:]
-    out = _ucr(axis, rest, target, plus)
-    out.append(cnot(first, target))
-    out.extend(_ucr(axis, rest, target, minus))
-    out.append(cnot(first, target))
-    return out
-
-
-def _controlled_phase(qubits: tuple[int, ...], delta: float) -> list[Gate]:
-    """Phase e^{i delta} on basis states with all the given qubits set."""
-    if abs(delta) < 1e-15 or not qubits:
-        return []
-    if len(qubits) == 1:
-        return [rz(qubits[0], delta)]  # equals the phase gate up to global phase
-    pattern = np.zeros(2 ** (len(qubits) - 1))
-    pattern[-1] = delta
-    gates = _ucr("Rz", qubits[:-1], qubits[-1], pattern)
-    gates.extend(_controlled_phase(qubits[:-1], delta / 2.0))
-    return gates
-
-
-def decompose_mcu(g: Gate) -> list[Gate]:
-    """Lower a bound gate to one-control X's and uncontrolled rotations.
-
-    The composed unitary equals the native gate up to global phase; no
-    ancilla qubits are used.  Each zero-control becomes a control between
-    two X's.  A gate without controls, or a one-control X, is its own
-    lowering.
-    """
-    if g.slot is not None:
-        raise ValueError("bind encoding slots before lowering")
-    if g.zeros:
-        flips = [xg(q) for q in g.zeros]
-        opened = replace(g, controls=tuple(sorted(g.controls + g.zeros)), zeros=())
-        return flips + decompose_mcu(opened) + flips
-    if not g.controls or g.kind == "X" and len(g.controls) == 1:
-        return [g]
-    target, controls, m = g.target, g.controls, len(g.controls)
-
-    if g.kind in _ROTATIONS:
-        pattern = np.zeros(2**m)
-        pattern[-1] = g.angle
-        if g.kind == "Rx":  # conjugate the Z-axis multiplexor onto the X axis
-            gates = [ry(target, -math.pi / 2.0)]
-            gates.extend(_ucr("Rz", controls, target, pattern))
-            gates.append(ry(target, math.pi / 2.0))
-            return gates
-        return _ucr(g.kind, controls, target, pattern)
-
-    delta, a, b, c = _zyz_angles(gate_matrix_1q(g.kind, g.angle))
-    gates: list[Gate] = []
-    for axis, angle in (("Rz", c), ("Ry", b), ("Rz", a)):
-        if abs(angle) > 1e-15:
-            pattern = np.zeros(2**m)
-            pattern[-1] = angle
-            gates.extend(_ucr(axis, controls, target, pattern))
-    gates.extend(_controlled_phase(controls, delta))
-    return gates
-
-
-def lowered(c: Circuit) -> Circuit:
-    """Expand every controlled gate except a one-control X into one-control
-    X's and single-qubit rotations (``decompose_mcu``); the circuit must be
-    bound."""
-    return Circuit(c.width, tuple(x for g in c.gates for x in decompose_mcu(g)), c.label)
-
-
-# ---------------------------------------------------------------------------
 # Resource accounting
 # ---------------------------------------------------------------------------
 
@@ -694,12 +657,7 @@ class ResourceCount:
 
 
 def resource_count(c: Circuit) -> ResourceCount:
-    """Width, greedy-ASAP depth, trainable-parameter and gate tallies.
-
-    ``resource_count(lowered(c))`` tallies the elementary gate set, with the
-    controlled gates expanded to one-control X's plus single-qubit
-    rotations; lowering needs a bound circuit (see ``Circuit.bound``).
-    """
+    """Width, greedy-ASAP depth, trainable-parameter and gate tallies."""
     level = [0] * c.width
     depth = 0
     params = 0

@@ -11,11 +11,16 @@ evenized step sum evaluated one step and one sign at a time, and the sign
 series' screen as an upward sweep over every odd degree.  None of them
 shares code with the paths under test beyond the gate matrices and, for
 the op matrices, the program's compiled chains of fixed products.
+
+It also holds the lowering of controlled gates to one-control X's and
+single-qubit rotations (``decompose_mcu``, ``lowered``), which checks that
+the simulator's native controlled gates are elementary up to global phase.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -30,11 +35,16 @@ from pqcapprox.qsp import (
 )
 from pqcapprox.sim import (
     _GENERATORS,
+    _ROTATIONS,
     Circuit,
     Gate,
     GateProgram,
+    cnot,
     encoding_angles,
     gate_matrix_1q,
+    ry,
+    rz,
+    xg,
 )
 
 
@@ -406,3 +416,101 @@ def _strip_layers(big_p: np.ndarray, big_q: np.ndarray, L: int) -> list[float]:
         phis[layer] = float(phi)
     phis[0] = float(np.angle(P[0]))
     return phis
+
+
+# ---------------------------------------------------------------------------
+# Lowering controlled gates to one-control X's and single-qubit rotations
+# ---------------------------------------------------------------------------
+
+
+def _zyz_angles(mat: np.ndarray) -> tuple[float, float, float, float]:
+    """(delta, a, b, c) with mat = e^{i delta} Rz(a) Ry(b) Rz(c)."""
+    det = np.linalg.det(mat)
+    delta = 0.5 * float(np.angle(det))
+    m = mat * np.exp(-1j * delta)
+    b = 2.0 * math.atan2(abs(m[1, 0]), abs(m[0, 0]))
+    if abs(m[0, 0]) > 1e-12 and abs(m[1, 0]) > 1e-12:
+        apc = 2.0 * float(np.angle(m[1, 1]))
+        amc = 2.0 * float(np.angle(m[1, 0]))
+        a, c = (apc + amc) / 2.0, (apc - amc) / 2.0
+    elif abs(m[0, 0]) > 1e-12:  # diagonal
+        a, c = 2.0 * float(np.angle(m[1, 1])), 0.0
+    else:  # anti-diagonal
+        a, c = 2.0 * float(np.angle(m[1, 0])), 0.0
+    return delta, a, b, c
+
+
+def _ucr(axis: str, controls: tuple[int, ...], target: int, angles: np.ndarray) -> list[Gate]:
+    """Uniformly controlled rotation sum_j |j><j| R_axis(angles[j])."""
+    if not controls:
+        if abs(angles[0]) < 1e-15:
+            return []
+        return [Gate(axis, target, angle=float(angles[0]))]
+    half = len(angles) // 2
+    plus = (angles[:half] + angles[half:]) / 2.0
+    minus = (angles[:half] - angles[half:]) / 2.0
+    first, rest = controls[0], controls[1:]
+    out = _ucr(axis, rest, target, plus)
+    out.append(cnot(first, target))
+    out.extend(_ucr(axis, rest, target, minus))
+    out.append(cnot(first, target))
+    return out
+
+
+def _controlled_phase(qubits: tuple[int, ...], delta: float) -> list[Gate]:
+    """Phase e^{i delta} on basis states with all the given qubits set."""
+    if abs(delta) < 1e-15 or not qubits:
+        return []
+    if len(qubits) == 1:
+        return [rz(qubits[0], delta)]  # equals the phase gate up to global phase
+    pattern = np.zeros(2 ** (len(qubits) - 1))
+    pattern[-1] = delta
+    gates = _ucr("Rz", qubits[:-1], qubits[-1], pattern)
+    gates.extend(_controlled_phase(qubits[:-1], delta / 2.0))
+    return gates
+
+
+def decompose_mcu(g: Gate) -> list[Gate]:
+    """Lower a bound gate to one-control X's and uncontrolled rotations.
+
+    The composed unitary equals the native gate up to global phase; no
+    ancilla qubits are used.  Each zero-control becomes a control between
+    two X's.  A gate without controls, or a one-control X, is its own
+    lowering.
+    """
+    if g.slot is not None:
+        raise ValueError("bind encoding slots before lowering")
+    if g.zeros:
+        flips = [xg(q) for q in g.zeros]
+        opened = replace(g, controls=tuple(sorted(g.controls + g.zeros)), zeros=())
+        return flips + decompose_mcu(opened) + flips
+    if not g.controls or g.kind == "X" and len(g.controls) == 1:
+        return [g]
+    target, controls, m = g.target, g.controls, len(g.controls)
+
+    if g.kind in _ROTATIONS:
+        pattern = np.zeros(2**m)
+        pattern[-1] = g.angle
+        if g.kind == "Rx":  # conjugate the Z-axis multiplexor onto the X axis
+            gates = [ry(target, -math.pi / 2.0)]
+            gates.extend(_ucr("Rz", controls, target, pattern))
+            gates.append(ry(target, math.pi / 2.0))
+            return gates
+        return _ucr(g.kind, controls, target, pattern)
+
+    delta, a, b, c = _zyz_angles(gate_matrix_1q(g.kind, g.angle))
+    gates: list[Gate] = []
+    for axis, angle in (("Rz", c), ("Ry", b), ("Rz", a)):
+        if abs(angle) > 1e-15:
+            pattern = np.zeros(2**m)
+            pattern[-1] = angle
+            gates.extend(_ucr(axis, controls, target, pattern))
+    gates.extend(_controlled_phase(controls, delta))
+    return gates
+
+
+def lowered(c: Circuit) -> Circuit:
+    """Expand every controlled gate except a one-control X into one-control
+    X's and single-qubit rotations (``decompose_mcu``); the circuit must be
+    bound."""
+    return Circuit(c.width, tuple(x for g in c.gates for x in decompose_mcu(g)), c.label)

@@ -988,6 +988,14 @@ def test_nested_trifling_flagged():
     assert math.isfinite(value)
 
 
+def test_nested_model_rejects_a_point_of_another_length():
+    model = C.NestedTaylorModel(targets.product_sines(2), P.LocalizationSpec(4, 0.05, 0.125), 1)
+    for x in ([0.3, 0.4, 0.5], [0.3], np.zeros((3, 1))):
+        got = np.shape(x)[-1]
+        with pytest.raises(ValueError, match=f"points of 2 coordinates, got {got}"):
+            model(x)
+
+
 def test_eval_nested_taylor_function():
     f = halfsine()
     spec = P.LocalizationSpec(2, 0.1, 0.25)

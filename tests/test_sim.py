@@ -17,6 +17,8 @@ from oracles import (
     ancilla_values,
     block_values,
     circuit_unitary,
+    decompose_mcu,
+    lowered,
     stage_op_matrices,
 )
 
@@ -468,7 +470,7 @@ def test_stored_prefix_gives_the_unstored_values_at_every_start(series_block):
     # one program fills its store from single points, the other from a batch
     for order in ((single_values, batch_values), (batch_values, single_values)):
         prog = series_program(bc)
-        assert (prog.prefix, len(prog.pairs)) == (38, 56)
+        assert (prog.prefix, len(prog.pairs)) == (54, 56)
         for x in (xs, x0):
             for _ in range(2):  # the second pass runs from stored states only
                 for values in order:
@@ -520,6 +522,87 @@ def test_prefix_store_stops_at_its_byte_cap(monkeypatch, series_block, states):
             single = S.run(prog, x=xs[[n]], start=starts[[n]])
             assert np.array_equal(single, unstored_run(prog, xs[[n]], starts[[n]]))
     assert len(prog.stored) == states
+
+
+def hoisting_circuit():
+    """A fixed op before the first slotted op (g0), then a slotted op on the
+    amplitudes where qubit 1 reads 1 (g1), and fixed ops that are disjoint
+    from every kept op before them (g2 and g4, where qubit 1 reads 0) or
+    overlap one (g3 and g5)."""
+    return S.Circuit(3, (
+        S.h(2),                                                 # g0
+        S.Gate("Rx", 0, (1,), slot=S.EncodingSlot(0, "acos", 0.1)),  # g1
+        S.Gate("Ry", 0, zeros=(1,), angle=0.3),                 # g2
+        S.Gate("Rz", 2, (1,), angle=0.5),                       # g3
+        S.Gate("X", 2, zeros=(1,)),                             # g4
+        S.h(1),                                                 # g5
+    ))
+
+
+def test_disjoint_fixed_ops_join_the_prefix_and_overlapping_ones_stay():
+    circ = hoisting_circuit()
+    prog = S.GateProgram(circ)
+    # the prefix runs g0, g2 and g4 in circuit order; g1, g3 and g5 stay, one layer each
+    assert (prog.prefix, len(prog.pairs), len(prog.layers)) == (3, 6, 3)
+    assert np.array_equal(prog.slotted, [3])
+    for k, g in zip(range(3), (circ.gates[0], circ.gates[2], circ.gates[4])):
+        assert np.array_equal(prog.heads[k], S.gate_matrix_1q(g.kind, g.angle))
+    for k, g in zip(range(4, 6), (circ.gates[3], circ.gates[5])):
+        assert np.array_equal(prog.heads[k], S.gate_matrix_1q(g.kind, g.angle))
+    check_schedule(prog)
+    xs = np.array([[0.3], [-0.5], [0.7], [0.0]] * 2)
+    starts = np.arange(8)
+    got = S.run(prog, x=xs, start=starts)
+    assert np.array_equal(got, unstored_run(prog, xs, starts))
+    for x, s, amps in zip(xs, starts, got):
+        assert np.max(np.abs(amps - circuit_unitary(circ.bound(x))[:, s])) <= 1e-14
+
+
+def test_a_fixed_op_that_overlaps_the_slotted_op_is_not_hoisted():
+    """g2 moved onto some of the slotted op's amplitudes stays, and so does
+    g4, which now overlaps g2 alone; the values still match the dense
+    unitary."""
+    gates = list(hoisting_circuit().gates)
+    gates[2] = S.Gate("Ry", 1, (0,), angle=0.3)  # where qubit 0 reads 1: overlaps g1
+    circ = S.Circuit(3, tuple(gates))
+    prog = S.GateProgram(circ)
+    assert (prog.prefix, len(prog.pairs)) == (1, 6)  # g0 alone
+    assert np.array_equal(prog.slotted, [1])
+    check_schedule(prog)
+    xs = np.array([[0.3], [-0.5], [0.7], [0.0]] * 2)
+    starts = np.arange(8)
+    got = S.run(prog, x=xs, start=starts)
+    assert np.array_equal(got, unstored_run(prog, xs, starts))
+    for x, s, amps in zip(xs, starts, got):
+        assert np.max(np.abs(amps - circuit_unitary(circ.bound(x))[:, s])) <= 1e-14
+
+
+@pytest.mark.parametrize("d, layout", [(2, (54, 56, [128])), (3, (262, 265, [1536]))])
+def test_series_block_runs_only_its_slotted_ops_per_point(d, layout):
+    """The fixed coefficient rotations of the d=2 and d=3, K=4, s=1 series
+    block touch no amplitude of an earlier term's slotted line, so they all
+    run in the prefix; the d slotted lines run in one layer."""
+    table = C.TaylorCoeffTable.from_target(targets.product_sines(d), 4, 1)
+    prog = C.build_taylor_series_pqc(table, (0,) * d).program
+    assert (prog.prefix, len(prog.pairs), [pair.shape[1] for pair, _ in prog.layers]) == layout
+    assert np.array_equal(prog.slotted, np.arange(prog.prefix, len(prog.pairs)))
+
+
+def test_trig_block_hoists_nothing():
+    prog = trig_block().program
+    assert (prog.prefix, len(prog.pairs), [pair.shape[1] for pair, _ in prog.layers]) \
+        == (3, 6, [4, 2])
+
+
+def test_a_point_with_too_few_coordinates_raises():
+    bc = C.build_bernstein_pqc(targets.abs_centered(2), 4)
+    assert bc.program.coords == 2
+    for x in ([0.3], np.array([[0.3], [0.5]])):
+        with pytest.raises(ValueError,
+                           match="the circuit reads 2 coordinates, but the point has 1"):
+            C.evaluate_block(bc, x)
+    # a coordinate no slot reads is ignored
+    assert C.evaluate_block(bc, [0.3, 0.7, 0.9]) == C.evaluate_block(bc, [0.3, 0.7])
 
 
 # ---------------------------------------------------------------------------
@@ -853,14 +936,14 @@ def test_shots_are_one_binomial_draw():
 
 def test_decompose_no_controls_is_bare_gate():
     g = S.Gate("Ry", 0, angle=0.3)
-    out = S.decompose_mcu(g)
+    out = decompose_mcu(g)
     assert len(out) == 1 and out[0].kind == "Ry"
 
 
 def test_decompose_single_controlled_rx():
     g = S.Gate("Rx", 1, (0,), angle=0.9)
     native = circuit_unitary(S.Circuit(2, (g,)))
-    low = circuit_unitary(S.Circuit(2, tuple(S.decompose_mcu(g))))
+    low = circuit_unitary(S.Circuit(2, tuple(decompose_mcu(g))))
     phase = np.vdot(low.ravel(), native.ravel())
     phase /= abs(phase)
     assert np.max(np.abs(native - phase * low)) <= 1e-9
@@ -872,7 +955,7 @@ def test_decompose_single_controlled_rx():
 def test_decompose_matches_native(m, sub, angle):
     g = S.Gate(sub, m, tuple(range(m)), angle=angle)
     native = circuit_unitary(S.Circuit(m + 1, (g,)))
-    gates = S.decompose_mcu(g)
+    gates = decompose_mcu(g)
     low = circuit_unitary(S.Circuit(m + 1, tuple(gates)))
     phase = np.vdot(low.ravel(), native.ravel())
     phase /= abs(phase)
@@ -886,7 +969,7 @@ def test_decompose_matches_native(m, sub, angle):
 def test_decompose_wraps_each_zero_control_in_two_xs(sub, angle, controls, zeros):
     g = S.Gate(sub, 3, controls, angle=angle, zeros=zeros)
     native = circuit_unitary(S.Circuit(4, (g,)))
-    for gates in (S.decompose_mcu(g), S.lowered(S.Circuit(4, (g,))).gates):
+    for gates in (decompose_mcu(g), lowered(S.Circuit(4, (g,))).gates):
         flips = [[x.target for x in gates[:len(zeros)]], [x.target for x in gates[-len(zeros):]]]
         assert flips == [list(zeros)] * 2
         assert all(not x.zeros and (len(x.controls) <= 1 and x.kind == "X" or not x.controls)
@@ -899,7 +982,7 @@ def test_decompose_wraps_each_zero_control_in_two_xs(sub, angle, controls, zeros
 
 def test_lowered_circuit_contains_no_mcu():
     g = S.Gate("Ry", 2, (0, 1), angle=0.3)
-    circ = S.lowered(S.Circuit(3, (S.h(0), g)))
+    circ = lowered(S.Circuit(3, (S.h(0), g)))
     assert all(len(x.controls) <= 1 and (x.kind == "X" or not x.controls) for x in circ.gates)
 
 
@@ -910,7 +993,7 @@ def test_lowered_bernstein_block_matches_native():
     lower."""
     bc = C.build_bernstein_pqc(targets.abs_centered(1), 2)
     native = bc.circuit.bound((0.3,))
-    low = S.lowered(native)
+    low = lowered(native)
     assert sum(len(g.zeros) for g in native.gates) == 3
     assert (len(native.gates), len(low.gates)) == (4, 67)
     assert all(len(x.controls) <= 1 and (x.kind == "X" or not x.controls) for x in low.gates)
@@ -919,7 +1002,7 @@ def test_lowered_bernstein_block_matches_native():
     phase /= abs(phase)
     assert np.max(np.abs(want - phase * got)) <= 1e-12
     with pytest.raises(ValueError, match="bind encoding slots before lowering"):
-        S.lowered(bc.circuit)
+        lowered(bc.circuit)
 
 
 # ---------------------------------------------------------------------------
