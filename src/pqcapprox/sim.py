@@ -434,7 +434,7 @@ class GateProgram:
         # stacked, so a point's row is the same product alone or in a batch
         parts = (hk[:, None] @ self.table).view(complex)
         parts = parts.reshape(len(xs), len(self.chains), 2, 2)
-        if len(self.slotted) == len(self.pairs) - self.prefix:
+        if len(self.slotted) == len(self.pairs) - self.prefix:  # no fixed row to copy
             return parts.swapaxes(0, 1)
         mats = np.empty((len(self.pairs) - self.prefix, len(xs), 2, 2), dtype=complex)
         mats[:] = self.heads[self.prefix:, None]  # the slotted rows are bound below
