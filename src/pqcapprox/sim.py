@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -217,6 +217,25 @@ _GENERATORS = {
 }
 
 
+class StartState(NamedTuple):
+    """A start's state after a program's prefix, kept on its support: the
+    sorted indices of the amplitudes that the ops from ``prefix`` on can
+    reach from it, the amplitudes there, each layer's pairs that lie there
+    as positions on the support with the row of each pair's op, and the
+    (2, M) readout pairs, the indices on the support where the ancilla,
+    qubit 0, reads 0 and the indices where it reads 1."""
+
+    support: np.ndarray
+    state: np.ndarray
+    layers: list[tuple[np.ndarray, np.ndarray]]
+    readout: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return (self.support.nbytes + self.state.nbytes + self.readout.nbytes
+                + sum(pair.nbytes + rows.nbytes for pair, rows in self.layers))
+
+
 class GateProgram:
     """A circuit compiled once; running it at x only binds encoding angles.
 
@@ -245,10 +264,7 @@ class GateProgram:
     the first slotted op on are kept, and run at every point.  A hoisted op
     acts on amplitudes disjoint from every kept op before it, so it
     commutes with them, and each amplitude still sees its ops in circuit
-    order.  From a basis start the state after the prefix is one fixed
-    vector: a batch run takes it from ``stored``, a dict on the program
-    keyed by start index.  A start not stored yet runs the prefix op by op,
-    once; its state is stored while ``stored`` holds at most PREFIX_BYTES.
+    order.
 
     The ops from ``prefix`` on run at every point, op k with row
     k - prefix of ``op_matrices``.  Ops that touch disjoint amplitudes
@@ -257,11 +273,26 @@ class GateProgram:
     one scatter.  Each pair sees the products of running the ops one by
     one, in the same order, so every value is bit-identical to that.
 
+    ``targeted`` is the bit mask of the qubits that the ops from ``prefix``
+    on target.  They change no other qubit, so an amplitude whose bits
+    outside ``targeted`` match no nonzero amplitude of the state after the
+    prefix stays exactly 0.  An LCU's SELECT never targets its selection
+    register (Childs and Wiebe, arXiv:1202.5822), nor does the Hadamard
+    test's controlled U target the ancilla, so a point runs on a small
+    support.  From a basis start the state after the prefix is one fixed
+    vector, and ``stored``, a dict on the program keyed by start index,
+    holds a ``StartState`` per start: the support, the state on it, the
+    layers' pairs on it and the ancilla's readout pairs.  The starts not
+    stored yet run the prefix op by op, in one batch, once; an entry is
+    stored while ``stored`` holds at most PREFIX_BYTES.
+
     On the Hadamard test of the d=2, n=4 Bernstein block this leaves 19 ops
-    of 31 gates: 11 in the prefix, and 8 from it on in 2 layers.  The d=2,
-    K=4, s=1 Taylor series block, which starts from one of K^d cells,
-    leaves 56 ops of 64 gates: 54 in the prefix, and its 2 slotted ops in 1
-    layer.
+    of 31 gates: 11 in the prefix, and 8 from it on in 2 layers of 128
+    pairs, of which a point from start 0 updates 8 on a support of 48 of
+    512 amplitudes.  The d=2, K=4, s=1 Taylor series block, which starts
+    from one of K^d cells, leaves 56 ops of 64 gates: 54 in the prefix, and
+    its 2 slotted ops in 1 layer of 128 pairs, of which a start updates 8
+    on a support of 56 of 1024 amplitudes.
 
     The compile checks no gate (the circuit checked its gates, or its
     placements, when it was built), and masks each (target, controls,
@@ -345,7 +376,10 @@ class GateProgram:
              np.repeat(rows, [ops[r].shape[1] for r in rows]))
             for rows in (np.flatnonzero(layer_of == layer) for layer in range(last.max() + 1))
         ]
-        self.stored: dict[int, np.ndarray] = {}
+        self.targeted = 0  # a pair differs in its op's target bit alone
+        for pair in ops:
+            self.targeted |= int(pair[0, 0] ^ pair[1, 0])
+        self.stored: dict[int, StartState] = {}
         self._compile_tables()
 
     def _compile_tables(self) -> None:
@@ -353,10 +387,12 @@ class GateProgram:
         per slot, its ops' indices in ``chains``, their powers, how many are
         cosines, and the table), and the tables into the block table that
         op_matrices binds.  Row r of the block table takes cos or sin of
-        row_power[r] times the half angle of slot row_slot[r], every cosine
-        row first, and column 8p + e holds entry e of slotted op p, real and
-        imaginary parts interleaved.  The slots are sorted by xform, and
-        ``xforms`` holds each xform's slice of them."""
+        row_half[r] = k/2 times the angle of slot row_slot[r], for the power
+        k of the half angle h (angle k/2 and h k round alike, as both
+        halvings are exact), every cosine row first, and column 8p + e
+        holds entry e of slotted op p, real and imaginary parts interleaved.
+        The slots are sorted by xform, and ``xforms`` holds each xform's
+        slice of them."""
         groups: dict[EncodingSlot, list[int]] = {}
         for p in sorted(range(len(self.chains)), key=lambda p: -len(self.chains[p][1])):
             groups.setdefault(self.chains[p][0], []).append(p)  # longest chains first
@@ -377,42 +413,60 @@ class GateProgram:
         rows.sort(key=lambda r: r[1] >= self.slot_tables[r[0]][3])  # stable: cosines first
         self.cosines = sum(cosines for _, _, _, cosines, _ in self.slot_tables)
         self.row_slot = np.array([s for s, _ in rows], dtype=int)
-        self.row_power = np.zeros(len(rows), dtype=int)
+        row_power = np.zeros(len(rows), dtype=int)
         self.table = np.zeros((len(rows), 8 * len(self.chains)))
         index = np.array([j for _, j in rows], dtype=int)
         for s, (_, ps, powers, _, table) in enumerate(self.slot_tables):
             mine = np.flatnonzero(self.row_slot == s)
-            self.row_power[mine] = powers[index[mine]]
+            row_power[mine] = powers[index[mine]]
             cols = 8 * np.array(ps)[:, None] + np.arange(8)
             self.table[np.ix_(mine, cols.ravel())] = table[index[mine]]
-        # bytes per point of a chunk in hadamard_values: its state or one
-        # slot's table row (as many float64 entries as its int64 powers)
-        self.row_bytes = max([np.dtype(complex).itemsize * 2**self.width]
-                             + [powers.nbytes for _, _, powers, _, _ in self.slot_tables])
+        self.row_half = row_power / 2.0
+        # bytes per point of a chunk in hadamard_values: its state or its row
+        # of the block table's cos hk and sin hk
+        self.row_bytes = max(np.dtype(complex).itemsize * 2**self.width, self.row_half.nbytes)
 
-    def prefix_states(self, starts: np.ndarray) -> np.ndarray:
-        """The (2**width, N) states after the prefix from the basis states
-        ``starts``, one column per start, taken from the store.  A start
+    def start_states(self, keys: list[int]) -> dict[int, StartState]:
+        """The StartState of each start index in ``keys``, from the store.
+        The starts not stored yet run the prefix in one batch, and each
+        entry is stored while the store holds at most PREFIX_BYTES.  A start
         outside [0, 2**width) raises ValueError."""
-        keys = starts.tolist()
         found = {s: self.stored.get(s) for s in keys}
+        missing = [s for s, entry in found.items() if entry is None]
+        if not missing:  # a stored start was checked when it was stored
+            return found
         dim = 2**self.width
-        if not all(0 <= s < dim for s in found):  # one pass over the distinct starts
+        if not all(0 <= s < dim for s in missing):
             raise ValueError(f"start indices must lie in [0, {dim})")
-        missing = [s for s, col in found.items() if col is None]
-        if missing:
-            cols = np.zeros((dim, len(missing)), dtype=complex)
-            cols[missing, np.arange(len(missing))] = 1.0
-            for pair, head in zip(self.pairs[:self.prefix], self.heads):
-                _apply(cols, pair, head[:, :, None, None])  # once per start: no schedule
-            room = PREFIX_BYTES // cols[:, 0].nbytes - len(self.stored)
-            for j, s in enumerate(missing):
-                found[s] = cols[:, j].copy()
-                if j < room:
-                    self.stored[s] = found[s]
-        if len(keys) == 1:  # a copy, without np.stack's dispatch
-            return found[keys[0]][:, None].copy()
-        return np.stack([found[s] for s in keys], axis=1)
+        cols = np.zeros((dim, len(missing)), dtype=complex)
+        cols[missing, np.arange(len(missing))] = 1.0
+        for pair, head in zip(self.pairs[:self.prefix], self.heads):
+            _apply(cols, pair, head[:, :, None, None])  # once per start: no schedule
+        # the bits no op from prefix on changes, and the ancilla, qubit 0,
+        # left free so that the support holds both halves of each readout pair
+        half = dim >> 1
+        conserved = np.arange(dim) & ~(self.targeted | half)
+        held = sum(entry.nbytes for entry in self.stored.values())
+        for j, s in enumerate(missing):
+            col = cols[:, j]
+            mark = np.zeros(dim, dtype=bool)  # the conserved values that carry mass
+            mark[conserved[col != 0]] = True
+            support = np.flatnonzero(mark[conserved])
+            at = np.full(dim, -1)  # each amplitude's position on the support
+            at[support] = np.arange(len(support))
+            layers = []
+            for pair, rows in self.layers:
+                pos = at[pair]
+                on = pos[0] >= 0  # a pair lies on the support or off it whole
+                if on.any():
+                    layers.append((pos[:, on], rows[on]))
+            low = support[support < half]
+            found[s] = entry = StartState(support, col[support], layers,
+                                          np.stack([low, low + half]))
+            if held + entry.nbytes <= PREFIX_BYTES:
+                self.stored[s] = entry
+                held += entry.nbytes
+        return found
 
     def op_matrices(self, x: Optional[np.ndarray]) -> np.ndarray:
         """The (len(pairs) - prefix, N, 2, 2) matrices of the ops from
@@ -424,11 +478,13 @@ class GateProgram:
         xs = np.asarray(x, dtype=float)
         # per slot and point, u = scale x[coord] - shift: the point axis last
         u = xs.T[self.slot_coords] * self.slot_scales - self.slot_shifts
-        half = np.empty_like(u)
-        for xform, slots in self.xforms:
-            half[slots] = encoding_angles(xform, u[slots])
-        half /= 2.0
-        hk = np.multiply(half.T[:, self.row_slot], self.row_power, order="C")
+        if len(self.xforms) == 1:  # one xform: its angles are every slot's
+            angles = encoding_angles(self.xforms[0][0], u)
+        else:
+            angles = np.empty_like(u)
+            for xform, slots in self.xforms:
+                angles[slots] = encoding_angles(xform, u[slots])
+        hk = np.multiply(angles.T[:, self.row_slot], self.row_half, order="C")
         np.cos(hk[:, :self.cosines], out=hk[:, :self.cosines])
         np.sin(hk[:, self.cosines:], out=hk[:, self.cosines:])
         # stacked, so a point's row is the same product alone or in a batch
@@ -501,9 +557,10 @@ def run(
     slots, and ``start`` holds the N initial basis-state indices (default
     0); with neither it is a batch of one from |0..0>.  A point with fewer
     coordinates than the slots read (``GateProgram.coords``) raises
-    ValueError.  Each point starts from the program's stored state after
-    its prefix, and a final state whose norm is off 1 by more than 1e-10
-    raises.  A plain circuit is compiled first.
+    ValueError.  The points of each distinct start run together on its
+    support, from its stored state after the prefix (``StartState``); the
+    other amplitudes are 0.  A final state whose norm is off 1 by more than
+    1e-10 raises.  A plain circuit is compiled first.
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
     xs = None if x is None else np.asarray(x, dtype=float)
@@ -512,50 +569,70 @@ def run(
     if xs is not None and xs.shape[1] < program.coords:
         raise ValueError(
             f"the circuit reads {program.coords} coordinates, but the point has {xs.shape[1]}")
-    if start is None:
-        starts = np.zeros(1 if xs is None else len(xs), dtype=int)
-    else:
-        starts = np.asarray(start)
-    if xs is not None and len(xs) != len(starts):
-        raise ValueError(f"{len(xs)} points but {len(starts)} start indices")
-    amps = program.prefix_states(starts)  # checks the start indices
-    _evolve(program, amps, xs)
-    # np.linalg.norm's own sum, without its dispatch
-    norms = np.sqrt(np.add.reduce((amps.conj() * amps).real, axis=0))
-    ok = np.abs(norms - 1.0) <= 1e-10
-    if not ok.all():  # NaN fails too
-        raise RuntimeError(f"simulation lost unitarity: norm {norms[~ok][0]}")
+    starts = None if start is None else np.asarray(start)
+    size = len(xs) if xs is not None else 1 if starts is None else len(starts)
+    if starts is not None and len(starts) != size:
+        raise ValueError(f"{size} points but {len(starts)} start indices")
+    groups = _by_start(starts, size)
+    found = program.start_states([s for s, _, _ in groups])  # checks the start indices
+    if program.layers:  # (2, 2, len(pairs) - prefix, N), entry by entry
+        mats = program.op_matrices(xs).transpose(2, 3, 0, 1)
+    # the transpose of a (2**width, N) buffer: einsum sums the readout in
+    # the order the strides give, so the layout fixes its last bits
+    amps = np.zeros((2**program.width, size), dtype=complex)
+    for s, cols, n in groups:
+        support, state, layers, _ = found[s]
+        if size == 1:  # a lone point drops the batch axis of its state and
+            # its coefficients, so numpy takes its fast 1-D fancy-index path
+            cols, block = 0, state.copy()
+        else:
+            block = state[:, None].repeat(n, axis=1)
+        if layers:
+            coef = mats[..., cols]
+        for pair, rows in layers:
+            _apply(block, pair, coef[:, :, rows])
+        # np.linalg.norm's own sum, without its dispatch
+        norms = np.sqrt(np.add.reduce((block.conj() * block).real, axis=0, keepdims=True))
+        ok = np.abs(norms - 1.0) <= 1e-10
+        if not ok.all():  # NaN fails too
+            raise RuntimeError(f"simulation lost unitarity: norm {norms[~ok][0]}")
+        if n == size:
+            amps[support, cols] = block
+        else:
+            amps[support[:, None], cols] = block
     return amps.T
 
 
-def _evolve(program: GateProgram, amps: np.ndarray, xs: Optional[np.ndarray]) -> None:
-    """Apply the layers, the ops from ``prefix`` on, in place to the
-    (2**width, N) states before op ``prefix``, column n with the encoding
-    angles of point xs[n]."""
-    # one point: the state and the coefficients drop their batch axis, so
-    # numpy takes its fast 1-D fancy-index path
-    tail = 0 if amps.shape[1] == 1 else slice(None)
-    state = amps[:, tail]
-    if program.layers:  # (2, 2, len(pairs) - prefix, N), entry by entry
-        mats = program.op_matrices(xs).transpose(2, 3, 0, 1)[..., tail]
-    for pair, rows in program.layers:
-        _apply(state, pair, mats[:, :, rows])
+def _by_start(starts: Optional[np.ndarray], size: int) -> list[tuple[int, slice | np.ndarray, int]]:
+    """Each distinct start index of a batch of ``size`` points (all 0 for
+    None), the columns that start from it in order (every column when
+    there is one start), and their count."""
+    if starts is None:
+        return [(0, slice(None), size)]
+    if size < 2:
+        return [(s, slice(None), 1) for s in starts.tolist()]
+    order = np.argsort(starts, kind="stable")
+    ranked = starts[order]
+    cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    if not len(cuts):
+        return [(int(ranked[0]), slice(None), len(starts))]
+    cols = np.split(order, cuts)
+    return [(s, c, len(c)) for s, c in zip(ranked[np.r_[0, cuts]].tolist(), cols)]
 
 
 def _apply(state: np.ndarray, pair: np.ndarray, coef: np.ndarray) -> None:
     """a0' = c00 a0 + c01 a1 and a1' = c10 a0 + c11 a1 at every amplitude
     pair (a0, a1) = state[pair], elementwise with the coefficients
     coef[:, :, p] of pair p."""
-    a = state[pair]
-    out = coef[:, 0] * a[0]
-    out += coef[:, 1] * a[1]  # in place: one temporary of a's size fewer
-    state[pair] = out
+    terms = coef * state[pair]  # c_ij a_j, every product in one call
+    state[pair] = terms[:, 0] + terms[:, 1]
 
 
 # Bytes of states, or of table rows, per chunk of points in hadamard_values.
 BATCH_BYTES = 1 << 19
-# Bytes of prefix states one program stores: every start of the d=3, K=4
-# Taylor series block (64 states of 2**13 amplitudes).
+# Bytes of StartState entries one program stores: every start of the d=3,
+# K=4 Taylor series block takes 0.3 MB, start 0 of the d=3, n=16 Bernstein
+# test 1.9 MB.
 PREFIX_BYTES = 1 << 23
 
 
@@ -569,27 +646,31 @@ def hadamard_values(
 
     With a0 and a1 the halves of a final state where the ancilla, qubit 0,
     reads 0 and 1, the ancilla's <X> + i<Y> is 2 sum conj(a0) a1, so one
-    run gives both parts.  With neither x nor start it is a batch of one
-    from |0..0>.  The batch runs in chunks of points whose states, and
-    whose table rows of any one slot, fit in BATCH_BYTES
+    run gives both parts; the sum runs over the readout pairs on the
+    start's support (``StartState.readout``).  With neither x nor start it
+    is a batch of one from |0..0>.  The batch runs in chunks of points
+    whose states, and whose rows of the block table, fit in BATCH_BYTES
     (``GateProgram.row_bytes`` per point).
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
     x = None if x is None else np.asarray(x, dtype=float)
-    if x is None and start is None:
-        start = np.zeros(1, dtype=int)
-    n = len(x) if x is not None else len(start)
+    starts = None if start is None else np.asarray(start)
+    size = len(x) if x is not None else 1 if starts is None else len(starts)
+    if starts is not None and len(starts) != size:  # before chunking, as run words it
+        raise ValueError(f"{size} points but {len(starts)} start indices")
     rows = max(1, BATCH_BYTES // program.row_bytes)
-    out = np.empty(n, dtype=complex)
-    for lo in range(0, n, rows):
+    out = np.empty(size, dtype=complex)
+    for lo in range(0, size, rows):
         chunk = slice(lo, lo + rows)
-        amps = run(
-            program,
-            x=None if x is None else x[chunk],
-            start=None if start is None else start[chunk],
-        )
-        half = amps.shape[1] // 2
-        out[chunk] = 2.0 * np.einsum("ij,ij->i", amps[:, :half].conj(), amps[:, half:])
+        part = None if starts is None else starts[chunk]
+        amps = run(program, x=None if x is None else x[chunk], start=part)
+        values = out[chunk]
+        for s, cols, _ in _by_start(part, len(amps)):
+            # run stored the entry, unless the store had no room for it
+            entry = program.stored.get(s) or program.start_states([s])[s]
+            pairs = amps[:, entry.readout][cols]  # (n, 2, M)
+            values[cols] = np.einsum("ij,ij->i", pairs[:, 0].conj(), pairs[:, 1])
+    out *= 2.0
     return out
 
 

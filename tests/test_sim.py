@@ -366,9 +366,11 @@ def test_chunked_expectations_equal_single_point_runs(seed):
         chunks.append(len(kwargs["x"]))
         return real_run(program, **kwargs)
 
+    # a point's row: its state or its row of the block table, whichever is larger
+    assert prog.row_bytes == max(16 * 2**width, 8 * len(prog.row_half))
     with pytest.MonkeyPatch.context() as mp:
-        # a budget of three states: 11 points run in chunks of 3, 3, 3 and 2
-        mp.setattr(S, "BATCH_BYTES", 3 * 16 * 2**width)
+        # a budget of three rows: 11 points run in chunks of 3, 3, 3 and 2
+        mp.setattr(S, "BATCH_BYTES", 3 * prog.row_bytes)
         mp.setattr(S, "run", counting_run)
         got = S.hadamard_values(prog, xs, starts)
     assert chunks == [3, 3, 3, 2]
@@ -491,8 +493,12 @@ def test_program_without_slots_stores_its_whole_run():
     first = S.run(prog, start=starts)
     assert np.max(np.abs(first - want)) <= 1e-14
     assert sorted(prog.stored) == [0, 3, 5]
-    # no layer runs after the prefix: the stored states are the final ones
-    assert not prog.layers and np.array_equal(prog.stored[5], first[0])
+    # no layer runs after the prefix: the stored states are the final ones,
+    # on a support of every index whose nonzero amplitude they could hold
+    entry = prog.stored[5]
+    assert not prog.layers and prog.targeted == 0 and not entry.layers
+    assert np.array_equal(entry.state, first[0][entry.support])
+    assert not np.delete(first[0], entry.support).any()
     assert np.array_equal(S.run(prog, start=starts), first)
 
 
@@ -512,8 +518,10 @@ def test_program_with_a_slotted_first_op_has_an_empty_prefix():
 @pytest.mark.parametrize("states", [0, 3])
 def test_prefix_store_stops_at_its_byte_cap(monkeypatch, series_block, states):
     bc, starts, xs, _ = series_block
+    sizes = {entry.nbytes for entry in series_program(bc).start_states(starts.tolist()).values()}
+    assert len(sizes) == 1  # every start's entry takes the same bytes
     prog = series_program(bc)
-    monkeypatch.setattr(S, "PREFIX_BYTES", states * 16 * 2**prog.width)
+    monkeypatch.setattr(S, "PREFIX_BYTES", states * sizes.pop())
     for _ in range(2):
         got = S.run(prog, x=xs, start=starts)
         assert np.array_equal(got, unstored_run(prog, xs, starts))
@@ -522,6 +530,88 @@ def test_prefix_store_stops_at_its_byte_cap(monkeypatch, series_block, states):
             single = S.run(prog, x=xs[[n]], start=starts[[n]])
             assert np.array_equal(single, unstored_run(prog, xs[[n]], starts[[n]]))
     assert len(prog.stored) == states
+
+
+def sparse_prefix_circuit(rng, width):
+    """Fixed H's and controlled Ry's that spread a start over a random few
+    qubits, then slotted and fixed runs on random targets (as in
+    random_slotted_circuit) and one slotted op on qubit 0, the ancilla of a
+    Hadamard test, so the runs also target qubits the prefix leaves in a
+    basis state."""
+    spread = rng.choice(width, int(rng.integers(0, width)), replace=False).tolist()
+    gates = [S.h(q) for q in spread]
+    for q in spread:
+        target = int(rng.integers(0, width))
+        if target != q:
+            gates.append(S.Gate("Ry", target, (q,), angle=float(rng.normal())))
+    suffix = list(random_slotted_circuit(rng, width, 4).gates)
+    suffix.insert(int(rng.integers(0, len(suffix) + 1)),
+                  S.Gate("Rx", 0, slot=S.EncodingSlot(0, "acos", 0.1)))
+    return S.Circuit(width, tuple(gates + suffix))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_support_run_equals_the_whole_state_run(seed):
+    """A batch of mixed starts runs each start on its support and gives the
+    amplitudes of running every op on the whole state; every amplitude off
+    a start's support is exactly 0 there."""
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 7))
+    prog = S.GateProgram(sparse_prefix_circuit(rng, width))
+    pool = rng.integers(0, 2**width, 3)
+    xs, _ = random_batch(rng, width, int(rng.integers(1, 9)))
+    starts = rng.choice(pool, len(xs))
+    got = S.run(prog, x=xs, start=starts)
+    want = unstored_run(prog, xs, starts)
+    assert np.array_equal(got, want)
+    found = prog.start_states(starts.tolist())
+    for n, s in enumerate(starts.tolist()):
+        support, _, layers, readout = found[s]
+        assert not np.delete(want[n], support).any()
+        assert np.array_equal(support, np.unique(support))
+        assert sum(pair.shape[1] for pair, _ in layers) <= sum(
+            pair.shape[1] for pair, _ in prog.layers)
+        half = 2**width // 2
+        assert np.array_equal(readout[0], support[support < half])
+        assert np.array_equal(readout[1], readout[0] + half)
+    for n in range(len(xs)):
+        assert np.array_equal(S.run(prog, x=xs[[n]], start=starts[[n]])[0], got[n])
+    values = S.hadamard_values(prog, xs, starts)
+    assert np.max(np.abs(values - ancilla_values(want))) <= 1e-12
+
+
+@pytest.mark.parametrize("block, amplitudes, pairs", [
+    ("bernstein", (48, 512), (8, 128)),
+    ("series", (56, 1024), (8, 128)),
+])
+def test_a_point_updates_only_the_pairs_on_its_support(block, amplitudes, pairs,
+                                                     bernstein_block, series_block):
+    """The d=2, n=4 Bernstein block from start 0 and the d=2, K=4 series
+    block from each of its 16 cells: the amplitudes a point keeps and the
+    pairs it updates per point, of the whole state's."""
+    if block == "bernstein":
+        bc, starts = bernstein_block[1], np.zeros(1, dtype=int)
+    else:
+        bc, starts = series_block[:2]
+    prog = bc.program
+    for entry in prog.start_states(starts.tolist()).values():
+        assert (len(entry.support), 2**prog.width) == amplitudes
+        assert (sum(pair.shape[1] for pair, _ in entry.layers),
+                sum(pair.shape[1] for pair, _ in prog.layers)) == pairs
+
+
+def test_hadamard_values_rejects_extra_start_indices(monkeypatch, bernstein_block):
+    """The lengths are checked before chunking: with a one-point budget the
+    chunks of two points end before the extra starts do."""
+    bc = bernstein_block[1]
+    xs = np.array([[0.3, 0.7], [0.5, 0.1]])
+    monkeypatch.setattr(S, "BATCH_BYTES", 1)
+    for evaluate in (lambda: S.hadamard_values(bc.program, xs, start=[0, 0, 0, 0]),
+                     lambda: C.evaluate_block(bc, xs, start=np.zeros(4, dtype=int))):
+        with pytest.raises(ValueError, match="2 points but 4 start indices"):
+            evaluate()
+    assert len(S.hadamard_values(bc.program, xs, start=[0, 0])) == 2
 
 
 def hoisting_circuit():
@@ -737,8 +827,8 @@ def localization_k2():
 @pytest.mark.parametrize("tables", [3, 0])
 def test_hadamard_values_in_chunks_equal_one_batch(monkeypatch, tables):
     prog = localization_k2().program
-    row = max(powers.nbytes for _, _, powers, *_ in prog.slot_tables)
-    assert row > 16 * 2**prog.width  # a point's slot table outweighs its state
+    row = 8 * len(prog.row_half)  # a point's row of the block table, every slot's rows
+    assert row > 16 * 2**prog.width  # outweighs its state
     xs = np.random.default_rng(12).uniform(0.0, 1.0, (7, 1))
     whole = S.hadamard_values(prog, xs)
     chunks = []
