@@ -116,14 +116,15 @@ def evaluate_block(
     # the ancilla is qubit 0 and starts in |0>, so a work-register index is
     # also the index of the whole Hadamard-test state
     values = sim.hadamard_values(bc.program, xs, start)
+    if one:  # a Python number, which the checks below read without numpy's dispatch
+        values = values[0].item()
     if bc.block_value_is_real:
         # at block scale: real constructions leave at most about 3e-15
-        leak = float(np.abs(values.imag).max(initial=0.0))
+        leak = abs(values.imag) if one else float(np.abs(values.imag).max(initial=0.0))
         if leak > 1e-9:
             raise ValueError(f"block declared real has an imaginary part of {leak:.3g}")
         values = values.real
-    out = values * bc.rescale
-    return out[0].item() if one else out
+    return values * bc.rescale
 
 
 # ---------------------------------------------------------------------------
