@@ -220,19 +220,16 @@ _GENERATORS = {
 class StartState(NamedTuple):
     """A start's state after a program's prefix, kept on its support: the
     sorted indices of the amplitudes that the ops from ``prefix`` on can
-    reach from it, the amplitudes there, each layer's pairs that lie there
-    as positions on the support with the row of each pair's op, and the
-    (2, M) readout pairs, the indices on the support where the ancilla,
-    qubit 0, reads 0 and the indices where it reads 1."""
+    reach from it, the amplitudes there, and each layer's pairs that lie
+    there as positions on the support with the row of each pair's op."""
 
     support: np.ndarray
     state: np.ndarray
     layers: list[tuple[np.ndarray, np.ndarray]]
-    readout: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        return (self.support.nbytes + self.state.nbytes + self.readout.nbytes
+        return (self.support.nbytes + self.state.nbytes
                 + sum(pair.nbytes + rows.nbytes for pair, rows in self.layers))
 
 
@@ -281,8 +278,8 @@ class GateProgram:
     test's controlled U target the ancilla, so a point runs on a small
     support.  From a basis start the state after the prefix is one fixed
     vector, and ``stored``, a dict on the program keyed by start index,
-    holds a ``StartState`` per start: the support, the state on it, the
-    layers' pairs on it and the ancilla's readout pairs.  The starts not
+    holds a ``StartState`` per start: the support, the state on it and the
+    layers' pairs on it.  The starts not
     stored yet run the prefix op by op, in one batch, once; an entry is
     stored while ``stored`` holds at most PREFIX_BYTES.
 
@@ -292,7 +289,7 @@ class GateProgram:
     512 amplitudes.  The d=2, K=4, s=1 Taylor series block, which starts
     from one of K^d cells, leaves 56 ops of 64 gates: 54 in the prefix, and
     its 2 slotted ops in 1 layer of 128 pairs, of which a start updates 8
-    on a support of 56 of 1024 amplitudes.
+    on a support of 44 of 1024 amplitudes.
 
     The compile checks no gate (the circuit checked its gates, or its
     placements, when it was built), and masks each (target, controls,
@@ -442,10 +439,7 @@ class GateProgram:
         cols[missing, np.arange(len(missing))] = 1.0
         for pair, head in zip(self.pairs[:self.prefix], self.heads):
             _apply(cols, pair, head[:, :, None, None])  # once per start: no schedule
-        # the bits no op from prefix on changes, and the ancilla, qubit 0,
-        # left free so that the support holds both halves of each readout pair
-        half = dim >> 1
-        conserved = np.arange(dim) & ~(self.targeted | half)
+        conserved = np.arange(dim) & ~self.targeted  # the bits no op from prefix on changes
         held = sum(entry.nbytes for entry in self.stored.values())
         for j, s in enumerate(missing):
             col = cols[:, j]
@@ -460,9 +454,7 @@ class GateProgram:
                 on = pos[0] >= 0  # a pair lies on the support or off it whole
                 if on.any():
                     layers.append((pos[:, on], rows[on]))
-            low = support[support < half]
-            found[s] = entry = StartState(support, col[support], layers,
-                                          np.stack([low, low + half]))
+            found[s] = entry = StartState(support, col[support], layers)
             if held + entry.nbytes <= PREFIX_BYTES:
                 self.stored[s] = entry
                 held += entry.nbytes
@@ -478,12 +470,9 @@ class GateProgram:
         xs = np.asarray(x, dtype=float)
         # per slot and point, u = scale x[coord] - shift: the point axis last
         u = xs.T[self.slot_coords] * self.slot_scales - self.slot_shifts
-        if len(self.xforms) == 1:  # one xform: its angles are every slot's
-            angles = encoding_angles(self.xforms[0][0], u)
-        else:
-            angles = np.empty_like(u)
-            for xform, slots in self.xforms:
-                angles[slots] = encoding_angles(xform, u[slots])
+        angles = np.empty_like(u)
+        for xform, slots in self.xforms:
+            angles[slots] = encoding_angles(xform, u[slots])
         hk = np.multiply(angles.T[:, self.row_slot], self.row_half, order="C")
         np.cos(hk[:, :self.cosines], out=hk[:, :self.cosines])
         np.sin(hk[:, self.cosines:], out=hk[:, self.cosines:])
@@ -581,7 +570,7 @@ def run(
     # the order the strides give, so the layout fixes its last bits
     amps = np.zeros((2**program.width, size), dtype=complex)
     for s, cols, n in groups:
-        support, state, layers, _ = found[s]
+        support, state, layers = found[s]
         if size == 1:  # a lone point drops the batch axis of its state and
             # its coefficients, so numpy takes its fast 1-D fancy-index path
             cols, block = 0, state.copy()
@@ -631,8 +620,8 @@ def _apply(state: np.ndarray, pair: np.ndarray, coef: np.ndarray) -> None:
 # Bytes of states, or of table rows, per chunk of points in hadamard_values.
 BATCH_BYTES = 1 << 19
 # Bytes of StartState entries one program stores: every start of the d=3,
-# K=4 Taylor series block takes 0.3 MB, start 0 of the d=3, n=16 Bernstein
-# test 1.9 MB.
+# K=4 Taylor series block takes 0.18 MB, start 0 of the d=3, n=16 Bernstein
+# test 1.7 MB.
 PREFIX_BYTES = 1 << 23
 
 
@@ -646,10 +635,9 @@ def hadamard_values(
 
     With a0 and a1 the halves of a final state where the ancilla, qubit 0,
     reads 0 and 1, the ancilla's <X> + i<Y> is 2 sum conj(a0) a1, so one
-    run gives both parts; the sum runs over the readout pairs on the
-    start's support (``StartState.readout``).  With neither x nor start it
-    is a batch of one from |0..0>.  The batch runs in chunks of points
-    whose states, and whose rows of the block table, fit in BATCH_BYTES
+    run gives both parts.  With neither x nor start it is a batch of one
+    from |0..0>.  The batch runs in chunks of points whose states, and
+    whose rows of the block table, fit in BATCH_BYTES
     (``GateProgram.row_bytes`` per point).
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
@@ -662,15 +650,13 @@ def hadamard_values(
     out = np.empty(size, dtype=complex)
     for lo in range(0, size, rows):
         chunk = slice(lo, lo + rows)
-        part = None if starts is None else starts[chunk]
-        amps = run(program, x=None if x is None else x[chunk], start=part)
-        values = out[chunk]
-        for s, cols, _ in _by_start(part, len(amps)):
-            # run stored the entry, unless the store had no room for it
-            entry = program.stored.get(s) or program.start_states([s])[s]
-            pairs = amps[:, entry.readout][cols]  # (n, 2, M)
-            values[cols] = np.einsum("ij,ij->i", pairs[:, 0].conj(), pairs[:, 1])
-    out *= 2.0
+        amps = run(
+            program,
+            x=None if x is None else x[chunk],
+            start=None if starts is None else starts[chunk],
+        )
+        half = amps.shape[1] // 2
+        out[chunk] = 2.0 * np.einsum("ij,ij->i", amps[:, :half].conj(), amps[:, half:])
     return out
 
 

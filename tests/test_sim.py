@@ -532,6 +532,27 @@ def test_prefix_store_stops_at_its_byte_cap(monkeypatch, series_block, states):
     assert len(prog.stored) == states
 
 
+def test_hadamard_values_runs_the_prefix_once_per_chunk_with_no_store(monkeypatch, series_block):
+    """With no room in the store every chunk runs its starts' prefix, once,
+    and the readout takes the values from the chunk's states alone."""
+    bc, starts, xs, _ = series_block
+    prog = series_program(bc)
+    want = S.hadamard_values(series_program(bc), xs, starts)
+    calls = []
+    real_start_states = S.GateProgram.start_states
+
+    def counting_start_states(program, keys):
+        calls.append(len(keys))
+        return real_start_states(program, keys)
+
+    monkeypatch.setattr(S, "PREFIX_BYTES", 0)
+    monkeypatch.setattr(S, "BATCH_BYTES", 4 * prog.row_bytes)
+    monkeypatch.setattr(S.GateProgram, "start_states", counting_start_states)
+    got = S.hadamard_values(prog, xs, starts)
+    assert calls == [4, 4, 4, 4] and not prog.stored
+    assert np.array_equal(got, want)
+
+
 def sparse_prefix_circuit(rng, width):
     """Fixed H's and controlled Ry's that spread a start over a random few
     qubits, then slotted and fixed runs on random targets (as in
@@ -567,14 +588,11 @@ def test_support_run_equals_the_whole_state_run(seed):
     assert np.array_equal(got, want)
     found = prog.start_states(starts.tolist())
     for n, s in enumerate(starts.tolist()):
-        support, _, layers, readout = found[s]
+        support, _, layers = found[s]
         assert not np.delete(want[n], support).any()
         assert np.array_equal(support, np.unique(support))
         assert sum(pair.shape[1] for pair, _ in layers) <= sum(
             pair.shape[1] for pair, _ in prog.layers)
-        half = 2**width // 2
-        assert np.array_equal(readout[0], support[support < half])
-        assert np.array_equal(readout[1], readout[0] + half)
     for n in range(len(xs)):
         assert np.array_equal(S.run(prog, x=xs[[n]], start=starts[[n]])[0], got[n])
     values = S.hadamard_values(prog, xs, starts)
@@ -583,7 +601,7 @@ def test_support_run_equals_the_whole_state_run(seed):
 
 @pytest.mark.parametrize("block, amplitudes, pairs", [
     ("bernstein", (48, 512), (8, 128)),
-    ("series", (56, 1024), (8, 128)),
+    ("series", (44, 1024), (8, 128)),
 ])
 def test_a_point_updates_only_the_pairs_on_its_support(block, amplitudes, pairs,
                                                      bernstein_block, series_block):
