@@ -110,6 +110,8 @@ def evaluate_block(
     real gives real values, and raises ValueError where its value is not.
     """
     xs = None if x is None else np.asarray(x, dtype=float)
+    if xs is not None and xs.ndim not in (1, 2):
+        raise ValueError(f"a point takes shape (d,) and a batch shape (N, d), got {xs.shape}")
     one = start is None and (xs is None or xs.ndim == 1)
     if one and xs is not None:
         xs = xs[None]
@@ -522,7 +524,7 @@ def localization_chebyshev(spec: LocalizationSpec) -> tuple[np.ndarray, np.ndarr
     m = qsp._fast_len(L + 1)
     half = np.real(qsp.qsp_block_values(angles, chebyshev_grid(m)[: (m + 1) // 2]))
     coeffs = _cheb_coeffs(_mirrored(half, m, L % 2))[L % 2:L + 1:2]
-    powers = np.arange(L % 2, L + 1, 2)
+    powers = np.arange(L % 2, L + 1, 2, dtype=float)  # float, so no caller casts them
     for a in (powers, coeffs):  # cached, so every caller shares them
         a.setflags(write=False)
     return powers, coeffs
@@ -544,15 +546,19 @@ def localization_values(spec: LocalizationSpec, x: Sequence[float] | np.ndarray)
     if not (np.abs(u) <= 1.0 + 1e-12).all():  # NaN fails this too
         raise ValueError("encoding inputs outside [-1, 1]")
     theta = np.arccos(np.minimum(np.maximum(u, -1.0), 1.0))[:, None, None]
+    size = max(1, sim.BATCH_BYTES // powers.nbytes)  # a point's table row, as long as powers
+    if len(u) <= size:  # one chunk: the product itself
+        return (np.cos(theta * powers) @ coeffs).reshape(xs.shape)
     out = np.empty(len(u))
-    size = max(1, sim.BATCH_BYTES // powers.nbytes)  # float64 table rows, int64 powers
     for lo in range(0, len(u), size):
         out[lo:lo + size] = (np.cos(theta[lo:lo + size] * powers) @ coeffs)[:, 0]
     return out.reshape(xs.shape)
 
 
 def round_to_eta(values: Sequence[float] | np.ndarray, K: int) -> MultiIndex | np.ndarray:
-    """Per-coordinate floor(K * value), clamped into {0, ..., K-1}.
+    """Per-coordinate floor(K * value), clamped into {0, ..., K-1}.  The
+    range check admits values down to -1e-9, and at every admitted value
+    K * value truncated is that clamped floor: 0 on [-1e-9, 0).
 
     One point's values give a tuple; an (N, d) array gives an integer array.
     """
@@ -560,7 +566,7 @@ def round_to_eta(values: Sequence[float] | np.ndarray, K: int) -> MultiIndex | n
     ok = (v >= -1e-9) & (v <= 1.0 + 1e-9)
     if not ok.all():  # NaN fails too
         raise ValueError(f"localization output {v[~ok][0]} outside [0, 1]")
-    cells = np.minimum(np.maximum(np.floor(K * v).astype(int), 0), K - 1)
+    cells = np.minimum((K * v).astype(int), K - 1)
     return tuple(int(c) for c in cells) if v.ndim == 1 else cells
 
 
@@ -704,7 +710,7 @@ class NestedTaylorModel:
     def __call__(self, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
         """The value at one point, or the values at the rows of an (N, d) array."""
         xs = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(xs)
+        pts = xs.reshape(1, -1) if xs.ndim < 2 else xs
         if pts.shape[-1] != self.f.dims:
             raise ValueError(f"the model takes points of {self.f.dims} coordinates,"
                              f" got {pts.shape[-1]}")

@@ -220,16 +220,19 @@ _GENERATORS = {
 class StartState(NamedTuple):
     """A start's state after a program's prefix, kept on its support: the
     sorted indices of the amplitudes that the ops from ``prefix`` on can
-    reach from it, the amplitudes there, and each layer's pairs that lie
-    there as positions on the support with the row of each pair's op."""
+    reach from it, the amplitudes there, each layer's pairs that lie there
+    as positions on the support with the row of each pair's op, and the
+    (2, M) positions of the readout pairs (qubit 0 reading 0, then 1) with
+    both ends on it."""
 
     support: np.ndarray
     state: np.ndarray
     layers: list[tuple[np.ndarray, np.ndarray]]
+    readout: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        return (self.support.nbytes + self.state.nbytes
+        return (self.support.nbytes + self.state.nbytes + self.readout.nbytes
                 + sum(pair.nbytes + rows.nbytes for pair, rows in self.layers))
 
 
@@ -251,9 +254,9 @@ class GateProgram:
     coefficients (``slot_tables``), and the slots' tables into one block
     table, every slot's cosine rows first and every slot's sine rows after.
     ``op_matrices`` binds every slotted op with one affine map of the
-    point, one table of cos hk and sin hk and one product.  ``width`` and
-    ``gates`` are those of the source circuit, and ``coords`` is the number
-    of point coordinates its slots read.
+    point per table row, one table of cos hk and sin hk and one product.
+    ``width`` and ``gates`` are those of the source circuit, and ``coords``
+    is the number of point coordinates its slots read.
 
     ``prefix`` is the number of ops run once per start, ``pairs[:prefix]``:
     the fixed ops before the first slotted op, and every later fixed op
@@ -278,18 +281,18 @@ class GateProgram:
     test's controlled U target the ancilla, so a point runs on a small
     support.  From a basis start the state after the prefix is one fixed
     vector, and ``stored``, a dict on the program keyed by start index,
-    holds a ``StartState`` per start: the support, the state on it and the
-    layers' pairs on it.  The starts not
+    holds a ``StartState`` per start: the support, the state on it, the
+    layers' pairs on it and the readout pairs on it.  The starts not
     stored yet run the prefix op by op, in one batch, once; an entry is
     stored while ``stored`` holds at most PREFIX_BYTES.
 
     On the Hadamard test of the d=2, n=4 Bernstein block this leaves 19 ops
     of 31 gates: 11 in the prefix, and 8 from it on in 2 layers of 128
     pairs, of which a point from start 0 updates 8 on a support of 48 of
-    512 amplitudes.  The d=2, K=4, s=1 Taylor series block, which starts
-    from one of K^d cells, leaves 56 ops of 64 gates: 54 in the prefix, and
-    its 2 slotted ops in 1 layer of 128 pairs, of which a start updates 8
-    on a support of 44 of 1024 amplitudes.
+    512 amplitudes and reads 24 pairs.  The d=2, K=4, s=1 Taylor series
+    block, which starts from one of K^d cells, leaves 56 ops of 64 gates:
+    54 in the prefix, and its 2 slotted ops in 1 layer of 128 pairs, of
+    which a start updates 8 on a support of 44 of 1024 amplitudes.
 
     The compile checks no gate (the circuit checked its gates, or its
     placements, when it was built), and masks each (target, controls,
@@ -384,12 +387,13 @@ class GateProgram:
         per slot, its ops' indices in ``chains``, their powers, how many are
         cosines, and the table), and the tables into the block table that
         op_matrices binds.  Row r of the block table takes cos or sin of
-        row_half[r] = k/2 times the angle of slot row_slot[r], for the power
-        k of the half angle h (angle k/2 and h k round alike, as both
-        halvings are exact), every cosine row first, and column 8p + e
-        holds entry e of slotted op p, real and imaginary parts interleaved.
-        The slots are sorted by xform, and ``xforms`` holds each xform's
-        slice of them."""
+        row_half[r] = k/2 times the angle of its slot, for the power k of
+        the half angle h (angle k/2 and h k round alike, as both halvings
+        are exact), every cosine row first, the slots sorted by xform, and
+        column 8p + e holds entry e of slotted op p, real and imaginary parts
+        interleaved.  Each row holds its slot's affine map (``row_coords``,
+        ``row_scales``, ``row_shifts``), and ``xforms`` each xform's rows
+        (every row for one xform)."""
         groups: dict[EncodingSlot, list[int]] = {}
         for p in sorted(range(len(self.chains)), key=lambda p: -len(self.chains[p][1])):
             groups.setdefault(self.chains[p][0], []).append(p)  # longest chains first
@@ -399,26 +403,29 @@ class GateProgram:
                                        [self.chains[p][1] for p in ps]))
             for slot, ps in ((slot, groups[slot]) for slot in slots)
         ]
-        self.slot_coords = np.array([slot.coord for slot in slots], dtype=int)
-        self.slot_scales = np.array([slot.scale for slot in slots]).reshape(-1, 1)
-        self.slot_shifts = np.array([slot.shift for slot in slots]).reshape(-1, 1)
-        xforms = [slot.xform for slot in slots]
-        self.xforms = [(xf, slice(xforms.index(xf), xforms.index(xf) + xforms.count(xf)))
-                       for xf in dict.fromkeys(xforms)]
         rows = [(s, j) for s, (_, _, powers, _, _) in enumerate(self.slot_tables)
                 for j in range(len(powers))]
         rows.sort(key=lambda r: r[1] >= self.slot_tables[r[0]][3])  # stable: cosines first
         self.cosines = sum(cosines for _, _, _, cosines, _ in self.slot_tables)
-        self.row_slot = np.array([s for s, _ in rows], dtype=int)
+        row_slot = np.array([s for s, _ in rows], dtype=int)
         row_power = np.zeros(len(rows), dtype=int)
         self.table = np.zeros((len(rows), 8 * len(self.chains)))
         index = np.array([j for _, j in rows], dtype=int)
         for s, (_, ps, powers, _, table) in enumerate(self.slot_tables):
-            mine = np.flatnonzero(self.row_slot == s)
+            mine = np.flatnonzero(row_slot == s)
             row_power[mine] = powers[index[mine]]
             cols = 8 * np.array(ps)[:, None] + np.arange(8)
             self.table[np.ix_(mine, cols.ravel())] = table[index[mine]]
         self.row_half = row_power / 2.0
+        row_slots = [slots[s] for s in row_slot]
+        self.row_coords = np.array([slot.coord for slot in row_slots], dtype=int)
+        self.row_scales = np.array([slot.scale for slot in row_slots])
+        self.row_shifts = np.array([slot.shift for slot in row_slots])
+        xforms = np.array([slot.xform for slot in row_slots])
+        # a slice, which op_matrices reads and writes without a gather, when
+        # one xform has every row
+        self.xforms = [(xf, np.flatnonzero(xforms == xf) if len(set(xforms)) > 1 else slice(None))
+                       for xf in dict.fromkeys(xforms.tolist())]
         # bytes per point of a chunk in hadamard_values: its state or its row
         # of the block table's cos hk and sin hk
         self.row_bytes = max(np.dtype(complex).itemsize * 2**self.width, self.row_half.nbytes)
@@ -454,7 +461,9 @@ class GateProgram:
                 on = pos[0] >= 0  # a pair lies on the support or off it whole
                 if on.any():
                     layers.append((pos[:, on], rows[on]))
-            found[s] = entry = StartState(support, col[support], layers)
+            pos = at[:dim // 2 * 2].reshape(2, -1)  # where qubit 0 reads 0, then 1
+            readout = pos[:, (pos >= 0).all(axis=0)]
+            found[s] = entry = StartState(support, col[support], layers, readout)
             if held + entry.nbytes <= PREFIX_BYTES:
                 self.stored[s] = entry
                 held += entry.nbytes
@@ -468,12 +477,14 @@ class GateProgram:
         if x is None:
             raise ValueError("circuit has unbound encoding slots; pass x")
         xs = np.asarray(x, dtype=float)
-        # per slot and point, u = scale x[coord] - shift: the point axis last
-        u = xs.T[self.slot_coords] * self.slot_scales - self.slot_shifts
-        angles = np.empty_like(u)
-        for xform, slots in self.xforms:
-            angles[slots] = encoding_angles(xform, u[slots])
-        hk = np.multiply(angles.T[:, self.row_slot], self.row_half, order="C")
+        # per point and row, u = scale x[coord] - shift, in C order: the
+        # gather alone can come back in F order, and the stacked product
+        # below then rounds a point differently alone and in a batch
+        u = np.multiply(xs[:, self.row_coords], self.row_scales, order="C")
+        u -= self.row_shifts
+        for xform, rows in self.xforms:
+            u[:, rows] = encoding_angles(xform, u[:, rows])
+        hk = np.multiply(u, self.row_half, out=u)
         np.cos(hk[:, :self.cosines], out=hk[:, :self.cosines])
         np.sin(hk[:, self.cosines:], out=hk[:, self.cosines:])
         # stacked, so a point's row is the same product alone or in a batch
@@ -539,19 +550,56 @@ def run(
     c: Circuit | GateProgram,
     x: Optional[np.ndarray] = None,
     start: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The (N, 2**width) final amplitudes of a batch run, one row per point.
+) -> list[tuple[int | slice | np.ndarray, StartState, np.ndarray]]:
+    """The final states of a batch run on each distinct start's support.
 
     ``x`` is an (N, d) point array, or None for a circuit without encoding
     slots, and ``start`` holds the N initial basis-state indices (default
-    0); with neither it is a batch of one from |0..0>.  A point with fewer
-    coordinates than the slots read (``GateProgram.coords``) raises
-    ValueError.  The points of each distinct start run together on its
-    support, from its stored state after the prefix (``StartState``); the
-    other amplitudes are 0.  A final state whose norm is off 1 by more than
-    1e-10 raises.  A plain circuit is compiled first.
+    0); with neither it is a batch of one from |0..0>.  The points of each
+    distinct start run together on its support, from its stored state
+    after the prefix (``StartState``), and every amplitude off the support
+    is exactly 0.  Per distinct start the result holds its columns of the
+    batch (every column for one start), its StartState and its
+    (len(support), n) states, one column per point; a lone point has
+    column 0 and a (len(support),) state.  A final state whose norm is off
+    1 by more than 1e-10 raises.  A plain circuit is compiled first.
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
+    xs, starts, size = _batch(program, x, start)
+    groups = _by_start(starts, size)
+    found = program.start_states([s for s, _, _ in groups])  # checks the start indices
+    if program.layers:  # (2, 2, len(pairs) - prefix, N), entry by entry
+        mats = program.op_matrices(xs).transpose(2, 3, 0, 1)
+    out = []
+    for s, cols, n in groups:
+        entry = found[s]
+        if size == 1:  # a lone point drops the batch axis of its state and
+            # its coefficients, so numpy takes its fast 1-D fancy-index path
+            cols, block = 0, entry.state.copy()
+        else:
+            block = entry.state[:, None].repeat(n, axis=1)
+        if entry.layers:
+            coef = mats[..., cols]
+        for pair, rows in entry.layers:
+            _apply(block, pair, coef[:, :, rows])
+        if size == 1:  # a Python float, without numpy's dispatch
+            norm = math.sqrt(np.vdot(block, block).real)
+            if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
+                raise RuntimeError(f"simulation lost unitarity: norm {norm}")
+        else:  # np.linalg.norm's own sum, without its dispatch
+            norms = np.sqrt(np.add.reduce((block.conj() * block).real, axis=0))
+            ok = np.abs(norms - 1.0) <= 1e-10
+            if not ok.all():
+                raise RuntimeError(f"simulation lost unitarity: norm {norms[~ok][0]}")
+        out.append((cols, entry, block))
+    return out
+
+
+def _batch(program: GateProgram, x: Optional[np.ndarray],
+           start: Optional[np.ndarray]) -> tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
+    """x as an (N, d) float array, ``start`` as N integer indices (each
+    None if not given) and N.  Another shape, too few coordinates for the
+    slots (``GateProgram.coords``) or N mismatched starts raise ValueError."""
     xs = None if x is None else np.asarray(x, dtype=float)
     if xs is not None and xs.ndim != 2:
         raise ValueError("a batch takes an (N, d) point array")
@@ -559,37 +607,13 @@ def run(
         raise ValueError(
             f"the circuit reads {program.coords} coordinates, but the point has {xs.shape[1]}")
     starts = None if start is None else np.asarray(start)
+    if starts is not None and (starts.ndim != 1 or (starts.dtype.kind not in "iu" and starts.size)):
+        raise ValueError(f"start takes a 1-D array of integer basis-state indices,"
+                         f" got {starts.dtype} of shape {starts.shape}")
     size = len(xs) if xs is not None else 1 if starts is None else len(starts)
     if starts is not None and len(starts) != size:
         raise ValueError(f"{size} points but {len(starts)} start indices")
-    groups = _by_start(starts, size)
-    found = program.start_states([s for s, _, _ in groups])  # checks the start indices
-    if program.layers:  # (2, 2, len(pairs) - prefix, N), entry by entry
-        mats = program.op_matrices(xs).transpose(2, 3, 0, 1)
-    # the transpose of a (2**width, N) buffer: einsum sums the readout in
-    # the order the strides give, so the layout fixes its last bits
-    amps = np.zeros((2**program.width, size), dtype=complex)
-    for s, cols, n in groups:
-        support, state, layers = found[s]
-        if size == 1:  # a lone point drops the batch axis of its state and
-            # its coefficients, so numpy takes its fast 1-D fancy-index path
-            cols, block = 0, state.copy()
-        else:
-            block = state[:, None].repeat(n, axis=1)
-        if layers:
-            coef = mats[..., cols]
-        for pair, rows in layers:
-            _apply(block, pair, coef[:, :, rows])
-        # np.linalg.norm's own sum, without its dispatch
-        norms = np.sqrt(np.add.reduce((block.conj() * block).real, axis=0, keepdims=True))
-        ok = np.abs(norms - 1.0) <= 1e-10
-        if not ok.all():  # NaN fails too
-            raise RuntimeError(f"simulation lost unitarity: norm {norms[~ok][0]}")
-        if n == size:
-            amps[support, cols] = block
-        else:
-            amps[support[:, None], cols] = block
-    return amps.T
+    return xs, starts, size
 
 
 def _by_start(starts: Optional[np.ndarray], size: int) -> list[tuple[int, slice | np.ndarray, int]]:
@@ -635,28 +659,34 @@ def hadamard_values(
 
     With a0 and a1 the halves of a final state where the ancilla, qubit 0,
     reads 0 and 1, the ancilla's <X> + i<Y> is 2 sum conj(a0) a1, so one
-    run gives both parts.  With neither x nor start it is a batch of one
-    from |0..0>.  The batch runs in chunks of points whose states, and
-    whose rows of the block table, fit in BATCH_BYTES
-    (``GateProgram.row_bytes`` per point).
+    run gives both parts.  A point takes one np.vdot over its start's
+    readout pairs (``StartState.readout``) on its support, since a pair
+    with one end off it adds exactly 0; it reads them as contiguous
+    vectors, so a point reads the same bits alone, in a batch and in any
+    chunking.
+    With neither x nor start it is a batch of one from |0..0>.  The batch runs in chunks of
+    points whose states, and whose rows of the block table, fit in
+    BATCH_BYTES (``GateProgram.row_bytes`` per point).
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
-    x = None if x is None else np.asarray(x, dtype=float)
-    starts = None if start is None else np.asarray(start)
-    size = len(x) if x is not None else 1 if starts is None else len(starts)
-    if starts is not None and len(starts) != size:  # before chunking, as run words it
-        raise ValueError(f"{size} points but {len(starts)} start indices")
+    xs, starts, size = _batch(program, x, start)  # before chunking, as run words it
     rows = max(1, BATCH_BYTES // program.row_bytes)
     out = np.empty(size, dtype=complex)
     for lo in range(0, size, rows):
         chunk = slice(lo, lo + rows)
-        amps = run(
+        values = out[chunk]
+        groups = run(
             program,
-            x=None if x is None else x[chunk],
+            x=None if xs is None else xs[chunk],
             start=None if starts is None else starts[chunk],
         )
-        half = amps.shape[1] // 2
-        out[chunk] = 2.0 * np.einsum("ij,ij->i", amps[:, :half].conj(), amps[:, half:])
+        for cols, entry, states in groups:
+            a0, a1 = entry.readout
+            if states.ndim == 1:
+                values[cols] = np.vdot(states[a0], states[a1])
+            else:  # one contiguous row per point
+                values[cols] = list(map(np.vdot, states[a0].T.copy(), states[a1].T.copy()))
+    out *= 2.0
     return out
 
 

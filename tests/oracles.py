@@ -12,11 +12,14 @@ series' screen as an upward sweep over every odd degree.  None of them
 shares code with the paths under test beyond the gate matrices and, for
 the op matrices, the program's compiled chains of fixed products.
 
-It also holds the lowering of controlled gates to one-control X's and
+It also holds two whole-state views of a compiled program's run:
+``dense_run`` scatters the states ``run`` returns on each start's support
+into (N, 2**width) amplitudes, and ``unstored_run`` runs every op in turn
+on the whole state, with no stored prefix state and no layers.  And it
+holds the lowering of controlled gates to one-control X's and
 single-qubit rotations (``decompose_mcu``, ``lowered``), which checks that
 the simulator's native controlled gates are elementary up to global phase.
 """
-
 from __future__ import annotations
 
 import math
@@ -39,10 +42,12 @@ from pqcapprox.sim import (
     Circuit,
     Gate,
     GateProgram,
+    _apply,
     cnot,
     encoding_angles,
     gate_matrix_1q,
     ry,
+    run,
     rz,
     xg,
 )
@@ -111,6 +116,40 @@ def ancilla_values(amps: np.ndarray) -> np.ndarray:
     array: 2 <a0|a1>, with a0 and a1 the halves where qubit 0 reads 0 and 1."""
     half = amps.shape[1] // 2
     return np.array([2.0 * np.vdot(a[:half], a[half:]) for a in amps])
+
+
+# ---------------------------------------------------------------------------
+# Whole-state runs
+# ---------------------------------------------------------------------------
+
+
+def dense_run(c, x=None, start=None) -> np.ndarray:
+    """The (N, 2**width) final amplitudes of run(c, x, start), one row per
+    point: each start's states on its support scattered into the whole
+    state, 0 off it."""
+    program = c if isinstance(c, GateProgram) else GateProgram(c)
+    groups = run(program, x=x, start=start)
+    size = sum(states.shape[1] if states.ndim > 1 else 1 for _, _, states in groups)
+    amps = np.zeros((2**program.width, size), dtype=complex)
+    for cols, entry, states in groups:
+        amps[entry.support[:, None], np.arange(size)[cols]] = states.reshape(len(entry.support), -1)
+    return amps.T
+
+
+def unstored_run(prog: GateProgram, xs, starts) -> np.ndarray:
+    """The final amplitudes of a batch run with no stored prefix state and
+    no layers: every op in turn from op 0 on the whole state, each pair
+    updated as a layer updates it, op k from row k - prefix of op_matrices
+    from prefix on."""
+    amps = np.zeros((2**prog.width, len(starts)), dtype=complex)
+    amps[starts, np.arange(len(starts))] = 1.0
+    mats = prog.op_matrices(xs) if prog.layers else None  # (len(pairs) - prefix, N, 2, 2)
+    for k, pair in enumerate(prog.pairs):
+        if k < prog.prefix:
+            _apply(amps, pair, prog.heads[k][:, :, None, None])
+        else:
+            _apply(amps, pair, mats[k - prog.prefix].transpose(1, 2, 0)[:, :, None])
+    return amps.T
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from oracles import (
     block_values,
     circuit_unitary,
     composed_reference,
+    dense_run,
     qsp_unitary,
     trig_qsp_unitary,
 )
@@ -827,7 +828,7 @@ def test_taylor_coeff_block_values():
     assert np.vdot(psi0, u @ psi0).real == pytest.approx(1.0, abs=1e-12)
     # eta = 1
     prep = S.Circuit(circ.width, (S.xg(0),))
-    psi1 = S.run(prep)[0]
+    psi1 = dense_run(prep)[0]
     assert np.vdot(psi1, u @ psi1).real == pytest.approx(-0.5, abs=1e-12)
 
 
@@ -903,7 +904,7 @@ def test_series_start_is_the_address_prep():
     for eta, start in zip(cells, starts):
         bc = C.build_taylor_series_pqc(table, tuple(eta))
         writes = S.Circuit(bc.width, tuple(g for g in bc.prep.gates if g.kind == "X"))
-        assert np.flatnonzero(S.run(writes)[0]) == [start]
+        assert np.flatnonzero(dense_run(writes)[0]) == [start]
     # two bits per coordinate, coordinate 0 first, above the coefficient
     # qubit and the two data qubits
     assert C.series_start(table, np.array([[1, 0], [0, 1]])).tolist() == [0b0100 << 3, 0b0001 << 3]

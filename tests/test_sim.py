@@ -18,8 +18,10 @@ from oracles import (
     block_values,
     circuit_unitary,
     decompose_mcu,
+    dense_run,
     lowered,
     stage_op_matrices,
+    unstored_run,
 )
 
 
@@ -59,18 +61,18 @@ def random_circuit(rng, width, n_gates, mcu=False):
 
 
 def test_empty_circuit_preserves_state():
-    out = S.run(S.Circuit(1, ()), start=np.arange(2))
+    out = dense_run(S.Circuit(1, ()), start=np.arange(2))
     assert np.array_equal(out, np.eye(2))
 
 
 def test_hadamard_on_zero():
-    out = S.run(S.Circuit(1, (S.h(0),)))
+    out = dense_run(S.Circuit(1, (S.h(0),)))
     assert out.shape == (1, 2)
     assert np.allclose(out[0], [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
 def test_cnot_textbook_action():
-    out = S.run(S.Circuit(2, (S.h(0), S.cnot(0, 1))))[0]
+    out = dense_run(S.Circuit(2, (S.h(0), S.cnot(0, 1))))[0]
     expected = np.zeros(4)
     expected[0b00] = expected[0b11] = 1 / math.sqrt(2)
     assert np.allclose(out, expected)
@@ -101,7 +103,7 @@ def test_run_matches_dense_unitary(width):
     rng = np.random.default_rng(width)
     circ = random_circuit(rng, width, 20, mcu=True)
     dense = circuit_unitary(circ)
-    out = S.run(circ, start=np.arange(2**width))
+    out = dense_run(circ, start=np.arange(2**width))
     assert np.max(np.abs(out - dense.T)) <= 1e-10
 
 
@@ -235,7 +237,7 @@ def test_compiled_program_matches_dense_unitary(seed):
     prog = S.GateProgram(circ)
     assert len(prog.pairs) <= 6 + slot_splits(circ)
     dense = circuit_unitary(circ.bound(x))
-    assert np.max(np.abs(S.run(prog, x=[x])[0] - dense[:, 0])) <= 1e-10
+    assert np.max(np.abs(dense_run(prog, x=[x])[0] - dense[:, 0])) <= 1e-10
     want = block_values(circ.bound(x), prep)[0]
     ht = S.GateProgram(S.hadamard_test_circuit(circ, prep))
     got = S.hadamard_values(ht, [x])[0]
@@ -292,16 +294,16 @@ def test_zero_controlled_program_matches_dense_unitary(seed):
     assert not any(np.array_equal(m, np.eye(2)) for m in prog.heads[fixed])
     x = (float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-3.0, 3.0)))
     dense = circuit_unitary(circ.bound(x))
-    assert np.max(np.abs(S.run(prog, x=[x])[0] - dense[:, 0])) <= 1e-10
+    assert np.max(np.abs(dense_run(prog, x=[x])[0] - dense[:, 0])) <= 1e-10
     every = np.arange(2**width)
-    out = S.run(prog, x=np.tile(x, (len(every), 1)), start=every)
+    out = dense_run(prog, x=np.tile(x, (len(every), 1)), start=every)
     assert np.max(np.abs(out - dense.T)) <= 1e-10
     xs, starts = random_batch(rng, width, 5)
-    batch = S.run(prog, x=xs, start=starts)
+    batch = dense_run(prog, x=xs, start=starts)
     assert np.array_equal(batch, unstored_run(prog, xs, starts))
     for n in range(len(xs)):
         assert np.max(np.abs(batch[n] - dense_columns(circ, xs[n], [starts[n]])[0])) <= 1e-10
-        assert np.array_equal(S.run(prog, x=xs[[n]], start=starts[[n]])[0], batch[n])
+        assert np.array_equal(dense_run(prog, x=xs[[n]], start=starts[[n]])[0], batch[n])
     prep = random_circuit(rng, width, 4)
     want = block_values(circ.bound(x), prep)[0]
     ht = S.GateProgram(S.hadamard_test_circuit(circ, prep))
@@ -343,12 +345,12 @@ def test_batch_run_equals_single_point_runs(seed):
     width = int(rng.integers(1, 5))
     prog = S.GateProgram(random_slotted_circuit(rng, width, 6))
     xs, starts = random_batch(rng, width, int(rng.integers(1, 9)))
-    batch = S.run(prog, x=xs, start=starts)
+    batch = dense_run(prog, x=xs, start=starts)
     assert batch.shape == (len(xs), 2**width)
     assert np.array_equal(batch, unstored_run(prog, xs, starts))
     for n in range(len(xs)):
-        assert np.array_equal(S.run(prog, x=xs[[n]], start=starts[[n]])[0], batch[n])
-    from_zero = S.run(prog, x=xs)
+        assert np.array_equal(dense_run(prog, x=xs[[n]], start=starts[[n]])[0], batch[n])
+    from_zero = dense_run(prog, x=xs)
     assert np.array_equal(from_zero, unstored_run(prog, xs, np.zeros(len(xs), dtype=int)))
 
 
@@ -395,7 +397,7 @@ def test_batch_unitarity_check_is_per_point(monkeypatch):
 
     def nan_at_third(xform, u):
         angles = real(xform, u)
-        angles[..., 2:3] = np.nan  # the third point's gate only
+        angles[2:3] = np.nan  # the third point's gate only: points on the first axis
         return angles
 
     S.run(prog, x=np.zeros((3, 1)))
@@ -415,24 +417,22 @@ def test_batch_rejects_bad_start_indices():
         S.run(prog, x=np.zeros((3, 1)), start=np.array([0, 1]))
 
 
+@pytest.mark.parametrize("start", [[0.5], [True], [[0, 1]], np.zeros((1, 1), dtype=int)],
+                         ids=["float", "bool", "nested", "2-d"])
+def test_a_start_that_is_not_1d_integers_raises(start, bernstein_block):
+    """A float start would index as an integer, a boolean one as a mask and
+    a nested one not at all: each is refused before any state is run."""
+    prog = S.GateProgram(S.Circuit(2, (S.h(0), S.cnot(0, 1))))
+    with pytest.raises(ValueError, match="1-D array of integer basis-state indices"):
+        S.run(prog, start=start)
+    assert not prog.stored
+    with pytest.raises(ValueError, match="1-D array of integer basis-state indices"):
+        C.evaluate_block(bernstein_block[1], np.array([[0.3, 0.7]]), start=start)
+
+
 # ---------------------------------------------------------------------------
 # Stored prefix states
 # ---------------------------------------------------------------------------
-
-
-def unstored_run(prog, xs, starts):
-    """The final amplitudes of a batch run with no stored prefix state and
-    no layers: every op in turn from op 0, each pair updated as a layer
-    updates it, op k from row k - prefix of op_matrices from prefix on."""
-    amps = np.zeros((2**prog.width, len(starts)), dtype=complex)
-    amps[starts, np.arange(len(starts))] = 1.0
-    mats = prog.op_matrices(xs) if prog.layers else None  # (len(pairs) - prefix, N, 2, 2)
-    for k, pair in enumerate(prog.pairs):
-        if k < prog.prefix:
-            S._apply(amps, pair, prog.heads[k][:, :, None, None])
-        else:
-            S._apply(amps, pair, mats[k - prog.prefix].transpose(1, 2, 0)[:, :, None])
-    return amps.T
 
 
 @pytest.fixture(scope="module")
@@ -452,7 +452,7 @@ def series_program(bc):
 
 
 def stored_run(prog, xs, starts):
-    return S.run(prog, x=xs, start=starts)
+    return dense_run(prog, x=xs, start=starts)
 
 
 def batch_values(run, prog, xs, starts):
@@ -490,7 +490,7 @@ def test_program_without_slots_stores_its_whole_run():
     assert prog.prefix == len(prog.pairs) == 5
     starts = np.array([5, 0, 5, 3])
     want = circuit_unitary(circ)[:, starts].T
-    first = S.run(prog, start=starts)
+    first = dense_run(prog, start=starts)
     assert np.max(np.abs(first - want)) <= 1e-14
     assert sorted(prog.stored) == [0, 3, 5]
     # no layer runs after the prefix: the stored states are the final ones,
@@ -499,7 +499,7 @@ def test_program_without_slots_stores_its_whole_run():
     assert not prog.layers and prog.targeted == 0 and not entry.layers
     assert np.array_equal(entry.state, first[0][entry.support])
     assert not np.delete(first[0], entry.support).any()
-    assert np.array_equal(S.run(prog, start=starts), first)
+    assert np.array_equal(dense_run(prog, start=starts), first)
 
 
 def test_program_with_a_slotted_first_op_has_an_empty_prefix():
@@ -508,7 +508,7 @@ def test_program_with_a_slotted_first_op_has_an_empty_prefix():
     prog = S.GateProgram(circ)
     assert prog.prefix == 0
     xs, starts = np.array([[0.3], [-0.5], [0.7]]), np.array([2, 1, 2])
-    got = S.run(prog, x=xs, start=starts)
+    got = dense_run(prog, x=xs, start=starts)
     assert np.array_equal(got, unstored_run(prog, xs, starts))
     for x, s, amps in zip(xs, starts, got):
         assert np.max(np.abs(amps - circuit_unitary(circ.bound(x))[:, s])) <= 1e-14
@@ -523,11 +523,11 @@ def test_prefix_store_stops_at_its_byte_cap(monkeypatch, series_block, states):
     prog = series_program(bc)
     monkeypatch.setattr(S, "PREFIX_BYTES", states * sizes.pop())
     for _ in range(2):
-        got = S.run(prog, x=xs, start=starts)
+        got = dense_run(prog, x=xs, start=starts)
         assert np.array_equal(got, unstored_run(prog, xs, starts))
         assert len(prog.stored) == states
         for n in range(16):
-            single = S.run(prog, x=xs[[n]], start=starts[[n]])
+            single = dense_run(prog, x=xs[[n]], start=starts[[n]])
             assert np.array_equal(single, unstored_run(prog, xs[[n]], starts[[n]]))
     assert len(prog.stored) == states
 
@@ -576,25 +576,34 @@ def sparse_prefix_circuit(rng, width):
 def test_support_run_equals_the_whole_state_run(seed):
     """A batch of mixed starts runs each start on its support and gives the
     amplitudes of running every op on the whole state; every amplitude off
-    a start's support is exactly 0 there."""
+    a start's support is exactly 0 there, and the readout takes every pair
+    of the two halves with both ends on the support."""
     rng = np.random.default_rng(seed)
     width = int(rng.integers(1, 7))
     prog = S.GateProgram(sparse_prefix_circuit(rng, width))
     pool = rng.integers(0, 2**width, 3)
     xs, _ = random_batch(rng, width, int(rng.integers(1, 9)))
     starts = rng.choice(pool, len(xs))
-    got = S.run(prog, x=xs, start=starts)
     want = unstored_run(prog, xs, starts)
-    assert np.array_equal(got, want)
-    found = prog.start_states(starts.tolist())
-    for n, s in enumerate(starts.tolist()):
-        support, _, layers = found[s]
-        assert not np.delete(want[n], support).any()
+    groups = S.run(prog, x=xs, start=starts)
+    seen = []
+    half = 2**width // 2
+    for cols, entry, states in groups:
+        support = entry.support
         assert np.array_equal(support, np.unique(support))
-        assert sum(pair.shape[1] for pair, _ in layers) <= sum(
+        assert np.array_equal(states, want[cols][..., support].T)
+        assert not np.delete(want[cols], support, axis=-1).any()
+        lo, hi = support[entry.readout]
+        assert np.array_equal(hi, lo + half) and (hi >= half).all()
+        assert len(lo) == len(np.intersect1d(support[support < half] + half, support))
+        assert sum(pair.shape[1] for pair, _ in entry.layers) <= sum(
             pair.shape[1] for pair, _ in prog.layers)
+        seen += np.ravel(np.arange(len(xs))[cols]).tolist()
+    assert sorted(seen) == list(range(len(xs)))
+    got = dense_run(prog, xs, starts)
+    assert np.array_equal(got, want)
     for n in range(len(xs)):
-        assert np.array_equal(S.run(prog, x=xs[[n]], start=starts[[n]])[0], got[n])
+        assert np.array_equal(dense_run(prog, x=xs[[n]], start=starts[[n]])[0], got[n])
     values = S.hadamard_values(prog, xs, starts)
     assert np.max(np.abs(values - ancilla_values(want))) <= 1e-12
 
@@ -606,17 +615,19 @@ def test_support_run_equals_the_whole_state_run(seed):
 def test_a_point_updates_only_the_pairs_on_its_support(block, amplitudes, pairs,
                                                      bernstein_block, series_block):
     """The d=2, n=4 Bernstein block from start 0 and the d=2, K=4 series
-    block from each of its 16 cells: the amplitudes a point keeps and the
-    pairs it updates per point, of the whole state's."""
+    block from each of its 16 cells: the amplitudes a point keeps, the
+    pairs it updates per point and the readout pairs it reads, of the whole
+    state's."""
     if block == "bernstein":
-        bc, starts = bernstein_block[1], np.zeros(1, dtype=int)
+        bc, starts, readout = bernstein_block[1], np.zeros(1, dtype=int), (24, 256)
     else:
-        bc, starts = series_block[:2]
+        bc, starts, readout = *series_block[:2], (16, 512)
     prog = bc.program
     for entry in prog.start_states(starts.tolist()).values():
         assert (len(entry.support), 2**prog.width) == amplitudes
         assert (sum(pair.shape[1] for pair, _ in entry.layers),
                 sum(pair.shape[1] for pair, _ in prog.layers)) == pairs
+        assert (entry.readout.shape[1], 2**prog.width // 2) == readout
 
 
 def test_hadamard_values_rejects_extra_start_indices(monkeypatch, bernstein_block):
@@ -660,7 +671,7 @@ def test_disjoint_fixed_ops_join_the_prefix_and_overlapping_ones_stay():
     check_schedule(prog)
     xs = np.array([[0.3], [-0.5], [0.7], [0.0]] * 2)
     starts = np.arange(8)
-    got = S.run(prog, x=xs, start=starts)
+    got = dense_run(prog, x=xs, start=starts)
     assert np.array_equal(got, unstored_run(prog, xs, starts))
     for x, s, amps in zip(xs, starts, got):
         assert np.max(np.abs(amps - circuit_unitary(circ.bound(x))[:, s])) <= 1e-14
@@ -679,7 +690,7 @@ def test_a_fixed_op_that_overlaps_the_slotted_op_is_not_hoisted():
     check_schedule(prog)
     xs = np.array([[0.3], [-0.5], [0.7], [0.0]] * 2)
     starts = np.arange(8)
-    got = S.run(prog, x=xs, start=starts)
+    got = dense_run(prog, x=xs, start=starts)
     assert np.array_equal(got, unstored_run(prog, xs, starts))
     for x, s, amps in zip(xs, starts, got):
         assert np.max(np.abs(amps - circuit_unitary(circ.bound(x))[:, s])) <= 1e-14
@@ -711,6 +722,13 @@ def test_a_point_with_too_few_coordinates_raises():
             C.evaluate_block(bc, x)
     # a coordinate no slot reads is ignored
     assert C.evaluate_block(bc, [0.3, 0.7, 0.9]) == C.evaluate_block(bc, [0.3, 0.7])
+
+
+def test_a_zero_dimensional_point_raises(bernstein_block):
+    bc = bernstein_block[1]
+    for x in (0.3, np.zeros((1, 1, 2))):
+        with pytest.raises(ValueError, match=r"shape \(d,\) and a batch shape \(N, d\)"):
+            C.evaluate_block(bc, x)
 
 
 # ---------------------------------------------------------------------------
@@ -784,13 +802,13 @@ def test_layered_blocks_match_the_dense_oracle(block, bernstein_block, series_bl
     prog = S.GateProgram(circ)
     check_schedule(prog)
     assert applies_per_point(prog) <= max_applies
-    batch = S.run(prog, x=xs, start=starts)
+    batch = dense_run(prog, x=xs, start=starts)
     for n, (x, s) in enumerate(zip(xs, starts)):
         want = dense_columns(circ, x, [s])[0]
         single = unstored_run(prog, xs[[n]], starts[[n]])[0]
         assert np.max(np.abs(single - want)) <= 1e-12
         assert np.max(np.abs(batch[n] - want)) <= 1e-12
-        assert np.array_equal(S.run(prog, x=xs[[n]], start=starts[[n]])[0], batch[n])
+        assert np.array_equal(dense_run(prog, x=xs[[n]], start=starts[[n]])[0], batch[n])
         assert np.array_equal(single, batch[n])
 
 
@@ -843,24 +861,36 @@ def localization_k2():
 
 
 @pytest.mark.parametrize("tables", [3, 0])
-def test_hadamard_values_in_chunks_equal_one_batch(monkeypatch, tables):
-    prog = localization_k2().program
-    row = 8 * len(prog.row_half)  # a point's row of the block table, every slot's rows
-    assert row > 16 * 2**prog.width  # outweighs its state
-    xs = np.random.default_rng(12).uniform(0.0, 1.0, (7, 1))
-    whole = S.hadamard_values(prog, xs)
-    chunks = []
-    real_run = S.run
+def test_hadamard_values_in_chunks_equal_one_batch(tables, bernstein_block, series_block):
+    """Seven points in chunks of three and of one give the values of one
+    batch bit for bit: from start 0 on the K=2 localization line, whose
+    table row outweighs its state, and from mixed starts on the d=2, n=4
+    Bernstein and d=2, K=4 series programs."""
+    rng = np.random.default_rng(12)
+    loc = localization_k2().program
+    assert loc.row_bytes == 8 * len(loc.row_half) > 16 * 2**loc.width
+    bern = bernstein_block[1].program
+    series, cells, points, _ = series_block
+    pick = rng.choice(len(cells), 7)
+    cases = [(loc, rng.uniform(0.0, 1.0, (7, 1)), None),
+             (bern, rng.uniform(0.0, 1.0, (7, 2)), rng.integers(0, 2**(bern.width - 1), 7)),
+             (series.program, points[pick], cells[pick])]
+    for prog, xs, starts in cases:
+        assert starts is None or len(set(starts.tolist())) > 1
+        whole = S.hadamard_values(prog, xs, starts)
+        chunks = []
+        real_run = S.run
 
-    def counting_run(program, **kwargs):
-        chunks.append(len(kwargs["x"]))
-        return real_run(program, **kwargs)
+        def counting_run(program, **kwargs):
+            chunks.append(len(kwargs["x"]))
+            return real_run(program, **kwargs)
 
-    # budgets of three points' tables and of less than one
-    monkeypatch.setattr(S, "BATCH_BYTES", tables * row)
-    monkeypatch.setattr(S, "run", counting_run)
-    assert np.array_equal(S.hadamard_values(prog, xs), whole)
-    assert chunks == ([3, 3, 1] if tables else [1] * 7)
+        with pytest.MonkeyPatch.context() as mp:
+            # budgets of three points' rows and of less than one
+            mp.setattr(S, "BATCH_BYTES", tables * prog.row_bytes)
+            mp.setattr(S, "run", counting_run)
+            assert np.array_equal(S.hadamard_values(prog, xs, starts), whole)
+        assert chunks == ([3, 3, 1] if tables else [1] * 7)
 
 
 def trig_block():
@@ -944,7 +974,7 @@ def test_a_run_splits_where_its_slot_changes():
     xs = np.array([[0.3, -1.2], [-0.9, 2.5], [1.1, 0.4]])
     every = np.arange(4)
     for x in xs:
-        got = S.run(prog, x=np.tile(x, (4, 1)), start=every)
+        got = dense_run(prog, x=np.tile(x, (4, 1)), start=every)
         assert np.max(np.abs(got - circuit_unitary(circ.bound(x)).T)) <= 1e-14
     got = prog.op_matrices(xs)[prog.slotted - prog.prefix]
     assert np.max(np.abs(got - stage_op_matrices(prog, xs))) <= 1e-15
