@@ -46,7 +46,6 @@ from .poly import (
     Polynomial,
     TargetFunctionSpec,
     bernstein_eval,
-    lipschitz_bernstein_bound,
     localization_poly,
     parity_split,
     taylor_expand,

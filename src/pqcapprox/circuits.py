@@ -1,32 +1,32 @@
 """Assembly of the explicit function-approximating circuits.
 
-Every construction but the Bernstein circuit is built from three
-combinators.  ``line_block`` puts one QSP line, a single-qubit angle
-sequence realizing a univariate polynomial, on |+>.  ``tensor`` places
-blocks side by side, so its block value is the product of theirs: a
-monomial is a tensor of lines, a trigonometric monomial a tensor of
-Z-encoding lines and a Taylor term the tensor of the coefficient register
-and a monomial.  ``lcu_combine``, a uniform
+Two designs build every construction.  The Bernstein circuit and the
+Taylor series block are weighted Chebyshev SELECTs (``_chebyshev_select``)
+with no synthesized angle: a weighted prep holds the Chebyshev
+coefficients of the polynomial, a sign diagonal their signs, and the
+SELECT applies powers of the encoding gate, whose <0|.|0> entries are
+Chebyshev polynomials.  The series block's prep and signs are controlled on
+an address register, so one block holds every cell's polynomial.
+
+The other constructions use three combinators.  ``line_block`` puts one
+QSP line, a single-qubit angle sequence realizing a univariate polynomial,
+on |+>.  ``tensor`` places blocks side by side, so its block value is the
+product of theirs: a monomial is a tensor of lines and a trigonometric
+monomial a tensor of Z-encoding lines.  ``lcu_combine``, a uniform
 linear-combination-of-unitaries (LCU) wrapper, sums units: a parity pair
-sums its even and odd lines, and the polynomial, Taylor-series and
-trigonometric circuits sum their terms.  Its selection H's sit in the
-block's prep, which the Hadamard test runs uncontrolled once per start, so
-the circuit is the bare SELECT.  Each level places the gates of its parts
-once, shifted and controlled in one copy (``sim._composed``), and
-every report counts prep followed by circuit.  Because the uniform LCU
-produces the sum divided by the padded term count, every BlockCircuit
-carries an explicit classical ``rescale`` factor that restores
-normalization at readout; nested combinations multiply the factors.
+sums its even and odd lines, and the polynomial and trigonometric circuits
+sum their terms.  Its selection H's sit in the block's prep, which the
+Hadamard test runs uncontrolled once per start, so the circuit is the bare
+SELECT.  Each level places the gates of its parts once, shifted and
+controlled in one copy (``sim._composed``).  The uniform LCU produces the
+sum divided by the padded term count, so every BlockCircuit carries an
+explicit classical ``rescale`` factor that restores normalization at
+readout; nested combinations multiply the factors.  Every report counts
+prep followed by circuit.
 
-Every selection, in the LCU, the Taylor coefficient register and the
-Bernstein prep, pad, sign diagonal and SELECT, runs a gate where a
-register holds a value: controlled on the register's 1 bits and
-zero-controlled on its 0 bits (``_holding``), with no X's around it.
-
-The Bernstein circuit (``build_bernstein_pqc``) synthesizes no angles: a
-weighted prep holds the Chebyshev coefficients of B_n f, and one SELECT
-per coordinate applies powers of the encoding gate, whose <0|.|0> entries
-are Chebyshev polynomials.
+Every selection runs a gate where a register holds a value: controlled on
+the register's 1 bits and zero-controlled on its 0 bits (``_holding``),
+with no X's around it.
 """
 
 from __future__ import annotations
@@ -217,12 +217,8 @@ def _rescaled(bc: BlockCircuit, scale: float) -> BlockCircuit:
 # ---------------------------------------------------------------------------
 
 
-def build_monomial_pqc(
-    c: float,
-    alpha: MultiIndex,
-    shifts: Optional[Sequence[float]] = None,
-) -> BlockCircuit:
-    """Tensor product of d lines realizing c * prod_j (x_j - shift_j)^alpha_j.
+def build_monomial_pqc(c: float, alpha: MultiIndex) -> BlockCircuit:
+    """Tensor product of d lines realizing c * prod_j x_j^alpha_j.
 
     The coefficient rides on the first coordinate's line.  Width is d,
     depth at most 2*|alpha| + 1, trainable parameters |alpha| + d.
@@ -232,12 +228,11 @@ def build_monomial_pqc(
         raise ValueError("negative monomial exponent")
     if not abs(c) <= 1.0 + 1e-12:  # NaN fails this too
         raise ValueError("monomial coefficient must satisfy |c| <= 1")
-    shifts = tuple(shifts) if shifts is not None else (0.0,) * len(alpha)
     lines = []
     for j, power in enumerate(alpha):
         coeff = min(max(c, -1.0), 1.0) if j == 0 else 1.0
         angles = synthesize_cached(_monomial_target(coeff, power), 1e-11)
-        lines.append(line_block(angles, EncodingSlot(j, "acos", shifts[j]), ""))
+        lines.append(line_block(angles, EncodingSlot(j, "acos"), ""))
     return tensor(lines, label=f"monomial c={c:.6g} alpha={alpha}")
 
 
@@ -250,13 +245,9 @@ def _prep_kinds(prep: Circuit) -> list[str]:
     kinds = ["zero"] * prep.width
     for g in prep.gates:
         q = g.target
-        if g.controls or g.zeros:  # entangles: its target holds no known state
-            kinds[q] = "other"
-        elif g.kind == "H" and kinds[q] == "zero":
+        if g.kind == "H" and not (g.controls or g.zeros) and kinds[q] == "zero":
             kinds[q] = "plus"
-        elif g.kind == "X" and kinds[q] in ("zero", "one"):
-            kinds[q] = "one" if kinds[q] == "zero" else "zero"
-        else:
+        else:  # any other gate, and a controlled one, leaves its target in no known state
             kinds[q] = "other"
     return kinds
 
@@ -268,8 +259,8 @@ def _pad_gate(prep: Circuit) -> Gate:
         if k == "plus":
             return zg(q)  # <+|Z|+> = 0
     for q, k in enumerate(kinds):
-        if k in ("zero", "one"):
-            return xg(q)  # <b|X|b> = 0 for basis states
+        if k == "zero":
+            return xg(q)  # <0|X|0> = 0
     raise ValueError("no qubit with a known zero-block pad under this prep")
 
 
@@ -285,8 +276,8 @@ def _holding(register: Sequence[int], value: int) -> tuple[tuple[int, ...], tupl
 
 def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircuit:
     """Uniform linear combination of unit blocks: every unit weighs the
-    same, so the sum carries no coefficients.  (The Bernstein circuit,
-    whose terms carry f, has its own weighted prep instead.)
+    same, so the sum carries no coefficients (``_chebyshev_select`` weighs
+    its terms).
 
     Pads the unit count to a power of two with zero-block units, prepends a
     selection register, and applies each unit controlled on its selection
@@ -406,92 +397,113 @@ def _bernstein_chebyshev(f: TargetFunctionSpec, n: int) -> np.ndarray:
     return b
 
 
-def _amplitude_prep(probs: np.ndarray) -> list[Gate]:
+def _amplitude_prep(probs: np.ndarray, ones: tuple[int, ...], zeros: tuple[int, ...]) -> list[Gate]:
     """Ry tree (Mottonen et al., quant-ph/0404089) taking |0..0> to
     sum_i sqrt(probs[i]) |i> on log2(len(probs)) qubits, qubit 0 the most
-    significant.  Node v of level l is one Ry on qubit l, controlled on
-    qubits 0..l-1 holding v (``_holding``): it splits v's mass between
-    the two halves below it.  A node with angle 0, which moves no mass, is
-    left out, so gates lie only on the paths to nonzero probabilities, and
-    the nodes of one level touch each amplitude pair of its qubit at most
-    once.  The angles carry the probabilities, so they are trainable."""
+    significant, where the qubits ``ones`` read 1 and ``zeros`` read 0.
+    Node v of level l is one Ry on qubit l, controlled on qubits 0..l-1
+    holding v (``_holding``): it splits v's mass between its two halves.  A
+    node with angle 0 moves no mass and is left out, so the nodes of one
+    level touch each amplitude pair of its qubit at most once.  The angles
+    carry the probabilities, so they are trainable."""
     gates = []
     for level in range(len(probs).bit_length() - 1):
         mass = probs.reshape(1 << level, 2, -1).sum(axis=2)  # (prefix, next bit)
         angles = 2.0 * np.arctan2(np.sqrt(mass[:, 1]), np.sqrt(mass[:, 0]))
         for v in np.flatnonzero(angles).tolist():
-            ones, zeros = _holding(range(level), v)
-            gates.append(Gate("Ry", level, ones, angle=float(angles[v]), trainable=True,
-                              zeros=zeros))
+            v_ones, v_zeros = _holding(range(level), v)
+            gates.append(Gate("Ry", level, v_ones + ones, angle=float(angles[v]), trainable=True,
+                              zeros=v_zeros + zeros))
     return gates
+
+
+def _chebyshev_select(
+    powers: Sequence[Sequence[MultiIndex]],
+    cells: Mapping[int, np.ndarray],
+    address_bits: int,
+    slots: Sequence[EncodingSlot],
+    labels: tuple[str, str],
+) -> BlockCircuit:
+    """The weighted LCU sum_m c_m prod_j T_{k_j}(u_j), (k_j) = powers[r][m],
+    of the cell that the address register holds; u_j is slots[j]'s argument.
+
+    Index register r holds a value m; the len(slots) data qubits follow the
+    registers and the address register of ``address_bits`` qubits comes
+    last.  ``cells`` maps each address value to its coefficient tensor,
+    indexed by the registers' values.  With R = max(1, max_cell sum |c|):
+
+    - The prep writes sum_m sqrt(|c_m| / R) |m> by an Ry tree
+      (``_amplitude_prep``) controlled on the address register holding the
+      cell: a weighted LCU prep (Childs and Wiebe, arXiv:1202.5822).
+    - The circuit negates every |m> with c_m < 0: between two X's on data
+      qubit 0, a Z on it where the registers hold m and the address holds
+      the cell.  The data qubits start in |0>, where XZX = -Z reads -1.
+    - Register 0 also holds the pad value len(powers[0]), which takes the
+      spare mass 1 - sum |c| / R; its op, an X on data qubit 0, reads 0.
+    - Then, where register r holds m, k_j encoding gates e^{i theta X} on
+      data qubit j, u_j = cos theta, so <0|e^{i k theta X}|0> = T_k(u): QSP
+      with trivial phases (Low and Chuang, arXiv:1606.02685).
+
+    The rescale R restores the sum, and tol is 0.  The prep, the signs and
+    the pad are fixed, so the Hadamard test runs them once per start.
+    """
+    sizes = [len(powers[0]).bit_length()] + [(len(v) - 1).bit_length() for v in powers[1:]]
+    offsets = np.cumsum([0] + sizes).tolist()
+    a = offsets[-1]  # index qubits; data qubit j is qubit a + j
+    width = a + len(slots) + address_bits
+    totals = {cell: float(np.abs(c).sum()) for cell, c in cells.items()}
+    rescale = max(1.0, *totals.values())
+    pad = len(powers[0]) << (a - sizes[0])  # the pad value in register 0, 0 elsewhere
+    prep, signs = [], []
+    for cell, c in cells.items():
+        ones, zeros = _holding(range(width - address_bits, width), cell)
+        signed = np.zeros([1 << size for size in sizes])  # indexed by the registers' values
+        signed[tuple(slice(0, k) for k in c.shape)] = c / rescale
+        probs = np.abs(signed).ravel()
+        probs[pad] = max(0.0, 1.0 - totals[cell] / rescale)
+        prep += _amplitude_prep(probs, ones, zeros)
+        signs += [Gate("Z", a, m_ones + ones, zeros=m_zeros + zeros) for m_ones, m_zeros in
+                  (_holding(range(a), m) for m in np.flatnonzero(signed.ravel() < 0.0).tolist())]
+    registers = [range(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    gates = [xg(a), *signs, xg(a)] if signs else []
+    ones, zeros = _holding(registers[0], len(powers[0]))
+    gates.append(Gate("X", a, ones, zeros=zeros))
+    for reg, values in zip(registers, powers):
+        for m, p in enumerate(values):
+            ones, zeros = _holding(reg, m)
+            for j, k in enumerate(p):
+                gates += [Gate("Rx", a + j, ones, slot=slots[j], zeros=zeros)] * k
+    return BlockCircuit(
+        Circuit(width, tuple(gates), label=labels[0]),
+        Circuit(width, tuple(prep), label=labels[1]),
+        rescale=rescale,
+    )
 
 
 def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
     """Circuit evaluating the degree-n Bernstein polynomial B_n f on [0, 1]^d.
 
     The polynomial is the paper's, so its error bound holds unchanged; the
-    circuit is this package's own.  In w = 2x - 1,
-    B_n f = sum_m b_m prod_j T_{m_j}(w_j) over m in {0..n}^d
-    (``_bernstein_chebyshev``).  Coordinate j has an index register holding
-    m_j, and the d data qubits follow the registers.
-
-    - The prep writes sum_m sqrt(|b_m| / R) |m> with R = max(1, sum |b|),
-      by an Ry tree over the registers (``_amplitude_prep``): a weighted
-      LCU prep (Childs and Wiebe, arXiv:1202.5822).
-    - The circuit first negates every |m> with b_m < 0: between two X's on
-      data qubit 0, one Z on it controlled on the whole index register
-      holding m.  The data qubits start in |0>, where XZX = -Z reads -1.
-      It is fixed, so the compiled Hadamard test runs it once per start.
-    - Then, per coordinate j and m_j = 1..n, one op: m_j encoding gates on
-      data qubit j, slot w_j = 2x_j - 1, controlled on register j holding
-      m_j.  An encoding gate is e^{i theta X} with w = cos theta, so
-      <0|e^{i m theta X}|0> = T_m(w): QSP with trivial phases (Low and
-      Chuang, arXiv:1606.02685), with no angle synthesized.
-
-    The block value is sum_m b_m prod_j T_{m_j}(w_j) / R, and the rescale R
-    restores B_n f; tol is 0.  Coordinate 0's register has
-    (n+1).bit_length() qubits, so it holds the pad value n + 1.  The pad
-    takes the spare mass 1 - sum |b| / R, and its op is an X on data qubit
-    0, whose block value <0|X|0> is 0.  Ops on distinct values of one
+    circuit is this package's own: ``_chebyshev_select`` of
+    B_n f = sum_m b_m prod_j T_{m_j}(w_j), w = 2x - 1, over m in {0..n}^d
+    (``_bernstein_chebyshev``), with one index register per coordinate
+    holding m_j and no address register.  Ops on distinct values of one
     register touch disjoint amplitudes, so a point runs one layer per
     coordinate.  A build whose Hadamard test would be wider than
     ``sim.MAX_WIDTH`` raises before f is sampled.
     """
     d = f.dims
-    sizes = [(n + 1).bit_length()] + [n.bit_length()] * (d - 1)
-    offsets = np.cumsum([0] + sizes).tolist()
-    a = offsets[-1]  # index qubits; data qubit j is qubit a + j
-    width = a + d
+    width = (n + 1).bit_length() + (d - 1) * n.bit_length() + d
     if width + 1 > sim.MAX_WIDTH:  # the Hadamard test adds an ancilla
         raise ValueError(
             f"bernstein d={d}, n={n} has {(n + 1) ** d} terms, so its Hadamard test needs"
             f" {width + 1} qubits, more than the {sim.MAX_WIDTH}-qubit cap"
         )
-    b = _bernstein_chebyshev(f, n)
-    total = float(np.abs(b).sum())
-    rescale = max(1.0, total)
-    signed = np.zeros([1 << size for size in sizes])  # indexed by the registers' values
-    signed[(slice(0, n + 1),) * d] = b / rescale
-    probs = np.abs(signed).ravel()
-    pad = (n + 1) << (a - sizes[0])  # n + 1 in register 0, 0 elsewhere
-    probs[pad] = max(0.0, 1.0 - total / rescale)
-
-    registers = [range(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
-    signs = [Gate("Z", a, ones, zeros=zeros) for ones, zeros in
-             (_holding(range(a), i) for i in np.flatnonzero(signed.ravel() < 0.0).tolist())]
-    gates = [xg(a), *signs, xg(a)] if signs else []
-    ones, zeros = _holding(registers[0], n + 1)
-    gates.append(Gate("X", a, ones, zeros=zeros))
-    for j, reg in enumerate(registers):
-        slot = EncodingSlot(j, "acos", shift=1.0, scale=2.0)  # w = 2x - 1
-        for m in range(1, n + 1):
-            ones, zeros = _holding(reg, m)
-            gates += [Gate("Rx", a + j, ones, slot=slot, zeros=zeros)] * m
-    return BlockCircuit(
-        Circuit(width, tuple(gates), label=f"bernstein d={d} n={n}"),
-        Circuit(width, tuple(_amplitude_prep(probs)), label="bernstein-prep"),
-        rescale=rescale,
-    )
+    powers = [[tuple(m if i == j else 0 for i in range(d)) for m in range(n + 1)]
+              for j in range(d)]
+    slots = [EncodingSlot(j, "acos", shift=1.0, scale=2.0) for j in range(d)]  # w = 2x - 1
+    return _chebyshev_select(powers, {0: _bernstein_chebyshev(f, n)}, 0, slots,
+                             (f"bernstein d={d} n={n}", "bernstein-prep"))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +583,7 @@ def round_to_eta(values: Sequence[float] | np.ndarray, K: int) -> MultiIndex | n
 
 
 # ---------------------------------------------------------------------------
-# Taylor coefficient register and Taylor series
+# Taylor series
 # ---------------------------------------------------------------------------
 
 
@@ -607,17 +619,17 @@ class TaylorCoeffTable:
     @cached_property
     def address_weights(self) -> np.ndarray:
         """The place value of each coordinate's cell in the address (see
-        ``_address``)."""
+        ``series_start``)."""
         m = self.address_bits // self.d
         return 1 << (m * np.arange(self.d - 1, -1, -1))
 
 
-def _address(table: TaylorCoeffTable, eta: MultiIndex | np.ndarray) -> int | np.ndarray:
-    """Value of the address register holding cell eta, or of each row of an
-    (N, d) array of cells.
-
-    Each coordinate takes address_bits // d bits, big-endian, coordinate 0
-    first; address qubit q holds bit address_bits - 1 - q of the value.
+def series_start(table: TaylorCoeffTable, eta: MultiIndex | np.ndarray) -> int | np.ndarray:
+    """Work-register basis index of a series block with the address register
+    holding cell eta and every other qubit in |0>, or of each row of an
+    (N, d) array of cells.  The address register is the block's last
+    qubits, so the index is the address value: each coordinate takes
+    address_bits // d bits, big-endian, coordinate 0 first.
     """
     cells = np.asarray(eta, dtype=int)
     # viewed unsigned, a negative cell lies above K too, so one pass checks both ends
@@ -626,59 +638,47 @@ def _address(table: TaylorCoeffTable, eta: MultiIndex | np.ndarray) -> int | np.
     return cells @ table.address_weights
 
 
-def build_taylor_coeff_pqc(table: TaylorCoeffTable, alpha: MultiIndex) -> Circuit:
-    """Address-controlled rotations storing the order-alpha coefficients.
+def build_taylor_coeff_pqc(table: TaylorCoeffTable, shifts: Sequence[float]) -> BlockCircuit:
+    """The series block of every cell at once, its coefficients in a prep
+    controlled on the address register (``_chebyshev_select``, with one
+    term register holding m).
 
-    For every grid cell eta one R_X with angle 2*arccos(xi) targets the
-    coefficient qubit, selected by the address register holding eta; the
-    diagonal block at address eta then reads xi exactly.  With K = 1 the
-    register is empty and its one R_X is plain.
+    In u = x - shifts, cell eta's sum_alpha xi[eta, alpha] u^alpha is
+    sum_m c_m(eta) prod_j T_{m_j}(u_j) over |m| <= s.  Each u^k has
+    non-negative Chebyshev coefficients summing to 1, so sum |c(eta)| <=
+    sum_alpha |xi[eta, alpha]|, and R = max(1, max_eta sum |c(eta)|).
     """
-    bits = table.address_bits
-    gates = []
-    for eta in product(range(table.K), repeat=table.d):
-        theta = 2.0 * math.acos(table.xi[(eta, tuple(alpha))])
-        ones, zeros = _holding(range(bits), int(_address(table, eta)))
-        gates.append(Gate("Rx", bits, ones, angle=theta, trainable=True, zeros=zeros))
-    return Circuit(bits + 1, tuple(gates), label=f"taylor-coeff alpha={tuple(alpha)}")
+    d, s = table.d, table.s
+    terms = multi_indices(d, s)
+    # row k: the Chebyshev coefficients of u^k
+    gamma = np.array([Polynomial.from_power([0.0] * k + [1.0]).coeffs + (0.0,) * (s - k)
+                      for k in range(s + 1)])
+    cells = {}
+    for eta in product(range(table.K), repeat=d):
+        c = np.zeros((s + 1,) * d)  # indexed by the power of each coordinate
+        for alpha in terms:
+            c[alpha] = table.xi[(eta, alpha)]
+        for _ in range(d):  # each contraction moves its axis to the end
+            c = np.tensordot(c, gamma, axes=([0], [0]))
+        cells[int(series_start(table, eta))] = np.array([c[m] for m in terms])
+    slots = [EncodingSlot(j, "acos", shift) for j, shift in enumerate(shifts)]
+    return _chebyshev_select([terms], cells, table.address_bits, slots,
+                             (f"taylor-series s={s}", "taylor-coeff"))
 
 
 def build_taylor_series_pqc(table: TaylorCoeffTable, eta: MultiIndex) -> BlockCircuit:
-    """LCU over Taylor terms; with the address register prepared in |eta>,
-    the block value is sum_alpha xi[eta, alpha] * (x - eta/K)^alpha.
+    """The block of cell eta: its prep writes eta on the address register
+    ahead of ``build_taylor_coeff_pqc``'s, and its slots read x - eta/K.
 
     Only the prep and the data shifts depend on eta: ``NestedTaylorModel``
     reads every cell from the block of cell 0 (see ``series_start``).
     """
     eta = tuple(int(e) for e in eta)
-    shifts = tuple(e / table.K for e in eta)
-    # X on the address qubits whose bit of eta's address is 1: the address
-    # register in |eta> and the coefficient qubit in |0>
-    prep = Circuit(
-        table.address_bits + 1,
-        tuple(map(xg, _holding(range(table.address_bits), int(_address(table, eta)))[0])),
-        label=f"eta-prep {eta}",
-    )
-    units = [
-        tensor(
-            [BlockCircuit(build_taylor_coeff_pqc(table, alpha), prep, rescale=1.0),
-             build_monomial_pqc(1.0, alpha, shifts=shifts)],
-            label=f"taylor-term alpha={alpha}",
-        )
-        for alpha in multi_indices(table.d, table.s)
-    ]
-    return lcu_combine(units, label=f"taylor-series eta={eta} s={table.s}")
-
-
-def series_start(table: TaylorCoeffTable, eta: np.ndarray) -> np.ndarray:
-    """Work-register basis index of a series block with the address register
-    in |eta> and every other qubit in |0>, for each row of (N, d) cells.
-
-    The LCU selection register leads and the coefficient qubit and the d
-    data qubits follow the address register, so the address value sits
-    d + 1 bits up.
-    """
-    return _address(table, eta) << (table.d + 1)
+    bc = build_taylor_coeff_pqc(table, [e / table.K for e in eta])
+    address = range(bc.width - table.address_bits, bc.width)
+    writes = _holding(address, int(series_start(table, eta)))[0]  # the qubits whose bit is 1
+    return replace(bc, prep=Circuit(bc.width, (*map(xg, writes), *bc.prep.gates),
+                                    label=f"eta-prep {eta}"))
 
 
 class NestedTaylorModel:

@@ -458,14 +458,6 @@ def _grid_values(f: TargetFunctionSpec, n: int) -> np.ndarray:
     return vals
 
 
-def lipschitz_bernstein_bound(d: int, ell: float, gamma: float, n: int, eps: float) -> float:
-    """Sup-norm error bound for the degree-n Bernstein approximation of a
-    Lipschitz function: eps + 2*Gamma*((1 + ell^2/(4 n eps^2))^d - 1)."""
-    if ell < 0 or gamma < 0 or n < 1 or eps <= 0:
-        raise ValueError("need ell >= 0, gamma >= 0, n >= 1, eps > 0")
-    return eps + 2.0 * gamma * ((1.0 + ell**2 / (4.0 * n * eps**2)) ** d - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Sign / step / localization approximants
 # ---------------------------------------------------------------------------

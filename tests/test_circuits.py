@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import math
 from fractions import Fraction
@@ -111,7 +112,9 @@ def test_tensor_of_a_real_and_a_complex_line_multiplies_their_values():
 
 
 def test_monomial_shifted_argument():
-    bc = C.build_monomial_pqc(1.0, (2,), shifts=(0.25,))
+    # a monomial line reads the affine argument of its slot: (x - 0.25)^2
+    angles = C.synthesize_cached(C._monomial_target(1.0, 2), 1e-11)
+    bc = C.line_block(angles, S.EncodingSlot(0, "acos", 0.25), "")
     assert C.evaluate_block(bc, (0.75,)) == pytest.approx(0.25, abs=1e-10)
 
 
@@ -718,8 +721,8 @@ def x_gates(bc):
 
 def test_each_construction_places_exactly_its_stated_xs():
     """Selections use zero-controls, so the only X's are the ones each
-    construction states: the Bernstein sign pair and pad, the Taylor
-    eta-prep and the LCU pad on a basis-state qubit."""
+    construction states: the sign pair and pad of the weighted Chebyshev
+    SELECT, the Taylor eta-prep and the LCU pad on a basis-state qubit."""
     # Bernstein: data qubit 0 is qubit 6; the sign pair brackets the Z's,
     # and the pad runs where register 0 (qubits 0..2) holds n + 1 = 0b101
     bc = C.build_bernstein_pqc(targets.abs_centered(2), 4)
@@ -732,10 +735,12 @@ def test_each_construction_places_exactly_its_stated_xs():
     assert (C._bernstein_chebyshev(targets.abs_centered(1), 1) >= 0).all()
     assert x_gates(bc) == [[], [S.Gate("X", 2, (0,), zeros=(1,))]]
     # Taylor: the eta-prep writes cell (1, 2), 0b0110, on the address
-    # register after the 2 LCU selection qubits; the LCU pad is a Z
+    # register after the 2 term qubits and the 2 data qubits; the sign pair
+    # is on data qubit 0 (qubit 2), and the pad runs where the term register
+    # holds its 3 terms' pad value 0b11
     table = C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1)
     bc = C.build_taylor_series_pqc(table, (1, 2))
-    assert x_gates(bc) == [[S.xg(3), S.xg(4)], []]
+    assert x_gates(bc) == [[S.xg(5), S.xg(6)], [S.xg(2), S.xg(2), S.Gate("X", 2, (0, 1))]]
     # LCU: three trig units on the zero prep pad value 3 with an X on the unit's qubit 0
     bc = C.build_trig_poly_pqc(P.MultivariateTrigPolynomial({(1,): 0.3, (-1,): 0.3, (2,): 0.2}, 1))
     assert x_gates(bc) == [[], [S.Gate("X", 2, (0, 1))]]
@@ -817,43 +822,87 @@ def test_round_to_eta_rejects_out_of_range():
 
 
 def test_taylor_coeff_block_values():
-    # xi in {1, 0, -0.5}: block equals xi exactly via theta = 2 arccos(xi)
+    # one coefficient per cell, xi in {1, -0.5}: cell 1's goes through the
+    # sign diagonal, and each block reads its cell's xi
     table = C.TaylorCoeffTable(
         K=2, s=0, d=1, xi={((0,), (0,)): 1.0, ((1,), (0,)): -0.5}
     )
-    circ = C.build_taylor_coeff_pqc(table, (0,))
-    u = circuit_unitary(circ)
-    # eta = 0: address |0>, coeff |0>
-    psi0 = np.eye(len(u))[0]
-    assert np.vdot(psi0, u @ psi0).real == pytest.approx(1.0, abs=1e-12)
-    # eta = 1
-    prep = S.Circuit(circ.width, (S.xg(0),))
-    psi1 = dense_run(prep)[0]
-    assert np.vdot(psi1, u @ psi1).real == pytest.approx(-0.5, abs=1e-12)
+    bc = C.build_taylor_coeff_pqc(table, [0.0])
+    assert bc.rescale == 1.0
+    values = C.evaluate_block(bc, np.full((2, 1), 0.3), start=C.series_start(table, np.array([[0], [1]])))
+    assert np.max(np.abs(values - [1.0, -0.5])) <= 1e-15
 
 
 def test_taylor_coeff_zero_block():
+    # a cell of zero coefficients puts all its mass on the pad, whose block
+    # value is 0; with one cell the address register is empty, so the prep
+    # is one plain Ry
     table = C.TaylorCoeffTable(K=1, s=0, d=1, xi={((0,), (0,)): 0.0})
-    circ = C.build_taylor_coeff_pqc(table, (0,))
-    psi = np.eye(2**circ.width)[0]
-    u = circuit_unitary(circ)
-    assert abs(np.vdot(psi, u @ psi)) <= 1e-12
-
-
-def test_taylor_coeff_register_of_one_cell_is_one_plain_rx():
-    table = C.TaylorCoeffTable(K=1, s=0, d=2, xi={((0, 0), (0, 0)): 0.25})
-    circ = C.build_taylor_coeff_pqc(table, (0, 0))
-    assert circ.width == 1
-    assert circ.gates == (S.Gate("Rx", 0, angle=2.0 * math.acos(0.25), trainable=True),)
+    bc = C.build_taylor_coeff_pqc(table, [0.0])
+    assert bc.prep.gates == (S.Gate("Ry", 0, angle=math.pi, trainable=True),)
+    assert abs(C.evaluate_block(bc, (0.3,))) <= 1e-15
 
 
 def test_taylor_coeff_gate_count():
-    f = halfsine()
-    table = C.TaylorCoeffTable.from_target(f, 4, 1)
-    circ = C.build_taylor_coeff_pqc(table, (1,))
-    rotations = [g for g in circ.gates if g.kind == "Rx"]
-    assert len(rotations) == 4  # K^d
-    assert S.resource_count(circ).trainable_params == 4
+    # halfsine, K=4, s=1: two terms and the pad on a 2-qubit term register,
+    # at most 3 tree nodes per cell, every one a trainable parameter
+    table = C.TaylorCoeffTable.from_target(halfsine(), 4, 1)
+    bc = C.build_taylor_coeff_pqc(table, [0.0])
+    rotations = [g for g in bc.prep.gates if g.kind == "Ry"]
+    assert len(rotations) == len(bc.prep.gates) == 8
+    assert S.resource_count(bc.prep).trainable_params == 8
+
+
+def classical_chebyshev(p, d, s):
+    """The Chebyshev coefficients c_m of a polynomial of degree at most s in
+    each of d coordinates, from its values at (s+1)^d first-kind nodes;
+    entry m of the result is c at the multi-index m."""
+    nodes = np.cos(np.pi * (np.arange(s + 1) + 0.5) / (s + 1))
+    vander = np.polynomial.chebyshev.chebvander(nodes, s)
+    system = vander
+    for _ in range(d - 1):
+        system = np.kron(system, vander)
+    values = [p(np.array(u)) for u in itertools.product(nodes, repeat=d)]
+    return np.linalg.solve(system, values).reshape((s + 1,) * d)
+
+
+def cell_coefficients(f, table):
+    """Each cell's Chebyshev coefficients, in multi_indices order, of its
+    classical Taylor polynomial in u = x - eta/K."""
+    terms = P.multi_indices(table.d, table.s)
+    return {eta: classical_chebyshev(P.taylor_expand(f, np.array(eta) / table.K, table.s),
+                                     table.d, table.s)[tuple(np.transpose(terms))]
+            for eta in np.ndindex(*(table.K,) * table.d)}
+
+
+@pytest.mark.parametrize("f, K, s", [
+    (targets.product_sines(2), 4, 1),
+    (targets.halfsine(), 4, 2),
+    (targets.product_sines(2), 3, 2),
+], ids=["d2-K4-s1", "d1-K4-s2", "d2-K3-s2"])
+def test_taylor_coeff_prep_holds_the_weighted_coefficients(f, K, s):
+    """Started from cell eta's address, the prep writes sqrt(|c_m(eta)| / R)
+    on term m and the spare mass on the pad, by trainable Ry's controlled
+    on the whole address register, and moves nothing else."""
+    table = C.TaylorCoeffTable.from_target(f, K, s)
+    bc = C.build_taylor_coeff_pqc(table, [0.0] * f.dims)
+    coeffs = cell_coefficients(f, table)
+    terms = len(P.multi_indices(f.dims, s))
+    a = terms.bit_length()
+    address = range(a + f.dims, bc.width)
+    assert bc.width == a + f.dims + table.address_bits
+    assert all(g.kind == "Ry" and g.trainable for g in bc.prep.gates)
+    assert all(set(address) <= set(g.controls + g.zeros) for g in bc.prep.gates)
+    masses = {eta: np.abs(c).sum() for eta, c in coeffs.items()}
+    assert abs(bc.rescale - max(1.0, *masses.values())) <= 1e-14
+    u = circuit_unitary(bc.prep)
+    for eta, c in coeffs.items():
+        start = C.series_start(table, np.array([eta]))[0]
+        want = np.zeros((1 << a, 2**f.dims, 2**table.address_bits))
+        want[:terms, 0, start] = np.abs(c) / bc.rescale
+        want[terms, 0, start] = 1.0 - masses[eta] / bc.rescale  # the pad
+        got = np.abs(u[:, start].reshape(want.shape)) ** 2
+        assert np.max(np.abs(got - want)) <= 1e-14, eta
 
 
 def test_taylor_coeff_table_rejects_a_nan_coefficient():
@@ -905,11 +954,34 @@ def test_series_start_is_the_address_prep():
         bc = C.build_taylor_series_pqc(table, tuple(eta))
         writes = S.Circuit(bc.width, tuple(g for g in bc.prep.gates if g.kind == "X"))
         assert np.flatnonzero(dense_run(writes)[0]) == [start]
-    # two bits per coordinate, coordinate 0 first, above the coefficient
-    # qubit and the two data qubits
-    assert C.series_start(table, np.array([[1, 0], [0, 1]])).tolist() == [0b0100 << 3, 0b0001 << 3]
+    # two bits per coordinate, coordinate 0 first, in the block's last qubits
+    assert C.series_start(table, np.array([[1, 0], [0, 1]])).tolist() == [0b0100, 0b0001]
     with pytest.raises(ValueError):
         C.series_start(table, np.array([[0, 4]]))
+
+
+@pytest.mark.parametrize("d, s, K", [(1, 2, 8), (1, 3, 4), (2, 1, 4), (2, 2, 4), (3, 1, 3), (1, 1, 1)])
+def test_series_block_is_the_classical_taylor_polynomial(d, s, K, monkeypatch):
+    """The block of cell 0, started from each cell's address at
+    u = x - eta/K, reads that cell's Taylor polynomial, with rescale
+    R = max(1, max_eta sum |c(eta)|), tol 0 and no synthesis."""
+    calls = []
+    synthesize = Q.qsp_synthesize
+    monkeypatch.setattr(Q, "qsp_synthesize", lambda *a, **k: calls.append(a) or synthesize(*a, **k))
+    f = targets.halfsine() if d == 1 else targets.product_sines(d)
+    table = C.TaylorCoeffTable.from_target(f, K, s)
+    bc = C.build_taylor_series_pqc(table, (0,) * d)
+    assert not calls
+    masses = [np.abs(c).sum() for c in cell_coefficients(f, table).values()]
+    assert abs(bc.rescale - max(1.0, *masses)) <= 1e-14
+    assert bc.tol == 0.0
+    if (d, s, K) == (2, 1, 4):  # the perfbench taylor_d2 block
+        assert bc.rescale == 1.0
+    cells = np.repeat(np.array(list(np.ndindex(*(K,) * d))), 3, axis=0)
+    xs = (cells + np.random.default_rng(d + s + K).random(cells.shape)) / K
+    got = C.evaluate_block(bc, xs - cells / K, start=C.series_start(table, cells))
+    want = [P.taylor_expand(f, eta / K, s)(x - eta / K) for x, eta in zip(xs, cells)]
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_nested_batch_equals_single_points():

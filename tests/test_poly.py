@@ -147,15 +147,6 @@ def test_bernstein_log_space_large_n():
 # ---------------------------------------------------------------------------
 
 
-def test_lipschitz_bound_zero_ell():
-    assert P.lipschitz_bernstein_bound(3, 0.0, 1.0, 10, 0.2) == pytest.approx(0.2)
-
-
-def test_lipschitz_bound_frozen_values():
-    assert P.lipschitz_bernstein_bound(1, 1.0, 1.0, 100, 0.1) == pytest.approx(0.6)
-    assert P.lipschitz_bernstein_bound(2, 1.0, 1.0, 1, 1.0) == pytest.approx(2.125)
-
-
 def test_thm_bounds_frozen_values():
     assert P.thm_bounds("thm3", d=1, s=1, beta=2, K=4) == pytest.approx(0.0625)
     assert P.thm_bounds("thm2", d=3, ell=0.0, n=5, eps=0.17) == pytest.approx(0.17)

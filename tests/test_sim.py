@@ -518,18 +518,23 @@ def test_program_with_a_slotted_first_op_has_an_empty_prefix():
 @pytest.mark.parametrize("states", [0, 3])
 def test_prefix_store_stops_at_its_byte_cap(monkeypatch, series_block, states):
     bc, starts, xs, _ = series_block
-    sizes = {entry.nbytes for entry in series_program(bc).start_states(starts.tolist()).values()}
-    assert len(sizes) == 1  # every start's entry takes the same bytes
+    entries = series_program(bc).start_states(starts.tolist())
+    # a start's entry takes 816 or 1,120 bytes, so the cap is the bytes of
+    # the first starts a batch stores, in its order of start index
+    assert sorted({entry.nbytes for entry in entries.values()}) == [816, 1120]
+    first = sorted(entries)[:states]
+    cap = sum(entries[s].nbytes for s in first)
     prog = series_program(bc)
-    monkeypatch.setattr(S, "PREFIX_BYTES", states * sizes.pop())
+    monkeypatch.setattr(S, "PREFIX_BYTES", cap)
     for _ in range(2):
         got = dense_run(prog, x=xs, start=starts)
         assert np.array_equal(got, unstored_run(prog, xs, starts))
-        assert len(prog.stored) == states
+        assert sorted(prog.stored) == first
         for n in range(16):
             single = dense_run(prog, x=xs[[n]], start=starts[[n]])
             assert np.array_equal(single, unstored_run(prog, xs[[n]], starts[[n]]))
     assert len(prog.stored) == states
+    assert sum(entry.nbytes for entry in prog.stored.values()) <= cap
 
 
 def test_hadamard_values_runs_the_prefix_once_per_chunk_with_no_store(monkeypatch, series_block):
@@ -609,25 +614,26 @@ def test_support_run_equals_the_whole_state_run(seed):
 
 
 @pytest.mark.parametrize("block, amplitudes, pairs", [
-    ("bernstein", (48, 512), (8, 128)),
-    ("series", (44, 1024), (8, 128)),
+    ("bernstein", ({48}, 512), ({8}, 128)),
+    ("series", ({24, 32}, 512), ({2, 4}, 64)),
 ])
 def test_a_point_updates_only_the_pairs_on_its_support(block, amplitudes, pairs,
                                                      bernstein_block, series_block):
     """The d=2, n=4 Bernstein block from start 0 and the d=2, K=4 series
     block from each of its 16 cells: the amplitudes a point keeps, the
     pairs it updates per point and the readout pairs it reads, of the whole
-    state's."""
+    state's.  A series cell whose coefficients of order 1 all vanish (eta_0
+    = 0 for product_sines) keeps fewer."""
     if block == "bernstein":
-        bc, starts, readout = bernstein_block[1], np.zeros(1, dtype=int), (24, 256)
+        bc, starts, readout = bernstein_block[1], np.zeros(1, dtype=int), ({24}, 256)
     else:
-        bc, starts, readout = *series_block[:2], (16, 512)
+        bc, starts, readout = *series_block[:2], ({12, 16}, 256)
     prog = bc.program
-    for entry in prog.start_states(starts.tolist()).values():
-        assert (len(entry.support), 2**prog.width) == amplitudes
-        assert (sum(pair.shape[1] for pair, _ in entry.layers),
-                sum(pair.shape[1] for pair, _ in prog.layers)) == pairs
-        assert (entry.readout.shape[1], 2**prog.width // 2) == readout
+    entries = prog.start_states(starts.tolist()).values()
+    assert ({len(entry.support) for entry in entries}, 2**prog.width) == amplitudes
+    assert ({sum(pair.shape[1] for pair, _ in entry.layers) for entry in entries},
+            sum(pair.shape[1] for pair, _ in prog.layers)) == pairs
+    assert ({entry.readout.shape[1] for entry in entries}, 2**prog.width // 2) == readout
 
 
 def test_hadamard_values_rejects_extra_start_indices(monkeypatch, bernstein_block):
@@ -696,11 +702,12 @@ def test_a_fixed_op_that_overlaps_the_slotted_op_is_not_hoisted():
         assert np.max(np.abs(amps - circuit_unitary(circ.bound(x))[:, s])) <= 1e-14
 
 
-@pytest.mark.parametrize("d, layout", [(2, (54, 56, [128])), (3, (262, 265, [1536]))])
+@pytest.mark.parametrize("d, layout", [(2, (54, 56, [64])), (3, (212, 215, [768]))])
 def test_series_block_runs_only_its_slotted_ops_per_point(d, layout):
-    """The fixed coefficient rotations of the d=2 and d=3, K=4, s=1 series
-    block touch no amplitude of an earlier term's slotted line, so they all
-    run in the prefix; the d slotted lines run in one layer."""
+    """The prep, the sign diagonal and the pad of the d=2 and d=3, K=4, s=1
+    series block are fixed and come before every slotted op, so they all
+    run in the prefix; the SELECT's d slotted ops, one per order-1 term,
+    run in one layer."""
     table = C.TaylorCoeffTable.from_target(targets.product_sines(d), 4, 1)
     prog = C.build_taylor_series_pqc(table, (0,) * d).program
     assert (prog.prefix, len(prog.pairs), [pair.shape[1] for pair, _ in prog.layers]) == layout
