@@ -1,12 +1,14 @@
 """Assembly of the explicit function-approximating circuits.
 
-Two designs build every construction.  The Bernstein circuit and the
-Taylor series block are weighted Chebyshev SELECTs (``_chebyshev_select``)
-with no synthesized angle: a weighted prep holds the Chebyshev
-coefficients of the polynomial, a sign diagonal their signs, and the
-SELECT applies powers of the encoding gate, whose <0|.|0> entries are
-Chebyshev polynomials.  The series block's prep and signs are controlled on
-an address register, so one block holds every cell's polynomial.
+Two designs build every construction.  The Bernstein circuit, the
+localization block and the Taylor series block are weighted Chebyshev
+SELECTs (``_chebyshev_select``) with no synthesized angle: a weighted prep
+holds the Chebyshev coefficients of the polynomial, a sign diagonal their
+signs, and the SELECT applies powers of the encoding gate, whose <0|.|0>
+entries are Chebyshev polynomials.  The localization block's registers hold
+the bits of each power, so its encoding gates number the polynomial's
+degree.  The series block's prep and signs are controlled on an address
+register, so one block holds every cell's polynomial.
 
 The other constructions use three combinators.  ``line_block`` puts one
 QSP line, a single-qubit angle sequence realizing a univariate polynomial,
@@ -48,10 +50,7 @@ from .poly import (
     ParityPolynomial,
     Polynomial,
     TargetFunctionSpec,
-    _cheb_coeffs,
     _grid_values,
-    _mirrored,
-    chebyshev_grid,
     localization_poly,
     multi_indices,
     parity_split,
@@ -511,35 +510,38 @@ def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
 # ---------------------------------------------------------------------------
 
 @cache
-def localization_angles(spec: LocalizationSpec) -> qsp.QspAngleSequence:
-    return qsp.qsp_synthesize(ParityPolynomial(localization_poly(spec), 0), tol=1e-9)
-
-
-def build_localization_pqc(spec: LocalizationSpec, d: int) -> list[BlockCircuit]:
-    """One single-qubit block per coordinate mapping band k into (k/K, k/K+eps)."""
-    angles = localization_angles(spec)
-    return [
-        line_block(angles, EncodingSlot(j, "acos", 0.0), f"localization K={spec.K} x{j}")
-        for j in range(d)
-    ]
-
-
-@cache
 def localization_chebyshev(spec: LocalizationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The powers k = L mod 2, L mod 2 + 2, ..., L and the Chebyshev
-    coefficients c_k of the block value of the synthesized L-layer line,
-    taken from its values at _fast_len(L + 1) first-kind nodes (exact for
-    its degree L).  Its parity is that of L, so the other c_k vanish, and
-    the nodes with x >= 0 give its values at all of them."""
-    angles = localization_angles(spec).angles
-    L = len(angles) - 1
-    m = qsp._fast_len(L + 1)
-    half = np.real(qsp.qsp_block_values(angles, chebyshev_grid(m)[: (m + 1) // 2]))
-    coeffs = _cheb_coeffs(_mirrored(half, m, L % 2))[L % 2:L + 1:2]
-    powers = np.arange(L % 2, L + 1, 2, dtype=float)  # float, so no caller casts them
+    """The powers k = 0, 2, ..., L and the Chebyshev coefficients c_k of the
+    even localization polynomial P of degree L (``localization_poly``)."""
+    coeffs = np.array(localization_poly(spec).coeffs[::2])
+    powers = 2.0 * np.arange(len(coeffs))  # float, so no caller casts them
     for a in (powers, coeffs):  # cached, so every caller shares them
         a.setflags(write=False)
     return powers, coeffs
+
+
+def build_localization_pqc(spec: LocalizationSpec, d: int) -> list[BlockCircuit]:
+    """One block per coordinate whose value is P(x_j), mapping band k into
+    (k/K, k/K + eps): ``_chebyshev_select`` of P = sum_m c_2m T_2m, m = 0..h.
+
+    With h = L/2 and B = max(1, h.bit_length()), each m is l + t (h - 2^(B-1)
+    + 1) for one pair t in {0, 1}, l < 2^(B-1), t = 0 where both reach it.
+    Register 0 holds t, with power 2 (h - 2^(B-1) + 1), and registers 1..B-1
+    the bits b of l, most significant first, with powers 2 * 2^b: exactly L
+    encoding gates, as in the paper's line, on B + 2 qubits.
+    """
+    _, coeffs = localization_chebyshev(spec)
+    h = len(coeffs) - 1
+    bits = max(1, h.bit_length())
+    top = 1 << (bits - 1)  # the values of l
+    step = h - top + 1  # the m that t = 1 adds
+    cell = np.concatenate([coeffs[:top], np.zeros(top - step), coeffs[top:]])  # indexed [t, l]
+    powers = [[(0,), (2 * step,)]] + [[(0,), (2 << b,)] for b in reversed(range(bits - 1))]
+    return [
+        _chebyshev_select(powers, {0: cell.reshape((2,) * bits)}, 0, [EncodingSlot(j, "acos")],
+                          (f"localization K={spec.K} x{j}", "localization-prep"))
+        for j in range(d)
+    ]
 
 
 def localization_values(spec: LocalizationSpec, x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -547,9 +549,8 @@ def localization_values(spec: LocalizationSpec, x: Sequence[float] | np.ndarray)
     an (N, d) array of points.
 
     Each value is sum_k c_k cos(k arccos u) over localization_chebyshev,
-    equal up to rounding to the Hadamard test and to qsp.qsp_block_values:
-    on 20k points of [-1, 1] within 7.3e-14 at K = 8 (L = 894), 1.7e-13 at
-    K = 16 and 5.1e-13 at K = 32 (L = 5806).  Points run in chunks whose
+    equal up to rounding to the block's Hadamard test and to
+    localization_poly's Clenshaw sum.  Points run in chunks whose
     (N, 1, K) cosine table fits in sim.BATCH_BYTES; the product is stacked,
     so a point gives bit-identical values alone or in a batch."""
     powers, coeffs = localization_chebyshev(spec)
@@ -598,8 +599,8 @@ class TaylorCoeffTable:
 
     def __post_init__(self) -> None:
         for (eta, alpha), v in self.xi.items():
-            if not abs(v) <= 1.0 + 1e-9:  # NaN fails this too
-                raise ValueError(f"coefficient {v} at cell {eta}, order {alpha} outside [-1, 1]")
+            if not math.isfinite(v):
+                raise ValueError(f"coefficient {v} at cell {eta}, order {alpha} is not finite")
 
     @classmethod
     def from_target(cls, f: TargetFunctionSpec, K: int, s: int) -> "TaylorCoeffTable":
@@ -607,9 +608,7 @@ class TaylorCoeffTable:
         for eta in product(range(K), repeat=f.dims):
             expansion = taylor_expand(f, tuple(e / K for e in eta), s)
             for alpha in multi_indices(f.dims, s):
-                xi[(eta, alpha)] = float(
-                    np.clip(expansion.terms.get(alpha, 0.0), -1.0, 1.0)
-                )
+                xi[(eta, alpha)] = float(expansion.terms.get(alpha, 0.0))
         return cls(K, s, f.dims, xi)
 
     @property

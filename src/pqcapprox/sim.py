@@ -102,10 +102,6 @@ def zg(q: int) -> Gate:
     return Gate("Z", q)
 
 
-def ry(q: int, angle: float, trainable: bool = False) -> Gate:
-    return Gate("Ry", q, angle=angle, trainable=trainable)
-
-
 def rz(q: int, angle: float, trainable: bool = False) -> Gate:
     return Gate("Rz", q, angle=angle, trainable=trainable)
 

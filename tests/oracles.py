@@ -46,11 +46,14 @@ from pqcapprox.sim import (
     cnot,
     encoding_angles,
     gate_matrix_1q,
-    ry,
     run,
     rz,
     xg,
 )
+
+
+def ry(q: int, angle: float, trainable: bool = False) -> Gate:
+    return Gate("Ry", q, angle=angle, trainable=trainable)
 
 
 # ---------------------------------------------------------------------------

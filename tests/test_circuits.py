@@ -19,6 +19,7 @@ from oracles import (
     composed_reference,
     dense_run,
     qsp_unitary,
+    ry,
     trig_qsp_unitary,
 )
 
@@ -131,7 +132,7 @@ def _random_single_qubit_unit(rng):
         if k == 0:
             gates.append(S.Gate("Rx", 0, angle=float(rng.normal())))
         elif k == 1:
-            gates.append(S.ry(0, float(rng.normal())))
+            gates.append(ry(0, float(rng.normal())))
         elif k == 2:
             gates.append(S.rz(0, float(rng.normal())))
         else:
@@ -175,9 +176,9 @@ def test_lcu_pad_skips_the_target_of_a_controlled_x_in_the_prep():
     """A controlled X in the prep is not a basis flip of its target: the
     pad goes on a qubit the prep leaves in a basis state, or nowhere."""
     rng = np.random.default_rng(79)
-    prep = S.Circuit(3, (S.ry(0, 0.7), S.cnot(0, 1)), label="entangled")
+    prep = S.Circuit(3, (ry(0, 0.7), S.cnot(0, 1)), label="entangled")
     units = [
-        C.BlockCircuit(S.Circuit(3, (S.rz(2, float(a)), S.ry(1, float(b)))), prep, rescale=1.0,
+        C.BlockCircuit(S.Circuit(3, (S.rz(2, float(a)), ry(1, float(b)))), prep, rescale=1.0,
                        block_value_is_real=False)
         for a, b in rng.normal(size=(3, 2))
     ]
@@ -198,11 +199,11 @@ def test_lcu_pad_skips_the_targets_of_zero_controlled_gates_in_the_prep():
     controlled one does: an X there is no basis flip and an H no |+>, and a
     Ry leaves no known state, so the pad goes on the one untouched qubit."""
     rng = np.random.default_rng(80)
-    gates = (S.ry(0, 0.7), S.Gate("X", 1, zeros=(0,)), S.Gate("H", 2, zeros=(0,)),
+    gates = (ry(0, 0.7), S.Gate("X", 1, zeros=(0,)), S.Gate("H", 2, zeros=(0,)),
              S.Gate("Ry", 3, (1,), angle=0.4, zeros=(0,)))
     prep = S.Circuit(5, gates, label="zero-entangled")
     units = [
-        C.BlockCircuit(S.Circuit(5, (S.rz(2, float(a)), S.ry(3, float(b)))), prep, rescale=1.0,
+        C.BlockCircuit(S.Circuit(5, (S.rz(2, float(a)), ry(3, float(b)))), prep, rescale=1.0,
                        block_value_is_real=False)
         for a, b in rng.normal(size=(3, 2))
     ]
@@ -641,15 +642,34 @@ def test_bernstein_block_rejects_an_input_outside_the_unit_cube():
 # ---------------------------------------------------------------------------
 
 
-def test_constructions_synthesize_without_fallback(caplog, monkeypatch):
-    # every synthesis runs uncached and converges in its first schedule
-    monkeypatch.setattr(C, "synthesize_cached", C.synthesize_cached.__wrapped__)
+def test_constructions_synthesize_without_fallback(caplog):
+    # the synthesizer's high-degree cases (L = 154 to 894): each converges in
+    # its first schedule
     with caplog.at_level(logging.DEBUG, logger="pqcapprox.qsp"):
         for K in (2, 4, 8):
-            C.localization_angles.__wrapped__(P.LocalizationSpec(K, 0.3 / K, 0.5 / K))
+            loc = P.localization_poly(P.LocalizationSpec(K, 0.3 / K, 0.5 / K))
+            Q.qsp_synthesize(P.ParityPolynomial(loc, 0), tol=1e-9)
     messages = [r.getMessage() for r in caplog.records]
     assert sum("fixed-point stage" in m for m in messages) == 3  # one per synthesis
     assert not [m for m in messages if "falling back" in m or "random restart" in m]
+
+
+@pytest.mark.parametrize("spec", [P.LocalizationSpec(1, 0.1, 0.07), P.LocalizationSpec(2, 0.1, 0.25),
+                                  P.LocalizationSpec(4, 0.05, 0.025),
+                                  P.LocalizationSpec(8, 0.0375, 0.0625)],
+                         ids=["K1", "K2", "K4", "K8"])
+def test_localization_block_is_the_polynomial(spec):
+    """The block reads localization_poly's P through L encoding gates, the
+    paper's line's count, with no synthesized angle: every trainable gate
+    sits in the prep, R = max(1, sum |c|) and tol is 0."""
+    p = P.localization_poly(spec)
+    bc = C.build_localization_pqc(spec, 1)[0]
+    assert sum(g.slot is not None for g in bc.circuit.gates) == p.degree
+    assert not any(g.trainable for g in bc.circuit.gates)
+    assert abs(bc.rescale - max(1.0, float(np.abs(p.coeffs).sum()))) <= 1e-14
+    assert bc.tol == 0.0
+    xs = np.linspace(-1.0, 1.0, 201)
+    assert np.max(np.abs(C.evaluate_block(bc, xs[:, None]) - p(xs))) <= 1e-14
 
 
 def test_localization_block_single_band():
@@ -779,11 +799,11 @@ def test_localization_fast_path_equals_hadamard_test():
 @pytest.mark.parametrize("spec", [P.LocalizationSpec(4, 0.05, 0.1),
                                   P.LocalizationSpec(8, 0.05, 0.0125)], ids=["K4", "K8"])
 def test_localization_values_match_the_transfer_product(spec):
-    angles = C.localization_angles(spec).angles
+    # the cosine sum against localization_poly's Clenshaw recurrence
     xs = np.concatenate([[0.0, 1e-12, 1.0 - 1e-12, 1.0, -1.0], np.linspace(-1.0, 1.0, 1001)])
     got = C.localization_values(spec, xs)
-    want = np.real(Q.qsp_block_values(angles, xs))
-    assert np.max(np.abs(got - want)) <= 1e-12
+    want = P.localization_poly(spec)(xs)
+    assert np.max(np.abs(got - want)) <= 1e-13
     for n in range(len(xs)):
         assert C.localization_values(spec, xs[[n]])[0] == got[n]
     for bad in (1.0 + 1e-8, -1.0 - 1e-8, math.nan):
@@ -906,13 +926,23 @@ def test_taylor_coeff_prep_holds_the_weighted_coefficients(f, K, s):
 
 
 def test_taylor_coeff_table_rejects_a_nan_coefficient():
-    with pytest.raises(ValueError, match=r"cell \(0,\), order \(0,\)"):
-        C.TaylorCoeffTable(K=1, s=0, d=1, xi={((0,), (0,)): math.nan})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"cell \(0,\), order \(0,\) is not finite"):
+            C.TaylorCoeffTable(K=1, s=0, d=1, xi={((0,), (0,)): bad})
     # a NaN derivative fails as the table is made, not in the simulation
     f = P.TargetFunctionSpec(1, lambda x: 0.5,
                              derivative_oracle=lambda a, x: 0.5 if a == (0,) else math.nan)
     with pytest.raises(ValueError, match=r"nan of \(1,\) is not finite"):
         C.TaylorCoeffTable.from_target(f, 2, 1)
+
+
+def test_taylor_coeff_table_holds_a_coefficient_beyond_one():
+    # the weighted prep takes any finite coefficient into its rescale
+    table = C.TaylorCoeffTable(K=1, s=0, d=1, xi={((0,), (0,)): 1.5})
+    bc = C.build_taylor_series_pqc(table, (0,))
+    assert bc.rescale == 1.5
+    for x in (0.0, 0.7, 1.0):
+        assert C.evaluate_block(bc, (x,)) == pytest.approx(1.5, abs=1e-14)
 
 
 def test_taylor_series_constant_order():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pqcapprox
-from pqcapprox import circuits, cli, poly, sim, targets
+from pqcapprox import circuits, cli, poly, qsp, sim, targets
 from pqcapprox.poly import ConstructionError
 
 from oracles import block_values
@@ -298,9 +298,8 @@ def test_localization_too_large_is_rejected_before_allocating(capsys, monkeypatc
         raise AssertionError("the erf interpolant was built")
 
     monkeypatch.setattr(poly, "_erf_chebyshev", never)
-    monkeypatch.setattr(
-        circuits, "localization_angles", functools.cache(circuits.localization_angles.__wrapped__)
-    )
+    monkeypatch.setattr(circuits, "localization_chebyshev",
+                        functools.cache(circuits.localization_chebyshev.__wrapped__))
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -471,14 +470,24 @@ def test_report_bernstein_d1_n32_passes_on_its_circuit(capsys):
     assert "pipeline" not in doc["params"]
 
 
+@pytest.mark.parametrize("cfg", [dict(experiment="localization", K=3, delta=0.07, eps=0.1),
+                                 dict(experiment="taylor", target="halfsine", K=3, delta=0.07)],
+                         ids=["localization", "taylor"])
+def test_localization_and_taylor_reports_synthesize_no_angle(monkeypatch, cfg):
+    def never(*args, **kwargs):
+        raise AssertionError("qsp_synthesize was called")
+
+    monkeypatch.setattr(qsp, "qsp_synthesize", never)
+    assert cli.run_experiment(cli.ExperimentConfig(**cfg)).passed
+
+
 def test_construction_error_is_reported(capsys, monkeypatch):
     def fail(spec):
         raise ConstructionError(f"localization polynomial failed for {spec}")
 
     monkeypatch.setattr(circuits, "localization_poly", fail)
-    monkeypatch.setattr(
-        circuits, "localization_angles", functools.cache(circuits.localization_angles.__wrapped__)
-    )
+    monkeypatch.setattr(circuits, "localization_chebyshev",
+                        functools.cache(circuits.localization_chebyshev.__wrapped__))
     code, _, err = run_cli(capsys, "report", "--experiment", "localization", "--K", "2")
     assert code == 2
     assert "localization polynomial failed" in json.loads(err.strip())["error"]
@@ -561,7 +570,7 @@ def test_build_localization(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["width"] == 1
+    assert doc["width"] == 8
     code, out, _ = run_cli(capsys, "eval", "--circuit", str(path), "--x", "0.7")
     v = json.loads(out)["value"]
     assert 0.5 < v < 0.75

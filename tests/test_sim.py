@@ -20,6 +20,7 @@ from oracles import (
     decompose_mcu,
     dense_run,
     lowered,
+    ry,
     stage_op_matrices,
     unstored_run,
 )
@@ -39,7 +40,7 @@ def random_circuit(rng, width, n_gates, mcu=False):
         elif kind == 1:
             gates.append(rx(q, float(rng.normal())))
         elif kind == 2:
-            gates.append(S.ry(q, float(rng.normal())))
+            gates.append(ry(q, float(rng.normal())))
         elif kind == 3:
             gates.append(S.rz(q, float(rng.normal()), trainable=True))
         elif kind == 4:
@@ -484,7 +485,7 @@ def test_stored_prefix_gives_the_unstored_values_at_every_start(series_block):
 
 
 def test_program_without_slots_stores_its_whole_run():
-    circ = S.Circuit(3, (S.h(0), S.cnot(0, 1), S.ry(2, 0.3), S.xg(1),
+    circ = S.Circuit(3, (S.h(0), S.cnot(0, 1), ry(2, 0.3), S.xg(1),
                          S.Gate("Rx", 2, (0, 1), angle=0.7)))
     prog = S.GateProgram(circ)
     assert prog.prefix == len(prog.pairs) == 5
@@ -870,11 +871,13 @@ def localization_k2():
 @pytest.mark.parametrize("tables", [3, 0])
 def test_hadamard_values_in_chunks_equal_one_batch(tables, bernstein_block, series_block):
     """Seven points in chunks of three and of one give the values of one
-    batch bit for bit: from start 0 on the K=2 localization line, whose
-    table row outweighs its state, and from mixed starts on the d=2, n=4
-    Bernstein and d=2, K=4 series programs."""
+    batch bit for bit: from start 0 on a one-qubit line of 40 random
+    angles, whose table row outweighs its state, and from mixed starts on
+    the d=2, n=4 Bernstein and d=2, K=4 series programs."""
     rng = np.random.default_rng(12)
-    loc = localization_k2().program
+    angles = np.random.default_rng(5).uniform(-math.pi, math.pi, 40)
+    line = S.Circuit(1, C.qsp_line(angles, S.EncodingSlot(0, "acos")))
+    loc = S.GateProgram(S.hadamard_test_circuit(line, S.Circuit(1, (S.h(0),))))
     assert loc.row_bytes == 8 * len(loc.row_half) > 16 * 2**loc.width
     bern = bernstein_block[1].program
     series, cells, points, _ = series_block
@@ -988,7 +991,7 @@ def test_a_run_splits_where_its_slot_changes():
 
 
 def test_expectations_without_points_or_starts_run_from_zero():
-    circ = S.Circuit(2, (S.h(0), S.ry(1, 0.4), S.cnot(1, 0)))
+    circ = S.Circuit(2, (S.h(0), ry(1, 0.4), S.cnot(1, 0)))
     want = S.hadamard_values(circ, start=np.zeros(1, dtype=int))
     assert abs(want[0] - ancilla_values(circuit_unitary(circ)[:, :1].T)[0]) <= 1e-15
     for c in (circ, S.GateProgram(circ)):
@@ -1059,7 +1062,7 @@ def test_shots_concentration():
 
 def test_shots_are_one_binomial_draw():
     """10^11 shots cost no memory per shot; a count beyond int64 is refused."""
-    c = S.hadamard_test_circuit(S.Circuit(1, (S.ry(0, 1.1),)), S.Circuit(1, ()))
+    c = S.hadamard_test_circuit(S.Circuit(1, (ry(0, 1.1),)), S.Circuit(1, ()))
     exact = math.cos(0.55)  # <0|Ry(1.1)|0>
     tracemalloc.start()
     try:
