@@ -508,18 +508,14 @@ def _refined_sup(coef: np.ndarray, grid: np.ndarray, vals: np.ndarray, spacing: 
     return best
 
 
-# Bytes per (degree + 1)^2 that _check_degree_fits reserves for angle
-# synthesis at that degree.  Synthesis holds O(degree) now: a fixed-point
-# stage (qsp._fixed_point_solve) keeps its iterates and residuals, n floats
-# each with n = degree // 2 + 1, up to 2 qsp._ANDERSON_DEPTH columns of
-# their differences and, per step, an n x qsp._ANDERSON_DEPTH QR of one set
-# of them; each residual sweeps blocks of about qsp._BLOCK_WIDTH points and
-# takes one DCT of the qsp._fast_len(degree + 1) node values, and the final
-# grid check sweeps 2 (degree + 1) nodes the same way.  Its traced peak is
-# 0.84 MiB at degree 894 and 1.2 MiB at 2216.  The value 24 bounded
-# the 28 n m bytes of the dense Jacobian build that synthesis no longer
-# makes; it stays, an upper bound that rejects no degree it accepted before,
-# until the guard is derived again from the O(degree) footprint.
+# Bytes per (degree + 1)^2 that _check_degree_fits reserves before the sign
+# search, the first step of every sign or localization construction.  No
+# report synthesizes angles, and a construction holds O(degree): the
+# search keeps a few 10 (degree + 1)-point grid arrays and the step sum
+# passes of _STEP_PASS_BYTES.  The value 24 bounded the 28 n m bytes of the
+# dense Jacobian that angle synthesis once built; it stays, an upper bound
+# that rejects no degree it accepted before, until the guard is derived
+# again from the O(degree) footprint.
 _SYNTHESIS_BYTES_PER_ENTRY = 24
 
 
@@ -531,15 +527,17 @@ def _physical_memory_bytes() -> float:
 
 
 def _check_degree_fits(degree: int) -> None:
-    """Reject a construction whose synthesis system cannot fit in memory,
-    before anything of that size is allocated."""
+    """Reject a sign or localization construction whose predicted degree
+    is past the guard's reservation, before anything of that size is
+    allocated."""
     need = _SYNTHESIS_BYTES_PER_ENTRY * float(degree + 1) ** 2
     have = _physical_memory_bytes()
     if need > have:
         raise ValueError(
-            f"predicted polynomial degree {degree} needs {need / 2**30:.1f} GiB"
-            f" for angle synthesis, more than the {have / 2**30:.1f} GiB of"
-            " physical memory; raise delta or eps"
+            f"predicted polynomial degree {degree} is past the construction"
+            f" guard, which reserves {need / 2**30:.1f} GiB at that degree,"
+            f" more than the {have / 2**30:.1f} GiB of physical memory;"
+            " raise delta or eps"
         )
 
 
@@ -551,7 +549,9 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     sign contributes eps/2 of the error budget; the truncation degree is the
     smallest that passes a dense-grid verification of both bounds.  A cheap
     recurrence screen (``_screen_start``) picks where the exact walk over
-    degrees starts, so the walk usually makes two exact checks.
+    degrees starts, so the walk usually makes two checks.  One search makes
+    one full evaluation of the series on the grid, at the tail-bound degree;
+    every degree checked after it takes its values from ``_OddPartialSums``.
     """
     if delta <= 0 or not 0 < eps < 1:
         raise ValueError("need delta > 0 and eps in (0,1)")
@@ -579,29 +579,6 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     spacing = 2.0 / n_grid
     eps_check = eps * (1.0 - 1e-3)  # margin for downstream evaluation grids
 
-    checks = 0
-
-    def values(deg: int) -> np.ndarray:
-        # the Chebyshev part of the grid by a DCT, the rest by _chebval
-        coef = coef_full[: deg + 1]
-        return np.concatenate([_cheb_values(coef, n_grid)[: len(nodes)], _chebval(rest, coef)])
-
-    def candidate(deg: int) -> Optional[np.ndarray]:
-        # one evaluation; a rescaled series' values are these divided by the
-        # same factor
-        nonlocal checks
-        checks += 1
-        coef = coef_full[: deg + 1].copy()
-        vals = values(deg)
-        m = _refined_sup(coef, grid, np.abs(vals), spacing)
-        if m > 1.0:
-            coef = coef / (m * (1.0 + 1e-12))
-            vals /= m * (1.0 + 1e-12)
-        vals -= 1.0
-        if np.max(np.abs(vals[outside])) <= eps_check:
-            return coef
-        return None
-
     # the tail-bound degree usually passes; the screen moves the start of the
     # exact walk down to where its own run of passes ending there begins
     tails = np.cumsum(np.abs(coef_full[::-1]))[::-1]
@@ -611,23 +588,50 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
             break
     else:
         top = len(coef_full) - 2  # the last odd degree
-    start = _screen_start(coef_full, values(top), grid, outside, eps_check, top)
-    # walk up to the first exact pass, then down to the smallest
-    best = None
-    for deg in range(start, len(coef_full), 2):
+    # the one full evaluation: the Chebyshev part of the grid by a DCT, the
+    # rest by _chebval
+    vals = np.concatenate(
+        [_cheb_values(coef_full[: top + 1], n_grid)[: len(nodes)], _chebval(rest, coef_full[: top + 1])]
+    )
+    start = _screen_start(coef_full, vals, grid, outside, eps_check, top)
+    sums = _OddPartialSums(coef_full, grid, vals, top)
+    err = np.empty(int(np.count_nonzero(outside)))
+    checks = 0
+
+    def candidate(deg: int) -> Optional[np.ndarray]:
+        # the series rescaled by its refined sup m if m > 1, or None if it
+        # fails; a rescaled series' values are these divided by the same factor
+        nonlocal checks
+        checks += 1
+        s = sums.at(deg)
+        size = np.abs(s)
+        s_out = s[outside]
+        # the grid maximum first: the refined sup is at least as large, and
+        # a larger sup only moves every outside value further below 1
+        if _outside_error(s_out, float(np.max(size)), err) > eps_check:
+            return None
+        m = _refined_sup(coef_full[: deg + 1], grid, size, spacing)
+        if _outside_error(s_out, m, err) > eps_check:
+            return None
+        coef = coef_full[: deg + 1].copy()
+        return coef / (m * (1.0 + 1e-12)) if m > 1.0 else coef
+
+    # walk up to the first pass, then, if that is the start, down to the
+    # smallest: a degree below a later first pass has failed already
+    best, deg = None, start - 2
+    while best is None:
+        deg += 2
+        if deg >= len(coef_full):
+            raise ConstructionError(
+                f"sign approximant failed verification for delta={delta}, eps={eps}"
+            )
         best = candidate(deg)
-        if best is not None:
-            break
-    if best is None:
-        raise ConstructionError(
-            f"sign approximant failed verification for delta={delta}, eps={eps}"
-        )
-    deg = len(best) - 1
-    while deg > 2:
-        lower = candidate(deg - 2)
-        if lower is None:
-            break
-        best, deg = lower, deg - 2
+    if deg == start:
+        while deg > 2:
+            lower = candidate(deg - 2)
+            if lower is None:
+                break
+            best, deg = lower, deg - 2
     logger.debug(
         "sign series delta=%g eps=%g R=%g: top %d, screen start %d, degree %d,"
         " %d exact checks", delta, eps, R, top, start, deg, checks,
@@ -647,45 +651,86 @@ def _screen_start(
 
     A walk down over the odd degrees d <= top on the verification grid
     (x >= 0, where sgn is 1 outside the gap).  It starts from vals, the
-    partial sum S_top on the grid as the exact check evaluates it, and at
-    each d applies the exact check's test with the grid maximum in place of
-    the refined sup.  Even coefficients are zero, so S_{d-2} = S_d - c_d T_d,
-    with T_d = cos(d arccos x) at top and top + 2 and then
-    T_{d-2} = 2 T_2 T_d - T_{d+2} below.  Returns the lowest degree of the
-    run of screen passes that ends at top, where the walk stops at its
-    first failure, or top itself if the screen fails there.  The exact walk
-    still decides the degree, so a wrong screen costs exact checks, not
-    accuracy.  The degree matches that of a walk down from top unless the
-    exact check fails somewhere inside that run.
+    partial sum S_top on the grid as the exact check evaluates it, moves
+    down by ``_OddPartialSums`` and at each d applies the exact check's
+    test with the grid maximum in place of the refined sup.  Returns the
+    lowest degree of the run of screen passes that ends at top, where the
+    walk stops at its first failure, or top itself if the screen fails
+    there.  The exact walk still decides the degree, so a wrong screen
+    costs exact checks, not accuracy.  The degree matches that of a walk
+    down from top unless the exact check fails somewhere inside that run.
     """
     # outside points first, so their values are a view of the partial sum
     x = np.concatenate([grid[outside], grid[~outside]])
-    partial = np.concatenate([vals[outside], vals[~outside]])
+    sums = _OddPartialSums(coef, x, np.concatenate([vals[outside], vals[~outside]]), top)
     n_out = int(np.count_nonzero(outside))
-    theta = np.arccos(x)
-    t_cur, t_up = np.cos(top * theta), np.cos((top + 2) * theta)  # T_d, T_{d+2}
-    two_t2 = 4.0 * x * x - 2.0
-    # every step works in these buffers: a grid-sized temporary per step
-    # would be mapped and unmapped by malloc each time, page faults included
-    buf = np.empty_like(x)
     err = np.empty(n_out)
     run_start = top
     for d in range(top, 0, -2):
-        m = float(np.max(np.abs(partial, out=buf)))
-        s_out = partial[:n_out]
-        if m > 1.0:
-            np.divide(s_out, m * (1.0 + 1e-12), out=err)
-            s_out = err
-        np.subtract(s_out, 1.0, out=err)
-        if np.max(np.abs(err, out=err)) > eps_check:
+        partial = sums.at(d)
+        m = max(float(np.max(partial)), -float(np.min(partial)))
+        if _outside_error(partial[:n_out], m, err) > eps_check:
             break
         run_start = d
-        np.multiply(t_cur, coef[d], out=buf)
-        partial -= buf  # S_{d-2}
-        np.multiply(two_t2, t_cur, out=buf)
-        buf -= t_up  # T_{d-2}
-        t_up, t_cur, buf = t_cur, buf, t_up
     return run_start
+
+
+class _OddPartialSums:
+    """Partial sums S_d = sum over k <= d of c_k T_k(x) of an odd Chebyshev
+    series on the points x, moved one odd degree at a time:
+
+        down  S_{d-2} = S_d - c_d T_d,          T_{d-2} = 2 T_2 T_d - T_{d+2}
+        up    S_{d+2} = S_d + c_{d+2} T_{d+2},  T_{d+4} = 2 T_2 T_{d+2} - T_d
+
+    from S_d = vals (taken, not copied) at the starting degree d, where
+    T_d and T_{d+2} are cos(k arccos x); no later step evaluates a cosine.
+    Every step works in the same buffers: a grid-sized temporary per step
+    would be mapped and unmapped by malloc each time, page faults included.
+    """
+
+    def __init__(self, coef: np.ndarray, x: np.ndarray, vals: np.ndarray, deg: int) -> None:
+        theta = np.arccos(x)
+        self._coef, self._sums, self._deg = coef, vals, deg
+        self._t, self._t_up = np.cos(deg * theta), np.cos((deg + 2) * theta)  # T_d, T_{d+2}
+        self._two_t2 = 4.0 * x * x - 2.0
+        self._buf = np.empty_like(x)
+
+    def at(self, deg: int) -> np.ndarray:
+        """S_deg on the points; the array is overwritten by the next move."""
+        c, buf = self._coef, self._buf
+        while self._deg > deg:
+            np.multiply(self._t, c[self._deg], out=buf)
+            self._sums -= buf
+            np.multiply(self._two_t2, self._t, out=buf)
+            buf -= self._t_up
+            self._t_up, self._t, buf = self._t, buf, self._t_up
+            self._deg -= 2
+        while self._deg < deg:
+            np.multiply(self._t_up, c[self._deg + 2], out=buf)
+            self._sums += buf
+            np.multiply(self._two_t2, self._t_up, out=buf)
+            buf -= self._t
+            self._t, self._t_up, buf = self._t_up, buf, self._t
+            self._deg += 2
+        self._buf = buf
+        return self._sums
+
+
+def _outside_error(s_out: np.ndarray, m: float, out: np.ndarray) -> float:
+    """max |S/m' - 1| over the values s_out of an odd series S at the
+    outside points x >= edge, where m' = m (1 + 1e-12) rescales a series of
+    sup m > 1 to fit |.| <= 1 and m' = 1 otherwise; out takes the errors.
+
+    At every outside point S <= m < m' (or S <= m <= 1 = m'), so the error
+    is 1 - S/m', which only grows with m' (and is at least 1 for S <= 0).
+    Correctly rounded division and subtraction keep that order, so a
+    series that fails here with the grid maximum for m fails with any
+    larger sup."""
+    if m > 1.0:
+        np.divide(s_out, m * (1.0 + 1e-12), out=out)
+        s_out = out
+    np.subtract(s_out, 1.0, out=out)
+    return float(np.max(np.abs(out, out=out)))
 
 
 # Bytes of stacked step arguments per Clenshaw pass of _evenized_steps.  A

@@ -366,7 +366,8 @@ def test_sign_series_is_checked_with_even_entries_exactly_zero(monkeypatch):
     monkeypatch.setattr(P, "_screen_start", screened)
     monkeypatch.setattr(P, "_refined_sup", refined)
     out = P._sign_cheb_series(0.0625, 0.0125, 2.0)
-    assert len(seen) == 3  # the screen and two exact checks
+    # the screen and the one refinement: the degree below fails on the grid
+    assert len(seen) == 2
     for coef in seen + [out]:
         assert np.all(coef[::2] == 0.0)
 
@@ -377,6 +378,73 @@ def test_sign_series_logs_its_search(caplog):
     (message,) = [r.getMessage() for r in caplog.records]
     assert "top 445, screen start 417, degree 417, 2 exact checks" in message
     assert len(coef) - 1 == 417
+
+
+def _traced_search(monkeypatch, delta, eps, R):
+    """_sign_cheb_series with its exact walk and refinements recorded: the
+    walk's coefficients and points, each degree it checks with a copy of the
+    grid values it reads, and the degrees refined."""
+    sums_class, refine = P._OddPartialSums, P._refined_sup
+    walks, refined = [], []
+
+    class Recorded(sums_class):
+        def __init__(self, coef, x, vals, deg):
+            super().__init__(coef, x, vals, deg)
+            self.seen = []
+            walks.append((coef, x, self.seen))
+
+        def at(self, deg):
+            vals = super().at(deg)
+            self.seen.append((deg, vals.copy()))
+            return vals
+
+    def refined_sup(coef, *args):
+        refined.append(len(coef) - 1)
+        return refine(coef, *args)
+
+    monkeypatch.setattr(P, "_OddPartialSums", Recorded)
+    monkeypatch.setattr(P, "_refined_sup", refined_sup)
+    P._sign_cheb_series(delta, eps, R)
+    _, walk = walks  # the screen's sums are made first
+    return walk, refined
+
+
+@pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS + STEP_SPECS)
+def test_walk_values_are_the_truncations_on_the_grid(monkeypatch, delta, eps, R):
+    (coef, grid, seen), _ = _traced_search(monkeypatch, delta, eps, R)
+    # the one full evaluation takes the first half of the grid, Chebyshev
+    # nodes, by a DCT, which is up to 1.2e-13 off chebval at the K = 16 step
+    # spec, as the per-degree evaluation it replaced was; on the rest,
+    # evaluated by Clenshaw, the walk adds only its recurrence's rounding,
+    # at most 1.4e-14 over the 121 odd degrees from top down at that spec
+    n_grid = max(1000, 10 * (len(coef) - 1))
+    rest = slice((n_grid + 1) // 2, None)
+    assert seen
+    for deg, vals in seen:
+        ref = chebval(grid, coef[: deg + 1])
+        assert np.max(np.abs(vals[rest] - ref[rest])) <= 2e-14
+        assert np.max(np.abs(vals - ref)) <= 2e-13
+
+
+@pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS + STEP_SPECS)
+def test_degrees_rejected_before_refinement_fail_the_exact_check(monkeypatch, delta, eps, R):
+    (_, _, seen), refined = _traced_search(monkeypatch, delta, eps, R)
+    rejected = sorted({deg for deg, _ in seen} - set(refined))
+    assert rejected  # the degree below the result, at every spec here
+    candidate, _, _ = _reference_search(delta, eps, R)
+    for deg in rejected:
+        assert candidate(deg) is None
+
+
+@pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS + STEP_SPECS)
+def test_search_makes_one_full_evaluation_and_one_refinement(monkeypatch, delta, eps, R):
+    refine, chebval_, refined, shapes = P._refined_sup, P._chebval, [], []
+    monkeypatch.setattr(P, "_refined_sup", lambda coef, *a: refined.append(1) or refine(coef, *a))
+    monkeypatch.setattr(P, "_chebval", lambda x, coef: shapes.append(np.shape(x)) or chebval_(x, coef))
+    P._sign_cheb_series(delta, eps, R)
+    # the refinement's (8, 33) windows aside, one pass over the grid's rest
+    assert [s for s in shapes if len(s) == 1] == [shapes[0]]
+    assert len(refined) == 1
 
 
 # ---------------------------------------------------------------------------
