@@ -590,9 +590,8 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
         top = len(coef_full) - 2  # the last odd degree
     # the one full evaluation: the Chebyshev part of the grid by a DCT, the
     # rest by _chebval
-    vals = np.concatenate(
-        [_cheb_values(coef_full[: top + 1], n_grid)[: len(nodes)], _chebval(rest, coef_full[: top + 1])]
-    )
+    coef_top = coef_full[: top + 1]
+    vals = np.concatenate([_cheb_values(coef_top, n_grid)[: len(nodes)], _chebval(rest, coef_top)])
     start = _screen_start(coef_full, vals, grid, outside, eps_check, top)
     sums = _OddPartialSums(coef_full, grid, vals, top)
     err = np.empty(int(np.count_nonzero(outside)))
@@ -603,18 +602,17 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
         # fails; a rescaled series' values are these divided by the same factor
         nonlocal checks
         checks += 1
-        s = sums.at(deg)
+        coef, s = coef_full[: deg + 1], sums.at(deg)
         size = np.abs(s)
         s_out = s[outside]
         # the grid maximum first: the refined sup is at least as large, and
         # a larger sup only moves every outside value further below 1
         if _outside_error(s_out, float(np.max(size)), err) > eps_check:
             return None
-        m = _refined_sup(coef_full[: deg + 1], grid, size, spacing)
+        m = _refined_sup(coef, grid, size, spacing)
         if _outside_error(s_out, m, err) > eps_check:
             return None
-        coef = coef_full[: deg + 1].copy()
-        return coef / (m * (1.0 + 1e-12)) if m > 1.0 else coef
+        return coef / (m * (1.0 + 1e-12)) if m > 1.0 else coef.copy()
 
     # walk up to the first pass, then, if that is the start, down to the
     # smallest: a degree below a later first pass has failed already

@@ -440,7 +440,9 @@ def test_degrees_rejected_before_refinement_fail_the_exact_check(monkeypatch, de
 def test_search_makes_one_full_evaluation_and_one_refinement(monkeypatch, delta, eps, R):
     refine, chebval_, refined, shapes = P._refined_sup, P._chebval, [], []
     monkeypatch.setattr(P, "_refined_sup", lambda coef, *a: refined.append(1) or refine(coef, *a))
-    monkeypatch.setattr(P, "_chebval", lambda x, coef: shapes.append(np.shape(x)) or chebval_(x, coef))
+    monkeypatch.setattr(
+        P, "_chebval", lambda x, coef: shapes.append(np.shape(x)) or chebval_(x, coef)
+    )
     P._sign_cheb_series(delta, eps, R)
     # the refinement's (8, 33) windows aside, one pass over the grid's rest
     assert [s for s in shapes if len(s) == 1] == [shapes[0]]
