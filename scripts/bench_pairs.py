@@ -10,6 +10,11 @@ for neither side), with "better" taken from BENCHMARK.json.  With
 ``--trace-pairs`` above 0 it adds that many traced runs per side and their
 per-layer medians.  Each checkout runs its own ``perfbench/`` and ``src/``.
 
+A checkout that holds a ``__pycache__`` under ``src/`` or ``perfbench/`` is
+refused (exit 2): its interpreters would load cached bytecode where the
+other side's compile the source, which reads as a faster ``setup_s`` and a
+lower ``peak_rss_mb`` on every workload.
+
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload localization_k8 --pairs 10 --seed 2 --out bench.json
 """
@@ -41,6 +46,11 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int
     result = json.loads(lines[-1])
     result["exit"] = proc.returncode
     return result
+
+
+def bytecode_caches(checkout: Path) -> list[Path]:
+    """The ``__pycache__`` directories under the checkout's src/ and perfbench/."""
+    return sorted(p for top in ("src", "perfbench") for p in (checkout / top).rglob("__pycache__"))
 
 
 def quartiles(values: list[float]) -> dict:
@@ -115,6 +125,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, checkout in checkouts.items():
+        caches = bytecode_caches(checkout)
+        if caches:
+            print(f"the {side} checkout holds cached bytecode in {caches[0]}; remove every"
+                  " __pycache__ under src/ and perfbench/ first", file=sys.stderr)
+            return 2
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     record = {

@@ -267,10 +267,13 @@ def _holding(register: Sequence[int], value: int) -> tuple[tuple[int, ...], tupl
     """The controls and the zero-controls under which a gate acts where the
     register holds value (big-endian): the register qubits whose bit of
     value is 1, and those whose bit is 0."""
-    a = len(register)
-    bits = [(value >> (a - 1 - i)) & 1 for i in range(a)]
-    return (tuple(q for q, bit in zip(register, bits) if bit),
-            tuple(q for q, bit in zip(register, bits) if not bit))
+    shift = len(register)
+    ones: list[int] = []
+    zeros: list[int] = []
+    for q in register:
+        shift -= 1
+        (ones if (value >> shift) & 1 else zeros).append(q)
+    return tuple(ones), tuple(zeros)
 
 
 def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircuit:
@@ -520,9 +523,10 @@ def localization_chebyshev(spec: LocalizationSpec) -> tuple[np.ndarray, np.ndarr
     return powers, coeffs
 
 
-def build_localization_pqc(spec: LocalizationSpec, d: int) -> list[BlockCircuit]:
-    """One block per coordinate whose value is P(x_j), mapping band k into
+def build_localization_pqc(spec: LocalizationSpec) -> BlockCircuit:
+    """The block of coordinate 0 whose value is P(x_0), mapping band k into
     (k/K, k/K + eps): ``_chebyshev_select`` of P = sum_m c_2m T_2m, m = 0..h.
+    Every coordinate's block is this one reading its own coordinate.
 
     With h = L/2 and B = max(1, h.bit_length()), each m is l + t (h - 2^(B-1)
     + 1) for one pair t in {0, 1}, l < 2^(B-1), t = 0 where both reach it.
@@ -537,11 +541,8 @@ def build_localization_pqc(spec: LocalizationSpec, d: int) -> list[BlockCircuit]
     step = h - top + 1  # the m that t = 1 adds
     cell = np.concatenate([coeffs[:top], np.zeros(top - step), coeffs[top:]])  # indexed [t, l]
     powers = [[(0,), (2 * step,)]] + [[(0,), (2 << b,)] for b in reversed(range(bits - 1))]
-    return [
-        _chebyshev_select(powers, {0: cell.reshape((2,) * bits)}, 0, [EncodingSlot(j, "acos")],
-                          (f"localization K={spec.K} x{j}", "localization-prep"))
-        for j in range(d)
-    ]
+    return _chebyshev_select(powers, {0: cell.reshape((2,) * bits)}, 0, [EncodingSlot(0, "acos")],
+                             (f"localization K={spec.K} x0", "localization-prep"))
 
 
 def localization_values(spec: LocalizationSpec, x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -699,12 +700,12 @@ class NestedTaylorModel:
         self.spec = spec
         self.s = s
         self.table = TaylorCoeffTable.from_target(f, spec.K, s)
-        self.loc_blocks = build_localization_pqc(spec, f.dims)
+        self.loc_block = build_localization_pqc(spec)  # each coordinate's, counted d times
         self.series = build_taylor_series_pqc(self.table, (0,) * f.dims)
 
     @property
     def tol_agg(self) -> float:
-        return sum(b.tol for b in self.loc_blocks) + self.series.tol
+        return self.f.dims * self.loc_block.tol + self.series.tol
 
     def __call__(self, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
         """The value at one point, or the values at the rows of an (N, d) array."""

@@ -196,7 +196,7 @@ _BUILDS: dict[str, tuple[Optional[Callable[[ExperimentConfig], circuits.BlockCir
     "poly": (lambda cfg: circuits.build_poly_pqc(_poly_target(cfg)), {"target"}),
     "bernstein": (lambda cfg: circuits.build_bernstein_pqc(_bernstein_target(cfg), cfg.n),
                   {"target", "d", "n"}),
-    "localization": (lambda cfg: circuits.build_localization_pqc(_localization_spec(cfg), 1)[0],
+    "localization": (lambda cfg: circuits.build_localization_pqc(_localization_spec(cfg)),
                      {"K", "delta", "eps"}),
     "trig": (lambda cfg: circuits.build_trig_poly_pqc(_parse_trig(cfg.target, cfg.d)),
              {"target", "d"}),
@@ -224,7 +224,8 @@ def _resources(bc: circuits.BlockCircuit) -> sim.ResourceCount:
 
 
 def _nested_resources(model: circuits.NestedTaylorModel) -> sim.ResourceCount:
-    loc = _resources(model.loc_blocks[0])
+    """The d localization blocks side by side, then the series block."""
+    loc = _resources(model.loc_block)
     series = _resources(model.series)
     return sim.ResourceCount(
         width=max(loc.width * model.f.dims, series.width),
@@ -312,16 +313,16 @@ def _run_bernstein(cfg: ExperimentConfig) -> _Outcome:
 def _run_localization(cfg: ExperimentConfig) -> _Outcome:
     spec = _localization_spec(cfg)
     bc = _build(cfg)
+    # the first 500 in-band draws of the stream, drawn 500 at a time
     rng = np.random.default_rng(cfg.seed)
-    xs, ks = [], []
+    xs = np.empty(0)
     while len(xs) < 500:
-        x = float(rng.random())
-        k = spec.band_of(x)
-        if k is not None:
-            xs.append(x)
-            ks.append(k)
+        draw = rng.random(500)
+        xs = np.append(xs, draw[spec.bands_of(draw) >= 0])
+    xs = xs[:500]
+    ks = spec.bands_of(xs)
     vals = circuits.localization_values(spec, xs)
-    errs = vals - np.array(ks) / spec.K
+    errs = vals - ks / spec.K
     sup = float(np.max(np.abs(errs)))
     recovered = bool(np.all((errs >= 0.0) & (errs < spec.eps))) and (
         np.array_equal(circuits.round_to_eta(vals[:, None], spec.K)[:, 0], ks)

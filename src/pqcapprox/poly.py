@@ -102,9 +102,16 @@ class ParityPolynomial:
 
 def _chebval(x, coef):
     """Values of the Chebyshev series coef at x, bit for bit those of numpy's
-    ``chebval``: its Clenshaw recurrence, the same operations in the same
-    order, but in three buffers of x's shape that every step reuses, where
-    ``chebval`` allocates two fresh arrays per coefficient."""
+    ``chebval`` but for the sign of an exact zero: its Clenshaw recurrence,
+    the same operations in the same order, but in three buffers of x's shape
+    that every step reuses, where ``chebval`` allocates two fresh arrays per
+    coefficient.
+
+    A zero coefficient's step c0 = c_k - c1 is -c1, exactly unless c_k and
+    c1 are both +0.0, so that step keeps c1 as c0 and the next one
+    subtracts it where ``chebval`` adds -c1 (IEEE defines a - b as
+    a + (-b)).  An odd or even
+    series takes five vector operations per two steps, not six."""
     x = np.asarray(x, dtype=float)
     c = np.asarray(coef, dtype=float)
     if len(c) <= 2:
@@ -113,13 +120,25 @@ def _chebval(x, coef):
     c0 = np.full(x.shape, c[-2])
     c1 = np.full(x.shape, c[-1])
     t = np.empty(x.shape)
-    for k in range(3, len(c) + 1):
+    negated = False  # whether c0 holds the negative of chebval's c0
+    for ck in c[-3::-1].tolist():
         np.multiply(c1, x2, out=t)
-        t += c0  # chebval's tmp + c1 * x2: the sum is the same either way round
-        np.subtract(c[-k], c1, out=c0)
-        c1, t = t, c1
+        # chebval's tmp + c1 * x2: the sum is the same either way round
+        if negated:
+            t -= c0
+        else:
+            t += c0
+        negated = ck == 0.0
+        if negated:
+            c0, c1, t = c1, t, c0
+        else:
+            np.subtract(ck, c1, out=c0)
+            c1, t = t, c1
     c1 *= x
-    c1 += c0
+    if negated:
+        c1 -= c0
+    else:
+        c1 += c0
     return c1[()]
 
 
@@ -551,7 +570,8 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     recurrence screen (``_screen_start``) picks where the exact walk over
     degrees starts, so the walk usually makes two checks.  One search makes
     one full evaluation of the series on the grid, at the tail-bound degree;
-    every degree checked after it takes its values from ``_OddPartialSums``.
+    the screen and the exact walk then move one ``_OddPartialSums`` from it,
+    the walk from where the screen stopped.
     """
     if delta <= 0 or not 0 < eps < 1:
         raise ValueError("need delta > 0 and eps in (0,1)")
@@ -570,7 +590,8 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     # (its even entries are exactly 0.0) and its target is sgn, so its size
     # and its error are even in x: the grid is the x >= 0 half of one that
     # is symmetric about 0, where sgn is 1 at every point outside the gap.
-    # Every check below is blind to the order of the points, so none sorts.
+    # Only the peak refinement reads the order of the points (its argsort
+    # breaks ties by it), and it reads them in this order.
     ramp = np.linspace(edge, min(1.0, edge + 2.0 / max(kappa, 1.0)), 400)
     nodes = chebyshev_grid(n_grid)[: (n_grid + 1) // 2]
     rest = np.concatenate([np.linspace(-1.0, 1.0, n_grid)[n_grid // 2 :], ramp])
@@ -592,9 +613,12 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     # rest by _chebval
     coef_top = coef_full[: top + 1]
     vals = np.concatenate([_cheb_values(coef_top, n_grid)[: len(nodes)], _chebval(rest, coef_top)])
-    start = _screen_start(coef_full, vals, grid, outside, eps_check, top)
-    sums = _OddPartialSums(coef_full, grid, vals, top)
-    err = np.empty(int(np.count_nonzero(outside)))
+    # one walk serves the screen and the exact checks; it holds the outside
+    # points first, so their values are a view of the partial sum
+    order = np.concatenate([np.flatnonzero(outside), np.flatnonzero(~outside)])
+    n_out = int(np.count_nonzero(outside))
+    sums = _OddPartialSums(coef_full, grid[order], vals[order], top)
+    start = _screen_start(sums, n_out, eps_check)
     checks = 0
 
     def candidate(deg: int) -> Optional[np.ndarray]:
@@ -603,14 +627,14 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
         nonlocal checks
         checks += 1
         coef, s = coef_full[: deg + 1], sums.at(deg)
-        size = np.abs(s)
-        s_out = s[outside]
         # the grid maximum first: the refined sup is at least as large, and
         # a larger sup only moves every outside value further below 1
-        if _outside_error(s_out, float(np.max(size)), err) > eps_check:
+        if _outside_error(s[:n_out], max(float(np.max(s)), -float(np.min(s)))) > eps_check:
             return None
+        size = np.empty_like(s)
+        size[order] = np.abs(s)  # in grid order, where _refined_sup's argsort breaks ties
         m = _refined_sup(coef, grid, size, spacing)
-        if _outside_error(s_out, m, err) > eps_check:
+        if _outside_error(s[:n_out], m) > eps_check:
             return None
         return coef / (m * (1.0 + 1e-12)) if m > 1.0 else coef.copy()
 
@@ -637,39 +661,30 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     return best
 
 
-def _screen_start(
-    coef: np.ndarray,
-    vals: np.ndarray,
-    grid: np.ndarray,
-    outside: np.ndarray,
-    eps_check: float,
-    top: int,
-) -> int:
+def _screen_start(sums: _OddPartialSums, n_out: int, eps_check: float) -> int:
     """Degree at which the exact walk of ``_sign_cheb_series`` starts.
 
-    A walk down over the odd degrees d <= top on the verification grid
-    (x >= 0, where sgn is 1 outside the gap).  It starts from vals, the
-    partial sum S_top on the grid as the exact check evaluates it, moves
-    down by ``_OddPartialSums`` and at each d applies the exact check's
-    test with the grid maximum in place of the refined sup.  Returns the
-    lowest degree of the run of screen passes that ends at top, where the
-    walk stops at its first failure, or top itself if the screen fails
-    there.  The exact walk still decides the degree, so a wrong screen
-    costs exact checks, not accuracy.  The degree matches that of a walk
-    down from top unless the exact check fails somewhere inside that run.
+    A walk down over the odd degrees d <= top of sums, the partial sums on
+    the verification grid (x >= 0, where sgn is 1 outside the gap) from
+    S_top as the exact check evaluates it, the n_out outside points first.
+    At each d it applies the exact check's test with the grid maximum in
+    place of the refined sup.  Returns the lowest degree of the run of
+    screen passes that ends at top, where the walk stops at its first
+    failure, or top itself if the screen fails there; sums are left at the
+    degree returned, as a walk down from top computes them.  The exact
+    walk still decides the degree, so a wrong screen costs exact checks,
+    not accuracy.  The degree matches that of a walk down from top unless
+    the exact check fails somewhere inside that run.
     """
-    # outside points first, so their values are a view of the partial sum
-    x = np.concatenate([grid[outside], grid[~outside]])
-    sums = _OddPartialSums(coef, x, np.concatenate([vals[outside], vals[~outside]]), top)
-    n_out = int(np.count_nonzero(outside))
-    err = np.empty(n_out)
-    run_start = top
-    for d in range(top, 0, -2):
+    run_start = sums.deg
+    for d in range(sums.deg, 0, -2):
         partial = sums.at(d)
         m = max(float(np.max(partial)), -float(np.min(partial)))
-        if _outside_error(partial[:n_out], m, err) > eps_check:
+        if _outside_error(partial[:n_out], m) > eps_check:
             break
         run_start = d
+    if d < run_start:
+        sums.back()
     return run_start
 
 
@@ -684,51 +699,63 @@ class _OddPartialSums:
     T_d and T_{d+2} are cos(k arccos x); no later step evaluates a cosine.
     Every step works in the same buffers: a grid-sized temporary per step
     would be mapped and unmapped by malloc each time, page faults included.
+    A step down writes S_{d-2} beside S_d, so ``back`` can undo it.
     """
 
     def __init__(self, coef: np.ndarray, x: np.ndarray, vals: np.ndarray, deg: int) -> None:
         theta = np.arccos(x)
-        self._coef, self._sums, self._deg = coef, vals, deg
+        self.coef, self.deg = coef, deg
+        self._sums, self._spare = vals, np.empty_like(x)
         self._t, self._t_up = np.cos(deg * theta), np.cos((deg + 2) * theta)  # T_d, T_{d+2}
         self._two_t2 = 4.0 * x * x - 2.0
         self._buf = np.empty_like(x)
 
     def at(self, deg: int) -> np.ndarray:
         """S_deg on the points; the array is overwritten by the next move."""
-        c, buf = self._coef, self._buf
-        while self._deg > deg:
-            np.multiply(self._t, c[self._deg], out=buf)
-            self._sums -= buf
+        c, buf = self.coef, self._buf
+        while self.deg > deg:
+            np.multiply(self._t, c[self.deg], out=buf)
+            np.subtract(self._sums, buf, out=self._spare)
+            self._sums, self._spare = self._spare, self._sums
             np.multiply(self._two_t2, self._t, out=buf)
             buf -= self._t_up
             self._t_up, self._t, buf = self._t, buf, self._t_up
-            self._deg -= 2
-        while self._deg < deg:
-            np.multiply(self._t_up, c[self._deg + 2], out=buf)
+            self.deg -= 2
+        while self.deg < deg:
+            np.multiply(self._t_up, c[self.deg + 2], out=buf)
             self._sums += buf
             np.multiply(self._two_t2, self._t_up, out=buf)
             buf -= self._t
             self._t, self._t_up, buf = self._t_up, buf, self._t
-            self._deg += 2
+            self.deg += 2
         self._buf = buf
         return self._sums
 
+    def back(self) -> None:
+        """Undo the last step, a step down that no move has followed: S_{d+2}
+        and T_{d+2} are still in the buffers it left, so nothing is computed."""
+        self._sums, self._spare = self._spare, self._sums
+        self._t, self._t_up, self._buf = self._t_up, self._buf, self._t
+        self.deg += 2
 
-def _outside_error(s_out: np.ndarray, m: float, out: np.ndarray) -> float:
+
+def _outside_error(s_out: np.ndarray, m: float) -> float:
     """max |S/m' - 1| over the values s_out of an odd series S at the
     outside points x >= edge, where m' = m (1 + 1e-12) rescales a series of
-    sup m > 1 to fit |.| <= 1 and m' = 1 otherwise; out takes the errors.
+    sup m > 1 to fit |.| <= 1 and m' = 1 otherwise.
 
+    S -> fl(fl(S/m') - 1) is monotone, so the largest error is that of the
+    smallest or the largest S, as the same float; a NaN in s_out gives NaN.
     At every outside point S <= m < m' (or S <= m <= 1 = m'), so the error
     is 1 - S/m', which only grows with m' (and is at least 1 for S <= 0).
     Correctly rounded division and subtraction keep that order, so a
     series that fails here with the grid maximum for m fails with any
     larger sup."""
+    lo, hi = float(np.min(s_out)), float(np.max(s_out))
     if m > 1.0:
-        np.divide(s_out, m * (1.0 + 1e-12), out=out)
-        s_out = out
-    np.subtract(s_out, 1.0, out=out)
-    return float(np.max(np.abs(out, out=out)))
+        scale = m * (1.0 + 1e-12)
+        lo, hi = lo / scale, hi / scale
+    return max(abs(lo - 1.0), abs(hi - 1.0))
 
 
 # Bytes of stacked step arguments per Clenshaw pass of _evenized_steps.  A

@@ -125,7 +125,8 @@ class Circuit:
         if self.width < 0:
             raise ValueError("width must be nonnegative")
         for g in self.gates:
-            if any(q < 0 or q >= self.width for q in g.qubits):
+            qs = g.qubits
+            if min(qs) < 0 or max(qs) >= self.width:
                 raise ValueError(f"gate {g.kind} addresses qubits outside width {self.width}")
         object.__setattr__(self, "gates", tuple(self.gates))
 
@@ -756,7 +757,7 @@ def resource_count(c: Circuit) -> ResourceCount:
     params = 0
     for g in c.gates:
         qs = g.qubits
-        layer = 1 + max((level[q] for q in qs), default=0)
+        layer = 1 + max(map(level.__getitem__, qs))
         for q in qs:
             level[q] = layer
         depth = max(depth, layer)

@@ -272,6 +272,20 @@ def upward_screen_start(coef, grid, outside, eps_check, top) -> int:
     return top if run_start is None else run_start
 
 
+def scalar_band_draws(spec, seed: int, n: int) -> tuple[list[float], list[int]]:
+    """The first n draws of default_rng(seed) that fall in a band of spec,
+    drawn one at a time and placed by spec.band_of, with their bands."""
+    rng = np.random.default_rng(seed)
+    xs, ks = [], []
+    while len(xs) < n:
+        x = float(rng.random())
+        k = spec.band_of(x)
+        if k is not None:
+            xs.append(x)
+            ks.append(k)
+    return xs, ks
+
+
 # ---------------------------------------------------------------------------
 # Single-qubit lines, layer by layer
 # ---------------------------------------------------------------------------

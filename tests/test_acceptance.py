@@ -222,9 +222,9 @@ def test_criterion_06_localization():
             f"eta recovered {recovered}"
         )
         # readout fidelity: the fast path equals the Hadamard test
-        blocks = C.build_localization_pqc(spec, 1)
+        block = C.build_localization_pqc(spec)
         for x in xs[:3]:
-            ht = C.evaluate_block(blocks[0], (x,))
+            ht = C.evaluate_block(block, (x,))
             assert abs(ht - C.localization_values(spec, [x])[0]) <= 1e-9
     _report(6, ok, "; ".join(details))
 

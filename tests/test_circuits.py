@@ -263,7 +263,7 @@ def test_lcu_rejects_mixed_prep():
     lambda: C.build_poly_pqc(P.MultivariatePolynomial({(1, 0): 0.5, (0, 2): 0.25}, 2)),
     lambda: C.build_trig_poly_pqc(
         P.MultivariateTrigPolynomial({(1, 0): 0.3, (0, -1): 0.3, (1, 1): 0.2}, 2)),
-    lambda: C.build_localization_pqc(P.LocalizationSpec(2, 0.1, 0.25), 1)[0],
+    lambda: C.build_localization_pqc(P.LocalizationSpec(2, 0.1, 0.25)),
 ], ids=["bernstein-d2-n4", "bernstein-d1-n16", "taylor-d2-series", "monomial", "poly",
         "trig-d2", "localization-k2"])
 def test_assembly_equals_the_per_copy_validated_reference(build, monkeypatch):
@@ -663,7 +663,7 @@ def test_localization_block_is_the_polynomial(spec):
     paper's line's count, with no synthesized angle: every trainable gate
     sits in the prep, R = max(1, sum |c|) and tol is 0."""
     p = P.localization_poly(spec)
-    bc = C.build_localization_pqc(spec, 1)[0]
+    bc = C.build_localization_pqc(spec)
     assert sum(g.slot is not None for g in bc.circuit.gates) == p.degree
     assert not any(g.trainable for g in bc.circuit.gates)
     assert abs(bc.rescale - max(1.0, float(np.abs(p.coeffs).sum()))) <= 1e-14
@@ -674,9 +674,9 @@ def test_localization_block_is_the_polynomial(spec):
 
 def test_localization_block_single_band():
     spec = P.LocalizationSpec(1, 0.1, 0.07)
-    blocks = C.build_localization_pqc(spec, 1)
+    block = C.build_localization_pqc(spec)
     for x in (0.1, 0.6, 0.95):
-        v = C.evaluate_block(blocks[0], (x,))
+        v = C.evaluate_block(block, (x,))
         assert 0.0 < v < 0.07
 
 
@@ -789,9 +789,9 @@ def test_localization_block_frozen_example():
 
 def test_localization_fast_path_equals_hadamard_test():
     spec = P.LocalizationSpec(2, 0.1, 0.05)
-    blocks = C.build_localization_pqc(spec, 1)
+    block = C.build_localization_pqc(spec)
     for x in (0.2, 0.8):
-        ht = C.evaluate_block(blocks[0], (x,))
+        ht = C.evaluate_block(block, (x,))
         fast = C.localization_values(spec, [x])[0]
         assert ht == pytest.approx(fast, abs=1e-10)
 
@@ -1051,6 +1051,21 @@ def test_localization_values_keep_the_point_shape():
     cells = C.round_to_eta(vals, 4)
     assert cells.shape == (5, 3)
     assert [tuple(row) for row in cells] == [C.round_to_eta(v, 4) for v in vals]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_nested_model_builds_one_localization_block(monkeypatch, d):
+    build, select, calls, labels = C.build_localization_pqc, C._chebyshev_select, [], []
+    monkeypatch.setattr(C, "build_localization_pqc",
+                        lambda *args: calls.append(args) or build(*args))
+    monkeypatch.setattr(C, "_chebyshev_select",
+                        lambda *args: labels.append(args[-1][0]) or select(*args))
+    spec = P.LocalizationSpec(2, 0.1, 0.25)
+    model = C.NestedTaylorModel(targets.product_sines(d), spec, 1)
+    assert calls == [(spec,)]
+    assert [label for label in labels if label.startswith("localization")] == [
+        "localization K=2 x0"]
+    assert model.tol_agg == d * model.loc_block.tol + model.series.tol
 
 
 def test_nested_constant_target():

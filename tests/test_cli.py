@@ -15,7 +15,7 @@ import pqcapprox
 from pqcapprox import circuits, cli, poly, qsp, sim, targets
 from pqcapprox.poly import ConstructionError
 
-from oracles import block_values
+from oracles import block_values, scalar_band_draws
 
 
 def run_cli(capsys, *argv):
@@ -479,6 +479,36 @@ def test_localization_and_taylor_reports_synthesize_no_angle(monkeypatch, cfg):
 
     monkeypatch.setattr(qsp, "qsp_synthesize", never)
     assert cli.run_experiment(cli.ExperimentConfig(**cfg)).passed
+
+
+@pytest.mark.parametrize("K,delta,eps,seed", [(8, 0.0375, 0.0625, 2), (2, 0.45, 0.25, 5)],
+                         ids=["benchmark", "wide-gap"])
+def test_localization_report_draws_the_points_of_a_scalar_band_loop(
+        capsys, monkeypatch, K, delta, eps, seed):
+    # both specs reject enough draws that the report draws more than one block
+    spec = poly.LocalizationSpec(K, delta, eps)
+    values, seen = circuits.localization_values, []
+    monkeypatch.setattr(circuits, "localization_values",
+                        lambda spec, xs: seen.append(np.array(xs)) or values(spec, xs))
+    code, out, _ = run_cli(capsys, "report", "--experiment", "localization", "--K", str(K),
+                           "--delta", str(delta), "--eps", str(eps), "--seed", str(seed))
+    xs, ks = scalar_band_draws(spec, seed, 500)
+    (drawn,) = seen
+    assert code == 0 and drawn.tolist() == xs
+    doc = json.loads(out)
+    assert doc["sup_error"] == float(np.max(np.abs(values(spec, xs) - np.array(ks) / K)))
+
+
+def test_taylor_d2_report_counts_its_one_localization_block_twice(capsys, monkeypatch):
+    build, calls = circuits.build_localization_pqc, []
+    monkeypatch.setattr(circuits, "build_localization_pqc",
+                        lambda *args: calls.append(args) or build(*args))
+    code, out, _ = run_cli(capsys, "report", "--experiment", "taylor", "--target",
+                           "product_sines", "--d", "2", "--K", "4", "--s", "1",
+                           "--points-per-axis", "13", "--seed", "2")
+    r = json.loads(out)["resources"]
+    assert code == 0 and len(calls) == 1
+    assert (r["width"], r["depth"], r["params"], r["gates"]) == (20, 794, 472, 1537)
 
 
 def test_construction_error_is_reported(capsys, monkeypatch):

@@ -312,17 +312,26 @@ STEP_SPECS = [(0.05, 0.025 / 10, 2.0), (0.0375, 0.0625 / 18, 2.0), (0.01875, 0.0
 
 @pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS + STEP_SPECS)
 def test_screen_walk_down_starts_where_the_upward_sweep_does(monkeypatch, delta, eps, R):
-    screen, starts = P._screen_start, []
+    screen, sums_class, starts = P._screen_start, P._OddPartialSums, []
 
-    def compared(coef, vals, grid, outside, eps_check, top):
-        start = screen(coef, vals, grid, outside, eps_check, top)
-        starts.append((start, upward_screen_start(coef, grid, outside, eps_check, top)))
+    class Recorded(sums_class):  # keeps the points its walk runs on
+        def __init__(self, coef, x, vals, deg):
+            super().__init__(coef, x, vals, deg)
+            self.x = x
+
+    def compared(sums, n_out, eps_check):
+        coef, x, top = sums.coef, sums.x, sums.deg
+        start = screen(sums, n_out, eps_check)
+        outside = np.arange(len(x)) < n_out  # the walk holds the outside points first
+        starts.append((start, sums.deg, upward_screen_start(coef, x, outside, eps_check, top)))
         return start
 
+    monkeypatch.setattr(P, "_OddPartialSums", Recorded)
     monkeypatch.setattr(P, "_screen_start", compared)
     P._sign_cheb_series(delta, eps, R)
-    ((start, swept),) = starts
+    ((start, left_at, swept),) = starts
     assert start == swept
+    assert left_at == start  # the exact walk goes on from there
 
 
 @pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS)
@@ -355,9 +364,9 @@ def test_sign_series_is_checked_with_even_entries_exactly_zero(monkeypatch):
     # of the screen and the exact checks covers only if the series is odd
     screen, refine, seen = P._screen_start, P._refined_sup, []
 
-    def screened(coef, *args):
-        seen.append(coef.copy())
-        return screen(coef, *args)
+    def screened(sums, *args):
+        seen.append(sums.coef.copy())
+        return screen(sums, *args)
 
     def refined(coef, *args):
         seen.append(coef.copy())
@@ -383,8 +392,9 @@ def test_sign_series_logs_its_search(caplog):
 def _traced_search(monkeypatch, delta, eps, R):
     """_sign_cheb_series with its exact walk and refinements recorded: the
     walk's coefficients and points, each degree it checks with a copy of the
-    grid values it reads, and the degrees refined."""
-    sums_class, refine = P._OddPartialSums, P._refined_sup
+    grid values it reads, and the degrees refined.  The screen's own moves
+    of the same walk are not recorded."""
+    sums_class, screen, refine = P._OddPartialSums, P._screen_start, P._refined_sup
     walks, refined = [], []
 
     class Recorded(sums_class):
@@ -398,14 +408,20 @@ def _traced_search(monkeypatch, delta, eps, R):
             self.seen.append((deg, vals.copy()))
             return vals
 
+    def screened(sums, *args):
+        start = screen(sums, *args)
+        sums.seen.clear()
+        return start
+
     def refined_sup(coef, *args):
         refined.append(len(coef) - 1)
         return refine(coef, *args)
 
     monkeypatch.setattr(P, "_OddPartialSums", Recorded)
+    monkeypatch.setattr(P, "_screen_start", screened)
     monkeypatch.setattr(P, "_refined_sup", refined_sup)
     P._sign_cheb_series(delta, eps, R)
-    _, walk = walks  # the screen's sums are made first
+    (walk,) = walks  # the screen's walk goes on as the exact one
     return walk, refined
 
 
@@ -418,7 +434,8 @@ def test_walk_values_are_the_truncations_on_the_grid(monkeypatch, delta, eps, R)
     # evaluated by Clenshaw, the walk adds only its recurrence's rounding,
     # at most 1.4e-14 over the 121 odd degrees from top down at that spec
     n_grid = max(1000, 10 * (len(coef) - 1))
-    rest = slice((n_grid + 1) // 2, None)
+    rest = ~np.isin(grid, P.chebyshev_grid(n_grid)[: (n_grid + 1) // 2])
+    assert np.count_nonzero(~rest) == (n_grid + 1) // 2
     assert seen
     for deg, vals in seen:
         ref = chebval(grid, coef[: deg + 1])
@@ -521,13 +538,36 @@ def test_cheb_values_match_chebval_and_invert_cheb_coeffs(m):
     assert np.max(np.abs(back[len(coef) :]), initial=0.0) <= 1e-13
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 892])
+@pytest.mark.parametrize("n", [1, 2, 3, 892, 978])
 def test_chebval_is_numpys_bit_for_bit(n):
     rng = np.random.default_rng(n)
     coef = rng.normal(size=n)
-    for x in (0.3, np.array(-0.6), rng.uniform(-1.0, 1.0, 50), rng.uniform(-1.0, 1.0, (2, 3, 7))):
-        got, want = P._chebval(x, coef), chebval(x, coef)
-        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+    odd, even, runs, signed = coef.copy(), coef.copy(), coef.copy(), coef.copy()
+    odd[::2] = 0.0
+    even[1::2] = 0.0
+    runs[1:-1][(np.arange(n - 2 if n > 2 else 0) // 3) % 2 == 1] = 0.0  # runs of three interior zeros
+    signed[rng.random(n) < 0.4] = 0.0
+    signed[rng.random(n) < 0.3] = -0.0
+    xs = (0.3, np.array(-0.6), rng.uniform(-1.0, 1.0, 50), rng.uniform(-1.0, 1.0, (2, 3, 7)),
+          rng.uniform(-1.0, 1.0, (8, 33)), np.array([0.0, -0.0, 1.0, -1.0]))
+    for c in (coef, odd, even, runs, signed):
+        for x in xs:
+            got, want = P._chebval(x, c), chebval(x, c)
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 1.0 + 1e-9, 1.37])
+def test_outside_error_is_the_elementwise_maximum(m):
+    # from the two extremes of S, the same float as max |S/m' - 1| over every S
+    rng = np.random.default_rng(11)
+    s = np.concatenate([rng.uniform(0.9, 1.0, 300) * min(m, 1.0), [0.0, -0.0, -0.2, m]])
+    for values in (s, s[:300], s[300:], -s, rng.permutation(s)):
+        scaled = values / (m * (1.0 + 1e-12)) if m > 1.0 else values
+        assert P._outside_error(values, m) == float(np.max(np.abs(scaled - 1.0)))
+    for at in (0, 150, len(s) - 1):
+        with_nan = s.copy()
+        with_nan[at] = np.nan
+        assert math.isnan(P._outside_error(with_nan, m))
 
 
 def test_cheb_values_refuse_to_alias():

@@ -865,7 +865,7 @@ def test_fixed_rows_of_op_matrices_are_their_heads(seed):
 
 
 def localization_k2():
-    return C.build_localization_pqc(P.LocalizationSpec(2, 0.1, 0.05), 1)[0]
+    return C.build_localization_pqc(P.LocalizationSpec(2, 0.1, 0.05))
 
 
 @pytest.mark.parametrize("tables", [3, 0])
