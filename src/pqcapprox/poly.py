@@ -110,8 +110,8 @@ def _chebval(x, coef):
     A zero coefficient's step c0 = c_k - c1 is -c1, exactly unless c_k and
     c1 are both +0.0, so that step keeps c1 as c0 and the next one
     subtracts it where ``chebval`` adds -c1 (IEEE defines a - b as
-    a + (-b)).  An odd or even
-    series takes five vector operations per two steps, not six."""
+    a + (-b)).  An odd or even series takes five vector operations per two
+    steps, not six."""
     x = np.asarray(x, dtype=float)
     c = np.asarray(coef, dtype=float)
     if len(c) <= 2:

@@ -545,7 +545,7 @@ def test_chebval_is_numpys_bit_for_bit(n):
     odd, even, runs, signed = coef.copy(), coef.copy(), coef.copy(), coef.copy()
     odd[::2] = 0.0
     even[1::2] = 0.0
-    runs[1:-1][(np.arange(n - 2 if n > 2 else 0) // 3) % 2 == 1] = 0.0  # runs of three interior zeros
+    runs[1:-1][(np.arange(max(n - 2, 0)) // 3) % 2 == 1] = 0.0  # runs of three interior zeros
     signed[rng.random(n) < 0.4] = 0.0
     signed[rng.random(n) < 0.3] = -0.0
     xs = (0.3, np.array(-0.6), rng.uniform(-1.0, 1.0, 50), rng.uniform(-1.0, 1.0, (2, 3, 7)),
