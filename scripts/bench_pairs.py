@@ -8,7 +8,10 @@ record holds, per workload and per end-to-end metric, each side's median and
 quartiles, every run's value, and how many pairs the change won (ties count
 for neither side), with "better" taken from BENCHMARK.json.  With
 ``--trace-pairs`` above 0 it adds that many traced runs per side and their
-per-layer medians.  Each checkout runs its own ``perfbench/`` and ``src/``.
+per-layer medians.  Each checkout runs its own ``perfbench/`` and ``src/``,
+and the record names each side by its commit, where the checkout has
+``.git``, and by a sha256 of those sources (``trees``), which a checkout
+exported with ``git archive`` has too.
 
 A checkout that holds a ``__pycache__`` under ``src/`` or ``perfbench/`` is
 refused (exit 2): its interpreters would load cached bytecode where the
@@ -22,6 +25,7 @@ lower ``peak_rss_mb`` on every workload.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -94,9 +98,29 @@ def traced_medians(runs: list[dict]) -> dict:
 
 
 def git_head(checkout: Path) -> str | None:
+    """The checkout's commit, or None for a checkout without ``.git`` (one
+    exported with ``git archive``), which ``tree_digest`` names instead."""
+    if not (checkout / ".git").exists():  # not the commit of a repository around it
+        return None
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
     return proc.stdout.strip() or None
+
+
+def tree_digest(checkout: Path) -> str:
+    """sha256 over the sorted relative paths and bytes of the files under
+    the checkout's src/ and perfbench/, skipping ``__pycache__`` and
+    perfbench/out/: the sources each run loads, named with or without git."""
+    files = sorted(p.relative_to(checkout).as_posix() for top in ("src", "perfbench")
+                   for p in (checkout / top).rglob("*") if p.is_file())
+    digest = hashlib.sha256()
+    for rel in files:
+        if "__pycache__" in rel.split("/") or rel.startswith("perfbench/out/"):
+            continue
+        data = (checkout / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def environment() -> dict:
@@ -138,6 +162,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "order": "alternating: the parent runs first in pairs 1, 3, 5, ...",
         "commits": {s: git_head(checkouts[s]) for s in SIDES},
+        "trees": {s: tree_digest(checkouts[s]) for s in SIDES},
         "environment": environment(),
         "workloads": {},
     }

@@ -219,17 +219,19 @@ def _rescaled(bc: BlockCircuit, scale: float) -> BlockCircuit:
 def build_monomial_pqc(c: float, alpha: MultiIndex) -> BlockCircuit:
     """Tensor product of d lines realizing c * prod_j x_j^alpha_j.
 
-    The coefficient rides on the first coordinate's line.  Width is d,
-    depth at most 2*|alpha| + 1, trainable parameters |alpha| + d.
+    The coefficient rides the first line with a nonzero power (coordinate
+    0's if none), so each other power-0 line is exactly I and compiles to
+    no op.  Width d, depth at most 2*|alpha| + 1, parameters |alpha| + d.
     """
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("negative monomial exponent")
     if not abs(c) <= 1.0 + 1e-12:  # NaN fails this too
         raise ValueError("monomial coefficient must satisfy |c| <= 1")
+    rider = next((j for j, power in enumerate(alpha) if power), 0)
     lines = []
     for j, power in enumerate(alpha):
-        coeff = min(max(c, -1.0), 1.0) if j == 0 else 1.0
+        coeff = min(max(c, -1.0), 1.0) if j == rider else 1.0
         angles = synthesize_cached(_monomial_target(coeff, power), 1e-11)
         lines.append(line_block(angles, EncodingSlot(j, "acos"), ""))
     return tensor(lines, label=f"monomial c={c:.6g} alpha={alpha}")
@@ -312,9 +314,10 @@ def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircu
     width = a + w
     pad = Circuit(w, (_pad_gate(prep),), label="pad")
 
-    # pads first: their values are disjoint from the units', so the order
-    # does not change the SELECT, and a fixed pad runs in the stored prefix
-    order = [*range(t, t_pad), *range(t)]
+    # pads and units without a slot (a constant term) first, so they run in the
+    # stored prefix: each part acts on its own selection value, so order is free
+    slotted = [any(g.slot is not None for g in u.circuit.gates) for u in units]
+    order = [*range(t, t_pad), *sorted(range(t), key=slotted.__getitem__)]
     parts = [(units[j].circuit if j < t else pad, a, *_holding(range(a), j)) for j in order]
     selection = Circuit(a, tuple(h(i) for i in range(a)))
     return BlockCircuit(
@@ -730,16 +733,19 @@ def build_trig_monomial_pqc(c: complex, n: Sequence[int]) -> BlockCircuit:
     """Tensor product of d Z-encoding lines realizing c * exp(i n . x).
 
     Exact parameters (no optimization): positive and negative frequencies
-    use the diagonal of the encoding product, the coefficient rides the
-    first coordinate.  Depth is at most 6|n| + 3, parameters 4|n| + 3d.
+    use the diagonal of the encoding product.  The coefficient rides the
+    first line with a nonzero frequency (coordinate 0's if none), so each
+    other frequency-0 line is exactly I and compiles to no op.  Depth is at
+    most 6|n| + 3, parameters 4|n| + 3d.
     """
     n = tuple(int(v) for v in n)
     if not abs(c) <= 1.0 + 1e-12:  # NaN fails this too
         raise ValueError("trig coefficient must satisfy |c| <= 1")
     zero = Circuit(1, (), label="zero-prep")
+    rider = next((j for j, freq in enumerate(n) if freq), 0)
     lines = []
     for j, freq in enumerate(n):
-        params = qsp.trig_monomial_params(c if j == 0 else 1.0, freq)
+        params = qsp.trig_monomial_params(c if j == rider else 1.0, freq)
         line = Circuit(1, trig_line(params, EncodingSlot(j, "zrot", 0.0)))
         lines.append(BlockCircuit(line, zero, rescale=1.0, block_value_is_real=False))
     return tensor(lines, label=f"trig-monomial c={c:.6g} n={n}")

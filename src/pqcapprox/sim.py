@@ -106,10 +106,6 @@ def rz(q: int, angle: float, trainable: bool = False) -> Gate:
     return Gate("Rz", q, angle=angle, trainable=trainable)
 
 
-def cnot(control: int, target: int) -> Gate:
-    return Gate("X", target, (control,))
-
-
 def encoding_gate(q: int, slot: EncodingSlot) -> Gate:
     kind = "Rx" if slot.xform == "acos" else "Rz"
     return Gate(kind, q, slot=slot)
@@ -255,13 +251,11 @@ class GateProgram:
     ``width`` and ``gates`` are those of the source circuit, and ``coords``
     is the number of point coordinates its slots read.
 
-    ``prefix`` is the number of ops run once per start, ``pairs[:prefix]``:
-    the fixed ops before the first slotted op, and every later fixed op
-    that touches no amplitude of an earlier kept op.  The other ops from
-    the first slotted op on are kept, and run at every point.  A hoisted op
-    acts on amplitudes disjoint from every kept op before it, so it
-    commutes with them, and each amplitude still sees its ops in circuit
-    order.
+    ``pairs`` keep circuit order, and ``prefix`` is the number of fixed ops
+    before the first slotted op, ``pairs[:prefix]``, which run once per
+    start.  Every construction in the package places its fixed ops there,
+    so its points run only slotted ops; a fixed op after the first slotted
+    op, as a hand-written circuit may hold, runs at every point.
 
     The ops from ``prefix`` on run at every point, op k with row
     k - prefix of ``op_matrices``.  Ops that touch disjoint amplitudes
@@ -343,28 +337,21 @@ class GateProgram:
         # a fixed run that is exactly I does nothing, so it is no op
         kept = [k for k, (head, chain) in enumerate(zip(heads, chains))
                 if chain or not np.array_equal(head, eye)]
-        # From the first slotted op on, a fixed op that no kept op before it
-        # touches joins the prefix; every other op is kept and joins the
-        # layer after the last layer that touches any of its amplitudes, so
-        # a layer's members touch disjoint amplitudes and commute, and
-        # overlapping ops keep their order.
-        first = next((p for p, k in enumerate(kept) if chains[k]), len(kept))
-        order, suffix, layer_of = kept[:first], [], []
-        last = np.full(2**c.width, -1)  # per amplitude: its last kept op's layer
-        for k in kept[first:]:
+        # The ops before the first slotted op run once per start; every later
+        # op joins the layer after the last layer that touches any of its
+        # amplitudes, so a layer's members touch disjoint amplitudes and
+        # commute, and overlapping ops keep their order.
+        self.prefix = next((p for p, k in enumerate(kept) if chains[k]), len(kept))
+        layer_of = []
+        last = np.full(2**c.width, -1)  # per amplitude: its last op's layer
+        for k in kept[self.prefix:]:
             layer = int(last[runs[k]].max()) + 1
-            if layer or chains[k]:
-                suffix.append(k)
-                layer_of.append(layer)
-                last[runs[k]] = layer
-            else:
-                order.append(k)
-        self.prefix = len(order)
-        order += suffix
-        self.pairs: list[np.ndarray] = [runs[k] for k in order]
-        self.heads = np.array([heads[k] for k in order], dtype=complex).reshape(len(order), 2, 2)
-        self.slotted = np.array([p for p, k in enumerate(order) if chains[k]], dtype=int)
-        self.chains = [(slots[order[p]], chains[order[p]]) for p in self.slotted]
+            layer_of.append(layer)
+            last[runs[k]] = layer
+        self.pairs: list[np.ndarray] = [runs[k] for k in kept]
+        self.heads = np.array([heads[k] for k in kept], dtype=complex).reshape(len(kept), 2, 2)
+        self.slotted = np.array([p for p, k in enumerate(kept) if chains[k]], dtype=int)
+        self.chains = [(slots[kept[p]], chains[kept[p]]) for p in self.slotted]
         self.coords = 1 + max((slot.coord for slot, _ in self.chains), default=-1)
         layer_of = np.array(layer_of, dtype=int)
         ops = self.pairs[self.prefix:]
@@ -373,11 +360,16 @@ class GateProgram:
              np.repeat(rows, [ops[r].shape[1] for r in rows]))
             for rows in (np.flatnonzero(layer_of == layer) for layer in range(last.max() + 1))
         ]
-        self.targeted = 0  # a pair differs in its op's target bit alone
-        for pair in ops:
-            self.targeted |= int(pair[0, 0] ^ pair[1, 0])
+        # each op's target bit: a pair differs in it alone
+        targets = [int(pair[0, 0] ^ pair[1, 0]) for pair in self.pairs]
+        self.targeted = sum(set(targets[self.prefix:]))
         self.stored: dict[int, StartState] = {}
         self._compile_tables()
+        # bytes per point of a chunk in hadamard_values: its state on the qubits
+        # some op targets (a run from a basis start changes no other) or its
+        # row of the block table's cos hk and sin hk
+        self.row_bytes = max(np.dtype(complex).itemsize * 2**len(set(targets)),
+                             self.row_half.nbytes)
 
     def _compile_tables(self) -> None:
         """Compile each slot's ops into its Fourier table (``slot_tables``:
@@ -423,9 +415,6 @@ class GateProgram:
         # one xform has every row
         self.xforms = [(xf, np.flatnonzero(xforms == xf) if len(set(xforms)) > 1 else slice(None))
                        for xf in dict.fromkeys(xforms.tolist())]
-        # bytes per point of a chunk in hadamard_values: its state or its row
-        # of the block table's cos hk and sin hk
-        self.row_bytes = max(np.dtype(complex).itemsize * 2**self.width, self.row_half.nbytes)
 
     def start_states(self, keys: list[int]) -> dict[int, StartState]:
         """The StartState of each start index in ``keys``, from the store.

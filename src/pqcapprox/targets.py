@@ -3,7 +3,8 @@
 Bound-compliance checks need honest constants, so every catalog entry
 carries a Lipschitz constant (sup-norm on inputs) and, where applicable, a
 unit smoothness certificate (beta, 1) together with an analytic derivative
-oracle.
+oracle.  Evaluators and oracles are module functions, so specs built by
+separate calls compare and hash equal and share a cache keyed on the spec.
 """
 
 from __future__ import annotations
@@ -14,29 +15,45 @@ from typing import Sequence
 from .poly import MultiIndex, TargetFunctionSpec
 
 
+def _abs_centered(x: Sequence[float]) -> float:
+    return sum(abs(c - 0.5) for c in x) / len(x)
+
+
 def abs_centered(d: int = 1) -> TargetFunctionSpec:
     """Mean of per-coordinate distances to 1/2; Lipschitz constant 1."""
+    return TargetFunctionSpec(d, _abs_centered, lipschitz=1.0, name="abs_centered")
 
-    def ev(x: Sequence[float]) -> float:
-        return sum(abs(c - 0.5) for c in x) / len(x)
 
-    return TargetFunctionSpec(d, ev, lipschitz=1.0, name="abs_centered")
+def _halfsine(x: Sequence[float]) -> float:
+    return 0.5 * math.sin(x[0])
+
+
+def _halfsine_der(alpha: MultiIndex, x: Sequence[float]) -> float:
+    return 0.5 * math.sin(x[0] + alpha[0] * math.pi / 2.0)
 
 
 def halfsine(d: int = 1, beta: float = 2.0) -> TargetFunctionSpec:
     """0.5*sin(x); all derivatives bounded by 0.5, so any beta certifies."""
     if d != 1:
         raise ValueError("halfsine is univariate")
-
-    def ev(x: Sequence[float]) -> float:
-        return 0.5 * math.sin(x[0])
-
-    def der(alpha: MultiIndex, x: Sequence[float]) -> float:
-        return 0.5 * math.sin(x[0] + alpha[0] * math.pi / 2.0)
-
     return TargetFunctionSpec(
-        1, ev, derivative_oracle=der, holder=(beta, 1.0), lipschitz=0.5, name="halfsine"
+        1, _halfsine, derivative_oracle=_halfsine_der, holder=(beta, 1.0), lipschitz=0.5,
+        name="halfsine"
     )
+
+
+def _product_sines(x: Sequence[float]) -> float:
+    out = 1.0 / math.pi**2
+    for c in x:
+        out *= math.sin(math.pi * c)
+    return out
+
+
+def _product_sines_der(alpha: MultiIndex, x: Sequence[float]) -> float:
+    out = 1.0 / math.pi**2
+    for a, c in zip(alpha, x):
+        out *= math.pi**a * math.sin(math.pi * c + a * math.pi / 2.0)
+    return out
 
 
 def product_sines(d: int = 2, beta: float = 2.0) -> TargetFunctionSpec:
@@ -48,38 +65,24 @@ def product_sines(d: int = 2, beta: float = 2.0) -> TargetFunctionSpec:
     """
     if beta > 2.0:
         raise ValueError("product_sines certifies beta <= 2 only")
-    scale = 1.0 / math.pi**2
-
-    def ev(x: Sequence[float]) -> float:
-        out = scale
-        for c in x:
-            out *= math.sin(math.pi * c)
-        return out
-
-    def der(alpha: MultiIndex, x: Sequence[float]) -> float:
-        out = scale
-        for a, c in zip(alpha, x):
-            out *= math.pi**a * math.sin(math.pi * c + a * math.pi / 2.0)
-        return out
-
     return TargetFunctionSpec(
         d,
-        ev,
-        derivative_oracle=der,
+        _product_sines,
+        derivative_oracle=_product_sines_der,
         holder=(beta, 1.0),
-        lipschitz=math.pi * scale * d,
+        lipschitz=math.pi * (1.0 / math.pi**2) * d,
         name="product_sines",
     )
 
 
+def _gauss_bump(x: Sequence[float]) -> float:
+    r2 = sum((c - 0.5) ** 2 for c in x)
+    return 0.5 * math.exp(-r2)
+
+
 def gauss_bump(d: int = 1) -> TargetFunctionSpec:
     """0.5*exp(-|x - 1/2|^2); certified Lipschitz constant 0.4*d."""
-
-    def ev(x: Sequence[float]) -> float:
-        r2 = sum((c - 0.5) ** 2 for c in x)
-        return 0.5 * math.exp(-r2)
-
-    return TargetFunctionSpec(d, ev, lipschitz=0.4 * d, name="gauss_bump")
+    return TargetFunctionSpec(d, _gauss_bump, lipschitz=0.4 * d, name="gauss_bump")
 
 
 CATALOG = {

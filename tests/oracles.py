@@ -43,7 +43,6 @@ from pqcapprox.sim import (
     Gate,
     GateProgram,
     _apply,
-    cnot,
     encoding_angles,
     gate_matrix_1q,
     run,
@@ -54,6 +53,10 @@ from pqcapprox.sim import (
 
 def ry(q: int, angle: float, trainable: bool = False) -> Gate:
     return Gate("Ry", q, angle=angle, trainable=trainable)
+
+
+def cnot(control: int, target: int) -> Gate:
+    return Gate("X", target, (control,))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pqcapprox import approx, cli
 from pqcapprox import circuits as C
 from pqcapprox import poly as P
 from pqcapprox import qsp as Q
@@ -16,6 +17,7 @@ from pqcapprox import targets
 from oracles import (
     block_values,
     circuit_unitary,
+    cnot,
     composed_reference,
     dense_run,
     qsp_unitary,
@@ -69,6 +71,21 @@ def test_monomial_constant():
 def test_monomial_frozen_example():
     bc = C.build_monomial_pqc(0.5, (1, 2))
     assert C.evaluate_block(bc, (0.8, 0.5)) == pytest.approx(0.1, abs=1e-10)
+
+
+def test_monomial_coefficient_rides_the_first_line_with_a_nonzero_power():
+    """c x_1^3 carries c on coordinate 1's line, so coordinate 0's line is
+    exactly I and compiles to no op: the one op targets qubit 1."""
+    c, k = -0.6, 3
+    bc = C.build_monomial_pqc(c, (0, k))
+    angles = C.synthesize_cached(C._monomial_target(c, k), 1e-11).angles
+    line = [(g.kind, g.angle, g.slot) for g in bc.circuit.gates if g.target == 1]
+    want = C.qsp_line(angles, S.EncodingSlot(1, "acos"))
+    assert line == [(g.kind, g.angle, g.slot) for g in want]
+    prog = S.GateProgram(bc.circuit)
+    assert len(prog.pairs) == 1 and int(prog.pairs[0][0, 0] ^ prog.pairs[0][1, 0]) == 1
+    for x in [(0.2, 0.9), (0.7, -0.4)]:
+        assert C.evaluate_block(bc, x) == pytest.approx(c * x[1]**k, abs=1e-10)
 
 
 def test_monomial_resources():
@@ -176,7 +193,7 @@ def test_lcu_pad_skips_the_target_of_a_controlled_x_in_the_prep():
     """A controlled X in the prep is not a basis flip of its target: the
     pad goes on a qubit the prep leaves in a basis state, or nowhere."""
     rng = np.random.default_rng(79)
-    prep = S.Circuit(3, (ry(0, 0.7), S.cnot(0, 1)), label="entangled")
+    prep = S.Circuit(3, (ry(0, 0.7), cnot(0, 1)), label="entangled")
     units = [
         C.BlockCircuit(S.Circuit(3, (S.rz(2, float(a)), ry(1, float(b)))), prep, rescale=1.0,
                        block_value_is_real=False)
@@ -589,6 +606,47 @@ def test_bernstein_point_runs_one_layer_per_coordinate(target, d, n):
     assert np.array_equal(prog.slotted, np.arange(prog.prefix, len(prog.pairs)))
     assert len(prog.slotted) == n * d
     assert len(prog.layers) == d
+
+
+def taylor_series(f, K, s, eta):
+    return C.build_taylor_series_pqc(C.TaylorCoeffTable.from_target(f, K, s), eta)
+
+
+CONSTRUCTIONS = {
+    **{f"bernstein-d{d}": lambda d=d, n=n: C.build_bernstein_pqc(targets.abs_centered(d), n)
+       for d, n in ((1, 4), (2, 4), (3, 2))},
+    "localization-K1": lambda: C.build_localization_pqc(P.LocalizationSpec(1, 0.1, 0.07)),
+    "localization-K2": lambda: C.build_localization_pqc(P.LocalizationSpec(2, 0.1, 0.25)),
+    "localization-K8": lambda: C.build_localization_pqc(P.LocalizationSpec(8, 0.0375, 0.0625)),
+    "series-d1-s2": lambda: taylor_series(targets.halfsine(), 4, 2, (3,)),
+    "series-d2-s1": lambda: taylor_series(targets.product_sines(2), 4, 1, (0, 0)),
+    "series-d2-s2": lambda: taylor_series(targets.product_sines(2), 3, 2, (1, 2)),
+    "series-d3-s1": lambda: taylor_series(targets.product_sines(3), 4, 1, (2, 0, 1)),
+    "poly-d1": lambda: C.build_poly_pqc(
+        P.MultivariatePolynomial({(0,): 0.1, (1,): 0.2, (2,): 0.3}, 1)),
+    "poly-d2": lambda: C.build_poly_pqc(
+        P.MultivariatePolynomial({(0, 0): 0.1, (1, 0): 0.5, (0, 2): 0.25, (2, 1): -0.4}, 2)),
+    "poly-d3": lambda: C.build_poly_pqc(P.MultivariatePolynomial(
+        {(0, 0, 0): 0.2, (0, 1, 0): 0.3, (0, 0, 2): -0.5, (1, 0, 1): 0.4}, 3)),
+    "trig-d1": lambda: C.build_trig_poly_pqc(
+        P.MultivariateTrigPolynomial({(-1,): 0.3, (0,): 0.2, (2,): 0.25j}, 1)),
+    "trig-d2": lambda: C.build_trig_poly_pqc(
+        P.MultivariateTrigPolynomial({(1, -2): 0.3j, (0, 1): 0.4, (-1, 0): 0.1}, 2)),
+    "trig-d3": lambda: C.build_trig_poly_pqc(P.MultivariateTrigPolynomial(
+        {(-1, 0, 0): 0.2, (0, 0, 0): 0.1, (0, 2, 0): 0.2j, (0, 0, -1): 0.25}, 3)),
+    "monomial": lambda: C.build_monomial_pqc(0.5, (0, 2, 1)),
+    "parity-pair": lambda: C.build_parity_pair_pqc(
+        P.Polynomial.from_power((0.2, 0.3, 0.4)), S.EncodingSlot(0, "acos"), 1.0),
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
+def test_every_construction_runs_its_fixed_ops_in_the_prefix(build):
+    """Each construction places its fixed ops before its first slotted op,
+    so they run once per start, and a point runs only slotted ops (the
+    K=1 localization block is constant and has none)."""
+    prog = build().program
+    assert np.array_equal(prog.slotted, np.arange(prog.prefix, len(prog.pairs)))
 
 
 @pytest.mark.parametrize("values", [[5], [0, 3, 5, 6], [7, 1, 4, 2, 0]])
@@ -1066,6 +1124,22 @@ def test_nested_model_builds_one_localization_block(monkeypatch, d):
     assert [label for label in labels if label.startswith("localization")] == [
         "localization K=2 x0"]
     assert model.tol_agg == d * model.loc_block.tol + model.series.tol
+
+
+def test_nested_d3_grid_runs_in_chunks_sized_by_the_targeted_qubits(monkeypatch):
+    """The d=3, K=4 series block is 13 qubits wide, but its ops target 7,
+    so a point's state takes 2 KiB and the report's 3,375 union-grid
+    points run in 14 chunks of at most 256, not 844 chunks of 4."""
+    delta = cli.default_delta(3, 4)
+    model = C.NestedTaylorModel(targets.product_sines(3), P.LocalizationSpec(4, delta, 0.125), 1)
+    pts = approx.GridSpec(3, region="union_q_eta", K=4, delta=delta).points()
+    prog = model.series.program
+    assert (len(pts), prog.width, prog.row_bytes) == (3375, 13, 2048)
+    run, chunks = S.run, []
+    monkeypatch.setattr(S, "run",
+                        lambda program, **kw: chunks.append(len(kw["x"])) or run(program, **kw))
+    model(pts)
+    assert len(chunks) == 14 and max(chunks) == 256 and sum(chunks) == len(pts)
 
 
 def test_nested_constant_target():

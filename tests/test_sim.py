@@ -17,6 +17,7 @@ from oracles import (
     ancilla_values,
     block_values,
     circuit_unitary,
+    cnot,
     decompose_mcu,
     dense_run,
     lowered,
@@ -48,7 +49,7 @@ def random_circuit(rng, width, n_gates, mcu=False):
         elif kind == 5:
             other = int(rng.integers(0, width))
             if other != q:
-                gates.append(S.cnot(other, q))
+                gates.append(cnot(other, q))
         else:
             if mcu and width >= 3:
                 ctrls = tuple(c for c in range(width) if c != q)[:2]
@@ -73,7 +74,7 @@ def test_hadamard_on_zero():
 
 
 def test_cnot_textbook_action():
-    out = dense_run(S.Circuit(2, (S.h(0), S.cnot(0, 1))))[0]
+    out = dense_run(S.Circuit(2, (S.h(0), cnot(0, 1))))[0]
     expected = np.zeros(4)
     expected[0b00] = expected[0b11] = 1 / math.sqrt(2)
     assert np.allclose(out, expected)
@@ -153,7 +154,7 @@ def test_placed_circuit_is_controlled_identity_tensor_u(seed):
 def test_a_bad_placement_raises_a_named_error(offset, width, controls, zeros, message):
     """Copies are not checked gate by gate, so _composed checks each
     placement itself, alone or after another part."""
-    u = S.Circuit(2, (S.h(0), S.cnot(0, 1), S.rz(1, 0.3)))
+    u = S.Circuit(2, (S.h(0), cnot(0, 1), S.rz(1, 0.3)))
     with pytest.raises(ValueError, match=message):
         S._composed(width, [(u, offset, controls, zeros)], "")
     with pytest.raises(ValueError, match=message):
@@ -161,7 +162,7 @@ def test_a_bad_placement_raises_a_named_error(offset, width, controls, zeros, me
 
 
 @pytest.mark.parametrize(
-    "gate", [S.h(2), S.rz(-1, 0.3), S.cnot(2, 0), S.Gate("Ry", 1, (0, 5), 0.2)],
+    "gate", [S.h(2), S.rz(-1, 0.3), cnot(2, 0), S.Gate("Ry", 1, (0, 5), 0.2)],
     ids=["target-past-width", "negative-target", "control-past-width", "second-control-past-width"],
 )
 def test_a_circuit_of_outside_gates_is_still_checked_per_gate(gate):
@@ -172,7 +173,7 @@ def test_a_circuit_of_outside_gates_is_still_checked_per_gate(gate):
 def test_placement_shifts_each_control_set_once_and_keeps_unmoved_gates():
     """Gates with equal control sets share one shifted tuple, and an
     unmoved part keeps its gate objects."""
-    u = S.Circuit(2, (S.cnot(0, 1), S.rz(1, 0.2), S.cnot(0, 1), S.h(0)))
+    u = S.Circuit(2, (cnot(0, 1), S.rz(1, 0.2), cnot(0, 1), S.h(0)))
     placed = S._composed(4, [(u, 1, (0,), ())], "")
     assert [g.controls for g in placed.gates] == [(0, 1), (0,), (0, 1), (0,)]
     assert placed.gates[0].controls is placed.gates[2].controls
@@ -369,8 +370,10 @@ def test_chunked_expectations_equal_single_point_runs(seed):
         chunks.append(len(kwargs["x"]))
         return real_run(program, **kwargs)
 
-    # a point's row: its state or its row of the block table, whichever is larger
-    assert prog.row_bytes == max(16 * 2**width, 8 * len(prog.row_half))
+    # a point's row: its state on the qubits some op targets, or its row of
+    # the block table, whichever is larger
+    qubits = {int(pair[0, 0] ^ pair[1, 0]).bit_length() for pair in prog.pairs}
+    assert prog.row_bytes == max(16 * 2**len(qubits), 8 * len(prog.row_half))
     with pytest.MonkeyPatch.context() as mp:
         # a budget of three rows: 11 points run in chunks of 3, 3, 3 and 2
         mp.setattr(S, "BATCH_BYTES", 3 * prog.row_bytes)
@@ -423,7 +426,7 @@ def test_batch_rejects_bad_start_indices():
 def test_a_start_that_is_not_1d_integers_raises(start, bernstein_block):
     """A float start would index as an integer, a boolean one as a mask and
     a nested one not at all: each is refused before any state is run."""
-    prog = S.GateProgram(S.Circuit(2, (S.h(0), S.cnot(0, 1))))
+    prog = S.GateProgram(S.Circuit(2, (S.h(0), cnot(0, 1))))
     with pytest.raises(ValueError, match="1-D array of integer basis-state indices"):
         S.run(prog, start=start)
     assert not prog.stored
@@ -485,7 +488,7 @@ def test_stored_prefix_gives_the_unstored_values_at_every_start(series_block):
 
 
 def test_program_without_slots_stores_its_whole_run():
-    circ = S.Circuit(3, (S.h(0), S.cnot(0, 1), ry(2, 0.3), S.xg(1),
+    circ = S.Circuit(3, (S.h(0), cnot(0, 1), ry(2, 0.3), S.xg(1),
                          S.Gate("Rx", 2, (0, 1), angle=0.7)))
     prog = S.GateProgram(circ)
     assert prog.prefix == len(prog.pairs) == 5
@@ -505,7 +508,7 @@ def test_program_without_slots_stores_its_whole_run():
 
 def test_program_with_a_slotted_first_op_has_an_empty_prefix():
     circ = S.Circuit(2, (S.encoding_gate(0, S.EncodingSlot(0, "acos", 0.1)), S.h(1),
-                         S.cnot(0, 1), S.rz(1, 0.4)))
+                         cnot(0, 1), S.rz(1, 0.4)))
     prog = S.GateProgram(circ)
     assert prog.prefix == 0
     xs, starts = np.array([[0.3], [-0.5], [0.7]]), np.array([2, 1, 2])
@@ -650,50 +653,35 @@ def test_hadamard_values_rejects_extra_start_indices(monkeypatch, bernstein_bloc
     assert len(S.hadamard_values(bc.program, xs, start=[0, 0])) == 2
 
 
-def hoisting_circuit():
+def fixed_after_slotted_circuit(overlap):
     """A fixed op before the first slotted op (g0), then a slotted op on the
-    amplitudes where qubit 1 reads 1 (g1), and fixed ops that are disjoint
-    from every kept op before them (g2 and g4, where qubit 1 reads 0) or
-    overlap one (g3 and g5)."""
+    amplitudes where qubit 1 reads 1 (g1), and fixed ops that touch none of
+    its amplitudes (g2 and g4, where qubit 1 reads 0) or some of them (g3
+    and g5).  With ``overlap`` g2 moves onto some of g1's amplitudes, and
+    g4 then overlaps g2 alone."""
     return S.Circuit(3, (
         S.h(2),                                                 # g0
         S.Gate("Rx", 0, (1,), slot=S.EncodingSlot(0, "acos", 0.1)),  # g1
-        S.Gate("Ry", 0, zeros=(1,), angle=0.3),                 # g2
+        S.Gate("Ry", 1, (0,), angle=0.3) if overlap             # g2
+        else S.Gate("Ry", 0, zeros=(1,), angle=0.3),
         S.Gate("Rz", 2, (1,), angle=0.5),                       # g3
         S.Gate("X", 2, zeros=(1,)),                             # g4
         S.h(1),                                                 # g5
     ))
 
 
-def test_disjoint_fixed_ops_join_the_prefix_and_overlapping_ones_stay():
-    circ = hoisting_circuit()
+@pytest.mark.parametrize("overlap, layers", [(False, 3), (True, 4)],
+                         ids=["disjoint", "overlapping"])
+def test_fixed_ops_after_the_first_slotted_op_run_at_every_point(overlap, layers):
+    """The prefix is g0 alone; every later op, fixed or slotted, runs at
+    every point in circuit order, and the values match the dense unitary."""
+    circ = fixed_after_slotted_circuit(overlap)
     prog = S.GateProgram(circ)
-    # the prefix runs g0, g2 and g4 in circuit order; g1, g3 and g5 stay, one layer each
-    assert (prog.prefix, len(prog.pairs), len(prog.layers)) == (3, 6, 3)
-    assert np.array_equal(prog.slotted, [3])
-    for k, g in zip(range(3), (circ.gates[0], circ.gates[2], circ.gates[4])):
-        assert np.array_equal(prog.heads[k], S.gate_matrix_1q(g.kind, g.angle))
-    for k, g in zip(range(4, 6), (circ.gates[3], circ.gates[5])):
-        assert np.array_equal(prog.heads[k], S.gate_matrix_1q(g.kind, g.angle))
-    check_schedule(prog)
-    xs = np.array([[0.3], [-0.5], [0.7], [0.0]] * 2)
-    starts = np.arange(8)
-    got = dense_run(prog, x=xs, start=starts)
-    assert np.array_equal(got, unstored_run(prog, xs, starts))
-    for x, s, amps in zip(xs, starts, got):
-        assert np.max(np.abs(amps - circuit_unitary(circ.bound(x))[:, s])) <= 1e-14
-
-
-def test_a_fixed_op_that_overlaps_the_slotted_op_is_not_hoisted():
-    """g2 moved onto some of the slotted op's amplitudes stays, and so does
-    g4, which now overlaps g2 alone; the values still match the dense
-    unitary."""
-    gates = list(hoisting_circuit().gates)
-    gates[2] = S.Gate("Ry", 1, (0,), angle=0.3)  # where qubit 0 reads 1: overlaps g1
-    circ = S.Circuit(3, tuple(gates))
-    prog = S.GateProgram(circ)
-    assert (prog.prefix, len(prog.pairs)) == (1, 6)  # g0 alone
+    assert (prog.prefix, len(prog.pairs), len(prog.layers)) == (1, 6, layers)
     assert np.array_equal(prog.slotted, [1])
+    for k, g in enumerate(circ.gates):
+        if k != 1:
+            assert np.array_equal(prog.heads[k], S.gate_matrix_1q(g.kind, g.angle))
     check_schedule(prog)
     xs = np.array([[0.3], [-0.5], [0.7], [0.0]] * 2)
     starts = np.arange(8)
@@ -715,10 +703,13 @@ def test_series_block_runs_only_its_slotted_ops_per_point(d, layout):
     assert np.array_equal(prog.slotted, np.arange(prog.prefix, len(prog.pairs)))
 
 
-def test_trig_block_hoists_nothing():
+def test_trig_block_drops_its_identity_lines():
+    """The term (0, 1) carries its coefficient on coordinate 1's line, so
+    its coordinate-0 line is exactly I and compiles to no op: the prefix
+    holds the two H's, and the three slotted lines run in two layers."""
     prog = trig_block().program
     assert (prog.prefix, len(prog.pairs), [pair.shape[1] for pair, _ in prog.layers]) \
-        == (3, 6, [4, 2])
+        == (2, 5, [4, 2])
 
 
 def test_a_point_with_too_few_coordinates_raises():
@@ -991,7 +982,7 @@ def test_a_run_splits_where_its_slot_changes():
 
 
 def test_expectations_without_points_or_starts_run_from_zero():
-    circ = S.Circuit(2, (S.h(0), ry(1, 0.4), S.cnot(1, 0)))
+    circ = S.Circuit(2, (S.h(0), ry(1, 0.4), cnot(1, 0)))
     want = S.hadamard_values(circ, start=np.zeros(1, dtype=int))
     assert abs(want[0] - ancilla_values(circuit_unitary(circ)[:, :1].T)[0]) <= 1e-15
     for c in (circ, S.GateProgram(circ)):
@@ -1196,7 +1187,7 @@ def test_text_round_trip():
         S.encoding_gate(1, S.EncodingSlot(1, "acos", 1.0, 2.0)),
         S.Gate("Ry", 3, (0, 1), angle=0.5, trainable=True),
         S.Gate("Rz", 0, (2,), slot=S.EncodingSlot(2, "zrot", -0.5, 3.0)),
-        S.cnot(1, 2),
+        cnot(1, 2),
         S.xg(3),
         S.rz(1, -1.25, trainable=True),
         S.Gate("Ry", 0, (1,), angle=0.25, trainable=True, zeros=(3, 2)),
@@ -1240,9 +1231,9 @@ def test_text_round_trip_of_random_gates(gates):
 
 
 def test_text_spells_controlled_gates_cnot_or_mcu():
-    c = S.Circuit(3, (S.cnot(0, 2), S.Gate("X", 2, (0, 1)), S.Gate("H", 1, (0,))))
+    c = S.Circuit(3, (cnot(0, 2), S.Gate("X", 2, (0, 1)), S.Gate("H", 1, (0,))))
     assert S.circuit_to_text(c).splitlines()[2:] == ["CNOT 2 c=0", "MCU.X 2 c=0,1", "MCU.H 1 c=0"]
-    assert S.circuit_from_text("width 2\nlabel old\nMCU.X 1 c=0\n").gates == (S.cnot(0, 1),)
+    assert S.circuit_from_text("width 2\nlabel old\nMCU.X 1 c=0\n").gates == (cnot(0, 1),)
     with pytest.raises(ValueError, match="spell it CNOT or MCU.X"):
         S.circuit_from_text("width 2\nlabel bad\nX 1 c=0\n")
     # an X with one control is spelled CNOT only without zero-controls

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pqcapprox import circuits as C
+from pqcapprox import poly as P
 from pqcapprox import targets
 from pqcapprox.poly import finite_difference, multi_indices
 
@@ -57,3 +59,19 @@ def test_halfsine_taylor_coeffs_within_unit():
 def test_unknown_target_rejected():
     with pytest.raises(KeyError):
         targets.by_name("nope")
+
+
+@pytest.mark.parametrize("name", sorted(targets.CATALOG))
+def test_catalog_targets_are_values(name):
+    """Separately fetched specs of one target compare and hash equal."""
+    d = 1 if name == "halfsine" else 2
+    f, g = targets.by_name(name, d), targets.by_name(name, d)
+    assert f == g and hash(f) == hash(g)
+
+
+def test_bernstein_builds_of_one_target_share_its_grid_values():
+    """Two builds from separately fetched targets sample the grid once."""
+    P._grid_values.cache_clear()
+    for _ in range(2):
+        C.build_bernstein_pqc(targets.by_name("abs_centered", 2), 3)
+    assert P._grid_values.cache_info().currsize == 1
