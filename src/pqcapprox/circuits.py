@@ -1,30 +1,29 @@
 """Assembly of the explicit function-approximating circuits.
 
-Two designs build every construction.  The Bernstein circuit, the
-localization block and the Taylor series block are weighted Chebyshev
-SELECTs (``_chebyshev_select``) with no synthesized angle: a weighted prep
-holds the Chebyshev coefficients of the polynomial, a sign diagonal their
-signs, and the SELECT applies powers of the encoding gate, whose <0|.|0>
-entries are Chebyshev polynomials.  The localization block's registers hold
-the bits of each power, so its encoding gates number the polynomial's
-degree.  The series block's prep and signs are controlled on an address
-register, so one block holds every cell's polynomial.
+Every polynomial block is a weighted Chebyshev SELECT
+(``_chebyshev_select``) with no synthesized angle: the Bernstein circuit,
+the localization block, the Taylor series block and the polynomial block.
+A weighted prep holds the Chebyshev coefficients of the polynomial, a sign
+diagonal their signs, and the SELECT applies powers of the encoding gate,
+whose <0|.|0> entries are Chebyshev polynomials.  The localization block's
+registers hold the bits of each power, so its encoding gates number the
+polynomial's degree.  The series block's prep and signs are controlled on
+an address register, so one block holds every cell's polynomial.
 
-The other constructions use three combinators.  ``line_block`` puts one
-QSP line, a single-qubit angle sequence realizing a univariate polynomial,
-on |+>.  ``tensor`` places blocks side by side, so its block value is the
-product of theirs: a monomial is a tensor of lines and a trigonometric
-monomial a tensor of Z-encoding lines.  ``lcu_combine``, a uniform
-linear-combination-of-unitaries (LCU) wrapper, sums units: a parity pair
-sums its even and odd lines, and the polynomial and trigonometric circuits
-sum their terms.  Its selection H's sit in the block's prep, which the
-Hadamard test runs uncontrolled once per start, so the circuit is the bare
-SELECT.  Each level places the gates of its parts once, shifted and
-controlled in one copy (``sim._composed``).  The uniform LCU produces the
-sum divided by the padded term count, so every BlockCircuit carries an
-explicit classical ``rescale`` factor that restores normalization at
-readout; nested combinations multiply the factors.  Every report counts
-prep followed by circuit.
+The paper's monomial and the trigonometric circuits use three
+combinators.  ``line_block`` puts one QSP line, a single-qubit angle
+sequence realizing a univariate polynomial, on |+>.  ``tensor`` places
+blocks side by side, so its block value is the product of theirs: a
+monomial is a tensor of lines and a trigonometric monomial a tensor of
+Z-encoding lines.  ``lcu_combine``, a uniform linear-combination-of-unitaries
+(LCU) wrapper, sums the terms of a trigonometric polynomial.  Its selection
+H's sit in the block's prep, which the Hadamard test runs uncontrolled once
+per start, so the circuit is the bare SELECT.  Each level places the gates
+of its parts once, shifted and controlled in one copy (``sim._composed``).
+The uniform LCU produces the sum divided by the padded term count, and a
+SELECT its sum divided by R, so every BlockCircuit carries an explicit
+classical ``rescale`` factor that restores normalization at readout.
+Every report counts prep followed by circuit.
 
 Every selection runs a gate where a register holds a value: controlled on
 the register's 1 bits and zero-controlled on its 0 bits (``_holding``),
@@ -53,7 +52,6 @@ from .poly import (
     _grid_values,
     localization_poly,
     multi_indices,
-    parity_split,
     taylor_expand,
 )
 from .sim import Circuit, EncodingSlot, Gate, encoding_gate, h, rz, xg, zg
@@ -205,12 +203,6 @@ def tensor(blocks: Sequence[BlockCircuit], label: str) -> BlockCircuit:
     )
 
 
-def _rescaled(bc: BlockCircuit, scale: float) -> BlockCircuit:
-    """The block of scale times bc's represented value: the block values
-    stay and the rescale and tol take the factor."""
-    return replace(bc, rescale=bc.rescale * scale, tol=bc.tol * scale)
-
-
 # ---------------------------------------------------------------------------
 # Monomial circuits
 # ---------------------------------------------------------------------------
@@ -330,47 +322,8 @@ def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircu
 
 
 # ---------------------------------------------------------------------------
-# Multivariate polynomials
+# Weighted Chebyshev SELECTs: Bernstein circuits and polynomial blocks
 # ---------------------------------------------------------------------------
-
-
-def build_poly_pqc(p: MultivariatePolynomial) -> BlockCircuit:
-    """LCU of monomial circuits realizing the multivariate polynomial.
-
-    Coefficients with |c| > 1 cannot ride a single angle sequence, so the
-    polynomial is scaled down by max(1, max |c_alpha|) and the factor moves
-    into the rescale.
-    """
-    if not p.terms:
-        raise ValueError("cannot build a circuit for the empty polynomial")
-    scale = max(1.0, p.max_abs_coeff())
-    alphas = sorted(p.terms.keys())
-    units = [build_monomial_pqc(p.terms[a] / scale, a) for a in alphas]
-    return _rescaled(lcu_combine(units, label=f"poly d={p.dims} terms={len(alphas)}"), scale)
-
-
-# ---------------------------------------------------------------------------
-# Width-2 univariate units and Bernstein circuits
-# ---------------------------------------------------------------------------
-
-
-def build_parity_pair_pqc(p: Polynomial, slot: EncodingSlot, scale: float) -> BlockCircuit:
-    """Width-2 unit realizing a mixed-parity polynomial p(u) of the slot's
-    argument u.
-
-    The even and odd halves, each divided by ``scale`` to fit the unit
-    sup-norm bound on [-1, 1], are synthesized separately and summed with a
-    one-ancilla uniform LCU: qubit 0 selects the half, qubit 1 carries the
-    data.  The represented value is p(u) after the rescale 2*scale.  A
-    scale below either half's sup norm raises ValueError: synthesis checks
-    each scaled half, and a cached half passed that check.
-    """
-    even, odd = parity_split(p)
-    lines = []
-    for parity, half in enumerate((even, odd)):
-        angles = synthesize_cached(ParityPolynomial(half.base.scaled(1.0 / scale), parity), 1e-12)
-        lines.append(line_block(angles, slot, ""))
-    return _rescaled(lcu_combine(lines, label=f"parity-pair deg={p.degree}"), scale)
 
 
 def _bernstein_factor(n: int, k: int) -> Polynomial:
@@ -485,6 +438,55 @@ def _chebyshev_select(
     )
 
 
+@cache
+def _power_chebyshev(n: int) -> np.ndarray:
+    """The (n, n) matrix whose row k holds the Chebyshev coefficients of u^k."""
+    rows = np.array([Polynomial.from_power([0.0] * k + [1.0]).coeffs + (0.0,) * (n - 1 - k)
+                     for k in range(n)])
+    rows.setflags(write=False)  # cached, so every caller shares it
+    return rows
+
+
+def _chebyshev_of_powers(c: np.ndarray) -> np.ndarray:
+    """The Chebyshev tensor coefficients of sum_k c[k] prod_j u_j^k_j: one
+    contraction per axis with ``_power_chebyshev`` of the axis length."""
+    for _ in range(c.ndim):  # each contraction moves its axis to the end
+        c = np.tensordot(c, _power_chebyshev(c.shape[0]), axes=([0], [0]))
+    return c
+
+
+def _nonzero_select(c: np.ndarray, slots: Sequence[EncodingSlot],
+                    labels: tuple[str, str]) -> BlockCircuit:
+    """``_chebyshev_select`` of sum_m c[m] prod_j T_{m_j}(u_j) over the
+    multi-indices m with c[m] nonzero, held by one index register, with no
+    address register."""
+    terms = np.argwhere(c)
+    return _chebyshev_select([[tuple(m) for m in terms.tolist()]], {0: c[tuple(terms.T)]}, 0,
+                             slots, labels)
+
+
+def build_poly_pqc(p: MultivariatePolynomial) -> BlockCircuit:
+    """The block of p on [-1, 1]^d: ``_nonzero_select`` of its Chebyshev
+    tensor coefficients c, so R = max(1, sum |c|), tol is 0 and nothing is
+    synthesized."""
+    if not p.terms:
+        raise ValueError("cannot build a circuit for the empty polynomial")
+    power = np.zeros([1 + max(alpha[j] for alpha in p.terms) for j in range(p.dims)])
+    for alpha, c in p.terms.items():
+        power[alpha] = c
+    return _nonzero_select(_chebyshev_of_powers(power),
+                           [EncodingSlot(j, "acos") for j in range(p.dims)],
+                           (f"poly d={p.dims} terms={len(p.terms)}", "poly-prep"))
+
+
+def build_parity_pair_pqc(p: Polynomial, slot: EncodingSlot) -> BlockCircuit:
+    """``_nonzero_select`` of the Chebyshev series p on the slot.  No
+    construction calls it; the benchmark's tracer looks up the name of the
+    even-and-odd line pair it replaced."""
+    return _nonzero_select(np.array(p.coeffs, dtype=float), [slot],
+                           (f"parity-pair deg={p.degree}", "parity-pair-prep"))
+
+
 def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
     """Circuit evaluating the degree-n Bernstein polynomial B_n f on [0, 1]^d.
 
@@ -560,7 +562,7 @@ def localization_values(spec: LocalizationSpec, x: Sequence[float] | np.ndarray)
     powers, coeffs = localization_chebyshev(spec)
     xs = np.asarray(x, dtype=float)
     u = xs.ravel()
-    if not (np.abs(u) <= 1.0 + 1e-12).all():  # NaN fails this too
+    if not (np.abs(u) <= 1.0 + sim.ENCODING_SLACK).all():  # NaN fails this too
         raise ValueError("encoding inputs outside [-1, 1]")
     theta = np.arccos(np.minimum(np.maximum(u, -1.0), 1.0))[:, None, None]
     size = max(1, sim.BATCH_BYTES // powers.nbytes)  # a point's table row, as long as powers
@@ -653,16 +655,12 @@ def build_taylor_coeff_pqc(table: TaylorCoeffTable, shifts: Sequence[float]) -> 
     """
     d, s = table.d, table.s
     terms = multi_indices(d, s)
-    # row k: the Chebyshev coefficients of u^k
-    gamma = np.array([Polynomial.from_power([0.0] * k + [1.0]).coeffs + (0.0,) * (s - k)
-                      for k in range(s + 1)])
     cells = {}
     for eta in product(range(table.K), repeat=d):
         c = np.zeros((s + 1,) * d)  # indexed by the power of each coordinate
         for alpha in terms:
             c[alpha] = table.xi[(eta, alpha)]
-        for _ in range(d):  # each contraction moves its axis to the end
-            c = np.tensordot(c, gamma, axes=([0], [0]))
+        c = _chebyshev_of_powers(c)
         cells[int(series_start(table, eta))] = np.array([c[m] for m in terms])
     slots = [EncodingSlot(j, "acos", shift) for j, shift in enumerate(shifts)]
     return _chebyshev_select([terms], cells, table.address_bits, slots,

@@ -291,11 +291,6 @@ class MultivariatePolynomial:
             val += c * float(np.prod(xs ** np.asarray(alpha)))
         return val
 
-    def max_abs_coeff(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(abs(c) for c in self.terms.values())
-
 
 @dataclass(frozen=True)
 class MultivariateTrigPolynomial:

@@ -56,6 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .poly import ParityPolynomial, _cheb_coeffs, _cheb_values, _mirrored, chebyshev_grid
+from .sim import ENCODING_SLACK
 
 logger = logging.getLogger(__name__)
 
@@ -97,7 +98,7 @@ class TrigQspParams:
 def qsp_block_values(angles: Sequence[float], xs: np.ndarray) -> np.ndarray:
     """Plus-state block values <+|U(x)|+> for a batch of inputs."""
     xs = np.asarray(xs, dtype=float)
-    if not np.all(np.abs(xs) <= 1.0 + 1e-12):  # NaN fails this too
+    if not np.all(np.abs(xs) <= 1.0 + ENCODING_SLACK):  # NaN fails this too
         raise ValueError("encoding inputs outside [-1, 1]")
     xs = np.clip(xs, -1.0, 1.0)
     a, b = _transfer_top_rows(np.asarray(angles, dtype=float), xs)

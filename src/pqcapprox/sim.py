@@ -19,6 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 MAX_WIDTH = 24
+ENCODING_SLACK = 1e-9  # how far past [-1, 1] an acos argument may lie; it is clipped
 
 _SINGLE_KINDS = ("H", "X", "Z", "Rx", "Ry", "Rz")
 _ROTATIONS = ("Rx", "Ry", "Rz")
@@ -42,7 +43,7 @@ class EncodingSlot:
 def encoding_angles(xform: str, u: np.ndarray) -> np.ndarray:
     """Angles of an encoding transform at arguments u = scale*x[coord] - shift."""
     if xform == "acos":
-        ok = np.abs(u) <= 1.0 + 1e-9
+        ok = np.abs(u) <= 1.0 + ENCODING_SLACK
         if not ok.all():  # NaN is out of range too
             raise ValueError(f"encoding argument {u[~ok][0]} outside [-1, 1]")
         return -2.0 * np.arccos(np.minimum(np.maximum(u, -1.0), 1.0))
@@ -274,8 +275,8 @@ class GateProgram:
     vector, and ``stored``, a dict on the program keyed by start index,
     holds a ``StartState`` per start: the support, the state on it, the
     layers' pairs on it and the readout pairs on it.  The starts not
-    stored yet run the prefix op by op, in one batch, once; an entry is
-    stored while ``stored`` holds at most PREFIX_BYTES.
+    stored yet run the prefix op by op, once, in batches of whole-state
+    columns within PREFIX_BYTES, which also bounds what ``stored`` holds.
 
     On the Hadamard test of the d=2, n=4 Bernstein block this leaves 19 ops
     of 31 gates: 11 in the prefix, and 8 from it on in 2 layers of 128
@@ -418,9 +419,10 @@ class GateProgram:
 
     def start_states(self, keys: list[int]) -> dict[int, StartState]:
         """The StartState of each start index in ``keys``, from the store.
-        The starts not stored yet run the prefix in one batch, and each
-        entry is stored while the store holds at most PREFIX_BYTES.  A start
-        outside [0, 2**width) raises ValueError."""
+        The starts not stored yet run the prefix in batches of at least one
+        whose columns fit PREFIX_BYTES, and each entry is stored while the
+        store holds at most PREFIX_BYTES.  A start outside [0, 2**width)
+        raises ValueError."""
         found = {s: self.stored.get(s) for s in keys}
         missing = [s for s, entry in found.items() if entry is None]
         if not missing:  # a stored start was checked when it was stored
@@ -428,31 +430,33 @@ class GateProgram:
         dim = 2**self.width
         if not all(0 <= s < dim for s in missing):
             raise ValueError(f"start indices must lie in [0, {dim})")
-        cols = np.zeros((dim, len(missing)), dtype=complex)
-        cols[missing, np.arange(len(missing))] = 1.0
-        for pair, head in zip(self.pairs[:self.prefix], self.heads):
-            _apply(cols, pair, head[:, :, None, None])  # once per start: no schedule
         conserved = np.arange(dim) & ~self.targeted  # the bits no op from prefix on changes
         held = sum(entry.nbytes for entry in self.stored.values())
-        for j, s in enumerate(missing):
-            col = cols[:, j]
-            mark = np.zeros(dim, dtype=bool)  # the conserved values that carry mass
-            mark[conserved[col != 0]] = True
-            support = np.flatnonzero(mark[conserved])
-            at = np.full(dim, -1)  # each amplitude's position on the support
-            at[support] = np.arange(len(support))
-            layers = []
-            for pair, rows in self.layers:
-                pos = at[pair]
-                on = pos[0] >= 0  # a pair lies on the support or off it whole
-                if on.any():
-                    layers.append((pos[:, on], rows[on]))
-            pos = at[:dim // 2 * 2].reshape(2, -1)  # where qubit 0 reads 0, then 1
-            readout = pos[:, (pos >= 0).all(axis=0)]
-            found[s] = entry = StartState(support, col[support], layers, readout)
-            if held + entry.nbytes <= PREFIX_BYTES:
-                self.stored[s] = entry
-                held += entry.nbytes
+        size = max(1, PREFIX_BYTES // (np.dtype(complex).itemsize * dim))
+        for lo in range(0, len(missing), size):
+            batch = missing[lo:lo + size]
+            cols = np.zeros((dim, len(batch)), dtype=complex)
+            cols[batch, np.arange(len(batch))] = 1.0
+            for pair, head in zip(self.pairs[:self.prefix], self.heads):
+                _apply(cols, pair, head[:, :, None, None])  # once per start: no schedule
+            for j, s in enumerate(batch):  # no view of cols outlives its batch
+                mark = np.zeros(dim, dtype=bool)  # the conserved values that carry mass
+                mark[conserved[cols[:, j] != 0]] = True
+                support = np.flatnonzero(mark[conserved])
+                at = np.full(dim, -1)  # each amplitude's position on the support
+                at[support] = np.arange(len(support))
+                layers = []
+                for pair, rows in self.layers:
+                    pos = at[pair]
+                    on = pos[0] >= 0  # a pair lies on the support or off it whole
+                    if on.any():
+                        layers.append((pos[:, on], rows[on]))
+                pos = at[:dim // 2 * 2].reshape(2, -1)  # where qubit 0 reads 0, then 1
+                readout = pos[:, (pos >= 0).all(axis=0)]
+                found[s] = entry = StartState(support, cols[support, j], layers, readout)
+                if held + entry.nbytes <= PREFIX_BYTES:
+                    self.stored[s] = entry
+                    held += entry.nbytes
         return found
 
     def op_matrices(self, x: Optional[np.ndarray]) -> np.ndarray:

@@ -276,7 +276,7 @@ def test_criterion_08_l2_corollary():
     spec = P.LocalizationSpec(K, delta, 0.5 / K)
     model = nested_model(HALFSINE, spec, 1)
     l2, sigma = A.l2_error(HALFSINE, model, K, delta, samples=10_000, seed=seed)
-    bound = (d ** (s + beta / 2) * K ** (-beta)) ** 2 + 4 * d * K ** (1 - d)
+    bound = P.thm_bounds("l2corollary", d=d, s=s, beta=beta, K=K)
     l2_ok = l2 <= bound + 3 * sigma
     _report(
         8,
@@ -366,12 +366,14 @@ def test_criterion_11_shot_estimator():
 
 
 def test_criterion_12_resource_orders():
+    """The parameter order is a claim about the paper's form of a
+    polynomial, a uniform LCU of monomial circuits, so that is the circuit
+    counted here; ``build_poly_pqc`` builds a weighted Chebyshev SELECT."""
     worst_ratio = 0.0
     for s in (1, 2, 3):
         for d in (1, 2, 3):
             alphas = P.multi_indices(d, s)
-            mp = P.MultivariatePolynomial({a: 0.9 / len(alphas) for a in alphas}, d)
-            bc = C.build_poly_pqc(mp)
+            bc = C.lcu_combine([C.build_monomial_pqc(0.9 / len(alphas), a) for a in sorted(alphas)])
             rc = S.resource_count(bc.circuit)
             ratio = rc.trainable_params / (s * d**s * (s + d))
             worst_ratio = max(worst_ratio, ratio)

@@ -315,48 +315,29 @@ X_SLOT = S.EncodingSlot(0, "acos")
 
 
 def test_parity_pair_constant():
-    bc = C.build_parity_pair_pqc(P.Polynomial((1.0,)), X_SLOT, 1.0)
-    assert bc.rescale == pytest.approx(2.0)
-    assert C.evaluate_block(bc, (0.4,)) == pytest.approx(1.0, abs=1e-10)
+    bc = C.build_parity_pair_pqc(P.Polynomial((1.0,)), X_SLOT)
+    assert bc.rescale == 1.0
+    assert C.evaluate_block(bc, (0.4,)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_parity_pair_frozen_examples():
-    # halves -x^2 and x, each of sup norm 1
-    bc = C.build_parity_pair_pqc(P.Polynomial.from_power((0.0, 1.0, -1.0)), X_SLOT, 1.0 / 0.999)
-    assert C.evaluate_block(bc, (0.5,)) == pytest.approx(0.25, abs=1e-9)
-    pol = P.Polynomial.from_power((0.0, 3.0, -6.0, 3.0))  # 3x(1-x)^2, halves of sup norm 6
-    bc = C.build_parity_pair_pqc(pol, X_SLOT, 6.0 / 0.999)
-    assert C.evaluate_block(bc, (0.2,)) == pytest.approx(0.384, abs=1e-9)
-    assert bc.circuit.width == 2
-    with pytest.raises(ValueError, match="target sup norm .* exceeds 1"):
-        C.build_parity_pair_pqc(pol, X_SLOT, 5.9)
+    # -x^2 + x = -0.5 T_0 + T_1 - 0.5 T_2, so R = 2
+    bc = C.build_parity_pair_pqc(P.Polynomial.from_power((0.0, 1.0, -1.0)), X_SLOT)
+    assert bc.rescale == 2.0
+    assert C.evaluate_block(bc, (0.5,)) == pytest.approx(0.25, abs=1e-12)
+    pol = P.Polynomial.from_power((0.0, 3.0, -6.0, 3.0))  # 3x(1-x)^2
+    bc = C.build_parity_pair_pqc(pol, X_SLOT)
+    assert C.evaluate_block(bc, (0.2,)) == pytest.approx(0.384, abs=1e-12)
+    assert bc.rescale == sum(abs(c) for c in pol.coeffs)
 
 
 def test_parity_pair_reads_the_affine_argument_of_its_slot():
     # p(u) = u^2 - u/2 at u = 2x - 1
     pol = P.Polynomial.from_power((0.0, -0.5, 1.0))
-    bc = C.build_parity_pair_pqc(pol, S.EncodingSlot(0, "acos", 1.0, 2.0), 1.0 / 0.999)
+    bc = C.build_parity_pair_pqc(pol, S.EncodingSlot(0, "acos", 1.0, 2.0))
     for x in (0.0, 0.3, 0.75, 1.0):
         u = 2.0 * x - 1.0
-        assert C.evaluate_block(bc, (x,)) == pytest.approx(u * u - 0.5 * u, abs=1e-10)
-
-
-def test_parity_pair_with_a_given_scale_raises_instead_of_retrying(monkeypatch):
-    # a pair's rescale is fixed by the scale it is given, so a failed
-    # synthesis raises rather than change the scale
-    synthesize_cached = C.synthesize_cached
-    calls = []
-
-    def first_fails(target, tol):
-        calls.append(1)
-        if len(calls) == 1:
-            raise Q.QspSynthesisError("forced", 0.5)
-        return synthesize_cached(target, tol)
-
-    monkeypatch.setattr(C, "synthesize_cached", first_fails)
-    with pytest.raises(Q.QspSynthesisError, match="forced"):
-        C.build_parity_pair_pqc(P.Polynomial.from_power((0.2, 0.3, 0.4)), X_SLOT, 1.0)
-    assert len(calls) == 1
+        assert C.evaluate_block(bc, (x,)) == pytest.approx(u * u - 0.5 * u, abs=1e-12)
 
 
 def test_poly_single_monomial_equals_monomial():
@@ -372,7 +353,7 @@ def test_poly_single_monomial_equals_monomial():
 def test_poly_frozen_example():
     mp = P.MultivariatePolynomial({(1, 0): 0.5, (0, 2): 0.25}, 2)
     bc = C.build_poly_pqc(mp)
-    assert C.evaluate_block(bc, (0.4, 0.8)) == pytest.approx(0.36, abs=1e-9)
+    assert C.evaluate_block(bc, (0.4, 0.8)) == pytest.approx(0.36, abs=1e-12)
 
 
 @pytest.mark.parametrize("d,s,npts", [(1, 4, 60), (2, 3, 60), (3, 4, 80)])
@@ -385,7 +366,19 @@ def test_poly_random_agreement(d, s, npts):
     bc = C.build_poly_pqc(mp)
     for _ in range(npts):
         x = tuple(rng.random(d))
-        assert C.evaluate_block(bc, x) == pytest.approx(mp(x), abs=1e-6)
+        assert C.evaluate_block(bc, x) == pytest.approx(mp(x), abs=1e-12)
+
+
+def chebyshev_tensor(mp):
+    """The Chebyshev tensor coefficients of mp, from numpy's poly2cheb of
+    each factor x_j^alpha_j, multiplied out term by term."""
+    deg = max(max(alpha) for alpha in mp.terms)
+    out = np.zeros((deg + 1,) * mp.dims)
+    for alpha, c in mp.terms.items():
+        factors = [np.pad(np.polynomial.chebyshev.poly2cheb([0.0] * a + [1.0]), (0, deg - a))
+                   for a in alpha]
+        out += c * math.prod(np.ix_(*factors))
+    return out
 
 
 def test_poly_ancilla_sizing_respects_term_count():
@@ -393,10 +386,42 @@ def test_poly_ancilla_sizing_respects_term_count():
     alphas = P.multi_indices(d, s)
     mp = P.MultivariatePolynomial({a: 0.05 for a in alphas}, d)
     bc = C.build_poly_pqc(mp)
-    t = len(alphas)
-    assert t <= (s + 1) * d**s
-    ancillas = bc.width - d
-    assert ancillas == math.ceil(math.log2(t))
+    t = int(np.count_nonzero(chebyshev_tensor(mp)))
+    assert bc.width - d == t.bit_length()  # the index register holds 0..t-1 and the pad t
+
+
+SELECT_POLYS = {
+    "d1": P.MultivariatePolynomial({(0,): -0.3, (1,): 1.7, (3,): -0.9, (4,): 0.25}, 1),
+    "d2": P.MultivariatePolynomial({(0, 0): 0.4, (1, 0): -1.2, (0, 2): 0.8, (2, 1): 1.5,
+                                    (3, 3): -0.6}, 2),
+    "d3": P.MultivariatePolynomial({(0, 0, 0): -0.2, (1, 0, 2): 2.5, (0, 1, 0): -0.7,
+                                    (2, 2, 1): 0.9, (0, 0, 3): -1.1}, 3),
+}
+
+
+@pytest.mark.parametrize("mp", SELECT_POLYS.values(), ids=SELECT_POLYS.keys())
+def test_poly_and_parity_pair_blocks_are_chebyshev_selects(mp, monkeypatch):
+    """Each polynomial block is a weighted Chebyshev SELECT: it synthesizes
+    nothing, its tol is 0, its rescale max(1, sum |c|) over its Chebyshev
+    coefficients, and it equals p on [-1, 1]^d to rounding.  The cases hold
+    a negative coefficient, a constant term and a coefficient above 1."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial block synthesized angles")
+
+    monkeypatch.setattr(Q, "qsp_synthesize", refuse)
+    before = C.synthesize_cached.cache_info()
+    blocks = [C.build_poly_pqc(mp)]
+    if mp.dims == 1:
+        power = [mp.terms.get((k,), 0.0) for k in range(1 + max(a for a, in mp.terms))]
+        blocks.append(C.build_parity_pair_pqc(P.Polynomial.from_power(power), X_SLOT))
+    assert C.synthesize_cached.cache_info() == before
+    rescale = max(1.0, float(np.abs(chebyshev_tensor(mp)).sum()))
+    xs = np.random.default_rng(mp.dims).uniform(-1.0, 1.0, (200, mp.dims))
+    want = np.array([mp(x) for x in xs])
+    for bc in blocks:
+        assert bc.tol == 0.0
+        assert bc.rescale == pytest.approx(rescale, rel=1e-14)
+        assert np.max(np.abs(C.evaluate_block(bc, xs) - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +661,7 @@ CONSTRUCTIONS = {
         {(-1, 0, 0): 0.2, (0, 0, 0): 0.1, (0, 2, 0): 0.2j, (0, 0, -1): 0.25}, 3)),
     "monomial": lambda: C.build_monomial_pqc(0.5, (0, 2, 1)),
     "parity-pair": lambda: C.build_parity_pair_pqc(
-        P.Polynomial.from_power((0.2, 0.3, 0.4)), S.EncodingSlot(0, "acos"), 1.0),
+        P.Polynomial.from_power((0.2, 0.3, 0.4)), S.EncodingSlot(0, "acos")),
 }
 
 
@@ -751,6 +776,23 @@ def test_evaluate_block_rejects_acos_argument_out_of_range():
         C.evaluate_block(bc, (1.0 + 1e-8,))
 
 
+def test_every_acos_path_clips_an_argument_within_the_encoding_slack():
+    """The circuit's encoding, the localization values and the QSP line
+    values admit the same slack past [-1, 1], and clip what they admit."""
+    spec = P.LocalizationSpec(2, 0.1, 0.25)
+    angles = (0.1, 0.2, 0.3)
+    u = 1.0 + 1e-10
+    edge = np.array([u, -u])
+    assert np.array_equal(S.encoding_angles("acos", edge), S.encoding_angles("acos", np.array([1.0, -1.0])))
+    assert np.array_equal(C.localization_values(spec, edge), C.localization_values(spec, [1.0, -1.0]))
+    assert np.array_equal(Q.qsp_block_values(angles, edge), Q.qsp_block_values(angles, [1.0, -1.0]))
+    for bad in (np.array([1.0 + 1e-8]), np.array([-1.0 - 1e-8])):
+        for evaluate in (lambda v: S.encoding_angles("acos", v), lambda v: C.localization_values(spec, v),
+                         lambda v: Q.qsp_block_values(angles, v)):
+            with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+                evaluate(bad)
+
+
 def test_evaluate_block_reuses_compiled_programs():
     real = C.build_monomial_pqc(0.5, (1, 1))
     cplx = C.build_trig_monomial_pqc(0.5j, (1,))
@@ -822,9 +864,11 @@ def test_each_construction_places_exactly_its_stated_xs():
     # LCU: three trig units on the zero prep pad value 3 with an X on the unit's qubit 0
     bc = C.build_trig_poly_pqc(P.MultivariateTrigPolynomial({(1,): 0.3, (-1,): 0.3, (2,): 0.2}, 1))
     assert x_gates(bc) == [[], [S.Gate("X", 2, (0, 1))]]
-    for bc in (C.build_monomial_pqc(0.5, (1, 2)),
-               C.build_poly_pqc(P.MultivariatePolynomial({(1, 0): 0.5, (0, 2): 0.25}, 2))):
-        assert x_gates(bc) == [[], []]
+    # poly: terms (0, 0), (0, 2) and (1, 0), all positive, so no sign pair,
+    # and the pad runs where the term register holds 0b11 on data qubit 0
+    bc = C.build_poly_pqc(P.MultivariatePolynomial({(1, 0): 0.5, (0, 2): 0.25}, 2))
+    assert x_gates(bc) == [[], [S.Gate("X", 2, (0, 1))]]
+    assert x_gates(C.build_monomial_pqc(0.5, (1, 2))) == [[], []]
 
 
 @pytest.mark.parametrize("build, ops", [

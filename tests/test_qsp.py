@@ -122,7 +122,7 @@ def test_block_values_batch_invariant_at_high_degree():
     assert np.max(np.abs(batch - single)) <= 1e-13
 
 
-@pytest.mark.parametrize("bad", [[1.5], [0.2, -1.0 - 1e-9], [np.nan]])
+@pytest.mark.parametrize("bad", [[1.5], [0.2, -1.0 - 1e-8], [np.nan]])
 def test_block_values_reject_inputs_outside_unit_interval(bad):
     with pytest.raises(ValueError):
         Q.qsp_block_values((0.1, 0.2, 0.3), bad)

@@ -562,6 +562,31 @@ def test_hadamard_values_runs_the_prefix_once_per_chunk_with_no_store(monkeypatc
     assert np.array_equal(got, want)
 
 
+def test_new_starts_run_the_prefix_in_batches_within_prefix_bytes(monkeypatch):
+    """A chunk's new starts run the prefix on whole-state columns a batch at
+    a time.  With PREFIX_BYTES at four columns, one call over 64 starts
+    peaks within eight batches: a batch, the three batches of temporaries
+    of an op's update and the entries (6.4 batches here).  One batch of
+    every start peaks at 64 batches.  The values do not move."""
+    table = C.TaylorCoeffTable.from_target(targets.product_sines(2), 8, 1)
+    eta = np.array(list(itertools.product(range(8), repeat=2)))
+    starts = C.series_start(table, eta)
+    xs = np.random.default_rng(3).uniform(0.0, 1 / 8, (len(starts), 2))
+    want = S.hadamard_values(C.build_taylor_series_pqc(table, (0, 0)).program, xs, starts)
+    prog = C.build_taylor_series_pqc(table, (0, 0)).program
+    column = np.dtype(complex).itemsize * 2**prog.width
+    batch = 4 * column
+    monkeypatch.setattr(S, "PREFIX_BYTES", batch)
+    tracemalloc.start()
+    try:
+        got = S.hadamard_values(prog, xs, starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * batch, peak / batch
+    assert np.array_equal(got, want)
+
+
 def sparse_prefix_circuit(rng, width):
     """Fixed H's and controlled Ry's that spread a start over a random few
     qubits, then slotted and fixed runs on random targets (as in
@@ -934,7 +959,7 @@ def test_no_construction_splits_a_run(build):
     lambda: C.build_taylor_series_pqc(
         C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)),
     lambda: C.build_poly_pqc(P.MultivariatePolynomial({(1, 0): 0.5, (0, 2): 0.25}, 2)),
-    lambda: C.build_parity_pair_pqc(P.Polynomial.from_power((0.2, 0.3, 0.4)), S.EncodingSlot(0, "acos"), 1.0),
+    lambda: C.build_parity_pair_pqc(P.Polynomial.from_power((0.2, 0.3, 0.4)), S.EncodingSlot(0, "acos")),
     trig_block,
 ], ids=["bernstein", "series", "poly", "parity-pair", "trig"])
 def test_no_layer_after_prefix_runs_a_selection_h(build):
