@@ -274,7 +274,7 @@ def _run_poly(cfg: ExperimentConfig) -> _Outcome:
         bound_name="exact-representation",
         tol_agg=bc.tol,
         resources=_resources(bc),
-        params={"terms": len(mp.terms)},
+        params={"terms": len(mp.terms), "rescale": bc.rescale},
     ), bc
 
 
@@ -359,9 +359,12 @@ def _run_taylor(cfg: ExperimentConfig) -> _Outcome:
     )
     sup = approx.sup_error(f, model, grid)
     bound = thm_bounds("thm3", d=f.dims, s=s, beta=beta, K=K)
-    l2 = None
+    l2, params = None, {"K": K, "delta": delta, "s": s, "beta": beta}
     if cfg.with_l2:
-        l2, _ = approx.l2_error(f, model, K, delta, samples=cfg.samples, seed=cfg.seed)
+        l2, sigma = approx.l2_error(f, model, K, delta, samples=cfg.samples, seed=cfg.seed)
+        # the corollary's bound, with three standard errors of the estimate
+        params["l2_bound"] = thm_bounds("l2corollary", d=f.dims, s=s, beta=beta, K=K)
+        params["l2_pass"] = l2 <= params["l2_bound"] + 3.0 * sigma
     return approx.ErrorReport(
         sup_error=sup,
         bound=bound,
@@ -370,7 +373,8 @@ def _run_taylor(cfg: ExperimentConfig) -> _Outcome:
         resources=_nested_resources(model),
         l2_error=l2,
         region="union_q_eta",
-        params={"K": K, "delta": delta, "s": s, "beta": beta},
+        params=params,
+        contract_held=params.get("l2_pass", True),
     ), model.series
 
 

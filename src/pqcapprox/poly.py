@@ -100,46 +100,77 @@ class ParityPolynomial:
         return float(np.max(np.abs(_cheb_values(self.base.coeffs, m))))
 
 
-def _chebval(x, coef):
-    """Values of the Chebyshev series coef at x, bit for bit those of numpy's
-    ``chebval`` but for the sign of an exact zero: its Clenshaw recurrence,
-    the same operations in the same order, but in three buffers of x's shape
-    that every step reuses, where ``chebval`` allocates two fresh arrays per
-    coefficient.
+# Bytes of the tables that one chunk of points holds in _chebval.  Smaller
+# chunks pay the per-chunk numpy calls more often, larger ones fall out of
+# the core's cache: on 4,900 points of the K=8 sign series (892
+# coefficients) budgets of 2^16, 2^18, 2^19, 2^21 and 2^23 bytes took 8.1,
+# 3.1, 2.2, 3.0 and 3.7 ms (best of 9, one BLAS thread, a 2-vCPU Xeon).
+_CHEBVAL_CHUNK_BYTES = 2**19
 
-    A zero coefficient's step c0 = c_k - c1 is -c1, exactly unless c_k and
-    c1 are both +0.0, so that step keeps c1 as c0 and the next one
-    subtracts it where ``chebval`` adds -c1 (IEEE defines a - b as
-    a + (-b)).  An odd or even series takes five vector operations per two
-    steps, not six."""
+
+def _chebval(x, coef):
+    """Values of the Chebyshev series coef at x, of x's shape (a scalar for
+    a scalar), by Paterson and Stockmeyer's baby-step/giant-step scheme in
+    its Chebyshev form: with B odd, near sqrt(len(coef)), and y = T_B(x),
+
+        sum_k c_k T_k(x) = sum_j T_j(y) R_j(x),  R_j = sum_{i<B} a_ji T_i(x).
+
+    The coefficients fold once, top block down, into the (J + 1, B) matrix
+    a by T_i T_jB = (T_jB+i + T_jB-i) / 2.  Per chunk of points, T_0..T_B
+    come from the three-term recurrence, the R_j from one stacked product,
+    and the sum over j from Clenshaw's recurrence in y: about 2B + 3J
+    vector passes where a Clenshaw loop over k makes about 3 len(coef).
+
+    Each point's value depends on that point alone: the passes are
+    elementwise, and the product is stacked, (m, 1, B) @ (B, J + 1), so
+    BLAS forms each point's row alone, which a (m, B) @ (B, J + 1) product
+    does not (its rows moved by up to 5e-15 with the slice).  A point
+    alone, in any batch and in any chunk has the same bits.  B is odd so
+    that T_B(0) = 0: with B even every point near 0 sits where |y| = 1, at
+    the edge of the giant steps, and the K=8 sign series at degree 977 was
+    6.0e-15 off a 40-digit sum near 0, against 2.2e-16 with B odd."""
     x = np.asarray(x, dtype=float)
     c = np.asarray(coef, dtype=float)
     if len(c) <= 2:
         return c[0] + (c[1] if len(c) == 2 else 0) * x
-    x2 = 2 * x
-    c0 = np.full(x.shape, c[-2])
-    c1 = np.full(x.shape, c[-1])
-    t = np.empty(x.shape)
-    negated = False  # whether c0 holds the negative of chebval's c0
-    for ck in c[-3::-1].tolist():
-        np.multiply(c1, x2, out=t)
-        # chebval's tmp + c1 * x2: the sum is the same either way round
-        if negated:
-            t -= c0
-        else:
-            t += c0
-        negated = ck == 0.0
-        if negated:
-            c0, c1, t = c1, t, c0
-        else:
-            np.subtract(ck, c1, out=c0)
-            c1, t = t, c1
-    c1 *= x
-    if negated:
-        c1 -= c0
-    else:
-        c1 += c0
-    return c1[()]
+    n = len(c)
+    B = 2 * int(math.sqrt(n) / 2) + 1
+    J = (n - 1) // B  # at least 1 for n >= 3
+    a = np.zeros((J + 1) * B)
+    a[:n] = c
+    a = a.reshape(J + 1, B)
+    for j in range(J, 0, -1):
+        # c_k T_jB+i = 2 c_k T_i T_jB - c_k T_(j-1)B+(B-i), for 0 < i < B
+        a[j - 1, :0:-1] -= a[j, 1:]
+        a[j, 1:] *= 2.0
+    a_t = np.ascontiguousarray(a.T)
+    xs = x.reshape(-1)
+    out = np.empty(xs.shape)
+    rows = max(1, _CHEBVAL_CHUNK_BYTES // (8 * (2 * B + 2 * J + 8)))
+    for lo in range(0, len(xs), rows):
+        u = xs[lo : lo + rows]
+        t = np.empty((B + 1, len(u)))  # T_0..T_B, one row each
+        t[0] = 1.0
+        t[1] = u
+        u2 = 2.0 * u
+        for k in range(2, B + 1):
+            np.multiply(u2, t[k - 1], out=t[k])
+            t[k] -= t[k - 2]
+        # R_j in row j, from each point's row of baby steps in C order
+        r = (np.ascontiguousarray(t[:B].T)[:, None, :] @ a_t)[:, 0, :].T.copy()
+        y = t[B]
+        y2 = 2.0 * y
+        b1, b2, tmp = r[J], np.zeros(len(u)), np.empty(len(u))
+        for j in range(J - 1, 0, -1):
+            np.multiply(y2, b1, out=tmp)
+            tmp -= b2
+            tmp += r[j]
+            b2, b1, tmp = b1, tmp, b2
+        np.multiply(y, b1, out=tmp)
+        tmp -= b2
+        tmp += r[0]
+        out[lo : lo + len(u)] = tmp
+    return out.reshape(x.shape)[()]
 
 
 def chebyshev_grid(n: int) -> np.ndarray:
@@ -507,8 +538,10 @@ def _refined_sup(coef: np.ndarray, grid: np.ndarray, vals: np.ndarray, spacing: 
     """True sup of |series| via local refinement around the top 8 grid peaks.
 
     All peaks are refined together: each of 3 rounds evaluates a 33-point
-    window around every peak with one ``_chebval`` call, then narrows each
-    window 8x around its own maximum.
+    window around every peak, an (8, 33) array, with one ``_chebval`` call,
+    then narrows each window 8x around its own maximum.  ``_chebval`` gives
+    a point the bits it has alone, so the sup is the one a refinement of
+    each peak by its own calls finds.
     """
     best = float(np.max(vals))
     x0 = grid[np.argsort(vals)[-8:]]
@@ -525,11 +558,12 @@ def _refined_sup(coef: np.ndarray, grid: np.ndarray, vals: np.ndarray, spacing: 
 # Bytes per (degree + 1)^2 that _check_degree_fits reserves before the sign
 # search, the first step of every sign or localization construction.  No
 # report synthesizes angles, and a construction holds O(degree): the
-# search keeps a few 10 (degree + 1)-point grid arrays and the step sum
-# passes of _STEP_PASS_BYTES.  The value 24 bounded the 28 n m bytes of the
-# dense Jacobian that angle synthesis once built; it stays, an upper bound
-# that rejects no degree it accepted before, until the guard is derived
-# again from the O(degree) footprint.
+# search keeps a few 10 (degree + 1)-point grid arrays, the step sum its
+# (K - 1, 2, nodes) step arguments, and _chebval chunks of
+# _CHEBVAL_CHUNK_BYTES.  The value 24 bounded the 28 n m bytes of the dense
+# Jacobian that angle synthesis once built; it stays, an upper bound that
+# rejects no degree it accepted before, until the guard is derived again
+# from the O(degree) footprint.
 _SYNTHESIS_BYTES_PER_ENTRY = 24
 
 
@@ -753,14 +787,6 @@ def _outside_error(s_out: np.ndarray, m: float) -> float:
     return max(abs(lo - 1.0), abs(hi - 1.0))
 
 
-# Bytes of stacked step arguments per Clenshaw pass of _evenized_steps.  A
-# pass whose arrays outgrow the core's cache runs slower than one pass per
-# step: at K=32 (5810 nodes) one pass over all 31 steps took 6.0 s, one per
-# step 5.0 s and passes of this size 3.8 s (medians of three, alternated on
-# a 2-vCPU Xeon with 2 MB of L2 per core), while K <= 8 takes one pass.
-_STEP_PASS_BYTES = 2**18
-
-
 def _evenized_steps(
     x: np.ndarray, sgn_coef: np.ndarray, R: float, centers: np.ndarray
 ) -> np.ndarray:
@@ -768,16 +794,16 @@ def _evenized_steps(
     where st_c(x) = 1/2 + P_sgn((x - c)/R)/2 is the smoothed step at c and
     the Chebyshev series sgn_coef of P_sgn is evaluated for |u| <= 1.
 
-    One Clenshaw pass runs over a group of steps and both signs at once; it
-    is elementwise, so each value is the one a per-step evaluation gives."""
+    One ``_chebval`` call evaluates every step at x and at -x, on stacked
+    (K - 1, 2, len(x)) arguments; it chunks the points itself, and a
+    point's value does not depend on the others, so each value is the one
+    a per-step evaluation gives."""
     K = len(centers) + 1
-    group = max(1, _STEP_PASS_BYTES // (16 * len(x)))
+    u = (np.stack((x, -x)) - centers[:, None, None]) / R
     total = np.zeros_like(x)
-    for i in range(0, K - 1, group):
-        u = (np.stack((x, -x)) - centers[i : i + group, None, None]) / R
-        for pos, neg in 0.5 + 0.5 * _chebval(u, sgn_coef):
-            # each evenized step is ~0 on the mirrored side
-            total += (pos + neg) / K
+    for pos, neg in 0.5 + 0.5 * _chebval(u, sgn_coef):
+        # each evenized step is ~0 on the mirrored side
+        total += (pos + neg) / K
     return total
 
 

@@ -9,8 +9,10 @@ Z-encoding lines, a second angle synthesizer (Fejer-Riesz completion)
 that cross-checks the fixed-point one at low degree, the localization's
 evenized step sum evaluated one step and one sign at a time, and the sign
 series' screen as an upward sweep over every odd degree.  None of them
-shares code with the paths under test beyond the gate matrices and, for
-the op matrices, the program's compiled chains of fixed products.
+shares code with the paths under test beyond the gate matrices, the op
+matrices' compiled chains of fixed products and the step sum's series
+evaluator, ``poly._chebval``, whose contract tests/test_poly.py checks
+against a 40-digit reference.
 
 It also holds two whole-state views of a compiled program's run:
 ``dense_run`` scatters the states ``run`` returns on each start's support
@@ -29,7 +31,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _np_poly
 
-from pqcapprox.poly import ParityPolynomial, chebyshev_grid
+from pqcapprox.poly import ParityPolynomial, _chebval, chebyshev_grid
 from pqcapprox.qsp import (
     QspAngleSequence,
     QspSynthesisError,
@@ -238,15 +240,15 @@ def stage_op_matrices(program: GateProgram, x: np.ndarray) -> np.ndarray:
 
 
 def per_step_evenized_steps(x, sgn_coef, R, centers) -> np.ndarray:
-    """poly._evenized_steps with one Clenshaw evaluation per step and sign:
+    """poly._evenized_steps with one series evaluation per step and sign:
     (st_c(x) + st_c(-x)) / K summed over the centers in order, where
     st_c(x) = 1/2 + P_sgn((x - c)/R)/2."""
     x = np.asarray(x, dtype=float)
     K = len(centers) + 1
     total = np.zeros_like(x)
     for c in centers:
-        pos = 0.5 + 0.5 * _cheb.chebval((x - c) / R, sgn_coef)
-        neg = 0.5 + 0.5 * _cheb.chebval((-x - c) / R, sgn_coef)
+        pos = 0.5 + 0.5 * _chebval((x - c) / R, sgn_coef)
+        neg = 0.5 + 0.5 * _chebval((-x - c) / R, sgn_coef)
         total += (pos + neg) / K
     return total
 

@@ -508,7 +508,7 @@ def test_taylor_d2_report_counts_its_one_localization_block_twice(capsys, monkey
                            "--points-per-axis", "13", "--seed", "2")
     r = json.loads(out)["resources"]
     assert code == 0 and len(calls) == 1
-    assert (r["width"], r["depth"], r["params"], r["gates"]) == (20, 794, 472, 1537)
+    assert (r["width"], r["depth"], r["params"], r["gates"]) == (20, 785, 472, 1519)
 
 
 def test_construction_error_is_reported(capsys, monkeypatch):
@@ -659,6 +659,28 @@ def test_report_samples_shots_from_the_compiled_block(capsys):
     x0 = (0.5,)
     assert exact == pytest.approx(block_values(bc.circuit.bound(x0), bc.prep)[0].real, abs=1e-12)
     assert params["rescale"] == bc.rescale
+
+
+def test_poly_report_records_the_rescale(capsys):
+    code, out, _ = run_cli(capsys, "report", "--experiment", "poly", "--target", "poly:0.1,0.2,0.3")
+    assert code == 0 and json.loads(out)["params"]["rescale"] == 1.0
+
+
+def test_taylor_report_checks_its_l2_estimate(capsys, monkeypatch):
+    flags = ("report", "--experiment", "taylor", "--K", "4", "--seed", "1", "--with-l2")
+    code, out, _ = run_cli(capsys, *flags)
+    doc = json.loads(out)
+    bound = poly.thm_bounds("l2corollary", d=1, s=1, beta=2.0, K=4)
+    assert code == 0 and doc["pass"] and doc["l2_error"] <= bound
+    assert doc["params"]["l2_bound"] == bound and doc["params"]["l2_pass"] is True
+    # an estimate past the bound by more than three standard errors fails the report
+    monkeypatch.setattr(cli.approx, "l2_error", lambda *a, **k: (bound + 0.4, 0.1))
+    code, out, _ = run_cli(capsys, *flags)
+    doc = json.loads(out)
+    assert code == 1 and not doc["pass"] and doc["params"]["l2_pass"] is False
+    monkeypatch.setattr(cli.approx, "l2_error", lambda *a, **k: (bound + 0.25, 0.1))
+    code, out, _ = run_cli(capsys, *flags)
+    assert code == 0 and json.loads(out)["params"]["l2_pass"] is True
 
 
 def test_report_samples_1e11_shots_and_refuses_a_count_beyond_int64(capsys):

@@ -1,3 +1,4 @@
+import decimal
 import logging
 import math
 
@@ -211,6 +212,8 @@ def test_sign_degree_constant_is_recorded():
 # The exhaustive degree search that the screened search replaced, kept as the
 # reference: from the tail-bound degree it walks up to the first exact pass,
 # then down one odd degree at a time, refining each peak with its own calls.
+# It evaluates with the package's own P._chebval, whose contract the
+# evaluator tests below check, so these pins compare the searches bit for bit.
 
 
 def _reference_refined_sup(coef, grid, vals, spacing, peaks=8):
@@ -220,7 +223,7 @@ def _reference_refined_sup(coef, grid, vals, spacing, peaks=8):
         x0, h = float(grid[i]), spacing
         for _ in range(3):
             xs = np.clip(np.linspace(x0 - h, x0 + h, 33), -1.0, 1.0)
-            local = np.abs(chebval(xs, coef))
+            local = np.abs(P._chebval(xs, coef))
             j = int(np.argmax(local))
             best = max(best, float(local[j]))
             x0, h = float(xs[j]), h / 8.0
@@ -259,12 +262,12 @@ def _reference_search(delta, eps, R):
 
     def candidate(deg):
         coef = coef_full[: deg + 1].copy()
-        vals = np.abs(chebval(grid, coef))
+        vals = np.abs(P._chebval(grid, coef))
         m = _reference_refined_sup(coef, grid, vals, spacing)
         assert P._refined_sup(coef, grid, vals, spacing) == m
         if m > 1.0:
             coef = coef / (m * (1.0 + 1e-12))
-        errs = np.abs(chebval(grid, coef) - 1.0)
+        errs = np.abs(P._chebval(grid, coef) - 1.0)
         return coef if np.max(errs[outside]) <= eps_check else None
 
     tails = np.cumsum(np.abs(coef_full[::-1]))[::-1]
@@ -431,7 +434,7 @@ def test_walk_values_are_the_truncations_on_the_grid(monkeypatch, delta, eps, R)
     # the one full evaluation takes the first half of the grid, Chebyshev
     # nodes, by a DCT, which is up to 1.2e-13 off chebval at the K = 16 step
     # spec, as the per-degree evaluation it replaced was; on the rest,
-    # evaluated by Clenshaw, the walk adds only its recurrence's rounding,
+    # evaluated by P._chebval, the walk adds only its recurrence's rounding,
     # at most 1.4e-14 over the 121 odd degrees from top down at that spec
     n_grid = max(1000, 10 * (len(coef) - 1))
     rest = ~np.isin(grid, P.chebyshev_grid(n_grid)[: (n_grid + 1) // 2])
@@ -538,8 +541,23 @@ def test_cheb_values_match_chebval_and_invert_cheb_coeffs(m):
     assert np.max(np.abs(back[len(coef) :]), initial=0.0) <= 1e-13
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 892, 978])
-def test_chebval_is_numpys_bit_for_bit(n):
+def _decimal_chebval(xs, coef):
+    """Clenshaw's recurrence in 40-digit decimal arithmetic, rounded once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        cs = [decimal.Decimal(float(c)) for c in coef]
+        out = []
+        for x in np.ravel(xs).tolist():
+            x = decimal.Decimal(x)
+            b1 = b2 = decimal.Decimal(0)
+            for c in reversed(cs[1:]):
+                b1, b2 = c + 2 * x * b1 - b2, b1
+            out.append(float(cs[0] + x * b1 - b2))
+    return np.array(out).reshape(np.shape(xs))
+
+
+def _coefficient_families(n):
+    """Random, odd, even, zero-run and signed-zero series of length n."""
     rng = np.random.default_rng(n)
     coef = rng.normal(size=n)
     odd, even, runs, signed = coef.copy(), coef.copy(), coef.copy(), coef.copy()
@@ -548,12 +566,74 @@ def test_chebval_is_numpys_bit_for_bit(n):
     runs[1:-1][(np.arange(max(n - 2, 0)) // 3) % 2 == 1] = 0.0  # runs of three interior zeros
     signed[rng.random(n) < 0.4] = 0.0
     signed[rng.random(n) < 0.3] = -0.0
-    xs = (0.3, np.array(-0.6), rng.uniform(-1.0, 1.0, 50), rng.uniform(-1.0, 1.0, (2, 3, 7)),
-          rng.uniform(-1.0, 1.0, (8, 33)), np.array([0.0, -0.0, 1.0, -1.0]))
-    for c in (coef, odd, even, runs, signed):
-        for x in xs:
-            got, want = P._chebval(x, c), chebval(x, c)
-            assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+    return [coef, odd, even, runs, signed]
+
+
+# a few dozen points: random ones, the ends, zero and points near them
+EVAL_POINTS = np.concatenate([
+    np.random.default_rng(7).uniform(-1.0, 1.0, 24),
+    [0.0, -0.0, 1.0, -1.0, 1e-9, -0.3, 0.5, 1.0 - 2.0**-40],
+])
+
+
+def _assert_near_decimal(coef, bound):
+    # the error relative to sum |c|, the size Clenshaw's error scales with
+    err = np.max(np.abs(P._chebval(EVAL_POINTS, coef) - _decimal_chebval(EVAL_POINTS, coef)))
+    assert err <= bound * np.sum(np.abs(coef))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 892, 978])
+def test_chebval_is_near_a_40_digit_clenshaw(n):
+    # 4x the worst measured, 4.0e-15 sum|c| (numpy's chebval: 3.4e-14 sum|c|)
+    for coef in _coefficient_families(n):
+        _assert_near_decimal(coef, 1.6e-14)
+
+
+@pytest.mark.parametrize("K,delta,eps", [(4, 1 / 16, 1 / 8), (8, 0.0375, 0.0625), (16, 0.01875, 0.03125)])
+def test_chebval_is_near_a_40_digit_clenshaw_on_the_construction_series(K, delta, eps):
+    # 4x the worst measured, 1.6e-16 sum|c| (numpy's chebval: 1.1e-16 sum|c|)
+    sgn = P._sign_cheb_series(delta, eps / (2.0 * (K + 1)), 2.0)
+    loc = P.localization_poly(P.LocalizationSpec(K, delta, eps)).coeffs
+    for coef in (sgn, loc):
+        _assert_near_decimal(coef, 6.4e-16)
+
+
+@pytest.mark.parametrize("n", [3, 892, 978])
+def test_chebval_gives_a_point_the_same_bits_in_any_batch(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.0, 1.0, 264)
+    for coef in _coefficient_families(n):
+        whole = P._chebval(x, coef)
+        assert np.array_equal([P._chebval(v, coef) for v in x[:40]], whole[:40])
+        for lo in (1, 7, 100):
+            assert np.array_equal(P._chebval(x[lo:], coef), whole[lo:])
+        assert np.array_equal(P._chebval(x[:42].reshape(2, 3, 7), coef), whole[:42].reshape(2, 3, 7))
+        assert np.array_equal(P._chebval(x.reshape(8, 33), coef), whole.reshape(8, 33))
+        monkeypatch.setattr(P, "_CHEBVAL_CHUNK_BYTES", 1)  # one point per chunk
+        assert np.array_equal(P._chebval(x, coef), whole)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 978])
+def test_chebval_keeps_the_shape_of_x(n):
+    coef = np.random.default_rng(n).normal(size=n)
+    for x in (0.3, np.float64(-0.6), np.array(0.1)):
+        got = P._chebval(x, coef)
+        assert isinstance(got, np.floating) and np.shape(got) == ()
+    for shape in ((0,), (5,), (2, 3, 7)):
+        assert P._chebval(np.zeros(shape), coef).shape == shape
+
+
+def test_step_sum_makes_one_chebval_call(monkeypatch):
+    # K=32's step series length and refit nodes, no construction needed
+    K, n_coef, nodes = 32, 5804, 2905
+    coef = np.random.default_rng(32).normal(size=n_coef)
+    coef[::2] = 0.0
+    calls, chebval_ = [], P._chebval
+    monkeypatch.setattr(P, "_chebval", lambda x, c: calls.append(np.shape(x)) or chebval_(x, c))
+    centers = np.array([k / K - 0.0046875 for k in range(1, K)])
+    P._evenized_steps(P.chebyshev_grid(2 * nodes - 1)[:nodes], coef, 2.0, centers)
+    assert calls == [(K - 1, 2, nodes)]
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 1.0 + 1e-9, 1.37])
@@ -648,13 +728,13 @@ def test_mirrored_step_sum_matches_per_step_on_all_nodes(K):
 @pytest.mark.parametrize("K", [2, 4, 8])
 def test_localization_step_passes_are_bit_equal_to_per_step(monkeypatch, K):
     spec = P.LocalizationSpec(K, 0.3 / K, 0.5 / K)
-    coeffs = P.localization_poly(spec).coeffs  # one pass over all steps
+    coeffs = P.localization_poly(spec).coeffs
     monkeypatch.setattr(P, "_evenized_steps", per_step_evenized_steps)
     assert P.localization_poly(spec).coeffs == coeffs
     monkeypatch.undo()
-    # passes of one step, then of three (at K=8's 897 nodes)
-    for pass_bytes in (1, 3 * 16 * 900):
-        monkeypatch.setattr(P, "_STEP_PASS_BYTES", pass_bytes)
+    # chunks of a few points, then of a few hundred
+    for chunk_bytes in (2**12, 2**17):
+        monkeypatch.setattr(P, "_CHEBVAL_CHUNK_BYTES", chunk_bytes)
         assert P.localization_poly(spec).coeffs == coeffs
 
 
