@@ -691,7 +691,9 @@ class NestedTaylorModel:
     input x - eta/K.  That equals the block of cell eta, whose prep writes
     eta and whose data slots are shifted by eta/K.  A call takes one point
     or an (N, d) array of points; a point of another length than f's d
-    raises ValueError.
+    raises ValueError.  A batch localizes each distinct coordinate value
+    once: the block reads one coordinate, and a value is the same bits
+    alone or in a batch (``localization_values``).
     """
 
     def __init__(self, f: TargetFunctionSpec, spec: LocalizationSpec, s: int):
@@ -715,7 +717,12 @@ class NestedTaylorModel:
         if pts.shape[-1] != self.f.dims:
             raise ValueError(f"the model takes points of {self.f.dims} coordinates,"
                              f" got {pts.shape[-1]}")
-        eta = round_to_eta(localization_values(self.spec, pts), self.spec.K)
+        if len(pts) > 1:  # each distinct coordinate value once, scattered back
+            coords, at = np.unique(pts, return_inverse=True)
+            loc = localization_values(self.spec, coords)[at].reshape(pts.shape)
+        else:
+            loc = localization_values(self.spec, pts)
+        eta = round_to_eta(loc, self.spec.K)
         values = evaluate_block(
             self.series, pts - eta / self.spec.K, start=series_start(self.table, eta)
         )

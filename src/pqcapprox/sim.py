@@ -211,23 +211,17 @@ _GENERATORS = {
 }
 
 
-class StartState(NamedTuple):
-    """A start's state after a program's prefix, kept on its support: the
-    sorted indices of the amplitudes that the ops from ``prefix`` on can
-    reach from it, the amplitudes there, each layer's pairs that lie there
-    as positions on the support with the row of each pair's op, and the
-    (2, M) positions of the readout pairs (qubit 0 reading 0, then 1) with
-    both ends on it."""
+class FinalStates(NamedTuple):
+    """A batch run's final states on the simulated register: the sorted
+    indices ``support`` there that a point's amplitudes can reach, the
+    (len(support), N) states, one column per point (a lone point's
+    (len(support),) state), and per group of points whose starts share a
+    support, their columns and the (2, M) positions in ``support`` of the
+    readout pairs (qubit 0 reading 0, then 1) with both ends on theirs."""
 
     support: np.ndarray
-    state: np.ndarray
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    readout: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return (self.support.nbytes + self.state.nbytes + self.readout.nbytes
-                + sum(pair.nbytes + rows.nbytes for pair, rows in self.layers))
+    states: np.ndarray
+    readout: list[tuple[int | slice | np.ndarray, np.ndarray]]
 
 
 class GateProgram:
@@ -252,11 +246,25 @@ class GateProgram:
     ``width`` and ``gates`` are those of the source circuit, and ``coords``
     is the number of point coordinates its slots read.
 
-    ``pairs`` keep circuit order, and ``prefix`` is the number of fixed ops
-    before the first slotted op, ``pairs[:prefix]``, which run once per
-    start.  Every construction in the package places its fixed ops there,
-    so its points run only slotted ops; a fixed op after the first slotted
-    op, as a hand-written circuit may hold, runs at every point.
+    ``prefix`` is the number of fixed ops before the first slotted op,
+    which run once per start.  Every construction in the package places its
+    fixed ops there, so its points run only slotted ops; a fixed op after
+    the first slotted op, as a hand-written circuit may hold, runs at every
+    point.
+
+    A qubit is classical (the bits ``classical``) when no op targets it, no
+    op from ``prefix`` on reads it, and it is not qubit 0, which the
+    Hadamard test reads out.  Its bit keeps its start value, so an op whose
+    controls or zero-controls on it disagree with that value does nothing
+    there: an LCU prep controlled on one address value acts on no other
+    (Childs and Wiebe, arXiv:1202.5822).  The other qubits, ``qubits``,
+    make up the simulated register, qubit 0 its most significant bit.
+    ``pairs`` keep circuit order and lie on that register.  ``patterns``
+    holds each op's classical controls and zero-controls and the value they
+    select (both 0 from ``prefix`` on), and ``branches`` the prefix ops by
+    that pattern, so a start runs only the prefix ops that match its
+    classical bits, with no compile of its own.  Bernstein, localization,
+    poly and trig programs have no classical qubit.
 
     The ops from ``prefix`` on run at every point, op k with row
     k - prefix of ``op_matrices``.  Ops that touch disjoint amplitudes
@@ -265,32 +273,33 @@ class GateProgram:
     one scatter.  Each pair sees the products of running the ops one by
     one, in the same order, so every value is bit-identical to that.
 
-    ``targeted`` is the bit mask of the qubits that the ops from ``prefix``
-    on target.  They change no other qubit, so an amplitude whose bits
-    outside ``targeted`` match no nonzero amplitude of the state after the
-    prefix stays exactly 0.  An LCU's SELECT never targets its selection
-    register (Childs and Wiebe, arXiv:1202.5822), nor does the Hadamard
-    test's controlled U target the ancilla, so a point runs on a small
-    support.  From a basis start the state after the prefix is one fixed
-    vector, and ``stored``, a dict on the program keyed by start index,
-    holds a ``StartState`` per start: the support, the state on it, the
-    layers' pairs on it and the readout pairs on it.  The starts not
-    stored yet run the prefix op by op, once, in batches of whole-state
-    columns within PREFIX_BYTES, which also bounds what ``stored`` holds.
+    ``targeted`` is the bit mask of the simulated qubits that the ops from
+    ``prefix`` on target.  They change no other qubit, so an amplitude
+    whose other bits (``conserved``) match no nonzero amplitude of the
+    state after the prefix stays exactly 0, and a start's support is every
+    index whose conserved bits do.  ``stored``, keyed by start index, holds
+    each start's support, its state after the prefix there and the bytes of
+    its support's boolean mask, and ``schedules``, keyed by the masks of a
+    batch's starts, the union of those supports, the layers' pairs on it
+    and each support's readout pairs there.  Each holds at most
+    PREFIX_BYTES.
 
     On the Hadamard test of the d=2, n=4 Bernstein block this leaves 19 ops
-    of 31 gates: 11 in the prefix, and 8 from it on in 2 layers of 128
-    pairs, of which a point from start 0 updates 8 on a support of 48 of
-    512 amplitudes and reads 24 pairs.  The d=2, K=4, s=1 Taylor series
-    block, which starts from one of K^d cells, leaves 56 ops of 64 gates:
-    54 in the prefix, and its 2 slotted ops in 1 layer of 128 pairs, of
-    which a start updates 8 on a support of 44 of 1024 amplitudes.
+    of 31 gates on 9 simulated qubits: 11 in the prefix, and 8 from it on
+    in 2 layers of 128 pairs, of which a point from start 0 updates 8 on a
+    support of 48 of 512 amplitudes and reads 24 pairs.  The d=2, K=4, s=1
+    Taylor series block, which starts from one of K^d cells, leaves 56 ops
+    of 64 gates.  Its 4 address qubits are classical, so it simulates 5
+    qubits: a start runs the 6 to 9 of the 54 prefix ops that match its
+    address, and its 2 slotted ops run in 1 layer of 4 pairs on a support
+    of 24 or 32 amplitudes.
 
     The compile checks no gate (the circuit checked its gates, or its
     placements, when it was built), and masks each (target, controls,
     zeros) once.  The pairs of an op are those of its target under all-ones
-    controls on the union of its controls and zero-controls, found once per
-    such (target, union), with the zero-control bits cleared.
+    controls on the union of its simulated controls and zero-controls,
+    found once per such (target, union), with the zero-control bits
+    cleared.
     """
 
     def __init__(self, c: Circuit):
@@ -298,35 +307,23 @@ class GateProgram:
             raise ValueError(f"width {c.width} exceeds the {MAX_WIDTH}-qubit cap")
         self.width = c.width
         self.gates = c.gates
-        idx = np.arange(2**c.width)
         eye = np.eye(2, dtype=complex)
         masks: dict[tuple, tuple[int, int, int]] = {}  # (target, controls, zeros) -> bits
-        pair_of: dict[tuple[int, int, int], np.ndarray] = {}  # bits -> pairs
-        runs: list[np.ndarray] = []  # per op: its (i0, i1) pairs
+        keys: list[tuple[int, int, int]] = []  # per op: its bits
         heads: list[np.ndarray] = []  # fixed product before an op's first slot
         slots: list[Optional[EncodingSlot]] = []  # per op: its slot, if any
         chains: list[list[list]] = []  # per op: [kind, fixed product after it] per slot
-        prev = None
         for g in c.gates:
             key = masks.get((g.target, g.controls, g.zeros))
             if key is None:  # (target bit, control and zero-control bits, zero-control bits)
                 bits = [sum(1 << (c.width - 1 - q) for q in qs) for qs in (g.qubits[1:], g.zeros)]
                 key = masks[g.target, g.controls, g.zeros] = (1 << (c.width - 1 - g.target), *bits)
             # a run splits where its slot changes, so every op has one slot
-            if key != prev or (g.slot is not None and slots[-1] not in (None, g.slot)):
-                if key not in pair_of:
-                    # the pairs with every control and zero-control bit set, those bits cleared
-                    tbit, cmask, zmask = key
-                    if (tbit, cmask, 0) not in pair_of:
-                        i0 = idx[(idx & (tbit | cmask)) == cmask]
-                        pair_of[tbit, cmask, 0] = np.stack([i0, i0 | tbit])
-                    if zmask:
-                        pair_of[key] = pair_of[tbit, cmask, 0] ^ zmask
-                runs.append(pair_of[key])
+            if not keys or key != keys[-1] or (g.slot is not None and slots[-1] not in (None, g.slot)):
+                keys.append(key)
                 heads.append(eye)
                 slots.append(None)
                 chains.append([])
-                prev = key
             chain = chains[-1]
             if g.slot is not None:
                 slots[-1] = g.slot
@@ -338,18 +335,43 @@ class GateProgram:
         # a fixed run that is exactly I does nothing, so it is no op
         kept = [k for k, (head, chain) in enumerate(zip(heads, chains))
                 if chain or not np.array_equal(head, eye)]
-        # The ops before the first slotted op run once per start; every later
-        # op joins the layer after the last layer that touches any of its
-        # amplitudes, so a layer's members touch disjoint amplitudes and
-        # commute, and overlapping ops keep their order.
         self.prefix = next((p for p, k in enumerate(kept) if chains[k]), len(kept))
+        keys = [keys[k] for k in kept]
+        busy = 1 << c.width >> 1  # qubit 0, which the readout reads
+        for p, (tbit, cbits, _) in enumerate(keys):
+            busy |= tbit | (cbits if p >= self.prefix else 0)
+        self.classical = (1 << c.width) - 1 & ~busy
+        self.qubits = [q for q in range(c.width) if busy >> (c.width - 1 - q) & 1]
+        size = len(self.qubits)
+        places = [(1 << (c.width - 1 - q), 1 << (size - 1 - i)) for i, q in enumerate(self.qubits)]
+        idx = np.arange(1 << size)
+        pair_of: dict[tuple[int, int, int], np.ndarray] = {}  # bits off the classical qubits -> pairs
+        ones: dict[tuple[int, int], np.ndarray] = {}  # simulated (target, control) bits -> pairs
+        self.pairs: list[np.ndarray] = []
+        self.patterns: list[tuple[int, int]] = []
+        self.branches: dict[int, dict[int, list[int]]] = {}  # the prefix ops by pattern
+        for p, (tbit, cbits, zbits) in enumerate(keys):
+            held = cbits & self.classical
+            self.patterns.append((held, held & ~zbits))
+            if p < self.prefix:
+                self.branches.setdefault(held, {}).setdefault(self.patterns[-1][1], []).append(p)
+            own = (tbit, cbits & ~held, zbits & ~held)
+            if own not in pair_of:
+                t, cm, zm = (sum(s for f, s in places if bits & f) for bits in own)
+                if (t, cm) not in ones:  # the pairs with every control and zero-control bit set
+                    i0 = idx[(idx & (t | cm)) == cm]
+                    ones[t, cm] = np.stack([i0, i0 | t])
+                pair_of[own] = ones[t, cm] ^ zm if zm else ones[t, cm]  # zero-control bits cleared
+            self.pairs.append(pair_of[own])
+        # Every op from prefix on joins the layer after the last layer that
+        # touches any of its amplitudes, so a layer's members touch disjoint
+        # amplitudes and commute, and overlapping ops keep their order.
         layer_of = []
-        last = np.full(2**c.width, -1)  # per amplitude: its last op's layer
-        for k in kept[self.prefix:]:
-            layer = int(last[runs[k]].max()) + 1
+        last = np.full(1 << size, -1)  # per amplitude: its last op's layer
+        for pair in self.pairs[self.prefix:]:
+            layer = int(last[pair].max()) + 1
             layer_of.append(layer)
-            last[runs[k]] = layer
-        self.pairs: list[np.ndarray] = [runs[k] for k in kept]
+            last[pair] = layer
         self.heads = np.array([heads[k] for k in kept], dtype=complex).reshape(len(kept), 2, 2)
         self.slotted = np.array([p for p, k in enumerate(kept) if chains[k]], dtype=int)
         self.chains = [(slots[kept[p]], chains[kept[p]]) for p in self.slotted]
@@ -362,15 +384,15 @@ class GateProgram:
             for rows in (np.flatnonzero(layer_of == layer) for layer in range(last.max() + 1))
         ]
         # each op's target bit: a pair differs in it alone
-        targets = [int(pair[0, 0] ^ pair[1, 0]) for pair in self.pairs]
-        self.targeted = sum(set(targets[self.prefix:]))
-        self.stored: dict[int, StartState] = {}
+        self.targeted = sum({int(pair[0, 0] ^ pair[1, 0]) for pair in ops})
+        self.conserved = idx & ~self.targeted
+        self.stored: dict[int, tuple[np.ndarray, np.ndarray, bytes]] = {}
+        self.schedules: dict[tuple[bytes, ...], tuple] = {}
+        self._held = [0, 0]  # bytes in stored and in schedules
         self._compile_tables()
-        # bytes per point of a chunk in hadamard_values: its state on the qubits
-        # some op targets (a run from a basis start changes no other) or its
-        # row of the block table's cos hk and sin hk
-        self.row_bytes = max(np.dtype(complex).itemsize * 2**len(set(targets)),
-                             self.row_half.nbytes)
+        # bytes per point of a chunk in hadamard_values: its state on the
+        # simulated register, or its row of the block table's cos hk and sin hk
+        self.row_bytes = max(np.dtype(complex).itemsize << size, self.row_half.nbytes)
 
     def _compile_tables(self) -> None:
         """Compile each slot's ops into its Fourier table (``slot_tables``:
@@ -417,47 +439,90 @@ class GateProgram:
         self.xforms = [(xf, np.flatnonzero(xforms == xf) if len(set(xforms)) > 1 else slice(None))
                        for xf in dict.fromkeys(xforms.tolist())]
 
-    def start_states(self, keys: list[int]) -> dict[int, StartState]:
-        """The StartState of each start index in ``keys``, from the store.
-        The starts not stored yet run the prefix in batches of at least one
-        whose columns fit PREFIX_BYTES, and each entry is stored while the
-        store holds at most PREFIX_BYTES.  A start outside [0, 2**width)
-        raises ValueError."""
-        found = {s: self.stored.get(s) for s in keys}
-        missing = [s for s, entry in found.items() if entry is None]
-        if not missing:  # a stored start was checked when it was stored
-            return found
-        dim = 2**self.width
-        if not all(0 <= s < dim for s in missing):
-            raise ValueError(f"start indices must lie in [0, {dim})")
-        conserved = np.arange(dim) & ~self.targeted  # the bits no op from prefix on changes
-        held = sum(entry.nbytes for entry in self.stored.values())
-        size = max(1, PREFIX_BYTES // (np.dtype(complex).itemsize * dim))
-        for lo in range(0, len(missing), size):
-            batch = missing[lo:lo + size]
-            cols = np.zeros((dim, len(batch)), dtype=complex)
-            cols[batch, np.arange(len(batch))] = 1.0
-            for pair, head in zip(self.pairs[:self.prefix], self.heads):
-                _apply(cols, pair, head[:, :, None, None])  # once per start: no schedule
-            for j, s in enumerate(batch):  # no view of cols outlives its batch
-                mark = np.zeros(dim, dtype=bool)  # the conserved values that carry mass
-                mark[conserved[cols[:, j] != 0]] = True
-                support = np.flatnonzero(mark[conserved])
-                at = np.full(dim, -1)  # each amplitude's position on the support
-                at[support] = np.arange(len(support))
-                layers = []
-                for pair, rows in self.layers:
-                    pos = at[pair]
-                    on = pos[0] >= 0  # a pair lies on the support or off it whole
-                    if on.any():
-                        layers.append((pos[:, on], rows[on]))
-                pos = at[:dim // 2 * 2].reshape(2, -1)  # where qubit 0 reads 0, then 1
-                readout = pos[:, (pos >= 0).all(axis=0)]
-                found[s] = entry = StartState(support, cols[support, j], layers, readout)
-                if held + entry.nbytes <= PREFIX_BYTES:
+    def prefix_states(self, keys: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, bytes]]:
+        """The state after the prefix from each distinct start index in
+        ``keys``: its support on the simulated register, the state there and
+        the bytes of its support's boolean mask.  A start not stored yet
+        runs the prefix ops that match its classical bits (``branches``)
+        and is stored while the store holds at most PREFIX_BYTES.  A start
+        outside [0, 2**width) raises ValueError."""
+        found = [self.stored.get(s) for s in keys.tolist()]
+        missing = [j for j, entry in enumerate(found) if entry is None]
+        if missing:  # a stored start was checked when it was stored
+            new = keys[missing]
+            dim = 1 << self.width
+            if not (new.min() >= 0 and new.max() < dim):
+                raise ValueError(f"start indices must lie in [0, {dim})")
+            states = self._run_prefix(new)
+            # the conserved values that carry mass, and the support they span
+            marks = np.zeros(states.T.shape, dtype=bool)
+            amps, cols = np.nonzero(states)
+            marks[cols, self.conserved[amps]] = True
+            for j, s, state, mask in zip(missing, new.tolist(), states.T, marks[:, self.conserved]):
+                support = np.flatnonzero(mask)
+                found[j] = entry = (support, state[support], mask.tobytes())
+                size = support.nbytes + entry[1].nbytes
+                if self._held[0] + size <= PREFIX_BYTES:
                     self.stored[s] = entry
-                    held += entry.nbytes
+                    self._held[0] += size
         return found
+
+    def _run_prefix(self, starts: np.ndarray) -> np.ndarray:
+        """The (2**len(qubits), len(starts)) states after the prefix from
+        the distinct start indices, one column each: each prefix op in
+        circuit order on the columns whose classical bits match its
+        pattern."""
+        at = np.zeros(len(starts), dtype=int)  # each start's index on the simulated register
+        for i, q in enumerate(reversed(self.qubits)):
+            at |= (starts >> (self.width - 1 - q) & 1) << i
+        states = np.zeros((1 << len(self.qubits), len(starts)), dtype=complex)
+        states[at, np.arange(len(starts))] = 1.0
+        todo = []  # (op, the columns it acts on)
+        for held, ops in self.branches.items():
+            cols: dict[int, list[int]] = {}
+            for j, value in enumerate((starts & held).tolist()):
+                cols.setdefault(value, []).append(j)
+            for value, where in cols.items():
+                todo += [(k, where) for k in ops.get(value, ())]
+        todo.sort(key=lambda op: op[0])
+        for k, cols in todo:
+            pair, head = self.pairs[k], self.heads[k]
+            if len(cols) == 1:  # a view: no gather
+                _apply(states[:, cols[0]], pair, head[:, :, None])
+            else:
+                part = states[:, cols]
+                _apply(part, pair, head[:, :, None, None])
+                states[:, cols] = part
+        return states
+
+    def schedule(self, supports: tuple[bytes, ...]) -> tuple:
+        """For the support masks of a batch's starts, given as bytes: the
+        sorted indices of their union, each layer's pairs that lie there as
+        positions on it with the row of each pair's op, and per support the
+        (2, M) positions there of its readout pairs, both ends on it."""
+        entry = self.schedules.get(supports)
+        if entry is None:
+            masks = [np.frombuffer(m, dtype=bool) for m in supports]
+            union = np.logical_or.reduce(masks)
+            support = np.flatnonzero(union)
+            at = np.full(len(union), -1)  # each amplitude's position on the support
+            at[support] = np.arange(len(support))
+            layers = []
+            for pair, rows in self.layers:
+                pos = at[pair]
+                on = pos[0] >= 0  # a pair lies on the support or off it whole
+                if on.any():
+                    layers.append((pos[:, on], rows[on]))
+            half = len(union) // 2  # where qubit 0 reads 0, then 1
+            readouts = [at[np.stack([lo, lo + half])] for lo in
+                        (np.flatnonzero(m[:half] & m[half:2 * half]) for m in masks)]
+            entry = support, layers, readouts
+            size = (support.nbytes + sum(r.nbytes for r in readouts)
+                    + sum(pair.nbytes + rows.nbytes for pair, rows in layers))
+            if self._held[1] + size <= PREFIX_BYTES:
+                self.schedules[supports] = entry
+                self._held[1] += size
+        return entry
 
     def op_matrices(self, x: Optional[np.ndarray]) -> np.ndarray:
         """The (len(pairs) - prefix, N, 2, 2) matrices of the ops from
@@ -540,49 +605,57 @@ def run(
     c: Circuit | GateProgram,
     x: Optional[np.ndarray] = None,
     start: Optional[np.ndarray] = None,
-) -> list[tuple[int | slice | np.ndarray, StartState, np.ndarray]]:
-    """The final states of a batch run on each distinct start's support.
+) -> FinalStates:
+    """The final states of a batch run, as one group on the simulated
+    register (see GateProgram and FinalStates).
 
     ``x`` is an (N, d) point array, or None for a circuit without encoding
     slots, and ``start`` holds the N initial basis-state indices (default
-    0); with neither it is a batch of one from |0..0>.  The points of each
-    distinct start run together on its support, from its stored state
-    after the prefix (``StartState``), and every amplitude off the support
-    is exactly 0.  Per distinct start the result holds its columns of the
-    batch (every column for one start), its StartState and its
-    (len(support), n) states, one column per point; a lone point has
-    column 0 and a (len(support),) state.  A final state whose norm is off
-    1 by more than 1e-10 raises.  A plain circuit is compiled first.
+    0); with neither it is a batch of one from |0..0>.  Each point starts
+    from its start's state after the prefix, on the union of the supports
+    of the batch's starts, and every amplitude off its own start's support
+    is exactly 0.  A final state whose norm is off 1 by more than 1e-10
+    raises.  A plain circuit is compiled first.
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
     xs, starts, size = _batch(program, x, start)
-    groups = _by_start(starts, size)
-    found = program.start_states([s for s, _, _ in groups])  # checks the start indices
+    if starts is None or not size:  # an empty batch runs as from start 0
+        keys = np.zeros(1, dtype=int)
+    elif size == 1:
+        keys = starts
+    else:
+        keys, inverse = np.unique(starts, return_inverse=True)
+    entries = program.prefix_states(keys)  # checks the start indices
+    groups = sorted({mask for _, _, mask in entries})
+    support, layers, readouts = program.schedule(tuple(groups))
+    if len(keys) == 1:  # its support is the union
+        block = entries[0][1].copy() if size == 1 else entries[0][1][:, None].repeat(size, axis=1)
+    else:  # each start's state scattered onto the register, the union gathered
+        full = np.zeros((len(keys), 1 << len(program.qubits)), dtype=complex)
+        full[np.repeat(np.arange(len(keys)), [len(s) for s, _, _ in entries]),
+             np.concatenate([s for s, _, _ in entries])] = np.concatenate([a for _, a, _ in entries])
+        block = full[:, support].T[:, inverse]
     if program.layers:  # (2, 2, len(pairs) - prefix, N), entry by entry
-        mats = program.op_matrices(xs).transpose(2, 3, 0, 1)
-    out = []
-    for s, cols, n in groups:
-        entry = found[s]
-        if size == 1:  # a lone point drops the batch axis of its state and
-            # its coefficients, so numpy takes its fast 1-D fancy-index path
-            cols, block = 0, entry.state.copy()
-        else:
-            block = entry.state[:, None].repeat(n, axis=1)
-        if entry.layers:
-            coef = mats[..., cols]
-        for pair, rows in entry.layers:
+        coef = program.op_matrices(xs).transpose(2, 3, 0, 1)
+        if size == 1:
+            coef = coef[..., 0]
+        for pair, rows in layers:
             _apply(block, pair, coef[:, :, rows])
-        if size == 1:  # a Python float, without numpy's dispatch
-            norm = math.sqrt(np.vdot(block, block).real)
-            if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
-                raise RuntimeError(f"simulation lost unitarity: norm {norm}")
-        else:  # np.linalg.norm's own sum, without its dispatch
-            norms = np.sqrt(np.add.reduce((block.conj() * block).real, axis=0))
-            ok = np.abs(norms - 1.0) <= 1e-10
-            if not ok.all():
-                raise RuntimeError(f"simulation lost unitarity: norm {norms[~ok][0]}")
-        out.append((cols, entry, block))
-    return out
+    if size == 1:  # a Python float, without numpy's dispatch
+        norm = math.sqrt(np.vdot(block, block).real)
+        if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
+            raise RuntimeError(f"simulation lost unitarity: norm {norm}")
+    else:  # np.linalg.norm's own sum, without its dispatch
+        norms = np.sqrt(np.add.reduce((block.conj() * block).real, axis=0))
+        ok = np.abs(norms - 1.0) <= 1e-10
+        if not ok.all():
+            raise RuntimeError(f"simulation lost unitarity: norm {norms[~ok][0]}")
+    if len(groups) == 1:
+        readout = [(0 if size == 1 else slice(None), readouts[0])]
+    else:  # the points of each start support
+        group = np.array([groups.index(mask) for _, _, mask in entries])[inverse]
+        readout = [(np.flatnonzero(group == g), r) for g, r in enumerate(readouts)]
+    return FinalStates(support, block, readout)
 
 
 def _batch(program: GateProgram, x: Optional[np.ndarray],
@@ -606,23 +679,6 @@ def _batch(program: GateProgram, x: Optional[np.ndarray],
     return xs, starts, size
 
 
-def _by_start(starts: Optional[np.ndarray], size: int) -> list[tuple[int, slice | np.ndarray, int]]:
-    """Each distinct start index of a batch of ``size`` points (all 0 for
-    None), the columns that start from it in order (every column when
-    there is one start), and their count."""
-    if starts is None:
-        return [(0, slice(None), size)]
-    if size < 2:
-        return [(s, slice(None), 1) for s in starts.tolist()]
-    order = np.argsort(starts, kind="stable")
-    ranked = starts[order]
-    cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
-    if not len(cuts):
-        return [(int(ranked[0]), slice(None), len(starts))]
-    cols = np.split(order, cuts)
-    return [(s, c, len(c)) for s, c in zip(ranked[np.r_[0, cuts]].tolist(), cols)]
-
-
 def _apply(state: np.ndarray, pair: np.ndarray, coef: np.ndarray) -> None:
     """a0' = c00 a0 + c01 a1 and a1' = c10 a0 + c11 a1 at every amplitude
     pair (a0, a1) = state[pair], elementwise with the coefficients
@@ -633,9 +689,9 @@ def _apply(state: np.ndarray, pair: np.ndarray, coef: np.ndarray) -> None:
 
 # Bytes of states, or of table rows, per chunk of points in hadamard_values.
 BATCH_BYTES = 1 << 19
-# Bytes of StartState entries one program stores: every start of the d=3,
-# K=4 Taylor series block takes 0.18 MB, start 0 of the d=3, n=16 Bernstein
-# test 1.7 MB.
+# Bytes of the states after the prefix, and of the schedules, that one
+# program stores: every start of the d=4, K=8 Taylor series block takes
+# 4 KiB, start 0 of the d=3, n=16 Bernstein test 8 MiB.
 PREFIX_BYTES = 1 << 23
 
 
@@ -650,32 +706,42 @@ def hadamard_values(
     With a0 and a1 the halves of a final state where the ancilla, qubit 0,
     reads 0 and 1, the ancilla's <X> + i<Y> is 2 sum conj(a0) a1, so one
     run gives both parts.  A point takes one np.vdot over its start's
-    readout pairs (``StartState.readout``) on its support, since a pair
-    with one end off it adds exactly 0; it reads them as contiguous
-    vectors, so a point reads the same bits alone, in a batch and in any
-    chunking.
-    With neither x nor start it is a batch of one from |0..0>.  The batch runs in chunks of
-    points whose states, and whose rows of the block table, fit in
-    BATCH_BYTES (``GateProgram.row_bytes`` per point).
+    readout pairs (``FinalStates.readout``), since a pair with one end off
+    its support adds exactly 0; it reads them as contiguous vectors, so a
+    point reads the same bits alone, in a batch and in any chunking.
+    With neither x nor start it is a batch of one from |0..0>.  The batch
+    runs in chunks of points whose states, and whose rows of the block
+    table, fit in BATCH_BYTES (``GateProgram.row_bytes`` per point), in
+    order of start, so a start's prefix runs in few chunks.  One chunk is
+    checked by run alone.
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
-    xs, starts, size = _batch(program, x, start)  # before chunking, as run words it
     rows = max(1, BATCH_BYTES // program.row_bytes)
+    shape = np.shape(start if x is None else x)
+    if (shape[0] if shape else 1) <= rows:
+        return _ancilla_values(run(program, x=x, start=start))
+    xs, starts, size = _batch(program, x, start)  # before chunking, as run words it
+    order = np.arange(size) if starts is None else np.argsort(starts, kind="stable")
     out = np.empty(size, dtype=complex)
     for lo in range(0, size, rows):
-        chunk = slice(lo, lo + rows)
-        values = out[chunk]
-        groups = run(
+        chunk = order[lo:lo + rows]
+        out[chunk] = _ancilla_values(run(
             program,
             x=None if xs is None else xs[chunk],
             start=None if starts is None else starts[chunk],
-        )
-        for cols, entry, states in groups:
-            a0, a1 = entry.readout
-            if states.ndim == 1:
-                values[cols] = np.vdot(states[a0], states[a1])
-            else:  # one contiguous row per point
-                values[cols] = list(map(np.vdot, states[a0].T.copy(), states[a1].T.copy()))
+        ))
+    return out
+
+
+def _ancilla_values(final: FinalStates) -> np.ndarray:
+    """2 <a0|a1> of each point of a run, over its readout pairs."""
+    states = final.states
+    if states.ndim == 1:
+        a0, a1 = final.readout[0][1]
+        return np.array([2.0 * np.vdot(states[a0], states[a1])])
+    out = np.empty(states.shape[1], dtype=complex)
+    for cols, (a0, a1) in final.readout:  # one contiguous row per point
+        out[cols] = list(map(np.vdot, states[a0][:, cols].T.copy(), states[a1][:, cols].T.copy()))
     out *= 2.0
     return out
 

@@ -15,9 +15,10 @@ evaluator, ``poly._chebval``, whose contract tests/test_poly.py checks
 against a 40-digit reference.
 
 It also holds two whole-state views of a compiled program's run:
-``dense_run`` scatters the states ``run`` returns on each start's support
-into (N, 2**width) amplitudes, and ``unstored_run`` runs every op in turn
-on the whole state, with no stored prefix state and no layers.  And it
+``dense_run`` scatters the states ``run`` returns on the simulated
+register into (N, 2**width) amplitudes, and ``unstored_run`` runs every op
+in turn on the whole state, with no stored prefix state, no classical
+register and no layers.  And it
 holds the lowering of controlled gates to one-control X's and
 single-qubit rotations (``decompose_mcu``, ``lowered``), which checks that
 the simulator's native controlled gates are elementary up to global phase.
@@ -131,28 +132,52 @@ def ancilla_values(amps: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _places(prog: GateProgram) -> np.ndarray:
+    """The whole-state index of each index of the simulated register, with
+    every classical bit 0."""
+    sub = np.arange(2 ** len(prog.qubits))
+    full = np.zeros_like(sub)
+    for i, q in enumerate(prog.qubits):
+        full |= (sub >> (len(prog.qubits) - 1 - i) & 1) << (prog.width - 1 - q)
+    return full
+
+
 def dense_run(c, x=None, start=None) -> np.ndarray:
     """The (N, 2**width) final amplitudes of run(c, x, start), one row per
-    point: each start's states on its support scattered into the whole
-    state, 0 off it."""
+    point: the states on the simulated register's support scattered into
+    the whole state at each point's classical bits, 0 off it."""
     program = c if isinstance(c, GateProgram) else GateProgram(c)
-    groups = run(program, x=x, start=start)
-    size = sum(states.shape[1] if states.ndim > 1 else 1 for _, _, states in groups)
-    amps = np.zeros((2**program.width, size), dtype=complex)
-    for cols, entry, states in groups:
-        amps[entry.support[:, None], np.arange(size)[cols]] = states.reshape(len(entry.support), -1)
-    return amps.T
+    final = run(program, x=x, start=start)
+    states = final.states.reshape(len(final.support), -1)
+    size = states.shape[1]
+    starts = np.zeros(size, dtype=int) if start is None else np.asarray(start, dtype=int)
+    at = _places(program)[final.support][None, :] | (starts[:, None] & program.classical)
+    amps = np.zeros((size, 2**program.width), dtype=complex)
+    amps[np.arange(size)[:, None], at] = states.T
+    return amps
+
+
+def whole_pairs(prog: GateProgram, k: int) -> np.ndarray:
+    """Op k's amplitude pairs on the whole state: its pairs on the
+    simulated register at every value of the classical bits that its
+    classical controls and zero-controls select."""
+    held, value = prog.patterns[k]
+    bits = [1 << (prog.width - 1 - q) for q in range(prog.width) if prog.classical >> (prog.width - 1 - q) & 1]
+    values = [sum(b for j, b in enumerate(bits) if m >> j & 1) for m in range(2 ** len(bits))]
+    pair = _places(prog)[prog.pairs[k]]
+    return np.concatenate([pair | v for v in values if v & held == value], axis=1)
 
 
 def unstored_run(prog: GateProgram, xs, starts) -> np.ndarray:
-    """The final amplitudes of a batch run with no stored prefix state and
-    no layers: every op in turn from op 0 on the whole state, each pair
-    updated as a layer updates it, op k from row k - prefix of op_matrices
-    from prefix on."""
+    """The final amplitudes of a batch run with no stored prefix state, no
+    classical register and no layers: every op in turn from op 0 on the
+    whole state, each pair updated as a layer updates it, op k from row
+    k - prefix of op_matrices from prefix on."""
     amps = np.zeros((2**prog.width, len(starts)), dtype=complex)
     amps[starts, np.arange(len(starts))] = 1.0
     mats = prog.op_matrices(xs) if prog.layers else None  # (len(pairs) - prefix, N, 2, 2)
-    for k, pair in enumerate(prog.pairs):
+    for k in range(len(prog.pairs)):
+        pair = whole_pairs(prog, k)
         if k < prog.prefix:
             _apply(amps, pair, prog.heads[k][:, :, None, None])
         else:

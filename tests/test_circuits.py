@@ -1131,6 +1131,26 @@ def test_nested_batch_equals_single_points():
         assert C.round_to_eta(C.localization_values(spec, x), 4) == tuple(eta)
 
 
+def test_nested_model_localizes_each_distinct_coordinate_once(monkeypatch):
+    """The 169 points of a 13 x 13 grid localize their 13 distinct
+    coordinate values in one call, and the values scattered back are those
+    of every coordinate bit for bit, so the model's values are too; a lone
+    point localizes its own coordinates."""
+    f = targets.product_sines(2)
+    spec = P.LocalizationSpec(4, 1 / 16, 1 / 8)
+    model = C.NestedTaylorModel(f, spec, 1)
+    axis = np.linspace(0.0, 1.0, 13)
+    xs = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    eta = C.round_to_eta(C.localization_values(spec, xs), 4)
+    want = C.evaluate_block(model.series, xs - eta / 4, start=C.series_start(model.table, eta))
+    real, shapes = C.localization_values, []
+    monkeypatch.setattr(C, "localization_values",
+                        lambda spec, x: shapes.append(np.shape(x)) or real(spec, x))
+    assert np.array_equal(model(xs), want)
+    assert shapes == [(13,)]
+    assert model(xs[20]) == want[20] and shapes[1:] == [(1, 2)]
+
+
 def test_evaluate_block_batch_equals_single_points():
     real = C.build_monomial_pqc(0.5, (1, 2))
     cplx = C.build_trig_monomial_pqc(0.5j, (1, -1))
@@ -1171,9 +1191,10 @@ def test_nested_model_builds_one_localization_block(monkeypatch, d):
 
 
 def test_nested_d3_grid_runs_in_chunks_sized_by_the_targeted_qubits(monkeypatch):
-    """The d=3, K=4 series block is 13 qubits wide, but its ops target 7,
-    so a point's state takes 2 KiB and the report's 3,375 union-grid
-    points run in 14 chunks of at most 256, not 844 chunks of 4."""
+    """The d=3, K=4 series block is 13 qubits wide, but its 6 address
+    qubits are classical, so a point's state on the other 7 takes 2 KiB and
+    the report's 3,375 union-grid points run in 14 chunks of at most 256,
+    not 844 chunks of 4."""
     delta = cli.default_delta(3, 4)
     model = C.NestedTaylorModel(targets.product_sines(3), P.LocalizationSpec(4, delta, 0.125), 1)
     pts = approx.GridSpec(3, region="union_q_eta", K=4, delta=delta).points()

@@ -19,6 +19,7 @@ from oracles import (
     circuit_unitary,
     cnot,
     decompose_mcu,
+    _places,
     dense_run,
     lowered,
     ry,
@@ -370,10 +371,9 @@ def test_chunked_expectations_equal_single_point_runs(seed):
         chunks.append(len(kwargs["x"]))
         return real_run(program, **kwargs)
 
-    # a point's row: its state on the qubits some op targets, or its row of
-    # the block table, whichever is larger
-    qubits = {int(pair[0, 0] ^ pair[1, 0]).bit_length() for pair in prog.pairs}
-    assert prog.row_bytes == max(16 * 2**len(qubits), 8 * len(prog.row_half))
+    # a point's row: its state on the simulated register, or its row of the
+    # block table, whichever is larger
+    assert prog.row_bytes == max(16 * 2**len(prog.qubits), 8 * len(prog.row_half))
     with pytest.MonkeyPatch.context() as mp:
         # a budget of three rows: 11 points run in chunks of 3, 3, 3 and 2
         mp.setattr(S, "BATCH_BYTES", 3 * prog.row_bytes)
@@ -497,12 +497,13 @@ def test_program_without_slots_stores_its_whole_run():
     first = dense_run(prog, start=starts)
     assert np.max(np.abs(first - want)) <= 1e-14
     assert sorted(prog.stored) == [0, 3, 5]
-    # no layer runs after the prefix: the stored states are the final ones,
-    # on a support of every index whose nonzero amplitude they could hold
-    entry = prog.stored[5]
-    assert not prog.layers and prog.targeted == 0 and not entry.layers
-    assert np.array_equal(entry.state, first[0][entry.support])
-    assert not np.delete(first[0], entry.support).any()
+    # no layer runs after the prefix and every qubit is targeted: the stored
+    # states are the final ones, on a support of their nonzero amplitudes
+    support, state, mask = prog.stored[5]
+    assert not prog.layers and prog.targeted == 0 and not prog.classical
+    assert np.array_equal(support, np.flatnonzero(first[0]))
+    assert np.array_equal(state, first[0][support])
+    assert np.array_equal(np.frombuffer(mask, dtype=bool), first[0] != 0)
     assert np.array_equal(dense_run(prog, start=starts), first)
 
 
@@ -521,14 +522,17 @@ def test_program_with_a_slotted_first_op_has_an_empty_prefix():
 
 @pytest.mark.parametrize("states", [0, 3])
 def test_prefix_store_stops_at_its_byte_cap(monkeypatch, series_block, states):
+    """A start's entry takes 576 or 768 bytes (a support of 24 or 32 of the
+    simulated register's 32 amplitudes, its indices and its state), so the
+    cap is the bytes of the first starts a batch stores, in its order of
+    start index; the schedules stay within
+    the cap too, and every run gives the unstored amplitudes."""
     bc, starts, xs, _ = series_block
-    entries = series_program(bc).start_states(starts.tolist())
-    # a start's entry takes 816 or 1,120 bytes, so the cap is the bytes of
-    # the first starts a batch stores, in its order of start index
-    assert sorted({entry.nbytes for entry in entries.values()}) == [816, 1120]
-    first = sorted(entries)[:states]
-    cap = sum(entries[s].nbytes for s in first)
     prog = series_program(bc)
+    entries = series_program(bc).prefix_states(np.sort(starts))
+    assert sorted({support.nbytes + state.nbytes for support, state, _ in entries}) == [576, 768]
+    first = sorted(starts.tolist())[:states]
+    cap = sum(support.nbytes + state.nbytes for support, state, _ in entries[:states])
     monkeypatch.setattr(S, "PREFIX_BYTES", cap)
     for _ in range(2):
         got = dense_run(prog, x=xs, start=starts)
@@ -537,8 +541,11 @@ def test_prefix_store_stops_at_its_byte_cap(monkeypatch, series_block, states):
         for n in range(16):
             single = dense_run(prog, x=xs[[n]], start=starts[[n]])
             assert np.array_equal(single, unstored_run(prog, xs[[n]], starts[[n]]))
-    assert len(prog.stored) == states
-    assert sum(entry.nbytes for entry in prog.stored.values()) <= cap
+    assert sum(support.nbytes + state.nbytes for support, state, _ in prog.stored.values()) <= cap
+    assert sum(support.nbytes + sum(r.nbytes for r in readouts)
+               + sum(pair.nbytes + rows.nbytes for pair, rows in layers)
+               for support, layers, readouts in prog.schedules.values()) <= cap
+    assert bool(prog.schedules) == bool(states)  # the batch's schedule fits the cap of 3
 
 
 def test_hadamard_values_runs_the_prefix_once_per_chunk_with_no_store(monkeypatch, series_block):
@@ -548,43 +555,104 @@ def test_hadamard_values_runs_the_prefix_once_per_chunk_with_no_store(monkeypatc
     prog = series_program(bc)
     want = S.hadamard_values(series_program(bc), xs, starts)
     calls = []
-    real_start_states = S.GateProgram.start_states
+    real_prefix_states = S.GateProgram.prefix_states
 
-    def counting_start_states(program, keys):
+    def counting_prefix_states(program, keys):
         calls.append(len(keys))
-        return real_start_states(program, keys)
+        return real_prefix_states(program, keys)
 
     monkeypatch.setattr(S, "PREFIX_BYTES", 0)
     monkeypatch.setattr(S, "BATCH_BYTES", 4 * prog.row_bytes)
-    monkeypatch.setattr(S.GateProgram, "start_states", counting_start_states)
+    monkeypatch.setattr(S.GateProgram, "prefix_states", counting_prefix_states)
     got = S.hadamard_values(prog, xs, starts)
-    assert calls == [4, 4, 4, 4] and not prog.stored
+    assert calls == [4, 4, 4, 4] and not prog.stored and not prog.schedules
     assert np.array_equal(got, want)
 
 
-def test_new_starts_run_the_prefix_in_batches_within_prefix_bytes(monkeypatch):
-    """A chunk's new starts run the prefix on whole-state columns a batch at
-    a time.  With PREFIX_BYTES at four columns, one call over 64 starts
-    peaks within eight batches: a batch, the three batches of temporaries
-    of an op's update and the entries (6.4 batches here).  One batch of
-    every start peaks at 64 batches.  The values do not move."""
-    table = C.TaylorCoeffTable.from_target(targets.product_sines(2), 8, 1)
-    eta = np.array(list(itertools.product(range(8), repeat=2)))
-    starts = C.series_start(table, eta)
-    xs = np.random.default_rng(3).uniform(0.0, 1 / 8, (len(starts), 2))
-    want = S.hadamard_values(C.build_taylor_series_pqc(table, (0, 0)).program, xs, starts)
-    prog = C.build_taylor_series_pqc(table, (0, 0)).program
+def test_a_model_call_allocates_no_whole_state_column():
+    """The d=3, K=4 series block is 13 qubits wide, and its 6 address
+    qubits are classical, so a model call over one point in each of its 64
+    cells holds their states on 7 simulated qubits: its traced peak stays
+    below 8 whole-state columns of 2^13 amplitudes (1 MiB), where a
+    whole-state prefix run took a column per new start (32.6 MB here).  The
+    points share their four coordinate values, so the localization's cosine
+    table is small too."""
+    f = targets.product_sines(3)
+    spec = P.LocalizationSpec(4, 1 / 64, 1 / 8)
+    model = C.NestedTaylorModel(f, spec, 1)
+    prog = model.series.program  # compiled before tracing
+    assert (prog.width, len(prog.qubits)) == (13, 7)
+    model(np.array([[0.1, 0.6, 0.9], [0.4, 0.4, 0.4]]))  # numpy's lazy imports, before tracing
+    xs = (np.array(list(itertools.product(range(4), repeat=3))) + 0.45) / 4
     column = np.dtype(complex).itemsize * 2**prog.width
-    batch = 4 * column
-    monkeypatch.setattr(S, "PREFIX_BYTES", batch)
     tracemalloc.start()
     try:
-        got = S.hadamard_values(prog, xs, starts)
+        got = model(xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * batch, peak / batch
-    assert np.array_equal(got, want)
+    assert peak < 8 * column, peak / column
+    assert len(prog.stored) == 64
+    assert np.array_equal(got, [model(x) for x in xs])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_series_blocks_from_every_cell_match_the_unstored_run(d):
+    """The d = 1, 2 and 3, K=4 series blocks from each cell's start, as one
+    batch and point by point from the store: the amplitudes of running
+    every op on the whole state, bit for bit, and the same value for a
+    point alone and in the batch."""
+    table = C.TaylorCoeffTable.from_target(targets.product_sines(d), 4, 1)
+    prog = C.build_taylor_series_pqc(table, (0,) * d).program
+    starts = C.series_start(table, np.array(list(itertools.product(range(4), repeat=d))))
+    xs = np.random.default_rng(d).uniform(0.0, 0.25, (len(starts), d))
+    want = unstored_run(prog, xs, starts)
+    assert np.array_equal(dense_run(prog, x=xs, start=starts), want)
+    values = S.hadamard_values(prog, xs, starts)
+    for n in range(len(starts)):
+        assert np.array_equal(dense_run(prog, x=xs[[n]], start=starts[[n]])[0], want[n])
+        assert S.hadamard_values(prog, xs[[n]], starts[[n]])[0] == values[n]
+    assert np.max(np.abs(values - ancilla_values(want))) <= 1e-12
+
+
+def test_an_untargeted_qubit_read_after_the_prefix_stays_simulated():
+    """Qubit 2 is never targeted.  Read by a prefix op alone it is
+    classical, and a start runs that op only where qubit 2 reads 1; read by
+    the slotted op after the prefix it stays simulated.  Both match the
+    dense unitary from every start and the unstored run bit for bit."""
+    slot = S.EncodingSlot(0, "acos", 0.1)
+    before = S.Circuit(3, (S.h(0), S.Gate("Ry", 1, (2,), angle=0.7),
+                           S.Gate("Rx", 1, (0,), slot=slot)))
+    after = S.Circuit(3, (S.h(0), S.Gate("Ry", 1, (0,), angle=0.7),
+                          S.Gate("Rx", 1, (0, 2), slot=slot)))
+    xs = np.random.default_rng(9).uniform(-0.5, 0.5, (8, 1))
+    starts = np.arange(8)
+    for circ, classical in ((before, 0b001), (after, 0)):
+        prog = S.GateProgram(circ)
+        assert prog.classical == classical and len(prog.qubits) == 3 - classical
+        assert prog.prefix == 2 and prog.targeted == 1 << (len(prog.qubits) - 2)  # qubit 1
+        got = dense_run(prog, x=xs, start=starts)
+        assert np.array_equal(got, unstored_run(prog, xs, starts))
+        for x, s, amps in zip(xs, starts, got):
+            assert np.max(np.abs(amps - circuit_unitary(circ.bound(x))[:, s])) <= 1e-14
+
+
+def test_a_lone_point_checks_its_batch_once(monkeypatch, bernstein_block, series_block):
+    """A lone point's evaluate_block makes one sim.run call, which checks x
+    and start once (``_batch``); a batch of several chunks is checked before
+    it is cut, then chunk by chunk."""
+    checks, runs = [], []
+    check, run = S._batch, S.run
+    monkeypatch.setattr(S, "_batch", lambda *args: checks.append(1) or check(*args))
+    monkeypatch.setattr(S, "run", lambda program, **kw: runs.append(1) or run(program, **kw))
+    bern, (series, starts, xs, _) = bernstein_block[1], series_block
+    C.evaluate_block(bern, [0.3, 0.7])
+    C.evaluate_block(series, xs[:1], start=starts[:1])
+    assert checks == runs == [1, 1]
+    monkeypatch.setattr(S, "BATCH_BYTES", 4 * series.program.row_bytes)
+    checks.clear(), runs.clear()
+    C.evaluate_block(series, xs, start=starts)
+    assert (len(checks), len(runs)) == (5, 4)
 
 
 def sparse_prefix_circuit(rng, width):
@@ -608,10 +676,10 @@ def sparse_prefix_circuit(rng, width):
 @given(st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_support_run_equals_the_whole_state_run(seed):
-    """A batch of mixed starts runs each start on its support and gives the
-    amplitudes of running every op on the whole state; every amplitude off
-    a start's support is exactly 0 there, and the readout takes every pair
-    of the two halves with both ends on the support."""
+    """A batch of mixed starts runs as one group on the union of their
+    supports on the simulated register and gives the amplitudes of running
+    every op on the whole state; every other amplitude is exactly 0 there,
+    and each group's readout takes pairs of the two halves on the support."""
     rng = np.random.default_rng(seed)
     width = int(rng.integers(1, 7))
     prog = S.GateProgram(sparse_prefix_circuit(rng, width))
@@ -619,19 +687,19 @@ def test_support_run_equals_the_whole_state_run(seed):
     xs, _ = random_batch(rng, width, int(rng.integers(1, 9)))
     starts = rng.choice(pool, len(xs))
     want = unstored_run(prog, xs, starts)
-    groups = S.run(prog, x=xs, start=starts)
+    final = S.run(prog, x=xs, start=starts)
+    support = final.support
+    assert np.array_equal(support, np.unique(support))
+    at = _places(prog)[support][None, :] | (starts[:, None] & prog.classical)
+    rows = np.arange(len(xs))[:, None]
+    assert np.array_equal(final.states.reshape(len(support), -1).T, want[rows, at])
+    off = np.ones(want.shape, dtype=bool)
+    off[rows, at] = False
+    assert not want[off].any()
+    half = 2 ** len(prog.qubits) // 2
     seen = []
-    half = 2**width // 2
-    for cols, entry, states in groups:
-        support = entry.support
-        assert np.array_equal(support, np.unique(support))
-        assert np.array_equal(states, want[cols][..., support].T)
-        assert not np.delete(want[cols], support, axis=-1).any()
-        lo, hi = support[entry.readout]
-        assert np.array_equal(hi, lo + half) and (hi >= half).all()
-        assert len(lo) == len(np.intersect1d(support[support < half] + half, support))
-        assert sum(pair.shape[1] for pair, _ in entry.layers) <= sum(
-            pair.shape[1] for pair, _ in prog.layers)
+    for cols, (lo, hi) in final.readout:
+        assert np.array_equal(support[hi], support[lo] + half) and (support[hi] >= half).all()
         seen += np.ravel(np.arange(len(xs))[cols]).tolist()
     assert sorted(seen) == list(range(len(xs)))
     got = dense_run(prog, xs, starts)
@@ -644,25 +712,27 @@ def test_support_run_equals_the_whole_state_run(seed):
 
 @pytest.mark.parametrize("block, amplitudes, pairs", [
     ("bernstein", ({48}, 512), ({8}, 128)),
-    ("series", ({24, 32}, 512), ({2, 4}, 64)),
+    ("series", ({24, 32}, 32), ({2, 4}, 4)),
 ])
 def test_a_point_updates_only_the_pairs_on_its_support(block, amplitudes, pairs,
                                                      bernstein_block, series_block):
     """The d=2, n=4 Bernstein block from start 0 and the d=2, K=4 series
-    block from each of its 16 cells: the amplitudes a point keeps, the
-    pairs it updates per point and the readout pairs it reads, of the whole
-    state's.  A series cell whose coefficients of order 1 all vanish (eta_0
-    = 0 for product_sines) keeps fewer."""
+    block from each of its 16 cells, on their simulated registers of 9 and
+    5 qubits: the amplitudes a point keeps, the pairs it updates per point
+    and the readout pairs it reads, of the register's.  A series cell whose
+    coefficients of order 1 all vanish (eta_0 = 0 for product_sines) keeps
+    fewer."""
     if block == "bernstein":
         bc, starts, readout = bernstein_block[1], np.zeros(1, dtype=int), ({24}, 256)
     else:
-        bc, starts, readout = *series_block[:2], ({12, 16}, 256)
+        bc, starts, readout = *series_block[:2], ({12, 16}, 16)
     prog = bc.program
-    entries = prog.start_states(starts.tolist()).values()
-    assert ({len(entry.support) for entry in entries}, 2**prog.width) == amplitudes
-    assert ({sum(pair.shape[1] for pair, _ in entry.layers) for entry in entries},
+    size = 2 ** len(prog.qubits)
+    schedules = [prog.schedule((mask,)) for mask in {m for _, _, m in prog.prefix_states(starts)}]
+    assert ({len(support) for support, _, _ in schedules}, size) == amplitudes
+    assert ({sum(pair.shape[1] for pair, _ in layers) for _, layers, _ in schedules},
             sum(pair.shape[1] for pair, _ in prog.layers)) == pairs
-    assert ({entry.readout.shape[1] for entry in entries}, 2**prog.width // 2) == readout
+    assert ({r.shape[1] for _, _, (r,) in schedules}, size // 2) == readout
 
 
 def test_hadamard_values_rejects_extra_start_indices(monkeypatch, bernstein_block):
@@ -716,16 +786,18 @@ def test_fixed_ops_after_the_first_slotted_op_run_at_every_point(overlap, layers
         assert np.max(np.abs(amps - circuit_unitary(circ.bound(x))[:, s])) <= 1e-14
 
 
-@pytest.mark.parametrize("d, layout", [(2, (54, 56, [64])), (3, (212, 215, [768]))])
+@pytest.mark.parametrize("d, layout", [(2, (54, 56, [4])), (3, (212, 215, [12]))])
 def test_series_block_runs_only_its_slotted_ops_per_point(d, layout):
     """The prep, the sign diagonal and the pad of the d=2 and d=3, K=4, s=1
     series block are fixed and come before every slotted op, so they all
     run in the prefix; the SELECT's d slotted ops, one per order-1 term,
-    run in one layer."""
+    run in one layer on the simulated register, whose address qubits (the
+    last 2d) are classical."""
     table = C.TaylorCoeffTable.from_target(targets.product_sines(d), 4, 1)
     prog = C.build_taylor_series_pqc(table, (0,) * d).program
     assert (prog.prefix, len(prog.pairs), [pair.shape[1] for pair, _ in prog.layers]) == layout
     assert np.array_equal(prog.slotted, np.arange(prog.prefix, len(prog.pairs)))
+    assert prog.classical == 2 ** (2 * d) - 1 and len(prog.qubits) == prog.width - 2 * d
 
 
 def test_trig_block_drops_its_identity_lines():
@@ -969,6 +1041,39 @@ def test_no_layer_after_prefix_runs_a_selection_h(build):
     fixed = np.setdiff1d(np.arange(prog.prefix, len(prog.pairs)), prog.slotted)
     assert not any(np.allclose(m, S.gate_matrix_1q("H"), rtol=0, atol=1e-12)
                    for m in prog.heads[fixed])
+
+
+@pytest.mark.parametrize("build, address", [
+    (lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4), 0),
+    (lambda: C.build_taylor_series_pqc(
+        C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)), 4),
+    (lambda: C.build_taylor_series_pqc(
+        C.TaylorCoeffTable.from_target(targets.product_sines(3), 2, 1), (0, 0, 0)), 3),
+    (lambda: C.build_monomial_pqc(0.5, (1, 2)), 0),
+    (lambda: C.build_poly_pqc(P.MultivariatePolynomial({(1, 0): 0.5, (0, 2): 0.25}, 2)), 0),
+    (lambda: C.build_parity_pair_pqc(P.Polynomial.from_power((0.2, 0.3, 0.4)),
+                                     S.EncodingSlot(0, "acos")), 0),
+    (trig_block, 0),
+    (localization_k2, 0),
+], ids=["bernstein", "series-d2", "series-d3", "monomial", "poly", "parity-pair", "trig",
+        "localization"])
+def test_only_the_series_address_is_classical(build, address):
+    """A construction's classical qubits are those that no gate targets and
+    no gate from its first slotted gate on reads, so no op after the prefix
+    carries a classical control.  They are the series block's address
+    register, its last qubits; the other constructions have none (the
+    Bernstein block's qubit 6 and the localization block's qubit 1 stay in
+    |0>, but the SELECT reads them, so they stay simulated)."""
+    bc = build()
+    prog = bc.program
+    circ = S.hadamard_test_circuit(bc.circuit, bc.prep)
+    first = next(i for i, g in enumerate(circ.gates) if g.slot is not None)
+    read = {q for g in circ.gates[first:] for q in g.controls + g.zeros}
+    classical = sorted(set(range(1, circ.width)) - {g.target for g in circ.gates} - read)
+    assert classical == list(range(circ.width - address, circ.width))
+    assert prog.classical == 2**address - 1
+    assert prog.qubits == list(range(circ.width - address))
+    assert all(prog.patterns[k] == (0, 0) for k in range(prog.prefix, len(prog.pairs)))
 
 
 def test_bernstein_d2_point_runs_two_layers_after_prefix(bernstein_block):
