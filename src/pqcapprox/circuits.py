@@ -296,15 +296,12 @@ def lcu_combine(units: Sequence[BlockCircuit], label: str = "lcu") -> BlockCircu
             raise ValueError("all units must share width and prep")
         if abs(u.rescale - rescale) > 1e-9 * rescale:
             raise ValueError("mixed rescale factors among units")
-    if len(units) == 1:
-        u = units[0]
-        return replace(u, circuit=replace(u.circuit, label=label))
 
     t = len(units)
     a = (t - 1).bit_length()
     t_pad = 1 << a
     width = a + w
-    pad = Circuit(w, (_pad_gate(prep),), label="pad")
+    pad = Circuit(w, (_pad_gate(prep),), label="pad") if t_pad > t else None
 
     # pads and units without a slot (a constant term) first, so they run in the
     # stored prefix: each part acts on its own selection value, so order is free

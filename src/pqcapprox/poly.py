@@ -96,8 +96,13 @@ class ParityPolynomial:
         return self.base(x)
 
     def sup_norm(self) -> float:
+        """max |p| on [-1, 1]: the exact value at the ends, |p(1)| = |sum c_k|
+        (|p| is even), and the top peaks of a Chebyshev grid, which holds
+        neither end, refined between its nodes (_refined_sup)."""
+        c = np.asarray(self.base.coeffs)
         m = max(1000, 10 * (self.degree + 1))
-        return float(np.max(np.abs(_cheb_values(self.base.coeffs, m))))
+        peak = _refined_sup(c, chebyshev_grid(m), np.abs(_cheb_values(c, m)), math.pi / m)
+        return max(abs(float(np.sum(c))), peak)
 
 
 # Bytes of the tables that one chunk of points holds in _chebval.  Smaller
@@ -810,37 +815,21 @@ def _evenized_steps(
 def localization_poly(spec: LocalizationSpec) -> Polynomial:
     """Even polynomial mapping band k of [0,1] into (k/K, k/K + eps).
 
-    Sums K-1 evenized step approximants at the band edges, then shifts and
-    rescales so the residual against the staircase is strictly positive and
-    below eps on every band, with |P| <= 1 on [-1, 1].  Verification runs on
-    a dense grid; failure raises ConstructionError.
+    Sums K-1 evenized step approximants at the band edges, each accurate
+    to eps / (2(K + 1)), then shifts and rescales so the residual against
+    the staircase is strictly positive and below eps on every band, with
+    |P| <= 1 on [-1, 1].  Verification runs on a dense grid; a step series
+    or a polynomial that fails it raises ConstructionError, which says
+    which check failed.
     """
     K, delta, eps = spec.K, spec.delta, spec.eps
     if K == 1:
         # single band: the zero polynomial shifted into (0, eps)
         return Polynomial((eps / 2.0,))
 
-    # per-step accuracy: the band shift argument needs a*(K+1) < eps
-    a_target = eps / (2.0 * (K + 1))
-    step_eps = a_target
-    attempts = 0
-    while attempts < 4:
-        try:
-            poly = _build_localization(spec, step_eps)
-            return poly
-        except ConstructionError as exc:
-            logger.debug(
-                "localization %s: step_eps %g failed (%s); halving", spec, step_eps, exc
-            )
-            step_eps /= 2.0
-            attempts += 1
-    raise ConstructionError(f"localization polynomial failed for {spec}")
-
-
-def _build_localization(spec: LocalizationSpec, step_eps: float) -> Polynomial:
-    K, delta, eps = spec.K, spec.delta, spec.eps
     R = 2.0  # shifted arguments x -/+ c stay within [-2, 2] for x in [-1,1]
-    sgn_coef = _sign_cheb_series(delta, step_eps, R)
+    # per-step accuracy: the band shift argument needs a*(K+1) < eps
+    sgn_coef = _sign_cheb_series(delta, eps / (2.0 * (K + 1)), R)
     sgn_degree = len(sgn_coef) - 1
     centers = np.array([k / K - delta / 2.0 for k in range(1, K)])
     # the evenized steps are exactly an even Chebyshev series of degree

@@ -14,8 +14,8 @@ Two circuit families are handled:
 
 X-basis synthesis solves for symmetric angles by fixed-point iteration on
 the Chebyshev coefficients of the realized block value, started from an
-exact zero-block seed and continued in target scale; this stays reliable
-into the thousands of layers, where the localization polynomials live.
+exact zero-block seed and, if that stage fails, continued in target
+scale; it stays reliable into the thousands of layers.
 The palindrome lets half of each chain stand for the whole one in the
 residual (_half_chain_values); the final grid check (_verified) evaluates
 the full chain.
@@ -40,7 +40,7 @@ every series evaluated on them is taken at the nodes with x >= 0 only:
 * the final grid check reads |f - p| for a target p of parity L, which is
   even for any angles, so its maximum is reached at x >= 0.
 The sign and step series of the localization polynomial follow the same
-rule in poly (_sign_cheb_series, _build_localization).
+rule in poly (_sign_cheb_series, localization_poly).
 
 The dense layer-by-layer unitaries and an independent completion
 synthesizer that check this module live with the tests (tests/oracles.py).
@@ -319,10 +319,6 @@ def _fast_len(n: int) -> int:
         m += 1
 
 
-# Seeded random restarts qsp_synthesize tries after both scale schedules fail.
-_MAX_RESTARTS = 32
-
-
 def qsp_synthesize(p: ParityPolynomial, tol: float = 1e-8) -> QspAngleSequence:
     """Find angles whose plus-state block value reproduces p on [-1, 1].
 
@@ -330,14 +326,14 @@ def qsp_synthesize(p: ParityPolynomial, tol: float = 1e-8) -> QspAngleSequence:
     value is real and is matched to p in Chebyshev coefficient space: a
     square system of its L // 2 + 1 parity-L coefficients in as many free
     angles.  Anderson-accelerated fixed-point iteration on the closed-form
-    J(0) (_fixed_point_solve) from the exact zero-block seed phi = 0, with
-    scale continuation and seeded random restarts as fallbacks; its memory
-    is O(L), since no Jacobian is built.  Degrees 0 and 1 take their one
-    free angle in closed form.  Every result passes the grid check
-    _verified.  The coefficients are taken at _fast_len(L + 1) first-kind
-    nodes: any m >= L + 1 nodes give coefficients 0..L of a degree-L block
-    value exactly, and a length the FFT factors well makes the transforms
-    several times faster.
+    J(0) (_fixed_point_solve) from the exact zero-block seed phi = 0, at
+    scale 1 and then, if that stage fails, along the scale continuation
+    0.25, 0.5, 0.75, 0.9, 1; its memory is O(L), since no Jacobian is
+    built.  Degrees 0 and 1 take their one free angle in closed form.
+    Every result passes the grid check _verified.  The coefficients are
+    taken at _fast_len(L + 1) first-kind nodes: any m >= L + 1 nodes give
+    coefficients 0..L of a degree-L block value exactly, and a length the
+    FFT factors well makes the transforms several times faster.
 
     Raises QspSynthesisError with the best residual on failure.
     """
@@ -359,9 +355,12 @@ def qsp_synthesize(p: ParityPolynomial, tol: float = 1e-8) -> QspAngleSequence:
     target = np.asarray(p.base.coeffs)[a_slots]  # p has L + 1 coefficients
     coeff_tol = tol / (4.0 * (L + 1))
 
-    def attempt(phi: np.ndarray, scales: Sequence[float]) -> tuple[np.ndarray, float]:
-        norm = np.inf
-        for scale in scales:
+    best_norm = np.inf
+    for schedule in ([1.0], [0.25, 0.5, 0.75, 0.9, 1.0]):
+        if len(schedule) > 1:
+            logger.debug("degree %d: falling back to scale schedule %s", L, schedule)
+        phi = np.zeros(len(a_slots))
+        for scale in schedule:
             phi, norm, steps = _fixed_point_solve(phi, xs, a_slots, scale * target, coeff_tol)
             logger.debug(
                 "degree %d fixed-point stage at scale %g: %d steps, coefficient norm %.3e",
@@ -369,21 +368,6 @@ def qsp_synthesize(p: ParityPolynomial, tol: float = 1e-8) -> QspAngleSequence:
             )
             if norm > math.sqrt(coeff_tol):  # stage failed; no point continuing
                 break
-        return phi, norm
-
-    best_norm = np.inf
-    schedules = [[1.0], [0.25, 0.5, 0.75, 0.9, 1.0]]
-    rng = np.random.default_rng(20240811)
-    for i, sched in enumerate(schedules):
-        if i:
-            logger.debug("degree %d: falling back to scale schedule %s", L, sched)
-        phi, norm = attempt(np.zeros(len(a_slots)), sched)
-        best_norm = min(best_norm, norm)
-        if norm <= coeff_tol:
-            return _verified(_symmetric_angles(phi, L), p, tol)
-    for restart in range(_MAX_RESTARTS):
-        logger.debug("degree %d: random restart %d of %d", L, restart + 1, _MAX_RESTARTS)
-        phi, norm = attempt(rng.normal(0.0, 0.2, len(a_slots)), [0.25, 0.5, 0.75, 0.9, 1.0])
         best_norm = min(best_norm, norm)
         if norm <= coeff_tol:
             return _verified(_symmetric_angles(phi, L), p, tol)

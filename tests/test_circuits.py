@@ -236,6 +236,16 @@ def test_lcu_pad_skips_the_targets_of_zero_controlled_gates_in_the_prep():
         C.lcu_combine(units)
 
 
+def test_lcu_of_two_units_needs_no_pad():
+    # Ry(0.3) leaves its one qubit in no known state, so no pad gate could
+    # be built; two units need none: <Z> + <X> = cos(0.3) + sin(0.3)
+    prep = S.Circuit(1, (ry(0, 0.3),))
+    units = [C.BlockCircuit(S.Circuit(1, (g,)), prep, rescale=1.0) for g in (S.zg(0), S.xg(0))]
+    combined = C.lcu_combine(units)
+    assert combined.rescale == 2.0
+    assert abs(C.evaluate_block(combined) - (math.cos(0.3) + math.sin(0.3))) <= 1e-12
+
+
 def test_lcu_of_a_real_and_a_complex_unit_is_complex():
     real = C.build_trig_monomial_pqc(0.5, (0,))  # 0.5 e^{0i}
     real = dataclasses.replace(real, block_value_is_real=True)

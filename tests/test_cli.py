@@ -513,14 +513,14 @@ def test_taylor_d2_report_counts_its_one_localization_block_twice(capsys, monkey
 
 def test_construction_error_is_reported(capsys, monkeypatch):
     def fail(spec):
-        raise ConstructionError(f"localization polynomial failed for {spec}")
+        raise ConstructionError("band residual too large after shift")
 
     monkeypatch.setattr(circuits, "localization_poly", fail)
     monkeypatch.setattr(circuits, "localization_chebyshev",
                         functools.cache(circuits.localization_chebyshev.__wrapped__))
     code, _, err = run_cli(capsys, "report", "--experiment", "localization", "--K", "2")
     assert code == 2
-    assert "localization polynomial failed" in json.loads(err.strip())["error"]
+    assert "band residual too large after shift" in json.loads(err.strip())["error"]
 
 
 def test_localization_off_band_fails_with_its_real_bound(capsys, monkeypatch):

@@ -54,6 +54,16 @@ def test_parity_polynomial_rejects_mixed():
         P.ParityPolynomial(P.Polynomial((1.0, 1.0)), 0)
 
 
+@pytest.mark.parametrize("p, sup", [
+    (P.ParityPolynomial(P.Polynomial((0.0,) * 50 + (1.0,)), 0), 1.0),
+    (P.ParityPolynomial(P.Polynomial.from_power((0.0,) * 9 + (1.00001,)), 1), 1.00001),
+], ids=["T_50", "1.00001x^9"])
+def test_sup_norm_reads_the_peak_at_an_end(p, sup):
+    # the Chebyshev grid holds neither end: it read 0.996917 for T_50 and
+    # 0.9999989 for 1.00001 x^9
+    assert abs(p.sup_norm() - sup) <= 1e-13
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_polynomials_reject_a_non_finite_coefficient(bad):
     with pytest.raises(ValueError, match="coefficient .* of index 1 is not finite"):
@@ -489,6 +499,20 @@ def test_localization_two_bands_frozen():
     assert 0.5 < loc(0.75) < 0.55
 
 
+def test_localization_raises_its_construction_error(monkeypatch):
+    # one construction, whose own error reaches the caller
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise P.ConstructionError("sign approximant failed verification")
+
+    monkeypatch.setattr(P, "_sign_cheb_series", failing)
+    with pytest.raises(P.ConstructionError, match="^sign approximant failed verification$"):
+        P.localization_poly(P.LocalizationSpec(2, 0.1, 0.05))
+    assert len(calls) == 1
+
+
 def test_localization_even_coefficients():
     spec = P.LocalizationSpec(2, 0.1, 0.05)
     loc = P.localization_poly(spec)
@@ -710,7 +734,7 @@ def test_mirrored_step_sum_matches_per_step_on_all_nodes(K):
     spec = P.LocalizationSpec(K, 0.3 / K, 0.5 / K)
     sgn = P._sign_cheb_series(spec.delta, spec.eps / (2.0 * (K + 1)), 2.0)
     centers = np.array([k / K - spec.delta / 2.0 for k in range(1, K)])
-    deg = len(sgn) + 1  # _build_localization refits at degree sgn_degree + 2,
+    deg = len(sgn) + 1  # localization_poly refits at degree sgn_degree + 2,
     m = deg + deg % 2 + 1  # made even, so at an odd node count
     nodes = P.chebyshev_grid(m)
     h = (m + 1) // 2
