@@ -23,6 +23,8 @@ import numpy as np
 from numpy import fft as _fft  # at import: numpy would load it lazily, inside a report
 from numpy.polynomial import chebyshev as _cheb
 
+from . import sim
+
 logger = logging.getLogger(__name__)
 
 MultiIndex = tuple[int, ...]
@@ -105,14 +107,6 @@ class ParityPolynomial:
         return max(abs(float(np.sum(c))), peak)
 
 
-# Bytes of the tables that one chunk of points holds in _chebval.  Smaller
-# chunks pay the per-chunk numpy calls more often, larger ones fall out of
-# the core's cache: on 4,900 points of the K=8 sign series (892
-# coefficients) budgets of 2^16, 2^18, 2^19, 2^21 and 2^23 bytes took 8.1,
-# 3.1, 2.2, 3.0 and 3.7 ms (best of 9, one BLAS thread, a 2-vCPU Xeon).
-_CHEBVAL_CHUNK_BYTES = 2**19
-
-
 def _chebval(x, coef):
     """Values of the Chebyshev series coef at x, of x's shape (a scalar for
     a scalar), by Paterson and Stockmeyer's baby-step/giant-step scheme in
@@ -121,10 +115,11 @@ def _chebval(x, coef):
         sum_k c_k T_k(x) = sum_j T_j(y) R_j(x),  R_j = sum_{i<B} a_ji T_i(x).
 
     The coefficients fold once, top block down, into the (J + 1, B) matrix
-    a by T_i T_jB = (T_jB+i + T_jB-i) / 2.  Per chunk of points, T_0..T_B
-    come from the three-term recurrence, the R_j from one stacked product,
-    and the sum over j from Clenshaw's recurrence in y: about 2B + 3J
-    vector passes where a Clenshaw loop over k makes about 3 len(coef).
+    a by T_i T_jB = (T_jB+i + T_jB-i) / 2.  Per chunk of points whose
+    tables fit in sim.BATCH_BYTES, T_0..T_B come from the three-term
+    recurrence, the R_j from one stacked product, and the sum over j from
+    Clenshaw's recurrence in y: about 2B + 3J vector passes where a
+    Clenshaw loop over k makes about 3 len(coef).
 
     Each point's value depends on that point alone: the passes are
     elementwise, and the product is stacked, (m, 1, B) @ (B, J + 1), so
@@ -151,7 +146,7 @@ def _chebval(x, coef):
     a_t = np.ascontiguousarray(a.T)
     xs = x.reshape(-1)
     out = np.empty(xs.shape)
-    rows = max(1, _CHEBVAL_CHUNK_BYTES // (8 * (2 * B + 2 * J + 8)))
+    rows = max(1, sim.BATCH_BYTES // (8 * (2 * B + 2 * J + 8)))
     for lo in range(0, len(xs), rows):
         u = xs[lo : lo + rows]
         t = np.empty((B + 1, len(u)))  # T_0..T_B, one row each
@@ -565,7 +560,7 @@ def _refined_sup(coef: np.ndarray, grid: np.ndarray, vals: np.ndarray, spacing: 
 # report synthesizes angles, and a construction holds O(degree): the
 # search keeps a few 10 (degree + 1)-point grid arrays, the step sum its
 # (K - 1, 2, nodes) step arguments, and _chebval chunks of
-# _CHEBVAL_CHUNK_BYTES.  The value 24 bounded the 28 n m bytes of the dense
+# sim.BATCH_BYTES.  The value 24 bounded the 28 n m bytes of the dense
 # Jacobian that angle synthesis once built; it stays, an upper bound that
 # rejects no degree it accepted before, until the guard is derived again
 # from the O(degree) footprint.
@@ -600,12 +595,12 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
 
     Built as a truncation of erf(kappa*v) with kappa chosen so the smoothed
     sign contributes eps/2 of the error budget; the truncation degree is the
-    smallest that passes a dense-grid verification of both bounds.  A cheap
-    recurrence screen (``_screen_start``) picks where the exact walk over
-    degrees starts, so the walk usually makes two checks.  One search makes
-    one full evaluation of the series on the grid, at the tail-bound degree;
-    the screen and the exact walk then move one ``_OddPartialSums`` from it,
-    the walk from where the screen stopped.
+    smallest that passes a dense-grid verification of both bounds, found by
+    one walk over the odd degrees from the tail-bound degree ``top``.  The
+    series is evaluated in full once, at top; one ``_OddPartialSums`` then
+    steps it down while the grid test passes, the check with the grid
+    maximum in place of the refined sup, and back up from the lowest pass
+    until the refined sup passes too, which is usually at once.
     """
     if delta <= 0 or not 0 < eps < 1:
         raise ValueError("need delta > 0 and eps in (0,1)")
@@ -634,8 +629,7 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     spacing = 2.0 / n_grid
     eps_check = eps * (1.0 - 1e-3)  # margin for downstream evaluation grids
 
-    # the tail-bound degree usually passes; the screen moves the start of the
-    # exact walk down to where its own run of passes ending there begins
+    # the tail-bound degree usually passes, and the walk starts there
     tails = np.cumsum(np.abs(coef_full[::-1]))[::-1]
     for deg in range(1, len(coef_full) - 1, 2):
         if tails[deg + 1] <= eps / 4.0:
@@ -647,79 +641,43 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     # rest by _chebval
     coef_top = coef_full[: top + 1]
     vals = np.concatenate([_cheb_values(coef_top, n_grid)[: len(nodes)], _chebval(rest, coef_top)])
-    # one walk serves the screen and the exact checks; it holds the outside
-    # points first, so their values are a view of the partial sum
+    # the walk holds the outside points first, so their values are a view of
+    # the partial sum
     order = np.concatenate([np.flatnonzero(outside), np.flatnonzero(~outside)])
     n_out = int(np.count_nonzero(outside))
     sums = _OddPartialSums(coef_full, grid[order], vals[order], top)
-    start = _screen_start(sums, n_out, eps_check)
-    checks = 0
 
-    def candidate(deg: int) -> Optional[np.ndarray]:
-        # the series rescaled by its refined sup m if m > 1, or None if it
-        # fails; a rescaled series' values are these divided by the same factor
-        nonlocal checks
-        checks += 1
-        coef, s = coef_full[: deg + 1], sums.at(deg)
-        # the grid maximum first: the refined sup is at least as large, and
-        # a larger sup only moves every outside value further below 1
+    # down from top while the grid test passes; low is the lowest pass, or
+    # top + 2 if top fails.  The refined sup is at least the grid maximum,
+    # and a larger sup only moves every outside value further below 1, so a
+    # degree that fails here fails the refined test too (_outside_error).
+    low = top + 2
+    while low > 1:
+        s = sums.at(low - 2)
         if _outside_error(s[:n_out], max(float(np.max(s)), -float(np.min(s)))) > eps_check:
-            return None
+            break
+        low -= 2
+    if sums.deg < low <= top:
+        sums.back()  # S_low as the walk down computed it, which the sup is read from
+    for deg in range(low, len(coef_full), 2):  # then up until the refined sup passes too
+        s = sums.at(deg)
         size = np.empty_like(s)
         size[order] = np.abs(s)  # in grid order, where _refined_sup's argsort breaks ties
-        m = _refined_sup(coef, grid, size, spacing)
-        if _outside_error(s[:n_out], m) > eps_check:
-            return None
-        return coef / (m * (1.0 + 1e-12)) if m > 1.0 else coef.copy()
-
-    # walk up to the first pass, then, if that is the start, down to the
-    # smallest: a degree below a later first pass has failed already
-    best, deg = None, start - 2
-    while best is None:
-        deg += 2
-        if deg >= len(coef_full):
-            raise ConstructionError(
-                f"sign approximant failed verification for delta={delta}, eps={eps}"
-            )
-        best = candidate(deg)
-    if deg == start:
-        while deg > 2:
-            lower = candidate(deg - 2)
-            if lower is None:
-                break
-            best, deg = lower, deg - 2
-    logger.debug(
-        "sign series delta=%g eps=%g R=%g: top %d, screen start %d, degree %d,"
-        " %d exact checks", delta, eps, R, top, start, deg, checks,
-    )
-    return best
-
-
-def _screen_start(sums: _OddPartialSums, n_out: int, eps_check: float) -> int:
-    """Degree at which the exact walk of ``_sign_cheb_series`` starts.
-
-    A walk down over the odd degrees d <= top of sums, the partial sums on
-    the verification grid (x >= 0, where sgn is 1 outside the gap) from
-    S_top as the exact check evaluates it, the n_out outside points first.
-    At each d it applies the exact check's test with the grid maximum in
-    place of the refined sup.  Returns the lowest degree of the run of
-    screen passes that ends at top, where the walk stops at its first
-    failure, or top itself if the screen fails there; sums are left at the
-    degree returned, as a walk down from top computes them.  The exact
-    walk still decides the degree, so a wrong screen costs exact checks,
-    not accuracy.  The degree matches that of a walk down from top unless
-    the exact check fails somewhere inside that run.
-    """
-    run_start = sums.deg
-    for d in range(sums.deg, 0, -2):
-        partial = sums.at(d)
-        m = max(float(np.max(partial)), -float(np.min(partial)))
-        if _outside_error(partial[:n_out], m) > eps_check:
+        m = _refined_sup(coef_full[: deg + 1], grid, size, spacing)
+        if _outside_error(s[:n_out], m) <= eps_check:
             break
-        run_start = d
-    if d < run_start:
-        sums.back()
-    return run_start
+    else:
+        raise ConstructionError(
+            f"sign approximant failed verification for delta={delta}, eps={eps}"
+        )
+    logger.debug(
+        "sign series delta=%g eps=%g R=%g: top %d, up from %d, degree %d",
+        delta, eps, R, top, low, deg,
+    )
+    # rescaled by the refined sup m if m > 1, which divides the checked values
+    # by the same factor
+    coef = coef_full[: deg + 1]
+    return coef / (m * (1.0 + 1e-12)) if m > 1.0 else coef.copy()
 
 
 class _OddPartialSums:
@@ -844,15 +802,11 @@ def localization_poly(spec: LocalizationSpec) -> Polynomial:
     n_grid = max(2000, 10 * (sgn_degree + 1))
     grid = chebyshev_grid(n_grid)
     vals = _cheb_values(c_raw, n_grid)
-    # staircase target on the bands of [0, 1]
-    band_err = []
-    for k in range(K):
-        lo, hi = spec.band(k)
-        mask = (grid >= lo) & (grid <= hi)
-        if not mask.any():
-            continue
-        band_err.append(np.max(np.abs(vals[mask] - k / K)))
-    a = max(band_err)
+    # staircase target k / K on the grid points of each band k of [0, 1]
+    bands = spec.bands_of(grid)
+    inside = bands >= 0
+    bands, target = bands[inside], bands[inside] / K
+    a = np.max(np.abs(vals[inside] - target))
     shift = max(K * a * 1.5, a + 1e-12)
     scale = 1.0 / (1.0 + shift)
     if (a + shift) * scale >= eps:
@@ -861,14 +815,10 @@ def localization_poly(spec: LocalizationSpec) -> Polynomial:
     shifted = (vals + shift) * scale
     if np.max(np.abs(shifted)) > 1.0:
         raise ConstructionError("shifted localization exceeds 1 in sup norm")
-    for k in range(K):
-        lo, hi = spec.band(k)
-        mask = (grid >= lo) & (grid <= hi)
-        if not mask.any():
-            continue
-        r = shifted[mask] - k / K
-        if r.min() <= 0.0 or r.max() >= eps:
-            raise ConstructionError(f"band {k} residual outside (0, eps)")
+    r = shifted[inside] - target
+    outside = (r <= 0.0) | (r >= eps)
+    if outside.any():
+        raise ConstructionError(f"band {np.min(bands[outside])} residual outside (0, eps)")
 
     # shift and scale are affine, so up to rounding the returned series takes
     # the values checked above

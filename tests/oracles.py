@@ -8,7 +8,7 @@ factor at a time, the layer-by-layer 2x2 products of the X- and
 Z-encoding lines, a second angle synthesizer (Fejer-Riesz completion)
 that cross-checks the fixed-point one at low degree, the localization's
 evenized step sum evaluated one step and one sign at a time, and the sign
-series' screen as an upward sweep over every odd degree.  None of them
+series' walk down as an upward sweep over every odd degree.  None of them
 shares code with the paths under test beyond the gate matrices, the op
 matrices' compiled chains of fixed products and the step sum's series
 evaluator, ``poly._chebval``, whose contract tests/test_poly.py checks
@@ -260,7 +260,7 @@ def stage_op_matrices(program: GateProgram, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Localization steps, one at a time, and the sign screen, swept upward
+# Localization steps, one at a time, and the sign series' walk, swept upward
 # ---------------------------------------------------------------------------
 
 
@@ -279,11 +279,12 @@ def per_step_evenized_steps(x, sgn_coef, R, centers) -> np.ndarray:
 
 
 def upward_screen_start(coef, grid, outside, eps_check, top) -> int:
-    """poly._screen_start as one upward sweep over every odd degree d <= top:
-    T_{k+1} = 2x T_k - T_{k-1} from T_0 and T_1 builds each partial sum
-    S_d, which takes the exact check's test with the grid maximum in place
-    of the refined sup.  Returns the lowest degree of the run of passes that
-    ends at top, or top itself if the test fails there."""
+    """The degree poly._sign_cheb_series's walk turns up at, by one upward
+    sweep over every odd degree d <= top: T_{k+1} = 2x T_k - T_{k-1} from
+    T_0 and T_1 builds each partial sum S_d, which takes the exact check's
+    test with the grid maximum in place of the refined sup.  Returns the
+    lowest degree of the run of passes that ends at top, or top + 2 if the
+    test fails there."""
     x = np.asarray(grid, dtype=float)
     t_prev, t_cur = np.ones_like(x), x.copy()  # T_{d-1}, T_d
     partial = coef[1] * t_cur
@@ -299,7 +300,7 @@ def upward_screen_start(coef, grid, outside, eps_check, top) -> int:
             run_start = None
         elif run_start is None:
             run_start = d
-    return top if run_start is None else run_start
+    return top + 2 if run_start is None else run_start
 
 
 def scalar_band_draws(spec, seed: int, n: int) -> tuple[list[float], list[int]]:

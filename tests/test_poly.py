@@ -11,6 +11,7 @@ from numpy.polynomial.polynomial import polyval
 from scipy import fft, special
 
 from pqcapprox import poly as P
+from pqcapprox import sim as S
 
 from oracles import per_step_evenized_steps, upward_screen_start
 
@@ -219,7 +220,7 @@ def test_sign_degree_constant_is_recorded():
     assert 0 < const < 20
 
 
-# The exhaustive degree search that the screened search replaced, kept as the
+# The exhaustive degree search that the one-walk search replaced, kept as the
 # reference: from the tail-bound degree it walks up to the first exact pass,
 # then down one odd degree at a time, refining each peak with its own calls.
 # It evaluates with the package's own P._chebval, whose contract the
@@ -310,41 +311,34 @@ def _reference_sign_series(delta, eps, R):
 # and of the taylor_d2 benchmark workload
 SEARCH_SPECS = [(0.2, 0.05, 1.0), (0.1, 0.01, 1.0), (0.15, 0.25 / 6, 2.0), (0.0625, 0.0125, 2.0)]
 
+# the first step specs eps / (2 (K + 1)) of the K = 4, 8 and 16 reports of
+# the bound suite, the benchmark and CI (SEARCH_SPECS holds K = 2's)
+STEP_SPECS = [(0.05, 0.025 / 10, 2.0), (0.0375, 0.0625 / 18, 2.0), (0.01875, 0.03125 / 34, 2.0)]
 
-@pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS)
+
+# K = 16's step takes 10 s on a 2-vCPU Xeon; CI's coefficient gate compares
+# its polynomial
+@pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS + STEP_SPECS[:2])
 def test_sign_series_matches_exhaustive_walk(delta, eps, R):
     ref = _reference_sign_series(delta, eps, R)
     out = P._sign_cheb_series(delta, eps, R)
     assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
 
-# the first step specs eps / (2 (K + 1)) of the K = 4, 8 and 16 reports of
-# the bound suite, the benchmark and CI (SEARCH_SPECS holds K = 2's)
-STEP_SPECS = [(0.05, 0.025 / 10, 2.0), (0.0375, 0.0625 / 18, 2.0), (0.01875, 0.03125 / 34, 2.0)]
-
-
 @pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS + STEP_SPECS)
 def test_screen_walk_down_starts_where_the_upward_sweep_does(monkeypatch, delta, eps, R):
-    screen, sums_class, starts = P._screen_start, P._OddPartialSums, []
-
-    class Recorded(sums_class):  # keeps the points its walk runs on
-        def __init__(self, coef, x, vals, deg):
-            super().__init__(coef, x, vals, deg)
-            self.x = x
-
-    def compared(sums, n_out, eps_check):
-        coef, x, top = sums.coef, sums.x, sums.deg
-        start = screen(sums, n_out, eps_check)
-        outside = np.arange(len(x)) < n_out  # the walk holds the outside points first
-        starts.append((start, sums.deg, upward_screen_start(coef, x, outside, eps_check, top)))
-        return start
-
-    monkeypatch.setattr(P, "_OddPartialSums", Recorded)
-    monkeypatch.setattr(P, "_screen_start", compared)
-    P._sign_cheb_series(delta, eps, R)
-    ((start, left_at, swept),) = starts
-    assert start == swept
-    assert left_at == start  # the exact walk goes on from there
+    (coef, x, seen), refined = _traced_search(monkeypatch, delta, eps, R)
+    top, down = seen[0][0], [deg for deg, _ in seen]
+    outside = x >= (delta / 2.0) / R
+    assert np.all(outside[: np.count_nonzero(outside)])  # the walk holds them first
+    start = upward_screen_start(coef, x, outside, eps * (1.0 - 1e-3), top)
+    assert refined[0] == start
+    # down from top to the first grid failure, then up from the start, whose
+    # partial sum keeps the bits the walk down gave it
+    turn = down.index(start - 2)
+    assert down[: turn + 1] == list(range(top, start - 3, -2))
+    assert down[turn + 1 :] == list(range(start, refined[-1] + 1, 2))
+    assert np.array_equal(seen[turn - 1][1], seen[turn + 1][1])
 
 
 @pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS)
@@ -360,35 +354,24 @@ def test_erf_interpolant_matches_scipy(delta, eps, R):
     assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("where", ["top", "failing"])
-def test_sign_series_survives_a_wrong_screen(monkeypatch, where):
-    delta, eps, R = 0.1, 0.01, 1.0
-    expected = P._sign_cheb_series(delta, eps, R)
-    candidate, top, _ = _reference_search(delta, eps, R)
-    low = len(expected) - 1 - 6
-    assert candidate(low) is None
-    start = top if where == "top" else low
-    monkeypatch.setattr(P, "_screen_start", lambda *args: start)
-    assert P._sign_cheb_series(delta, eps, R).tobytes() == expected.tobytes()
-
-
 def test_sign_series_is_checked_with_even_entries_exactly_zero(monkeypatch):
     # an odd series against sgn has an even error, which the x >= 0 grid
-    # of the screen and the exact checks covers only if the series is odd
-    screen, refine, seen = P._screen_start, P._refined_sup, []
+    # of the walk's grid test and refined test covers only if the series is odd
+    sums_class, refine, seen = P._OddPartialSums, P._refined_sup, []
 
-    def screened(sums, *args):
-        seen.append(sums.coef.copy())
-        return screen(sums, *args)
+    class Recorded(sums_class):
+        def __init__(self, coef, *args):
+            seen.append(coef.copy())
+            super().__init__(coef, *args)
 
     def refined(coef, *args):
         seen.append(coef.copy())
         return refine(coef, *args)
 
-    monkeypatch.setattr(P, "_screen_start", screened)
+    monkeypatch.setattr(P, "_OddPartialSums", Recorded)
     monkeypatch.setattr(P, "_refined_sup", refined)
     out = P._sign_cheb_series(0.0625, 0.0125, 2.0)
-    # the screen and the one refinement: the degree below fails on the grid
+    # the walk and the one refinement: the degree below fails on the grid
     assert len(seen) == 2
     for coef in seen + [out]:
         assert np.all(coef[::2] == 0.0)
@@ -398,16 +381,15 @@ def test_sign_series_logs_its_search(caplog):
     with caplog.at_level(logging.DEBUG, logger="pqcapprox.poly"):
         coef = P._sign_cheb_series(0.0625, 0.0125, 2.0)
     (message,) = [r.getMessage() for r in caplog.records]
-    assert "top 445, screen start 417, degree 417, 2 exact checks" in message
+    assert "top 445, up from 417, degree 417" in message
     assert len(coef) - 1 == 417
 
 
 def _traced_search(monkeypatch, delta, eps, R):
-    """_sign_cheb_series with its exact walk and refinements recorded: the
-    walk's coefficients and points, each degree it checks with a copy of the
-    grid values it reads, and the degrees refined.  The screen's own moves
-    of the same walk are not recorded."""
-    sums_class, screen, refine = P._OddPartialSums, P._screen_start, P._refined_sup
+    """_sign_cheb_series with its walk and refinements recorded: the walk's
+    coefficients and points, each degree it reads, in order, with a copy of
+    the grid values read, and the degrees refined."""
+    sums_class, refine = P._OddPartialSums, P._refined_sup
     walks, refined = [], []
 
     class Recorded(sums_class):
@@ -421,20 +403,14 @@ def _traced_search(monkeypatch, delta, eps, R):
             self.seen.append((deg, vals.copy()))
             return vals
 
-    def screened(sums, *args):
-        start = screen(sums, *args)
-        sums.seen.clear()
-        return start
-
     def refined_sup(coef, *args):
         refined.append(len(coef) - 1)
         return refine(coef, *args)
 
     monkeypatch.setattr(P, "_OddPartialSums", Recorded)
-    monkeypatch.setattr(P, "_screen_start", screened)
     monkeypatch.setattr(P, "_refined_sup", refined_sup)
     P._sign_cheb_series(delta, eps, R)
-    (walk,) = walks  # the screen's walk goes on as the exact one
+    (walk,) = walks  # one walk, down and back up
     return walk, refined
 
 
@@ -445,13 +421,23 @@ def test_walk_values_are_the_truncations_on_the_grid(monkeypatch, delta, eps, R)
     # nodes, by a DCT, which is up to 1.2e-13 off chebval at the K = 16 step
     # spec, as the per-degree evaluation it replaced was; on the rest,
     # evaluated by P._chebval, the walk adds only its recurrence's rounding,
-    # at most 1.4e-14 over the 121 odd degrees from top down at that spec
+    # at most 1.4e-14 over the 123 odd degrees it reads at that spec
     n_grid = max(1000, 10 * (len(coef) - 1))
     rest = ~np.isin(grid, P.chebyshev_grid(n_grid)[: (n_grid + 1) // 2])
     assert np.count_nonzero(~rest) == (n_grid + 1) // 2
-    assert seen
+    # the truncation at each degree read: chebval at the first, top, then
+    # one term c_k cos(k arccos x) off or on per step, as the walk moves;
+    # a chebval per degree would take 30 s at K = 16's step
+    theta = np.arccos(grid)
+    ref_deg = seen[0][0]
+    ref = chebval(grid, coef[: ref_deg + 1])
     for deg, vals in seen:
-        ref = chebval(grid, coef[: deg + 1])
+        while ref_deg > deg:
+            ref = ref - coef[ref_deg] * np.cos(ref_deg * theta)
+            ref_deg -= 2
+        while ref_deg < deg:
+            ref_deg += 2
+            ref = ref + coef[ref_deg] * np.cos(ref_deg * theta)
         assert np.max(np.abs(vals[rest] - ref[rest])) <= 2e-14
         assert np.max(np.abs(vals - ref)) <= 2e-13
 
@@ -459,7 +445,8 @@ def test_walk_values_are_the_truncations_on_the_grid(monkeypatch, delta, eps, R)
 @pytest.mark.parametrize("delta,eps,R", SEARCH_SPECS + STEP_SPECS)
 def test_degrees_rejected_before_refinement_fail_the_exact_check(monkeypatch, delta, eps, R):
     (_, _, seen), refined = _traced_search(monkeypatch, delta, eps, R)
-    rejected = sorted({deg for deg, _ in seen} - set(refined))
+    # the degree the walk turns at, unless the walk reached degree 1
+    rejected = sorted({min(deg for deg, _ in seen)} - set(refined))
     assert rejected  # the degree below the result, at every spec here
     candidate, _, _ = _reference_search(delta, eps, R)
     for deg in rejected:
@@ -633,7 +620,7 @@ def test_chebval_gives_a_point_the_same_bits_in_any_batch(monkeypatch, n):
             assert np.array_equal(P._chebval(x[lo:], coef), whole[lo:])
         assert np.array_equal(P._chebval(x[:42].reshape(2, 3, 7), coef), whole[:42].reshape(2, 3, 7))
         assert np.array_equal(P._chebval(x.reshape(8, 33), coef), whole.reshape(8, 33))
-        monkeypatch.setattr(P, "_CHEBVAL_CHUNK_BYTES", 1)  # one point per chunk
+        monkeypatch.setattr(S, "BATCH_BYTES", 1)  # one point per chunk
         assert np.array_equal(P._chebval(x, coef), whole)
         monkeypatch.undo()
 
@@ -716,16 +703,17 @@ def test_erfcinv_matches_scipy():
 
 
 # the localization specs of the taylor_d2 and localization_k8 benchmark
-# workloads and of the K=16 report
+# workloads and of the K=16 and K=32 reports
 @pytest.mark.parametrize(
     "K,delta,eps,sign_degree,degree",
-    [(4, 1 / 16, 1 / 8, 417, 420), (8, 0.0375, 0.0625, 891, 894), (16, 0.01875, 0.03125, 2213, 2216)],
+    [(4, 1 / 16, 1 / 8, 417, 420), (8, 0.0375, 0.0625, 891, 894), (16, 0.01875, 0.03125, 2213, 2216),
+     (32, 0.009375, 0.015625, 5803, 5806)],
 )
 def test_localization_degrees_are_pinned(caplog, K, delta, eps, sign_degree, degree):
     with caplog.at_level(logging.DEBUG, logger="pqcapprox.poly"):
         loc = P.localization_poly(P.LocalizationSpec(K, delta, eps))
     (message,) = [r.getMessage() for r in caplog.records]
-    assert message.endswith(f"degree {sign_degree}, 2 exact checks")
+    assert message.endswith(f"up from {sign_degree}, degree {sign_degree}")
     assert loc.degree == degree
 
 
@@ -758,7 +746,7 @@ def test_localization_step_passes_are_bit_equal_to_per_step(monkeypatch, K):
     monkeypatch.undo()
     # chunks of a few points, then of a few hundred
     for chunk_bytes in (2**12, 2**17):
-        monkeypatch.setattr(P, "_CHEBVAL_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(S, "BATCH_BYTES", chunk_bytes)
         assert P.localization_poly(spec).coeffs == coeffs
 
 
