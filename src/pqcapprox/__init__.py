@@ -34,6 +34,7 @@ from .circuits import (
     evaluate_block,
     lcu_combine,
     line_block,
+    localization_resources,
     localization_values,
     round_to_eta,
     tensor,

@@ -23,7 +23,8 @@ of its parts once, shifted and controlled in one copy (``sim._composed``).
 The uniform LCU produces the sum divided by the padded term count, and a
 SELECT its sum divided by R, so every BlockCircuit carries an explicit
 classical ``rescale`` factor that restores normalization at readout.
-Every report counts prep followed by circuit.
+Every report counts prep followed by circuit; ``localization_resources``
+gives that count of the localization block with no gate built.
 
 Every selection runs a gate where a register holds a value: controlled on
 the register's 1 bits and zero-controlled on its 0 bits (``_holding``),
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import product
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -352,24 +353,56 @@ def _bernstein_chebyshev(f: TargetFunctionSpec, n: int) -> np.ndarray:
     return b
 
 
+def _tree_angles(probs: np.ndarray) -> list[np.ndarray]:
+    """The angles of each level l of ``_amplitude_prep``'s tree: node v
+    splits the mass of the prefix v between its two halves."""
+    levels = []
+    for level in range(len(probs).bit_length() - 1):
+        mass = probs.reshape(1 << level, 2, -1).sum(axis=2)  # (prefix, next bit)
+        levels.append(2.0 * np.arctan2(np.sqrt(mass[:, 1]), np.sqrt(mass[:, 0])))
+    return levels
+
+
 def _amplitude_prep(probs: np.ndarray, ones: tuple[int, ...], zeros: tuple[int, ...]) -> list[Gate]:
     """Ry tree (Mottonen et al., quant-ph/0404089) taking |0..0> to
     sum_i sqrt(probs[i]) |i> on log2(len(probs)) qubits, qubit 0 the most
     significant, where the qubits ``ones`` read 1 and ``zeros`` read 0.
     Node v of level l is one Ry on qubit l, controlled on qubits 0..l-1
-    holding v (``_holding``): it splits v's mass between its two halves.  A
-    node with angle 0 moves no mass and is left out, so the nodes of one
-    level touch each amplitude pair of its qubit at most once.  The angles
-    carry the probabilities, so they are trainable."""
+    holding v (``_holding``), at its ``_tree_angles`` angle.  A node with
+    angle 0 moves no mass and is left out, so the nodes of one level touch
+    each amplitude pair of its qubit at most once.  The angles carry the
+    probabilities, so they are trainable."""
     gates = []
-    for level in range(len(probs).bit_length() - 1):
-        mass = probs.reshape(1 << level, 2, -1).sum(axis=2)  # (prefix, next bit)
-        angles = 2.0 * np.arctan2(np.sqrt(mass[:, 1]), np.sqrt(mass[:, 0]))
+    for level, angles in enumerate(_tree_angles(probs)):
         for v in np.flatnonzero(angles).tolist():
             v_ones, v_zeros = _holding(range(level), v)
             gates.append(Gate("Ry", level, v_ones + ones, angle=float(angles[v]), trainable=True,
                               zeros=v_zeros + zeros))
     return gates
+
+
+def _select_weights(
+    powers: Sequence[Sequence[MultiIndex]], cells: Mapping[int, np.ndarray]
+) -> tuple[list[int], float, Iterator[tuple[int, np.ndarray, np.ndarray]]]:
+    """The index registers' sizes in qubits, R and, cell by cell, the
+    weights of ``_chebyshev_select``: the signed c / R, indexed by the
+    registers' values, and the prep's probabilities, their magnitudes with
+    the spare mass on the pad value (register 0 holding len(powers[0]), 0
+    elsewhere).  The cells' weights are made one at a time, as read."""
+    sizes = [len(powers[0]).bit_length()] + [(len(v) - 1).bit_length() for v in powers[1:]]
+    totals = {cell: float(np.abs(c).sum()) for cell, c in cells.items()}
+    rescale = max(1.0, *totals.values())
+    pad = len(powers[0]) << (sum(sizes) - sizes[0])
+
+    def weights() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        for cell, c in cells.items():
+            signed = np.zeros([1 << size for size in sizes])
+            signed[tuple(slice(0, k) for k in c.shape)] = c / rescale
+            probs = np.abs(signed).ravel()
+            probs[pad] = max(0.0, 1.0 - totals[cell] / rescale)
+            yield cell, signed, probs
+
+    return sizes, rescale, weights()
 
 
 def _chebyshev_select(
@@ -402,20 +435,13 @@ def _chebyshev_select(
     The rescale R restores the sum, and tol is 0.  The prep, the signs and
     the pad are fixed, so the Hadamard test runs them once per start.
     """
-    sizes = [len(powers[0]).bit_length()] + [(len(v) - 1).bit_length() for v in powers[1:]]
+    sizes, rescale, weights = _select_weights(powers, cells)
     offsets = np.cumsum([0] + sizes).tolist()
     a = offsets[-1]  # index qubits; data qubit j is qubit a + j
     width = a + len(slots) + address_bits
-    totals = {cell: float(np.abs(c).sum()) for cell, c in cells.items()}
-    rescale = max(1.0, *totals.values())
-    pad = len(powers[0]) << (a - sizes[0])  # the pad value in register 0, 0 elsewhere
     prep, signs = [], []
-    for cell, c in cells.items():
+    for cell, signed, probs in weights:
         ones, zeros = _holding(range(width - address_bits, width), cell)
-        signed = np.zeros([1 << size for size in sizes])  # indexed by the registers' values
-        signed[tuple(slice(0, k) for k in c.shape)] = c / rescale
-        probs = np.abs(signed).ravel()
-        probs[pad] = max(0.0, 1.0 - totals[cell] / rescale)
         prep += _amplitude_prep(probs, ones, zeros)
         signs += [Gate("Z", a, m_ones + ones, zeros=m_zeros + zeros) for m_ones, m_zeros in
                   (_holding(range(a), m) for m in np.flatnonzero(signed.ravel() < 0.0).tolist())]
@@ -515,14 +541,40 @@ def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
 # ---------------------------------------------------------------------------
 
 @cache
-def localization_chebyshev(spec: LocalizationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The powers k = 0, 2, ..., L and the Chebyshev coefficients c_k of the
-    even localization polynomial P of degree L (``localization_poly``)."""
+def localization_chebyshev(spec: LocalizationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays of the even localization polynomial P of degree L = 2h
+    (``localization_poly``), sum_m c_m T_2m over m = 0..h:
+
+    - folded, the (B, J) matrix a[i, j] = c_(jB+i), 0 past h, with
+      B = ceil(sqrt(h + 1)) and J = ceil((h + 1) / B);
+    - steps, the B + J exponents 2i*i for i < B, then 2i*jB for j < J, of
+      ``localization_values``' baby and giant steps;
+    - coeffs, the c_m, which the block's prep holds.
+
+    folded and steps are complex, so no call casts them."""
     coeffs = np.array(localization_poly(spec).coeffs[::2])
-    powers = 2.0 * np.arange(len(coeffs))  # float, so no caller casts them
-    for a in (powers, coeffs):  # cached, so every caller shares them
+    n = len(coeffs)
+    B = math.isqrt(n - 1) + 1
+    J = -(-n // B)
+    folded = np.zeros(B * J, dtype=complex)
+    folded[:n] = coeffs
+    folded = np.ascontiguousarray(folded.reshape(J, B).T)
+    steps = 2j * np.concatenate([np.arange(B), np.arange(0, B * J, B)])
+    for a in (folded, steps, coeffs):  # cached, so every caller shares them
         a.setflags(write=False)
-    return powers, coeffs
+    return folded, steps, coeffs
+
+
+def _localization_layout(coeffs: np.ndarray) -> tuple[list[list[MultiIndex]], np.ndarray]:
+    """The registers' powers and the coefficient tensor, indexed [t, l], of
+    ``build_localization_pqc``'s SELECT of sum_m coeffs[m] T_2m."""
+    h = len(coeffs) - 1
+    bits = max(1, h.bit_length())
+    top = 1 << (bits - 1)  # the values of l
+    step = h - top + 1  # the m that t = 1 adds
+    cell = np.concatenate([coeffs[:top], np.zeros(top - step), coeffs[top:]])
+    powers = [[(0,), (2 * step,)]] + [[(0,), (2 << b,)] for b in reversed(range(bits - 1))]
+    return powers, cell.reshape((2,) * bits)
 
 
 def build_localization_pqc(spec: LocalizationSpec) -> BlockCircuit:
@@ -534,40 +586,68 @@ def build_localization_pqc(spec: LocalizationSpec) -> BlockCircuit:
     + 1) for one pair t in {0, 1}, l < 2^(B-1), t = 0 where both reach it.
     Register 0 holds t, with power 2 (h - 2^(B-1) + 1), and registers 1..B-1
     the bits b of l, most significant first, with powers 2 * 2^b: exactly L
-    encoding gates, as in the paper's line, on B + 2 qubits.
+    encoding gates, as in the paper's line, on B + 2 qubits.  Reports count
+    the block by ``localization_resources`` and sum it by
+    ``localization_values``; it is built for circuit output.
     """
-    _, coeffs = localization_chebyshev(spec)
-    h = len(coeffs) - 1
-    bits = max(1, h.bit_length())
-    top = 1 << (bits - 1)  # the values of l
-    step = h - top + 1  # the m that t = 1 adds
-    cell = np.concatenate([coeffs[:top], np.zeros(top - step), coeffs[top:]])  # indexed [t, l]
-    powers = [[(0,), (2 * step,)]] + [[(0,), (2 << b,)] for b in reversed(range(bits - 1))]
-    return _chebyshev_select(powers, {0: cell.reshape((2,) * bits)}, 0, [EncodingSlot(0, "acos")],
+    powers, cell = _localization_layout(localization_chebyshev(spec)[2])
+    return _chebyshev_select(powers, {0: cell}, 0, [EncodingSlot(0, "acos")],
                              (f"localization K={spec.K} x0", "localization-prep"))
+
+
+def localization_resources(spec: LocalizationSpec) -> sim.ResourceCount:
+    """The prep-first resources of ``build_localization_pqc(spec)``, from its
+    weights alone (``_select_weights``, ``_tree_angles``): no gate is built.
+
+    The prep is one trainable Ry per nonzero tree angle; the circuit a sign
+    Z per negative weight, between an X pair if there is any, the pad X
+    and L encoding gates, none trainable.  Every prep node touches qubit 0
+    and every circuit gate the data qubit, so each half runs in series,
+    and only the X that opens a sign pair, on the data qubit alone, runs
+    beside the prep: depth is gates - 1 if both are there, else gates.
+    """
+    powers, cell = _localization_layout(localization_chebyshev(spec)[2])
+    _, _, ((_, signed, probs),) = _select_weights(powers, {0: cell})
+    prep = sum(np.count_nonzero(angles) for angles in _tree_angles(probs))
+    signs = np.count_nonzero(signed < 0.0)
+    encodings = sum(k for values in powers for (k,) in values)
+    gates = int(prep + signs + 2 * (signs > 0) + 1 + encodings)
+    return sim.ResourceCount(width=cell.ndim + 2, depth=gates - bool(signs and prep),
+                             trainable_params=int(prep), gate_total=gates)
 
 
 def localization_values(spec: LocalizationSpec, x: Sequence[float] | np.ndarray) -> np.ndarray:
     """Fast block values of every coordinate, in x's shape; x is one point or
     an (N, d) array of points.
 
-    Each value is sum_k c_k cos(k arccos u) over localization_chebyshev,
-    equal up to rounding to the block's Hadamard test and to
-    localization_poly's Clenshaw sum.  Points run in chunks whose
-    (N, 1, K) cosine table fits in sim.BATCH_BYTES; the product is stacked,
-    so a point gives bit-identical values alone or in a batch."""
-    powers, coeffs = localization_chebyshev(spec)
+    Each value is P = sum_m c_m cos(2 m theta), theta = arccos u, equal up
+    to rounding to the block's Hadamard test and to localization_poly's
+    Clenshaw sum.  It is summed by angle addition over the folded matrix a
+    of ``localization_chebyshev`` (Paterson and Stockmeyer's baby and giant
+    steps): P = Re sum_j e^(2i jB theta) sum_i a[i, j] e^(2i i theta), B + J
+    complex exponentials a point where a cosine per coefficient took h + 1.
+    Points run in chunks whose exponentials fit in sim.BATCH_BYTES.  Both
+    sums are stacked products, (1, B) @ (B, J) and (1, J) @ (J, 1) per
+    point, so a point gives bit-identical values alone, in a batch and in
+    any chunk."""
+    folded, steps, _ = localization_chebyshev(spec)
+    B = len(folded)
     xs = np.asarray(x, dtype=float)
     u = xs.ravel()
-    if not (np.abs(u) <= 1.0 + sim.ENCODING_SLACK).all():  # NaN fails this too
+    edge = np.abs(u).max(initial=0.0)
+    if not edge <= 1.0 + sim.ENCODING_SLACK:  # NaN fails this too
         raise ValueError("encoding inputs outside [-1, 1]")
-    theta = np.arccos(np.minimum(np.maximum(u, -1.0), 1.0))[:, None, None]
-    size = max(1, sim.BATCH_BYTES // powers.nbytes)  # a point's table row, as long as powers
-    if len(u) <= size:  # one chunk: the product itself
-        return (np.cos(theta * powers) @ coeffs).reshape(xs.shape)
+    if edge > 1.0:  # within the slack, so clipped; a lone point pays no clip otherwise
+        u = np.minimum(np.maximum(u, -1.0), 1.0)
+    theta = np.arccos(u)[:, None, None]
+    size = max(1, sim.BATCH_BYTES // steps.nbytes)  # a point's exponentials
+    if len(u) <= size:  # one chunk: the products themselves
+        e = np.exp(theta * steps)  # (N, 1, B + J): the baby steps, then the giant ones
+        return ((e[..., :B] @ folded) @ e[..., B:].transpose(0, 2, 1)).real.reshape(xs.shape)
     out = np.empty(len(u))
     for lo in range(0, len(u), size):
-        out[lo:lo + size] = (np.cos(theta[lo:lo + size] * powers) @ coeffs)[:, 0]
+        e = np.exp(theta[lo:lo + size] * steps)
+        out[lo:lo + size] = ((e[..., :B] @ folded) @ e[..., B:].transpose(0, 2, 1))[:, 0, 0].real
     return out.reshape(xs.shape)
 
 
@@ -690,7 +770,9 @@ class NestedTaylorModel:
     or an (N, d) array of points; a point of another length than f's d
     raises ValueError.  A batch localizes each distinct coordinate value
     once: the block reads one coordinate, and a value is the same bits
-    alone or in a batch (``localization_values``).
+    alone or in a batch (``localization_values``).  The model builds no
+    localization block: each coordinate's is ``build_localization_pqc``'s,
+    which reports count by ``localization_resources``.
     """
 
     def __init__(self, f: TargetFunctionSpec, spec: LocalizationSpec, s: int):
@@ -700,12 +782,13 @@ class NestedTaylorModel:
         self.spec = spec
         self.s = s
         self.table = TaylorCoeffTable.from_target(f, spec.K, s)
-        self.loc_block = build_localization_pqc(spec)  # each coordinate's, counted d times
         self.series = build_taylor_series_pqc(self.table, (0,) * f.dims)
 
     @property
     def tol_agg(self) -> float:
-        return self.f.dims * self.loc_block.tol + self.series.tol
+        """The series block's tol: a localization block synthesizes nothing,
+        so its tol is 0."""
+        return self.series.tol
 
     def __call__(self, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
         """The value at one point, or the values at the rows of an (N, d) array."""

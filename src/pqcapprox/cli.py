@@ -225,7 +225,7 @@ def _resources(bc: circuits.BlockCircuit) -> sim.ResourceCount:
 
 def _nested_resources(model: circuits.NestedTaylorModel) -> sim.ResourceCount:
     """The d localization blocks side by side, then the series block."""
-    loc = _resources(model.loc_block)
+    loc = circuits.localization_resources(model.spec)
     series = _resources(model.series)
     return sim.ResourceCount(
         width=max(loc.width * model.f.dims, series.width),
@@ -312,7 +312,8 @@ def _run_bernstein(cfg: ExperimentConfig) -> _Outcome:
 
 def _run_localization(cfg: ExperimentConfig) -> _Outcome:
     spec = _localization_spec(cfg)
-    bc = _build(cfg)
+    # the values are summed from the coefficients, so the gates serve circuit output alone
+    bc = _build(cfg) if cfg.emit_circuit else None
     # the first 500 in-band draws of the stream, drawn 500 at a time
     rng = np.random.default_rng(cfg.seed)
     xs = np.empty(0)
@@ -331,8 +332,8 @@ def _run_localization(cfg: ExperimentConfig) -> _Outcome:
         sup_error=sup,
         bound=spec.eps,
         bound_name="band-tolerance",
-        tol_agg=bc.tol,
-        resources=_resources(bc),
+        tol_agg=0.0,  # the block synthesizes nothing
+        resources=circuits.localization_resources(spec),
         region="union_q_eta",
         params={"K": spec.K, "delta": spec.delta, "eta_recovered": recovered},
         contract_held=recovered,

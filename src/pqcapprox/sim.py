@@ -688,7 +688,7 @@ def _apply(state: np.ndarray, pair: np.ndarray, coef: np.ndarray) -> None:
 
 
 # Bytes of per-point working arrays per chunk of points: the states and
-# table rows of hadamard_values, the cosine table of
+# table rows of hadamard_values, the baby- and giant-step exponentials of
 # circuits.localization_values and the recurrence tables of poly._chebval.
 # Each reads it at call time.  Smaller chunks pay the per-chunk numpy calls
 # more often, larger ones fall out of the core's cache: on 4,900 points of

@@ -909,9 +909,12 @@ def test_localization_fast_path_equals_hadamard_test():
 
 
 @pytest.mark.parametrize("spec", [P.LocalizationSpec(4, 0.05, 0.1),
-                                  P.LocalizationSpec(8, 0.05, 0.0125)], ids=["K4", "K8"])
+                                  P.LocalizationSpec(8, 0.05, 0.0125),
+                                  P.LocalizationSpec(8, 0.0375, 0.0625),
+                                  P.LocalizationSpec(16, 0.01875, 0.03125)],
+                         ids=["K4", "K8", "K8-benchmark", "K16"])
 def test_localization_values_match_the_transfer_product(spec):
-    # the cosine sum against localization_poly's Clenshaw recurrence
+    # the angle-addition sum against localization_poly's Clenshaw recurrence
     xs = np.concatenate([[0.0, 1e-12, 1.0 - 1e-12, 1.0, -1.0], np.linspace(-1.0, 1.0, 1001)])
     got = C.localization_values(spec, xs)
     want = P.localization_poly(spec)(xs)
@@ -928,8 +931,8 @@ def test_localization_values_in_chunks_equal_one_batch(monkeypatch, tables):
     spec = P.LocalizationSpec(4, 0.05, 0.1)
     xs = np.random.default_rng(9).random((7, 3))
     whole = C.localization_values(spec, xs)
-    # budgets of four points' cosine tables and of less than one
-    monkeypatch.setattr(S, "BATCH_BYTES", tables * C.localization_chebyshev(spec)[0].nbytes)
+    # budgets of four points' B + J complex exponentials and of less than one
+    monkeypatch.setattr(S, "BATCH_BYTES", tables * C.localization_chebyshev(spec)[1].nbytes)
     assert np.array_equal(C.localization_values(spec, xs), whole)
 
 
@@ -1186,7 +1189,9 @@ def test_localization_values_keep_the_point_shape():
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_nested_model_builds_one_localization_block(monkeypatch, d):
+def test_nested_model_builds_no_localization_block(monkeypatch, d):
+    """The model reads its localization values from the coefficients and
+    reports count the block by rule, so it builds no localization SELECT."""
     build, select, calls, labels = C.build_localization_pqc, C._chebyshev_select, [], []
     monkeypatch.setattr(C, "build_localization_pqc",
                         lambda *args: calls.append(args) or build(*args))
@@ -1194,10 +1199,30 @@ def test_nested_model_builds_one_localization_block(monkeypatch, d):
                         lambda *args: labels.append(args[-1][0]) or select(*args))
     spec = P.LocalizationSpec(2, 0.1, 0.25)
     model = C.NestedTaylorModel(targets.product_sines(d), spec, 1)
-    assert calls == [(spec,)]
-    assert [label for label in labels if label.startswith("localization")] == [
-        "localization K=2 x0"]
-    assert model.tol_agg == d * model.loc_block.tol + model.series.tol
+    model(np.full(d, 0.3))
+    assert calls == []
+    assert labels == ["taylor-series s=1"]
+    assert model.tol_agg == model.series.tol
+
+
+def test_localization_resources_equal_the_built_count():
+    """The rule counts the block from its weights as the builder emits it,
+    with resource_count of the built prep and circuit as the reference: on
+    the K=1 and K=2 specs, taylor_d2's, the CI's K=8, 16 and 32 report
+    specs and 40 seeded random ones with K from 2 to 12."""
+    specs = [P.LocalizationSpec(1, 0.1, 0.07), P.LocalizationSpec(2, 0.1, 0.25),
+             P.LocalizationSpec(4, 1 / 16, 1 / 8), P.LocalizationSpec(8, 0.0375, 0.0625),
+             P.LocalizationSpec(16, 0.01875, 0.03125), P.LocalizationSpec(32, 0.009375, 0.015625)]
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        K = int(rng.integers(2, 13))
+        specs.append(P.LocalizationSpec(K, rng.uniform(0.2, 0.45) / K, rng.uniform(0.25, 0.75) / K))
+    counts = [C.localization_resources(spec) for spec in specs]
+    for spec, count in zip(specs, counts):
+        assert count == cli._resources(C.build_localization_pqc(spec)), spec
+    # both depth cases: K=1 has no negative weight, so no sign pair opens its circuit
+    assert [r.depth == r.gate_total for r in counts].count(True) == 1
+    assert counts[3] == S.ResourceCount(11, 1559, 448, 1560)
 
 
 def test_nested_d3_grid_runs_in_chunks_sized_by_the_targeted_qubits(monkeypatch):

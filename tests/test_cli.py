@@ -499,7 +499,7 @@ def test_localization_report_draws_the_points_of_a_scalar_band_loop(
     assert doc["sup_error"] == float(np.max(np.abs(values(spec, xs) - np.array(ks) / K)))
 
 
-def test_taylor_d2_report_counts_its_one_localization_block_twice(capsys, monkeypatch):
+def test_taylor_d2_report_counts_two_localization_blocks_it_never_builds(capsys, monkeypatch):
     build, calls = circuits.build_localization_pqc, []
     monkeypatch.setattr(circuits, "build_localization_pqc",
                         lambda *args: calls.append(args) or build(*args))
@@ -507,8 +507,28 @@ def test_taylor_d2_report_counts_its_one_localization_block_twice(capsys, monkey
                            "product_sines", "--d", "2", "--K", "4", "--s", "1",
                            "--points-per-axis", "13", "--seed", "2")
     r = json.loads(out)["resources"]
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and calls == []
     assert (r["width"], r["depth"], r["params"], r["gates"]) == (20, 785, 472, 1519)
+
+
+def test_localization_report_builds_its_block_only_for_circuit_output(tmp_path, capsys, monkeypatch):
+    """The report counts the block by rule and sums it from the
+    coefficients; --emit-circuit builds it, and the built block's
+    resource_count is the report's."""
+    select, labels = circuits._chebyshev_select, []
+    monkeypatch.setattr(circuits, "_chebyshev_select",
+                        lambda *args: labels.append(args[-1][0]) or select(*args))
+    flags = ("report", "--experiment", "localization", "--K", "8", "--delta", "0.0375",
+             "--eps", "0.0625")
+    code, out, _ = run_cli(capsys, *flags)
+    assert code == 0 and labels == []
+    path = tmp_path / "loc.txt"
+    code, emitted, _ = run_cli(capsys, *flags, "--emit-circuit", str(path))
+    assert code == 0 and labels == ["localization K=8 x0"]
+    assert json.loads(emitted)["resources"] == json.loads(out)["resources"]
+    resources = cli._resources(cli._load_block(str(path))).to_dict()
+    assert json.loads(out)["resources"] == resources == {
+        "width": 11, "depth": 1559, "params": 448, "gates": 1560}
 
 
 def test_construction_error_is_reported(capsys, monkeypatch):
