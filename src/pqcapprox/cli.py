@@ -284,12 +284,12 @@ def _run_bernstein(cfg: ExperimentConfig) -> _Outcome:
         raise ValueError("bernstein experiment needs a Lipschitz-certified target")
     n, d, eps = cfg.n, cfg.d, cfg.eps
     grid = approx.GridSpec(d, cfg.points_per_axis)  # a grid too large fails first
+    bound = thm_bounds("thm2", d=d, ell=f.lipschitz, n=n, eps=eps)  # and a bound past the floats
     bc = _build(cfg)
     # one Hadamard-test run per grid point: the benchmark's traced report
     # counts one sim.run and one evaluate_block call per point
     model = approx.pointwise(lambda x: circuits.evaluate_block(bc, x))
     sup = approx.sup_error(f, model, grid)
-    bound = thm_bounds("thm2", d=d, ell=f.lipschitz, n=n, eps=eps)
     report = approx.ErrorReport(
         sup_error=sup,
         bound=bound,

@@ -574,15 +574,15 @@ def _physical_memory_bytes() -> float:
         return math.inf
 
 
-def _check_degree_fits(degree: int) -> None:
+def _check_degree_fits(degree: float) -> None:
     """Reject a sign or localization construction whose predicted degree
-    is past the guard's reservation, before anything of that size is
-    allocated."""
-    need = _SYNTHESIS_BYTES_PER_ENTRY * float(degree + 1) ** 2
+    is past the guard's reservation, or not finite, before anything of
+    that size is allocated."""
+    need = _SYNTHESIS_BYTES_PER_ENTRY * (degree + 1.0) * (degree + 1.0)  # inf past the floats
     have = _physical_memory_bytes()
-    if need > have:
+    if not need < have:
         raise ValueError(
-            f"predicted polynomial degree {degree} is past the construction"
+            f"predicted polynomial degree {degree:.4g} is past the construction"
             f" guard, which reserves {need / 2**30:.1f} GiB at that degree,"
             f" more than the {have / 2**30:.1f} GiB of physical memory;"
             " raise delta or eps"
@@ -607,9 +607,10 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     kappa = _erfcinv(eps / 2.0) * 2.0 * R / delta
     # Chebyshev coefficients of erf(kappa x) decay like exp(-n^2/(4 kappa^2)),
     # so resolving a tail of size eps needs n ~ 2 kappa sqrt(log(1/eps)).
-    n_interp = int(max(64, 2.2 * kappa * math.sqrt(math.log(64.0 / eps)) + 64))
+    n_interp = max(64, 2.2 * kappa * math.sqrt(math.log(64.0 / eps)) + 64)
+    _check_degree_fits(n_interp)  # before the int, as a tiny delta makes it inf
+    n_interp = int(n_interp)
     n_interp += n_interp % 2
-    _check_degree_fits(n_interp)
     coef_full = _erf_chebyshev(kappa, n_interp)
 
     edge = (delta / 2.0) / R
@@ -916,7 +917,13 @@ def thm_bounds(kind: str, **params: float) -> float:
     """
     if kind == "thm2":
         d, ell, n, eps = params["d"], params["ell"], params["n"], params["eps"]
-        return eps + 2.0 * ((1.0 + ell**2 / (n * eps**2)) ** d - 1.0)
+        try:  # a tiny eps takes eps^2 to 0 or the power past the floats
+            bound = eps + 2.0 * ((1.0 + ell**2 / (n * eps**2)) ** d - 1.0)
+        except (ZeroDivisionError, OverflowError):
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ValueError(f"eps {eps} is too small: the thm2 bound is not finite")
+        return bound
     if kind == "thm3":
         d, s, beta, K = params["d"], params["s"], params["beta"], params["K"]
         return d ** (s + beta / 2.0) * K ** (-beta)

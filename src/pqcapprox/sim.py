@@ -77,6 +77,8 @@ class Gate:
         if self.kind in _ROTATIONS:
             if self.angle is None and self.slot is None:
                 raise ValueError(f"{self.kind} needs an angle or an encoding slot")
+            if self.angle is not None and not math.isfinite(self.angle):
+                raise ValueError(f"{self.kind} angle {self.angle} is not finite")
         elif self.angle is not None or self.slot is not None:
             raise ValueError(f"{self.kind} does not take an angle")
 
@@ -230,19 +232,22 @@ class GateProgram:
     Every maximal run of consecutive gates on one target under one control
     set becomes a single op: a 2x2 matrix applied to the amplitude pairs
     ``(i0, i1)`` that differ in the target bit, with every control bit set
-    and every zero-control bit clear, except that a run splits where its
-    encoding slot changes, so an op binds one slot.  No circuit the package
-    builds splits a run.  The fixed gates of an op are multiplied together
-    here, and a fixed run whose product is exactly I is dropped.  An op
-    without encoding slots is fixed: its ``heads`` matrix serves every
-    point.  ``chains`` holds the slot of each op in ``slotted`` and, per
-    slot factor, its rotation kind and the fixed product after it.  With h
-    the slot's half angle, such an op is a trigonometric polynomial in h of
-    degree its slot count, so each slot's ops compile into their Fourier
-    coefficients (``slot_tables``), and the slots' tables into one block
-    table, every slot's cosine rows first and every slot's sine rows after.
-    ``op_matrices`` binds every slotted op with one affine map of the
-    point per table row, one table of cos hk and sin hk and one product.
+    and every zero-control bit clear, except that a run splits where a
+    second slot block would begin.  So an op holds fixed gates, then at
+    most one block of consecutive gates of one encoding slot and one
+    rotation kind, then more fixed gates.  Every SELECT op (Bernstein,
+    series, poly and localization blocks) is one slot block, so none
+    splits; a QSP or trig line splits into one op per encoding gate.  The
+    fixed gates of an op are multiplied together here: ``heads`` holds the
+    product H before its slot block, and a fixed run whose product is
+    exactly I is dropped.  An op without encoding slots is fixed: its
+    ``heads`` matrix serves every point.  ``chains`` holds, per op in
+    ``slotted``, its slot, its rotation kind, its slot count m and the
+    fixed product A after its block.  Such an op is A R(t)^m H =
+    cos(mt/2) AH + sin(mt/2) AGH, so it takes one cosine and one sine row
+    of the block table (see _compile_tables), and ``op_matrices`` binds
+    every slotted op with one affine map of the point per table row, one
+    table of their cosines and sines and one product.
     ``width`` and ``gates`` are those of the source circuit, and ``coords``
     is the number of point coordinates its slots read.
 
@@ -292,7 +297,8 @@ class GateProgram:
     of 64 gates.  Its 4 address qubits are classical, so it simulates 5
     qubits: a start runs the 6 to 9 of the 54 prefix ops that match its
     address, and its 2 slotted ops run in 1 layer of 4 pairs on a support
-    of 24 or 32 amplitudes.
+    of 24 or 32 amplitudes.  A QSP line of L angles leaves its two H's in
+    the prefix and L slotted ops in L layers, bound from a 2-row table.
 
     The compile checks no gate (the circuit checked its gates, or its
     placements, when it was built), and masks each (target, controls,
@@ -310,33 +316,30 @@ class GateProgram:
         eye = np.eye(2, dtype=complex)
         masks: dict[tuple, tuple[int, int, int]] = {}  # (target, controls, zeros) -> bits
         keys: list[tuple[int, int, int]] = []  # per op: its bits
-        heads: list[np.ndarray] = []  # fixed product before an op's first slot
-        slots: list[Optional[EncodingSlot]] = []  # per op: its slot, if any
-        chains: list[list[list]] = []  # per op: [kind, fixed product after it] per slot
+        runs: list[list] = []  # per op: H, its slot block [slot, kind, m] or None, A
         for g in c.gates:
             key = masks.get((g.target, g.controls, g.zeros))
             if key is None:  # (target bit, control and zero-control bits, zero-control bits)
                 bits = [sum(1 << (c.width - 1 - q) for q in qs) for qs in (g.qubits[1:], g.zeros)]
                 key = masks[g.target, g.controls, g.zeros] = (1 << (c.width - 1 - g.target), *bits)
-            # a run splits where its slot changes, so every op has one slot
-            if not keys or key != keys[-1] or (g.slot is not None and slots[-1] not in (None, g.slot)):
+            op = runs[-1] if keys and key == keys[-1] else None
+            # A is eye until a fixed gate follows the op's slot block
+            if g.slot is not None and op and op[1] and op[2] is eye and op[1][:2] == [g.slot, g.kind]:
+                op[1][2] += 1
+                continue
+            if op is None or (g.slot is not None and op[1]):  # a new run, or a second slot block
                 keys.append(key)
-                heads.append(eye)
-                slots.append(None)
-                chains.append([])
-            chain = chains[-1]
+                op = [eye, None, eye]
+                runs.append(op)
             if g.slot is not None:
-                slots[-1] = g.slot
-                chain.append([g.kind, eye])
-            elif chain:
-                chain[-1][1] = gate_matrix_1q(g.kind, g.angle) @ chain[-1][1]
+                op[1] = [g.slot, g.kind, 1]
             else:
-                heads[-1] = gate_matrix_1q(g.kind, g.angle) @ heads[-1]
+                at = 2 if op[1] else 0
+                op[at] = gate_matrix_1q(g.kind, g.angle) @ op[at]
         # a fixed run that is exactly I does nothing, so it is no op
-        kept = [k for k, (head, chain) in enumerate(zip(heads, chains))
-                if chain or not np.array_equal(head, eye)]
-        self.prefix = next((p for p, k in enumerate(kept) if chains[k]), len(kept))
-        keys = [keys[k] for k in kept]
+        kept = [k for k, (head, block, _) in enumerate(runs) if block or not np.array_equal(head, eye)]
+        keys, runs = [keys[k] for k in kept], [runs[k] for k in kept]
+        self.prefix = next((p for p, op in enumerate(runs) if op[1]), len(runs))
         busy = 1 << c.width >> 1  # qubit 0, which the readout reads
         for p, (tbit, cbits, _) in enumerate(keys):
             busy |= tbit | (cbits if p >= self.prefix else 0)
@@ -372,10 +375,10 @@ class GateProgram:
             layer = int(last[pair].max()) + 1
             layer_of.append(layer)
             last[pair] = layer
-        self.heads = np.array([heads[k] for k in kept], dtype=complex).reshape(len(kept), 2, 2)
-        self.slotted = np.array([p for p, k in enumerate(kept) if chains[k]], dtype=int)
-        self.chains = [(slots[kept[p]], chains[kept[p]]) for p in self.slotted]
-        self.coords = 1 + max((slot.coord for slot, _ in self.chains), default=-1)
+        self.heads = np.array([op[0] for op in runs], dtype=complex).reshape(len(runs), 2, 2)
+        self.slotted = np.array([p for p, op in enumerate(runs) if op[1]], dtype=int)
+        self.chains = [(*runs[p][1], runs[p][2]) for p in self.slotted]
+        self.coords = 1 + max((slot.coord for slot, *_ in self.chains), default=-1)
         layer_of = np.array(layer_of, dtype=int)
         ops = self.pairs[self.prefix:]
         self.layers = [  # the members' pairs, and the row of each pair's op
@@ -391,45 +394,34 @@ class GateProgram:
         self._held = [0, 0]  # bytes in stored and in schedules
         self._compile_tables()
         # bytes per point of a chunk in hadamard_values: its state on the
-        # simulated register, or its row of the block table's cos hk and sin hk
+        # simulated register, or its row of the block table's cosines and sines
         self.row_bytes = max(np.dtype(complex).itemsize << size, self.row_half.nbytes)
 
     def _compile_tables(self) -> None:
-        """Compile each slot's ops into its Fourier table (``slot_tables``:
-        per slot, its ops' indices in ``chains``, their powers, how many are
-        cosines, and the table), and the tables into the block table that
-        op_matrices binds.  Row r of the block table takes cos or sin of
-        row_half[r] = k/2 times the angle of its slot, for the power k of
-        the half angle h (angle k/2 and h k round alike, as both halvings
-        are exact), every cosine row first, the slots sorted by xform, and
-        column 8p + e holds entry e of slotted op p, real and imaginary parts
-        interleaved.  Each row holds its slot's affine map (``row_coords``,
-        ``row_scales``, ``row_shifts``), and ``xforms`` each xform's rows
-        (every row for one xform)."""
-        groups: dict[EncodingSlot, list[int]] = {}
-        for p in sorted(range(len(self.chains)), key=lambda p: -len(self.chains[p][1])):
-            groups.setdefault(self.chains[p][0], []).append(p)  # longest chains first
-        slots = sorted(groups, key=lambda slot: slot.xform)
-        self.slot_tables = [
-            (slot, ps, *_fourier_table(self.heads[self.slotted[ps]],
-                                       [self.chains[p][1] for p in ps]))
-            for slot, ps in ((slot, groups[slot]) for slot in slots)
-        ]
-        rows = [(s, j) for s, (_, _, powers, _, _) in enumerate(self.slot_tables)
-                for j in range(len(powers))]
-        rows.sort(key=lambda r: r[1] >= self.slot_tables[r[0]][3])  # stable: cosines first
-        self.cosines = sum(cosines for _, _, _, cosines, _ in self.slot_tables)
-        row_slot = np.array([s for s, _ in rows], dtype=int)
-        row_power = np.zeros(len(rows), dtype=int)
-        self.table = np.zeros((len(rows), 8 * len(self.chains)))
-        index = np.array([j for _, j in rows], dtype=int)
-        for s, (_, ps, powers, _, table) in enumerate(self.slot_tables):
-            mine = np.flatnonzero(row_slot == s)
-            row_power[mine] = powers[index[mine]]
-            cols = 8 * np.array(ps)[:, None] + np.arange(8)
-            self.table[np.ix_(mine, cols.ravel())] = table[index[mine]]
-        self.row_half = row_power / 2.0
-        row_slots = [slots[s] for s in row_slot]
+        """Compile the slotted ops into the block table that op_matrices
+        binds.  Slotted op p, A R(t)^m H with R(t) = cos(t/2) I + sin(t/2) G
+        and t its slot's angle, is cos(mt/2) AH + sin(mt/2) AGH, since G^2
+        = -I makes R(t)^m = R(mt).  So every distinct (slot, m) holds one
+        cosine row and one sine row, every cosine row first and the slots
+        sorted by xform: row r takes cos or sin of row_half[r] = m/2 times
+        the angle of its slot, and column 8p + e holds entry e of op p in
+        its two rows, real and imaginary parts interleaved.  Each row holds
+        its slot's affine map (``row_coords``, ``row_scales``,
+        ``row_shifts``), and ``xforms`` each xform's rows (every row for one
+        xform)."""
+        rows = sorted(dict.fromkeys((slot, m) for slot, _, m, _ in self.chains),
+                      key=lambda row: row[0].xform)  # stable: each xform's rows in order
+        self.cosines = len(rows)
+        at = {row: r for r, row in enumerate(rows)}
+        afters = np.array([after for *_, after in self.chains]).reshape(-1, 2, 2)
+        gens = np.array([_GENERATORS[kind] for _, kind, _, _ in self.chains]).reshape(-1, 2, 2)
+        heads = self.heads[self.slotted]
+        row = [at[slot, m] for slot, _, m, _ in self.chains]
+        table = np.zeros((2, len(rows), len(row), 2, 2), dtype=complex)
+        table[:, row, range(len(row))] = afters @ heads, afters @ gens @ heads
+        self.table = np.stack([table.real, table.imag], axis=-1).reshape(2 * len(rows), 8 * len(row))
+        self.row_half = np.array([m for _, m in rows] * 2) / 2.0
+        row_slots = [slot for slot, _ in rows] * 2
         self.row_coords = np.array([slot.coord for slot in row_slots], dtype=int)
         self.row_scales = np.array([slot.scale for slot in row_slots])
         self.row_shifts = np.array([slot.shift for slot in row_slots])
@@ -528,7 +520,7 @@ class GateProgram:
         """The (len(pairs) - prefix, N, 2, 2) matrices of the ops from
         ``prefix`` on, op k in row k - prefix, at each row of the (N, d)
         point array x: a fixed op's ``heads`` matrix, and the slotted ops'
-        (N, 1, K) table of cos hk and sin hk times the block table."""
+        (N, 1, K) table of cos(mt/2) and sin(mt/2) times the block table."""
         if x is None:
             raise ValueError("circuit has unbound encoding slots; pass x")
         xs = np.asarray(x, dtype=float)
@@ -539,11 +531,11 @@ class GateProgram:
         u -= self.row_shifts
         for xform, rows in self.xforms:
             u[:, rows] = encoding_angles(xform, u[:, rows])
-        hk = np.multiply(u, self.row_half, out=u)
-        np.cos(hk[:, :self.cosines], out=hk[:, :self.cosines])
-        np.sin(hk[:, self.cosines:], out=hk[:, self.cosines:])
+        half = np.multiply(u, self.row_half, out=u)  # mt/2 per row
+        np.cos(half[:, :self.cosines], out=half[:, :self.cosines])
+        np.sin(half[:, self.cosines:], out=half[:, self.cosines:])
         # stacked, so a point's row is the same product alone or in a batch
-        parts = (hk[:, None] @ self.table).view(complex)
+        parts = (half[:, None] @ self.table).view(complex)
         parts = parts.reshape(len(xs), len(self.chains), 2, 2)
         if len(self.slotted) == len(self.pairs) - self.prefix:  # no fixed row to copy
             return parts.swapaxes(0, 1)
@@ -551,54 +543,6 @@ class GateProgram:
         mats[:] = self.heads[self.prefix:, None]  # the slotted rows are bound below
         mats[self.slotted - self.prefix] = parts.swapaxes(0, 1)
         return mats
-
-
-def _fourier_table(heads: np.ndarray, chains: list[list[list]]) -> tuple:
-    """Ops of one slot, compiled for op_matrices: the powers k of the table
-    [cos hk (k >= 0), sin hk (k > 0)], how many are cosines, and the real
-    (K, 8 ops) matrix that maps the table to the ops' entries, real and
-    imaginary parts interleaved.
-
-    An op with head H and m slot factors, each followed by its fixed
-    product A_j, is A_m R_m(h) ... A_1 R_1(h) H with
-    R_j = cos h I + sin h G_j = e^{ih} (I - iG_j)/2 + e^{-ih} (I + iG_j)/2,
-    so it is sum_k c_k e^{ihk} over k = -m, -m+2, ..., m.  Stage j
-    multiplies every op with more than j factors by A_j R_j; the chains come
-    longest first, so those ops lead, and each holds the j+1 coefficients
-    of powers -j, -j+2, ..., j.  Then c_k e^{ihk} + c_-k e^{-ihk} is
-    (c_k + c_-k) cos hk + i (c_k - c_-k) sin hk.  The stages share two
-    buffers (live packs each column's powers), so none allocates."""
-    m = len(chains[0])
-    coef = np.zeros((len(chains), 2, 2, 2 * m + 1), dtype=complex)  # power k at m + k
-    live_buf = np.empty((len(chains), 2, 2 * m + 2), dtype=complex)
-    both_buf = np.empty((len(chains), 4, 2 * m + 2), dtype=complex)
-    live = live_buf[..., :2].reshape(len(chains), 2, 2, 1)
-    live[..., 0] = heads
-    eye = np.eye(2)
-    for j in range(m + 1):
-        n = sum(len(chain) > j for chain in chains)
-        coef[n:len(live), ..., m - j:m + j + 1:2] = live[n:]  # the ops with j factors
-        if not n:
-            break
-        after = np.array([chain[j][1] for chain in chains[:n]])
-        gens = np.array([_GENERATORS[chain[j][0]] for chain in chains[:n]])
-        # A_j (I - iG)/2 e^{ih} and A_j (I + iG)/2 e^{-ih}, stacked
-        halves = np.concatenate([after @ (eye - 1j * gens), after @ (eye + 1j * gens)], axis=1)
-        both = np.matmul(halves / 2.0, live_buf[:n, :, :2 * j + 2], out=both_buf[:n, :, :2 * j + 2])
-        both = both.reshape(n, 2, 2, 2, j + 1)
-        live = live_buf[:n, :, :2 * j + 4].reshape(n, 2, 2, j + 2)
-        live[..., :-1] = both[:, 1]  # e^{-ih} takes power -j+2q to -(j+1)+2q
-        live[..., -1] = 0.0
-        live[..., 1:] += both[:, 0]  # and e^{ih} to -(j+1)+2(q+1)
-    # when every op has m's parity the other powers vanish and stay out of the table
-    step = 2 if len({len(chain) % 2 for chain in chains}) == 1 else 1
-    powers = np.arange(m % step, m + 1, step)
-    sines = powers[powers > 0]
-    rows = np.concatenate([coef[..., m + powers] + coef[..., m - powers] * (powers > 0),
-                           1j * (coef[..., m + sines] - coef[..., m - sines])], axis=-1)
-    rows = np.moveaxis(rows, -1, 0)
-    return (np.concatenate([powers, sines]), len(powers),
-            np.stack([rows.real, rows.imag], axis=-1).reshape(len(rows), -1))
 
 
 def run(

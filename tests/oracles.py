@@ -219,16 +219,17 @@ def composed_reference(width: int, parts, label: str) -> Circuit:
 
 def stages(program: GateProgram) -> list[tuple]:
     """Stage j: every slotted op with more than j slots takes its j-th
-    slot factor R = cos I + sin G, then the fixed product A up to its next
-    slot, so the stage multiplies by cos A + sin AG.  Stage 0 also folds in
-    the head H: cos AH + sin AGH, linear in the slot's cos and sin, so an
-    op with one slot needs no matrix product per point."""
-    chains = [chain for _, chain in program.chains]
+    slot factor R = cos I + sin G, then the fixed product A after it (I but
+    after the op's last slot), so the stage multiplies by cos A + sin AG.
+    Stage 0 also folds in the head H: cos AH + sin AGH, linear in the
+    slot's cos and sin, so an op with one slot needs no matrix product per
+    point."""
+    chains = program.chains
     out = []
-    for j in range(max(map(len, chains), default=0)):
-        pos = [p for p, chain in enumerate(chains) if len(chain) > j]
-        after = np.array([chains[p][j][1] for p in pos])
-        gens = np.array([_GENERATORS[chains[p][j][0]] for p in pos])
+    for j in range(max((m for _, _, m, _ in chains), default=0)):
+        pos = [p for p, (_, _, m, _) in enumerate(chains) if m > j]
+        after = np.array([chains[p][3] if chains[p][2] == j + 1 else np.eye(2) for p in pos])
+        gens = np.array([_GENERATORS[chains[p][1]] for p in pos])
         first = program.heads[program.slotted] if j == 0 else np.eye(2)
         out.append((np.array(pos), (after @ first)[:, None], (after @ gens @ first)[:, None]))
     return out
@@ -249,7 +250,7 @@ def stage_op_matrices(program: GateProgram, x: np.ndarray) -> np.ndarray:
         return np.zeros((0, len(xs), 2, 2), dtype=complex)
     half = np.array([
         encoding_angles(slot.xform, xs[:, slot.coord] * slot.scale - slot.shift) / 2.0
-        for slot, _ in program.chains
+        for slot, *_ in program.chains
     ]).reshape(len(program.chains), len(xs))
     cos, sin = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
     (pos, a, ag), *later = stages(program)

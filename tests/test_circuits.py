@@ -75,7 +75,8 @@ def test_monomial_frozen_example():
 
 def test_monomial_coefficient_rides_the_first_line_with_a_nonzero_power():
     """c x_1^3 carries c on coordinate 1's line, so coordinate 0's line is
-    exactly I and compiles to no op: the one op targets qubit 1."""
+    exactly I and compiles to no op: the three ops, one per encoding gate,
+    target qubit 1."""
     c, k = -0.6, 3
     bc = C.build_monomial_pqc(c, (0, k))
     angles = C.synthesize_cached(C._monomial_target(c, k), 1e-11).angles
@@ -83,7 +84,7 @@ def test_monomial_coefficient_rides_the_first_line_with_a_nonzero_power():
     want = C.qsp_line(angles, S.EncodingSlot(1, "acos"))
     assert line == [(g.kind, g.angle, g.slot) for g in want]
     prog = S.GateProgram(bc.circuit)
-    assert len(prog.pairs) == 1 and int(prog.pairs[0][0, 0] ^ prog.pairs[0][1, 0]) == 1
+    assert len(prog.pairs) == k and all(int(pair[0, 0] ^ pair[1, 0]) == 1 for pair in prog.pairs)
     for x in [(0.2, 0.9), (0.7, -0.4)]:
         assert C.evaluate_block(bc, x) == pytest.approx(c * x[1]**k, abs=1e-10)
 

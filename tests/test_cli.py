@@ -411,6 +411,45 @@ def test_eval_rejects_a_non_finite_trig_input(capsys, tmp_path, x):
     assert len(lines) == 1 and "not finite" in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf"])
+def test_eval_rejects_a_non_finite_angle_in_a_circuit_file(capsys, tmp_path, angle):
+    # a=nan used to end in a lost-unitarity traceback, and a=inf in a
+    # "math domain error"
+    path = tmp_path / "line.txt"
+    assert run_cli(capsys, "synth", "--coeffs", "0,0.9", "--emit-circuit", str(path))[0] == 0
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    rz = next(i for i, line in enumerate(lines) if line.startswith("Rz "))
+    lines[rz] = " ".join(f"a={angle}" if tok.startswith("a=") else tok for tok in lines[rz].split())
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "eval", "--circuit", str(path), "--x", "0.3")
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == f"Rz angle {angle} is not finite"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("--experiment", "bernstein", "--d", "1", "--n", "4", "--eps", "1e-200"), "eps"),
+    (("--experiment", "bernstein", "--d", "1", "--n", "4", "--eps", "1e-160"), "eps"),
+    (("--experiment", "bernstein", "--d", "2", "--n", "4", "--eps", "1e-100"), "eps"),
+    (("--experiment", "taylor", "--target", "halfsine", "--K", "4", "--delta", "1e-320"), "delta"),
+    (("--experiment", "taylor", "--target", "halfsine", "--K", "4", "--delta", "1e-300"), "delta"),
+    (("--experiment", "localization", "--K", "8", "--eps", "0.0625", "--delta", "1e-320"),
+     "delta"),
+], ids=["bernstein-eps-squared-underflows", "bernstein-ratio-overflows",
+        "bernstein-power-overflows", "taylor-delta-subnormal",
+        "taylor-delta-tiny", "localization-delta-subnormal"])
+def test_a_tiny_eps_or_delta_is_bad_input(capsys, argv, name):
+    # eps^2 underflowing to 0 used to raise ZeroDivisionError in the thm2
+    # bound, an eps of 1e-160 to report an infinite bound, 1e-100 at d=2 an
+    # OverflowError, and a tiny delta an OverflowError from an infinite or
+    # huge predicted sign degree
+    code, out, err = run_cli(capsys, "report", *argv)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and name in json.loads(lines[0])["error"]
+
+
 def test_report_rejects_a_grid_too_large_to_mesh():
     for argv, count in (
         # d = 12 meshes 11^12 points by default; the grid is checked before

@@ -217,15 +217,19 @@ def random_slotted_circuit(rng, width, n_runs):
 
 def slot_splits(circ):
     """Places where a run of gates on one target under one control set
-    changes its encoding slot: each starts one more op, since an op binds
-    one slot."""
-    count, prev, slot = 0, None, None
+    begins a second slot block: a slot gate after the run's slot gates and
+    a fixed gate, or of another slot or kind than the gate before it.  Each
+    starts one more op, since an op holds one block of one slot's gates of
+    one kind."""
+    count, prev, block = 0, None, None
     for g in circ.gates:
         if (g.target, set(g.controls), set(g.zeros)) != prev:
-            prev, slot = (g.target, set(g.controls), set(g.zeros)), None
+            prev, block = (g.target, set(g.controls), set(g.zeros)), None
         if g.slot is not None:
-            count += slot not in (None, g.slot)
-            slot = g.slot
+            count += block not in (None, (g.slot, g.kind))
+            block = (g.slot, g.kind)
+        elif block is not None:
+            block = "closed"
     return count
 
 
@@ -803,10 +807,11 @@ def test_series_block_runs_only_its_slotted_ops_per_point(d, layout):
 def test_trig_block_drops_its_identity_lines():
     """The term (0, 1) carries its coefficient on coordinate 1's line, so
     its coordinate-0 line is exactly I and compiles to no op: the prefix
-    holds the two H's, and the three slotted lines run in two layers."""
+    holds the two H's, and the three slotted lines, one op per encoding
+    gate (2, 4 and 2), run in six layers."""
     prog = trig_block().program
     assert (prog.prefix, len(prog.pairs), [pair.shape[1] for pair, _ in prog.layers]) \
-        == (2, 5, [4, 2])
+        == (2, 10, [4, 4, 2, 2, 2, 2])
 
 
 def test_a_point_with_too_few_coordinates_raises():
@@ -917,19 +922,19 @@ def test_layered_bernstein_batch_matches_the_classical_sum(bernstein_block):
 
 
 # ---------------------------------------------------------------------------
-# Fourier binding of the slotted ops
+# Closed-form binding of the slotted ops
 # ---------------------------------------------------------------------------
 
 
 @given(st.integers(0, 10**6))
 @example(seed=12424)  # a circuit with no slotted op
 @settings(max_examples=25, deadline=None)
-def test_fourier_binding_matches_the_stage_products(seed):
+def test_closed_form_binding_matches_the_stage_products(seed):
     rng = np.random.default_rng(seed)
     width = int(rng.integers(1, 5))
     circ = random_slotted_circuit(rng, width, 6)
     prog = S.GateProgram(circ)
-    assert all(slot is not None for slot, _ in prog.chains)
+    assert all(slot is not None for slot, *_ in prog.chains)
     xs, _ = random_batch(rng, width, int(rng.integers(1, 9)))
     got = prog.op_matrices(xs)
     assert got.shape == (len(prog.pairs) - prog.prefix, len(xs), 2, 2)
@@ -959,14 +964,17 @@ def localization_k2():
 @pytest.mark.parametrize("tables", [3, 0])
 def test_hadamard_values_in_chunks_equal_one_batch(tables, bernstein_block, series_block):
     """Seven points in chunks of three and of one give the values of one
-    batch bit for bit: from start 0 on a one-qubit line of 40 random
-    angles, whose table row outweighs its state, and from mixed starts on
-    the d=2, n=4 Bernstein and d=2, K=4 series programs."""
+    batch bit for bit: from start 0 on one qubit's runs of 1 to 40
+    encodings, each closed by a random Rz, whose 80 table rows outweigh
+    its state, and from mixed starts on the d=2, n=4 Bernstein and d=2,
+    K=4 series programs."""
     rng = np.random.default_rng(12)
     angles = np.random.default_rng(5).uniform(-math.pi, math.pi, 40)
-    line = S.Circuit(1, C.qsp_line(angles, S.EncodingSlot(0, "acos")))
-    loc = S.GateProgram(S.hadamard_test_circuit(line, S.Circuit(1, (S.h(0),))))
-    assert loc.row_bytes == 8 * len(loc.row_half) > 16 * 2**loc.width
+    slot = S.EncodingSlot(0, "acos")
+    runs = S.Circuit(1, tuple(g for m, a in enumerate(angles, 1)
+                              for g in (S.encoding_gate(0, slot),) * m + (S.rz(0, a),)))
+    loc = S.GateProgram(S.hadamard_test_circuit(runs, S.Circuit(1, (S.h(0),))))
+    assert len(loc.row_half) == 80 and loc.row_bytes == 8 * 80 > 16 * 2**loc.width
     bern = bernstein_block[1].program
     series, cells, points, _ = series_block
     pick = rng.choice(len(cells), 7)
@@ -996,7 +1004,7 @@ def trig_block():
 
 
 @pytest.mark.parametrize("block", ["bernstein", "series", "trig", "localization"])
-def test_fourier_binding_of_the_constructions(block, bernstein_block, series_block):
+def test_closed_form_binding_of_the_constructions(block, bernstein_block, series_block):
     rng = np.random.default_rng(11)
     bc, xs = {
         "bernstein": lambda: (bernstein_block[1], rng.uniform(0.0, 1.0, (6, 2))),
@@ -1016,14 +1024,28 @@ def test_fourier_binding_of_the_constructions(block, bernstein_block, series_blo
     lambda: C.build_bernstein_pqc(targets.abs_centered(2), 4),
     lambda: C.build_taylor_series_pqc(
         C.TaylorCoeffTable.from_target(targets.product_sines(2), 4, 1), (0, 0)),
-    lambda: C.build_monomial_pqc(0.5, (1, 2)),
     lambda: C.build_poly_pqc(P.MultivariatePolynomial({(1, 0): 0.5, (0, 2): 0.25}, 2)),
-    trig_block,
     localization_k2,
-], ids=["bernstein", "series", "monomial", "poly", "trig", "localization"])
+], ids=["bernstein", "series", "poly", "localization"])
 def test_no_construction_splits_a_run(build):
     bc = build()
     assert slot_splits(S.hadamard_test_circuit(bc.circuit, bc.prep)) == 0
+
+
+@pytest.mark.parametrize("build, encodings, lines", [
+    (lambda: C.build_monomial_pqc(0.5, (1, 2)), 3, 2),
+    (trig_block, 8, 3),
+], ids=["monomial", "trig"])
+def test_a_line_splits_at_each_encoding_after_its_first(build, encodings, lines):
+    """A line block's runs are its lines; each encoding gate after a
+    line's first begins a second slot block, so the line compiles to one
+    slotted op per encoding gate: x_0 x_1^2 on lines of 1 and 2 encodings,
+    and the trig block on its three lines of 2, 4 and 2."""
+    bc = build()
+    circ = S.hadamard_test_circuit(bc.circuit, bc.prep)
+    assert sum(g.slot is not None for g in circ.gates) == encodings
+    assert slot_splits(circ) == encodings - lines
+    assert len(bc.program.slotted) == encodings
 
 
 @pytest.mark.parametrize("build", [
@@ -1086,8 +1108,19 @@ def test_bernstein_d2_point_runs_two_layers_after_prefix(bernstein_block):
     assert sum(prog.pairs[k].shape[1] for k in range(prog.prefix, len(prog.pairs))) == 128
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_a_gate_rejects_a_non_finite_angle(angle):
+    for kind in ("Rx", "Ry", "Rz"):
+        with pytest.raises(ValueError, match=f"{kind} angle {angle} is not finite"):
+            S.Gate(kind, 0, angle=angle)
+    with pytest.raises(ValueError, match=f"Rz angle {angle} is not finite"):
+        S.circuit_from_text(f"width 1\nlabel l\nRz 0 a={angle}\n")
+
+
 def test_a_run_splits_where_its_slot_changes():
-    text = (
+    """A run splits where its slot changes, and where one slot recurs after
+    a fixed gate: each op holds one block of one slot's gates."""
+    changes = (
         "width 2\nlabel two slots in one run\n"
         "H 1\n"
         "MCU.Rx 1 c=0 enc=acos:0:0.1:1.0\n"
@@ -1097,18 +1130,46 @@ def test_a_run_splits_where_its_slot_changes():
         "MCU.H 1 c=0\n"
         "MCU.Rx 1 c=0 enc=acos:0:0.1:1.0\n"
     )
-    circ = S.circuit_from_text(text)
-    assert slot_splits(circ) == 2
-    prog = S.GateProgram(circ)
-    assert len(prog.pairs) == 4 and len(prog.slotted) == 3
-    assert [len(chain) for _, chain in prog.chains] == [1, 2, 1]
+    recurs = (
+        "width 2\nlabel one slot twice in one run\n"
+        "MCU.Rx 1 c=0 enc=acos:0:0.1:1.0\n"
+        "MCU.Rx 1 c=0 enc=acos:0:0.1:1.0\n"
+        "MCU.Ry 1 c=0 a=0.3\n"
+        "MCU.Rx 1 c=0 enc=acos:0:0.1:1.0\n"
+    )
     xs = np.array([[0.3, -1.2], [-0.9, 2.5], [1.1, 0.4]])
     every = np.arange(4)
-    for x in xs:
-        got = dense_run(prog, x=np.tile(x, (4, 1)), start=every)
-        assert np.max(np.abs(got - circuit_unitary(circ.bound(x)).T)) <= 1e-14
-    got = prog.op_matrices(xs)[prog.slotted - prog.prefix]
+    for text, ops, counts in ((changes, 4, [1, 2, 1]), (recurs, 2, [2, 1])):
+        circ = S.circuit_from_text(text)
+        assert slot_splits(circ) == len(counts) - 1
+        prog = S.GateProgram(circ)
+        assert len(prog.pairs) == ops and len(prog.slotted) == len(counts)
+        assert [m for _, _, m, _ in prog.chains] == counts
+        for x in xs:
+            got = dense_run(prog, x=np.tile(x, (4, 1)), start=every)
+            assert np.max(np.abs(got - circuit_unitary(circ.bound(x)).T)) <= 1e-14
+        got = prog.op_matrices(xs)[prog.slotted - prog.prefix]
+        assert np.max(np.abs(got - stage_op_matrices(prog, xs))) <= 1e-15
+
+
+def test_a_line_of_l_angles_compiles_to_l_slotted_ops():
+    """Each encoding gate of a QSP line begins a slot block, so the line's
+    Hadamard test compiles to its two H's in the prefix and one slotted op
+    per encoding, with no fixed op after the prefix; every op binds the
+    same (slot, 1), so the block table has one cosine and one sine row."""
+    angles = np.random.default_rng(5).uniform(-math.pi, math.pi, 41)
+    slot = S.EncodingSlot(0, "acos")
+    line, prep = S.Circuit(1, C.qsp_line(angles, slot)), S.Circuit(1, (S.h(0),))
+    prog = S.GateProgram(S.hadamard_test_circuit(line, prep))
+    assert prog.prefix == 2 and len(prog.pairs) == 2 + 40
+    assert np.array_equal(prog.slotted, np.arange(2, 42))
+    assert all(chain[:3] == (slot, "Rx", 1) for chain in prog.chains)
+    assert prog.table.shape == (2, 8 * 40) and prog.row_half.tolist() == [0.5, 0.5]
+    xs = np.array([[-0.7], [0.2], [0.9]])
+    got = prog.op_matrices(xs)
     assert np.max(np.abs(got - stage_op_matrices(prog, xs))) <= 1e-15
+    want = [block_values(line.bound(x), prep)[0] for x in xs]
+    assert np.max(np.abs(S.hadamard_values(prog, xs) - want)) <= 1e-13
 
 
 def test_expectations_without_points_or_starts_run_from_zero():
