@@ -105,7 +105,9 @@ def evaluate_block(
     (N,) values of a batch run.  ``start`` holds each point's initial
     basis-state index of the work register, on which prep then acts
     (default |0..0>).  One point runs as a batch of one.  A block declared
-    real gives real values, and raises ValueError where its value is not.
+    real gives real values, and raises ValueError where its value is not;
+    a batch of one, a lone point or one start, reads its value for that
+    check as a Python number, without numpy's dispatch.
     """
     xs = None if x is None else np.asarray(x, dtype=float)
     if xs is not None and xs.ndim not in (1, 2):
@@ -116,11 +118,12 @@ def evaluate_block(
     # the ancilla is qubit 0 and starts in |0>, so a work-register index is
     # also the index of the whole Hadamard-test state
     values = sim.hadamard_values(bc.program, xs, start)
-    if one:  # a Python number, which the checks below read without numpy's dispatch
-        values = values[0].item()
+    first = values[0].item() if len(values) == 1 else None  # with or without start
+    if one:
+        values = first
     if bc.block_value_is_real:
         # at block scale: real constructions leave at most about 3e-15
-        leak = abs(values.imag) if one else float(np.abs(values.imag).max(initial=0.0))
+        leak = abs(first.imag) if first is not None else float(np.abs(values.imag).max(initial=0.0))
         if leak > 1e-9:
             raise ValueError(f"block declared real has an imaginary part of {leak:.3g}")
         values = values.real
@@ -634,7 +637,7 @@ def localization_values(spec: LocalizationSpec, x: Sequence[float] | np.ndarray)
     B = len(folded)
     xs = np.asarray(x, dtype=float)
     u = xs.ravel()
-    edge = np.abs(u).max(initial=0.0)
+    edge = np.maximum.reduce(np.abs(u), axis=None, initial=0.0)  # the ufunc's own: no wrapper
     if not edge <= 1.0 + sim.ENCODING_SLACK:  # NaN fails this too
         raise ValueError("encoding inputs outside [-1, 1]")
     if edge > 1.0:  # within the slack, so clipped; a lone point pays no clip otherwise
@@ -659,10 +662,19 @@ def round_to_eta(values: Sequence[float] | np.ndarray, K: int) -> MultiIndex | n
     One point's values give a tuple; an (N, d) array gives an integer array.
     """
     v = np.asarray(values, dtype=float)
-    ok = (v >= -1e-9) & (v <= 1.0 + 1e-9)
-    if not ok.all():  # NaN fails too
-        raise ValueError(f"localization output {v[~ok][0]} outside [0, 1]")
-    cells = np.minimum((K * v).astype(int), K - 1)
+    # the range check as two reductions, the offending value looked up only
+    # when it fails; NaN fails too, since both reductions return it
+    low, high = ((np.minimum.reduce(v, axis=None), np.maximum.reduce(v, axis=None))
+                 if v.size else (0.0, 0.0))
+    if not (low >= -1e-9 and high <= 1.0 + 1e-9):
+        bad = v[~((v >= -1e-9) & (v <= 1.0 + 1e-9))][0]
+        raise ValueError(f"localization output {bad} outside [0, 1]")
+    cells = (K * v).astype(int)
+    # below 1, K * value stays below K once rounded (the largest double
+    # below 1 is 1 - 2^-53, and K - K 2^-53 lies at least half an ulp of K
+    # under K), so its floor is at most K - 1: only a value from 1 on is clamped
+    if high >= 1.0:
+        cells = np.minimum(cells, K - 1)
     return tuple(int(c) for c in cells) if v.ndim == 1 else cells
 
 
@@ -715,9 +727,10 @@ def series_start(table: TaylorCoeffTable, eta: MultiIndex | np.ndarray) -> int |
     """
     cells = np.asarray(eta, dtype=int)
     # viewed unsigned, a negative cell lies above K too, so one pass checks both ends
-    if cells.shape[-1:] != (table.d,) or cells.size and cells.view(np.uint64).max() >= table.K:
+    if (cells.shape[-1:] != (table.d,)
+            or cells.size and np.maximum.reduce(cells.view(np.uint64), axis=None) >= table.K):
         raise ValueError(f"invalid address {eta}")
-    return cells @ table.address_weights
+    return cells.dot(table.address_weights)
 
 
 def build_taylor_coeff_pqc(table: TaylorCoeffTable, shifts: Sequence[float]) -> BlockCircuit:
@@ -791,7 +804,12 @@ class NestedTaylorModel:
         return self.series.tol
 
     def __call__(self, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
-        """The value at one point, or the values at the rows of an (N, d) array."""
+        """The value at one point, or the values at the rows of an (N, d) array.
+
+        A lone point is a batch of one: it localizes its own coordinates
+        (no np.unique), and then takes the calls of a batch, ``round_to_eta``,
+        ``series_start`` and one ``evaluate_block`` from its cell's start,
+        each of whose range checks is a reduction or two."""
         xs = np.asarray(x, dtype=float)
         pts = xs.reshape(1, -1) if xs.ndim < 2 else xs
         if pts.shape[-1] != self.f.dims:

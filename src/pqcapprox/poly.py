@@ -604,7 +604,12 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     """
     if delta <= 0 or not 0 < eps < 1:
         raise ValueError("need delta > 0 and eps in (0,1)")
-    kappa = _erfcinv(eps / 2.0) * 2.0 * R / delta
+    try:
+        root = _erfcinv(eps / 2.0)
+    except (OverflowError, ValueError):  # a Newton step's exp(x^2) overflows, or erfc(x) is 0
+        raise ValueError(f"eps is too small: erfc cannot be inverted in floating point at half"
+                         f" the step accuracy eps/(2(K+1)) = {eps:.4g}; raise eps") from None
+    kappa = root * 2.0 * R / delta
     # Chebyshev coefficients of erf(kappa x) decay like exp(-n^2/(4 kappa^2)),
     # so resolving a tail of size eps needs n ~ 2 kappa sqrt(log(1/eps)).
     n_interp = max(64, 2.2 * kappa * math.sqrt(math.log(64.0 / eps)) + 64)

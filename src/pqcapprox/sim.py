@@ -41,12 +41,20 @@ class EncodingSlot:
 
 
 def encoding_angles(xform: str, u: np.ndarray) -> np.ndarray:
-    """Angles of an encoding transform at arguments u = scale*x[coord] - shift."""
+    """Angles of an encoding transform at arguments u = scale*x[coord] - shift.
+
+    The acos range check is one reduction, and the offending argument is
+    looked up only when it fails.  An argument within the slack past
+    [-1, 1] is clipped; the clip moves no argument inside [-1, 1], so it
+    runs only when one lies in the slack."""
     if xform == "acos":
-        ok = np.abs(u) <= 1.0 + ENCODING_SLACK
-        if not ok.all():  # NaN is out of range too
-            raise ValueError(f"encoding argument {u[~ok][0]} outside [-1, 1]")
-        return -2.0 * np.arccos(np.minimum(np.maximum(u, -1.0), 1.0))
+        edge = np.maximum.reduce(np.abs(u), axis=None, initial=0.0)
+        if not edge <= 1.0 + ENCODING_SLACK:  # NaN fails this too
+            bad = u[~(np.abs(u) <= 1.0 + ENCODING_SLACK)][0]
+            raise ValueError(f"encoding argument {bad} outside [-1, 1]")
+        if edge > 1.0:
+            u = np.minimum(np.maximum(u, -1.0), 1.0)
+        return -2.0 * np.arccos(u)
     if xform == "zrot":
         ok = np.isfinite(u)
         if not ok.all():
@@ -211,6 +219,8 @@ _GENERATORS = {
     "Ry": np.array([[0, -1], [1, 0]], dtype=complex),
     "Rz": np.array([[-1j, 0], [0, 1j]]),
 }
+# entry (i, j) of a 2x2 op sits at 2i + j of its four (see GateProgram._coefficients)
+_ENTRIES = np.arange(4).reshape(2, 2, 1)
 
 
 class FinalStates(NamedTuple):
@@ -245,9 +255,10 @@ class GateProgram:
     ``slotted``, its slot, its rotation kind, its slot count m and the
     fixed product A after its block.  Such an op is A R(t)^m H =
     cos(mt/2) AH + sin(mt/2) AGH, so it takes one cosine and one sine row
-    of the block table (see _compile_tables), and ``op_matrices`` binds
-    every slotted op with one affine map of the point per table row, one
-    table of their cosines and sines and one product.
+    of the block table (see _compile_tables), and ``_coefficients`` (of
+    which ``op_matrices`` is a view) binds every slotted op with one affine
+    map of the point per table row (none where every map is the identity,
+    ``affine``), one table of their cosines and sines and one product.
     ``width`` and ``gates`` are those of the source circuit, and ``coords``
     is the number of point coordinates its slots read.
 
@@ -425,10 +436,14 @@ class GateProgram:
         self.row_coords = np.array([slot.coord for slot in row_slots], dtype=int)
         self.row_scales = np.array([slot.scale for slot in row_slots])
         self.row_shifts = np.array([slot.shift for slot in row_slots])
+        # whether a row's map moves x: x * 1.0 and x - (+0.0) are x, bit for
+        # bit, so the identity map is skipped (a -0.0 shift turns -0.0 to +0.0)
+        self.affine = bool((self.row_scales != 1.0).any()
+                           or self.row_shifts.tobytes() != bytes(self.row_shifts.nbytes))
         xforms = np.array([slot.xform for slot in row_slots])
-        # a slice, which op_matrices reads and writes without a gather, when
-        # one xform has every row
-        self.xforms = [(xf, np.flatnonzero(xforms == xf) if len(set(xforms)) > 1 else slice(None))
+        # None, which _coefficients encodes whole with no gather or scatter,
+        # when one xform has every row
+        self.xforms = [(xf, np.flatnonzero(xforms == xf) if len(set(xforms)) > 1 else None)
                        for xf in dict.fromkeys(xforms.tolist())]
 
     def prefix_states(self, keys: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, bytes]]:
@@ -490,8 +505,9 @@ class GateProgram:
     def schedule(self, supports: tuple[bytes, ...]) -> tuple:
         """For the support masks of a batch's starts, given as bytes: the
         sorted indices of their union, each layer's pairs that lie there as
-        positions on it with the row of each pair's op, and per support the
-        (2, M) positions there of its readout pairs, both ends on it."""
+        positions on it with the (2, 2, P) columns of ``_coefficients`` that
+        hold each pair's op entries, and per support the (2, M) positions
+        there of its readout pairs, both ends on it."""
         entry = self.schedules.get(supports)
         if entry is None:
             masks = [np.frombuffer(m, dtype=bool) for m in supports]
@@ -504,13 +520,13 @@ class GateProgram:
                 pos = at[pair]
                 on = pos[0] >= 0  # a pair lies on the support or off it whole
                 if on.any():
-                    layers.append((pos[:, on], rows[on]))
+                    layers.append((pos[:, on], 4 * rows[on] + _ENTRIES))
             half = len(union) // 2  # where qubit 0 reads 0, then 1
             readouts = [at[np.stack([lo, lo + half])] for lo in
                         (np.flatnonzero(m[:half] & m[half:2 * half]) for m in masks)]
             entry = support, layers, readouts
             size = (support.nbytes + sum(r.nbytes for r in readouts)
-                    + sum(pair.nbytes + rows.nbytes for pair, rows in layers))
+                    + sum(pair.nbytes + cols.nbytes for pair, cols in layers))
             if self._held[1] + size <= PREFIX_BYTES:
                 self.schedules[supports] = entry
                 self._held[1] += size
@@ -520,29 +536,44 @@ class GateProgram:
         """The (len(pairs) - prefix, N, 2, 2) matrices of the ops from
         ``prefix`` on, op k in row k - prefix, at each row of the (N, d)
         point array x: a fixed op's ``heads`` matrix, and the slotted ops'
-        (N, 1, K) table of cos(mt/2) and sin(mt/2) times the block table."""
+        (N, 1, K) table of cos(mt/2) and sin(mt/2) times the block table.
+        A view of ``_coefficients``, which ``run`` reads."""
+        coef = self._coefficients(x)
+        return coef.reshape(len(coef), len(self.pairs) - self.prefix, 2, 2).swapaxes(0, 1)
+
+    def _coefficients(self, x: Optional[np.ndarray]) -> np.ndarray:
+        """The entries of ``op_matrices`` per point: an (N, 4 (len(pairs) -
+        prefix)) array whose column 4 (k - prefix) + 2i + j holds entry
+        (i, j) of op k, so a layer gathers its pairs' entries with one index
+        (``schedule``)."""
         if x is None:
             raise ValueError("circuit has unbound encoding slots; pass x")
         xs = np.asarray(x, dtype=float)
-        # per point and row, u = scale x[coord] - shift, in C order: the
-        # gather alone can come back in F order, and the stacked product
-        # below then rounds a point differently alone and in a batch
-        u = np.multiply(xs[:, self.row_coords], self.row_scales, order="C")
-        u -= self.row_shifts
+        # per point and row, u = scale x[coord] - shift, in C order (take's
+        # own): a gather in F order makes the stacked product below round a
+        # point differently alone and in a batch
+        u = xs.take(self.row_coords, axis=1)
+        if self.affine:
+            u *= self.row_scales
+            u -= self.row_shifts
         for xform, rows in self.xforms:
-            u[:, rows] = encoding_angles(xform, u[:, rows])
+            if rows is None:  # every row, with no gather or scatter
+                u = encoding_angles(xform, u)
+            else:
+                u[:, rows] = encoding_angles(xform, u[:, rows])
         half = np.multiply(u, self.row_half, out=u)  # mt/2 per row
-        np.cos(half[:, :self.cosines], out=half[:, :self.cosines])
-        np.sin(half[:, self.cosines:], out=half[:, self.cosines:])
+        cos, sin = half[:, :self.cosines], half[:, self.cosines:]
+        np.cos(cos, out=cos)
+        np.sin(sin, out=sin)
         # stacked, so a point's row is the same product alone or in a batch
-        parts = (half[:, None] @ self.table).view(complex)
-        parts = parts.reshape(len(xs), len(self.chains), 2, 2)
+        parts = (half[:, None] @ self.table).view(complex)[:, 0]
         if len(self.slotted) == len(self.pairs) - self.prefix:  # no fixed row to copy
-            return parts.swapaxes(0, 1)
-        mats = np.empty((len(self.pairs) - self.prefix, len(xs), 2, 2), dtype=complex)
-        mats[:] = self.heads[self.prefix:, None]  # the slotted rows are bound below
-        mats[self.slotted - self.prefix] = parts.swapaxes(0, 1)
-        return mats
+            return parts
+        ops = len(self.pairs) - self.prefix
+        mats = np.empty((len(xs), ops, 4), dtype=complex)
+        mats[:] = self.heads[self.prefix:].reshape(ops, 4)  # the slotted rows are bound below
+        mats[:, self.slotted - self.prefix] = parts.reshape(len(xs), len(self.chains), 4)
+        return mats.reshape(len(xs), 4 * ops)
 
 
 def run(
@@ -560,6 +591,15 @@ def run(
     of the batch's starts, and every amplitude off its own start's support
     is exactly 0.  A final state whose norm is off 1 by more than 1e-10
     raises.  A plain circuit is compiled first.
+
+    One point or many take the same calls: ``_batch`` checks x and start
+    once, the coefficients of every op are bound in one
+    ``GateProgram._coefficients`` call, and each layer gathers its pairs'
+    entries with the one index that ``schedule`` stored.  A batch of one
+    has one start, which is its own group (no set, no sort); its state and
+    coefficients drop the point axis, so numpy takes its 1-D fancy-index
+    path, and its norm is a Python float.  The arithmetic is the same, so
+    a point gives the same bits alone and in a batch.
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
     xs, starts, size = _batch(program, x, start)
@@ -570,7 +610,8 @@ def run(
     else:
         keys, inverse = np.unique(starts, return_inverse=True)
     entries = program.prefix_states(keys)  # checks the start indices
-    groups = sorted({mask for _, _, mask in entries})
+    # one start is one group, with no set to build or sort
+    groups = [entries[0][2]] if len(entries) == 1 else sorted({mask for _, _, mask in entries})
     support, layers, readouts = program.schedule(tuple(groups))
     if len(keys) == 1:  # its support is the union
         block = entries[0][1].copy() if size == 1 else entries[0][1][:, None].repeat(size, axis=1)
@@ -579,12 +620,11 @@ def run(
         full[np.repeat(np.arange(len(keys)), [len(s) for s, _, _ in entries]),
              np.concatenate([s for s, _, _ in entries])] = np.concatenate([a for _, a, _ in entries])
         block = full[:, support].T[:, inverse]
-    if program.layers:  # (2, 2, len(pairs) - prefix, N), entry by entry
-        coef = program.op_matrices(xs).transpose(2, 3, 0, 1)
-        if size == 1:
-            coef = coef[..., 0]
-        for pair, rows in layers:
-            _apply(block, pair, coef[:, :, rows])
+    if program.layers:  # the op entries by column, then point
+        coef = program._coefficients(xs)
+        coef = coef[0] if size == 1 else coef.T
+        for pair, cols in layers:  # each (2, 2, P[, N]) gather of entries is one index
+            _apply(block, pair, coef[cols])
     if size == 1:  # a Python float, without numpy's dispatch
         norm = math.sqrt(np.vdot(block, block).real)
         if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
@@ -663,12 +703,14 @@ def hadamard_values(
     With neither x nor start it is a batch of one from |0..0>.  The batch
     runs in chunks of points whose states, and whose rows of the block
     table, fit in BATCH_BYTES (``GateProgram.row_bytes`` per point), in
-    order of start, so a start's prefix runs in few chunks.  One chunk is
-    checked by run alone.
+    order of start, so a start's prefix runs in few chunks.  One chunk,
+    which a lone point always is, goes to run as it came and is checked by
+    run alone; an array's batch size is read off its shape.
     """
     program = c if isinstance(c, GateProgram) else GateProgram(c)
     rows = max(1, BATCH_BYTES // program.row_bytes)
-    shape = np.shape(start if x is None else x)
+    given = start if x is None else x
+    shape = given.shape if isinstance(given, np.ndarray) else np.shape(given)
     if (shape[0] if shape else 1) <= rows:
         return _ancilla_values(run(program, x=x, start=start))
     xs, starts, size = _batch(program, x, start)  # before chunking, as run words it
@@ -687,9 +729,9 @@ def hadamard_values(
 def _ancilla_values(final: FinalStates) -> np.ndarray:
     """2 <a0|a1> of each point of a run, over its readout pairs."""
     states = final.states
-    if states.ndim == 1:
-        a0, a1 = final.readout[0][1]
-        return np.array([2.0 * np.vdot(states[a0], states[a1])])
+    if states.ndim == 1:  # both ends in one gather, each row contiguous
+        a0, a1 = states[final.readout[0][1]]
+        return np.array([2.0 * np.vdot(a0, a1)])
     out = np.empty(states.shape[1], dtype=complex)
     for cols, (a0, a1) in final.readout:  # one contiguous row per point
         out[cols] = list(map(np.vdot, states[a0][:, cols].T.copy(), states[a1][:, cols].T.copy()))

@@ -1141,7 +1141,7 @@ def test_nested_batch_equals_single_points():
     assert trifling.any() and not trifling.all()  # points in and out of the gaps
     assert model(np.empty((0, 2))).shape == (0,)
     for x, value, eta in zip(xs, batch, cells):
-        assert abs(model(x) - value) <= 1e-14
+        assert model(x) == value  # bit for bit
         assert C.round_to_eta(C.localization_values(spec, x), 4) == tuple(eta)
 
 
@@ -1166,14 +1166,17 @@ def test_nested_model_localizes_each_distinct_coordinate_once(monkeypatch):
 
 
 def test_evaluate_block_batch_equals_single_points():
+    """A lone point's value is its batch value bit for bit, on a line
+    tensor, a trig tensor and the d=2, n=4 Bernstein block."""
     real = C.build_monomial_pqc(0.5, (1, 2))
     cplx = C.build_trig_monomial_pqc(0.5j, (1, -1))
+    bern = C.build_bernstein_pqc(targets.abs_centered(2), 4)
     xs = np.random.default_rng(6).uniform(0.0, 1.0, (7, 2))
-    for bc in (real, cplx):
-        batch = C.evaluate_block(bc, xs)
-        assert batch.shape == (7,)
-        for x, v in zip(xs, batch):
-            assert abs(C.evaluate_block(bc, x) - v) <= 1e-14
+    for bc, pts in ((real, xs), (cplx, xs), (bern, np.random.default_rng(7).random((50, 2)))):
+        batch = C.evaluate_block(bc, pts)
+        assert batch.shape == (len(pts),)
+        for x, v in zip(pts, batch):
+            assert C.evaluate_block(bc, x) == v
     with pytest.raises(ValueError, match="outside"):
         C.evaluate_block(real, np.vstack([xs, [[0.5, 1.5]]]))
 
@@ -1183,10 +1186,43 @@ def test_localization_values_keep_the_point_shape():
     xs = np.random.default_rng(7).random((5, 3))
     vals = C.localization_values(spec, xs)
     assert vals.shape == (5, 3)
-    assert np.max(np.abs(vals[2] - C.localization_values(spec, xs[2]))) <= 1e-14
+    assert np.array_equal(vals[2], C.localization_values(spec, xs[2]))  # bit for bit
     cells = C.round_to_eta(vals, 4)
     assert cells.shape == (5, 3)
     assert [tuple(row) for row in cells] == [C.round_to_eta(v, 4) for v in vals]
+
+
+def raised(call) -> tuple[type, str]:
+    """The type and message of the exception that call raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("nan", "encoding inputs outside [-1, 1]"),
+    ("outside", "encoding inputs outside [-1, 1]"),
+    ("length", "the model takes points of 2 coordinates, got 3"),
+    ("start-below", "start indices must lie in [0, 512)"),
+    ("start-above", "start indices must lie in [0, 512)"),
+])
+def test_a_lone_point_raises_what_its_batch_raises(case, message):
+    """A lone nested-model point with a NaN coordinate, a coordinate
+    outside [-1, 1] or the wrong length, and a lone evaluate_block call of
+    the series block from a start outside the register, raise the
+    exception type and message of a batch that holds that point."""
+    model = C.NestedTaylorModel(targets.product_sines(2), P.LocalizationSpec(4, 1 / 16, 1 / 8), 1)
+    if case.startswith("start"):
+        start = -1 if case == "start-below" else 99999
+        point = np.array([[0.1, 0.2]])
+        lone = lambda: C.evaluate_block(model.series, point, start=np.array([start]))  # noqa: E731
+        batch = lambda: C.evaluate_block(  # noqa: E731
+            model.series, np.vstack([point, point, point]), start=np.array([0, start, 5]))
+    else:
+        bad = np.array({"nan": [0.3, np.nan], "outside": [1.5, 0.3], "length": [0.3, 0.4, 0.5]}[case])
+        lone = lambda: model(bad)  # noqa: E731
+        batch = lambda: model(np.vstack([np.full_like(bad, 0.2), bad, np.full_like(bad, 0.6)]))  # noqa: E731
+    assert raised(lone) == raised(batch) == (ValueError, message)
 
 
 @pytest.mark.parametrize("d", [2, 3])

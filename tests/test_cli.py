@@ -436,14 +436,20 @@ def test_eval_rejects_a_non_finite_angle_in_a_circuit_file(capsys, tmp_path, ang
     (("--experiment", "taylor", "--target", "halfsine", "--K", "4", "--delta", "1e-300"), "delta"),
     (("--experiment", "localization", "--K", "8", "--eps", "0.0625", "--delta", "1e-320"),
      "delta"),
+    (("--experiment", "localization", "--K", "4", "--eps", "1e-320"), "eps is too small"),
+    (("--experiment", "localization", "--K", "4", "--eps", "3e-323"), "eps is too small"),
 ], ids=["bernstein-eps-squared-underflows", "bernstein-ratio-overflows",
         "bernstein-power-overflows", "taylor-delta-subnormal",
-        "taylor-delta-tiny", "localization-delta-subnormal"])
+        "taylor-delta-tiny", "localization-delta-subnormal",
+        "localization-eps-subnormal", "localization-eps-erfc-zero"])
 def test_a_tiny_eps_or_delta_is_bad_input(capsys, argv, name):
     # eps^2 underflowing to 0 used to raise ZeroDivisionError in the thm2
     # bound, an eps of 1e-160 to report an infinite bound, 1e-100 at d=2 an
     # OverflowError, and a tiny delta an OverflowError from an infinite or
-    # huge predicted sign degree
+    # huge predicted sign degree; a localization eps whose halved step
+    # accuracy eps/(2(K+1)) is subnormal an OverflowError from the Newton
+    # inverse of erfc (exp(x^2) at 1e-320) or "math domain error" (erfc(x)
+    # is 0 at 3e-323), before the degree guard ran
     code, out, err = run_cli(capsys, "report", *argv)
     assert code == 2 and out == ""
     lines = err.strip().splitlines()

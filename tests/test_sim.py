@@ -389,6 +389,24 @@ def test_chunked_expectations_equal_single_point_runs(seed):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_skipped_identity_maps_and_clips_move_no_bit(series_block):
+    """The series block's slots read x itself, so its program skips the
+    affine map, and an acos argument inside [-1, 1] skips the clip: both
+    give the bits of the map and the clip applied, signed zeros included.
+    A -0.0 shift turns -0.0 into +0.0, so it is not skipped."""
+    prog = series_block[0].program
+    assert not prog.affine
+    assert S.GateProgram(S.Circuit(1, (S.encoding_gate(0, S.EncodingSlot(0, "acos", -0.0)),))).affine
+    mapped = S.GateProgram.__new__(S.GateProgram)
+    vars(mapped).update(vars(prog), affine=True)
+    xs = np.random.default_rng(3).uniform(-0.3, 0.3, (9, 2))
+    xs[:3] = [[0.0, -0.0], [-0.0, 0.0], [1.0, -1.0]]
+    assert mapped._coefficients(xs).tobytes() == prog._coefficients(xs).tobytes()
+    u = np.concatenate([xs.ravel(), [1.0, -1.0, 0.5, -0.0]])
+    clipped = -2.0 * np.arccos(np.minimum(np.maximum(u, -1.0), 1.0))
+    assert S.encoding_angles("acos", u).tobytes() == clipped.tobytes()
+
+
 def test_batch_point_outside_encoding_range_fails():
     circ = S.Circuit(1, (S.encoding_gate(0, S.EncodingSlot(0, "acos")),))
     xs = np.array([[0.2], [-0.5], [1.0 + 1e-8], [0.9]])
