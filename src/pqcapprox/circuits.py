@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import product
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -357,60 +357,41 @@ def _bernstein_chebyshev(f: TargetFunctionSpec, n: int) -> np.ndarray:
 
 
 def _tree_angles(probs: np.ndarray) -> list[np.ndarray]:
-    """The angles of each level l of ``_amplitude_prep``'s tree: node v
-    splits the mass of the prefix v between its two halves."""
+    """The angles of each level l of ``_chebyshev_select``'s prep tree for
+    every row of the (cells, 2^a) probabilities, as a (cells, 2^l) array:
+    entry [i, v] splits the mass of cell i's prefix v between its halves."""
     levels = []
-    for level in range(len(probs).bit_length() - 1):
-        mass = probs.reshape(1 << level, 2, -1).sum(axis=2)  # (prefix, next bit)
-        levels.append(2.0 * np.arctan2(np.sqrt(mass[:, 1]), np.sqrt(mass[:, 0])))
+    for level in range(probs.shape[1].bit_length() - 1):
+        mass = probs.reshape(len(probs), 1 << level, 2, -1).sum(axis=3)  # (cell, prefix, next bit)
+        levels.append(2.0 * np.arctan2(np.sqrt(mass[..., 1]), np.sqrt(mass[..., 0])))
     return levels
 
 
-def _amplitude_prep(probs: np.ndarray, ones: tuple[int, ...], zeros: tuple[int, ...]) -> list[Gate]:
-    """Ry tree (Mottonen et al., quant-ph/0404089) taking |0..0> to
-    sum_i sqrt(probs[i]) |i> on log2(len(probs)) qubits, qubit 0 the most
-    significant, where the qubits ``ones`` read 1 and ``zeros`` read 0.
-    Node v of level l is one Ry on qubit l, controlled on qubits 0..l-1
-    holding v (``_holding``), at its ``_tree_angles`` angle.  A node with
-    angle 0 moves no mass and is left out, so the nodes of one level touch
-    each amplitude pair of its qubit at most once.  The angles carry the
-    probabilities, so they are trainable."""
-    gates = []
-    for level, angles in enumerate(_tree_angles(probs)):
-        for v in np.flatnonzero(angles).tolist():
-            v_ones, v_zeros = _holding(range(level), v)
-            gates.append(Gate("Ry", level, v_ones + ones, angle=float(angles[v]), trainable=True,
-                              zeros=v_zeros + zeros))
-    return gates
-
-
 def _select_weights(
-    powers: Sequence[Sequence[MultiIndex]], cells: Mapping[int, np.ndarray]
-) -> tuple[list[int], float, Iterator[tuple[int, np.ndarray, np.ndarray]]]:
-    """The index registers' sizes in qubits, R and, cell by cell, the
-    weights of ``_chebyshev_select``: the signed c / R, indexed by the
-    registers' values, and the prep's probabilities, their magnitudes with
-    the spare mass on the pad value (register 0 holding len(powers[0]), 0
-    elsewhere).  The cells' weights are made one at a time, as read."""
+    powers: Sequence[Sequence[MultiIndex]], cells: np.ndarray
+) -> tuple[list[int], float, np.ndarray, np.ndarray]:
+    """The index registers' sizes in qubits, R and the weights of
+    ``_chebyshev_select`` for the stacked cells, row i of each array cell
+    i's: the signed c / R, shaped (cells, 2^size_0, 2^size_1, ...) so that
+    a row is indexed by the registers' values, and the prep's (cells, 2^a)
+    probabilities, the magnitudes with the spare mass on the pad value
+    (register 0 holding len(powers[0]), 0 elsewhere)."""
     sizes = [len(powers[0]).bit_length()] + [(len(v) - 1).bit_length() for v in powers[1:]]
-    totals = {cell: float(np.abs(c).sum()) for cell, c in cells.items()}
-    rescale = max(1.0, *totals.values())
-    pad = len(powers[0]) << (sum(sizes) - sizes[0])
-
-    def weights() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        for cell, c in cells.items():
-            signed = np.zeros([1 << size for size in sizes])
-            signed[tuple(slice(0, k) for k in c.shape)] = c / rescale
-            probs = np.abs(signed).ravel()
-            probs[pad] = max(0.0, 1.0 - totals[cell] / rescale)
-            yield cell, signed, probs
-
-    return sizes, rescale, weights()
+    # in C order each row is summed pairwise, as a lone cell is; numpy sums
+    # a strided row term by term
+    totals = np.abs(cells, order="C").reshape(len(cells), -1).sum(axis=1)
+    rescale = max(1.0, float(totals.max()))
+    signed = np.zeros([len(cells)] + [1 << size for size in sizes])
+    signed[tuple(slice(0, k) for k in cells.shape)] = cells / rescale
+    probs = np.abs(signed).reshape(len(cells), -1)
+    probs[:, len(powers[0]) << (sum(sizes) - sizes[0])] = np.maximum(0.0, 1.0 - totals / rescale)
+    return sizes, rescale, signed, probs
 
 
 def _chebyshev_select(
     powers: Sequence[Sequence[MultiIndex]],
-    cells: Mapping[int, np.ndarray],
+    cells: np.ndarray,
+    addresses: Sequence[int],
     address_bits: int,
     slots: Sequence[EncodingSlot],
     labels: tuple[str, str],
@@ -420,12 +401,16 @@ def _chebyshev_select(
 
     Index register r holds a value m; the len(slots) data qubits follow the
     registers and the address register of ``address_bits`` qubits comes
-    last.  ``cells`` maps each address value to its coefficient tensor,
-    indexed by the registers' values.  With R = max(1, max_cell sum |c|):
+    last.  ``cells`` stacks the cells' coefficient tensors, row i indexed
+    by the registers' values, and row i is the cell where the address
+    register holds addresses[i].  With R = max(1, max_cell sum |c|):
 
-    - The prep writes sum_m sqrt(|c_m| / R) |m> by an Ry tree
-      (``_amplitude_prep``) controlled on the address register holding the
-      cell: a weighted LCU prep (Childs and Wiebe, arXiv:1202.5822).
+    - The prep writes sum_m sqrt(|c_m| / R) |m>, a weighted LCU prep
+      (Childs and Wiebe, arXiv:1202.5822), by an Ry tree (Mottonen et al.,
+      quant-ph/0404089) controlled on the address register holding the
+      cell.  Node v of level l is one trainable Ry on qubit l where qubits
+      0..l-1 hold v, at its ``_tree_angles`` angle; a node of angle 0 moves
+      no mass and is left out.
     - The circuit negates every |m> with c_m < 0: between two X's on data
       qubit 0, a Z on it where the registers hold m and the address holds
       the cell.  The data qubits start in |0>, where XZX = -Z reads -1.
@@ -438,16 +423,22 @@ def _chebyshev_select(
     The rescale R restores the sum, and tol is 0.  The prep, the signs and
     the pad are fixed, so the Hadamard test runs them once per start.
     """
-    sizes, rescale, weights = _select_weights(powers, cells)
+    sizes, rescale, signed, probs = _select_weights(powers, cells)
     offsets = np.cumsum([0] + sizes).tolist()
     a = offsets[-1]  # index qubits; data qubit j is qubit a + j
     width = a + len(slots) + address_bits
+    levels = _tree_angles(probs)
+    negative = signed.reshape(len(signed), -1) < 0.0
     prep, signs = [], []
-    for cell, signed, probs in weights:
+    for i, cell in enumerate(addresses):
         ones, zeros = _holding(range(width - address_bits, width), cell)
-        prep += _amplitude_prep(probs, ones, zeros)
+        for level, angles in enumerate(levels):
+            for v in np.flatnonzero(angles[i]).tolist():
+                v_ones, v_zeros = _holding(range(level), v)
+                prep.append(Gate("Ry", level, v_ones + ones, angle=float(angles[i, v]),
+                                 trainable=True, zeros=v_zeros + zeros))
         signs += [Gate("Z", a, m_ones + ones, zeros=m_zeros + zeros) for m_ones, m_zeros in
-                  (_holding(range(a), m) for m in np.flatnonzero(signed.ravel() < 0.0).tolist())]
+                  (_holding(range(a), m) for m in np.flatnonzero(negative[i]).tolist())]
     registers = [range(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
     gates = [xg(a), *signs, xg(a)] if signs else []
     ones, zeros = _holding(registers[0], len(powers[0]))
@@ -474,10 +465,12 @@ def _power_chebyshev(n: int) -> np.ndarray:
 
 
 def _chebyshev_of_powers(c: np.ndarray) -> np.ndarray:
-    """The Chebyshev tensor coefficients of sum_k c[k] prod_j u_j^k_j: one
-    contraction per axis with ``_power_chebyshev`` of the axis length."""
-    for _ in range(c.ndim):  # each contraction moves its axis to the end
-        c = np.tensordot(c, _power_chebyshev(c.shape[0]), axes=([0], [0]))
+    """The Chebyshev tensor coefficients of sum_k c[i, k] prod_j u_j^k_j for
+    every row i of the stack c, whose leading axis is the cell's: one
+    contraction of all rows per power axis with ``_power_chebyshev`` of the
+    axis length."""
+    for _ in range(c.ndim - 1):  # each contraction moves its axis to the end
+        c = np.tensordot(c, _power_chebyshev(c.shape[1]), axes=([1], [0]))
     return c
 
 
@@ -487,8 +480,8 @@ def _nonzero_select(c: np.ndarray, slots: Sequence[EncodingSlot],
     multi-indices m with c[m] nonzero, held by one index register, with no
     address register."""
     terms = np.argwhere(c)
-    return _chebyshev_select([[tuple(m) for m in terms.tolist()]], {0: c[tuple(terms.T)]}, 0,
-                             slots, labels)
+    return _chebyshev_select([[tuple(m) for m in terms.tolist()]], c[tuple(terms.T)][None], [0],
+                             0, slots, labels)
 
 
 def build_poly_pqc(p: MultivariatePolynomial) -> BlockCircuit:
@@ -500,7 +493,7 @@ def build_poly_pqc(p: MultivariatePolynomial) -> BlockCircuit:
     power = np.zeros([1 + max(alpha[j] for alpha in p.terms) for j in range(p.dims)])
     for alpha, c in p.terms.items():
         power[alpha] = c
-    return _nonzero_select(_chebyshev_of_powers(power),
+    return _nonzero_select(_chebyshev_of_powers(power[None])[0],
                            [EncodingSlot(j, "acos") for j in range(p.dims)],
                            (f"poly d={p.dims} terms={len(p.terms)}", "poly-prep"))
 
@@ -535,7 +528,7 @@ def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
     powers = [[tuple(m if i == j else 0 for i in range(d)) for m in range(n + 1)]
               for j in range(d)]
     slots = [EncodingSlot(j, "acos", shift=1.0, scale=2.0) for j in range(d)]  # w = 2x - 1
-    return _chebyshev_select(powers, {0: _bernstein_chebyshev(f, n)}, 0, slots,
+    return _chebyshev_select(powers, _bernstein_chebyshev(f, n)[None], [0], 0, slots,
                              (f"bernstein d={d} n={n}", "bernstein-prep"))
 
 
@@ -594,7 +587,7 @@ def build_localization_pqc(spec: LocalizationSpec) -> BlockCircuit:
     ``localization_values``; it is built for circuit output.
     """
     powers, cell = _localization_layout(localization_chebyshev(spec)[2])
-    return _chebyshev_select(powers, {0: cell}, 0, [EncodingSlot(0, "acos")],
+    return _chebyshev_select(powers, cell[None], [0], 0, [EncodingSlot(0, "acos")],
                              (f"localization K={spec.K} x0", "localization-prep"))
 
 
@@ -610,7 +603,7 @@ def localization_resources(spec: LocalizationSpec) -> sim.ResourceCount:
     beside the prep: depth is gates - 1 if both are there, else gates.
     """
     powers, cell = _localization_layout(localization_chebyshev(spec)[2])
-    _, _, ((_, signed, probs),) = _select_weights(powers, {0: cell})
+    _, _, signed, probs = _select_weights(powers, cell[None])
     prep = sum(np.count_nonzero(angles) for angles in _tree_angles(probs))
     signs = np.count_nonzero(signed < 0.0)
     encodings = sum(k for values in powers for (k,) in values)
@@ -685,26 +678,32 @@ def round_to_eta(values: Sequence[float] | np.ndarray, K: int) -> MultiIndex | n
 
 @dataclass(frozen=True)
 class TaylorCoeffTable:
-    """Scaled derivatives xi[(eta, alpha)] = d^alpha f(eta/K) / alpha!."""
+    """Scaled derivatives d^alpha f(eta/K) / alpha! as one (K^d, terms)
+    array xi: row i is cell eta, the i-th of product(range(K), repeat=d),
+    and column t the order alpha, the t-th of multi_indices(d, s)."""
 
     K: int
     s: int
     d: int
-    xi: Mapping[tuple[MultiIndex, MultiIndex], float]
+    xi: np.ndarray
 
     def __post_init__(self) -> None:
-        for (eta, alpha), v in self.xi.items():
-            if not math.isfinite(v):
-                raise ValueError(f"coefficient {v} at cell {eta}, order {alpha} is not finite")
+        terms = multi_indices(self.d, self.s)
+        if np.shape(self.xi) != (self.K**self.d, len(terms)):
+            raise ValueError(f"xi must have shape {(self.K**self.d, len(terms))},"
+                             f" got {np.shape(self.xi)}")
+        for i, t in np.argwhere(~np.isfinite(self.xi))[:1].tolist():  # the first, row by row
+            eta = tuple(int(e) for e in np.unravel_index(i, (self.K,) * self.d))
+            raise ValueError(f"coefficient {self.xi[i, t]} at cell {eta}, order {terms[t]}"
+                             " is not finite")
 
     @classmethod
     def from_target(cls, f: TargetFunctionSpec, K: int, s: int) -> "TaylorCoeffTable":
-        xi = {}
-        for eta in product(range(K), repeat=f.dims):
-            expansion = taylor_expand(f, tuple(e / K for e in eta), s)
-            for alpha in multi_indices(f.dims, s):
-                xi[(eta, alpha)] = float(expansion.terms.get(alpha, 0.0))
-        return cls(K, s, f.dims, xi)
+        terms = multi_indices(f.dims, s)
+        rows = (taylor_expand(f, tuple(e / K for e in eta), s).terms
+                for eta in product(range(K), repeat=f.dims))
+        return cls(K, s, f.dims, np.array([[row.get(alpha, 0.0) for alpha in terms]
+                                           for row in rows], dtype=float))
 
     @property
     def address_bits(self) -> int:
@@ -742,18 +741,18 @@ def build_taylor_coeff_pqc(table: TaylorCoeffTable, shifts: Sequence[float]) -> 
     sum_m c_m(eta) prod_j T_{m_j}(u_j) over |m| <= s.  Each u^k has
     non-negative Chebyshev coefficients summing to 1, so sum |c(eta)| <=
     sum_alpha |xi[eta, alpha]|, and R = max(1, max_eta sum |c(eta)|).
+    Every cell's c is contracted at once, in the table's row order, and
+    each row's address is its cell's ``series_start``.
     """
     d, s = table.d, table.s
     terms = multi_indices(d, s)
-    cells = {}
-    for eta in product(range(table.K), repeat=d):
-        c = np.zeros((s + 1,) * d)  # indexed by the power of each coordinate
-        for alpha in terms:
-            c[alpha] = table.xi[(eta, alpha)]
-        c = _chebyshev_of_powers(c)
-        cells[int(series_start(table, eta))] = np.array([c[m] for m in terms])
+    at = (slice(None), *np.transpose(terms))  # every row's entries at the terms
+    power = np.zeros((len(table.xi),) + (s + 1,) * d)  # [cell, power of each coordinate]
+    power[at] = table.xi
+    cells = np.indices((table.K,) * d).reshape(d, -1).T  # product(range(K), repeat=d)
     slots = [EncodingSlot(j, "acos", shift) for j, shift in enumerate(shifts)]
-    return _chebyshev_select([terms], cells, table.address_bits, slots,
+    return _chebyshev_select([terms], _chebyshev_of_powers(power)[at],
+                             series_start(table, cells).tolist(), table.address_bits, slots,
                              (f"taylor-series s={s}", "taylor-coeff"))
 
 

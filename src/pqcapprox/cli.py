@@ -60,7 +60,8 @@ class ExperimentConfig:
     emit_circuit: str = ""
 
     def __post_init__(self) -> None:
-        hints = typing.get_type_hints(ExperimentConfig)
+        # this module's globals, not __main__'s, resolve the string hints
+        hints = typing.get_type_hints(ExperimentConfig, globals())
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if not _has_type(value, hints[field.name]):

@@ -793,7 +793,11 @@ def localization_poly(spec: LocalizationSpec) -> Polynomial:
 
     R = 2.0  # shifted arguments x -/+ c stay within [-2, 2] for x in [-1,1]
     # per-step accuracy: the band shift argument needs a*(K+1) < eps
-    sgn_coef = _sign_cheb_series(delta, eps / (2.0 * (K + 1)), R)
+    step_eps = eps / (2.0 * (K + 1))
+    if step_eps == 0.0:  # eps > 0, so the quotient underflowed
+        raise ValueError(f"eps {eps} is too small: the step accuracy eps/(2(K+1)) underflows"
+                         " to 0; raise eps")
+    sgn_coef = _sign_cheb_series(delta, step_eps, R)
     sgn_degree = len(sgn_coef) - 1
     centers = np.array([k / K - delta / 2.0 for k in range(1, K)])
     # the evenized steps are exactly an even Chebyshev series of degree

@@ -3,8 +3,9 @@
 These are deliberately slow and direct: a dense unitary built gate by gate,
 the block values <psi|U|psi> read from it, circuit placement with every
 copy and every level validated, the ancilla's <X> + i<Y> of a
-final state, a compiled program's slotted op matrices bound one slot
-factor at a time, the layer-by-layer 2x2 products of the X- and
+final state, the Taylor series block built cell by cell from an
+(eta, alpha)-keyed table, a compiled program's slotted op matrices bound
+one slot factor at a time, the layer-by-layer 2x2 products of the X- and
 Z-encoding lines, a second angle synthesizer (Fejer-Riesz completion)
 that cross-checks the fixed-point one at low degree, the localization's
 evenized step sum evaluated one step and one sign at a time, and the sign
@@ -25,6 +26,7 @@ the simulator's native controlled gates are elementary up to global phase.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -32,7 +34,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _np_poly
 
-from pqcapprox.poly import ParityPolynomial, _chebval, chebyshev_grid
+from pqcapprox.poly import ParityPolynomial, _chebval, chebyshev_grid, multi_indices
 from pqcapprox.qsp import (
     QspAngleSequence,
     QspSynthesisError,
@@ -43,6 +45,7 @@ from pqcapprox.sim import (
     _GENERATORS,
     _ROTATIONS,
     Circuit,
+    EncodingSlot,
     Gate,
     GateProgram,
     _apply,
@@ -210,6 +213,75 @@ def composed_reference(width: int, parts, label: str) -> Circuit:
     return Circuit(width, tuple(g for c, offset, controls, zeros in parts
                                 for g in placed_reference(c, offset, width, controls, zeros).gates),
                    label)
+
+
+# ---------------------------------------------------------------------------
+# The Taylor series block, cell by cell
+# ---------------------------------------------------------------------------
+
+
+def _holding_bits(register, value: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The qubits of the register (big-endian) whose bit of value is 1, and
+    those whose bit is 0."""
+    bits = [(q, (value >> (len(register) - 1 - i)) & 1) for i, q in enumerate(register)]
+    return tuple(q for q, b in bits if b), tuple(q for q, b in bits if not b)
+
+
+def taylor_coeff_reference(table, shifts) -> tuple[Circuit, Circuit, float]:
+    """The series block's circuit, prep and rescale, built cell by cell from
+    a table keyed by (eta, alpha): each cell's power coefficients are filled
+    one entry at a time and contracted alone, and its weights, Ry tree and
+    sign Z's are made alone, in product(range(K), repeat=d) order.  The
+    power-to-Chebyshev rows are numpy's ``poly2cheb``."""
+    d, s, K = table.d, table.s, table.K
+    terms = multi_indices(d, s)
+    etas = list(itertools.product(range(K), repeat=d))
+    xi = {(eta, alpha): float(table.xi[i, t])
+          for i, eta in enumerate(etas) for t, alpha in enumerate(terms)}
+    power = np.zeros((s + 1, s + 1))
+    for k in range(s + 1):
+        power[k, : k + 1] = _cheb.poly2cheb([0.0] * k + [1.0])
+    bits = max(1, (K - 1).bit_length()) if K > 1 else 0
+    cells = {}
+    for eta in etas:
+        c = np.zeros((s + 1,) * d)
+        for alpha in terms:
+            c[alpha] = xi[(eta, alpha)]
+        for _ in range(d):
+            c = np.tensordot(c, power, axes=([0], [0]))
+        address = sum(e << (bits * (d - 1 - j)) for j, e in enumerate(eta))
+        cells[address] = np.array([c[m] for m in terms])
+
+    a = len(terms).bit_length()  # the term register also holds the pad, len(terms)
+    width = a + d + d * bits
+    rescale = max(1.0, *(float(np.abs(c).sum()) for c in cells.values()))
+    prep, signs = [], []
+    for address, c in cells.items():
+        ones, zeros = _holding_bits(range(a + d, width), address)
+        probs = np.zeros(1 << a)
+        probs[: len(c)] = np.abs(c / rescale)
+        probs[len(c)] = max(0.0, 1.0 - float(np.abs(c).sum()) / rescale)
+        for level in range(a):
+            mass = probs.reshape(1 << level, 2, -1).sum(axis=2)
+            angles = 2.0 * np.arctan2(np.sqrt(mass[:, 1]), np.sqrt(mass[:, 0]))
+            for v in np.flatnonzero(angles).tolist():
+                v_ones, v_zeros = _holding_bits(range(level), v)
+                prep.append(Gate("Ry", level, v_ones + ones, angle=float(angles[v]),
+                                 trainable=True, zeros=v_zeros + zeros))
+        for m in np.flatnonzero(c / rescale < 0.0).tolist():
+            m_ones, m_zeros = _holding_bits(range(a), m)
+            signs.append(Gate("Z", a, m_ones + ones, zeros=m_zeros + zeros))
+
+    slots = [EncodingSlot(j, "acos", shift) for j, shift in enumerate(shifts)]
+    gates = [xg(a), *signs, xg(a)] if signs else []
+    ones, zeros = _holding_bits(range(a), len(terms))
+    gates.append(Gate("X", a, ones, zeros=zeros))
+    for m, alpha in enumerate(terms):
+        ones, zeros = _holding_bits(range(a), m)
+        for j, k in enumerate(alpha):
+            gates += [Gate("Rx", a + j, ones, slot=slots[j], zeros=zeros)] * k
+    return (Circuit(width, tuple(gates), label=f"taylor-series s={s}"),
+            Circuit(width, tuple(prep), label="taylor-coeff"), rescale)
 
 
 # ---------------------------------------------------------------------------

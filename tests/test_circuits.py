@@ -22,6 +22,7 @@ from oracles import (
     dense_run,
     qsp_unitary,
     ry,
+    taylor_coeff_reference,
     trig_qsp_unitary,
 )
 
@@ -960,9 +961,7 @@ def test_round_to_eta_rejects_out_of_range():
 def test_taylor_coeff_block_values():
     # one coefficient per cell, xi in {1, -0.5}: cell 1's goes through the
     # sign diagonal, and each block reads its cell's xi
-    table = C.TaylorCoeffTable(
-        K=2, s=0, d=1, xi={((0,), (0,)): 1.0, ((1,), (0,)): -0.5}
-    )
+    table = C.TaylorCoeffTable(K=2, s=0, d=1, xi=np.array([[1.0], [-0.5]]))
     bc = C.build_taylor_coeff_pqc(table, [0.0])
     assert bc.rescale == 1.0
     values = C.evaluate_block(bc, np.full((2, 1), 0.3), start=C.series_start(table, np.array([[0], [1]])))
@@ -973,7 +972,7 @@ def test_taylor_coeff_zero_block():
     # a cell of zero coefficients puts all its mass on the pad, whose block
     # value is 0; with one cell the address register is empty, so the prep
     # is one plain Ry
-    table = C.TaylorCoeffTable(K=1, s=0, d=1, xi={((0,), (0,)): 0.0})
+    table = C.TaylorCoeffTable(K=1, s=0, d=1, xi=np.array([[0.0]]))
     bc = C.build_taylor_coeff_pqc(table, [0.0])
     assert bc.prep.gates == (S.Gate("Ry", 0, angle=math.pi, trainable=True),)
     assert abs(C.evaluate_block(bc, (0.3,))) <= 1e-15
@@ -987,6 +986,26 @@ def test_taylor_coeff_gate_count():
     rotations = [g for g in bc.prep.gates if g.kind == "Ry"]
     assert len(rotations) == len(bc.prep.gates) == 8
     assert S.resource_count(bc.prep).trainable_params == 8
+
+
+@pytest.mark.parametrize("d, K, s", [(1, 3, 2), (2, 3, 1), (2, 4, 1), (3, 2, 1)])
+def test_taylor_coeff_block_equals_the_cell_by_cell_reference(d, K, s):
+    """The stacked table, contracted in one call over every cell, builds
+    the circuit, prep and rescale, bit for bit, of a table keyed by
+    (eta, alpha) whose cells are filled, contracted and weighed one at a
+    time.  At d=2, K=3 the address register holds sparse values."""
+    f = halfsine() if d == 1 else targets.product_sines(d)
+    table = C.TaylorCoeffTable.from_target(f, K, s)
+    assert table.xi.shape == (K**d, len(P.multi_indices(d, s)))
+    if (d, K) == (2, 3):
+        cells = np.array(list(itertools.product(range(K), repeat=d)))
+        assert C.series_start(table, cells).tolist() == [0, 1, 2, 4, 5, 6, 8, 9, 10]
+    shifts = [0.1 * (j + 1) for j in range(d)]
+    bc = C.build_taylor_coeff_pqc(table, shifts)
+    circuit, prep, rescale = taylor_coeff_reference(table, shifts)
+    assert bc.circuit == circuit
+    assert bc.prep == prep
+    assert bc.rescale == rescale
 
 
 def classical_chebyshev(p, d, s):
@@ -1044,7 +1063,7 @@ def test_taylor_coeff_prep_holds_the_weighted_coefficients(f, K, s):
 def test_taylor_coeff_table_rejects_a_nan_coefficient():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"cell \(0,\), order \(0,\) is not finite"):
-            C.TaylorCoeffTable(K=1, s=0, d=1, xi={((0,), (0,)): bad})
+            C.TaylorCoeffTable(K=1, s=0, d=1, xi=np.array([[bad]]))
     # a NaN derivative fails as the table is made, not in the simulation
     f = P.TargetFunctionSpec(1, lambda x: 0.5,
                              derivative_oracle=lambda a, x: 0.5 if a == (0,) else math.nan)
@@ -1052,9 +1071,19 @@ def test_taylor_coeff_table_rejects_a_nan_coefficient():
         C.TaylorCoeffTable.from_target(f, 2, 1)
 
 
+def test_taylor_coeff_table_rejects_a_misshapen_xi():
+    # K=3, d=1, s=1 takes 3 cells by 2 orders; the transpose is refused,
+    # not read with cells and orders swapped
+    xi = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    assert C.TaylorCoeffTable(K=3, s=1, d=1, xi=xi).xi is xi
+    for bad in (xi.T, xi[:2], xi.ravel()):
+        with pytest.raises(ValueError, match=r"xi must have shape \(3, 2\)"):
+            C.TaylorCoeffTable(K=3, s=1, d=1, xi=bad)
+
+
 def test_taylor_coeff_table_holds_a_coefficient_beyond_one():
     # the weighted prep takes any finite coefficient into its rescale
-    table = C.TaylorCoeffTable(K=1, s=0, d=1, xi={((0,), (0,)): 1.5})
+    table = C.TaylorCoeffTable(K=1, s=0, d=1, xi=np.array([[1.5]]))
     bc = C.build_taylor_series_pqc(table, (0,))
     assert bc.rescale == 1.5
     for x in (0.0, 0.7, 1.0):

@@ -438,10 +438,12 @@ def test_eval_rejects_a_non_finite_angle_in_a_circuit_file(capsys, tmp_path, ang
      "delta"),
     (("--experiment", "localization", "--K", "4", "--eps", "1e-320"), "eps is too small"),
     (("--experiment", "localization", "--K", "4", "--eps", "3e-323"), "eps is too small"),
+    (("--experiment", "localization", "--K", "4", "--eps", "1e-323"), "eps 1e-323 is too small"),
 ], ids=["bernstein-eps-squared-underflows", "bernstein-ratio-overflows",
         "bernstein-power-overflows", "taylor-delta-subnormal",
         "taylor-delta-tiny", "localization-delta-subnormal",
-        "localization-eps-subnormal", "localization-eps-erfc-zero"])
+        "localization-eps-subnormal", "localization-eps-erfc-zero",
+        "localization-eps-step-underflows"])
 def test_a_tiny_eps_or_delta_is_bad_input(capsys, argv, name):
     # eps^2 underflowing to 0 used to raise ZeroDivisionError in the thm2
     # bound, an eps of 1e-160 to report an infinite bound, 1e-100 at d=2 an
@@ -449,11 +451,23 @@ def test_a_tiny_eps_or_delta_is_bad_input(capsys, argv, name):
     # huge predicted sign degree; a localization eps whose halved step
     # accuracy eps/(2(K+1)) is subnormal an OverflowError from the Newton
     # inverse of erfc (exp(x^2) at 1e-320) or "math domain error" (erfc(x)
-    # is 0 at 3e-323), before the degree guard ran
+    # is 0 at 3e-323), before the degree guard ran; and an eps whose step
+    # accuracy underflows to 0 (1e-323) a message about the sign series'
+    # own eps, not in (0, 1), where it now names the user's
     code, out, err = run_cli(capsys, "report", *argv)
     assert code == 2 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and name in json.loads(lines[0])["error"]
+
+
+def test_the_cli_runs_under_cprofile(tmp_path):
+    # under cProfile -m, __main__ is cProfile's module, which holds none of
+    # the names that ExperimentConfig's string hints refer to
+    out = tmp_path / "prof.out"
+    proc = run_python("-m", "cProfile", "-o", str(out), "-m", "pqcapprox.cli", "report",
+                      "--experiment", "qsp", "--target", "poly:0,0.5")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] and out.stat().st_size > 0
 
 
 def test_report_rejects_a_grid_too_large_to_mesh():
