@@ -348,12 +348,19 @@ def _bernstein_factor(n: int, k: int) -> Polynomial:
 def _bernstein_chebyshev(f: TargetFunctionSpec, n: int) -> np.ndarray:
     """The (n+1)^d Chebyshev coefficients b_m of B_n f in w = 2x - 1:
     b_m = sum_k f(k/n) prod_j beta_{k_j, m_j}, with beta_{k, m} the T_m
-    coefficient of ``_bernstein_factor(n, k)``, one contraction per axis."""
+    coefficient of ``_bernstein_factor(n, k)`` (``_contract_axes``)."""
     beta = np.array([_bernstein_factor(n, k).coeffs for k in range(n + 1)])
-    b = _grid_values(f, n)
-    for _ in range(f.dims):  # each contraction moves its axis to the end
-        b = np.tensordot(b, beta, axes=([0], [0]))
-    return b
+    return _contract_axes(_grid_values(f, n)[None], [beta] * f.dims)[0]
+
+
+def _contract_axes(c: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """The stack c, whose leading axis is the cell's, with its axis j + 1
+    contracted against matrices[j] for every j: entry [i, m] is sum_k
+    c[i, k] prod_j matrices[j][k_j, m_j].  One contraction of all cells per
+    axis, each of which moves its axis to the end."""
+    for matrix in matrices:
+        c = np.tensordot(c, matrix, axes=([1], [0]))
+    return c
 
 
 def _tree_angles(probs: np.ndarray) -> list[np.ndarray]:
@@ -367,16 +374,24 @@ def _tree_angles(probs: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
+def _register_sizes(counts: Sequence[int]) -> list[int]:
+    """The sizes in qubits of ``_chebyshev_select``'s index registers, where
+    register r holds counts[r] values: register 0 holds its values and the
+    pad value counts[0], every other register its values."""
+    return [counts[0].bit_length()] + [(k - 1).bit_length() for k in counts[1:]]
+
+
 def _select_weights(
     powers: Sequence[Sequence[MultiIndex]], cells: np.ndarray
 ) -> tuple[list[int], float, np.ndarray, np.ndarray]:
-    """The index registers' sizes in qubits, R and the weights of
-    ``_chebyshev_select`` for the stacked cells, row i of each array cell
-    i's: the signed c / R, shaped (cells, 2^size_0, 2^size_1, ...) so that
-    a row is indexed by the registers' values, and the prep's (cells, 2^a)
-    probabilities, the magnitudes with the spare mass on the pad value
-    (register 0 holding len(powers[0]), 0 elsewhere)."""
-    sizes = [len(powers[0]).bit_length()] + [(len(v) - 1).bit_length() for v in powers[1:]]
+    """The index registers' sizes in qubits (``_register_sizes``), R and
+    the weights of ``_chebyshev_select`` for the stacked cells, row i of
+    each array cell i's: the signed c / R, shaped (cells, 2^size_0,
+    2^size_1, ...) so that a row is indexed by the registers' values, and
+    the prep's (cells, 2^a) probabilities, the magnitudes with the spare
+    mass on the pad value (register 0 holding len(powers[0]), 0
+    elsewhere)."""
+    sizes = _register_sizes([len(values) for values in powers])
     # in C order each row is summed pairwise, as a lone cell is; numpy sums
     # a strided row term by term
     totals = np.abs(cells, order="C").reshape(len(cells), -1).sum(axis=1)
@@ -464,16 +479,6 @@ def _power_chebyshev(n: int) -> np.ndarray:
     return rows
 
 
-def _chebyshev_of_powers(c: np.ndarray) -> np.ndarray:
-    """The Chebyshev tensor coefficients of sum_k c[i, k] prod_j u_j^k_j for
-    every row i of the stack c, whose leading axis is the cell's: one
-    contraction of all rows per power axis with ``_power_chebyshev`` of the
-    axis length."""
-    for _ in range(c.ndim - 1):  # each contraction moves its axis to the end
-        c = np.tensordot(c, _power_chebyshev(c.shape[1]), axes=([1], [0]))
-    return c
-
-
 def _nonzero_select(c: np.ndarray, slots: Sequence[EncodingSlot],
                     labels: tuple[str, str]) -> BlockCircuit:
     """``_chebyshev_select`` of sum_m c[m] prod_j T_{m_j}(u_j) over the
@@ -493,7 +498,8 @@ def build_poly_pqc(p: MultivariatePolynomial) -> BlockCircuit:
     power = np.zeros([1 + max(alpha[j] for alpha in p.terms) for j in range(p.dims)])
     for alpha, c in p.terms.items():
         power[alpha] = c
-    return _nonzero_select(_chebyshev_of_powers(power[None])[0],
+    chebyshev = _contract_axes(power[None], [_power_chebyshev(k) for k in power.shape])[0]
+    return _nonzero_select(chebyshev,
                            [EncodingSlot(j, "acos") for j in range(p.dims)],
                            (f"poly d={p.dims} terms={len(p.terms)}", "poly-prep"))
 
@@ -519,7 +525,7 @@ def build_bernstein_pqc(f: TargetFunctionSpec, n: int) -> BlockCircuit:
     ``sim.MAX_WIDTH`` raises before f is sampled.
     """
     d = f.dims
-    width = (n + 1).bit_length() + (d - 1) * n.bit_length() + d
+    width = sum(_register_sizes([n + 1] * d)) + d  # the index registers, then the data qubits
     if width + 1 > sim.MAX_WIDTH:  # the Hadamard test adds an ancilla
         raise ValueError(
             f"bernstein d={d}, n={n} has {(n + 1) ** d} terms, so its Hadamard test needs"
@@ -603,12 +609,12 @@ def localization_resources(spec: LocalizationSpec) -> sim.ResourceCount:
     beside the prep: depth is gates - 1 if both are there, else gates.
     """
     powers, cell = _localization_layout(localization_chebyshev(spec)[2])
-    _, _, signed, probs = _select_weights(powers, cell[None])
+    sizes, _, signed, probs = _select_weights(powers, cell[None])
     prep = sum(np.count_nonzero(angles) for angles in _tree_angles(probs))
     signs = np.count_nonzero(signed < 0.0)
     encodings = sum(k for values in powers for (k,) in values)
     gates = int(prep + signs + 2 * (signs > 0) + 1 + encodings)
-    return sim.ResourceCount(width=cell.ndim + 2, depth=gates - bool(signs and prep),
+    return sim.ResourceCount(width=sum(sizes) + 1, depth=gates - bool(signs and prep),
                              trainable_params=int(prep), gate_total=gates)
 
 
@@ -629,12 +635,7 @@ def localization_values(spec: LocalizationSpec, x: Sequence[float] | np.ndarray)
     folded, steps, _ = localization_chebyshev(spec)
     B = len(folded)
     xs = np.asarray(x, dtype=float)
-    u = xs.ravel()
-    edge = np.maximum.reduce(np.abs(u), axis=None, initial=0.0)  # the ufunc's own: no wrapper
-    if not edge <= 1.0 + sim.ENCODING_SLACK:  # NaN fails this too
-        raise ValueError("encoding inputs outside [-1, 1]")
-    if edge > 1.0:  # within the slack, so clipped; a lone point pays no clip otherwise
-        u = np.minimum(np.maximum(u, -1.0), 1.0)
+    u = sim.acos_argument(xs.ravel())
     theta = np.arccos(u)[:, None, None]
     size = max(1, sim.BATCH_BYTES // steps.nbytes)  # a point's exponentials
     if len(u) <= size:  # one chunk: the products themselves
@@ -751,7 +752,8 @@ def build_taylor_coeff_pqc(table: TaylorCoeffTable, shifts: Sequence[float]) -> 
     power[at] = table.xi
     cells = np.indices((table.K,) * d).reshape(d, -1).T  # product(range(K), repeat=d)
     slots = [EncodingSlot(j, "acos", shift) for j, shift in enumerate(shifts)]
-    return _chebyshev_select([terms], _chebyshev_of_powers(power)[at],
+    chebyshev = _contract_axes(power, [_power_chebyshev(s + 1)] * d)
+    return _chebyshev_select([terms], chebyshev[at],
                              series_start(table, cells).tolist(), table.address_bits, slots,
                              (f"taylor-series s={s}", "taylor-coeff"))
 

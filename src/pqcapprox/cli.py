@@ -217,17 +217,10 @@ def _build(cfg: ExperimentConfig) -> circuits.BlockCircuit:
 _Outcome = tuple[approx.ErrorReport, Optional[circuits.BlockCircuit]]
 
 
-def _resources(bc: circuits.BlockCircuit) -> sim.ResourceCount:
-    """The tallies of prep followed by circuit, so that no count depends on
-    which of the two holds a gate."""
-    parts = [(bc.prep, 0, (), ()), (bc.circuit, 0, (), ())]
-    return sim.resource_count(sim._composed(bc.width, parts, ""))
-
-
 def _nested_resources(model: circuits.NestedTaylorModel) -> sim.ResourceCount:
     """The d localization blocks side by side, then the series block."""
     loc = circuits.localization_resources(model.spec)
-    series = _resources(model.series)
+    series = sim.resource_count(model.series.prep, model.series.circuit)
     return sim.ResourceCount(
         width=max(loc.width * model.f.dims, series.width),
         depth=loc.depth + series.depth,  # nested halves are counted additively
@@ -259,7 +252,7 @@ def _run_qsp(cfg: ExperimentConfig) -> _Outcome:
         bound=cfg.tol,
         bound_name="synthesis-tolerance",
         tol_agg=0.0,
-        resources=_resources(bc),
+        resources=sim.resource_count(bc.prep, bc.circuit),
         params={"degree": target.degree, "residual": angles.residual},
     ), bc
 
@@ -274,7 +267,7 @@ def _run_poly(cfg: ExperimentConfig) -> _Outcome:
         bound=cfg.tol,
         bound_name="exact-representation",
         tol_agg=bc.tol,
-        resources=_resources(bc),
+        resources=sim.resource_count(bc.prep, bc.circuit),
         params={"terms": len(mp.terms), "rescale": bc.rescale},
     ), bc
 
@@ -296,7 +289,7 @@ def _run_bernstein(cfg: ExperimentConfig) -> _Outcome:
         bound=bound,
         bound_name="lipschitz-global",
         tol_agg=bc.tol,
-        resources=_resources(bc),
+        resources=sim.resource_count(bc.prep, bc.circuit),
         params={"n": n, "d": d, "eps": eps},
     )
     if cfg.shots > 0:
@@ -393,7 +386,7 @@ def _run_trig(cfg: ExperimentConfig) -> _Outcome:
         bound=cfg.tol,
         bound_name="exact-representation",
         tol_agg=bc.tol,
-        resources=_resources(bc),
+        resources=sim.resource_count(bc.prep, bc.circuit),
         params={"terms": len(t.terms)},
     ), bc
 
@@ -553,8 +546,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     else:
         bc = build(ExperimentConfig(args.kind, **given))
     _emit_block(bc, args.circuit_path)
-    print(json.dumps({**_resources(bc).to_dict(), "rescale": bc.rescale, "tol": bc.tol},
-                     indent=2))
+    resources = sim.resource_count(bc.prep, bc.circuit).to_dict()
+    print(json.dumps({**resources, "rescale": bc.rescale, "tol": bc.tol}, indent=2))
     return 0
 
 

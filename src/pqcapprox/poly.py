@@ -600,15 +600,17 @@ def _sign_cheb_series(delta: float, eps: float, R: float) -> np.ndarray:
     series is evaluated in full once, at top; one ``_OddPartialSums`` then
     steps it down while the grid test passes, the check with the grid
     maximum in place of the refined sup, and back up from the lowest pass
-    until the refined sup passes too, which is usually at once.
+    until the refined sup passes too, which is usually at once.  An eps so
+    small that erfc cannot be inverted at eps/2 in floating point raises
+    OverflowError.
     """
     if delta <= 0 or not 0 < eps < 1:
         raise ValueError("need delta > 0 and eps in (0,1)")
     try:
         root = _erfcinv(eps / 2.0)
     except (OverflowError, ValueError):  # a Newton step's exp(x^2) overflows, or erfc(x) is 0
-        raise ValueError(f"eps is too small: erfc cannot be inverted in floating point at half"
-                         f" the step accuracy eps/(2(K+1)) = {eps:.4g}; raise eps") from None
+        raise OverflowError(f"erfc cannot be inverted in floating point at eps/2 = {eps / 2.0:.4g}"
+                            ) from None
     kappa = root * 2.0 * R / delta
     # Chebyshev coefficients of erf(kappa x) decay like exp(-n^2/(4 kappa^2)),
     # so resolving a tail of size eps needs n ~ 2 kappa sqrt(log(1/eps)).
@@ -797,7 +799,12 @@ def localization_poly(spec: LocalizationSpec) -> Polynomial:
     if step_eps == 0.0:  # eps > 0, so the quotient underflowed
         raise ValueError(f"eps {eps} is too small: the step accuracy eps/(2(K+1)) underflows"
                          " to 0; raise eps")
-    sgn_coef = _sign_cheb_series(delta, step_eps, R)
+    try:
+        sgn_coef = _sign_cheb_series(delta, step_eps, R)
+    except OverflowError:  # erfc cannot be inverted at step_eps / 2
+        raise ValueError(f"eps is too small: at eps {eps} the step accuracy eps/(2(K+1)) is"
+                         f" {step_eps:.4g}, and erfc cannot be inverted in floating point at"
+                         " half of it; raise eps") from None
     sgn_degree = len(sgn_coef) - 1
     centers = np.array([k / K - delta / 2.0 for k in range(1, K)])
     # the evenized steps are exactly an even Chebyshev series of degree

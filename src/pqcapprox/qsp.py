@@ -55,8 +55,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import sim
 from .poly import ParityPolynomial, _cheb_coeffs, _cheb_values, _mirrored, chebyshev_grid
-from .sim import ENCODING_SLACK
 
 logger = logging.getLogger(__name__)
 
@@ -97,19 +97,10 @@ class TrigQspParams:
 
 def qsp_block_values(angles: Sequence[float], xs: np.ndarray) -> np.ndarray:
     """Plus-state block values <+|U(x)|+> for a batch of inputs."""
-    xs = np.asarray(xs, dtype=float)
-    if not np.all(np.abs(xs) <= 1.0 + ENCODING_SLACK):  # NaN fails this too
-        raise ValueError("encoding inputs outside [-1, 1]")
-    xs = np.clip(xs, -1.0, 1.0)
+    xs = sim.acos_argument(np.asarray(xs, dtype=float))
     a, b = _transfer_top_rows(np.asarray(angles, dtype=float), xs)
     # U = [[a, b], [-conj(b), conj(a)]], so <+|U|+> = Re(a) + i Im(b)
     return a.real + 1j * b.imag
-
-
-# 2x2 layer products per numpy call in _transfer_top_rows.  Smaller batches
-# split the layers into more blocks; tuned so that no batch size runs slower
-# than a plain layer-by-layer sweep.
-_BLOCK_WIDTH = 8192
 
 
 def _transfer_top_rows(thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,8 +137,13 @@ def _transfer_top_rows(thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _layer_blocks(L: int, n: int) -> tuple[int, int, int]:
-    """(m, q, r) with L = q*m + r: about _BLOCK_WIDTH / n blocks, r < m."""
-    m = L // min(L, -(-_BLOCK_WIDTH // max(n, 1)))
+    """(m, q, r) with L = q*m + r: about W / n blocks, r < m, where W =
+    sim.BATCH_BYTES / 64 is the 2x2 layer products per numpy call.  A
+    product holds four complex temporaries (a, b, t and u of
+    ``_sweep_top_rows``), 64 bytes.  Smaller batches split the layers into
+    more blocks; at 2^19 bytes (W = 8192) no batch size runs slower than a
+    plain layer-by-layer sweep."""
+    m = L // min(L, -(-(sim.BATCH_BYTES // 64) // max(n, 1)))
     q, r = divmod(L, m)
     return m, q, r
 

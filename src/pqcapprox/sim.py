@@ -40,21 +40,28 @@ class EncodingSlot:
     scale: float = 1.0
 
 
-def encoding_angles(xform: str, u: np.ndarray) -> np.ndarray:
-    """Angles of an encoding transform at arguments u = scale*x[coord] - shift.
+def acos_argument(u: np.ndarray) -> np.ndarray:
+    """The array u checked as arccos arguments, the one home of that rule:
+    an argument more than ENCODING_SLACK past [-1, 1], or NaN, raises
+    ValueError naming the first such, and one within the slack is clipped.
 
-    The acos range check is one reduction, and the offending argument is
-    looked up only when it fails.  An argument within the slack past
-    [-1, 1] is clipped; the clip moves no argument inside [-1, 1], so it
+    The check is one reduction, and the offending argument is looked up
+    only when it fails.  The clip moves no argument inside [-1, 1], so it
     runs only when one lies in the slack."""
+    edge = np.maximum.reduce(np.abs(u), axis=None, initial=0.0)  # the ufunc's own: no wrapper
+    if not edge <= 1.0 + ENCODING_SLACK:  # NaN fails this too
+        bad = u[~(np.abs(u) <= 1.0 + ENCODING_SLACK)][0]
+        raise ValueError(f"encoding argument {bad} outside [-1, 1]")
+    if edge > 1.0:
+        u = np.minimum(np.maximum(u, -1.0), 1.0)
+    return u
+
+
+def encoding_angles(xform: str, u: np.ndarray) -> np.ndarray:
+    """Angles of an encoding transform at arguments u = scale*x[coord] - shift;
+    an acos argument is checked by ``acos_argument``."""
     if xform == "acos":
-        edge = np.maximum.reduce(np.abs(u), axis=None, initial=0.0)
-        if not edge <= 1.0 + ENCODING_SLACK:  # NaN fails this too
-            bad = u[~(np.abs(u) <= 1.0 + ENCODING_SLACK)][0]
-            raise ValueError(f"encoding argument {bad} outside [-1, 1]")
-        if edge > 1.0:
-            u = np.minimum(np.maximum(u, -1.0), 1.0)
-        return -2.0 * np.arccos(u)
+        return -2.0 * np.arccos(acos_argument(u))
     if xform == "zrot":
         ok = np.isfinite(u)
         if not ok.all():
@@ -802,12 +809,18 @@ class ResourceCount:
                 "params": self.trainable_params, "gates": self.gate_total}
 
 
-def resource_count(c: Circuit) -> ResourceCount:
-    """Width, greedy-ASAP depth, trainable-parameter and gate tallies."""
-    level = [0] * c.width
+def resource_count(*circuits: Circuit) -> ResourceCount:
+    """Width, greedy-ASAP depth, trainable-parameter and gate tallies of the
+    circuits run in turn on one register, so a block's prep and circuit
+    count as one circuit; they must share one width."""
+    width = circuits[0].width
+    if any(c.width != width for c in circuits):
+        raise ValueError("the circuits of one count must share one width")
+    gates = [g for c in circuits for g in c.gates]
+    level = [0] * width
     depth = 0
     params = 0
-    for g in c.gates:
+    for g in gates:
         qs = g.qubits
         layer = 1 + max(map(level.__getitem__, qs))
         for q in qs:
@@ -815,7 +828,7 @@ def resource_count(c: Circuit) -> ResourceCount:
         depth = max(depth, layer)
         if g.trainable:
             params += 1
-    return ResourceCount(c.width, depth, params, len(c.gates))
+    return ResourceCount(width, depth, params, len(gates))
 
 
 # ---------------------------------------------------------------------------

@@ -1229,8 +1229,8 @@ def raised(call) -> tuple[type, str]:
 
 
 @pytest.mark.parametrize("case, message", [
-    ("nan", "encoding inputs outside [-1, 1]"),
-    ("outside", "encoding inputs outside [-1, 1]"),
+    ("nan", "encoding argument nan outside [-1, 1]"),
+    ("outside", "encoding argument 1.5 outside [-1, 1]"),
     ("length", "the model takes points of 2 coordinates, got 3"),
     ("start-below", "start indices must lie in [0, 512)"),
     ("start-above", "start indices must lie in [0, 512)"),
@@ -1252,6 +1252,56 @@ def test_a_lone_point_raises_what_its_batch_raises(case, message):
         lone = lambda: model(bad)  # noqa: E731
         batch = lambda: model(np.vstack([np.full_like(bad, 0.2), bad, np.full_like(bad, 0.6)]))  # noqa: E731
     assert raised(lone) == raised(batch) == (ValueError, message)
+
+
+def _arccos_caller(caller: str):
+    """The value of an arccos caller at argument u: the d=1 Bernstein block
+    (whose slot reads u = 2x - 1) evaluated at x = (u + 1) / 2, an encoding
+    gate bound at u, and the localization and QSP block values at the
+    points (0.2, u)."""
+    if caller == "bernstein":
+        bc = C.build_bernstein_pqc(targets.abs_centered(1), 4)
+        return lambda u: C.evaluate_block(bc, np.array([(u + 1.0) / 2.0]))
+    if caller == "gate":
+        gate = S.Gate("Rx", 0, slot=S.EncodingSlot(0, "acos"))
+        return lambda u: gate.bound([u]).angle
+    if caller == "localization":
+        spec = P.LocalizationSpec(4, 0.05, 0.1)
+        return lambda u: C.localization_values(spec, np.array([0.2, u]))
+    return lambda u: Q.qsp_block_values((0.1, 0.2, 0.3), np.array([0.2, u]))
+
+
+@pytest.mark.parametrize("u", [math.nan, 1.5, -1.0 - 1e-8])
+@pytest.mark.parametrize("caller", ["bernstein", "gate", "localization", "qsp"])
+def test_every_arccos_caller_checks_its_argument_by_one_rule(caller, u):
+    """Each caller raises the one message of sim.acos_argument, which names
+    the argument, and reads an argument within ENCODING_SLACK past [-1, 1]
+    as its clip."""
+    value = _arccos_caller(caller)
+    with pytest.raises(ValueError) as info:
+        value(u)
+    assert str(info.value) == f"encoding argument {u} outside [-1, 1]"
+    for edge in (1.0, -1.0):
+        within = edge * (1.0 + S.ENCODING_SLACK / 2)
+        assert np.array_equal(value(within), value(edge))
+
+
+@pytest.mark.parametrize("d, top", [(1, 33), (2, 17), (3, 9), (4, 8), (5, 4)])
+def test_bernstein_width_guard_raises_exactly_past_the_cap(monkeypatch, d, top):
+    """With the cap set at each built width of n = 1..top, across the steps
+    of the register sizes, the guard raises exactly where the block's
+    Hadamard test, one ancilla wider, would pass sim.MAX_WIDTH, and builds
+    the same block one qubit above."""
+    f = targets.abs_centered(d)
+    for n in range(1, top + 1):
+        bc = C.build_bernstein_pqc(f, n)
+        width = S.hadamard_test_circuit(bc.circuit, bc.prep).width
+        monkeypatch.setattr(S, "MAX_WIDTH", width)
+        assert C.build_bernstein_pqc(f, n) == bc
+        monkeypatch.setattr(S, "MAX_WIDTH", width - 1)
+        with pytest.raises(ValueError, match=f"needs {width} qubits, more than the {width - 1}-"):
+            C.build_bernstein_pqc(f, n)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -1285,7 +1335,8 @@ def test_localization_resources_equal_the_built_count():
         specs.append(P.LocalizationSpec(K, rng.uniform(0.2, 0.45) / K, rng.uniform(0.25, 0.75) / K))
     counts = [C.localization_resources(spec) for spec in specs]
     for spec, count in zip(specs, counts):
-        assert count == cli._resources(C.build_localization_pqc(spec)), spec
+        bc = C.build_localization_pqc(spec)
+        assert count == S.resource_count(bc.prep, bc.circuit), spec
     # both depth cases: K=1 has no negative weight, so no sign pair opens its circuit
     assert [r.depth == r.gate_total for r in counts].count(True) == 1
     assert counts[3] == S.ResourceCount(11, 1559, 448, 1560)

@@ -460,6 +460,18 @@ def test_a_tiny_eps_or_delta_is_bad_input(capsys, argv, name):
     assert len(lines) == 1 and name in json.loads(lines[0])["error"]
 
 
+def test_an_erfc_underflow_names_the_users_eps(capsys):
+    # the message used to print the step accuracy as half of itself and
+    # leave out the eps the user gave
+    code, out, err = run_cli(capsys, "report", "--experiment", "localization", "--K", "4",
+                             "--eps", "1e-320")
+    assert code == 2 and out == "" and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == (
+        "eps is too small: at eps 1e-320 the step accuracy eps/(2(K+1)) is 9.98e-322, and erfc"
+        " cannot be inverted in floating point at half of it; raise eps")
+
+
 def test_the_cli_runs_under_cprofile(tmp_path):
     # under cProfile -m, __main__ is cProfile's module, which holds none of
     # the names that ExperimentConfig's string hints refer to
@@ -585,7 +597,8 @@ def test_localization_report_builds_its_block_only_for_circuit_output(tmp_path, 
     code, emitted, _ = run_cli(capsys, *flags, "--emit-circuit", str(path))
     assert code == 0 and labels == ["localization K=8 x0"]
     assert json.loads(emitted)["resources"] == json.loads(out)["resources"]
-    resources = cli._resources(cli._load_block(str(path))).to_dict()
+    bc = cli._load_block(str(path))
+    resources = sim.resource_count(bc.prep, bc.circuit).to_dict()
     assert json.loads(out)["resources"] == resources == {
         "width": 11, "depth": 1559, "params": 448, "gates": 1560}
 

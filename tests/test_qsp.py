@@ -13,6 +13,7 @@ from scipy import fft
 
 from pqcapprox import poly as P
 from pqcapprox import qsp as Q
+from pqcapprox import sim as S
 
 from oracles import qsp_synthesize_completion, qsp_unitary, trig_qsp_unitary
 
@@ -77,7 +78,7 @@ def _check_against_unitary(L, n, width, seed):
     xs = np.cos(rng.uniform(0.0, np.pi, n))
     xs[0] = 1.0
     xs[-1] = -1.0 if n > 1 else xs[-1]
-    with mock.patch.object(Q, "_BLOCK_WIDTH", width):
+    with mock.patch.object(S, "BATCH_BYTES", 64 * width):  # width layer products a call
         batch = Q.qsp_block_values(angles, xs)
     plus = np.array([1, 1]) / math.sqrt(2)
     seq = Q.QspAngleSequence(angles)
@@ -88,11 +89,11 @@ def _check_against_unitary(L, n, width, seed):
 @given(
     L=st.integers(0, 64),
     n=st.integers(1, 300),
-    width=st.sampled_from([1, 5, 64, Q._BLOCK_WIDTH]),
+    width=st.sampled_from([1, 5, 64, 8192]),
     seed=st.integers(0, 10**6),
 )
 @settings(max_examples=60, deadline=None, derandomize=True)
-@example(L=0, n=2, width=Q._BLOCK_WIDTH, seed=5)
+@example(L=0, n=2, width=8192, seed=5)
 def test_block_values_match_unitary_any_blocking(L, n, width, seed):
     _check_against_unitary(L, n, width, seed)
 
@@ -101,13 +102,13 @@ def test_block_values_match_unitary_any_blocking(L, n, width, seed):
     "L, n, width, blocks, leading",
     [
         (64, 300, 1, 1, 0),  # one block: a plain sweep
-        (64, 1, Q._BLOCK_WIDTH, 64, 0),  # one layer per block
-        (45, 3, Q._BLOCK_WIDTH, 45, 0),  # odd block count
+        (64, 1, 8192, 64, 0),  # one layer per block
+        (45, 3, 8192, 45, 0),  # odd block count
         (50, 1, 7, 7, 1),  # odd block count plus a leading layer
     ],
 )
 def test_block_values_match_unitary_in_each_layout(L, n, width, blocks, leading):
-    with mock.patch.object(Q, "_BLOCK_WIDTH", width):
+    with mock.patch.object(S, "BATCH_BYTES", 64 * width):
         m, q, r = Q._layer_blocks(L, n)
     assert (q, r) == (blocks, leading) and q * m + r == L
     _check_against_unitary(L, n, width, seed=L)
